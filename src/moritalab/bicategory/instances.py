@@ -14,15 +14,13 @@ from ..errors import CapExceeded, NotComposable
 from ..numkernel import DEFAULT_TOL, operator_norm
 from ..rings.base import FiniteRing
 from ..rings.bimodules import (
-    BOTH_SIDES,
     Bimodule,
     BimoduleMap,
-    combine_matrices,
     identity_map,
     maps_equal,
     regular_bimodule,
 )
-from ..rings.hom import bimodule_isomorphic
+from ..rings.hom import bimodule_isomorphic, hom_group
 from ..rings.tensor import (
     TensorProduct,
     left_unitor as ring_left_unitor,
@@ -31,7 +29,6 @@ from ..rings.tensor import (
     tensor_of_maps,
     tensor_product,
 )
-from ..exact import IntegerMatrix
 from ..wstar.algebras import MultiMatrixAlgebra, State, trace_state
 from ..wstar.correspondences import (
     Correspondence,
@@ -105,10 +102,10 @@ class RingsBicategory:
         return f.is_bijective()
 
     def random_endo_2cell(self, P: Bimodule, rng) -> BimoduleMap:
-        # multiplication by a small integer always intertwines both actions
-        n = int(rng.integers(0, 5))
-        mat = combine_matrices([IntegerMatrix.identity(P.rank)], [n])
-        return BimoduleMap(P, P, mat, BOTH_SIDES)
+        # a uniform element of the two-sided End(P), not just a scalar
+        H = hom_group(P, P, side="both")
+        return H.from_coordinates([int(rng.integers(0, d))
+                                   for d in H.group.invariant_factors])
 
 
 class WStarBicategory:
@@ -220,7 +217,15 @@ class WStarBicategory:
 
 def sample_wstar_chain(rng, length: int, dim_cap: int = 24):
     """A composable chain of multiplicity correspondences, dims summing
-    under the cap.  Returns (algebras, cells)."""
+    under the cap.  Returns (algebras, cells).
+
+    Every cell has dimension at least 1, so a cap below the length can
+    never be met and raises CapExceeded before anything is drawn.
+    """
+    if dim_cap < length:
+        raise CapExceeded(
+            f"a chain of {length} cells needs a dimension cap of at least "
+            f"{length}, got {dim_cap}")
     patterns = [(1,), (2,), (1, 1), (3,), (2, 1)]
     while True:
         algs = [MultiMatrixAlgebra(tuple(patterns[rng.integers(len(patterns))]))

@@ -16,11 +16,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,7 +40,13 @@ from .rings.hom import end_ring
 from .rings.isosearch import ring_iso_search
 from .rings.morita import certify_invertible_bimodule
 from .rings.tensor import tensor_product
-from .specfile import SpecFile, load_spec_dict, load_spec_file, serialize_spec
+from .specfile import (
+    SpecFile,
+    encode_complex_matrix,
+    load_spec_dict,
+    load_spec_file,
+    serialize_spec,
+)
 from .wstar.algebras import MultiMatrixAlgebra, State, trace_state
 from .wstar.correspondences import conjugate_correspondence, vector_correspondence
 from .wstar.fusion import connes_fusion, twisted_balancing_residual
@@ -50,15 +56,10 @@ from .wstar.standard import gns_standard_form, standard_form_residuals
 PASS, FAIL, REFUTED, ERROR = "Pass", "Fail", "Refuted", "Error"
 
 
-def _encode_complex(M) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
-
-
 class _Options:
     def __init__(self, args):
         self.tol = args.tol
         self.seed = int(os.environ.get("MORITALAB_SEED", args.seed))
-        self.threads = max(1, args.threads)
         self.max_dim = args.max_dim
         self.max_order = args.max_order
 
@@ -113,8 +114,8 @@ def _task_morita_ring(spec: SpecFile, task: dict, opts: _Options):
 
 
 def _task_coherence_rings(spec: SpecFile, task: dict, opts: _Options):
-    count = int(task.get("count", 5))
-    seed = int(task.get("seed", opts.seed))
+    count = task.get("count", 5)
+    seed = task.get("seed", opts.seed)
     rng = random.Random(seed)
     pool = CoherencePool()
     inst = RingsBicategory()
@@ -152,7 +153,7 @@ def _task_fusion(spec: SpecFile, task: dict, opts: _Options):
     phi = spec.states[task["state"]] if "state" in task else trace_state(N)
     std = gns_standard_form(N, phi)
     fus = connes_fusion(H, K, std, tol=opts.tol, cap=opts.max_dim ** 2)
-    samples = int(task.get("samples", 50))
+    samples = task.get("samples", 50)
     rng = np.random.default_rng(opts.seed)
     disc = twisted_balancing_residual(fus, std, rng, samples=samples)
     data = {"fused_dim": fus.corr.dim, "samples": samples,
@@ -174,15 +175,15 @@ def _task_morita_wstar(spec: SpecFile, task: dict, opts: _Options):
         "residual": cert.residual,
         "fusion_left_dim": cert.fusion_left.corr.dim,
         "fusion_right_dim": cert.fusion_right.corr.dim,
-        "unitary_left": _encode_complex(cert.unitary_left),
-        "unitary_right": _encode_complex(cert.unitary_right),
+        "unitary_left": encode_complex_matrix(cert.unitary_left),
+        "unitary_right": encode_complex_matrix(cert.unitary_right),
     }
     return PASS, "correspondence implements an equivalence", data, cert.residual
 
 
 def _task_coherence_wstar(spec: SpecFile, task: dict, opts: _Options):
-    count = int(task.get("count", 5))
-    seed = int(task.get("seed", opts.seed))
+    count = task.get("count", 5)
+    seed = task.get("seed", opts.seed)
     rng = np.random.default_rng(seed)
     inst = WStarBicategory(tol=opts.tol)
     worst = 0.0
@@ -240,20 +241,13 @@ def _run_one(spec: SpecFile, idx: int, task: dict, opts: _Options) -> dict:
 
 def run_spec(spec: SpecFile, opts: _Options, digest: str) -> dict:
     started = time.perf_counter()
-    if opts.threads > 1 and len(spec.tasks) > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            rows = list(pool.map(
-                lambda it: _run_one(spec, it[0], it[1], opts),
-                enumerate(spec.tasks)))
-    else:
-        rows = [_run_one(spec, i, t, opts) for i, t in enumerate(spec.tasks)]
+    rows = [_run_one(spec, i, t, opts) for i, t in enumerate(spec.tasks)]
     return {
         "tool": "moritalab",
         "version": __version__,
         "input_digest": digest,
         "seed": opts.seed,
         "tolerance": opts.tol,
-        "threads": opts.threads,
         "max_dim": opts.max_dim,
         "max_order": opts.max_order,
         "tasks": rows,
@@ -340,6 +334,30 @@ DEMOS = {
 
 # ----------------------------------------------------------------- main
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="moritalab",
@@ -347,17 +365,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_flags(p):
-        p.add_argument("--tol", type=float, default=1e-8,
+        p.add_argument("--tol", type=_positive_float, default=1e-8,
                        help="numeric tolerance for W* checks (default 1e-8)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_int_at_least(0), default=0,
                        help="sampler seed (env MORITALAB_SEED overrides)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="run independent tasks in parallel")
         p.add_argument("--report", default=None,
                        help="write the JSON report here instead of stdout")
-        p.add_argument("--max-dim", type=int, default=24,
+        p.add_argument("--max-dim", type=_int_at_least(1), default=24,
                        help="total dimension cap for sampled W* tuples")
-        p.add_argument("--max-order", type=int, default=16,
+        p.add_argument("--max-order", type=_int_at_least(1), default=16,
                        help="carrier order cap for sampled ring tuples")
 
     run_p = sub.add_parser("run", help="execute the tasks in a spec file")

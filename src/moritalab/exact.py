@@ -447,6 +447,27 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
     return CongruenceSolution(particular, kernel)
 
 
+def invert_group_map(T: IntegerMatrix, source: FiniteAbelianGroup,
+                     target: FiniteAbelianGroup) -> IntegerMatrix:
+    """Inverse of a bijective map given by its coordinate matrix.
+
+    T sends source coordinates to target coordinates.  Column i of the
+    result is a reduced preimage of the i-th target generator.  Raises
+    NoSolution when T is not onto and ValueError when it is not one-to-one.
+    """
+    tfs = list(target.invariant_factors)
+    cols = []
+    for i in range(target.rank):
+        e = [1 if j == i else 0 for j in range(target.rank)]
+        cols.append(list(source.reduce(solve_congruences(T, tfs, e).particular)))
+    inv = IntegerMatrix.from_columns(cols, source.rank)
+    back = inv @ T
+    for i, (row, d) in enumerate(zip(back.data, source.invariant_factors)):
+        if any((v - (1 if j == i else 0)) % d for j, v in enumerate(row)):
+            raise ValueError("map is not injective")
+    return inv
+
+
 def lattice_column_basis(M: IntegerMatrix) -> IntegerMatrix:
     """A basis (as columns) of the lattice spanned by the columns of M."""
     if M.cols == 0:

@@ -53,10 +53,6 @@ class AntilinearOp:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.conj(v)
 
-    def adjoint(self) -> "AntilinearOp":
-        # <T v, w> = <T* w, v> for antilinear T; in coordinates T* = T^t
-        return AntilinearOp(self.matrix.T)
-
     def compose_antilinear(self, other: "AntilinearOp") -> np.ndarray:
         """self . other is linear: A1 . conj(A2) as a plain matrix."""
         return self.matrix @ np.conj(other.matrix)

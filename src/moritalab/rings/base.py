@@ -11,7 +11,6 @@ below 2 raises UnitDegenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
 from typing import Sequence
 
 from ..errors import UnitDegenerate
@@ -222,7 +221,3 @@ def direct_product_ring(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     name = f"({R.name} x {S.name})" if R.name and S.name else ""
     return FiniteRing(group, mult, unit, name=name)
 
-
-def ring_element_table(R: FiniteRing) -> list[Vector]:
-    """All elements in mixed-radix order (deterministic, possibly large)."""
-    return list(R.elements())

@@ -13,7 +13,6 @@ reuse the same class with ``sides=("right",)`` or ``("left",)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Sequence
 
 from ..errors import NoSolution, RingMismatch
@@ -21,6 +20,7 @@ from ..exact import (
     FiniteAbelianGroup,
     IntegerMatrix,
     cokernel,
+    invert_group_map,
     solve_congruences,
 )
 from .base import FiniteRing, cyclic_ring, matrix_ring
@@ -208,21 +208,13 @@ def identity_map(M: Bimodule, sides: tuple[str, ...] = BOTH_SIDES) -> BimoduleMa
 
 def invert_bimodule_map(f: BimoduleMap) -> BimoduleMap:
     """Two-sided inverse of a bijective map, found by congruence solving."""
-    tgt = f.target
-    tfs = list(tgt.carrier.invariant_factors)
-    cols = []
-    for i in range(tgt.rank):
-        e = [1 if j == i else 0 for j in range(tgt.rank)]
-        try:
-            sol = solve_congruences(f.matrix, tfs, e)
-        except NoSolution as exc:
-            raise ValueError("map is not surjective, cannot invert") from exc
-        cols.append(list(f.source.carrier.reduce(sol.particular)))
-    g = BimoduleMap(tgt, f.source, IntegerMatrix.from_columns(cols, f.source.rank), f.sides)
-    sfs = f.source.carrier.invariant_factors
-    if not matrices_congruent(g.matrix @ f.matrix, IntegerMatrix.identity(f.source.rank), sfs):
-        raise ValueError("map is not injective, cannot invert")
-    return g
+    try:
+        inv = invert_group_map(f.matrix, f.source.carrier, f.target.carrier)
+    except NoSolution as exc:
+        raise ValueError("map is not surjective, cannot invert") from exc
+    except ValueError as exc:
+        raise ValueError("map is not injective, cannot invert") from exc
+    return BimoduleMap(f.target, f.source, inv, f.sides)
 
 
 # --------------------------------------------------------- constructors

@@ -13,6 +13,7 @@ from typing import Iterator, Sequence
 
 from ..errors import SearchBudgetExceeded, UnitDegenerate
 from ..exact import (
+    CokernelProjection,
     FiniteAbelianGroup,
     IntegerMatrix,
     cokernel,
@@ -41,14 +42,14 @@ class HomGroup:
     sides: tuple[str, ...]
     group: FiniteAbelianGroup
     basis_matrix: IntegerMatrix  # lattice basis of K, one column per basis map
-    _proj: "object"
+    _proj: CokernelProjection    # K coordinates -> hom group coordinates
 
     @property
     def rank(self) -> int:
         return self.group.rank
 
     def from_coordinates(self, coords: Sequence[int]) -> BimoduleMap:
-        vec = self._proj.section_vector(list(coords))
+        vec = self._proj.section_matrix.apply(list(coords))
         flat = self.basis_matrix.apply(vec)
         nt, ns = self.target.rank, self.source.rank
         data = [[flat[i * ns + j] for j in range(ns)] for i in range(nt)]
@@ -63,35 +64,15 @@ class HomGroup:
             raise ValueError("matrix is not a map in this hom group")
         return self._proj.apply(y)
 
+    def generator_matrices(self) -> list[IntegerMatrix]:
+        """Matrices of the maps at the group's generators, in order."""
+        r = self.rank
+        return [self.from_coordinates([1 if k == a else 0 for k in range(r)]).matrix
+                for a in range(r)]
+
     def elements(self) -> Iterator[BimoduleMap]:
         for coords in self.group.elements():
             yield self.from_coordinates(coords)
-
-
-class _CoordProjection:
-    """Wraps a cokernel projection with a linear section on coordinates."""
-
-    def __init__(self, proj):
-        self.proj = proj
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return self.proj.apply(vec)
-
-    def section_vector(self, coords: Sequence[int]) -> list[int]:
-        out = None
-        for a, c in enumerate(coords):
-            if not c:
-                continue
-            s = self.proj.section(a)
-            if out is None:
-                out = [c * x for x in s]
-            else:
-                for k, x in enumerate(s):
-                    out[k] += c * x
-        if out is None:
-            ncols = self.proj.section_matrix.rows
-            out = [0] * ncols
-        return out
 
 
 def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
@@ -104,8 +85,7 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
     nvars = nt * ns
     if nvars == 0:
         group, proj = cokernel(IntegerMatrix.zeros(0, 0), [])
-        return HomGroup(M, N, sides, group, IntegerMatrix.zeros(0, 0),
-                        _CoordProjection(proj))
+        return HomGroup(M, N, sides, group, IntegerMatrix.zeros(0, 0), proj)
     cS = M.carrier.invariant_factors
     cT = N.carrier.invariant_factors
 
@@ -159,7 +139,7 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
         K0_in_K.append(y)
     rank = K.cols
     group, proj = cokernel(IntegerMatrix.from_columns(K0_in_K, rank), [0] * rank)
-    return HomGroup(M, N, sides, group, K, _CoordProjection(proj))
+    return HomGroup(M, N, sides, group, K, proj)
 
 
 @dataclass
@@ -183,8 +163,7 @@ def endomorphism_ring(M: Bimodule, side: str = "right",
         raise UnitDegenerate("endomorphism ring of the zero module")
     H = hom_group(M, M, side)
     r = H.rank
-    basis_mats = [H.from_coordinates([1 if k == a else 0 for k in range(r)]).matrix
-                  for a in range(r)]
+    basis_mats = H.generator_matrices()
     mult = tuple(
         tuple(H.coordinates(basis_mats[a] @ basis_mats[b]) for b in range(r))
         for a in range(r)

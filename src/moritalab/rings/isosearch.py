@@ -11,12 +11,16 @@ element tables.
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
 import numpy as np
 
 from ..errors import NoSolution, SearchBudgetExceeded
-from ..exact import IntegerMatrix, cokernel, lattice_column_basis, solve_congruences
+from ..exact import (
+    IntegerMatrix,
+    cokernel,
+    invert_group_map,
+    lattice_column_basis,
+    solve_congruences,
+)
 from .base import FiniteRing
 
 NODE_CAP = 200_000
@@ -89,22 +93,6 @@ def _subgroup_order(cols: list[tuple[int, ...]], ring: FiniteRing) -> int:
     M = IntegerMatrix.from_columns([list(c) for c in cols], ring.rank)
     group, _ = cokernel(M, list(ring.additive.invariant_factors))
     return ring.order // group.order
-
-
-def _left_mult_matrix(B: FiniteRing, t: tuple[int, ...]) -> IntegerMatrix:
-    cols = []
-    for c in range(B.rank):
-        e = tuple(1 if i == c else 0 for i in range(B.rank))
-        cols.append(list(B.mul(t, e)))
-    return IntegerMatrix.from_columns(cols, B.rank)
-
-
-def _right_mult_matrix(B: FiniteRing, t: tuple[int, ...]) -> IntegerMatrix:
-    cols = []
-    for c in range(B.rank):
-        e = tuple(1 if i == c else 0 for i in range(B.rank))
-        cols.append(list(B.mul(e, t)))
-    return IntegerMatrix.from_columns(cols, B.rank)
 
 
 def _enumerate_coset(particular: list[int], kernel: IntegerMatrix,
@@ -227,13 +215,13 @@ class _Search:
             cp = coeffs[p] if p < len(coeffs) else 0
             known = self.known_sum(coeffs, chosen)
             if i == p:
-                M = _right_mult_matrix(C, chosen[j])
+                M = C.right_mult_matrix(chosen[j])
                 block_data = [[M.data[r][c] - (cp if r == c else 0)
                                for c in range(k)] for r in range(k)]
                 add_block(IntegerMatrix(block_data, k, k), known)
                 linear += 1
             elif j == p:
-                M = _left_mult_matrix(C, chosen[i])
+                M = C.left_mult_matrix(chosen[i])
                 block_data = [[M.data[r][c] - (cp if r == c else 0)
                                for c in range(k)] for r in range(k)]
                 add_block(IntegerMatrix(block_data, k, k), known)
@@ -347,13 +335,7 @@ def ring_iso_search(A: FiniteRing, B: FiniteRing,
     if not is_ring_isomorphism(D, C, T):
         return None
     if swapped:
-        mods = list(A.additive.invariant_factors)
-        cols = []
-        for a in range(A.rank):
-            e = [1 if i == a else 0 for i in range(A.rank)]
-            sol = solve_congruences(T, mods, e)
-            cols.append(list(B.additive.reduce(sol.particular)))
-        T = IntegerMatrix.from_columns(cols, B.rank)
+        T = invert_group_map(T, B.additive, A.additive)
         if not is_ring_isomorphism(A, B, T):
             return None
     return T

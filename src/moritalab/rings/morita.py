@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import NoSolution
-from ..exact import IntegerMatrix, cokernel, solve_congruences
+from ..exact import IntegerMatrix, cokernel, invert_group_map
 from .base import FiniteRing
 from .bimodules import (
     BOTH_SIDES,
@@ -45,23 +44,41 @@ class MoritaContext:
     beta: BimoduleMap            # -> End regular
 
 
-def _dual_basis_matrices(H: HomGroup) -> list[IntegerMatrix]:
-    r = H.rank
-    return [H.from_coordinates([1 if k == a else 0 for k in range(r)]).matrix
-            for a in range(r)]
+def _pairing_matrices(P: Bimodule, F: list[IntegerMatrix],
+                      E: EndomorphismRing) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """Evaluation and coevaluation on elementary tensors of generators.
+
+    F lists the dual's generator maps P -> S.  The first matrix sends
+    f_a (x) p_j to f_a(p_j) in S coordinates, the second sends
+    p_i (x) f_a to the endomorphism p -> p_i . f_a(p) in End coordinates.
+    """
+    S = P.right_ring
+    ev_cols = [list(S.additive.reduce(Fa.column(j)))
+               for Fa in F for j in range(P.rank)]
+    co_cols = []
+    for i in range(P.rank):
+        for Fa in F:
+            cols = []
+            for j in range(P.rank):
+                op = combine_matrices(P.right_action, Fa.column(j))
+                cols.append(list(P.carrier.reduce(op.column(i))))
+            op_matrix = IntegerMatrix.from_columns(cols, P.rank)
+            co_cols.append(list(E.coordinates_of(op_matrix)))
+    return (IntegerMatrix.from_columns(ev_cols, S.rank),
+            IntegerMatrix.from_columns(co_cols, E.ring.rank))
 
 
 def morita_context(P: Bimodule) -> MoritaContext:
     """Context of P as a right module; the given left structure is ignored."""
     S = P.right_ring
     E = endomorphism_ring(P, side="right")
-    X = _dual_basis_matrices(E.hom)
+    X = E.hom.generator_matrices()
     P_up = Bimodule(E.ring, S, P.carrier, tuple(X), P.right_action,
                     name=P.name)
 
     Sreg = regular_bimodule(S)
     H = hom_group(P_up, Sreg, side="right")
-    F = _dual_basis_matrices(H)
+    F = H.generator_matrices()
     r = H.rank
     lam = []
     for g in range(S.rank):
@@ -76,29 +93,12 @@ def morita_context(P: Bimodule) -> MoritaContext:
     P_star = Bimodule(S, E.ring, H.group, tuple(lam), tuple(rho),
                       name=f"({P.name})*" if P.name else "")
 
+    ev, co = _pairing_matrices(P, F, E)
     T_alpha = tensor_product(P_star, P_up)
-    ev_cols = []
-    for a in range(r):
-        for j in range(P.rank):
-            ev_cols.append(list(S.additive.reduce(F[a].column(j))))
-    alpha = factor_through_tensor(
-        T_alpha, IntegerMatrix.from_columns(ev_cols, S.rank), Sreg, BOTH_SIDES)
-
+    alpha = factor_through_tensor(T_alpha, ev, Sreg, BOTH_SIDES)
     T_beta = tensor_product(P_up, P_star)
-    Ereg = regular_bimodule(E.ring)
-    co_cols = []
-    for i in range(P.rank):
-        for a in range(r):
-            cols = []
-            for j in range(P.rank):
-                s = F[a].column(j)
-                op = combine_matrices(P.right_action, s)
-                cols.append(list(P.carrier.reduce(op.column(i))))
-            op_matrix = IntegerMatrix.from_columns(cols, P.rank)
-            co_cols.append(list(E.coordinates_of(op_matrix)))
-    beta = factor_through_tensor(
-        T_beta, IntegerMatrix.from_columns(co_cols, E.ring.rank), Ereg,
-        BOTH_SIDES)
+    beta = factor_through_tensor(T_beta, co, regular_bimodule(E.ring),
+                                 BOTH_SIDES)
 
     return MoritaContext(S, P_up, P_star, E, H, T_alpha, T_beta, alpha, beta)
 
@@ -204,12 +204,7 @@ def certify_invertible_bimodule(P: Bimodule) -> MoritaCertificate:
         return MoritaCertificate(
             P, False, context=ctx,
             reason="canonical map to the endomorphism ring is not onto")
-    cinv_cols = []
-    for a in range(E.ring.rank):
-        e = [1 if i == a else 0 for i in range(E.ring.rank)]
-        sol = solve_congruences(cmat, emods, e)
-        cinv_cols.append(list(R.additive.reduce(sol.particular)))
-    cinv = IntegerMatrix.from_columns(cinv_cols, R.rank)
+    cinv = invert_group_map(cmat, R.additive, E.ring.additive)
 
     # Q = P* with the right End-action pulled back along the canonical map
     Q_star = ctx.dual
@@ -220,32 +215,14 @@ def certify_invertible_bimodule(P: Bimodule) -> MoritaCertificate:
     Q = Bimodule(S, R, Q_star.carrier, Q_star.left_action, tuple(rho_R),
                  name=Q_star.name)
 
-    F = _dual_basis_matrices(ctx.dual_hom)
-    r = len(F)
-
+    ev, co = _pairing_matrices(P, ctx.dual_hom.generator_matrices(), E)
     T_QP = tensor_product(Q, P)
-    ev_cols = []
-    for a in range(r):
-        for j in range(P.rank):
-            ev_cols.append(list(S.additive.reduce(F[a].column(j))))
-    iso_right = factor_through_tensor(
-        T_QP, IntegerMatrix.from_columns(ev_cols, S.rank),
-        regular_bimodule(S), BOTH_SIDES)
-
+    iso_right = factor_through_tensor(T_QP, ev, regular_bimodule(S),
+                                      BOTH_SIDES)
     T_PQ = tensor_product(P, Q)
-    co_cols = []
-    for i in range(P.rank):
-        for a in range(r):
-            cols = []
-            for j in range(P.rank):
-                s = F[a].column(j)
-                op = combine_matrices(P.right_action, s)
-                cols.append(list(P.carrier.reduce(op.column(i))))
-            op_matrix = IntegerMatrix.from_columns(cols, P.rank)
-            ecoords = list(ctx.end.coordinates_of(op_matrix))
-            co_cols.append(list(R.additive.reduce(cinv.apply(ecoords))))
+    to_left = [list(R.additive.reduce(c)) for c in (cinv @ co).columns()]
     iso_left = factor_through_tensor(
-        T_PQ, IntegerMatrix.from_columns(co_cols, R.rank),
+        T_PQ, IntegerMatrix.from_columns(to_left, R.rank),
         regular_bimodule(R), BOTH_SIDES)
 
     if not iso_right.is_bijective() or not iso_left.is_bijective():

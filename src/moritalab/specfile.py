@@ -26,31 +26,6 @@ from .rings.bimodules import Bimodule
 from .wstar.algebras import MultiMatrixAlgebra, State
 from .wstar.correspondences import Correspondence
 
-TASK_KINDS = {
-    "check-ring": ("ring",),
-    "tensor": ("left", "right"),
-    "morita-ring": ("bimodule",),
-    "coherence-rings": (),
-    "standard-form": ("algebra",),
-    "fusion": ("left", "right"),
-    "morita-wstar": ("correspondence",),
-    "coherence-wstar": (),
-}
-
-# optional name references, keyed by the section they must resolve in
-_TASK_REFS = {
-    "check-ring": {"ring": "rings"},
-    "tensor": {"left": "bimodules", "right": "bimodules"},
-    "morita-ring": {"bimodule": "bimodules"},
-    "coherence-rings": {},
-    "standard-form": {"algebra": "algebras", "state": "states"},
-    "fusion": {"left": "correspondences", "right": "correspondences",
-               "state": "states"},
-    "morita-wstar": {"correspondence": "correspondences",
-                     "state_left": "states", "state_right": "states"},
-    "coherence-wstar": {},
-}
-
 
 @dataclass(frozen=True)
 class SpecFile:
@@ -95,7 +70,7 @@ def _complex_matrix(obj, where: str) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _encode_complex_matrix(M: np.ndarray) -> list:
+def encode_complex_matrix(M: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
 
 
@@ -105,160 +80,160 @@ def _vector(obj, where: str) -> tuple[int, ...]:
     return tuple(obj)
 
 
-def _named_section(doc: dict, key: str) -> dict[str, Any]:
+# -------------------------------------------------------------- loaders
+
+def _load_section(doc: dict, key: str, kind: str, build) -> dict[str, Any]:
+    """Build every definition of one section, naming the one that fails."""
     sec = doc.get(key, {})
     if not isinstance(sec, dict):
         raise _fail(key, "section must map names to definitions")
-    return sec
-
-
-# -------------------------------------------------------------- loaders
-
-def _load_ring(name: str, d: dict) -> FiniteRing:
-    where = f"ring {name!r}"
-    if not isinstance(d, dict):
-        raise _fail(where, "definition must be an object")
-    try:
-        factors = _vector(d["invariant_factors"], where)
-        group = FiniteAbelianGroup(factors)
-        table = d["mult_table"]
-        if not isinstance(table, list):
-            raise _fail(where, "mult_table must be a nested array")
-        mult = tuple(tuple(_vector(v, where) for v in row) for row in table)
-        unit = _vector(d["unit"], where)
-        return FiniteRing(group, mult, unit, name=name)
-    except KeyError as exc:
-        raise _fail(where, f"missing field {exc.args[0]!r}")
-    except (ValueError, TypeError, MoritaLabError) as exc:
-        if isinstance(exc, SpecError):
+    out = {}
+    for name, d in sec.items():
+        where = f"{kind} {name!r}"
+        if not isinstance(d, dict):
+            raise _fail(where, "definition must be an object")
+        try:
+            out[name] = build(name, d, where)
+        except SpecError:
             raise
-        raise _fail(where, str(exc))
+        except KeyError as exc:
+            raise _fail(where, f"missing field {exc.args[0]!r}")
+        except (ValueError, TypeError, MoritaLabError) as exc:
+            raise _fail(where, str(exc))
+    return out
 
 
-def _load_bimodule(name: str, d: dict, rings: dict[str, FiniteRing]) -> Bimodule:
-    where = f"bimodule {name!r}"
-    if not isinstance(d, dict):
-        raise _fail(where, "definition must be an object")
-    try:
-        left = rings[d["left"]] if d["left"] in rings else None
-        right = rings[d["right"]] if d["right"] in rings else None
-        if left is None or right is None:
-            missing = d["left"] if left is None else d["right"]
-            raise _fail(where, f"unknown ring {missing!r}")
-        carrier = FiniteAbelianGroup(_vector(d["carrier"], where))
-        la = tuple(_int_matrix(m, where) for m in d["left_action"])
-        ra = tuple(_int_matrix(m, where) for m in d["right_action"])
-        return Bimodule(left, right, carrier, la, ra, name=name)
-    except KeyError as exc:
-        raise _fail(where, f"missing field {exc.args[0]!r}")
-    except (ValueError, TypeError, MoritaLabError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise _fail(where, str(exc))
+def _ring(name: str, d: dict, where: str) -> FiniteRing:
+    factors = _vector(d["invariant_factors"], where)
+    group = FiniteAbelianGroup(factors)
+    table = d["mult_table"]
+    if not isinstance(table, list):
+        raise _fail(where, "mult_table must be a nested array")
+    mult = tuple(tuple(_vector(v, where) for v in row) for row in table)
+    unit = _vector(d["unit"], where)
+    return FiniteRing(group, mult, unit, name=name)
 
 
-def _load_algebra(name: str, d: dict) -> MultiMatrixAlgebra:
-    where = f"algebra {name!r}"
-    if not isinstance(d, dict):
-        raise _fail(where, "definition must be an object")
-    try:
-        sizes = _vector(d["block_sizes"], where)
-        return MultiMatrixAlgebra(sizes, name=name)
-    except KeyError as exc:
-        raise _fail(where, f"missing field {exc.args[0]!r}")
-    except (ValueError, TypeError, MoritaLabError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise _fail(where, str(exc))
+def _bimodule(name: str, d: dict, where: str,
+              rings: dict[str, FiniteRing]) -> Bimodule:
+    left = rings[d["left"]] if d["left"] in rings else None
+    right = rings[d["right"]] if d["right"] in rings else None
+    if left is None or right is None:
+        missing = d["left"] if left is None else d["right"]
+        raise _fail(where, f"unknown ring {missing!r}")
+    carrier = FiniteAbelianGroup(_vector(d["carrier"], where))
+    la = tuple(_int_matrix(m, where) for m in d["left_action"])
+    ra = tuple(_int_matrix(m, where) for m in d["right_action"])
+    return Bimodule(left, right, carrier, la, ra, name=name)
 
 
-def _load_state(name: str, d: dict,
-                algebras: dict[str, MultiMatrixAlgebra]) -> State:
-    where = f"state {name!r}"
-    if not isinstance(d, dict):
-        raise _fail(where, "definition must be an object")
-    try:
-        A = algebras.get(d["algebra"])
-        if A is None:
-            raise _fail(where, f"unknown algebra {d['algebra']!r}")
-        blocks = d["density"]
-        if not isinstance(blocks, list) or len(blocks) != len(A.block_sizes):
-            raise _fail(where, "density needs one block per algebra block")
-        rho = np.zeros((A.dim, A.dim), dtype=np.complex128)
-        off = 0
-        for b, n in enumerate(A.block_sizes):
-            blk = _complex_matrix(blocks[b], where)
-            if blk.shape != (n, n):
-                raise _fail(where, f"density block {b} must be {n}x{n}")
-            rho[off:off + n, off:off + n] = blk
-            off += n
-        return State(A, rho)
-    except KeyError as exc:
-        raise _fail(where, f"missing field {exc.args[0]!r}")
-    except (ValueError, TypeError, MoritaLabError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise _fail(where, str(exc))
+def _algebra(name: str, d: dict, where: str) -> MultiMatrixAlgebra:
+    return MultiMatrixAlgebra(_vector(d["block_sizes"], where), name=name)
 
 
-def _load_correspondence(name: str, d: dict,
-                         algebras: dict[str, MultiMatrixAlgebra]) -> Correspondence:
-    where = f"correspondence {name!r}"
-    if not isinstance(d, dict):
-        raise _fail(where, "definition must be an object")
-    try:
-        A = algebras.get(d["left"])
-        B = algebras.get(d["right"])
-        if A is None or B is None:
-            missing = d["left"] if A is None else d["right"]
-            raise _fail(where, f"unknown algebra {missing!r}")
-        dim = d["dim"]
-        if not isinstance(dim, int) or dim < 0:
-            raise _fail(where, "dim must be a nonnegative integer")
-        pl = d["pi_l"]
-        pr = d["pi_r"]
-        if not isinstance(pl, list) or not isinstance(pr, list):
-            raise _fail(where, "pi_l and pi_r must be lists of matrices")
-        pi_l = tuple(_complex_matrix(m, where) for m in pl)
-        pi_r = tuple(_complex_matrix(m, where) for m in pr)
-        return Correspondence(A, B, dim, pi_l, pi_r, name=name)
-    except KeyError as exc:
-        raise _fail(where, f"missing field {exc.args[0]!r}")
-    except (ValueError, TypeError, MoritaLabError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise _fail(where, str(exc))
+def _state(name: str, d: dict, where: str,
+           algebras: dict[str, MultiMatrixAlgebra]) -> State:
+    A = algebras.get(d["algebra"])
+    if A is None:
+        raise _fail(where, f"unknown algebra {d['algebra']!r}")
+    blocks = d["density"]
+    if not isinstance(blocks, list) or len(blocks) != len(A.block_sizes):
+        raise _fail(where, "density needs one block per algebra block")
+    rho = np.zeros((A.dim, A.dim), dtype=np.complex128)
+    off = 0
+    for b, n in enumerate(A.block_sizes):
+        blk = _complex_matrix(blocks[b], where)
+        if blk.shape != (n, n):
+            raise _fail(where, f"density block {b} must be {n}x{n}")
+        rho[off:off + n, off:off + n] = blk
+        off += n
+    return State(A, rho)
+
+
+def _correspondence(name: str, d: dict, where: str,
+                    algebras: dict[str, MultiMatrixAlgebra]) -> Correspondence:
+    A = algebras.get(d["left"])
+    B = algebras.get(d["right"])
+    if A is None or B is None:
+        missing = d["left"] if A is None else d["right"]
+        raise _fail(where, f"unknown algebra {missing!r}")
+    dim = d["dim"]
+    if not isinstance(dim, int) or dim < 0:
+        raise _fail(where, "dim must be a nonnegative integer")
+    pl = d["pi_l"]
+    pr = d["pi_r"]
+    if not isinstance(pl, list) or not isinstance(pr, list):
+        raise _fail(where, "pi_l and pi_r must be lists of matrices")
+    pi_l = tuple(_complex_matrix(m, where) for m in pl)
+    pi_r = tuple(_complex_matrix(m, where) for m in pr)
+    return Correspondence(A, B, dim, pi_l, pi_r, name=name)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_count(v) -> str | None:
+    return None if _is_int(v) and v >= 1 else "must be an integer >= 1"
+
+
+def _check_seed(v) -> str | None:
+    return None if _is_int(v) and v >= 0 else "must be an integer >= 0"
+
+
+def _check_flag(v) -> str | None:
+    return None if isinstance(v, bool) else "must be true or false"
+
+
+# task kind -> field -> (required, check); a string check names the
+# section the field must reference, a callable returns why a value is bad
+TASK_FIELDS = {
+    "check-ring": {"ring": (True, "rings")},
+    "tensor": {"left": (True, "bimodules"), "right": (True, "bimodules")},
+    "morita-ring": {"bimodule": (True, "bimodules"),
+                    "check_end_ring": (False, _check_flag)},
+    "coherence-rings": {"count": (False, _check_count),
+                        "seed": (False, _check_seed)},
+    "standard-form": {"algebra": (True, "algebras"),
+                      "state": (False, "states")},
+    "fusion": {"left": (True, "correspondences"),
+               "right": (True, "correspondences"),
+               "state": (False, "states"),
+               "samples": (False, _check_count)},
+    "morita-wstar": {"correspondence": (True, "correspondences"),
+                     "state_left": (False, "states"),
+                     "state_right": (False, "states")},
+    "coherence-wstar": {"count": (False, _check_count),
+                        "seed": (False, _check_seed)},
+}
 
 
 def _load_tasks(doc: dict, spec: SpecFile) -> tuple[dict, ...]:
     raw = doc.get("tasks", [])
     if not isinstance(raw, list):
         raise _fail("tasks", "must be a list")
-    sections = {
-        "rings": spec.rings,
-        "bimodules": spec.bimodules,
-        "algebras": spec.algebras,
-        "states": spec.states,
-        "correspondences": spec.correspondences,
-    }
     tasks = []
     for idx, t in enumerate(raw):
         where = f"task {idx}"
         if not isinstance(t, dict) or "task" not in t:
             raise _fail(where, "each task needs a 'task' kind")
         kind = t["task"]
-        if kind not in TASK_KINDS:
+        if not isinstance(kind, str) or kind not in TASK_FIELDS:
             raise _fail(where, f"unknown task kind {kind!r}")
-        for key in TASK_KINDS[kind]:
+        for key, (required, check) in TASK_FIELDS[kind].items():
             if key not in t:
-                raise _fail(where, f"{kind} requires field {key!r}")
-        for key, section in _TASK_REFS[kind].items():
-            if key in t:
-                ref = t[key]
-                if not isinstance(ref, str) or ref not in sections[section]:
+                if required:
+                    raise _fail(where, f"{kind} requires field {key!r}")
+                continue
+            value = t[key]
+            if isinstance(check, str):
+                if not isinstance(value, str) \
+                        or value not in getattr(spec, check):
                     raise _fail(where,
-                                f"{key} = {ref!r} does not name a known "
-                                f"entry of {section!r}")
+                                f"{key} = {value!r} does not name a known "
+                                f"entry of {check!r}")
+            elif (why := check(value)) is not None:
+                raise _fail(where, f"{key} = {value!r} {why}")
         tasks.append(dict(t))
     return tuple(tasks)
 
@@ -271,19 +246,19 @@ def load_spec_dict(doc) -> SpecFile:
                           "correspondences", "tasks"}
     if unknown:
         raise SpecError(f"unknown top-level keys: {sorted(unknown)}")
-    rings = {n: _load_ring(n, d)
-             for n, d in _named_section(doc, "rings").items()}
-    bimodules = {n: _load_bimodule(n, d, rings)
-                 for n, d in _named_section(doc, "bimodules").items()}
-    algebras = {n: _load_algebra(n, d)
-                for n, d in _named_section(doc, "algebras").items()}
-    states = {n: _load_state(n, d, algebras)
-              for n, d in _named_section(doc, "states").items()}
-    corrs = {n: _load_correspondence(n, d, algebras)
-             for n, d in _named_section(doc, "correspondences").items()}
+    rings = _load_section(doc, "rings", "ring", _ring)
+    bimodules = _load_section(
+        doc, "bimodules", "bimodule",
+        lambda n, d, w: _bimodule(n, d, w, rings))
+    algebras = _load_section(doc, "algebras", "algebra", _algebra)
+    states = _load_section(
+        doc, "states", "state", lambda n, d, w: _state(n, d, w, algebras))
+    corrs = _load_section(
+        doc, "correspondences", "correspondence",
+        lambda n, d, w: _correspondence(n, d, w, algebras))
     spec = SpecFile(rings, bimodules, algebras, states, corrs)
-    tasks = _load_tasks(doc, spec)
-    return SpecFile(rings, bimodules, algebras, states, corrs, tasks)
+    return SpecFile(rings, bimodules, algebras, states, corrs,
+                    _load_tasks(doc, spec))
 
 
 def load_spec_file(path: str) -> SpecFile:
@@ -329,7 +304,7 @@ def _encode_state(name: str, s: State, algebra_names: dict) -> dict:
     blocks = []
     off = 0
     for n in s.algebra.block_sizes:
-        blocks.append(_encode_complex_matrix(s.density[off:off + n, off:off + n]))
+        blocks.append(encode_complex_matrix(s.density[off:off + n, off:off + n]))
         off += n
     return {"algebra": _lookup(algebra_names, s.algebra,
                                f"state {name!r}", "algebra"),
@@ -343,8 +318,8 @@ def _encode_correspondence(name: str, H: Correspondence,
         "left": _lookup(algebra_names, H.left_algebra, where, "algebra"),
         "right": _lookup(algebra_names, H.right_algebra, where, "algebra"),
         "dim": H.dim,
-        "pi_l": [_encode_complex_matrix(U) for U in H.pi_l_units],
-        "pi_r": [_encode_complex_matrix(U) for U in H.pi_r_units],
+        "pi_l": [encode_complex_matrix(U) for U in H.pi_l_units],
+        "pi_r": [encode_complex_matrix(U) for U in H.pi_r_units],
     }
 
 

@@ -50,6 +50,20 @@ class MultiMatrixAlgebra:
                     out.append((b, i, j))
         return out
 
+    def unit_index(self, b: int, i: int, j: int) -> int:
+        """Position of the matrix unit (b, i, j) in basis order."""
+        return sum(n * n for n in self.block_sizes[:b]) \
+            + i * self.block_sizes[b] + j
+
+    def extend_linearly(self, x: np.ndarray,
+                        unit_images: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Image of x under the linear map given on the matrix units."""
+        out = np.zeros_like(unit_images[0])
+        for c, U in zip(self.coords(x), unit_images):
+            if c:
+                out += c * U
+        return out
+
     def matrix_unit(self, b: int, i: int, j: int) -> np.ndarray:
         E = np.zeros((self.dim, self.dim), dtype=np.complex128)
         off = self.block_offset(b)

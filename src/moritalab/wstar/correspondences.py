@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import AlgebraMismatch, NotComposable, NotHomomorphism
+from ..errors import AlgebraMismatch, NotComposable, NotHomomorphism, Singular
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
@@ -21,9 +21,34 @@ from ..numkernel import (
     orthonormal_columns,
     polar_unitary,
 )
-from ..errors import Singular
 from .algebras import MultiMatrixAlgebra
 from .standard import StandardFormData
+
+
+def _broken_unit_relation(A: MultiMatrixAlgebra, units, anti: bool,
+                          bound: float) -> str | None:
+    """Which matrix-unit law the images break first: "star", "product" or None.
+
+    With anti set the images must multiply in reverse order, as the right
+    action of an antihomomorphism does.
+    """
+    triples = A.unit_triples()
+    for (b, i, j), U in zip(triples, units):
+        if operator_norm(U.conj().T - units[A.unit_index(b, j, i)]) > bound:
+            return "star"
+    zero = np.zeros_like(units[0])
+    for (b, i, j), U in zip(triples, units):
+        for (c, k, l), V in zip(triples, units):
+            if anti:
+                # product reverses: U.V must be the image of e_kl . e_ij
+                want = units[A.unit_index(c, k, j)] if (b == c and i == l) \
+                    else zero
+            else:
+                want = units[A.unit_index(b, i, l)] if (b == c and j == k) \
+                    else zero
+            if operator_norm(U @ V - want) > bound:
+                return "product"
+    return None
 
 
 def _check_rep(A: MultiMatrixAlgebra, units: tuple[np.ndarray, ...],
@@ -31,31 +56,20 @@ def _check_rep(A: MultiMatrixAlgebra, units: tuple[np.ndarray, ...],
     triples = A.unit_triples()
     if len(units) != len(triples):
         raise ValueError(f"{label}: expected {len(triples)} unit images")
-    pos = {t: k for k, t in enumerate(triples)}
     bound = tol * (1.0 + max((operator_norm(U) for U in units), default=0.0))
     for U in units:
         if U.shape != (dim, dim):
             raise ValueError(f"{label}: unit image has wrong shape")
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for (b, i, j), U in zip(triples, units):
-        if operator_norm(U.conj().T - units[pos[(b, j, i)]]) > bound:
-            raise ValueError(f"{label}: star property fails on a unit")
-        if i == j:
-            total += U
+    total = sum((U for (b, i, j), U in zip(triples, units) if i == j),
+                np.zeros((dim, dim), dtype=np.complex128))
     if operator_norm(total - np.eye(dim)) > bound:
         raise ValueError(f"{label}: representation is not unital")
-    for (b, i, j), U in zip(triples, units):
-        for (c, k, l), V in zip(triples, units):
-            if anti:
-                # product reverses: U.V must be the image of e_kl . e_ij
-                want = units[pos[(c, k, j)]] if (b == c and i == l) \
-                    else np.zeros((dim, dim))
-            else:
-                want = units[pos[(b, i, l)]] if (b == c and j == k) \
-                    else np.zeros((dim, dim))
-            if operator_norm(U @ V - want) > bound:
-                kind = "antihomomorphism" if anti else "homomorphism"
-                raise ValueError(f"{label}: not a {kind} on unit pairs")
+    broken = _broken_unit_relation(A, units, anti, bound)
+    if broken == "star":
+        raise ValueError(f"{label}: star property fails on a unit")
+    if broken == "product":
+        kind = "antihomomorphism" if anti else "homomorphism"
+        raise ValueError(f"{label}: not a {kind} on unit pairs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +86,12 @@ class Correspondence:
     pi_l_units: tuple[np.ndarray, ...]
     pi_r_units: tuple[np.ndarray, ...]
     name: str = field(default="", compare=False)
-    validate: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pi_l_units",
                            tuple(as_complex_matrix(U) for U in self.pi_l_units))
         object.__setattr__(self, "pi_r_units",
                            tuple(as_complex_matrix(U) for U in self.pi_r_units))
-        if not self.validate:
-            return
         _check_rep(self.left_algebra, self.pi_l_units, self.dim,
                    anti=False, tol=DEFAULT_TOL, label="left action")
         _check_rep(self.right_algebra, self.pi_r_units, self.dim,
@@ -94,20 +105,10 @@ class Correspondence:
                     raise ValueError("left and right actions do not commute")
 
     def pi_l(self, x: np.ndarray) -> np.ndarray:
-        coords = self.left_algebra.coords(x)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for c, U in zip(coords, self.pi_l_units):
-            if c:
-                out += c * U
-        return out
+        return self.left_algebra.extend_linearly(x, self.pi_l_units)
 
     def pi_r(self, y: np.ndarray) -> np.ndarray:
-        coords = self.right_algebra.coords(y)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for c, U in zip(coords, self.pi_r_units):
-            if c:
-                out += c * U
-        return out
+        return self.right_algebra.extend_linearly(y, self.pi_r_units)
 
     def __repr__(self) -> str:
         return (f"Correspondence({self.name or 'H'}: "
@@ -227,15 +228,12 @@ def conjugate_correspondence(H: Correspondence) -> Correspondence:
     becomes conj(pi_l(m*)).
     """
     A, B = H.left_algebra, H.right_algebra
-    bpos = {t: k for k, t in enumerate(B.unit_triples())}
-    apos = {t: k for k, t in enumerate(A.unit_triples())}
-    pi_l = [np.conj(H.pi_r_units[bpos[(b, j, i)]])
+    pi_l = [np.conj(H.pi_r_units[B.unit_index(b, j, i)])
             for (b, i, j) in B.unit_triples()]
-    pi_r = [np.conj(H.pi_l_units[apos[(b, j, i)]])
+    pi_r = [np.conj(H.pi_l_units[A.unit_index(b, j, i)])
             for (b, i, j) in A.unit_triples()]
     return Correspondence(B, A, H.dim, tuple(pi_l), tuple(pi_r),
-                          name=f"conj({H.name})" if H.name else "",
-                          validate=H.validate)
+                          name=f"conj({H.name})" if H.name else "")
 
 
 def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
@@ -251,20 +249,16 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     if len(rho_units) != len(triples):
         raise NotHomomorphism("wrong number of unit images")
     imgs = [as_complex_matrix(U) for U in rho_units]
-    pos = {t: k for k, t in enumerate(triples)}
     bound = tol * (1.0 + max((operator_norm(U) for U in imgs), default=0.0))
     for U in imgs:
         if not N.contains(U, tol):
             raise NotHomomorphism("unit image leaves the target algebra")
-    for (b, i, j), U in zip(triples, imgs):
-        if operator_norm(U.conj().T - imgs[pos[(b, j, i)]]) > bound:
-            raise NotHomomorphism("images do not respect the involution")
-        for (c, k, l), V in zip(triples, imgs):
-            want = imgs[pos[(b, i, l)]] if (b == c and j == k) \
-                else np.zeros_like(U)
-            if operator_norm(U @ V - want) > bound:
-                raise NotHomomorphism("images do not multiply like matrix units")
-    unit_img = sum((imgs[pos[t]] for t in triples if t[1] == t[2]),
+    broken = _broken_unit_relation(source, imgs, False, bound)
+    if broken == "star":
+        raise NotHomomorphism("images do not respect the involution")
+    if broken == "product":
+        raise NotHomomorphism("images do not multiply like matrix units")
+    unit_img = sum((U for (b, i, j), U in zip(triples, imgs) if i == j),
                    np.zeros((N.dim, N.dim), dtype=np.complex128))
 
     units = N.matrix_units()
@@ -272,8 +266,7 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     Q = orthonormal_columns(right_p, tol)
     pi_l = [Q.conj().T @ L @ Q for L in std_N.pi_l_units]
     pi_r = []
-    for t in triples:
-        img = imgs[pos[t]]
+    for img in imgs:
         R = np.stack([N.coords(E @ img) for E in units], axis=1)
         pi_r.append(Q.conj().T @ R @ Q)
     return Correspondence(N, source, Q.shape[1], tuple(pi_l), tuple(pi_r))

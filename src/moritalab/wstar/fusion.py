@@ -38,13 +38,9 @@ def r_eta(H: Correspondence, std_N: StandardFormData,
 
 def _unit_images(std: StandardFormData) -> np.ndarray:
     """Columns J Lambda(E_u*) over the matrix units E_u, in unit order."""
-    triples = std.algebra.unit_triples()
-    pos = {t: k for k, t in enumerate(triples)}
-    cols = []
-    for (b, i, j) in triples:
-        star = std.lam[:, pos[(b, j, i)]]
-        cols.append(std.J.apply(star))
-    return np.stack(cols, axis=1)
+    A = std.algebra
+    return np.stack([std.J.apply(std.lam[:, A.unit_index(b, j, i)])
+                     for b, i, j in A.unit_triples()], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,20 +54,10 @@ class StandardFormData:
         return self.algebra.from_coords(self.lam_inv @ v)
 
     def pi_l(self, x: np.ndarray) -> np.ndarray:
-        coords = self.algebra.coords(x)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for c, U in zip(coords, self.pi_l_units):
-            if c:
-                out += c * U
-        return out
+        return self.algebra.extend_linearly(x, self.pi_l_units)
 
     def pi_r(self, y: np.ndarray) -> np.ndarray:
-        coords = self.algebra.coords(y)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for c, U in zip(coords, self.pi_r_units):
-            if c:
-                out += c * U
-        return out
+        return self.algebra.extend_linearly(y, self.pi_r_units)
 
     def cyclic_vector(self) -> np.ndarray:
         """Λ(1), the cyclic and separating vector of the standard form."""
@@ -86,18 +76,6 @@ class StandardFormData:
         if resid > DEFAULT_TOL * (1.0 + operator_norm(op)):
             raise NotFaithful(f"modular twist left the algebra, residual {resid:.3g}")
         return twisted
-
-
-def _mult_matrices(A: MultiMatrixAlgebra):
-    """Left and right multiplication matrices of every matrix unit."""
-    units = A.matrix_units()
-    lefts, rights = [], []
-    for U in units:
-        lcols = [A.coords(U @ E) for E in units]
-        rcols = [A.coords(E @ U) for E in units]
-        lefts.append(np.stack(lcols, axis=1))
-        rights.append(np.stack(rcols, axis=1))
-    return lefts, rights
 
 
 def gns_standard_form(A: MultiMatrixAlgebra, phi: State,
@@ -123,25 +101,16 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State,
     delta_half = hermitian_power(delta, 0.5, tol)
     delta_minus_half = hermitian_power(delta, -0.5, tol)
 
-    lefts, _ = _mult_matrices(A)
+    # left multiplication by each matrix unit, in coordinates
+    lefts = [np.stack([A.coords(U @ E) for E in units], axis=1)
+             for U in units]
     # right action through the modular involution: y -> J y* J
     MJ = J.matrix
-    pi_r_units = []
-    for b, i, j in A.unit_triples():
-        star = lefts[_unit_pos(A, b, j, i)]
-        pi_r_units.append(MJ @ np.conj(star @ MJ))
+    pi_r_units = [MJ @ np.conj(lefts[A.unit_index(b, j, i)] @ MJ)
+                  for b, i, j in A.unit_triples()]
     return StandardFormData(A, phi, lam, lam_inv, S, J, delta,
                             delta_half, delta_minus_half,
                             tuple(lefts), tuple(pi_r_units))
-
-
-def _unit_pos(A: MultiMatrixAlgebra, b: int, i: int, j: int) -> int:
-    pos = 0
-    for bb, nn in enumerate(A.block_sizes):
-        if bb == b:
-            return pos + i * nn + j
-        pos += nn * nn
-    raise ValueError("block index out of range")
 
 
 def standard_form_residuals(std: StandardFormData) -> dict[str, float]:

@@ -20,6 +20,7 @@ from moritalab.bicategory import (
 from moritalab.errors import CapExceeded, NotComposable
 from moritalab.rings.base import cyclic_ring, matrix_ring
 from moritalab.rings.bimodules import (
+    bimodule_direct_sum,
     column_module,
     regular_bimodule,
     row_module,
@@ -111,6 +112,19 @@ class TestRingsCoherence:
         (P,) = pool.sample_chain(rng, 1, max_order=16)
         res = verify_unitor_naturality(rings_inst, P,
                                        np.random.default_rng(seed))
+        assert res.holds
+
+    def test_sampled_2cells_are_not_only_scalars(self, rings_inst):
+        # End of Z/2 + Z/2 as a (Z/2, Z/2)-bimodule is M_2(Z/2), so a
+        # naturality square drawn from it tests more than n.id
+        Z2 = cyclic_ring(2)
+        P = bimodule_direct_sum(regular_bimodule(Z2), regular_bimodule(Z2))
+        rng = np.random.default_rng(0)
+        scalars = [[[n, 0], [0, n]] for n in (0, 1)]
+        drawn = [rings_inst.random_endo_2cell(P, rng) for _ in range(8)]
+        assert any([[v % 2 for v in row] for row in f.matrix.data]
+                   not in scalars for f in drawn)
+        res = verify_associator_naturality(rings_inst, P, P, P, rng)
         assert res.holds
 
 
@@ -209,6 +223,15 @@ class TestWStarCoherence:
         H = vector_correspondence(2)
         with pytest.raises(NotComposable):
             verify_triangle(inst, H, H)
+
+    def test_chain_sampler_rejects_a_cap_below_the_length(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(CapExceeded):
+            sample_wstar_chain(rng, 4, dim_cap=3)
+        # nothing was drawn, so the next chain is the one seed 0 gives
+        _, cells = sample_wstar_chain(rng, 4, dim_cap=24)
+        _, again = sample_wstar_chain(np.random.default_rng(0), 4, dim_cap=24)
+        assert [H.dim for H in cells] == [H.dim for H in again]
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_associator_naturality(self, seed):

@@ -78,10 +78,43 @@ class TestSpecFile:
         with pytest.raises(SpecError, match="nope"):
             load_spec_dict(doc)
 
+    @pytest.mark.parametrize("task", [
+        {"task": "coherence-rings", "count": "many"},
+        {"task": "coherence-rings", "count": -3},
+        {"task": "coherence-rings", "count": 0},
+        {"task": "coherence-wstar", "count": 2.5},
+        {"task": "coherence-wstar", "seed": "7"},
+        {"task": "coherence-rings", "seed": -1},
+        {"task": "coherence-rings", "count": True},
+    ])
+    def test_bad_optional_task_field(self, task):
+        with pytest.raises(SpecError, match="task 0"):
+            load_spec_dict({"tasks": [task]})
+
+    def test_bad_samples_and_flag(self):
+        Z2 = cyclic_ring(2)
+        doc = serialize_spec(SpecFile(rings={"Z2": Z2},
+                                      bimodules={"P": regular_bimodule(Z2)}))
+        doc["tasks"] = [{"task": "morita-ring", "bimodule": "P",
+                         "check_end_ring": "yes"}]
+        with pytest.raises(SpecError, match="check_end_ring"):
+            load_spec_dict(doc)
+        doc = serialize_spec(SpecFile(
+            algebras={"C": MultiMatrixAlgebra((1,))},
+            correspondences={"H": vector_correspondence(1)}))
+        doc["tasks"] = [{"task": "fusion", "left": "H", "right": "H",
+                         "samples": 0}]
+        with pytest.raises(SpecError, match="samples"):
+            load_spec_dict(doc)
+
     def test_unknown_task_kind(self):
         doc = {"tasks": [{"task": "frobnicate"}]}
         with pytest.raises(SpecError):
             load_spec_dict(doc)
+
+    def test_non_string_task_kind(self):
+        with pytest.raises(SpecError, match="unknown task kind"):
+            load_spec_dict({"tasks": [{"task": ["check-ring"]}]})
 
     def test_bad_complex_entry(self):
         doc = {"algebras": {"A": {"block_sizes": [1]}},
@@ -187,19 +220,33 @@ class TestRunCommand:
         report = json.loads(report_path.read_text())
         assert report["tasks"][0]["status"] == "Refuted"
 
-    def test_threads_match_sequential_verdicts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("count", ["many", -3])
+    def test_bad_task_count_exit_two(self, tmp_path, capsys, count):
         spec_path = tmp_path / "spec.json"
-        main(["demo", "mn-vs-c", "--spec-out", str(spec_path),
-              "--report", str(tmp_path / "ignored.json")])
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["run", str(spec_path), "--report", str(r1)]) == 0
-        assert main(["run", str(spec_path), "--threads", "3",
-                     "--report", str(r2)]) == 0
-        rows1 = json.loads(r1.read_text())["tasks"]
-        rows2 = json.loads(r2.read_text())["tasks"]
-        for a, b in zip(rows1, rows2):
-            assert (a["status"], a["name"], a["discrepancy"]) \
-                == (b["status"], b["name"], b["discrepancy"])
+        spec_path.write_text(json.dumps(
+            {"tasks": [{"task": "coherence-rings", "count": count}]}))
+        assert main(["run", str(spec_path)]) == 2
+        assert "count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
+        ["--max-dim", "0"], ["--max-order", "0"], ["--threads", "2"],
+    ])
+    def test_bad_flag_exit_two(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "mn-vs-c", "--report",
+                  str(tmp_path / "r.json")] + flags)
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.json").exists()
+
+    def test_dimension_cap_below_chain_length_errors(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        rc = main(["demo", "mn-vs-c", "--max-dim", "3",
+                   "--report", str(report_path)])
+        assert rc == 1
+        rows = json.loads(report_path.read_text())["tasks"]
+        assert [r["status"] for r in rows] == ["Pass", "Pass", "Error"]
+        assert "CapExceeded" in rows[2]["detail"]
 
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "spec.json"

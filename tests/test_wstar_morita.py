@@ -5,7 +5,6 @@ import pytest
 
 from moritalab.numkernel import operator_norm
 from moritalab.wstar import (
-    Correspondence,
     Intertwiner,
     MultiMatrixAlgebra,
     State,
@@ -96,25 +95,15 @@ class TestRefuted:
         assert not cert.equivalent
 
     def test_unfaithful_left_action_refuted_first(self):
-        # a five-dimensional algebra pushed onto a two-dimensional space
-        # cannot act faithfully; the broken commutation is never reached
+        # the M3 block of M2+M3 acts as zero, so the left action has a
+        # kernel; faithfulness is the first gate the certificate checks
         A = MultiMatrixAlgebra((2, 3), name="M2+M3")
         B = MultiMatrixAlgebra((2,), name="M2")
-        pi_l = []
-        for (b, i, j) in A.unit_triples():
-            U = np.zeros((2, 2), dtype=np.complex128)
-            if b == 0:
-                U[i, j] = 1.0
-            pi_l.append(U)
-        pi_r = []
-        for (b, i, j) in B.unit_triples():
-            U = np.zeros((2, 2), dtype=np.complex128)
-            U[j, i] = 1.0
-            pi_r.append(U)
-        bad = Correspondence(A, B, 2, tuple(pi_l), tuple(pi_r), validate=False)
-        cert = certify_morita_equivalent(bad)
+        H = block_correspondence(A, B, [[1], [0]])
+        assert H.dim == 4
+        cert = certify_morita_equivalent(H)
         assert not cert.equivalent
-        assert "faithful" in cert.reason
+        assert cert.reason == "left action is not faithful"
 
     def test_zero_correspondence_refuted(self):
         Z = block_correspondence(M2, M2, [[0]])
