@@ -203,7 +203,7 @@ class WStarBicategory:
         return bool(s[-1] > self.tol)
 
     def random_endo_2cell(self, P: Correspondence, rng) -> Intertwiner:
-        basis = intertwiner_basis(P, P, tol=self.tol)
+        basis = intertwiner_basis(P, P)
         k = basis.shape[1]
         if k == 0:
             return self.identity_2cell(P)

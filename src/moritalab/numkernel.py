@@ -37,6 +37,16 @@ def operator_norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+def norm_exceeds(A: np.ndarray, bound: float) -> bool:
+    """operator_norm(A) > bound, deciding by the Frobenius norm when it can.
+
+    The operator norm never exceeds the Frobenius norm, so the SVD only
+    runs when the Frobenius norm is above the bound; the answer is the
+    same either way.
+    """
+    return bool(np.linalg.norm(A) > bound) and operator_norm(A) > bound
+
+
 @dataclass(frozen=True)
 class AntilinearOp:
     """v -> matrix . conj(v) in the ambient basis."""

@@ -16,7 +16,7 @@ from ..errors import AlgebraMismatch, NotComposable, NotHomomorphism, Singular
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
-    joint_null_space,
+    norm_exceeds,
     operator_norm,
     orthonormal_columns,
     polar_unitary,
@@ -34,7 +34,7 @@ def _broken_unit_relation(A: MultiMatrixAlgebra, units, anti: bool,
     """
     triples = A.unit_triples()
     for (b, i, j), U in zip(triples, units):
-        if operator_norm(U.conj().T - units[A.unit_index(b, j, i)]) > bound:
+        if norm_exceeds(U.conj().T - units[A.unit_index(b, j, i)], bound):
             return "star"
     zero = np.zeros_like(units[0])
     for (b, i, j), U in zip(triples, units):
@@ -46,7 +46,7 @@ def _broken_unit_relation(A: MultiMatrixAlgebra, units, anti: bool,
             else:
                 want = units[A.unit_index(b, i, l)] if (b == c and j == k) \
                     else zero
-            if operator_norm(U @ V - want) > bound:
+            if norm_exceeds(U @ V - want, bound):
                 return "product"
     return None
 
@@ -62,7 +62,7 @@ def _check_rep(A: MultiMatrixAlgebra, units: tuple[np.ndarray, ...],
             raise ValueError(f"{label}: unit image has wrong shape")
     total = sum((U for (b, i, j), U in zip(triples, units) if i == j),
                 np.zeros((dim, dim), dtype=np.complex128))
-    if operator_norm(total - np.eye(dim)) > bound:
+    if norm_exceeds(total - np.eye(dim), bound):
         raise ValueError(f"{label}: representation is not unital")
     broken = _broken_unit_relation(A, units, anti, bound)
     if broken == "star":
@@ -101,7 +101,7 @@ class Correspondence:
             default=0.0))
         for U in self.pi_l_units:
             for V in self.pi_r_units:
-                if operator_norm(U @ V - V @ U) > bound:
+                if norm_exceeds(U @ V - V @ U, bound):
                     raise ValueError("left and right actions do not commute")
 
     def pi_l(self, x: np.ndarray) -> np.ndarray:
@@ -272,21 +272,51 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     return Correspondence(N, source, Q.shape[1], tuple(pi_l), tuple(pi_r))
 
 
-def intertwiner_basis(H: Correspondence, K: Correspondence,
-                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of Hom(H, K) as vectorized d_K x d_H matrices."""
+def _isotypic_frames(C: Correspondence, b: int, c: int) -> np.ndarray:
+    """Isometric frames of C's (b, c) block pair, shape (mult, dim, n*m).
+
+    W_ik = pi_l(e_{b,i,0}) . pi_r(f_{c,0,k}) carries the range of the
+    minimal projection W_00 isometrically onto the (i, k) slot; pi_r is an
+    antihomomorphism, so f_{c,0,k} is the unit that moves slot 0 to slot k.
+    Frame s collects the images W_ik q_s of the s-th vector of an
+    orthonormal basis of that range.  The range is read off the spectrum
+    of a near-projection, so its dimension (the multiplicity) is an exact
+    count at the cutoff 1/2.
+    """
+    M, N = C.left_algebra, C.right_algebra
+    lefts = [C.pi_l_units[M.unit_index(b, i, 0)]
+             for i in range(M.block_sizes[b])]
+    rights = [C.pi_r_units[N.unit_index(c, 0, k)]
+              for k in range(N.block_sizes[c])]
+    P = lefts[0] @ rights[0]
+    w, V = np.linalg.eigh((P + P.conj().T) / 2.0)
+    Q = V[:, w > 0.5]
+    slots = [L @ (R @ Q) for L in lefts for R in rights]
+    return np.stack(slots, axis=2).transpose(1, 0, 2)
+
+
+def intertwiner_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
+    """Orthonormal basis of Hom(H, K) as vectorized d_K x d_H matrices.
+
+    Built from the matrix units, with no linear system solved: on each
+    block pair (b, c) the intertwiners are A_s . B_t* / sqrt(n m), for A_s
+    a frame of K and B_t a frame of H.  Frames of different block pairs
+    live on orthogonal ranges, so the elements are orthonormal and their
+    count is the sum over (b, c) of mult_H[b][c] * mult_K[b][c].
+    """
     if H.left_algebra != K.left_algebra or H.right_algebra != K.right_algebra:
         raise AlgebraMismatch("correspondences over different algebra pairs")
     dH, dK = H.dim, K.dim
     if dH == 0 or dK == 0:
         return np.zeros((dH * dK, 0), dtype=np.complex128)
-    rows = []
-    scale = 0.0
-    for As, At in zip(H.pi_l_units + H.pi_r_units,
-                      K.pi_l_units + K.pi_r_units):
-        rows.append(np.kron(At, np.eye(dH)) - np.kron(np.eye(dK), As.T))
-        scale = max(scale, operator_norm(As), operator_norm(At))
-    return joint_null_space(rows, dH * dK, tol, scale=1.0 + scale)
+    parts = []
+    for b, n in enumerate(H.left_algebra.block_sizes):
+        for c, m in enumerate(H.right_algebra.block_sizes):
+            A = _isotypic_frames(K, b, c)
+            B = _isotypic_frames(H, b, c)
+            T = np.einsum("sip,tjp->stij", A, B.conj()) / np.sqrt(n * m)
+            parts.append(T.reshape(-1, dK * dH))
+    return np.concatenate(parts, axis=0).T
 
 
 def unitary_intertwiner(H: Correspondence, K: Correspondence,
@@ -297,7 +327,7 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence,
         return None
     if H.dim == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    basis = intertwiner_basis(H, K, tol)
+    basis = intertwiner_basis(H, K)
     if basis.shape[1] == 0:
         return None
     rng = np.random.default_rng(seed)

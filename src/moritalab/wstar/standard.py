@@ -101,9 +101,15 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State,
     delta_half = hermitian_power(delta, 0.5, tol)
     delta_minus_half = hermitian_power(delta, -0.5, tol)
 
-    # left multiplication by each matrix unit, in coordinates
-    lefts = [np.stack([A.coords(U @ E) for E in units], axis=1)
-             for U in units]
+    # left multiplication by each matrix unit, in coordinates:
+    # e_{b,i,j} . e_{b,j,l} = e_{b,i,l}, and every other product is zero
+    d = A.vector_dim
+    lefts = []
+    for b, i, j in A.unit_triples():
+        L = np.zeros((d, d), dtype=np.complex128)
+        for l in range(A.block_sizes[b]):
+            L[A.unit_index(b, i, l), A.unit_index(b, j, l)] = 1.0
+        lefts.append(L)
     # right action through the modular involution: y -> J y* J
     MJ = J.matrix
     pi_r_units = [MJ @ np.conj(lefts[A.unit_index(b, j, i)] @ MJ)

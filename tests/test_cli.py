@@ -261,6 +261,50 @@ class TestRunCommand:
         assert report["tasks"][0]["data"]["seed"] == 123
 
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_seed_env_exit_two(self, tmp_path, capsys, monkeypatch,
+                                   value):
+        monkeypatch.setenv("MORITALAB_SEED", value)
+        report_path = tmp_path / "r.json"
+        assert main(["demo", "mn-vs-c", "--report", str(report_path)]) == 2
+        assert "MORITALAB_SEED" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_unexpected_exception_becomes_error_row(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from moritalab.rings.families import CoherencePool
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("could not sample a composable chain")
+
+        monkeypatch.setattr(CoherencePool, "sample_chain", fail)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(serialize_spec(SpecFile(
+            rings={"Z2": cyclic_ring(2)},
+            tasks=({"task": "coherence-rings", "count": 1},
+                   {"task": "check-ring", "ring": "Z2"})))))
+        report_path = tmp_path / "report.json"
+        assert main(["run", str(spec_path),
+                     "--report", str(report_path)]) == 1
+        rows = json.loads(report_path.read_text())["tasks"]
+        assert [r["status"] for r in rows] == ["Error", "Pass"]
+        assert "RuntimeError" in rows[0]["detail"]
+
+    def test_ring_coherence_on_zero_cells_fails(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        rc = main(["demo", "matrix-ring-pair", "--max-order", "1",
+                   "--report", str(report_path)])
+        assert rc == 1
+        row = json.loads(report_path.read_text())["tasks"][-1]
+        assert row["task"] == "coherence-rings"
+        assert row["status"] == "Fail"
+        assert row["data"]["nonzero_tuples"] == 0
+        assert main(["demo", "matrix-ring-pair",
+                     "--report", str(report_path)]) == 0
+        row = json.loads(report_path.read_text())["tasks"][-1]
+        assert row["data"]["nonzero_tuples"] >= 1
+
+
 class TestValidateCommand:
     def test_validate_ok(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -14,6 +14,7 @@ from moritalab.numkernel import (
     hermitian_spectrum,
     joint_null_space,
     matrices_to_columns,
+    norm_exceeds,
     null_space,
     operator_norm,
     orthonormal_columns,
@@ -34,6 +35,21 @@ class TestBasics:
         A = np.array([[3.0, 0.0], [0.0, -4.0]])
         assert operator_norm(A) == pytest.approx(4.0)
         assert operator_norm(np.zeros((0, 0))) == 0.0
+
+    def test_norm_exceeds_agrees_with_operator_norm(self):
+        rng = np.random.default_rng(3)
+        # rank one: both norms equal 5, so the bound decides at exactly 5
+        v = np.array([[3.0], [4.0]])
+        one = v @ np.array([[1.0, 0.0]])
+        assert not norm_exceeds(one, 5.0 + 1e-12)
+        assert norm_exceeds(one, 5.0 - 1e-12)
+        for _ in range(20):
+            A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            top, frob = operator_norm(A), float(np.linalg.norm(A))
+            for bound in (0.5 * top, 0.999 * top, 1.001 * top,
+                          0.5 * (top + frob), 1.001 * frob):
+                assert norm_exceeds(A, bound) == (top > bound)
+        assert not norm_exceeds(np.zeros((0, 0)), 0.0)
 
     def test_as_complex_matrix_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,86 @@
+"""Intertwiner spaces from matrix units, against the Kronecker null space."""
+
+import numpy as np
+import pytest
+
+from moritalab.numkernel import joint_null_space, subspaces_equal
+from moritalab.wstar import (
+    MultiMatrixAlgebra,
+    block_correspondence,
+    conjugate_correspondence,
+    connes_fusion,
+    gns_standard_form,
+    identity_correspondence,
+    intertwiner_basis,
+    trace_state,
+    vector_correspondence,
+)
+
+
+def _kronecker_reference(H, K):
+    """Hom(H, K) as the common kernel of the stacked Sylvester systems."""
+    dH, dK = H.dim, K.dim
+    rows = [np.kron(At, np.eye(dH)) - np.kron(np.eye(dK), As.T)
+            for As, At in zip(H.pi_l_units + H.pi_r_units,
+                              K.pi_l_units + K.pi_r_units)]
+    return joint_null_space(rows, dH * dK, scale=2.0)
+
+
+def _assert_matches_reference(H, K):
+    basis = intertwiner_basis(H, K)
+    ref = _kronecker_reference(H, K)
+    k = basis.shape[1]
+    assert basis.shape == (H.dim * K.dim, ref.shape[1])
+    assert np.allclose(basis.conj().T @ basis, np.eye(k), atol=1e-12)
+    if k:
+        same, res = subspaces_equal(basis, ref)
+        assert same, res
+    return k
+
+
+BLOCK_CASES = [
+    ((2,), (2,), [[1]], [[2]]),
+    ((2,), (2, 1), [[1, 2]], [[2, 1]]),
+    ((2, 1), (2,), [[1], [2]], [[3], [1]]),
+    ((2, 1), (1, 1, 1), [[1, 0, 2], [1, 1, 0]], [[2, 1, 1], [0, 1, 0]]),
+    ((1, 1, 1), (2, 1), [[1, 0], [2, 1], [0, 3]], [[1, 1], [1, 0], [2, 2]]),
+]
+
+
+class TestIntertwinerBasis:
+    @pytest.mark.parametrize("left, right, mult_h, mult_k", BLOCK_CASES)
+    def test_block_pairs_match_kronecker_span(self, left, right, mult_h,
+                                              mult_k):
+        A, B = MultiMatrixAlgebra(left), MultiMatrixAlgebra(right)
+        H = block_correspondence(A, B, mult_h)
+        K = block_correspondence(A, B, mult_k)
+        for (X, mx), (Y, my) in (((H, mult_h), (K, mult_k)),
+                                 ((K, mult_k), (H, mult_h)),
+                                 ((H, mult_h), (H, mult_h))):
+            # Hom(X, Y) is the sum over block pairs of mult_X * mult_Y
+            want = sum(a * b for rx, ry in zip(mx, my)
+                       for a, b in zip(rx, ry))
+            assert _assert_matches_reference(X, Y) == want
+
+    def test_empty_hom_space(self):
+        A, C = MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((1,))
+        H = block_correspondence(A, C, [[2], [0]])
+        K = block_correspondence(A, C, [[0], [2]])
+        assert _assert_matches_reference(H, K) == 0
+        assert intertwiner_basis(H, K).shape == (4, 0)
+
+    def test_zero_dimensional_endpoint(self):
+        A, C = MultiMatrixAlgebra((1, 1)), MultiMatrixAlgebra((1,))
+        H = block_correspondence(A, C, [[0], [0]])
+        K = block_correspondence(A, C, [[1], [1]])
+        assert intertwiner_basis(H, K).shape == (0, 0)
+
+    def test_fused_vector_correspondence(self):
+        H = vector_correspondence(3)
+        C = H.right_algebra
+        fused = connes_fusion(H, conjugate_correspondence(H),
+                              gns_standard_form(C, trace_state(C))).corr
+        M3 = H.left_algebra
+        L2 = identity_correspondence(gns_standard_form(M3, trace_state(M3)))
+        assert _assert_matches_reference(fused, fused) == 1
+        assert _assert_matches_reference(fused, L2) == 1

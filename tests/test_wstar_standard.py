@@ -135,6 +135,17 @@ class TestModularData:
                            r_half @ y @ r_mhalf, atol=1e-10)
 
 
+class TestLeftMultiplication:
+    @pytest.mark.parametrize("alg", [M23, MultiMatrixAlgebra((4,))])
+    def test_closed_form_matches_coordinates(self, alg):
+        rng = np.random.default_rng(5)
+        std = gns_standard_form(alg, random_faithful_state(alg, rng))
+        units = alg.matrix_units()
+        for U, L in zip(units, std.pi_l_units):
+            want = np.stack([alg.coords(U @ E) for E in units], axis=1)
+            assert np.array_equal(L, want)
+
+
 class TestTracialCase:
     @pytest.mark.parametrize("alg", [M2, M23])
     def test_modular_operator_is_identity(self, alg):
