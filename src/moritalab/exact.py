@@ -68,7 +68,8 @@ class IntegerMatrix:
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        return [sum(row[j] * vec[j] for j in range(self.cols)) for row in self.data]
+        support = [(j, v) for j, v in enumerate(vec) if v]
+        return [sum(row[j] * v for j, v in support) for row in self.data]
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -149,6 +150,26 @@ class SmithDecomposition:
     def diagonal(self) -> list[int]:
         k = min(self.D.rows, self.D.cols)
         return [self.D.data[i][i] for i in range(k)]
+
+    def solve(self, target: Sequence[int]) -> list[int] | None:
+        """One integer solution x of ``A x = target`` exactly, or None.
+
+        With A = U^-1 D V^-1 this is x = V w for D w = U target, so every
+        right-hand side reuses the same factorization.
+        """
+        diag = self.diagonal()
+        c = self.U.apply(list(target))
+        w = [0] * self.V.rows
+        for i, ci in enumerate(c):
+            d = diag[i] if i < len(diag) else 0
+            if d:
+                q, r = divmod(ci, d)
+                if r:
+                    return None
+                w[i] = q
+            elif ci:
+                return None
+        return self.V.apply(w)
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
@@ -358,12 +379,14 @@ class CokernelProjection:
 
     ``apply`` sends an ambient vector to quotient coordinates; ``section``
     returns a preimage of the given quotient generator.  The kernel of
-    ``apply`` is exactly the relation lattice the quotient was built from.
+    ``apply`` is exactly the relation lattice the quotient was built from;
+    ``relations`` holds a basis of it, one column per ambient direction.
     """
 
     group: FiniteAbelianGroup
     matrix: IntegerMatrix          # rank x ambient
     section_matrix: IntegerMatrix  # ambient x rank
+    relations: IntegerMatrix       # ambient x ambient, basis of the kernel
 
     @property
     def ambient_dim(self) -> int:
@@ -374,6 +397,12 @@ class CokernelProjection:
 
     def section(self, index: int) -> list[int]:
         return self.section_matrix.column(index)
+
+
+def _scaled_columns(M: IntegerMatrix, scales: Sequence[int]) -> IntegerMatrix:
+    """The columns scales[i] * M[:, i] for every nonzero scale, in order."""
+    cols = [[d * v for v in M.column(i)] for i, d in enumerate(scales) if d]
+    return IntegerMatrix.from_columns(cols, M.rows)
 
 
 def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGroup, CokernelProjection]:
@@ -397,7 +426,8 @@ def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGrou
     proj_rows = [dec.U.data[i][:] for i in surviving]
     section_cols = [dec.U_inv.column(i) for i in surviving]
     proj = CokernelProjection(group, IntegerMatrix(proj_rows, len(surviving), n),
-                              IntegerMatrix.from_columns(section_cols, n))
+                              IntegerMatrix.from_columns(section_cols, n),
+                              _scaled_columns(dec.U_inv, diag))
     return group, proj
 
 
@@ -423,19 +453,10 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
     B = A.hstack(IntegerMatrix([[moduli[i] if i == j else 0 for j in range(n)]
                                 for i in range(n)], n, n))
     dec = smith_normal_form(B)
+    z = dec.solve(b)
+    if z is None:
+        raise NoSolution("no integer solution")
     diag = dec.diagonal()
-    c = dec.U.apply(list(b))
-    w = [0] * (m + n)
-    for i in range(n):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if c[i] % d:
-                raise NoSolution("no integer solution")
-            w[i] = c[i] // d
-        elif c[i]:
-            raise NoSolution("no integer solution")
-    z = dec.V.apply(w)
-    particular = z[:m]
     kernel_cols = []
     for j in range(m + n):
         d = diag[j] if j < len(diag) else 0
@@ -444,7 +465,7 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
             if any(col):
                 kernel_cols.append(col)
     kernel = lattice_column_basis(IntegerMatrix.from_columns(kernel_cols, m))
-    return CongruenceSolution(particular, kernel)
+    return CongruenceSolution(z[:m], kernel)
 
 
 def invert_group_map(T: IntegerMatrix, source: FiniteAbelianGroup,
@@ -468,30 +489,28 @@ def invert_group_map(T: IntegerMatrix, source: FiniteAbelianGroup,
     return inv
 
 
+def lattice_basis(M: IntegerMatrix) -> tuple[IntegerMatrix, SmithDecomposition]:
+    """A basis L (as columns) of the lattice spanned by M, with L's SNF.
+
+    L's columns are d_i U^-1 e_i over the nonzero invariants d_i of M, so
+    U L is already diagonal: the returned decomposition of L reuses M's
+    U and needs no second factorization.
+    """
+    dec = smith_normal_form(M)
+    diag = [d for d in dec.diagonal() if d]
+    L = _scaled_columns(dec.U_inv, diag)
+    r = L.cols
+    D = IntegerMatrix([[diag[i] if i == j else 0 for j in range(r)]
+                       for i in range(M.rows)], M.rows, r)
+    return L, SmithDecomposition(dec.U, D, IntegerMatrix.identity(r), dec.U_inv,
+                                 IntegerMatrix.identity(r))
+
+
 def lattice_column_basis(M: IntegerMatrix) -> IntegerMatrix:
     """A basis (as columns) of the lattice spanned by the columns of M."""
-    if M.cols == 0:
-        return IntegerMatrix.zeros(M.rows, 0)
-    dec = smith_normal_form(M)
-    cols = []
-    for i, d in enumerate(dec.diagonal()):
-        if d:
-            cols.append([d * v for v in dec.U_inv.column(i)])
-    return IntegerMatrix.from_columns(cols, M.rows)
+    return lattice_basis(M)[0]
 
 
 def solve_integer(M: IntegerMatrix, target: Sequence[int]) -> list[int] | None:
     """One integer solution of ``M y = target`` exactly, or None."""
-    dec = smith_normal_form(M)
-    diag = dec.diagonal()
-    c = dec.U.apply(list(target))
-    w = [0] * M.cols
-    for i in range(M.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if c[i] % d:
-                return None
-            w[i] = c[i] // d
-        elif c[i]:
-            return None
-    return dec.V.apply(w)
+    return smith_normal_form(M).solve(target)

@@ -12,6 +12,7 @@ between construction sites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,13 @@ def norm_exceeds(A: np.ndarray, bound: float) -> bool:
 
     The operator norm never exceeds the Frobenius norm, so the SVD only
     runs when the Frobenius norm is above the bound; the answer is the
-    same either way.
+    same either way.  A non-finite norm counts as exceeding: NaN compares
+    False with everything and would otherwise read as within the bound.
     """
-    return bool(np.linalg.norm(A) > bound) and operator_norm(A) > bound
+    fro = float(np.linalg.norm(A))
+    if not math.isfinite(fro):
+        return True
+    return fro > bound and operator_norm(A) > bound
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 A module map is a matrix X with X[i][j] * ord(src_j) = 0 (mod ord(tgt_i))
 that intertwines the requested actions.  The solution lattice K of those
 congruences, modulo the lattice K0 of matrices representing the zero map,
-is the hom group; its cokernel presentation supplies coordinates.
+is the hom group; its cokernel presentation supplies coordinates.  K
+contains K0, which has full rank, so the basis matrix of K is square and
+nonsingular: every map has unique K coordinates, found through one Smith
+decomposition kept with the group.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from ..exact import (
     CokernelProjection,
     FiniteAbelianGroup,
     IntegerMatrix,
+    SmithDecomposition,
     cokernel,
-    lattice_column_basis,
+    lattice_basis,
+    smith_normal_form,
     solve_congruences,
-    solve_integer,
 )
 from .base import FiniteRing
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap
@@ -43,32 +47,33 @@ class HomGroup:
     group: FiniteAbelianGroup
     basis_matrix: IntegerMatrix  # lattice basis of K, one column per basis map
     _proj: CokernelProjection    # K coordinates -> hom group coordinates
+    _basis_snf: SmithDecomposition  # of basis_matrix, solves for K coordinates
 
     @property
     def rank(self) -> int:
         return self.group.rank
 
+    def _unflatten(self, flat: Sequence[int]) -> IntegerMatrix:
+        nt, ns = self.target.rank, self.source.rank
+        return IntegerMatrix([flat[i * ns:(i + 1) * ns] for i in range(nt)], nt, ns)
+
     def from_coordinates(self, coords: Sequence[int]) -> BimoduleMap:
         vec = self._proj.section_matrix.apply(list(coords))
-        flat = self.basis_matrix.apply(vec)
-        nt, ns = self.target.rank, self.source.rank
-        data = [[flat[i * ns + j] for j in range(ns)] for i in range(nt)]
-        return BimoduleMap(self.source, self.target, IntegerMatrix(data, nt, ns),
-                           self.sides)
+        return BimoduleMap(self.source, self.target,
+                           self._unflatten(self.basis_matrix.apply(vec)), self.sides)
 
     def coordinates(self, f: BimoduleMap | IntegerMatrix) -> tuple[int, ...]:
         M = f.matrix if isinstance(f, BimoduleMap) else f
         flat = [M.data[i][j] for i in range(M.rows) for j in range(M.cols)]
-        y = solve_integer(self.basis_matrix, flat)
+        y = self._basis_snf.solve(flat)
         if y is None:
             raise ValueError("matrix is not a map in this hom group")
         return self._proj.apply(y)
 
     def generator_matrices(self) -> list[IntegerMatrix]:
         """Matrices of the maps at the group's generators, in order."""
-        r = self.rank
-        return [self.from_coordinates([1 if k == a else 0 for k in range(r)]).matrix
-                for a in range(r)]
+        gens = self.basis_matrix @ self._proj.section_matrix
+        return [self._unflatten(col) for col in gens.columns()]
 
     def elements(self) -> Iterator[BimoduleMap]:
         for coords in self.group.elements():
@@ -85,7 +90,8 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
     nvars = nt * ns
     if nvars == 0:
         group, proj = cokernel(IntegerMatrix.zeros(0, 0), [])
-        return HomGroup(M, N, sides, group, IntegerMatrix.zeros(0, 0), proj)
+        empty = IntegerMatrix.zeros(0, 0)
+        return HomGroup(M, N, sides, group, empty, proj, smith_normal_form(empty))
     cS = M.carrier.invariant_factors
     cT = N.carrier.invariant_factors
 
@@ -123,23 +129,20 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
                     moduli.append(cT[i])
     A = IntegerMatrix(rows, len(rows), nvars)
     sol = solve_congruences(A, moduli, [0] * len(rows))
-    K = lattice_column_basis(sol.kernel)
+    K, K_snf = lattice_basis(sol.kernel)
 
-    zero_cols = []
+    K0_in_K = []
     for i in range(nt):
         for j in range(ns):
             col = [0] * nvars
             col[var(i, j)] = cT[i]
-            zero_cols.append(col)
-    K0_in_K = []
-    for col in zero_cols:
-        y = solve_integer(K, col)
-        if y is None:
-            raise RuntimeError("zero-map lattice escaped the solution lattice")
-        K0_in_K.append(y)
+            y = K_snf.solve(col)
+            if y is None:
+                raise RuntimeError("zero-map lattice escaped the solution lattice")
+            K0_in_K.append(y)
     rank = K.cols
     group, proj = cokernel(IntegerMatrix.from_columns(K0_in_K, rank), [0] * rank)
-    return HomGroup(M, N, sides, group, K, proj)
+    return HomGroup(M, N, sides, group, K, proj, K_snf)
 
 
 @dataclass

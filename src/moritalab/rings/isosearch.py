@@ -282,13 +282,15 @@ class _Search:
             out.append(t)
         return out
 
-    def run(self) -> list[tuple[int, ...]] | None:
+    def run(self) -> IntegerMatrix | None:
         return self._dfs([])
 
-    def _dfs(self, chosen: list[tuple[int, ...]]):
+    def _dfs(self, chosen: list[tuple[int, ...]]) -> IntegerMatrix | None:
         p = len(chosen)
         if p == self.k:
-            return list(chosen)
+            # a leaf failing the independent check is a dead end, not a refutation
+            T = IntegerMatrix.from_columns([list(t) for t in chosen], self.k)
+            return T if is_ring_isomorphism(self.D, self.C, T) else None
         self.nodes += 1
         if self.nodes > NODE_CAP:
             raise SearchBudgetExceeded("search node budget exhausted")
@@ -328,14 +330,10 @@ def ring_iso_search(A: FiniteRing, B: FiniteRing,
 
     swapped = _prefix_score(B) > _prefix_score(A)
     D, C = (B, A) if swapped else (A, B)
-    images = _Search(D, C).run()
-    if images is None:
-        return None
-    T = IntegerMatrix.from_columns([list(t) for t in images], D.rank)
-    if not is_ring_isomorphism(D, C, T):
-        return None
-    if swapped:
-        T = invert_group_map(T, B.additive, A.additive)
-        if not is_ring_isomorphism(A, B, T):
-            return None
+    T = _Search(D, C).run()
+    if T is None or not swapped:
+        return T
+    T = invert_group_map(T, B.additive, A.additive)
+    if not is_ring_isomorphism(A, B, T):
+        raise RuntimeError("inverse of a checked ring isomorphism failed the check")
     return T

@@ -4,7 +4,9 @@ The tensor M (x)_S N is presented on the ambient group generated by the
 generator pairs (i, j), with modulus gcd(ord e_i, ord e_j), modulo the
 middle-linearity relations (e_i . s) (x) e_j = e_i (x) (s . e_j) taken over
 the additive generators s of S.  Everything downstream (induced maps,
-associators, unitors) factors through that presentation.
+associators, unitors) factors through that presentation, and a map out of
+the ambient group is well defined on the tensor exactly when it kills the
+relation lattice basis the presentation keeps.
 """
 
 from __future__ import annotations
@@ -46,7 +48,11 @@ class TensorProduct:
     module: Bimodule
     projection: CokernelProjection
     ambient_moduli: tuple[int, ...]
-    relation_matrix: IntegerMatrix
+
+    @property
+    def relation_matrix(self) -> IntegerMatrix:
+        """Basis of the relation lattice: balancing relations and pair orders."""
+        return self.projection.relations
 
     @property
     def ambient_size(self) -> int:
@@ -81,7 +87,8 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     amb = nM * nN
     moduli = tuple(gcd(cM[i], cN[j]) for i in range(nM) for j in range(nN))
 
-    rel_cols: list[list[int]] = []
+    # relations only matter modulo the pair orders, which the lattice holds
+    rel_cols: dict[tuple[int, ...], None] = {}
     for g in range(S.rank):
         rho = M.right_action[g]
         lam = N.left_action[g]
@@ -96,9 +103,10 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
                     v = lam.data[l][j]
                     if v:
                         col[i * nN + l] -= v
+                col = tuple(v % d for v, d in zip(col, moduli))
                 if any(col):
-                    rel_cols.append(col)
-    relations = IntegerMatrix.from_columns(rel_cols, amb)
+                    rel_cols[col] = None
+    relations = IntegerMatrix.from_columns(list(rel_cols), amb)
     group, proj = cokernel(relations, list(moduli))
 
     def transported(act_on_ambient: Callable[[list[int]], list[int]]) -> IntegerMatrix:
@@ -143,7 +151,7 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     label = name or (f"{M.name}(x){N.name}" if M.name and N.name else "")
     module = Bimodule(M.left_ring, N.right_ring, group, tuple(lamT), tuple(rhoT),
                       name=label)
-    return TensorProduct(M, N, module, proj, moduli, relations)
+    return TensorProduct(M, N, module, proj, moduli)
 
 
 def factor_through_tensor(tp: TensorProduct, ambient_matrix: IntegerMatrix,
@@ -152,21 +160,16 @@ def factor_through_tensor(tp: TensorProduct, ambient_matrix: IntegerMatrix,
     """Induce a map on the tensor from a balanced map on generator pairs.
 
     ambient_matrix columns are indexed by the pairs (i, j); the map must
-    kill every balancing relation, otherwise NotBalanced is raised.
+    kill every balancing relation and pair order, otherwise NotBalanced is
+    raised.
     """
     B = ambient_matrix
     if B.rows != target.rank or B.cols != tp.ambient_size:
         raise ValueError("ambient matrix shape mismatch")
     tfs = target.carrier.invariant_factors
-    for c in range(B.cols):
-        g = tp.ambient_moduli[c]
-        for r in range(B.rows):
-            if (B.data[r][c] * g) % tfs[r]:
-                raise NotBalanced("map does not respect generator pair orders")
     rel = tp.relation_matrix
-    image = B @ rel
-    if not matrices_congruent(image, IntegerMatrix.zeros(B.rows, rel.cols), tfs):
-        raise NotBalanced("map does not kill the balancing relations")
+    if not matrices_congruent(B @ rel, IntegerMatrix.zeros(B.rows, rel.cols), tfs):
+        raise NotBalanced("map does not kill the balancing relations and pair orders")
     cols = [list(target.carrier.reduce(B.apply(tp.section(a))))
             for a in range(tp.module.rank)]
     induced = IntegerMatrix.from_columns(cols, target.rank)
@@ -182,22 +185,16 @@ def tensor_of_maps(tp_src: TensorProduct, tp_tgt: TensorProduct,
         raise ValueError("g does not start at the source right factor")
     if f.target != tp_tgt.left_factor or g.target != tp_tgt.right_factor:
         raise ValueError("maps do not land in the target factors")
-    amb_map = kron(f.matrix, g.matrix)
-    cols = [list(tp_tgt.projection.apply(amb_map.apply(tp_src.section(a))))
-            for a in range(tp_src.module.rank)]
-    induced = IntegerMatrix.from_columns(cols, tp_tgt.module.rank)
-    # well-definedness: relations and pair orders must die in the target
+    # ambient of the source -> quotient coordinates of the target
+    to_tgt = tp_tgt.projection.matrix @ kron(f.matrix, g.matrix)
+    tgt = tp_tgt.module.carrier
     rel = tp_src.relation_matrix
-    for c in range(rel.cols):
-        img = tp_tgt.projection.apply(amb_map.apply(rel.column(c)))
-        if any(img):
-            raise NotBalanced("map pair does not preserve balancing relations")
-    zero = [0] * tp_src.ambient_size
-    for idx, mod in enumerate(tp_src.ambient_moduli):
-        vec = list(zero)
-        vec[idx] = mod
-        if any(tp_tgt.projection.apply(amb_map.apply(vec))):
-            raise NotBalanced("map pair does not respect generator pair orders")
+    if not matrices_congruent(to_tgt @ rel, IntegerMatrix.zeros(tgt.rank, rel.cols),
+                              tgt.invariant_factors):
+        raise NotBalanced("map pair does not preserve balancing relations and pair orders")
+    cols = [list(tgt.reduce(c))
+            for c in (to_tgt @ tp_src.projection.section_matrix).columns()]
+    induced = IntegerMatrix.from_columns(cols, tgt.rank)
     sides = []
     if "left" in f.sides:
         sides.append("left")

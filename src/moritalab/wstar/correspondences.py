@@ -125,7 +125,7 @@ def correspondences_close(a: Correspondence, b: Correspondence,
     if a.dim != b.dim:
         return False
     for U, V in zip(a.pi_l_units + a.pi_r_units, b.pi_l_units + b.pi_r_units):
-        if operator_norm(U - V) > tol:
+        if norm_exceeds(U - V, tol):
             return False
     return True
 
@@ -160,8 +160,8 @@ class Intertwiner:
         if T.shape[0] != T.shape[1]:
             return False
         d = T.shape[0]
-        return operator_norm(T.conj().T @ T - np.eye(d)) <= tol and \
-            operator_norm(T @ T.conj().T - np.eye(d)) <= tol
+        return not (norm_exceeds(T.conj().T @ T - np.eye(d), tol)
+                    or norm_exceeds(T @ T.conj().T - np.eye(d), tol))
 
     def compose(self, other: "Intertwiner") -> "Intertwiner":
         if not correspondences_close(other.target, self.source):

@@ -7,7 +7,7 @@ congruence oracle enumerates candidate solutions directly.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import gcd, prod
 
 import pytest
@@ -20,6 +20,7 @@ from moritalab.exact import (
     IntegerMatrix,
     cokernel,
     determinant,
+    lattice_basis,
     lattice_column_basis,
     smith_normal_form,
     solve_congruences,
@@ -247,6 +248,55 @@ def test_solve_integer_exact():
     assert y is not None
     assert M.apply(y) == [5, 9]
     assert solve_integer(IntegerMatrix([[2]]), [3]) is None
+
+
+def leibniz_determinant(rows):
+    n = len(rows)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+        total += (-1) ** inversions * prod(rows[i][p[i]] for i in range(n))
+    return total
+
+
+def on_lattice_oracle(M, t):
+    """t in col_span_Z(M) for square nonsingular M, by Cramer's rule."""
+    det = leibniz_determinant(M.data)
+    for i in range(M.cols):
+        Mi = [row[:i] + [t[r]] + row[i + 1:] for r, row in enumerate(M.data)]
+        if leibniz_determinant(Mi) % det:
+            return False
+    return True
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_smith_solve_is_none_exactly_off_the_lattice(m, n, data):
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n))
+    M = IntegerMatrix([entries[i * n:(i + 1) * n] for i in range(m)], m, n)
+    x0 = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    t = data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    dec = smith_normal_form(M)
+    hit = M.apply(x0)
+    y = dec.solve(hit)
+    assert y is not None and M.apply(y) == hit
+    y = dec.solve(t)
+    assert solve_integer(M, t) == y
+    if y is not None:
+        assert M.apply(y) == t
+    if m == n and leibniz_determinant(M.data):
+        assert (y is not None) == on_lattice_oracle(M, t)
+    # the basis decomposition reuses M's U: it must be a Smith form of the
+    # basis and solve exactly as a fresh factorization of the basis does
+    L, ldec = lattice_basis(M)
+    assert L == lattice_column_basis(M)
+    assert ldec.U @ L @ ldec.V == ldec.D
+    for target in (hit, t):
+        got = ldec.solve(target)
+        assert (got is None) == (solve_integer(L, target) is None) == \
+            (solve_integer(M, target) is None)
+        if got is not None:
+            assert L.apply(got) == target
 
 
 def test_lattice_column_basis_spans_same_lattice():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from moritalab.errors import SearchBudgetExceeded, UnitDegenerate
-from moritalab.exact import IntegerMatrix
+from moritalab.exact import IntegerMatrix, solve_integer
 from moritalab.rings import (
     bimodule_direct_sum,
     bimodule_isomorphic,
@@ -70,6 +70,22 @@ class TestHomGroups:
             assert H.from_coordinates(coords).matrix == f.matrix
             seen.add(tuple(tuple(row) for row in f.matrix.data))
         assert len(seen) == H.group.order == 16
+
+    def test_stored_decomposition_matches_fresh_solve(self):
+        # coordinates go through the Smith form kept with the group; a fresh
+        # solve of the same square, nonsingular basis must agree everywhere
+        Z4, F2x = cyclic_ring(4), truncated_polynomial_ring(2, 2)
+        pairs = _hom_pairs() + [(column_module(R, 2), column_module(R, 2), "right")
+                                for R in (Z4, F2x)]
+        for M, N, side in pairs:
+            H = hom_group(M, N, side)
+            K = H.basis_matrix
+            assert K.rows == K.cols == M.rank * N.rank
+            for coords in H.group.elements():
+                f = H.from_coordinates(coords)
+                flat = [v for row in f.matrix.data for v in row]
+                assert H.coordinates(f) == H._proj.apply(solve_integer(K, flat)) \
+                    == coords
 
     def test_hom_from_zero_is_trivial(self):
         Z4 = cyclic_ring(4)

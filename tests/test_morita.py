@@ -156,6 +156,26 @@ class TestRingIsoSearch:
         assert T is not None
         assert is_ring_isomorphism(Z6, prod, T)
 
+    def test_rejected_leaf_backtracks(self, monkeypatch):
+        # M_2(Z/2) and its opposite are isomorphic in six ways; a leaf that
+        # fails the independent check must send the search on, not end it
+        import moritalab.rings.isosearch as isosearch
+
+        M2 = matrix_ring(cyclic_ring(2), 2)
+        E = opposite_ring(M2)
+        assert E.mult != M2.mult
+        real = isosearch.is_ring_isomorphism
+        seen = []
+
+        def reject_first(A, B, T):
+            seen.append((A, B, T))
+            return len(seen) > 1 and real(A, B, T)
+
+        monkeypatch.setattr(isosearch, "is_ring_isomorphism", reject_first)
+        T = ring_iso_search(E, M2)
+        assert len(seen) >= 2 and real(*seen[0])
+        assert T is not None and is_ring_isomorphism(E, M2, T)
+
     def test_additive_mismatch_is_refuted_fast(self):
         Z4 = cyclic_ring(4)
         F2x = truncated_polynomial_ring(2, 2)

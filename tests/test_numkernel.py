@@ -51,6 +51,12 @@ class TestBasics:
                 assert norm_exceeds(A, bound) == (top > bound)
         assert not norm_exceeds(np.zeros((0, 0)), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_norm_exceeds_non_finite_is_exceeding(self, bad):
+        A = np.array([[1.0, bad], [0.0, 1.0]], dtype=np.complex128)
+        assert norm_exceeds(A, 1e300)
+        assert norm_exceeds(np.array([[complex(0.0, bad)]]), 1.0)
+
     def test_as_complex_matrix_rejects_bad_input(self):
         with pytest.raises(ValueError):
             as_complex_matrix(np.array([1.0, 2.0]))

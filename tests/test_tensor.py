@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moritalab.errors import NotBalanced, RingMismatch
-from moritalab.exact import IntegerMatrix
+from moritalab.exact import IntegerMatrix, determinant
 from moritalab.rings import (
     BimoduleMap,
     column_module,
@@ -49,6 +49,12 @@ class TestAgainstOracle:
             got = tp.module.carrier.invariant_factors
             want = tensor_invariants_oracle(M, N)
             assert got == want, f"{M.name} (x) {N.name}: {got} != {want}"
+            # the kept relation basis lies in the kernel and has the index of
+            # the quotient, so it spans the whole relation lattice
+            rel = tp.relation_matrix
+            assert rel.cols <= tp.ambient_size
+            assert all(not any(tp.projection.apply(c)) for c in rel.columns())
+            assert abs(determinant(rel)) == tp.module.carrier.order
 
     def test_cyclic_scalars(self):
         # Z/4 (x)_{Z/12} Z/6 collapses to Z/2
@@ -216,6 +222,29 @@ class TestFunctoriality:
         tp = tensor_product(M, N)
         with pytest.raises(ValueError):
             tensor_of_maps(tp, tp, identity_map(N), identity_map(N))
+
+    def test_unbalanced_pair_rejected(self):
+        # swapping 1 and x is additive but not F2[x]/x^2-linear, so it sends
+        # the relation x (x) 1 - 1 (x) x to 1 (x) 1 - x (x) x = 1 != 0
+        R = regular_bimodule(truncated_polynomial_ring(2, 2))
+        tp = tensor_product(R, R)
+        swap = BimoduleMap(R, R, IntegerMatrix([[0, 1], [1, 0]]), ())
+        with pytest.raises(NotBalanced):
+            tensor_of_maps(tp, tp, swap, identity_map(R))
+
+    def test_pair_order_violation_rejected(self):
+        # Z/2 (x) Z/4 -> Z/4 (x) Z/4 sending the order-2 pair to 1 (x) 1,
+        # which has order 4; no balancing relation is involved
+        Z4 = cyclic_ring(4)
+        half = scalar_bimodule(Z4, Z4, 2)
+        M = regular_bimodule(Z4)
+        tp_src = tensor_product(half, M)
+        tp_tgt = tensor_product(M, M)
+        assert tp_src.relation_matrix == IntegerMatrix([[2]])
+        f = BimoduleMap(half, M, IntegerMatrix([[2]]))
+        f.matrix = IntegerMatrix([[1]])  # past the constructor's order check
+        with pytest.raises(NotBalanced):
+            tensor_of_maps(tp_src, tp_tgt, f, identity_map(M))
 
 
 class TestFactorThrough:

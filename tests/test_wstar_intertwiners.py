@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from moritalab.numkernel import joint_null_space, subspaces_equal
+from moritalab.numkernel import joint_null_space, operator_norm, subspaces_equal
 from moritalab.wstar import (
+    Correspondence,
+    Intertwiner,
     MultiMatrixAlgebra,
     block_correspondence,
     conjugate_correspondence,
     connes_fusion,
+    correspondences_close,
     gns_standard_form,
     identity_correspondence,
     intertwiner_basis,
@@ -84,3 +87,52 @@ class TestIntertwinerBasis:
         L2 = identity_correspondence(gns_standard_form(M3, trace_state(M3)))
         assert _assert_matches_reference(fused, fused) == 1
         assert _assert_matches_reference(fused, L2) == 1
+
+
+def _near_identity_unitary(d, eps, rng):
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    w, V = np.linalg.eigh(X + X.conj().T)
+    return (V * np.exp(1j * eps * w)) @ V.conj().T
+
+
+def _bounds_around(top, frob):
+    """Bounds on both sides of the operator norm and between the two norms."""
+    return (0.5 * top, 0.999 * top, 1.001 * top, 0.5 * (top + frob),
+            1.001 * frob)
+
+
+class TestFrobeniusFirstGates:
+    """correspondences_close and is_unitary answer as the SVD test did."""
+
+    def test_correspondences_close_near_threshold(self):
+        rng = np.random.default_rng(11)
+        H = block_correspondence(MultiMatrixAlgebra((2,)),
+                                 MultiMatrixAlgebra((1, 1)), [[2, 1]])
+        for eps in (1e-3, 1e-9):
+            W = _near_identity_unitary(H.dim, eps, rng)
+            moved = [tuple(W @ U @ W.conj().T for U in units)
+                     for units in (H.pi_l_units, H.pi_r_units)]
+            K = Correspondence(H.left_algebra, H.right_algebra, H.dim, *moved)
+            diffs = [U - V for U, V in zip(H.pi_l_units + H.pi_r_units,
+                                           K.pi_l_units + K.pi_r_units)]
+            top = max(operator_norm(D) for D in diffs)
+            frob = max(float(np.linalg.norm(D)) for D in diffs)
+            assert frob > top > 0
+            for tol in _bounds_around(top, frob):
+                want = all(operator_norm(D) <= tol for D in diffs)
+                assert correspondences_close(H, K, tol) == want
+
+    def test_is_unitary_near_threshold(self):
+        rng = np.random.default_rng(12)
+        H = block_correspondence(MultiMatrixAlgebra((2,)),
+                                 MultiMatrixAlgebra((2,)), [[1]])
+        for delta in (1e-4, 1e-10):
+            W = _near_identity_unitary(H.dim, 1.0, rng)
+            T = W * (1.0 + delta * rng.uniform(0.1, 1.0, size=H.dim))
+            defects = [T.conj().T @ T - np.eye(H.dim),
+                       T @ T.conj().T - np.eye(H.dim)]
+            top = max(operator_norm(D) for D in defects)
+            frob = max(float(np.linalg.norm(D)) for D in defects)
+            for tol in _bounds_around(top, frob):
+                want = all(operator_norm(D) <= tol for D in defects)
+                assert Intertwiner(H, H, T).is_unitary(tol) == want
