@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InfiniteQuotient, NoSolution
 
@@ -86,19 +86,6 @@ class IntegerMatrix:
             out.append(acc)
         return IntegerMatrix(out, self.rows, other.cols)
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix([[self.data[i][j] for i in range(self.rows)]
-                              for j in range(self.cols)], self.cols, self.rows)
-
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        return IntegerMatrix([self.data[i] + other.data[i] for i in range(self.rows)],
-                             self.rows, self.cols + other.cols)
-
-    def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix([row[:] for row in self.data], self.rows, self.cols)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntegerMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -145,7 +132,6 @@ class SmithDecomposition:
     D: IntegerMatrix
     V: IntegerMatrix
     U_inv: IntegerMatrix
-    V_inv: IntegerMatrix
 
     def diagonal(self) -> list[int]:
         k = min(self.D.rows, self.D.cols)
@@ -173,7 +159,7 @@ class SmithDecomposition:
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with tracked transforms and their inverses.
+    """Smith normal form with tracked transforms and the inverse of U.
 
     The diagonal of D is nonnegative and satisfies d_1 | d_2 | ... with
     zeros last.  Pivot choice is the smallest nonzero absolute value in
@@ -186,7 +172,6 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_sub(i: int, j: int, q: int) -> None:
         # row_i -= q * row_j; inverse transform gains column_j += q * column_i
@@ -209,9 +194,6 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             D[r][j] -= q * D[r][i]
         for r in range(n):
             V[r][j] -= q * V[r][i]
-        Vi, Vj = Vinv[i], Vinv[j]
-        for c in range(n):
-            Vi[c] += q * Vj[c]
 
     def row_swap(i: int, j: int) -> None:
         if i == j:
@@ -228,7 +210,6 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             D[r][i], D[r][j] = D[r][j], D[r][i]
         for r in range(n):
             V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_negate(i: int) -> None:
         D[i] = [-v for v in D[i]]
@@ -299,7 +280,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
 
     return SmithDecomposition(
         IntegerMatrix(U, m, m), IntegerMatrix(D, m, n), IntegerMatrix(V, n, n),
-        IntegerMatrix(Uinv, m, m), IntegerMatrix(Vinv, n, n))
+        IntegerMatrix(Uinv, m, m))
 
 
 @dataclass(frozen=True)
@@ -339,6 +320,14 @@ class FiniteAbelianGroup:
         if len(vec) != self.rank:
             raise ValueError("element length mismatch")
         return tuple(int(v) % d for v, d in zip(vec, self.invariant_factors))
+
+    def reduce_columns(self, M: IntegerMatrix) -> IntegerMatrix:
+        """M with every column reduced to an element of this group."""
+        if M.rows != self.rank:
+            raise ValueError("element length mismatch")
+        return IntegerMatrix([[v % d for v in row]
+                              for row, d in zip(M.data, self.invariant_factors)],
+                             M.rows, M.cols)
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return self.reduce([x + y for x, y in zip(a, b)])
@@ -398,11 +387,31 @@ class CokernelProjection:
     def section(self, index: int) -> list[int]:
         return self.section_matrix.column(index)
 
+    def transport(self, act: Callable[[list[int]], Sequence[int]],
+                  section: IntegerMatrix | None = None) -> IntegerMatrix:
+        """Matrix of ``apply . act`` on the columns of a section.
+
+        Column a is the projection of act(section column a); the section
+        defaults to this quotient's own, so a map of the ambient group that
+        preserves the relations becomes a map of the quotient.
+        """
+        if section is None:
+            section = self.section_matrix
+        return IntegerMatrix.from_columns(
+            [self.apply(act(col)) for col in section.columns()], self.group.rank)
+
 
 def _scaled_columns(M: IntegerMatrix, scales: Sequence[int]) -> IntegerMatrix:
     """The columns scales[i] * M[:, i] for every nonzero scale, in order."""
     cols = [[d * v for v in M.column(i)] for i, d in enumerate(scales) if d]
     return IntegerMatrix.from_columns(cols, M.rows)
+
+
+def _with_moduli(A: IntegerMatrix, moduli: Sequence[int]) -> IntegerMatrix:
+    """[A | diag(moduli)]: A's columns followed by one modulus relation per row."""
+    n = A.rows
+    return IntegerMatrix([row + [moduli[i] if j == i else 0 for j in range(n)]
+                          for i, row in enumerate(A.data)], n, A.cols + n)
 
 
 def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGroup, CokernelProjection]:
@@ -414,9 +423,7 @@ def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGrou
     n = A.rows
     if len(moduli) != n:
         raise ValueError("moduli length must match the ambient dimension")
-    B = A.hstack(IntegerMatrix([[moduli[i] if i == j else 0 for j in range(n)]
-                                for i in range(n)], n, n))
-    dec = smith_normal_form(B)
+    dec = smith_normal_form(_with_moduli(A, moduli))
     diag = dec.diagonal()
     diag = diag + [0] * (n - len(diag))
     if any(d == 0 for d in diag):
@@ -450,9 +457,7 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
     n, m = A.rows, A.cols
     if len(moduli) != n or len(b) != n:
         raise ValueError("system shape mismatch")
-    B = A.hstack(IntegerMatrix([[moduli[i] if i == j else 0 for j in range(n)]
-                                for i in range(n)], n, n))
-    dec = smith_normal_form(B)
+    dec = smith_normal_form(_with_moduli(A, moduli))
     z = dec.solve(b)
     if z is None:
         raise NoSolution("no integer solution")
@@ -502,8 +507,7 @@ def lattice_basis(M: IntegerMatrix) -> tuple[IntegerMatrix, SmithDecomposition]:
     r = L.cols
     D = IntegerMatrix([[diag[i] if i == j else 0 for j in range(r)]
                        for i in range(M.rows)], M.rows, r)
-    return L, SmithDecomposition(dec.U, D, IntegerMatrix.identity(r), dec.U_inv,
-                                 IntegerMatrix.identity(r))
+    return L, SmithDecomposition(dec.U, D, IntegerMatrix.identity(r), dec.U_inv)
 
 
 def lattice_column_basis(M: IntegerMatrix) -> IntegerMatrix:

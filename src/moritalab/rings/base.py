@@ -1,11 +1,21 @@
-"""Finite unital rings presented by structure constants.
+"""Finite unital rings and the one exact law checker of the ring layer.
 
 A ring is a finite abelian group together with a multiplication tensor
 on its generators: ``mult[i][j]`` holds the coordinates of e_i * e_j.
-Construction validates well-definedness, associativity on generator
-triples (biadditivity extends this to everything), and the unit laws.
-The zero ring is rejected: a presentation whose unit has additive order
-below 2 raises UnitDegenerate.
+
+Every ring and bimodule law is checked on generator matrices by
+``broken_law``, which names the first law a family of integer matrices
+breaks as an (anti-)representation of a ring: well shaped (one square
+matrix per generator), well defined (each matrix is a group
+endomorphism), additive in the ring argument, (anti-)multiplicative
+against the ring's table, or unital.  Its two
+companions are ``is_group_map`` (a matrix defines a homomorphism between
+two invariant-factor groups) and ``intertwines`` (a matrix commutes with
+two families of actions).  A ring states its laws through its
+left-regular matrices L_i (column j is e_i * e_j): they represent the
+table exactly when the product is well defined in both slots and
+associative.  The zero ring is rejected: a presentation whose unit has
+additive order below 2 raises UnitDegenerate.
 """
 
 from __future__ import annotations
@@ -17,6 +27,98 @@ from ..errors import UnitDegenerate
 from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel
 
 Vector = tuple[int, ...]
+
+
+# ------------------------------------------------------- law checker
+
+def combine_matrices(mats: Sequence[IntegerMatrix], coeffs: Sequence[int]) -> IntegerMatrix:
+    """Integer linear combination sum_i coeffs[i] * mats[i]."""
+    if not mats:
+        return IntegerMatrix.zeros(0, 0)
+    rows, cols = mats[0].rows, mats[0].cols
+    acc = [[0] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        if not c:
+            continue
+        for i in range(rows):
+            mrow = m.data[i]
+            arow = acc[i]
+            for j in range(cols):
+                arow[j] += c * mrow[j]
+    return IntegerMatrix(acc, rows, cols)
+
+
+def matrices_congruent(A: IntegerMatrix, B: IntegerMatrix,
+                       row_moduli: Sequence[int]) -> bool:
+    """Entry-wise congruence modulo the order of each target generator."""
+    if A.rows != B.rows or A.cols != B.cols:
+        return False
+    for i in range(A.rows):
+        d = row_moduli[i]
+        ra, rb = A.data[i], B.data[i]
+        for j in range(A.cols):
+            if (ra[j] - rb[j]) % d:
+                return False
+    return True
+
+
+def is_group_map(M: IntegerMatrix, src_factors: Sequence[int],
+                 tgt_factors: Sequence[int]) -> bool:
+    """M is a well-defined map of the groups: M[i][j] * s_j = 0 (mod t_i)."""
+    if M.rows != len(tgt_factors) or M.cols != len(src_factors):
+        return False
+    return not any((v * s) % t for row, t in zip(M.data, tgt_factors)
+                   for v, s in zip(row, src_factors))
+
+
+def intertwines(M: IntegerMatrix, src_mats: Sequence[IntegerMatrix],
+                tgt_mats: Sequence[IntegerMatrix], moduli: Sequence[int]) -> bool:
+    """M @ A = B @ M modulo the target orders, for each pair (A, B)."""
+    return all(matrices_congruent(M @ A, B @ M, moduli)
+               for A, B in zip(src_mats, tgt_mats))
+
+
+def broken_law(mats: Sequence[IntegerMatrix], factors: Sequence[int],
+               ring: "FiniteRing", anti: bool = False) -> str | None:
+    """The first law mats break as an (anti-)representation of ring, or None.
+
+    mats[l] acts for the l-th additive generator of ring on the group with
+    invariant factors ``factors``.  The laws, in the order checked: "well
+    shaped" (one square matrix per generator), "well defined" (each is a
+    group endomorphism), "additive" (ord(e_l) * mats[l] = 0), then
+    "multiplicative" (mats[i] @ mats[j] = sum_l mult[i][j][l] mats[l]), or
+    "anti-multiplicative" with the product reversed when anti, and
+    "unital" (sum_l unit[l] mats[l] = I).
+    """
+    n = len(factors)
+    if len(mats) != ring.rank or any(M.rows != n or M.cols != n for M in mats):
+        return "well shaped"
+    if not all(is_group_map(M, factors, factors) for M in mats):
+        return "well defined"
+    # ord(e_l) * mats[l] = 0 says mats[l] is also a map out of (Z/ord(e_l))^n
+    if not all(is_group_map(M, (d,) * n, factors)
+               for M, d in zip(mats, ring.additive.invariant_factors)):
+        return "additive"
+    for i, Mi in enumerate(mats):
+        for j, Mj in enumerate(mats):
+            product = Mj @ Mi if anti else Mi @ Mj
+            if not matrices_congruent(product, combine_matrices(mats, ring.mult[i][j]),
+                                      factors):
+                return "anti-multiplicative" if anti else "multiplicative"
+    if not matrices_congruent(combine_matrices(mats, ring.unit),
+                              IntegerMatrix.identity(n), factors):
+        return "unital"
+    return None
+
+
+# what each law of the left-regular matrices means for the table
+_TABLE_LAWS = {
+    "well shaped": "multiplication tensor shape mismatch",
+    "well defined": "product not well-defined in second slot",
+    "additive": "product not well-defined in first slot",
+    "multiplicative": "multiplication not associative",
+    "unital": "unit law fails on a generator",
+}
 
 
 @dataclass(frozen=True)
@@ -34,29 +136,18 @@ class FiniteRing:
         mult = tuple(tuple(g.reduce(v) for v in row) for row in self.mult)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "unit", g.reduce(self.unit))
-        if len(mult) != k or any(len(row) != k for row in mult):
-            raise ValueError("multiplication tensor shape mismatch")
-        fs = g.invariant_factors
-        for i in range(k):
-            for j in range(k):
-                # (d_i e_i) e_j = 0 and e_i (d_j e_j) = 0 must be respected
-                if g.scale(fs[i], mult[i][j]) != g.zero():
-                    raise ValueError("product not well-defined in first slot")
-                if g.scale(fs[j], mult[i][j]) != g.zero():
-                    raise ValueError("product not well-defined in second slot")
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    left = self.mul(mult[i][j], self._gen(l))
-                    right = self.mul(self._gen(i), mult[j][l])
-                    if left != right:
-                        raise ValueError("multiplication not associative")
-        if g.element_order(self.unit) < 2:
+        left_regular = [IntegerMatrix.from_columns(row, k) for row in mult]
+        law = broken_law(left_regular, g.invariant_factors, self)
+        if law in (None, "unital") and g.element_order(self.unit) < 2:
             raise UnitDegenerate("unit of additive order < 2 (zero ring)")
-        for i in range(k):
-            e = self._gen(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                raise ValueError("unit law fails on a generator")
+        if law is not None:
+            raise ValueError(_TABLE_LAWS[law])
+        # the left unit law passed inside broken_law; L_i u = e_i is the right one
+        right_unit = IntegerMatrix.from_columns(
+            [L.apply(self.unit) for L in left_regular], k)
+        if not matrices_congruent(right_unit, IntegerMatrix.identity(k),
+                                  g.invariant_factors):
+            raise ValueError("unit law fails on a generator")
 
     def _gen(self, i: int) -> Vector:
         return tuple(1 if j == i else 0 for j in range(self.additive.rank))
@@ -74,6 +165,11 @@ class FiniteRing:
     @property
     def characteristic(self) -> int:
         return self.additive.element_order(self.unit)
+
+    @property
+    def is_commutative(self) -> bool:
+        return all(self.mult[i][j] == self.mult[j][i]
+                   for i in range(self.rank) for j in range(i))
 
     def zero(self) -> Vector:
         return self.additive.zero()
@@ -209,14 +305,11 @@ def direct_product_ring(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     kR = R.rank
 
     def old_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-        ra = R.mul(a[:kR], b[:kR])
-        sa = S.mul(a[kR:], b[kR:])
-        return list(ra) + list(sa)
+        return list(R.mul(a[:kR], b[:kR])) + list(S.mul(a[kR:], b[kR:]))
 
-    mult = tuple(
-        tuple(proj.apply(old_mul(proj.section(i), proj.section(j)))
-              for j in range(group.rank))
-        for i in range(group.rank))
+    # row i of the table is left multiplication by section i, transported
+    mult = tuple(tuple(proj.transport(lambda b, a=a: old_mul(a, b)).columns())
+                 for a in proj.section_matrix.columns())
     unit = proj.apply(list(R.unit) + list(S.unit))
     name = f"({R.name} x {S.name})" if R.name and S.name else ""
     return FiniteRing(group, mult, unit, name=name)

@@ -1,10 +1,12 @@
 """Bimodules over finite rings and the maps between them.
 
 A bimodule stores its carrier group plus one integer action matrix per
-additive generator of each ring.  The left action must extend to a ring
-homomorphism into End(carrier), the right action to an anti-homomorphism,
-and the two must commute; all of that is validated exactly on generators
-at construction time.
+additive generator of each ring.  Construction states its laws through
+the ring layer's checker (``broken_law`` in ``base``): the left matrices
+must represent the left ring, the right matrices must anti-represent the
+right ring, and every left matrix must intertwine the right action with
+itself.  A map must be a group map of the carriers (``is_group_map``)
+that intertwines the actions on its tagged sides (``intertwines``).
 
 Maps carry a ``sides`` tag: hom computations for one-sided module maps
 reuse the same class with ``sides=("right",)`` or ``("left",)``.
@@ -23,50 +25,18 @@ from ..exact import (
     invert_group_map,
     solve_congruences,
 )
-from .base import FiniteRing, cyclic_ring, matrix_ring
+from .base import (
+    FiniteRing,
+    broken_law,
+    combine_matrices,
+    cyclic_ring,
+    intertwines,
+    is_group_map,
+    matrices_congruent,
+    matrix_ring,
+)
 
 BOTH_SIDES = ("left", "right")
-
-
-def combine_matrices(mats: Sequence[IntegerMatrix], coeffs: Sequence[int]) -> IntegerMatrix:
-    """Integer linear combination sum_i coeffs[i] * mats[i]."""
-    if not mats:
-        return IntegerMatrix.zeros(0, 0)
-    rows, cols = mats[0].rows, mats[0].cols
-    acc = [[0] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, mats):
-        if not c:
-            continue
-        for i in range(rows):
-            mrow = m.data[i]
-            arow = acc[i]
-            for j in range(cols):
-                arow[j] += c * mrow[j]
-    return IntegerMatrix(acc, rows, cols)
-
-
-def matrices_congruent(A: IntegerMatrix, B: IntegerMatrix,
-                       row_moduli: Sequence[int]) -> bool:
-    """Entry-wise congruence modulo the order of each target generator."""
-    if A.rows != B.rows or A.cols != B.cols:
-        return False
-    for i in range(A.rows):
-        d = row_moduli[i]
-        ra, rb = A.data[i], B.data[i]
-        for j in range(A.cols):
-            if (ra[j] - rb[j]) % d:
-                return False
-    return True
-
-
-def valid_endomorphism(M: IntegerMatrix, factors: Sequence[int]) -> bool:
-    """M defines a group endomorphism iff M[i][j] * d_j = 0 (mod d_i)."""
-    for i in range(M.rows):
-        d = factors[i]
-        for j in range(M.cols):
-            if (M.data[i][j] * factors[j]) % d:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -81,42 +51,15 @@ class Bimodule:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        c = self.carrier
-        fs = c.invariant_factors
-        n = c.rank
-        R, S = self.left_ring, self.right_ring
-        if len(self.left_action) != R.rank or len(self.right_action) != S.rank:
-            raise ValueError("one action matrix per ring generator required")
-        for mats, ring in ((self.left_action, R), (self.right_action, S)):
-            dr = ring.additive.invariant_factors
-            for l, M in enumerate(mats):
-                if M.rows != n or M.cols != n:
-                    raise ValueError("action matrix shape mismatch")
-                if not valid_endomorphism(M, fs):
-                    raise ValueError("action matrix is not an endomorphism")
-                scaled = combine_matrices([M], [dr[l]])
-                if not matrices_congruent(scaled, IntegerMatrix.zeros(n, n), fs):
-                    raise ValueError("action not additive in the ring argument")
-        ident = IntegerMatrix.identity(n)
+        fs = self.carrier.invariant_factors
         lam, rho = self.left_action, self.right_action
-        for i in range(R.rank):
-            for j in range(R.rank):
-                want = combine_matrices(lam, R.mult[i][j])
-                if not matrices_congruent(lam[i] @ lam[j], want, fs):
-                    raise ValueError("left action is not multiplicative")
-        if not matrices_congruent(combine_matrices(lam, R.unit), ident, fs):
-            raise ValueError("left action is not unital")
-        for i in range(S.rank):
-            for j in range(S.rank):
-                want = combine_matrices(rho, S.mult[i][j])
-                if not matrices_congruent(rho[j] @ rho[i], want, fs):
-                    raise ValueError("right action is not anti-multiplicative")
-        if not matrices_congruent(combine_matrices(rho, S.unit), ident, fs):
-            raise ValueError("right action is not unital")
-        for L in lam:
-            for P in rho:
-                if not matrices_congruent(L @ P, P @ L, fs):
-                    raise ValueError("left and right actions do not commute")
+        for side, mats, ring, anti in (("left", lam, self.left_ring, False),
+                                       ("right", rho, self.right_ring, True)):
+            law = broken_law(mats, fs, ring, anti)
+            if law is not None:
+                raise ValueError(f"{side} action is not {law}")
+        if not all(intertwines(L, rho, rho, fs) for L in lam):
+            raise ValueError("left and right actions do not commute")
 
     # ----------------------------------------------------- element ops
 
@@ -148,27 +91,17 @@ class BimoduleMap:
 
     def __post_init__(self):
         src, tgt = self.source, self.target
-        M = self.matrix
-        if M.rows != tgt.rank or M.cols != src.rank:
-            raise ValueError("map matrix shape mismatch")
-        sfs = src.carrier.invariant_factors
         tfs = tgt.carrier.invariant_factors
-        for i in range(M.rows):
-            for j in range(M.cols):
-                if (M.data[i][j] * sfs[j]) % tfs[i]:
-                    raise ValueError("map does not respect generator orders")
-        if "left" in self.sides:
-            if src.left_ring != tgt.left_ring:
-                raise RingMismatch("left rings differ")
-            for Ls, Lt in zip(src.left_action, tgt.left_action):
-                if not matrices_congruent(M @ Ls, Lt @ M, tfs):
-                    raise ValueError("map does not intertwine the left action")
-        if "right" in self.sides:
-            if src.right_ring != tgt.right_ring:
-                raise RingMismatch("right rings differ")
-            for Rs, Rt in zip(src.right_action, tgt.right_action):
-                if not matrices_congruent(M @ Rs, Rt @ M, tfs):
-                    raise ValueError("map does not intertwine the right action")
+        if not is_group_map(self.matrix, src.carrier.invariant_factors, tfs):
+            raise ValueError("map matrix is not a group map between the carriers")
+        for side in BOTH_SIDES:
+            if side not in self.sides:
+                continue
+            if getattr(src, f"{side}_ring") != getattr(tgt, f"{side}_ring"):
+                raise RingMismatch(f"{side} rings differ")
+            if not intertwines(self.matrix, getattr(src, f"{side}_action"),
+                               getattr(tgt, f"{side}_action"), tfs):
+                raise ValueError(f"map does not intertwine the {side} action")
 
     def apply(self, m: Sequence[int]) -> tuple[int, ...]:
         return self.target.carrier.reduce(self.matrix.apply(list(m)))
@@ -350,15 +283,10 @@ def bimodule_direct_sum(M1: Bimodule, M2: Bimodule) -> Bimodule:
     group, proj = cokernel(IntegerMatrix.zeros(n, 0), combined)
     n1 = M1.rank
 
-    def block_apply(A1: IntegerMatrix, A2: IntegerMatrix, vec: list[int]) -> list[int]:
-        return A1.apply(vec[:n1]) + A2.apply(vec[n1:])
+    def block_sum(A1: IntegerMatrix, A2: IntegerMatrix) -> IntegerMatrix:
+        return proj.transport(lambda v: A1.apply(v[:n1]) + A2.apply(v[n1:]))
 
-    def transported(A1: IntegerMatrix, A2: IntegerMatrix) -> IntegerMatrix:
-        cols = [list(proj.apply(block_apply(A1, A2, proj.section(a))))
-                for a in range(group.rank)]
-        return IntegerMatrix.from_columns(cols, group.rank)
-
-    lam = tuple(transported(a, b) for a, b in zip(M1.left_action, M2.left_action))
-    rho = tuple(transported(a, b) for a, b in zip(M1.right_action, M2.right_action))
+    lam = tuple(map(block_sum, M1.left_action, M2.left_action))
+    rho = tuple(map(block_sum, M1.right_action, M2.right_action))
     name = f"{M1.name}+{M2.name}" if M1.name and M2.name else ""
     return Bimodule(M1.left_ring, M1.right_ring, group, lam, rho, name=name)

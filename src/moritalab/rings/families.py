@@ -12,7 +12,7 @@ modules over 2x2 matrix rings).
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel
 from .base import (
@@ -86,12 +86,7 @@ def quotient_right_module(R: FiniteRing, ideal: frozenset,
     group, proj = cokernel(rel, list(R.additive.invariant_factors))
     gens = [tuple(1 if j == i else 0 for j in range(R.rank))
             for i in range(R.rank)]
-    mats = []
-    for g in gens:
-        right = R.right_mult_matrix(g)
-        cols = [list(proj.apply(right.apply(proj.section(a))))
-                for a in range(group.rank)]
-        mats.append(IntegerMatrix.from_columns(cols, group.rank))
+    mats = [proj.transport(R.right_mult_matrix(g).apply) for g in gens]
     return right_module(R, group, mats, name=name)
 
 

@@ -21,7 +21,7 @@ from ..exact import (
     lattice_column_basis,
     solve_congruences,
 )
-from .base import FiniteRing
+from .base import FiniteRing, is_group_map
 
 NODE_CAP = 200_000
 COSET_CAP = 1 << 14
@@ -31,13 +31,9 @@ def is_ring_isomorphism(A: FiniteRing, B: FiniteRing, T: IntegerMatrix) -> bool:
     """Full independent check that T (A coords -> B coords) is a ring iso."""
     if A.additive != B.additive:
         return False
-    if T.rows != B.rank or T.cols != A.rank:
+    if not is_group_map(T, A.additive.invariant_factors, B.additive.invariant_factors):
         return False
-    fa = A.additive.invariant_factors
     images = [B.additive.reduce(T.column(l)) for l in range(A.rank)]
-    for l, img in enumerate(images):
-        if fa[l] % B.additive.element_order(img):
-            return False
     for i in range(A.rank):
         for j in range(A.rank):
             lhs = B.mul(images[i], images[j])
@@ -117,14 +113,6 @@ def _enumerate_coset(particular: list[int], kernel: IntegerMatrix,
                     nxt.append(y)
         frontier = nxt
     return sorted(seen)
-
-
-def _is_commutative(R: FiniteRing) -> bool:
-    for i in range(R.rank):
-        for j in range(i + 1, R.rank):
-            if R.mult[i][j] != R.mult[j][i]:
-                return False
-    return True
 
 
 def _square_profile(R: FiniteRing) -> tuple[int, int]:
@@ -318,7 +306,7 @@ def ring_iso_search(A: FiniteRing, B: FiniteRing,
         return None
     if A.additive.element_order(A.unit) != B.additive.element_order(B.unit):
         return None
-    if _is_commutative(A) != _is_commutative(B):
+    if A.is_commutative != B.is_commutative:
         return None
     if A.mult == B.mult and A.unit == B.unit:
         return IntegerMatrix.identity(A.rank)

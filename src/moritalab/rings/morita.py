@@ -17,14 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..exact import IntegerMatrix, cokernel, invert_group_map
-from .base import FiniteRing
-from .bimodules import (
-    BOTH_SIDES,
-    Bimodule,
-    BimoduleMap,
-    combine_matrices,
-    regular_bimodule,
-)
+from .base import FiniteRing, combine_matrices
+from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, regular_bimodule
 from .hom import EndomorphismRing, HomGroup, endomorphism_ring, hom_group
 from .tensor import TensorProduct, factor_through_tensor, tensor_product
 
@@ -42,6 +36,8 @@ class MoritaContext:
     tensor_beta: TensorProduct   # P (x)_S P*
     alpha: BimoduleMap           # -> S regular
     beta: BimoduleMap            # -> End regular
+    ev: IntegerMatrix            # f (x) p -> f(p) on generator pairs
+    co: IntegerMatrix            # p (x) f -> (p' -> p . f(p')) on generator pairs
 
 
 def _pairing_matrices(P: Bimodule, F: list[IntegerMatrix],
@@ -100,7 +96,8 @@ def morita_context(P: Bimodule) -> MoritaContext:
     beta = factor_through_tensor(T_beta, co, regular_bimodule(E.ring),
                                  BOTH_SIDES)
 
-    return MoritaContext(S, P_up, P_star, E, H, T_alpha, T_beta, alpha, beta)
+    return MoritaContext(S, P_up, P_star, E, H, T_alpha, T_beta, alpha, beta,
+                         ev, co)
 
 
 @dataclass
@@ -215,15 +212,12 @@ def certify_invertible_bimodule(P: Bimodule) -> MoritaCertificate:
     Q = Bimodule(S, R, Q_star.carrier, Q_star.left_action, tuple(rho_R),
                  name=Q_star.name)
 
-    ev, co = _pairing_matrices(P, ctx.dual_hom.generator_matrices(), E)
     T_QP = tensor_product(Q, P)
-    iso_right = factor_through_tensor(T_QP, ev, regular_bimodule(S),
-                                      BOTH_SIDES)
+    iso_right = factor_through_tensor(T_QP, ctx.ev, ctx.alpha.target, BOTH_SIDES)
     T_PQ = tensor_product(P, Q)
-    to_left = [list(R.additive.reduce(c)) for c in (cinv @ co).columns()]
-    iso_left = factor_through_tensor(
-        T_PQ, IntegerMatrix.from_columns(to_left, R.rank),
-        regular_bimodule(R), BOTH_SIDES)
+    to_left = R.additive.reduce_columns(cinv @ ctx.co)
+    iso_left = factor_through_tensor(T_PQ, to_left, regular_bimodule(R),
+                                     BOTH_SIDES)
 
     if not iso_right.is_bijective() or not iso_left.is_bijective():
         return MoritaCertificate(

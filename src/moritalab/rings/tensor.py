@@ -12,12 +12,14 @@ relation lattice basis the presentation keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import NotBalanced, RingMismatch
-from ..exact import CokernelProjection, FiniteAbelianGroup, IntegerMatrix, cokernel
-from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, matrices_congruent
+from ..exact import CokernelProjection, IntegerMatrix, cokernel
+from .base import matrices_congruent
+from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap
 
 
 def kron(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
@@ -109,48 +111,37 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     relations = IntegerMatrix.from_columns(list(rel_cols), amb)
     group, proj = cokernel(relations, list(moduli))
 
-    def transported(act_on_ambient: Callable[[list[int]], list[int]]) -> IntegerMatrix:
-        cols = [list(proj.apply(act_on_ambient(proj.section(a))))
-                for a in range(group.rank)]
-        return IntegerMatrix.from_columns(cols, group.rank)
+    def act_left(Lr: IntegerMatrix, v: list[int]) -> list[int]:
+        # (Lr (x) 1) v: row block i of v moves to row block k with weight Lr[k][i]
+        out = [0] * amb
+        for i in range(nM):
+            row = v[i * nN:(i + 1) * nN]
+            if not any(row):
+                continue
+            for k in range(nM):
+                c = Lr.data[k][i]
+                if not c:
+                    continue
+                base = k * nN
+                for j in range(nN):
+                    if row[j]:
+                        out[base + j] += c * row[j]
+        return out
 
-    lamT = []
-    for Lr in M.left_action:
-        def act(v: list[int], Lr=Lr) -> list[int]:
-            out = [0] * amb
-            for i in range(nM):
-                row = v[i * nN:(i + 1) * nN]
-                if not any(row):
-                    continue
-                for k in range(nM):
-                    c = Lr.data[k][i]
-                    if not c:
-                        continue
-                    base = k * nN
-                    for j in range(nN):
-                        if row[j]:
-                            out[base + j] += c * row[j]
-            return out
-        lamT.append(transported(act))
-    rhoT = []
-    for Rt in N.right_action:
-        def act(v: list[int], Rt=Rt) -> list[int]:
-            out = [0] * amb
-            for i in range(nM):
-                base = i * nN
-                row = v[base:base + nN]
-                if not any(row):
-                    continue
-                img = Rt.apply(row)
-                for l in range(nN):
-                    if img[l]:
-                        out[base + l] += img[l]
-            return out
-        rhoT.append(transported(act))
+    def act_right(Rt: IntegerMatrix, v: list[int]) -> list[int]:
+        # (1 (x) Rt) v: Rt acts on each row block of v
+        out = [0] * amb
+        for i in range(nM):
+            row = v[i * nN:(i + 1) * nN]
+            if any(row):
+                out[i * nN:(i + 1) * nN] = Rt.apply(row)
+        return out
+
+    lamT = tuple(proj.transport(partial(act_left, Lr)) for Lr in M.left_action)
+    rhoT = tuple(proj.transport(partial(act_right, Rt)) for Rt in N.right_action)
 
     label = name or (f"{M.name}(x){N.name}" if M.name and N.name else "")
-    module = Bimodule(M.left_ring, N.right_ring, group, tuple(lamT), tuple(rhoT),
-                      name=label)
+    module = Bimodule(M.left_ring, N.right_ring, group, lamT, rhoT, name=label)
     return TensorProduct(M, N, module, proj, moduli)
 
 
@@ -170,9 +161,7 @@ def factor_through_tensor(tp: TensorProduct, ambient_matrix: IntegerMatrix,
     rel = tp.relation_matrix
     if not matrices_congruent(B @ rel, IntegerMatrix.zeros(B.rows, rel.cols), tfs):
         raise NotBalanced("map does not kill the balancing relations and pair orders")
-    cols = [list(target.carrier.reduce(B.apply(tp.section(a))))
-            for a in range(tp.module.rank)]
-    induced = IntegerMatrix.from_columns(cols, target.rank)
+    induced = target.carrier.reduce_columns(B @ tp.projection.section_matrix)
     return BimoduleMap(tp.module, target, induced, sides)
 
 
@@ -192,9 +181,7 @@ def tensor_of_maps(tp_src: TensorProduct, tp_tgt: TensorProduct,
     if not matrices_congruent(to_tgt @ rel, IntegerMatrix.zeros(tgt.rank, rel.cols),
                               tgt.invariant_factors):
         raise NotBalanced("map pair does not preserve balancing relations and pair orders")
-    cols = [list(tgt.reduce(c))
-            for c in (to_tgt @ tp_src.projection.section_matrix).columns()]
-    induced = IntegerMatrix.from_columns(cols, tgt.rank)
+    induced = tgt.reduce_columns(to_tgt @ tp_src.projection.section_matrix)
     sides = []
     if "left" in f.sides:
         sides.append("left")
@@ -227,9 +214,9 @@ def tensor_associator(t_ab: TensorProduct, t_ab_c: TensorProduct,
             eC[k] = 0
         eB[j] = 0
 
-    cols = []
-    for a in range(t_ab_c.module.rank):
-        v = t_ab_c.section(a)  # indexed by (x, k), x a generator of A(x)B
+    def act(v: list[int]) -> list[int]:
+        # v is indexed by (x, k), x a generator of A(x)B; the result by (i, y),
+        # y a generator of B(x)C, through (a (x) b) (x) c -> a (x) (b (x) c)
         amb = [0] * (nA * nBC)
         for x in range(t_ab.module.rank):
             for k in range(nC):
@@ -247,8 +234,9 @@ def tensor_associator(t_ab: TensorProduct, t_ab_c: TensorProduct,
                         for y in range(nBC):
                             if w[y]:
                                 amb[base + y] += c1 * c2 * w[y]
-        cols.append(list(t_a_bc.projection.apply(amb)))
-    matrix = IntegerMatrix.from_columns(cols, t_a_bc.module.rank)
+        return amb
+
+    matrix = t_a_bc.projection.transport(act, t_ab_c.projection.section_matrix)
     return BimoduleMap(t_ab_c.module, t_a_bc.module, matrix, BOTH_SIDES)
 
 
@@ -258,12 +246,8 @@ def left_unitor(tp: TensorProduct) -> BimoduleMap:
     R = tp.left_factor
     if R.carrier != R.left_ring.additive:
         raise ValueError("left factor is not a regular bimodule presentation")
-    cols = []
-    for i in range(R.rank):
-        act = M.left_action[i]
-        for j in range(M.rank):
-            cols.append(list(M.carrier.reduce(act.column(j))))
-    amb = IntegerMatrix.from_columns(cols, M.rank)
+    amb = IntegerMatrix.from_columns(
+        [col for act in M.left_action for col in act.columns()], M.rank)
     return factor_through_tensor(tp, amb, M, BOTH_SIDES)
 
 
@@ -273,10 +257,6 @@ def right_unitor(tp: TensorProduct) -> BimoduleMap:
     S = tp.right_factor
     if S.carrier != S.right_ring.additive:
         raise ValueError("right factor is not a regular bimodule presentation")
-    cols = []
-    for j in range(M.rank):
-        for i in range(S.rank):
-            act = M.right_action[i]
-            cols.append(list(M.carrier.reduce(act.column(j))))
-    amb = IntegerMatrix.from_columns(cols, M.rank)
+    amb = IntegerMatrix.from_columns(
+        [act.column(j) for j in range(M.rank) for act in M.right_action], M.rank)
     return factor_through_tensor(tp, amb, M, BOTH_SIDES)

@@ -45,18 +45,25 @@ def _fail(where: str, why: str) -> SpecError:
     return SpecError(f"{where}: {why}")
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: not a float, a numeric string or a boolean."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_matrix(obj, where: str) -> IntegerMatrix:
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+    if not isinstance(obj, list) or not all(
+            isinstance(r, list) and all(map(_is_int, r)) for r in obj):
         raise _fail(where, "expected a nested integer array")
     try:
         return IntegerMatrix(obj)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise _fail(where, str(exc))
 
 
 def _complex_entry(obj, where: str) -> complex:
     if (not isinstance(obj, list) or len(obj) != 2
-            or not all(isinstance(t, (int, float)) for t in obj)):
+            or not all(isinstance(t, (int, float)) and not isinstance(t, bool)
+                       for t in obj)):
         raise _fail(where, "complex entries must be [re, im] number pairs")
     return complex(obj[0], obj[1])
 
@@ -75,7 +82,7 @@ def encode_complex_matrix(M: np.ndarray) -> list:
 
 
 def _vector(obj, where: str) -> tuple[int, ...]:
-    if not isinstance(obj, list) or not all(isinstance(t, int) for t in obj):
+    if not isinstance(obj, list) or not all(map(_is_int, obj)):
         raise _fail(where, "expected an integer vector")
     return tuple(obj)
 
@@ -158,7 +165,7 @@ def _correspondence(name: str, d: dict, where: str,
         missing = d["left"] if A is None else d["right"]
         raise _fail(where, f"unknown algebra {missing!r}")
     dim = d["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise _fail(where, "dim must be a nonnegative integer")
     pl = d["pi_l"]
     pr = d["pi_r"]
@@ -167,10 +174,6 @@ def _correspondence(name: str, d: dict, where: str,
     pi_l = tuple(_complex_matrix(m, where) for m in pl)
     pi_r = tuple(_complex_matrix(m, where) for m in pr)
     return Correspondence(A, B, dim, pi_l, pi_r, name=name)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _check_count(v) -> str | None:

@@ -122,6 +122,14 @@ class TestSpecFile:
         with pytest.raises(SpecError):
             load_spec_dict(doc)
 
+    def test_boolean_complex_entry_rejected(self):
+        doc = {"algebras": {"A": {"block_sizes": [1]}},
+               "states": {"s": {"algebra": "A", "density": [[[[1, 0]]]]}}}
+        load_spec_dict(doc)
+        doc["states"]["s"]["density"] = [[[[True, False]]]]
+        with pytest.raises(SpecError, match="number pairs"):
+            load_spec_dict(doc)
+
     def test_invalid_correspondence_rejected(self):
         A = {"block_sizes": [2]}
         doc = {"algebras": {"A": A, "C": {"block_sizes": [1]}},
@@ -141,6 +149,76 @@ class TestSpecFile:
         bad.write_text("{oops")
         with pytest.raises(SpecError):
             load_spec_file(str(bad))
+
+
+def _first_one(matrices):
+    """(matrix, row, column) of the first entry equal to 1."""
+    for m, M in enumerate(matrices):
+        for i, row in enumerate(M):
+            for j, v in enumerate(row):
+                if v == 1:
+                    return m, i, j
+    raise AssertionError("no entry equal to 1")
+
+
+def _set_action_entry(doc, value):
+    action = doc["bimodules"]["column"]["left_action"]
+    m, i, j = _first_one(action)
+    action[m][i][j] = value
+
+
+def _set_unit(doc, value):
+    doc["rings"]["Z2"]["unit"] = [value]
+
+
+def _set_table_entry(doc, value):
+    doc["rings"]["Z2"]["mult_table"] = [[[value]]]
+
+
+def _set_block_size(doc, value):
+    doc["algebras"]["C"]["block_sizes"] = [value]
+
+
+def _set_dim(doc, value):
+    doc["correspondences"]["H"]["dim"] = value
+
+
+def _ring_pair_doc():
+    return _demo_doc("matrix-ring-pair")
+
+
+def _vector_doc():
+    return serialize_spec(SpecFile(
+        algebras={"C": MultiMatrixAlgebra((1,))},
+        correspondences={"H": vector_correspondence(1)}))
+
+
+# each value would truncate or coerce to the valid entry it replaces; the
+# message shows that the loader's integer check, not a later one, refused it
+MATRIX, VECTOR = "nested integer array", "integer vector"
+NON_INTEGERS = [
+    (_ring_pair_doc, _set_action_entry, 1.9, MATRIX),
+    (_ring_pair_doc, _set_action_entry, "1", MATRIX),
+    (_ring_pair_doc, _set_action_entry, True, MATRIX),
+    (_ring_pair_doc, _set_unit, True, VECTOR),
+    (_ring_pair_doc, _set_table_entry, True, VECTOR),
+    (_vector_doc, _set_block_size, True, VECTOR),
+    (_vector_doc, _set_dim, True, "dim must be a nonnegative integer"),
+]
+
+
+class TestIntegerBoundary:
+    @pytest.mark.parametrize("build, mutate, value, why", NON_INTEGERS)
+    def test_non_integer_rejected(self, build, mutate, value, why, tmp_path,
+                                  capsys):
+        doc = build()
+        load_spec_dict(doc)  # the unmutated document is valid
+        mutate(doc, value)
+        with pytest.raises(SpecError, match=why):
+            load_spec_dict(doc)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["run", str(spec_path)]) == 2
 
 
 class TestDemos:

@@ -19,6 +19,7 @@ from moritalab.rings import (
     truncated_polynomial_ring,
     zero_bimodule,
 )
+from moritalab.rings.base import FiniteRing
 
 
 def vec(matrix_2x2, p=2):
@@ -97,7 +98,71 @@ class TestRingConstructors:
             FiniteRing(group, (((2,),),), (1,))
 
 
+def _ring(factors, table, unit):
+    return FiniteRing(FiniteAbelianGroup(factors), table, unit)
+
+
+class TestRingLaws:
+    """Each table breaks one law; the checker must name it."""
+
+    def test_non_associative_table_with_two_sided_unit(self):
+        # basis 1, a, b of (Z/2)^3: a.a = b, a.b = a, b.a = b.b = 0, so
+        # (a.a).a = 0 but a.(a.a) = a, while 1 is a two-sided unit
+        one, a, b, zero = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+        table = ((one, a, b), (a, b, a), (b, zero, zero))
+        with pytest.raises(ValueError, match="not associative"):
+            _ring((2, 2, 2), table, one)
+
+    def test_only_the_right_unit_law_fails(self):
+        # e0.y = y for every y and e1.y = 0: associative, e0 is a left unit,
+        # but e1.e0 = 0 != e1
+        table = (((1, 0), (0, 1)), ((0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="unit law"):
+            _ring((2, 2), table, (1, 0))
+
+    def test_ill_defined_in_second_slot(self):
+        # e1.e0 = e1 has order 4 although e0 has order 2
+        table = (((0, 0), (0, 0)), ((0, 1), (0, 0)))
+        with pytest.raises(ValueError, match="second slot"):
+            _ring((2, 4), table, (0, 1))
+
+    def test_ill_defined_in_first_slot(self):
+        # e0.e1 = e1 has order 4 although e0 has order 2
+        table = (((0, 0), (0, 1)), ((0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="first slot"):
+            _ring((2, 4), table, (0, 1))
+
+    def test_table_shape_checked(self):
+        with pytest.raises(ValueError):
+            _ring((2, 2), (((1, 0), (0, 1)),), (1, 0))
+
+    def test_is_commutative(self):
+        assert truncated_polynomial_ring(2, 2).is_commutative
+        assert cyclic_ring(6).is_commutative
+        assert not matrix_ring(cyclic_ring(2), 2).is_commutative
+
+
 class TestBimoduleValidation:
+    def test_representation_is_not_a_right_action(self):
+        # the matrices of M_2(Z/2) on columns multiply the wrong way round
+        # for a right action; every other law holds
+        Z2 = cyclic_ring(2)
+        M2 = matrix_ring(Z2, 2)
+        C = column_module(Z2, 2, M2)
+        with pytest.raises(ValueError, match="anti-multiplicative"):
+            Bimodule(Z2, M2, C.carrier, (IntegerMatrix.identity(2),),
+                     C.left_action)
+
+    def test_only_commutation_fails(self):
+        # s -> s^T is an anti-representation of M_2(Z/2), so both actions
+        # are valid alone, but E_01 and E_01^T = E_10 do not commute
+        Z2 = cyclic_ring(2)
+        M2 = matrix_ring(Z2, 2)
+        lam = column_module(Z2, 2, M2).left_action
+        rho = tuple(lam[2 * j + i] for i in range(2) for j in range(2))
+        with pytest.raises(ValueError, match="do not commute"):
+            Bimodule(M2, M2, FiniteAbelianGroup((2, 2)), lam, rho)
+
     def test_regular_bimodule_round_trip(self):
         Z4 = cyclic_ring(4)
         R = regular_bimodule(Z4)

@@ -39,6 +39,10 @@ from moritalab.rings import (
 from oracles import tensor_invariants_oracle
 
 
+def _generators(rank):
+    return [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+
+
 class TestAgainstOracle:
     def test_corpus_matches_enumeration(self):
         corpus = tensor_oracle_corpus()
@@ -112,6 +116,19 @@ class TestPureTensors:
             for s in M2.elements():
                 for n in C.carrier.elements():
                     assert tp.pure(W.act_right(m, s), n) == tp.pure(m, C.act_left(s, n))
+
+    def test_actions_on_generator_pairs_of_the_corpus(self):
+        # r.(m (x) n) = (r.m) (x) n and (m (x) n).s = m (x) (n.s)
+        for M, N in tensor_oracle_corpus():
+            tp = tensor_product(M, N)
+            T = tp.module
+            for m in _generators(M.rank):
+                for n in _generators(N.rank):
+                    mn = tp.pure(m, n)
+                    for r in _generators(M.left_ring.rank):
+                        assert T.act_left(r, mn) == tp.pure(M.act_left(r, m), n)
+                    for s in _generators(N.right_ring.rank):
+                        assert T.act_right(mn, s) == tp.pure(m, N.act_right(n, s))
 
     def test_actions_on_pure_tensors(self):
         Z4 = cyclic_ring(4)
@@ -188,6 +205,11 @@ class TestAssociator:
         t_w_cr = tensor_product(W, t_cr.module)
         assoc = tensor_associator(t_wc, t_wc_r, t_cr, t_w_cr)
         assert assoc.is_bijective()
+        for w in _generators(W.rank):
+            for c in _generators(C.rank):
+                for r in _generators(R.rank):
+                    lhs = assoc.apply(t_wc_r.pure(t_wc.pure(w, c), r))
+                    assert lhs == t_w_cr.pure(w, t_cr.pure(c, r))
 
 
 class TestFunctoriality:
