@@ -113,7 +113,9 @@ class WStarBicategory:
 
     Standard forms (one per algebra) are built lazily from the supplied
     states and cached, so every composite over the same middle algebra
-    reuses one relative-tensor presentation.
+    reuses one relative-tensor presentation.  tol gates only cells_equal,
+    the measured discrepancy of a coherence law; fusion ranks, unitary
+    witnesses and invertibility use the fixed cutoff DEFAULT_TOL.
     """
 
     def __init__(self, states: dict[MultiMatrixAlgebra, State] | None = None,
@@ -144,8 +146,7 @@ class WStarBicategory:
     def compose(self, P: Correspondence, Q: Correspondence) -> wf.FusionResult:
         if P.right_algebra != Q.left_algebra:
             raise NotComposable("middle algebras differ")
-        return wf.connes_fusion(P, Q, self.standard_form(P.right_algebra),
-                                tol=self.tol)
+        return wf.connes_fusion(P, Q, self.standard_form(P.right_algebra))
 
     def cell(self, comp: wf.FusionResult) -> Correspondence:
         return comp.corr
@@ -191,7 +192,7 @@ class WStarBicategory:
         return disc <= self.tol, disc
 
     def find_iso(self, X: Correspondence, Y: Correspondence):
-        U = unitary_intertwiner(X, Y, tol=self.tol, seed=self.seed)
+        U = unitary_intertwiner(X, Y, seed=self.seed)
         return None if U is None else Intertwiner(X, Y, U)
 
     def invertible_2cell(self, f: Intertwiner) -> bool:
@@ -200,7 +201,7 @@ class WStarBicategory:
         if f.matrix.size == 0:
             return True
         s = np.linalg.svd(f.matrix, compute_uv=False)
-        return bool(s[-1] > self.tol)
+        return bool(s[-1] > DEFAULT_TOL)
 
     def random_endo_2cell(self, P: Correspondence, rng) -> Intertwiner:
         basis = intertwiner_basis(P, P)

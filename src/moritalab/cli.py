@@ -65,7 +65,12 @@ class _Options:
 
 
 # ------------------------------------------------------------ task bodies
-# each returns (status, detail, data, discrepancy)
+# each returns (status, detail, data, discrepancy); --tol gates only the
+# measured discrepancy, so tightening it turns Pass into Fail, nothing else
+
+def _exceeds(what: str, value: float, opts: _Options) -> str:
+    return f"{what} {value:.3g} exceeds tolerance {opts.tol:g}"
+
 
 def _task_check_ring(spec: SpecFile, task: dict, opts: _Options):
     R = spec.rings[task["ring"]]
@@ -145,7 +150,7 @@ def _task_standard_form(spec: SpecFile, task: dict, opts: _Options):
             "delta_spectrum": sorted(float(v) for v in
                                      np.linalg.eigvalsh(std.delta))}
     if worst > opts.tol:
-        return FAIL, "a modular identity exceeds tolerance", data, worst
+        return FAIL, _exceeds("modular identity residual", worst, opts), data, worst
     return PASS, "modular data verified", data, worst
 
 
@@ -155,14 +160,14 @@ def _task_fusion(spec: SpecFile, task: dict, opts: _Options):
     N = H.right_algebra
     phi = spec.states[task["state"]] if "state" in task else trace_state(N)
     std = gns_standard_form(N, phi)
-    fus = connes_fusion(H, K, std, tol=opts.tol, cap=opts.max_dim ** 2)
+    fus = connes_fusion(H, K, std, cap=opts.max_dim ** 2)
     samples = task.get("samples", 50)
     rng = np.random.default_rng(opts.seed)
     disc = twisted_balancing_residual(fus, std, rng, samples=samples)
     data = {"fused_dim": fus.corr.dim, "samples": samples,
             "seed": opts.seed, "balancing_residual": disc}
     if disc > opts.tol:
-        return FAIL, "twisted balancing identity exceeds tolerance", data, disc
+        return FAIL, _exceeds("twisted balancing residual", disc, opts), data, disc
     return PASS, f"fused to dimension {fus.corr.dim}", data, disc
 
 
@@ -170,8 +175,7 @@ def _task_morita_wstar(spec: SpecFile, task: dict, opts: _Options):
     H = spec.correspondences[task["correspondence"]]
     phi_M = spec.states[task["state_left"]] if "state_left" in task else None
     phi_N = spec.states[task["state_right"]] if "state_right" in task else None
-    cert = certify_morita_equivalent(H, phi_M, phi_N, tol=opts.tol,
-                                     seed=opts.seed)
+    cert = certify_morita_equivalent(H, phi_M, phi_N, seed=opts.seed)
     if not cert.equivalent:
         return REFUTED, cert.reason, {"reason": cert.reason}, cert.residual
     data = {
@@ -181,6 +185,9 @@ def _task_morita_wstar(spec: SpecFile, task: dict, opts: _Options):
         "unitary_left": encode_complex_matrix(cert.unitary_left),
         "unitary_right": encode_complex_matrix(cert.unitary_right),
     }
+    if cert.residual > opts.tol:
+        return FAIL, _exceeds("certificate residual", cert.residual, opts), \
+            data, cert.residual
     return PASS, "correspondence implements an equivalence", data, cert.residual
 
 
@@ -197,7 +204,8 @@ def _task_coherence_wstar(spec: SpecFile, task: dict, opts: _Options):
         worst = max(worst, pent.discrepancy, tri.discrepancy)
         if not (pent.holds and tri.holds):
             bad = pent if not pent.holds else tri
-            return (FAIL, f"{bad.law} exceeded tolerance on tuple {k}",
+            detail = _exceeds(f"{bad.law} discrepancy", bad.discrepancy, opts)
+            return (FAIL, f"{detail} on tuple {k}",
                     {"tuple": k, "seed": seed, "law": bad.law},
                     bad.discrepancy)
     data = {"tuples": count, "seed": seed, "dim_cap": opts.max_dim,
@@ -369,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_flags(p):
         p.add_argument("--tol", type=_positive_float, default=1e-8,
-                       help="numeric tolerance for W* checks (default 1e-8)")
+                       help="acceptance tolerance for measured W* residuals "
+                            "(default 1e-8)")
         p.add_argument("--seed", type=_int_at_least(0), default=0,
                        help="sampler seed (env MORITALAB_SEED overrides)")
         p.add_argument("--report", default=None,

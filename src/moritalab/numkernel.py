@@ -2,7 +2,10 @@
 
 One numeric primitive carries everything: the Hermitian eigendecomposition.
 Square roots, polar decompositions, Gram quotients, and ranks all derive
-from it (or from the SVD for non-square systems), with relative tolerances.
+from it (or from the SVD for non-square systems). Every rank, null
+direction, singularity and sanity check uses the one fixed cutoff
+DEFAULT_TOL, relative to the scale it measures; a caller's acceptance
+tolerance gates measured residuals only and never moves these decisions.
 
 Antilinear maps are stored as a plain matrix A acting by v -> A.conj(v),
 always relative to the one fixed basis of the ambient space. Keeping every
@@ -20,7 +23,6 @@ import numpy as np
 from .errors import NotPSD, Singular
 
 DEFAULT_TOL = 1e-8
-EIG_TOL = 1e-12
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -36,6 +38,13 @@ def operator_norm(A: np.ndarray) -> float:
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
+
+
+def max_operator_norm(mats) -> float:
+    """max(operator_norm(M) for M in mats), 0 for none, in one stacked SVD."""
+    if len(mats) == 0 or mats[0].size == 0:
+        return 0.0
+    return float(np.linalg.norm(np.stack(mats), 2, axis=(1, 2)).max())
 
 
 def norm_exceeds(A: np.ndarray, bound: float) -> bool:
@@ -77,11 +86,11 @@ class AntilinearOp:
         return AntilinearOp(self.matrix @ np.conj(M))
 
 
-def hermitian_spectrum(H: np.ndarray, tol: float = DEFAULT_TOL):
+def hermitian_spectrum(H: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of Hermitian H."""
     H = as_complex_matrix(H)
     scale = operator_norm(H)
-    if operator_norm(H - H.conj().T) > tol * (1.0 + scale):
+    if operator_norm(H - H.conj().T) > DEFAULT_TOL * (1.0 + scale):
         raise ValueError("matrix is not Hermitian")
     w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
     recon = (V * w) @ V.conj().T
@@ -90,39 +99,37 @@ def hermitian_spectrum(H: np.ndarray, tol: float = DEFAULT_TOL):
     return w, V
 
 
-def hermitian_power(H: np.ndarray, power: float,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_power(H: np.ndarray, power: float) -> np.ndarray:
     """H^power for Hermitian PSD H via its spectrum."""
-    w, V = hermitian_spectrum(H, tol)
-    top = float(np.max(w, initial=0.0))
-    if np.any(w < -tol * max(top, 1.0)):
+    w, V = hermitian_spectrum(H)
+    cut = DEFAULT_TOL * max(float(np.max(w, initial=0.0)), 1.0)
+    if np.any(w < -cut):
         raise NotPSD("negative eigenvalue beyond tolerance")
     w = np.clip(w, 0.0, None)
-    if power < 0 and np.any(w <= tol * max(top, 1.0)):
+    if power < 0 and np.any(w <= cut):
         raise Singular("negative power of a singular matrix")
     return (V * np.power(w, power)) @ V.conj().T
 
 
-def polar_antilinear(S: AntilinearOp, tol: float = EIG_TOL):
+def polar_antilinear(S: AntilinearOp):
     """S = J . Delta^{1/2} with J antiunitary and Delta = S*S positive."""
     M = S.matrix
     delta = M.T @ np.conj(M)
-    w, V = hermitian_spectrum(delta, max(tol, DEFAULT_TOL))
+    w, V = hermitian_spectrum(delta)
     w = np.clip(w, 0.0, None)
     smin, smax = float(np.sqrt(w[0])), float(np.sqrt(w[-1]))
-    if smin <= tol * max(1.0, smax):
+    if smin <= DEFAULT_TOL * max(1.0, smax):
         raise Singular("antilinear operator is numerically singular")
     inv_sqrt = (V * np.power(w, -0.5)) @ V.conj().T
     J = AntilinearOp(M @ np.conj(inv_sqrt))
     return J, delta
 
 
-def null_space(A: np.ndarray, tol: float = DEFAULT_TOL,
-               scale: float = 0.0) -> np.ndarray:
+def null_space(A: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel.
 
-    Rank cutoff is tol relative to the larger of the top singular value
-    and scale. Pass the norm scale of the operands whose cancellation
+    Rank cutoff is DEFAULT_TOL relative to the larger of the top singular
+    value and scale. Pass the norm scale of the operands whose cancellation
     produced A when A itself may be pure rounding noise; the default
     keeps the cutoff relative to A alone.
     """
@@ -131,18 +138,18 @@ def null_space(A: np.ndarray, tol: float = DEFAULT_TOL,
         return np.eye(A.shape[1], dtype=np.complex128)
     _, s, Vh = np.linalg.svd(A)
     top = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(top, scale, 1e-300)))
+    rank = int(np.sum(s > DEFAULT_TOL * max(top, scale, 1e-300)))
     return Vh[rank:].conj().T
 
 
-def orthonormal_columns(A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_columns(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space."""
     A = as_complex_matrix(A)
     if A.size == 0:
         return np.zeros((A.shape[0], 0), dtype=np.complex128)
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     top = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(top, 1e-300)))
+    rank = int(np.sum(s > DEFAULT_TOL * max(top, 1e-300)))
     return U[:, :rank]
 
 
@@ -160,22 +167,22 @@ def containment_residual(inner: np.ndarray, outer: np.ndarray) -> float:
     return worst
 
 
-def subspaces_equal(A: np.ndarray, B: np.ndarray,
-                    tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Same span test: dimension match plus mutual containment residuals."""
-    QA, QB = orthonormal_columns(A, tol), orthonormal_columns(B, tol)
+def subspaces_equal(A: np.ndarray, B: np.ndarray) -> tuple[bool, float]:
+    """Same span at the fixed cutoff, and the mutual containment residual."""
+    QA, QB = orthonormal_columns(A), orthonormal_columns(B)
     res = max(containment_residual(QA, QB), containment_residual(QB, QA))
-    return (QA.shape[1] == QB.shape[1] and res <= tol), res
+    return (QA.shape[1] == QB.shape[1] and res <= DEFAULT_TOL), res
 
 
-def joint_null_space(blocks, width: int, tol: float = DEFAULT_TOL,
-                     scale: float = 0.0) -> np.ndarray:
+def joint_null_space(blocks, width: int, scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the common kernel of matrices with width columns.
 
-    Works on the normal matrix sum of A*A, so the effective singular-value
-    cutoff is sqrt(tol) relative to max(top, scale); that coarser cutoff is
-    fine for systems whose nonzero singular values are far from zero, and
-    one small eigendecomposition replaces a tall stacked SVD.
+    Works on the normal matrix sum of A*A: eigenvalues up to DEFAULT_TOL
+    relative to max(top, scale**2) count as null, which is a singular-value
+    cutoff of sqrt(DEFAULT_TOL) = 1e-4 relative to max(sqrt(top), scale).
+    That coarser cutoff is fine for systems whose nonzero singular values
+    are far from zero, and one small eigendecomposition replaces a tall
+    stacked SVD.
     """
     B = np.zeros((width, width), dtype=np.complex128)
     count = 0
@@ -189,11 +196,11 @@ def joint_null_space(blocks, width: int, tol: float = DEFAULT_TOL,
         return np.eye(width, dtype=np.complex128)
     w, V = np.linalg.eigh(B)
     top = float(np.max(w, initial=0.0))
-    cut = tol * max(top, scale * scale)
+    cut = DEFAULT_TOL * max(top, scale * scale)
     return V[:, w <= cut]
 
 
-def commutant(generators, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def commutant(generators, dim: int) -> np.ndarray:
     """Orthonormal basis of {X : XA = AX for all given A}.
 
     Returned as a (dim*dim) x k matrix of row-major vectorized solutions of
@@ -208,7 +215,7 @@ def commutant(generators, dim: int, tol: float = DEFAULT_TOL) -> np.ndarray:
             raise ValueError("generator dimension mismatch")
         blocks.append(np.kron(A, eye) - np.kron(eye, A.T))
         scale = max(scale, operator_norm(A))
-    return joint_null_space(blocks, dim * dim, tol, scale=1.0 + scale)
+    return joint_null_space(blocks, dim * dim, scale=1.0 + scale)
 
 
 def matrices_to_columns(mats) -> np.ndarray:
@@ -239,24 +246,23 @@ class GramQuotient:
         return self.gram.shape[0]
 
 
-def gram_quotient(G: np.ndarray, tol: float = DEFAULT_TOL,
-                  scale: float = 0.0) -> GramQuotient:
+def gram_quotient(G: np.ndarray, scale: float = 0.0) -> GramQuotient:
     """Quotient of the pre-inner product <v, w> = w* G v by its null space.
 
-    Eigenvalues below tol relative to max(top eigenvalue, scale) are
+    Eigenvalues up to DEFAULT_TOL relative to max(top eigenvalue, scale) are
     treated as null directions; scale guards against a G that is entirely
     rounding noise being kept as a genuine line.
     """
     G = as_complex_matrix(G)
     norm = operator_norm(G)
-    if operator_norm(G - G.conj().T) > tol * (1.0 + norm):
+    if operator_norm(G - G.conj().T) > DEFAULT_TOL * (1.0 + norm):
         raise NotPSD("pre-inner product matrix is not Hermitian")
     Gs = (G + G.conj().T) / 2.0
     w, V = np.linalg.eigh(Gs) if Gs.size else (np.zeros(0), np.zeros((0, 0)))
     top = float(np.max(w, initial=0.0))
-    if np.any(w < -tol * max(top, 1.0)):
+    if np.any(w < -DEFAULT_TOL * max(top, 1.0)):
         raise NotPSD("pre-inner product has a negative direction")
-    cut = tol * max(top, scale)
+    cut = DEFAULT_TOL * max(top, scale)
     keep = w > cut if cut > 0.0 else np.zeros(len(w), dtype=bool)
     wk = w[keep]
     Vk = V[:, keep]
@@ -265,7 +271,7 @@ def gram_quotient(G: np.ndarray, tol: float = DEFAULT_TOL,
     return GramQuotient(Gs, section, project, int(np.sum(keep)))
 
 
-def polar_unitary(T: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def polar_unitary(T: np.ndarray) -> np.ndarray:
     """Unitary factor of an invertible square matrix."""
     T = as_complex_matrix(T)
     if T.shape[0] != T.shape[1]:
@@ -273,6 +279,6 @@ def polar_unitary(T: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if T.size == 0:
         return T
     U, s, Vh = np.linalg.svd(T)
-    if s[-1] <= tol * max(s[0], 1e-300):
-        raise Singular("matrix has no unitary polar factor at this tolerance")
+    if s[-1] <= DEFAULT_TOL * max(s[0], 1e-300):
+        raise Singular("matrix has no unitary polar factor")
     return U @ Vh

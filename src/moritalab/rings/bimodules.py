@@ -192,86 +192,58 @@ def right_module(R: FiniteRing, carrier: FiniteAbelianGroup,
                     name=name)
 
 
-def column_module(R: FiniteRing, n: int, Mn: FiniteRing | None = None) -> Bimodule:
-    """R^n as a (M_n(R), R)-bimodule: matrices act on the left, R scales."""
+def _slot_action(R: FiniteRing, n: int, g: int, ring_left: bool,
+                 move: tuple[int, int] | None = None) -> IntegerMatrix:
+    """Generator g of R multiplying each entry of R^n, then moving slots.
+
+    The basis of R^n is (l, a): generator l of R in slot a.  Each entry is
+    multiplied by g on the left (ring_left) or on the right; move (src,
+    dst) then carries slot src to slot dst and kills the others, while
+    without move every slot stays.
+    """
+    rank = R.rank * n
+    rows = [[0] * rank for _ in range(rank)]
+    for l in range(R.rank):
+        prod = R.mult[g][l] if ring_left else R.mult[l][g]
+        for a in (range(n) if move is None else (move[0],)):
+            dst = a if move is None else move[1]
+            for m, cval in enumerate(prod):
+                if cval:
+                    rows[m * n + dst][l * n + a] = cval
+    return IntegerMatrix(rows, rank, rank)
+
+
+def _matrix_module(R: FiniteRing, n: int, Mn: FiniteRing | None,
+                   columns: bool) -> Bimodule:
+    """R^n with M_n(R) acting on one side and R scaling on the other.
+
+    The generator (g, i, j) of M_n(R) is r_g . e_ij; on columns it moves
+    slot j to slot i with r_g on the left, on rows slot i to slot j with
+    r_g on the right.
+    """
     if Mn is None:
         Mn = matrix_ring(R, n)
     k = R.rank
     fs = R.additive.invariant_factors
     carrier = FiniteAbelianGroup(tuple(fs[l] for l in range(k) for _ in range(n)))
-    rank = k * n
+    units = tuple(_slot_action(R, n, g, columns, (j, i) if columns else (i, j))
+                  for g in range(k) for i in range(n) for j in range(n))
+    scalars = tuple(_slot_action(R, n, g, not columns) for g in range(k))
+    label = R.name or "R"
+    if columns:
+        return Bimodule(Mn, R, carrier, units, scalars,
+                        name=f"{label}^{n} (columns)")
+    return Bimodule(R, Mn, carrier, scalars, units, name=f"{label}^{n} (rows)")
 
-    def idx(l: int, a: int) -> int:
-        return l * n + a
 
-    lam = []
-    for l2 in range(k):
-        for i in range(n):
-            for j in range(n):
-                cols = []
-                for l in range(k):
-                    for a in range(n):
-                        vec = [0] * rank
-                        if a == j:
-                            for m, cval in enumerate(R.mult[l2][l]):
-                                if cval:
-                                    vec[idx(m, i)] = cval
-                        cols.append(vec)
-                lam.append(IntegerMatrix.from_columns(cols, rank))
-    rho = []
-    for l2 in range(k):
-        cols = []
-        for l in range(k):
-            for a in range(n):
-                vec = [0] * rank
-                for m, cval in enumerate(R.mult[l][l2]):
-                    if cval:
-                        vec[idx(m, a)] = cval
-                cols.append(vec)
-        rho.append(IntegerMatrix.from_columns(cols, rank))
-    return Bimodule(Mn, R, carrier, tuple(lam), tuple(rho),
-                    name=f"{R.name or 'R'}^{n} (columns)")
+def column_module(R: FiniteRing, n: int, Mn: FiniteRing | None = None) -> Bimodule:
+    """R^n as a (M_n(R), R)-bimodule: matrices act on the left, R scales."""
+    return _matrix_module(R, n, Mn, columns=True)
 
 
 def row_module(R: FiniteRing, n: int, Mn: FiniteRing | None = None) -> Bimodule:
     """R^n as an (R, M_n(R))-bimodule: R scales, matrices act on the right."""
-    if Mn is None:
-        Mn = matrix_ring(R, n)
-    k = R.rank
-    fs = R.additive.invariant_factors
-    carrier = FiniteAbelianGroup(tuple(fs[l] for l in range(k) for _ in range(n)))
-    rank = k * n
-
-    def idx(l: int, a: int) -> int:
-        return l * n + a
-
-    lam = []
-    for l2 in range(k):
-        cols = []
-        for l in range(k):
-            for a in range(n):
-                vec = [0] * rank
-                for m, cval in enumerate(R.mult[l2][l]):
-                    if cval:
-                        vec[idx(m, a)] = cval
-                cols.append(vec)
-        lam.append(IntegerMatrix.from_columns(cols, rank))
-    rho = []
-    for l2 in range(k):
-        for i in range(n):
-            for j in range(n):
-                cols = []
-                for l in range(k):
-                    for a in range(n):
-                        vec = [0] * rank
-                        if a == i:
-                            for m, cval in enumerate(R.mult[l][l2]):
-                                if cval:
-                                    vec[idx(m, j)] = cval
-                        cols.append(vec)
-                rho.append(IntegerMatrix.from_columns(cols, rank))
-    return Bimodule(R, Mn, carrier, tuple(lam), tuple(rho),
-                    name=f"{R.name or 'R'}^{n} (rows)")
+    return _matrix_module(R, n, Mn, columns=False)
 
 
 def bimodule_direct_sum(M1: Bimodule, M2: Bimodule) -> Bimodule:

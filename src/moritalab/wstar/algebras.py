@@ -86,14 +86,15 @@ class MultiMatrixAlgebra:
             out.append(z)
         return out
 
-    def coords(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def coords(self, x: np.ndarray) -> np.ndarray:
         """Matrix-unit coordinates; rejects matrices off the block pattern."""
         x = as_complex_matrix(x)
         if x.shape != (self.dim, self.dim):
             raise AlgebraMismatch("element has the wrong ambient dimension")
         v = np.array([x[self.block_offset(b) + i, self.block_offset(b) + j]
                       for b, i, j in self.unit_triples()])
-        if operator_norm(x - self.from_coords(v)) > tol * (1.0 + operator_norm(x)):
+        bound = DEFAULT_TOL * (1.0 + operator_norm(x))
+        if operator_norm(x - self.from_coords(v)) > bound:
             raise AlgebraMismatch("element is not block-diagonal")
         return v
 
@@ -106,9 +107,9 @@ class MultiMatrixAlgebra:
             x[self.block_offset(b) + i, self.block_offset(b) + j] = val
         return x
 
-    def contains(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         try:
-            self.coords(x, tol)
+            self.coords(x)
             return True
         except AlgebraMismatch:
             return False

@@ -16,6 +16,7 @@ from ..errors import AlgebraMismatch, NotComposable, NotHomomorphism, Singular
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
+    max_operator_norm,
     norm_exceeds,
     operator_norm,
     orthonormal_columns,
@@ -52,14 +53,16 @@ def _broken_unit_relation(A: MultiMatrixAlgebra, units, anti: bool,
 
 
 def _check_rep(A: MultiMatrixAlgebra, units: tuple[np.ndarray, ...],
-               dim: int, anti: bool, tol: float, label: str):
+               dim: int, anti: bool, label: str) -> float:
+    """Raise unless units represent A; return their largest operator norm."""
     triples = A.unit_triples()
     if len(units) != len(triples):
         raise ValueError(f"{label}: expected {len(triples)} unit images")
-    bound = tol * (1.0 + max((operator_norm(U) for U in units), default=0.0))
     for U in units:
         if U.shape != (dim, dim):
             raise ValueError(f"{label}: unit image has wrong shape")
+    top = max_operator_norm(units)
+    bound = DEFAULT_TOL * (1.0 + top)
     total = sum((U for (b, i, j), U in zip(triples, units) if i == j),
                 np.zeros((dim, dim), dtype=np.complex128))
     if norm_exceeds(total - np.eye(dim), bound):
@@ -70,6 +73,7 @@ def _check_rep(A: MultiMatrixAlgebra, units: tuple[np.ndarray, ...],
     if broken == "product":
         kind = "antihomomorphism" if anti else "homomorphism"
         raise ValueError(f"{label}: not a {kind} on unit pairs")
+    return top
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +96,11 @@ class Correspondence:
                            tuple(as_complex_matrix(U) for U in self.pi_l_units))
         object.__setattr__(self, "pi_r_units",
                            tuple(as_complex_matrix(U) for U in self.pi_r_units))
-        _check_rep(self.left_algebra, self.pi_l_units, self.dim,
-                   anti=False, tol=DEFAULT_TOL, label="left action")
-        _check_rep(self.right_algebra, self.pi_r_units, self.dim,
-                   anti=True, tol=DEFAULT_TOL, label="right action")
-        bound = DEFAULT_TOL * (1.0 + max(
-            (operator_norm(U) for U in self.pi_l_units + self.pi_r_units),
-            default=0.0))
+        top_l = _check_rep(self.left_algebra, self.pi_l_units, self.dim,
+                           anti=False, label="left action")
+        top_r = _check_rep(self.right_algebra, self.pi_r_units, self.dim,
+                           anti=True, label="right action")
+        bound = DEFAULT_TOL * (1.0 + max(top_l, top_r))
         for U in self.pi_l_units:
             for V in self.pi_r_units:
                 if norm_exceeds(U @ V - V @ U, bound):
@@ -237,8 +239,7 @@ def conjugate_correspondence(H: Correspondence) -> Correspondence:
 
 
 def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
-                           std_N: StandardFormData,
-                           tol: float = DEFAULT_TOL) -> Correspondence:
+                           std_N: StandardFormData) -> Correspondence:
     """L²(N)·ρ(1) as an (N, source)-correspondence for a *-hom ρ: source -> N.
 
     ρ need not be unital; the carrier shrinks to the range of right
@@ -249,10 +250,10 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     if len(rho_units) != len(triples):
         raise NotHomomorphism("wrong number of unit images")
     imgs = [as_complex_matrix(U) for U in rho_units]
-    bound = tol * (1.0 + max((operator_norm(U) for U in imgs), default=0.0))
     for U in imgs:
-        if not N.contains(U, tol):
+        if not N.contains(U):
             raise NotHomomorphism("unit image leaves the target algebra")
+    bound = DEFAULT_TOL * (1.0 + max_operator_norm(imgs))
     broken = _broken_unit_relation(source, imgs, False, bound)
     if broken == "star":
         raise NotHomomorphism("images do not respect the involution")
@@ -263,7 +264,7 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
 
     units = N.matrix_units()
     right_p = np.stack([N.coords(E @ unit_img) for E in units], axis=1)
-    Q = orthonormal_columns(right_p, tol)
+    Q = orthonormal_columns(right_p)
     pi_l = [Q.conj().T @ L @ Q for L in std_N.pi_l_units]
     pi_r = []
     for img in imgs:
@@ -320,9 +321,12 @@ def intertwiner_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
 
 
 def unitary_intertwiner(H: Correspondence, K: Correspondence,
-                        tol: float = DEFAULT_TOL,
                         seed: int = 0, attempts: int = 8) -> np.ndarray | None:
-    """A unitary intertwiner H -> K, or None if none exists numerically."""
+    """A unitary intertwiner H -> K, or None if none exists numerically.
+
+    A polar factor is accepted when its intertwining residual is within
+    DEFAULT_TOL; callers gate the residual against their own tolerance.
+    """
     if H.dim != K.dim:
         return None
     if H.dim == 0:
@@ -335,9 +339,9 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence,
         c = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
         T = (basis @ c).reshape(K.dim, H.dim)
         try:
-            U = polar_unitary(T, tol)
+            U = polar_unitary(T)
         except Singular:
             continue
-        if Intertwiner(H, K, U).residual() <= tol:
+        if Intertwiner(H, K, U).residual() <= DEFAULT_TOL:
             return U
     return None

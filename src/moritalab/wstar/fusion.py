@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AlgebraMismatch, CapExceeded
-from ..numkernel import DEFAULT_TOL, gram_quotient
+from ..numkernel import gram_quotient
 from .correspondences import Correspondence, Intertwiner, identity_correspondence
 from .standard import StandardFormData
 
@@ -75,7 +75,7 @@ class FusionResult:
 
 
 def connes_fusion(H: Correspondence, K: Correspondence,
-                  std_N: StandardFormData, tol: float = DEFAULT_TOL,
+                  std_N: StandardFormData,
                   cap: int = FUSION_DIM_CAP) -> FusionResult:
     """Fuse an (M, N)- with an (N, P)-correspondence over N."""
     N = std_N.algebra
@@ -100,7 +100,7 @@ def connes_fusion(H: Correspondence, K: Correspondence,
             T_ac = R[a].conj().T @ R[c]
             n_ac = std_N.Lambda_inv(T_ac @ cyc)
             G[a * dK:(a + 1) * dK, c * dK:(c + 1) * dK] = K.pi_l(n_ac)
-    q = gram_quotient(G, tol, scale=1.0)
+    q = gram_quotient(G, scale=1.0)
 
     eye_K = np.eye(dK)
     eye_H = np.eye(dH)

@@ -4,7 +4,8 @@ A correspondence implements an equivalence exactly when its left action is
 faithful, its right action spans the full commutant of the left one, and
 fusing with the conjugate on either side returns the identity
 correspondence up to unitary intertwiner. The certificate records the
-witnesses; a refutation records which gate failed.
+witnesses; a refutation records which gate failed. Every gate decides at
+the fixed cutoff DEFAULT_TOL; callers gate the certificate's residual.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from ..errors import AlgebraMismatch
 from ..numkernel import (
-    DEFAULT_TOL,
     commutant,
     matrices_to_columns,
     null_space,
@@ -51,7 +51,6 @@ class WStarMoritaCertificate:
 def certify_morita_equivalent(H: Correspondence,
                               phi_M: State | None = None,
                               phi_N: State | None = None,
-                              tol: float = DEFAULT_TOL,
                               seed: int = 0) -> WStarMoritaCertificate:
     """Decide whether H implements an equivalence between its two algebras.
 
@@ -68,15 +67,15 @@ def certify_morita_equivalent(H: Correspondence,
         raise AlgebraMismatch("states are not on the correspondence algebras")
 
     cols = matrices_to_columns(H.pi_l_units)
-    kernel = null_space(cols, tol) if cols.size else np.eye(len(H.pi_l_units))
+    kernel = null_space(cols) if cols.size else np.eye(len(H.pi_l_units))
     if H.dim == 0 or kernel.shape[1] > 0:
         return WStarMoritaCertificate(
             corr=H, equivalent=False,
             reason="left action is not faithful")
 
-    comm = commutant(H.pi_l_units, H.dim, tol)
+    comm = commutant(H.pi_l_units, H.dim)
     right_span = matrices_to_columns(H.pi_r_units)
-    same, res = subspaces_equal(comm, right_span, tol)
+    same, res = subspaces_equal(comm, right_span)
     if not same:
         return WStarMoritaCertificate(
             corr=H, equivalent=False, residual=res,
@@ -87,9 +86,8 @@ def certify_morita_equivalent(H: Correspondence,
     Hbar = conjugate_correspondence(H)
 
     fus_left = connes_fusion(H, Hbar, std_N)
-    U_left = unitary_intertwiner(fus_left.corr,
-                                 identity_correspondence(std_M),
-                                 tol, seed=seed)
+    ident_M = identity_correspondence(std_M)
+    U_left = unitary_intertwiner(fus_left.corr, ident_M, seed=seed)
     if U_left is None:
         return WStarMoritaCertificate(
             corr=H, equivalent=False, conjugate=Hbar, fusion_left=fus_left,
@@ -97,9 +95,8 @@ def certify_morita_equivalent(H: Correspondence,
                    "correspondence of the left algebra")
 
     fus_right = connes_fusion(Hbar, H, std_M)
-    U_right = unitary_intertwiner(fus_right.corr,
-                                  identity_correspondence(std_N),
-                                  tol, seed=seed)
+    ident_N = identity_correspondence(std_N)
+    U_right = unitary_intertwiner(fus_right.corr, ident_N, seed=seed)
     if U_right is None:
         return WStarMoritaCertificate(
             corr=H, equivalent=False, conjugate=Hbar,
@@ -107,13 +104,9 @@ def certify_morita_equivalent(H: Correspondence,
             reason="conjugate fusion is not the identity correspondence "
                    "of the right algebra")
 
-    worst = max(
-        Intertwiner(fus_left.corr, identity_correspondence(std_M),
-                    U_left).residual(),
-        Intertwiner(fus_right.corr, identity_correspondence(std_N),
-                    U_right).residual(),
-        res,
-    )
+    worst = max(Intertwiner(fus_left.corr, ident_M, U_left).residual(),
+                Intertwiner(fus_right.corr, ident_N, U_right).residual(),
+                res)
     return WStarMoritaCertificate(
         corr=H, equivalent=True, reason="certified", residual=worst,
         conjugate=Hbar, fusion_left=fus_left, fusion_right=fus_right,

@@ -78,8 +78,7 @@ class StandardFormData:
         return twisted
 
 
-def gns_standard_form(A: MultiMatrixAlgebra, phi: State,
-                      tol: float = DEFAULT_TOL) -> StandardFormData:
+def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
     """Standard form of (A, φ) with modular data from the polar step."""
     if phi.algebra != A:
         raise NotFaithful("state was built on a different algebra")
@@ -98,8 +97,8 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State,
         s_cols.append(A.coords(x.conj().T @ rho_half))
     S = AntilinearOp(np.stack(s_cols, axis=1))
     J, delta = polar_antilinear(S)
-    delta_half = hermitian_power(delta, 0.5, tol)
-    delta_minus_half = hermitian_power(delta, -0.5, tol)
+    delta_half = hermitian_power(delta, 0.5)
+    delta_minus_half = hermitian_power(delta, -0.5)
 
     # left multiplication by each matrix unit, in coordinates:
     # e_{b,i,j} . e_{b,j,l} = e_{b,i,l}, and every other product is zero

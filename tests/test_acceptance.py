@@ -355,8 +355,7 @@ def test_criterion_10_analytic_coherence_and_state_independence(report):
             phi = random_faithful_state(B, rng)
             std = gns_standard_form(B, phi)
             fusions.append(connes_fusion(H, K, std))
-        U = unitary_intertwiner(fusions[0].corr, fusions[1].corr,
-                                tol=1e-8, seed=0)
+        U = unitary_intertwiner(fusions[0].corr, fusions[1].corr, seed=0)
         if U is None:
             notes.append(f"state choice changed the fusion over {B.block_sizes}")
     report(10, not notes, notes)
@@ -395,9 +394,9 @@ def test_criterion_11_bicommutant_recovers_generated_subalgebras(report):
     for pattern in patterns:
         U = _haar_unitary(rng, 4)
         gens = [U @ M @ U.conj().T for M in _pattern_basis(pattern)]
-        comm = commutant(gens, 4, 1e-8)
+        comm = commutant(gens, 4)
         comm_mats = [comm[:, j].reshape(4, 4) for j in range(comm.shape[1])]
-        bicomm = commutant(comm_mats, 4, 1e-8)
+        bicomm = commutant(comm_mats, 4)
         want = sum(n * n for n, _ in pattern)
         if bicomm.shape[1] != want:
             notes.append(f"{pattern}: bicommutant dim {bicomm.shape[1]} "

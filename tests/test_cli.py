@@ -17,7 +17,12 @@ from moritalab.specfile import (
     load_spec_file,
     serialize_spec,
 )
-from moritalab.wstar import MultiMatrixAlgebra, State, vector_correspondence
+from moritalab.wstar import (
+    MultiMatrixAlgebra,
+    State,
+    block_correspondence,
+    vector_correspondence,
+)
 
 
 def _demo_doc(name):
@@ -381,6 +386,53 @@ class TestRunCommand:
                      "--report", str(report_path)]) == 0
         row = json.loads(report_path.read_text())["tasks"][-1]
         assert row["data"]["nonzero_tuples"] >= 1
+
+
+class TestToleranceGatesResidualsOnly:
+    """--tol is compared with measured residuals, never used as a cutoff."""
+
+    @staticmethod
+    def _rows(args, report_path):
+        main(args + ["--report", str(report_path)])
+        return json.loads(report_path.read_text())["tasks"]
+
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-30"])
+    @pytest.mark.parametrize("name", ["mn-vs-c", "non-tracial-fusion"])
+    def test_tight_tolerance_fails_by_residual(self, name, tol, tmp_path,
+                                               capsys):
+        rows = self._rows(["demo", name, "--tol", tol], tmp_path / "r.json")
+        assert {r["status"] for r in rows} <= {"Pass", "Fail"}
+        for row in rows:
+            if row["status"] == "Fail":
+                assert row["discrepancy"] > float(tol)
+                assert f"{row['discrepancy']:.3g} exceeds tolerance" \
+                    in row["detail"]
+
+    @pytest.mark.parametrize("tol", ["1e-8", "0.5", "1.5"])
+    def test_refuting_gate_does_not_move_with_tolerance(self, tol, tmp_path,
+                                                        capsys):
+        M2 = MultiMatrixAlgebra((2,), name="M2")
+        C = MultiMatrixAlgebra((1,), name="C")
+        spec_path = tmp_path / "doubled.json"
+        spec_path.write_text(json.dumps(serialize_spec(SpecFile(
+            algebras={"M2": M2, "C": C},
+            correspondences={"H": block_correspondence(M2, C, [[2]])},
+            tasks=({"task": "morita-wstar", "correspondence": "H"},)))))
+        (row,) = self._rows(["run", str(spec_path), "--tol", tol],
+                            tmp_path / "r.json")
+        assert row["status"] == "Refuted"
+        assert row["detail"] == ("right action does not fill the commutant "
+                                 "of the left one")
+
+    def test_fused_dimension_does_not_move_with_tolerance(self, tmp_path,
+                                                          capsys):
+        dims = set()
+        for tol in ("1e-30", "1e-8", "0.9"):
+            rows = self._rows(["demo", "non-tracial-fusion", "--tol", tol],
+                              tmp_path / "r.json")
+            (fusion,) = [r for r in rows if r["task"] == "fusion"]
+            dims.add(fusion["data"]["fused_dim"])
+        assert dims == {1}
 
 
 class TestValidateCommand:

@@ -14,6 +14,7 @@ from moritalab.numkernel import (
     hermitian_spectrum,
     joint_null_space,
     matrices_to_columns,
+    max_operator_norm,
     norm_exceeds,
     null_space,
     operator_norm,
@@ -50,6 +51,21 @@ class TestBasics:
                           0.5 * (top + frob), 1.001 * frob):
                 assert norm_exceeds(A, bound) == (top > bound)
         assert not norm_exceeds(np.zeros((0, 0)), 0.0)
+
+    def test_max_operator_norm_equals_the_loop(self):
+        # representation checks size their bounds with the stacked call; it
+        # must equal the per-matrix loop bit for bit, so that no accept or
+        # reject decision moves
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 5, 12, 36):
+            for k in (1, 4, 9):
+                mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                        for _ in range(k)]
+                mats[0] *= 10.0 ** rng.integers(-8, 9)
+                assert max_operator_norm(mats) == max(operator_norm(M)
+                                                      for M in mats)
+        assert max_operator_norm([]) == 0.0
+        assert max_operator_norm([np.zeros((0, 0))] * 3) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_norm_exceeds_non_finite_is_exceeding(self, bad):

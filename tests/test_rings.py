@@ -219,6 +219,40 @@ class TestBimoduleValidation:
         assert C.act_left(E01, (1, 0)) == (0, 0)
         assert W.act_right((1, 0), E01) == (0, 1)
 
+    @pytest.mark.parametrize("R", [cyclic_ring(4),
+                                   truncated_polynomial_ring(2, 2)],
+                             ids=["Z4", "F2x2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matrix_module_actions_entrywise(self, R, n):
+        # entry ((m, b), (l, a)) of r_g.e_ij on columns is the m-coordinate
+        # of r_g.r_l when a == j and b == i; rows use r_l.r_g, a == i, b == j
+        k = R.rank
+        slots = [(l, a) for l in range(k) for a in range(n)]
+
+        def mat(entry):
+            return IntegerMatrix([[entry(l, a, m, b) for (l, a) in slots]
+                                  for (m, b) in slots])
+
+        def unit(g, i, j, cols):
+            def entry(l, a, m, b):
+                prod = R.mult[g][l] if cols else R.mult[l][g]
+                src, dst = (j, i) if cols else (i, j)
+                return prod[m] if (a, b) == (src, dst) else 0
+            return mat(entry)
+
+        def scalar(g, left):
+            def entry(l, a, m, b):
+                prod = R.mult[g][l] if left else R.mult[l][g]
+                return prod[m] if a == b else 0
+            return mat(entry)
+
+        units = [(g, i, j) for g in range(k) for i in range(n) for j in range(n)]
+        C, W = column_module(R, n), row_module(R, n)
+        assert list(C.left_action) == [unit(*u, cols=True) for u in units]
+        assert list(C.right_action) == [scalar(g, False) for g in range(k)]
+        assert list(W.left_action) == [scalar(g, True) for g in range(k)]
+        assert list(W.right_action) == [unit(*u, cols=False) for u in units]
+
     def test_zero_bimodule(self):
         Z2, Z4 = cyclic_ring(2), cyclic_ring(4)
         Z = zero_bimodule(Z2, Z4)
