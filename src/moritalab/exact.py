@@ -45,19 +45,26 @@ class IntegerMatrix:
             raise ValueError("inconsistent matrix shape")
 
     @classmethod
+    def adopt(cls, data: list[list[int]], rows: int, cols: int) -> "IntegerMatrix":
+        """Take freshly built, unshared int rows as they are: no copy or shape check."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, M.data = rows, cols, data
+        return M
+
+    @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.adopt([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
+        return cls.adopt([[0] * cols for _ in range(rows)], rows, cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntegerMatrix":
         cols = list(columns)
         if rows is None:
             rows = len(cols[0]) if cols else 0
-        return cls([[int(c[i]) for c in cols] for i in range(rows)], rows, len(cols))
+        return cls.adopt([[int(c[i]) for c in cols] for i in range(rows)], rows, len(cols))
 
     def column(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
@@ -84,7 +91,7 @@ class IntegerMatrix:
                     for j in range(other.cols):
                         acc[j] += a * ok[j]
             out.append(acc)
-        return IntegerMatrix(out, self.rows, other.cols)
+        return IntegerMatrix.adopt(out, self.rows, other.cols)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntegerMatrix) and self.rows == other.rows
@@ -279,8 +286,8 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(
-        IntegerMatrix(U, m, m), IntegerMatrix(D, m, n), IntegerMatrix(V, n, n),
-        IntegerMatrix(Uinv, m, m))
+        IntegerMatrix.adopt(U, m, m), IntegerMatrix.adopt(D, m, n),
+        IntegerMatrix.adopt(V, n, n), IntegerMatrix.adopt(Uinv, m, m))
 
 
 @dataclass(frozen=True)
@@ -325,9 +332,9 @@ class FiniteAbelianGroup:
         """M with every column reduced to an element of this group."""
         if M.rows != self.rank:
             raise ValueError("element length mismatch")
-        return IntegerMatrix([[v % d for v in row]
-                              for row, d in zip(M.data, self.invariant_factors)],
-                             M.rows, M.cols)
+        return IntegerMatrix.adopt([[v % d for v in row]
+                                    for row, d in zip(M.data, self.invariant_factors)],
+                                   M.rows, M.cols)
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return self.reduce([x + y for x, y in zip(a, b)])
@@ -410,8 +417,8 @@ def _scaled_columns(M: IntegerMatrix, scales: Sequence[int]) -> IntegerMatrix:
 def _with_moduli(A: IntegerMatrix, moduli: Sequence[int]) -> IntegerMatrix:
     """[A | diag(moduli)]: A's columns followed by one modulus relation per row."""
     n = A.rows
-    return IntegerMatrix([row + [moduli[i] if j == i else 0 for j in range(n)]
-                          for i, row in enumerate(A.data)], n, A.cols + n)
+    return IntegerMatrix.adopt([row + [moduli[i] if j == i else 0 for j in range(n)]
+                                for i, row in enumerate(A.data)], n, A.cols + n)
 
 
 def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGroup, CokernelProjection]:
@@ -432,7 +439,7 @@ def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGrou
     group = FiniteAbelianGroup(tuple(diag[i] for i in surviving))
     proj_rows = [dec.U.data[i][:] for i in surviving]
     section_cols = [dec.U_inv.column(i) for i in surviving]
-    proj = CokernelProjection(group, IntegerMatrix(proj_rows, len(surviving), n),
+    proj = CokernelProjection(group, IntegerMatrix.adopt(proj_rows, len(surviving), n),
                               IntegerMatrix.from_columns(section_cols, n),
                               _scaled_columns(dec.U_inv, diag))
     return group, proj
@@ -505,8 +512,8 @@ def lattice_basis(M: IntegerMatrix) -> tuple[IntegerMatrix, SmithDecomposition]:
     diag = [d for d in dec.diagonal() if d]
     L = _scaled_columns(dec.U_inv, diag)
     r = L.cols
-    D = IntegerMatrix([[diag[i] if i == j else 0 for j in range(r)]
-                       for i in range(M.rows)], M.rows, r)
+    D = IntegerMatrix.adopt([[diag[i] if i == j else 0 for j in range(r)]
+                             for i in range(M.rows)], M.rows, r)
     return L, SmithDecomposition(dec.U, D, IntegerMatrix.identity(r), dec.U_inv)
 
 

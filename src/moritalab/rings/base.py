@@ -16,12 +16,29 @@ left-regular matrices L_i (column j is e_i * e_j): they represent the
 table exactly when the product is well defined in both slots and
 associative.  The zero ring is rejected: a presentation whose unit has
 additive order below 2 raises UnitDegenerate.
+
+The laws run as one stacked-array kernel.  A family of k matrices on a
+carrier with invariant factors f_1 | ... | f_n becomes one (k, n, n)
+array with row a reduced modulo f_a, and ring coefficients are read
+modulo the exponent N = lcm(f).  Every law compares row a modulo f_a, so
+this changes no verdict once "well defined" has passed: A[a][b] * f_b = 0
+(mod f_a) means that moving row b of a factor by f_b moves row a of a
+product by a multiple of f_a.  "Well defined", "additive" and "unital"
+are single broadcasts; "multiplicative" checks row i of the table
+against all j at once, in O(k n^2) memory.  Sums of w products of
+reduced entries stay below w (N - 1)^2, so ``law_dtype`` picks int64 when
+that is below 2^63 for w = max(n, k), and object (exact Python integers)
+above it; both dtypes run the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import lcm
 from typing import Sequence
+
+import numpy as np
 
 from ..errors import UnitDegenerate
 from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel
@@ -37,7 +54,7 @@ def combine_matrices(mats: Sequence[IntegerMatrix], coeffs: Sequence[int]) -> In
         return IntegerMatrix.zeros(0, 0)
     rows, cols = mats[0].rows, mats[0].cols
     acc = [[0] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, mats):
+    for c, m in zip(map(int, coeffs), mats):
         if not c:
             continue
         for i in range(rows):
@@ -45,7 +62,7 @@ def combine_matrices(mats: Sequence[IntegerMatrix], coeffs: Sequence[int]) -> In
             arow = acc[i]
             for j in range(cols):
                 arow[j] += c * mrow[j]
-    return IntegerMatrix(acc, rows, cols)
+    return IntegerMatrix.adopt(acc, rows, cols)
 
 
 def matrices_congruent(A: IntegerMatrix, B: IntegerMatrix,
@@ -71,11 +88,78 @@ def is_group_map(M: IntegerMatrix, src_factors: Sequence[int],
                    for v, s in zip(row, src_factors))
 
 
+def law_dtype(width: int, exponent: int) -> type:
+    """int64 when width products of entries below exponent sum exactly, else object."""
+    return np.int64 if width * (exponent - 1) ** 2 < 2 ** 63 else object
+
+
+def _reduced_array(values, shape: tuple[int, ...], modulus, dtype: type) -> np.ndarray:
+    """Nested integers reduced modulo modulus, then cast: exact at any size."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError:
+        arr = np.array(values, dtype=object)
+    return (arr.reshape(shape) % modulus).astype(dtype, copy=False)
+
+
+def stack_actions(mats: Sequence[IntegerMatrix], f: np.ndarray, dtype: type) -> np.ndarray:
+    """mats as one (k, n, n) array, row a reduced modulo the column f[a]."""
+    return _reduced_array([M.data for M in mats], (len(mats), len(f), len(f)), f, dtype)
+
+
+def _intertwined(X: np.ndarray, A: np.ndarray, B: np.ndarray, f: np.ndarray) -> bool:
+    """X @ A[j] = B[j] @ X modulo the row moduli f, for every j at once."""
+    return not ((X @ A - B @ X) % f).any()
+
+
 def intertwines(M: IntegerMatrix, src_mats: Sequence[IntegerMatrix],
-                tgt_mats: Sequence[IntegerMatrix], moduli: Sequence[int]) -> bool:
-    """M @ A = B @ M modulo the target orders, for each pair (A, B)."""
-    return all(matrices_congruent(M @ A, B @ M, moduli)
-               for A, B in zip(src_mats, tgt_mats))
+                tgt_mats: Sequence[IntegerMatrix], src_factors: Sequence[int],
+                tgt_factors: Sequence[int]) -> bool:
+    """M @ A = B @ M modulo the target orders, for each pair (A, B).
+
+    M must be a group map (``is_group_map``) and the actions well defined,
+    which makes reducing each row modulo its factor exact.
+    """
+    dtype = law_dtype(max(len(src_factors), len(tgt_factors)),
+                      max(lcm(*src_factors), lcm(*tgt_factors)))
+    s, t = (np.array(fs, dtype=dtype).reshape(-1, 1) for fs in (src_factors, tgt_factors))
+    X = _reduced_array(M.data, (M.rows, M.cols), t, dtype)
+    return _intertwined(X, stack_actions(src_mats, s, dtype),
+                        stack_actions(tgt_mats, t, dtype), t)
+
+
+def stacks_commute(L: np.ndarray, P: np.ndarray, factors: Sequence[int]) -> bool:
+    """L[i] @ P[j] = P[j] @ L[i] for all pairs of reduced stacks, one i at a time."""
+    f = np.array(factors, dtype=np.result_type(L, P)).reshape(-1, 1)
+    return all(_intertwined(Li, P, P, f) for Li in L)
+
+
+def checked_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
+                  ring: "FiniteRing", anti: bool = False
+                  ) -> tuple[str | None, np.ndarray | None]:
+    """``broken_law`` and the reduced stack it checked (None if ill-shaped)."""
+    n, k = len(factors), ring.rank
+    if len(mats) != k or any(M.rows != n or M.cols != n for M in mats):
+        return "well shaped", None
+    N = lcm(*factors)
+    dtype = law_dtype(max(n, k), N)
+    f = np.array(factors, dtype=dtype).reshape(n, 1)
+    A = stack_actions(mats, f, dtype)
+    if (A * (f.T % f) % f).any():  # A[l, a, b] * f_b (mod f_a)
+        return "well defined", A
+    orders = _reduced_array(ring.additive.invariant_factors, (k, 1, 1), N, dtype)
+    if (orders * A % f).any():
+        return "additive", A
+    table = _reduced_array(ring.table, (k, k, k), N, dtype)
+    flat = A.reshape(k, n * n)
+    for i in range(k):
+        product = A @ A[i] if anti else A[i] @ A
+        if ((product - (table[i] @ flat).reshape(k, n, n)) % f).any():
+            return ("anti-multiplicative" if anti else "multiplicative"), A
+    unit = _reduced_array(ring.unit, (k,), N, dtype)
+    if (((unit @ flat).reshape(n, n) - np.eye(n, dtype=np.int64)) % f).any():
+        return "unital", A
+    return None, A
 
 
 def broken_law(mats: Sequence[IntegerMatrix], factors: Sequence[int],
@@ -90,25 +174,7 @@ def broken_law(mats: Sequence[IntegerMatrix], factors: Sequence[int],
     "anti-multiplicative" with the product reversed when anti, and
     "unital" (sum_l unit[l] mats[l] = I).
     """
-    n = len(factors)
-    if len(mats) != ring.rank or any(M.rows != n or M.cols != n for M in mats):
-        return "well shaped"
-    if not all(is_group_map(M, factors, factors) for M in mats):
-        return "well defined"
-    # ord(e_l) * mats[l] = 0 says mats[l] is also a map out of (Z/ord(e_l))^n
-    if not all(is_group_map(M, (d,) * n, factors)
-               for M, d in zip(mats, ring.additive.invariant_factors)):
-        return "additive"
-    for i, Mi in enumerate(mats):
-        for j, Mj in enumerate(mats):
-            product = Mj @ Mi if anti else Mi @ Mj
-            if not matrices_congruent(product, combine_matrices(mats, ring.mult[i][j]),
-                                      factors):
-                return "anti-multiplicative" if anti else "multiplicative"
-    if not matrices_congruent(combine_matrices(mats, ring.unit),
-                              IntegerMatrix.identity(n), factors):
-        return "unital"
-    return None
+    return checked_stack(mats, factors, ring, anti)[0]
 
 
 # what each law of the left-regular matrices means for the table
@@ -136,18 +202,24 @@ class FiniteRing:
         mult = tuple(tuple(g.reduce(v) for v in row) for row in self.mult)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "unit", g.reduce(self.unit))
-        left_regular = [IntegerMatrix.from_columns(row, k) for row in mult]
-        law = broken_law(left_regular, g.invariant_factors, self)
+        law, L = checked_stack([IntegerMatrix.from_columns(row, k) for row in mult],
+                               g.invariant_factors, self)
         if law in (None, "unital") and g.element_order(self.unit) < 2:
             raise UnitDegenerate("unit of additive order < 2 (zero ring)")
         if law is not None:
             raise ValueError(_TABLE_LAWS[law])
-        # the left unit law passed inside broken_law; L_i u = e_i is the right one
-        right_unit = IntegerMatrix.from_columns(
-            [L.apply(self.unit) for L in left_regular], k)
-        if not matrices_congruent(right_unit, IntegerMatrix.identity(k),
-                                  g.invariant_factors):
+        # the left unit law passed in checked_stack; (L_i u)_a = [i == a] is the right one
+        u, f = (np.array(v, dtype=L.dtype) for v in (self.unit, g.invariant_factors))
+        if ((L @ u - np.eye(k, dtype=np.int64)) % f).any():
             raise ValueError("unit law fails on a generator")
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The read-only (k, k, k) array table[i, j] = e_i * e_j."""
+        dtype = np.int64 if self.additive.exponent <= 2 ** 63 else object
+        table = np.array(self.mult, dtype=dtype).reshape((self.rank,) * 3)
+        table.flags.writeable = False
+        return table
 
     def _gen(self, i: int) -> Vector:
         return tuple(1 if j == i else 0 for j in range(self.additive.rank))

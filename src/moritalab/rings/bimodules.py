@@ -2,11 +2,14 @@
 
 A bimodule stores its carrier group plus one integer action matrix per
 additive generator of each ring.  Construction states its laws through
-the ring layer's checker (``broken_law`` in ``base``): the left matrices
-must represent the left ring, the right matrices must anti-represent the
-right ring, and every left matrix must intertwine the right action with
-itself.  A map must be a group map of the carriers (``is_group_map``)
-that intertwines the actions on its tagged sides (``intertwines``).
+the ring layer's stacked checker (``checked_stack`` in ``base``): the
+left matrices must represent the left ring, the right matrices must
+anti-represent the right ring, and ``stacks_commute`` compares
+lambda_i @ rho_j with rho_j @ lambda_i on the same two reduced stacks
+(int64, or object dtype past the overflow guard described in ``base``),
+one left generator against all right ones at a time.  A map must be a
+group map of the carriers (``is_group_map``) that intertwines the
+actions on its tagged sides (``intertwines``).
 
 Maps carry a ``sides`` tag: hom computations for one-sided module maps
 reuse the same class with ``sides=("right",)`` or ``("left",)``.
@@ -27,13 +30,14 @@ from ..exact import (
 )
 from .base import (
     FiniteRing,
-    broken_law,
+    checked_stack,
     combine_matrices,
     cyclic_ring,
     intertwines,
     is_group_map,
     matrices_congruent,
     matrix_ring,
+    stacks_commute,
 )
 
 BOTH_SIDES = ("left", "right")
@@ -52,13 +56,15 @@ class Bimodule:
 
     def __post_init__(self):
         fs = self.carrier.invariant_factors
-        lam, rho = self.left_action, self.right_action
-        for side, mats, ring, anti in (("left", lam, self.left_ring, False),
-                                       ("right", rho, self.right_ring, True)):
-            law = broken_law(mats, fs, ring, anti)
+        stacks = []
+        for side, mats, ring, anti in (
+                ("left", self.left_action, self.left_ring, False),
+                ("right", self.right_action, self.right_ring, True)):
+            law, stack = checked_stack(mats, fs, ring, anti)
             if law is not None:
                 raise ValueError(f"{side} action is not {law}")
-        if not all(intertwines(L, rho, rho, fs) for L in lam):
+            stacks.append(stack)
+        if not stacks_commute(*stacks, fs):
             raise ValueError("left and right actions do not commute")
 
     # ----------------------------------------------------- element ops
@@ -91,8 +97,8 @@ class BimoduleMap:
 
     def __post_init__(self):
         src, tgt = self.source, self.target
-        tfs = tgt.carrier.invariant_factors
-        if not is_group_map(self.matrix, src.carrier.invariant_factors, tfs):
+        sfs, tfs = src.carrier.invariant_factors, tgt.carrier.invariant_factors
+        if not is_group_map(self.matrix, sfs, tfs):
             raise ValueError("map matrix is not a group map between the carriers")
         for side in BOTH_SIDES:
             if side not in self.sides:
@@ -100,7 +106,7 @@ class BimoduleMap:
             if getattr(src, f"{side}_ring") != getattr(tgt, f"{side}_ring"):
                 raise RingMismatch(f"{side} rings differ")
             if not intertwines(self.matrix, getattr(src, f"{side}_action"),
-                               getattr(tgt, f"{side}_action"), tfs):
+                               getattr(tgt, f"{side}_action"), sfs, tfs):
                 raise ValueError(f"map does not intertwine the {side} action")
 
     def apply(self, m: Sequence[int]) -> tuple[int, ...]:
@@ -210,7 +216,7 @@ def _slot_action(R: FiniteRing, n: int, g: int, ring_left: bool,
             for m, cval in enumerate(prod):
                 if cval:
                     rows[m * n + dst][l * n + a] = cval
-    return IntegerMatrix(rows, rank, rank)
+    return IntegerMatrix.adopt(rows, rank, rank)
 
 
 def _matrix_module(R: FiniteRing, n: int, Mn: FiniteRing | None,

@@ -127,7 +127,7 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
                 if any(row):
                     rows.append(row)
                     moduli.append(cT[i])
-    A = IntegerMatrix(rows, len(rows), nvars)
+    A = IntegerMatrix.adopt(rows, len(rows), nvars)
     sol = solve_congruences(A, moduli, [0] * len(rows))
     K, K_snf = lattice_basis(sol.kernel)
 

@@ -70,9 +70,7 @@ def _square_table(X: np.ndarray, ring: FiniteRing) -> np.ndarray:
     k = ring.rank
     acc = np.zeros_like(X)
     for i in range(k):
-        Mi = np.array([[ring.mult[i][j][l] for l in range(k)] for j in range(k)],
-                      dtype=np.int64)
-        acc += X[:, i:i + 1] * (X @ Mi)
+        acc += X[:, i:i + 1] * (X @ ring.table[i])
     fs = np.array(ring.additive.invariant_factors, dtype=np.int64)
     return acc % fs
 

@@ -38,7 +38,7 @@ def kron(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
                 base = j * B.cols
                 for l in range(B.cols):
                     out[base + l] = a * brow[l]
-    return IntegerMatrix(data, rows, cols)
+    return IntegerMatrix.adopt(data, rows, cols)
 
 
 @dataclass

@@ -151,3 +151,56 @@ def hom_count_oracle(M: Bimodule, N: Bimodule, side: str = "right") -> int:
         if ok:
             count += 1
     return count
+
+
+# ------------------------------------------- reference law checker loops
+
+def _matmul(A: list[list[int]], B: list[list[int]], inner: int) -> list[list[int]]:
+    cols = len(B[0]) if B else 0
+    return [[sum(A[a][c] * B[c][b] for c in range(inner)) for b in range(cols)]
+            for a in range(len(A))]
+
+
+def _congruent(A: list[list[int]], B: list[list[int]], moduli) -> bool:
+    return not any((x - y) % t for ra, rb, t in zip(A, B, moduli)
+                   for x, y in zip(ra, rb))
+
+
+def broken_law_loop(mats, factors, ring, anti: bool = False) -> str | None:
+    """The first broken law, checked one generator pair at a time.
+
+    Plain Python integers on unreduced entries, with one matrix product per
+    pair (i, j): the reference for ``moritalab.rings.base.broken_law``.
+    """
+    n, k = len(factors), ring.rank
+    if len(mats) != k or any(M.rows != n or M.cols != n for M in mats):
+        return "well shaped"
+    data = [M.data for M in mats]
+    if any(v * s % t for A in data for row, t in zip(A, factors)
+           for v, s in zip(row, factors)):
+        return "well defined"
+    if any(v * d % t for A, d in zip(data, ring.additive.invariant_factors)
+           for row, t in zip(A, factors) for v in row):
+        return "additive"
+
+    def combo(coeffs):
+        return [[sum(c * A[a][b] for c, A in zip(coeffs, data)) for b in range(n)]
+                for a in range(n)]
+
+    for i in range(k):
+        for j in range(k):
+            left, right = (data[j], data[i]) if anti else (data[i], data[j])
+            if not _congruent(_matmul(left, right, n), combo(ring.mult[i][j]),
+                              factors):
+                return "anti-multiplicative" if anti else "multiplicative"
+    eye = [[int(a == b) for b in range(n)] for a in range(n)]
+    if not _congruent(combo(ring.unit), eye, factors):
+        return "unital"
+    return None
+
+
+def intertwines_loop(M, src_mats, tgt_mats, moduli) -> bool:
+    """M @ A = B @ M modulo the target orders, one pair (A, B) at a time."""
+    return all(_congruent(_matmul(M.data, A.data, M.cols),
+                          _matmul(B.data, M.data, M.rows), moduli)
+               for A, B in zip(src_mats, tgt_mats))

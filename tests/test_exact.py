@@ -77,6 +77,29 @@ def congruence_solutions_oracle(A, moduli, b):
     return L, sols
 
 
+# ------------------------------------------------------- integer matrix
+
+def test_public_constructor_converts_and_checks_shape():
+    M = IntegerMatrix([(True, 2.0), range(2)])
+    assert M.data == [[1, 2], [0, 1]] and all(type(v) is int for r in M.data for v in r)
+    with pytest.raises(ValueError, match="inconsistent matrix shape"):
+        IntegerMatrix([[1, 2], [3]])
+
+
+def test_internal_builders_own_fresh_int_rows():
+    """Products, columns and reductions build new rows the inputs do not share."""
+    A = IntegerMatrix([[1, 2], [3, 4]])
+    cols = [(5, 6), (7, 8)]
+    built = [A @ A, IntegerMatrix.from_columns(cols), IntegerMatrix.identity(2),
+             FiniteAbelianGroup((3, 6)).reduce_columns(A), smith_normal_form(A).U]
+    assert [M.data for M in built[:4]] == [[[7, 10], [15, 22]], [[5, 7], [6, 8]],
+                                           [[1, 0], [0, 1]], [[1, 2], [3, 4]]]
+    for M in built:
+        assert M.rows == len(M.data) and all(len(r) == M.cols for r in M.data)
+        assert all(type(v) is int for r in M.data for v in r)
+        assert not any(r is s for r in M.data for s in A.data)
+
+
 # ---------------------------------------------------------- smith form
 
 def test_snf_two_by_two_coprime_diagonal():
