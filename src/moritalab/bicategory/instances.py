@@ -201,7 +201,7 @@ class WStarBicategory:
         if f.matrix.size == 0:
             return True
         s = np.linalg.svd(f.matrix, compute_uv=False)
-        return bool(s[-1] > DEFAULT_TOL)
+        return bool(s[-1] > DEFAULT_TOL * s[0])
 
     def random_endo_2cell(self, P: Correspondence, rng) -> Intertwiner:
         basis = intertwiner_basis(P, P)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InfiniteQuotient, NoSolution
 
@@ -102,6 +102,21 @@ class IntegerMatrix:
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.data!r})"
+
+
+def kron(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
+    """Kronecker product: entry (i * B.rows + k, j * B.cols + l) is A[i][j] * B[k][l]."""
+    data = []
+    for arow in A.data:
+        for brow in B.data:
+            data.append([a * b for a in arow for b in brow])
+    return IntegerMatrix.adopt(data, A.rows * B.rows, A.cols * B.cols)
+
+
+def direct_sum(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
+    """Block-diagonal matrix with A above left and B below right."""
+    data = [row + [0] * B.cols for row in A.data] + [[0] * A.cols + row for row in B.data]
+    return IntegerMatrix.adopt(data, A.rows + B.rows, A.cols + B.cols)
 
 
 def determinant(A: IntegerMatrix) -> int:
@@ -394,18 +409,17 @@ class CokernelProjection:
     def section(self, index: int) -> list[int]:
         return self.section_matrix.column(index)
 
-    def transport(self, act: Callable[[list[int]], Sequence[int]],
+    def transport(self, K: IntegerMatrix,
                   section: IntegerMatrix | None = None) -> IntegerMatrix:
-        """Matrix of ``apply . act`` on the columns of a section.
+        """Matrix of ``apply . K`` on the columns of a section.
 
-        Column a is the projection of act(section column a); the section
-        defaults to this quotient's own, so a map of the ambient group that
-        preserves the relations becomes a map of the quotient.
+        K is an integer matrix on the ambient group; the section defaults
+        to this quotient's own, so an ambient map that preserves the
+        relations becomes a map of the quotient.
         """
         if section is None:
             section = self.section_matrix
-        return IntegerMatrix.from_columns(
-            [self.apply(act(col)) for col in section.columns()], self.group.rank)
+        return self.group.reduce_columns(self.matrix @ (K @ section))
 
 
 def _scaled_columns(M: IntegerMatrix, scales: Sequence[int]) -> IntegerMatrix:

@@ -3,9 +3,13 @@
 One numeric primitive carries everything: the Hermitian eigendecomposition.
 Square roots, polar decompositions, Gram quotients, and ranks all derive
 from it (or from the SVD for non-square systems). Every rank, null
-direction, singularity and sanity check uses the one fixed cutoff
-DEFAULT_TOL, relative to the scale it measures; a caller's acceptance
-tolerance gates measured residuals only and never moves these decisions.
+direction and singularity decision uses the one fixed cutoff DEFAULT_TOL,
+relative to the scale it measures; a caller's acceptance tolerance gates
+measured residuals only and never moves these decisions.  Two sanity
+checks keep their own fixed constants: ``hermitian_spectrum`` requires
+its eigendecomposition to reconstruct the input within
+1e-10 * (1 + max |eigenvalue|), and ``State`` requires its density to
+have trace 1 within an absolute 1e-12.
 
 Antilinear maps are stored as a plain matrix A acting by v -> A.conj(v),
 always relative to the one fixed basis of the ambient space. Keeping every

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import UnitDegenerate
-from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel
+from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel, direct_sum
 
 Vector = tuple[int, ...]
 
@@ -105,6 +105,25 @@ def _reduced_array(values, shape: tuple[int, ...], modulus, dtype: type) -> np.n
 def stack_actions(mats: Sequence[IntegerMatrix], f: np.ndarray, dtype: type) -> np.ndarray:
     """mats as one (k, n, n) array, row a reduced modulo the column f[a]."""
     return _reduced_array([M.data for M in mats], (len(mats), len(f), len(f)), f, dtype)
+
+
+def reduced_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int]) -> np.ndarray:
+    """mats as one exact (k, n, n) array, row a reduced modulo factors[a]."""
+    return stack_actions(mats, np.array(factors, dtype=object).reshape(-1, 1), object)
+
+
+def kron_differences(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X[g] (x) 1 - 1 (x) Y[g] for every g, as one (k, a b, a b) array.
+
+    X is (k, a, a) and Y is (k, b, b); row and column (i, j) sit at
+    i * b + j, the pair index of ``kron``.
+    """
+    k, a, b = len(X), X.shape[1], Y.shape[1]
+    D = np.zeros((k, a, b, a, b), dtype=object)
+    # D[g, i, j, i', j'] = X[g, i, i'] [j = j'] - [i = i'] Y[g, j, j']
+    D[:, :, np.arange(b), :, np.arange(b)] = X
+    D[:, np.arange(a), :, np.arange(a), :] -= Y
+    return D.reshape(k, a * b, a * b)
 
 
 def _intertwined(X: np.ndarray, A: np.ndarray, B: np.ndarray, f: np.ndarray) -> bool:
@@ -375,12 +394,9 @@ def direct_product_ring(R: FiniteRing, S: FiniteRing) -> FiniteRing:
     n = len(combined)
     group, proj = cokernel(IntegerMatrix.zeros(n, 0), combined)
     kR = R.rank
-
-    def old_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-        return list(R.mul(a[:kR], b[:kR])) + list(S.mul(a[kR:], b[kR:]))
-
     # row i of the table is left multiplication by section i, transported
-    mult = tuple(tuple(proj.transport(lambda b, a=a: old_mul(a, b)).columns())
+    mult = tuple(tuple(proj.transport(direct_sum(R.left_mult_matrix(a[:kR]),
+                                                 S.left_mult_matrix(a[kR:]))).columns())
                  for a in proj.section_matrix.columns())
     unit = proj.apply(list(R.unit) + list(S.unit))
     name = f"({R.name} x {S.name})" if R.name and S.name else ""

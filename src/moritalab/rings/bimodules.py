@@ -25,6 +25,7 @@ from ..exact import (
     FiniteAbelianGroup,
     IntegerMatrix,
     cokernel,
+    direct_sum,
     invert_group_map,
     solve_congruences,
 )
@@ -259,12 +260,9 @@ def bimodule_direct_sum(M1: Bimodule, M2: Bimodule) -> Bimodule:
     combined = list(M1.carrier.invariant_factors) + list(M2.carrier.invariant_factors)
     n = len(combined)
     group, proj = cokernel(IntegerMatrix.zeros(n, 0), combined)
-    n1 = M1.rank
-
-    def block_sum(A1: IntegerMatrix, A2: IntegerMatrix) -> IntegerMatrix:
-        return proj.transport(lambda v: A1.apply(v[:n1]) + A2.apply(v[n1:]))
-
-    lam = tuple(map(block_sum, M1.left_action, M2.left_action))
-    rho = tuple(map(block_sum, M1.right_action, M2.right_action))
+    lam = tuple(proj.transport(direct_sum(A1, A2))
+                for A1, A2 in zip(M1.left_action, M2.left_action))
+    rho = tuple(proj.transport(direct_sum(A1, A2))
+                for A1, A2 in zip(M1.right_action, M2.right_action))
     name = f"{M1.name}+{M2.name}" if M1.name and M2.name else ""
     return Bimodule(M1.left_ring, M1.right_ring, group, lam, rho, name=name)

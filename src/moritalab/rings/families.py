@@ -86,7 +86,7 @@ def quotient_right_module(R: FiniteRing, ideal: frozenset,
     group, proj = cokernel(rel, list(R.additive.invariant_factors))
     gens = [tuple(1 if j == i else 0 for j in range(R.rank))
             for i in range(R.rank)]
-    mats = [proj.transport(R.right_mult_matrix(g).apply) for g in gens]
+    mats = [proj.transport(R.right_mult_matrix(g)) for g in gens]
     return right_module(R, group, mats, name=name)
 
 

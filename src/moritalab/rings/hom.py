@@ -1,12 +1,14 @@
 """Hom groups and endomorphism rings of bimodules, computed exactly.
 
 A module map is a matrix X with X[i][j] * ord(src_j) = 0 (mod ord(tgt_i))
-that intertwines the requested actions.  The solution lattice K of those
-congruences, modulo the lattice K0 of matrices representing the zero map,
-is the hom group; its cokernel presentation supplies coordinates.  K
-contains K0, which has full rank, so the basis matrix of K is square and
-nonsingular: every map has unique K coordinates, found through one Smith
-decomposition kept with the group.
+that intertwines the requested actions: for each action pair (As, At)
+the rows of 1 (x) As^T - At (x) 1, applied to X read row-major (the pair
+index of ``exact.kron``), vanish modulo the target orders.  The solution
+lattice K of those congruences, modulo the lattice K0 of matrices
+representing the zero map, is the hom group; its cokernel presentation
+supplies coordinates.  K contains K0, which has full rank, so the basis
+matrix of K is square and nonsingular: every map has unique K
+coordinates, found through one Smith decomposition kept with the group.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..exact import (
     smith_normal_form,
     solve_congruences,
 )
-from .base import FiniteRing
+from .base import FiniteRing, kron_differences, reduced_stack
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap
 
 
@@ -95,51 +97,39 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
     cS = M.carrier.invariant_factors
     cT = N.carrier.invariant_factors
 
-    def var(i: int, j: int) -> int:
-        return i * ns + j
-
-    rows: list[list[int]] = []
-    moduli: list[int] = []
-    for i in range(nt):
-        for j in range(ns):
-            row = [0] * nvars
-            row[var(i, j)] = cS[j]
-            rows.append(row)
-            moduli.append(cT[i])
+    # X[i][j] sits at i * ns + j; each variable first carries its order
+    row_moduli = [cT[i] for i in range(nt) for _ in range(ns)]
+    rows = [[cS[v % ns] if u == v else 0 for u in range(nvars)] for v in range(nvars)]
+    moduli = row_moduli[:]
     action_pairs = []
     if "right" in sides:
         action_pairs += list(zip(M.right_action, N.right_action))
     if "left" in sides:
         action_pairs += list(zip(M.left_action, N.left_action))
-    for As, At in action_pairs:
-        # X @ As = At @ X entry-wise, modulo target generator orders
-        for i in range(nt):
-            for j in range(ns):
-                row = [0] * nvars
-                for k in range(ns):
-                    v = As.data[k][j]
-                    if v:
-                        row[var(i, k)] += v
-                for k in range(nt):
-                    v = At.data[i][k]
-                    if v:
-                        row[var(k, j)] -= v
-                if any(row):
-                    rows.append(row)
-                    moduli.append(cT[i])
+    # X @ As = At @ X entry-wise: the rows of 1 (x) As^T - At (x) 1 on X.
+    # Moving row k of As by ord(src_k), or row i of At by ord(tgt_i),
+    # moves X @ As - At @ X by a multiple of ord(tgt_i) in row i, so each
+    # action row is read modulo its order; unreduced entries would only
+    # feed coefficient growth to the Smith form.
+    src = reduced_stack([As for As, _ in action_pairs], cS).transpose(0, 2, 1)
+    tgt = reduced_stack([At for _, At in action_pairs], cT)
+    D = -kron_differences(tgt, src).reshape(len(action_pairs) * nvars, nvars)
+    for row, d in zip(D.tolist(), row_moduli * len(action_pairs)):
+        if any(row):
+            rows.append(row)
+            moduli.append(d)
     A = IntegerMatrix.adopt(rows, len(rows), nvars)
     sol = solve_congruences(A, moduli, [0] * len(rows))
     K, K_snf = lattice_basis(sol.kernel)
 
     K0_in_K = []
-    for i in range(nt):
-        for j in range(ns):
-            col = [0] * nvars
-            col[var(i, j)] = cT[i]
-            y = K_snf.solve(col)
-            if y is None:
-                raise RuntimeError("zero-map lattice escaped the solution lattice")
-            K0_in_K.append(y)
+    for v in range(nvars):
+        col = [0] * nvars
+        col[v] = row_moduli[v]
+        y = K_snf.solve(col)
+        if y is None:
+            raise RuntimeError("zero-map lattice escaped the solution lattice")
+        K0_in_K.append(y)
     rank = K.cols
     group, proj = cokernel(IntegerMatrix.from_columns(K0_in_K, rank), [0] * rank)
     return HomGroup(M, N, sides, group, K, proj, K_snf)

@@ -53,12 +53,10 @@ def _pairing_matrices(P: Bimodule, F: list[IntegerMatrix],
                for Fa in F for j in range(P.rank)]
     co_cols = []
     for i in range(P.rank):
+        # column l of R_i is p_i . s_l, so p -> p_i . f_a(p) is R_i @ F_a
+        R_i = IntegerMatrix.from_columns([rho.column(i) for rho in P.right_action], P.rank)
         for Fa in F:
-            cols = []
-            for j in range(P.rank):
-                op = combine_matrices(P.right_action, Fa.column(j))
-                cols.append(list(P.carrier.reduce(op.column(i))))
-            op_matrix = IntegerMatrix.from_columns(cols, P.rank)
+            op_matrix = P.carrier.reduce_columns(R_i @ Fa)
             co_cols.append(list(E.coordinates_of(op_matrix)))
     return (IntegerMatrix.from_columns(ev_cols, S.rank),
             IntegerMatrix.from_columns(co_cols, E.ring.rank))

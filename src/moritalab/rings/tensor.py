@@ -7,38 +7,26 @@ the additive generators s of S.  Everything downstream (induced maps,
 associators, unitors) factors through that presentation, and a map out of
 the ambient group is well defined on the tensor exactly when it kills the
 relation lattice basis the presentation keeps.
+
+Every map here is a Kronecker formula on the pair index i * n_N + j, the
+index of ``exact.kron`` and of ``wstar.fusion``: the relations of s are
+the columns of rho_s (x) 1 - 1 (x) lambda_s, the actions are transported
+as L (x) 1 and 1 (x) R, and the associator is
+proj_{A(BC)} . (1_A (x) proj_{BC}) . (sec_{AB} (x) 1_C) . sec_{(AB)C}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import NotBalanced, RingMismatch
-from ..exact import CokernelProjection, IntegerMatrix, cokernel
-from .base import matrices_congruent
+from ..exact import CokernelProjection, IntegerMatrix, cokernel, kron
+from .base import kron_differences, matrices_congruent, reduced_stack
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap
-
-
-def kron(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
-    rows = A.rows * B.rows
-    cols = A.cols * B.cols
-    data = [[0] * cols for _ in range(rows)]
-    for i in range(A.rows):
-        arow = A.data[i]
-        for k in range(B.rows):
-            brow = B.data[k]
-            out = data[i * B.rows + k]
-            for j in range(A.cols):
-                a = arow[j]
-                if not a:
-                    continue
-                base = j * B.cols
-                for l in range(B.cols):
-                    out[base + l] = a * brow[l]
-    return IntegerMatrix.adopt(data, rows, cols)
 
 
 @dataclass
@@ -65,18 +53,7 @@ class TensorProduct:
 
     def pure(self, m: Sequence[int], n: Sequence[int]) -> tuple[int, ...]:
         """Image of the pure tensor m (x) n in the quotient coordinates."""
-        nN = self.right_factor.rank
-        amb = [0] * self.ambient_size
-        for i, a in enumerate(m):
-            if not a:
-                continue
-            for j, b in enumerate(n):
-                if b:
-                    amb[i * nN + j] = a * b
-        return self.projection.apply(amb)
-
-    def section(self, a: int) -> list[int]:
-        return self.projection.section(a)
+        return self.projection.apply([a * b for a in m for b in n])
 
 
 def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
@@ -89,56 +66,18 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     amb = nM * nN
     moduli = tuple(gcd(cM[i], cN[j]) for i in range(nM) for j in range(nN))
 
-    # relations only matter modulo the pair orders, which the lattice holds
-    rel_cols: dict[tuple[int, ...], None] = {}
-    for g in range(S.rank):
-        rho = M.right_action[g]
-        lam = N.left_action[g]
-        for i in range(nM):
-            for j in range(nN):
-                col = [0] * amb
-                for k in range(nM):
-                    v = rho.data[k][i]
-                    if v:
-                        col[k * nN + j] += v
-                for l in range(nN):
-                    v = lam.data[l][j]
-                    if v:
-                        col[i * nN + l] -= v
-                col = tuple(v % d for v, d in zip(col, moduli))
-                if any(col):
-                    rel_cols[col] = None
+    # generator g relates column (i, j) of rho_g (x) 1 - 1 (x) lambda_g to
+    # zero.  Relations only matter modulo the pair orders, which the
+    # lattice holds; the pair order of (k, l) divides ord e_k and ord f_l,
+    # so rho_g and lambda_g may be read modulo their row orders first.
+    D = kron_differences(reduced_stack(M.right_action, cM), reduced_stack(N.left_action, cN))
+    cols = D.transpose(0, 2, 1).reshape(S.rank * amb, amb) % np.array(moduli, dtype=object)
+    rel_cols = dict.fromkeys(tuple(c) for c in cols.tolist() if any(c))
     relations = IntegerMatrix.from_columns(list(rel_cols), amb)
     group, proj = cokernel(relations, list(moduli))
-
-    def act_left(Lr: IntegerMatrix, v: list[int]) -> list[int]:
-        # (Lr (x) 1) v: row block i of v moves to row block k with weight Lr[k][i]
-        out = [0] * amb
-        for i in range(nM):
-            row = v[i * nN:(i + 1) * nN]
-            if not any(row):
-                continue
-            for k in range(nM):
-                c = Lr.data[k][i]
-                if not c:
-                    continue
-                base = k * nN
-                for j in range(nN):
-                    if row[j]:
-                        out[base + j] += c * row[j]
-        return out
-
-    def act_right(Rt: IntegerMatrix, v: list[int]) -> list[int]:
-        # (1 (x) Rt) v: Rt acts on each row block of v
-        out = [0] * amb
-        for i in range(nM):
-            row = v[i * nN:(i + 1) * nN]
-            if any(row):
-                out[i * nN:(i + 1) * nN] = Rt.apply(row)
-        return out
-
-    lamT = tuple(proj.transport(partial(act_left, Lr)) for Lr in M.left_action)
-    rhoT = tuple(proj.transport(partial(act_right, Rt)) for Rt in N.right_action)
+    one_M, one_N = IntegerMatrix.identity(nM), IntegerMatrix.identity(nN)
+    lamT = tuple(proj.transport(kron(L, one_N)) for L in M.left_action)
+    rhoT = tuple(proj.transport(kron(one_M, R)) for R in N.right_action)
 
     label = name or (f"{M.name}(x){N.name}" if M.name and N.name else "")
     module = Bimodule(M.left_ring, N.right_ring, group, lamT, rhoT, name=label)
@@ -197,46 +136,12 @@ def tensor_associator(t_ab: TensorProduct, t_ab_c: TensorProduct,
         raise ValueError("(A(x)B)(x)C must be built on the A(x)B presentation")
     if t_a_bc.right_factor is not t_bc.module:
         raise ValueError("A(x)(B(x)C) must be built on the B(x)C presentation")
-    A = t_ab.left_factor
-    B = t_ab.right_factor
-    C = t_ab_c.right_factor
-    nA, nB, nC = A.rank, B.rank, C.rank
-    nBC = t_bc.module.rank
-
-    pure_bc = {}
-    eB = [0] * nB
-    eC = [0] * nC
-    for j in range(nB):
-        eB[j] = 1
-        for k in range(nC):
-            eC[k] = 1
-            pure_bc[(j, k)] = t_bc.pure(eB, eC)
-            eC[k] = 0
-        eB[j] = 0
-
-    def act(v: list[int]) -> list[int]:
-        # v is indexed by (x, k), x a generator of A(x)B; the result by (i, y),
-        # y a generator of B(x)C, through (a (x) b) (x) c -> a (x) (b (x) c)
-        amb = [0] * (nA * nBC)
-        for x in range(t_ab.module.rank):
-            for k in range(nC):
-                c1 = v[x * nC + k]
-                if not c1:
-                    continue
-                s = t_ab.section(x)  # indexed by (i, j)
-                for i in range(nA):
-                    for j in range(nB):
-                        c2 = s[i * nB + j]
-                        if not c2:
-                            continue
-                        w = pure_bc[(j, k)]
-                        base = i * nBC
-                        for y in range(nBC):
-                            if w[y]:
-                                amb[base + y] += c1 * c2 * w[y]
-        return amb
-
-    matrix = t_a_bc.projection.transport(act, t_ab_c.projection.section_matrix)
+    # proj_{A(BC)} . (1_A (x) proj_{BC}) . (sec_{AB} (x) 1_C) . sec_{(AB)C}
+    one_A = IntegerMatrix.identity(t_ab.left_factor.rank)
+    one_C = IntegerMatrix.identity(t_ab_c.right_factor.rank)
+    to_a_bc = kron(one_A, t_bc.projection.matrix)
+    from_ab_c = kron(t_ab.projection.section_matrix, one_C) @ t_ab_c.projection.section_matrix
+    matrix = t_a_bc.projection.transport(to_a_bc, from_ab_c)
     return BimoduleMap(t_ab_c.module, t_a_bc.module, matrix, BOTH_SIDES)
 
 

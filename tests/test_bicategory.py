@@ -29,6 +29,7 @@ from moritalab.rings.bimodules import (
 )
 from moritalab.rings.families import CoherencePool
 from moritalab.wstar import (
+    Intertwiner,
     MultiMatrixAlgebra,
     block_correspondence,
     conjugate_correspondence,
@@ -217,6 +218,13 @@ class TestWStarCoherence:
         I = inst.identity(M2)
         res = verify_pentagon(inst, I, I, H, conjugate_correspondence(H))
         assert res.holds
+
+    def test_invertible_2cell_is_relative_to_the_largest_singular_value(self):
+        inst = WStarBicategory()
+        H = vector_correspondence(2)
+        assert inst.invertible_2cell(Intertwiner(H, H, 1e-9 * np.eye(2)))
+        assert not inst.invertible_2cell(Intertwiner(H, H, np.diag([1e9, 1.0])))
+        assert not inst.invertible_2cell(Intertwiner(H, H, np.zeros((2, 2))))
 
     def test_not_composable(self):
         inst = WStarBicategory()

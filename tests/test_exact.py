@@ -20,6 +20,8 @@ from moritalab.exact import (
     IntegerMatrix,
     cokernel,
     determinant,
+    direct_sum,
+    kron,
     lattice_basis,
     lattice_column_basis,
     smith_normal_form,
@@ -327,6 +329,60 @@ def test_lattice_column_basis_spans_same_lattice():
     # both generating sets must produce the same subgroup mod a big modulus
     mod = [24, 24]
     assert subgroup_closure(M.columns(), mod) == subgroup_closure(B.columns(), mod)
+
+
+# ------------------------------------------------- Kronecker and block maps
+
+def _matrix(data, rows, cols):
+    entries = data.draw(st.lists(st.integers(-5, 5), min_size=rows * cols,
+                                 max_size=rows * cols))
+    return IntegerMatrix([entries[i * cols:(i + 1) * cols] for i in range(rows)], rows, cols)
+
+
+_dims = st.integers(0, 3)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_dims, _dims, _dims, _dims, st.data())
+def test_kron_matches_its_index_definition(ar, ac, br, bc, data):
+    A, B = _matrix(data, ar, ac), _matrix(data, br, bc)
+    K = kron(A, B)
+    assert (K.rows, K.cols) == (ar * br, ac * bc)
+    assert len(K.data) == K.rows and all(len(row) == K.cols for row in K.data)
+    for i, j, k, l in product(range(ar), range(ac), range(br), range(bc)):
+        assert K.data[i * br + k][j * bc + l] == A.data[i][j] * B.data[k][l]
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_dims, _dims, _dims, _dims, st.data())
+def test_direct_sum_matches_its_index_definition(ar, ac, br, bc, data):
+    A, B = _matrix(data, ar, ac), _matrix(data, br, bc)
+    D = direct_sum(A, B)
+    assert (D.rows, D.cols) == (ar + br, ac + bc)
+    assert len(D.data) == D.rows and all(len(row) == D.cols for row in D.data)
+    for r, c in product(range(D.rows), range(D.cols)):
+        if r < ar and c < ac:
+            want = A.data[r][c]
+        elif r >= ar and c >= ac:
+            want = B.data[r - ar][c - ac]
+        else:
+            want = 0
+        assert D.data[r][c] == want
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_transport_projects_the_image_of_each_section_column(n, m, width, data):
+    moduli = data.draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=n, max_size=n))
+    group, proj = cokernel(_matrix(data, n, m), moduli)
+    K = _matrix(data, n, n)
+    section = _matrix(data, n, width)
+    T = proj.transport(K, section)
+    assert (T.rows, T.cols) == (group.rank, width)
+    assert T.columns() == [list(proj.apply(K.apply(col))) for col in section.columns()]
+    own = proj.transport(K)
+    assert own.columns() == [list(proj.apply(K.apply(proj.section(a))))
+                             for a in range(group.rank)]
 
 
 # ------------------------------------------------------------ the group

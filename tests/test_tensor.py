@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moritalab.errors import NotBalanced, RingMismatch
-from moritalab.exact import IntegerMatrix, determinant
+from moritalab.exact import IntegerMatrix, determinant, kron
 from moritalab.rings import (
+    Bimodule,
     BimoduleMap,
     column_module,
     cyclic_ring,
     factor_through_tensor,
+    hom_group,
     identity_map,
     invert_bimodule_map,
     left_unitor,
@@ -35,6 +37,7 @@ from moritalab.rings import (
     truncated_polynomial_ring,
     zero_bimodule,
 )
+from moritalab.rings.base import kron_differences, reduced_stack
 
 from oracles import tensor_invariants_oracle
 
@@ -311,3 +314,83 @@ class TestFactorThrough:
         amb = IntegerMatrix([[1]])  # 2.(m (x) n) = 0 but 2.1 != 0 in Z4
         with pytest.raises(NotBalanced):
             factor_through_tensor(tp, amb, target)
+
+
+def _square_stack(data, k, n):
+    return [IntegerMatrix([data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+                           for _ in range(n)], n, n) for _ in range(k)]
+
+
+class TestKroneckerStack:
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_stack_is_x_kron_one_minus_one_kron_y(self, k, a, b, data):
+        X, Y = _square_stack(data, k, a), _square_stack(data, k, b)
+        fa, fb = (data.draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=n, max_size=n))
+                  for n in (a, b))
+        D = kron_differences(reduced_stack(X, fa), reduced_stack(Y, fb))
+        assert D.shape == (k, a * b, a * b)
+
+        def reduced(M, fs):
+            return IntegerMatrix([[v % f for v in row] for row, f in zip(M.data, fs)], M.rows, M.cols)
+
+        one_a, one_b = IntegerMatrix.identity(a), IntegerMatrix.identity(b)
+        for g in range(k):
+            left, right = kron(reduced(X[g], fa), one_b), kron(one_a, reduced(Y[g], fb))
+            assert D[g].tolist() == [[u - v for u, v in zip(ru, rv)]
+                                     for ru, rv in zip(left.data, right.data)]
+
+    def test_zero_bimodule_hom_and_tensor(self):
+        Z4 = cyclic_ring(4)
+        Z = zero_bimodule(Z4, Z4)
+        for side in ("left", "right", "both"):
+            assert hom_group(Z, regular_bimodule(Z4), side).rank == 0
+            assert hom_group(regular_bimodule(Z4), Z, side).rank == 0
+        assert tensor_product(Z, Z).module.rank == 0
+
+
+def _shifted(B: Bimodule) -> Bimodule:
+    """B with every action entry in row a moved by 2^80 times the a-th factor."""
+    fs = B.carrier.invariant_factors
+
+    def shift(mats):
+        return tuple(IntegerMatrix([[v + 2 ** 80 * f for v in row]
+                                    for row, f in zip(M.data, fs)], M.rows, M.cols)
+                     for M in mats)
+
+    return Bimodule(B.left_ring, B.right_ring, B.carrier, shift(B.left_action),
+                    shift(B.right_action), name=B.name)
+
+
+def _past_int64_pairs():
+    Z4, F = cyclic_ring(4), truncated_polynomial_ring(2, 2)
+    out = [(regular_bimodule(Z4), scalar_bimodule(Z4, Z4, 2)),
+           (regular_bimodule(F), regular_bimodule(F))]
+    for R in (Z4, F):
+        Mn = matrix_ring(R, 2)
+        col, row = column_module(R, 2, Mn), row_module(R, 2, Mn)
+        out += [(col, row), (row, col)]
+    return out
+
+
+class TestExactPastInt64:
+    @pytest.mark.parametrize("idx", range(6))
+    def test_shifted_tensor_equals_the_reduced_one(self, idx):
+        M, N = _past_int64_pairs()[idx]
+        tp = tensor_product(M, N)
+        big = tensor_product(_shifted(M), _shifted(N))
+        assert big.module.carrier == tp.module.carrier
+        assert big.module.left_action == tp.module.left_action
+        assert big.module.right_action == tp.module.right_action
+
+    @pytest.mark.parametrize("idx", range(6))
+    def test_shifted_hom_equals_the_reduced_one(self, idx):
+        M = _past_int64_pairs()[idx][0]
+        big = _shifted(M)
+        for side in ("left", "right", "both"):
+            H, Hb = hom_group(M, M, side), hom_group(big, big, side)
+            assert Hb.group == H.group
+            for X in H.generator_matrices():
+                Hb.coordinates(X)
+            for X in Hb.generator_matrices():
+                H.coordinates(X)
