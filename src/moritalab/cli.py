@@ -102,8 +102,8 @@ def _task_morita_ring(spec: SpecFile, task: dict, opts: _Options):
         return REFUTED, cert.reason, {"reason": cert.reason}, 0.0
     data = {
         "inverse_carrier": list(cert.inverse.carrier.invariant_factors),
-        "iso_to_left": cert.iso_to_left.matrix.data,
-        "iso_to_right": cert.iso_to_right.matrix.data,
+        "iso_to_left": cert.iso_to_left.matrix.tolist(),
+        "iso_to_right": cert.iso_to_right.matrix.tolist(),
     }
     if task.get("check_end_ring"):
         E = end_ring(P)

@@ -1,11 +1,14 @@
 """Exact linear algebra over the integers.
 
-Everything in this module is exact and deterministic.  Matrices carry
-arbitrary-precision Python integers, Smith normal form uses a fixed
-pivoting rule (smallest absolute value, ties broken by lowest (row, col)),
-and group presentations derived from it are therefore reproducible across
-runs.  Downstream code leans on that: quotient presentations, solution
-lattices and hom bases all come out of the functions here.
+Everything in this module is exact and deterministic.  The ring side has
+one storage: an ``IntegerMatrix`` wraps one object-dtype numpy array of
+arbitrary-precision Python integers, and products, Kronecker products,
+block sums and reductions are array expressions on it.  Smith normal
+form pivots one scalar at a time on a private list copy, with a fixed
+rule (smallest absolute value, ties broken by lowest (row, col)), so
+group presentations derived from it are reproducible across runs.
+Downstream code leans on that: quotient presentations, solution lattices
+and hom bases all come out of the functions here.
 
 Conventions:
 
@@ -23,100 +26,148 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import InfiniteQuotient, NoSolution
 
 
 class IntegerMatrix:
-    """Dense matrix of arbitrary-precision integers."""
+    """Dense integer matrix on one object-dtype numpy array of Python ints.
 
-    __slots__ = ("rows", "cols", "data")
+    Python ints never overflow, so every product, sum and remainder of
+    these arrays is exact.  The constructor is the one boundary: it
+    converts each entry with ``int()`` and checks the shape, so no
+    fixed-width numpy integer gets in.  Arithmetic on the array yields
+    Python ints again, and ``adopt`` wraps such a result as it is.
+    Matrices are treated as immutable: no routine writes to ``array``.
+    """
+
+    __slots__ = ("array",)
 
     def __init__(self, data: Sequence[Sequence[int]], rows: int | None = None,
                  cols: int | None = None):
-        mat = [list(map(int, row)) for row in data]
+        mat = [[int(v) for v in row] for row in data]
         if rows is None:
             rows = len(mat)
         if cols is None:
             cols = len(mat[0]) if mat else 0
-        self.rows = rows
-        self.cols = cols
-        self.data = mat
         if len(mat) != rows or any(len(r) != cols for r in mat):
             raise ValueError("inconsistent matrix shape")
+        self.array = np.array(mat, dtype=object).reshape(rows, cols)
 
     @classmethod
-    def adopt(cls, data: list[list[int]], rows: int, cols: int) -> "IntegerMatrix":
-        """Take freshly built, unshared int rows as they are: no copy or shape check."""
+    def adopt(cls, array: np.ndarray) -> "IntegerMatrix":
+        """Wrap a 2-d object array of Python ints as it is: no copy or conversion."""
         M = cls.__new__(cls)
-        M.rows, M.cols, M.data = rows, cols, data
+        M.array = array
         return M
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls.adopt([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
+        return cls.adopt(np.eye(n, dtype=object))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls.adopt([[0] * cols for _ in range(rows)], rows, cols)
+        return cls.adopt(np.zeros((rows, cols), dtype=object))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntegerMatrix":
         cols = list(columns)
         if rows is None:
             rows = len(cols[0]) if cols else 0
-        return cls.adopt([[int(c[i]) for c in cols] for i in range(rows)], rows, len(cols))
+        return cls.adopt(cls(cols, len(cols), rows).array.T)
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    def tolist(self) -> list[list[int]]:
+        return self.array.tolist()
 
     def column(self, j: int) -> list[int]:
-        return [self.data[i][j] for i in range(self.rows)]
+        return self.array[:, j].tolist()
 
     def columns(self) -> list[list[int]]:
-        return [self.column(j) for j in range(self.cols)]
+        return self.array.T.tolist()
 
     def apply(self, vec: Sequence[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        support = [(j, v) for j, v in enumerate(vec) if v]
-        return [sum(row[j] * v for j, v in support) for row in self.data]
+        # most vectors applied are unit vectors: sum the columns of the support
+        out = np.zeros(self.rows, dtype=object)
+        for j, v in enumerate(vec):
+            if v:
+                out += self.array[:, j] * int(v)
+        return out.tolist()
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        od = other.data
-        out = []
-        for row in self.data:
-            acc = [0] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    ok = od[k]
-                    for j in range(other.cols):
-                        acc[j] += a * ok[j]
-            out.append(acc)
-        return IntegerMatrix.adopt(out, self.rows, other.cols)
+        return IntegerMatrix.adopt(_product(self.array, other.array))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, IntegerMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+        return (isinstance(other, IntegerMatrix) and self.array.shape == other.array.shape
+                and bool((self.array == other.array).all()))
 
     def __hash__(self):  # pragma: no cover - mutable, do not hash
         raise TypeError("IntegerMatrix is unhashable")
 
     def __repr__(self) -> str:
-        return f"IntegerMatrix({self.data!r})"
+        return f"IntegerMatrix({self.tolist()!r})"
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Exact A @ B of object arrays, multiplying only A's nonzero entries.
+
+    Projections, sections and Kronecker factors are mostly zeros, and an
+    object product pays for every entry it multiplies; a left factor at
+    least a quarter nonzero takes the plain product.
+    """
+    i, k = np.nonzero(A)
+    if 4 * len(i) > A.size:
+        return A @ B
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=object)
+    np.add.at(out, i, A[i, k][:, None] * B[k])
+    return out
+
+
+def moduli_column(moduli: Sequence[int]) -> np.ndarray:
+    """moduli as an exact (n, 1) column: ``array % moduli_column(f)`` reads row a mod f[a]."""
+    return np.array(moduli, dtype=object).reshape(-1, 1)
 
 
 def kron(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
     """Kronecker product: entry (i * B.rows + k, j * B.cols + l) is A[i][j] * B[k][l]."""
-    data = []
-    for arow in A.data:
-        for brow in B.data:
-            data.append([a * b for a in arow for b in brow])
-    return IntegerMatrix.adopt(data, A.rows * B.rows, A.cols * B.cols)
+    blocks = A.array[:, None, :, None] * B.array[None, :, None, :]
+    return IntegerMatrix.adopt(blocks.reshape(A.rows * B.rows, A.cols * B.cols))
+
+
+def kron_apply(A: IntegerMatrix, B: IntegerMatrix, X: IntegerMatrix) -> IntegerMatrix:
+    """kron(A, B) @ X without forming the Kronecker product.
+
+    Each column of X is read as an A.cols x B.cols block Y, sent to
+    A Y B^T, so a column costs A.rows A.cols B.cols + A.rows B.rows B.cols
+    products instead of A.rows B.rows A.cols B.cols.
+    """
+    if X.rows != A.cols * B.cols:
+        raise ValueError("dimension mismatch")
+    w = X.cols
+    AY = _product(A.array, X.array.reshape(A.cols, B.cols * w))  # rows i, columns (l, c)
+    AY = AY.reshape(A.rows, B.cols, w).transpose(1, 0, 2).reshape(B.cols, A.rows * w)
+    out = _product(B.array, AY).reshape(B.rows, A.rows, w).transpose(1, 0, 2)
+    return IntegerMatrix.adopt(out.reshape(A.rows * B.rows, w))
 
 
 def direct_sum(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
     """Block-diagonal matrix with A above left and B below right."""
-    data = [row + [0] * B.cols for row in A.data] + [[0] * A.cols + row for row in B.data]
-    return IntegerMatrix.adopt(data, A.rows + B.rows, A.cols + B.cols)
+    out = np.zeros((A.rows + B.rows, A.cols + B.cols), dtype=object)
+    out[:A.rows, :A.cols] = A.array
+    out[A.rows:, A.cols:] = B.array
+    return IntegerMatrix.adopt(out)
 
 
 def determinant(A: IntegerMatrix) -> int:
@@ -126,7 +177,7 @@ def determinant(A: IntegerMatrix) -> int:
     n = A.rows
     if n == 0:
         return 1
-    M = [row[:] for row in A.data]
+    M = A.array.tolist()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -156,8 +207,7 @@ class SmithDecomposition:
     U_inv: IntegerMatrix
 
     def diagonal(self) -> list[int]:
-        k = min(self.D.rows, self.D.cols)
-        return [self.D.data[i][i] for i in range(k)]
+        return self.D.array.diagonal().tolist()
 
     def solve(self, target: Sequence[int]) -> list[int] | None:
         """One integer solution x of ``A x = target`` exactly, or None.
@@ -190,7 +240,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     returned with U = V = I.
     """
     m, n = A.rows, A.cols
-    D = [row[:] for row in A.data]
+    D = A.array.tolist()
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -300,9 +350,10 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             row_sub(t, offender, -1)  # fold the offending row in, shrink the pivot gcd
         t += 1
 
-    return SmithDecomposition(
-        IntegerMatrix.adopt(U, m, m), IntegerMatrix.adopt(D, m, n),
-        IntegerMatrix.adopt(V, n, n), IntegerMatrix.adopt(Uinv, m, m))
+    def wrap(lists: list[list[int]], rows: int, cols: int) -> IntegerMatrix:
+        return IntegerMatrix.adopt(np.array(lists, dtype=object).reshape(rows, cols))
+
+    return SmithDecomposition(wrap(U, m, m), wrap(D, m, n), wrap(V, n, n), wrap(Uinv, m, m))
 
 
 @dataclass(frozen=True)
@@ -347,9 +398,7 @@ class FiniteAbelianGroup:
         """M with every column reduced to an element of this group."""
         if M.rows != self.rank:
             raise ValueError("element length mismatch")
-        return IntegerMatrix.adopt([[v % d for v in row]
-                                    for row, d in zip(M.data, self.invariant_factors)],
-                                   M.rows, M.cols)
+        return IntegerMatrix.adopt(M.array % moduli_column(self.invariant_factors))
 
     def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return self.reduce([x + y for x, y in zip(a, b)])
@@ -409,6 +458,10 @@ class CokernelProjection:
     def section(self, index: int) -> list[int]:
         return self.section_matrix.column(index)
 
+    def project(self, X: IntegerMatrix) -> IntegerMatrix:
+        """``apply`` on every column of X: quotient coordinates, reduced."""
+        return self.group.reduce_columns(self.matrix @ X)
+
     def transport(self, K: IntegerMatrix,
                   section: IntegerMatrix | None = None) -> IntegerMatrix:
         """Matrix of ``apply . K`` on the columns of a section.
@@ -419,20 +472,22 @@ class CokernelProjection:
         """
         if section is None:
             section = self.section_matrix
-        return self.group.reduce_columns(self.matrix @ (K @ section))
+        return self.project(K @ section)
 
 
 def _scaled_columns(M: IntegerMatrix, scales: Sequence[int]) -> IntegerMatrix:
     """The columns scales[i] * M[:, i] for every nonzero scale, in order."""
-    cols = [[d * v for v in M.column(i)] for i, d in enumerate(scales) if d]
-    return IntegerMatrix.from_columns(cols, M.rows)
+    keep = [i for i, d in enumerate(scales) if d]
+    return IntegerMatrix.adopt(M.array[:, keep] * np.array([scales[i] for i in keep], dtype=object))
 
 
 def _with_moduli(A: IntegerMatrix, moduli: Sequence[int]) -> IntegerMatrix:
     """[A | diag(moduli)]: A's columns followed by one modulus relation per row."""
-    n = A.rows
-    return IntegerMatrix.adopt([row + [moduli[i] if j == i else 0 for j in range(n)]
-                                for i, row in enumerate(A.data)], n, A.cols + n)
+    n, m = A.rows, A.cols
+    out = np.zeros((n, m + n), dtype=object)
+    out[:, :m] = A.array
+    out[range(n), range(m, m + n)] = moduli
+    return IntegerMatrix.adopt(out)
 
 
 def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGroup, CokernelProjection]:
@@ -451,10 +506,8 @@ def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGrou
         raise InfiniteQuotient("quotient has a free direction")
     surviving = [i for i, d in enumerate(diag) if d > 1]
     group = FiniteAbelianGroup(tuple(diag[i] for i in surviving))
-    proj_rows = [dec.U.data[i][:] for i in surviving]
-    section_cols = [dec.U_inv.column(i) for i in surviving]
-    proj = CokernelProjection(group, IntegerMatrix.adopt(proj_rows, len(surviving), n),
-                              IntegerMatrix.from_columns(section_cols, n),
+    proj = CokernelProjection(group, IntegerMatrix.adopt(dec.U.array[surviving]),
+                              IntegerMatrix.adopt(dec.U_inv.array[:, surviving]),
                               _scaled_columns(dec.U_inv, diag))
     return group, proj
 
@@ -483,14 +536,8 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
     if z is None:
         raise NoSolution("no integer solution")
     diag = dec.diagonal()
-    kernel_cols = []
-    for j in range(m + n):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            col = dec.V.column(j)[:m]
-            if any(col):
-                kernel_cols.append(col)
-    kernel = lattice_column_basis(IntegerMatrix.from_columns(kernel_cols, m))
+    free = dec.V.array[:m, [j for j in range(m + n) if j >= len(diag) or not diag[j]]]
+    kernel = lattice_column_basis(IntegerMatrix.adopt(free[:, (free != 0).any(axis=0)]))
     return CongruenceSolution(z[:m], kernel)
 
 
@@ -502,16 +549,15 @@ def invert_group_map(T: IntegerMatrix, source: FiniteAbelianGroup,
     result is a reduced preimage of the i-th target generator.  Raises
     NoSolution when T is not onto and ValueError when it is not one-to-one.
     """
-    tfs = list(target.invariant_factors)
-    cols = []
-    for i in range(target.rank):
-        e = [1 if j == i else 0 for j in range(target.rank)]
-        cols.append(list(source.reduce(solve_congruences(T, tfs, e).particular)))
-    inv = IntegerMatrix.from_columns(cols, source.rank)
-    back = inv @ T
-    for i, (row, d) in enumerate(zip(back.data, source.invariant_factors)):
-        if any((v - (1 if j == i else 0)) % d for j, v in enumerate(row)):
-            raise ValueError("map is not injective")
+    dec = smith_normal_form(_with_moduli(T, target.invariant_factors))
+    cols = [dec.solve(e) for e in IntegerMatrix.identity(target.rank).columns()]
+    if any(c is None for c in cols):
+        raise NoSolution("no integer solution")
+    inv = IntegerMatrix.from_columns([source.reduce(c[:source.rank]) for c in cols],
+                                     source.rank)
+    back = (inv @ T).array - np.identity(source.rank, dtype=object)
+    if (back % moduli_column(source.invariant_factors)).any():
+        raise ValueError("map is not injective")
     return inv
 
 
@@ -525,10 +571,8 @@ def lattice_basis(M: IntegerMatrix) -> tuple[IntegerMatrix, SmithDecomposition]:
     dec = smith_normal_form(M)
     diag = [d for d in dec.diagonal() if d]
     L = _scaled_columns(dec.U_inv, diag)
-    r = L.cols
-    D = IntegerMatrix.adopt([[diag[i] if i == j else 0 for j in range(r)]
-                             for i in range(M.rows)], M.rows, r)
-    return L, SmithDecomposition(dec.U, D, IntegerMatrix.identity(r), dec.U_inv)
+    D = _scaled_columns(IntegerMatrix.identity(M.rows), diag)
+    return L, SmithDecomposition(dec.U, D, IntegerMatrix.identity(L.cols), dec.U_inv)
 
 
 def lattice_column_basis(M: IntegerMatrix) -> IntegerMatrix:

@@ -1,7 +1,14 @@
 """Finite unital rings and the one exact law checker of the ring layer.
 
 A ring is a finite abelian group together with a multiplication tensor
-on its generators: ``mult[i][j]`` holds the coordinates of e_i * e_j.
+on its generators: ``mult[i][j]`` holds the coordinates of e_i * e_j,
+and ``table`` holds the same tensor as one exact (k, k, k) object array.
+Products and the left and right multiplication matrices are
+contractions of that array with an element's coordinates.  Like every
+``IntegerMatrix``, the matrices here and the helpers below
+(``combine_matrices``, ``matrices_congruent``, ``is_group_map``,
+``reduced_stack``) work on object-dtype arrays of Python ints, so they
+are exact at any size.
 
 Every ring and bimodule law is checked on generator matrices by
 ``broken_law``, which names the first law a family of integer matrices
@@ -28,7 +35,9 @@ are single broadcasts; "multiplicative" checks row i of the table
 against all j at once, in O(k n^2) memory.  Sums of w products of
 reduced entries stay below w (N - 1)^2, so ``law_dtype`` picks int64 when
 that is below 2^63 for w = max(n, k), and object (exact Python integers)
-above it; both dtypes run the same code.
+above it; both dtypes run the same code.  Entries are always reduced in
+object dtype first and cast afterwards, so an unreduced entry past 2^63
+never meets an int64.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import UnitDegenerate
-from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel, direct_sum
+from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel, direct_sum, moduli_column
 
 Vector = tuple[int, ...]
 
@@ -52,40 +61,24 @@ def combine_matrices(mats: Sequence[IntegerMatrix], coeffs: Sequence[int]) -> In
     """Integer linear combination sum_i coeffs[i] * mats[i]."""
     if not mats:
         return IntegerMatrix.zeros(0, 0)
-    rows, cols = mats[0].rows, mats[0].cols
-    acc = [[0] * cols for _ in range(rows)]
-    for c, m in zip(map(int, coeffs), mats):
-        if not c:
-            continue
-        for i in range(rows):
-            mrow = m.data[i]
-            arow = acc[i]
-            for j in range(cols):
-                arow[j] += c * mrow[j]
-    return IntegerMatrix.adopt(acc, rows, cols)
+    stack = np.array([M.array for M in mats], dtype=object)
+    return IntegerMatrix.adopt(np.tensordot(np.array(coeffs, dtype=object), stack, 1))
 
 
 def matrices_congruent(A: IntegerMatrix, B: IntegerMatrix,
                        row_moduli: Sequence[int]) -> bool:
     """Entry-wise congruence modulo the order of each target generator."""
-    if A.rows != B.rows or A.cols != B.cols:
-        return False
-    for i in range(A.rows):
-        d = row_moduli[i]
-        ra, rb = A.data[i], B.data[i]
-        for j in range(A.cols):
-            if (ra[j] - rb[j]) % d:
-                return False
-    return True
+    return (A.array.shape == B.array.shape
+            and not ((A.array - B.array) % moduli_column(row_moduli)).any())
 
 
 def is_group_map(M: IntegerMatrix, src_factors: Sequence[int],
                  tgt_factors: Sequence[int]) -> bool:
     """M is a well-defined map of the groups: M[i][j] * s_j = 0 (mod t_i)."""
-    if M.rows != len(tgt_factors) or M.cols != len(src_factors):
+    if M.array.shape != (len(tgt_factors), len(src_factors)):
         return False
-    return not any((v * s) % t for row, t in zip(M.data, tgt_factors)
-                   for v, s in zip(row, src_factors))
+    s = np.array(src_factors, dtype=object)
+    return not (M.array * s % moduli_column(tgt_factors)).any()
 
 
 def law_dtype(width: int, exponent: int) -> type:
@@ -93,31 +86,27 @@ def law_dtype(width: int, exponent: int) -> type:
     return np.int64 if width * (exponent - 1) ** 2 < 2 ** 63 else object
 
 
-def _reduced_array(values, shape: tuple[int, ...], modulus, dtype: type) -> np.ndarray:
-    """Nested integers reduced modulo modulus, then cast: exact at any size."""
-    try:
-        arr = np.array(values, dtype=dtype)
-    except OverflowError:
-        arr = np.array(values, dtype=object)
-    return (arr.reshape(shape) % modulus).astype(dtype, copy=False)
+def _reduced(values, modulus, dtype: type = object) -> np.ndarray:
+    """Integers reduced modulo modulus in exact arithmetic, then cast to dtype."""
+    return (np.array(values, dtype=object) % modulus).astype(dtype, copy=False)
 
 
-def stack_actions(mats: Sequence[IntegerMatrix], f: np.ndarray, dtype: type) -> np.ndarray:
-    """mats as one (k, n, n) array, row a reduced modulo the column f[a]."""
-    return _reduced_array([M.data for M in mats], (len(mats), len(f), len(f)), f, dtype)
-
-
-def reduced_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int]) -> np.ndarray:
-    """mats as one exact (k, n, n) array, row a reduced modulo factors[a]."""
-    return stack_actions(mats, np.array(factors, dtype=object).reshape(-1, 1), object)
+def reduced_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
+                  dtype: type = object) -> np.ndarray:
+    """mats as one (k, n, n) array, row a reduced modulo factors[a], cast to dtype."""
+    n = len(factors)
+    stack = np.array([M.array for M in mats], dtype=object).reshape(len(mats), n, n)
+    return _reduced(stack, moduli_column(factors), dtype)
 
 
 def kron_differences(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X[g] (x) 1 - 1 (x) Y[g] for every g, as one (k, a b, a b) array.
 
-    X is (k, a, a) and Y is (k, b, b); row and column (i, j) sit at
-    i * b + j, the pair index of ``kron``.
+    X is (k, a, a) and Y is (k, b, b), int64 or object; row and column
+    (i, j) sit at i * b + j, the pair index of ``kron``.  The result is
+    exact (object dtype).
     """
+    X, Y = X.astype(object, copy=False), Y.astype(object, copy=False)
     k, a, b = len(X), X.shape[1], Y.shape[1]
     D = np.zeros((k, a, b, a, b), dtype=object)
     # D[g, i, j, i', j'] = X[g, i, i'] [j = j'] - [i = i'] Y[g, j, j']
@@ -131,20 +120,21 @@ def _intertwined(X: np.ndarray, A: np.ndarray, B: np.ndarray, f: np.ndarray) -> 
     return not ((X @ A - B @ X) % f).any()
 
 
-def intertwines(M: IntegerMatrix, src_mats: Sequence[IntegerMatrix],
-                tgt_mats: Sequence[IntegerMatrix], src_factors: Sequence[int],
-                tgt_factors: Sequence[int]) -> bool:
-    """M @ A = B @ M modulo the target orders, for each pair (A, B).
+def intertwines(M: IntegerMatrix, src_stack: np.ndarray, tgt_stack: np.ndarray,
+                src_factors: Sequence[int], tgt_factors: Sequence[int]) -> bool:
+    """M @ A[j] = B[j] @ M modulo the target orders, for every j.
 
-    M must be a group map (``is_group_map``) and the actions well defined,
-    which makes reducing each row modulo its factor exact.
+    A = src_stack and B = tgt_stack are two families of actions as reduced
+    stacks (``reduced_stack``, or ``Bimodule.action_stack``), int64 or
+    object.  M must be a group map (``is_group_map``) and the actions well
+    defined, which makes reducing each row modulo its factor exact.
     """
     dtype = law_dtype(max(len(src_factors), len(tgt_factors)),
                       max(lcm(*src_factors), lcm(*tgt_factors)))
-    s, t = (np.array(fs, dtype=dtype).reshape(-1, 1) for fs in (src_factors, tgt_factors))
-    X = _reduced_array(M.data, (M.rows, M.cols), t, dtype)
-    return _intertwined(X, stack_actions(src_mats, s, dtype),
-                        stack_actions(tgt_mats, t, dtype), t)
+    X = _reduced(M.array, moduli_column(tgt_factors), dtype)
+    return _intertwined(X, src_stack.astype(dtype, copy=False),
+                        tgt_stack.astype(dtype, copy=False),
+                        np.array(tgt_factors, dtype=dtype).reshape(-1, 1))
 
 
 def stacks_commute(L: np.ndarray, P: np.ndarray, factors: Sequence[int]) -> bool:
@@ -163,19 +153,19 @@ def checked_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
     N = lcm(*factors)
     dtype = law_dtype(max(n, k), N)
     f = np.array(factors, dtype=dtype).reshape(n, 1)
-    A = stack_actions(mats, f, dtype)
+    A = reduced_stack(mats, factors, dtype)
     if (A * (f.T % f) % f).any():  # A[l, a, b] * f_b (mod f_a)
         return "well defined", A
-    orders = _reduced_array(ring.additive.invariant_factors, (k, 1, 1), N, dtype)
+    orders = _reduced(ring.additive.invariant_factors, N, dtype).reshape(k, 1, 1)
     if (orders * A % f).any():
         return "additive", A
-    table = _reduced_array(ring.table, (k, k, k), N, dtype)
+    table = ring.reduced_table(N, dtype)
     flat = A.reshape(k, n * n)
     for i in range(k):
         product = A @ A[i] if anti else A[i] @ A
         if ((product - (table[i] @ flat).reshape(k, n, n)) % f).any():
             return ("anti-multiplicative" if anti else "multiplicative"), A
-    unit = _reduced_array(ring.unit, (k,), N, dtype)
+    unit = _reduced(ring.unit, N, dtype)
     if (((unit @ flat).reshape(n, n) - np.eye(n, dtype=np.int64)) % f).any():
         return "unital", A
     return None, A
@@ -234,14 +224,21 @@ class FiniteRing:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The read-only (k, k, k) array table[i, j] = e_i * e_j."""
-        dtype = np.int64 if self.additive.exponent <= 2 ** 63 else object
-        table = np.array(self.mult, dtype=dtype).reshape((self.rank,) * 3)
+        """The read-only exact (k, k, k) array table[i, j] = e_i * e_j."""
+        table = np.array(self.mult, dtype=object).reshape((self.rank,) * 3)
         table.flags.writeable = False
         return table
 
-    def _gen(self, i: int) -> Vector:
-        return tuple(1 if j == i else 0 for j in range(self.additive.rank))
+    def reduced_table(self, N: int, dtype: type) -> np.ndarray:
+        """``table`` modulo N in dtype, built once per (N, dtype) the laws ask for."""
+        cache = self.__dict__.setdefault("_reduced_tables", {})
+        if (N, dtype) not in cache:
+            cache[N, dtype] = _reduced(self.table, N, dtype)
+        return cache[N, dtype]
+
+    def _contract(self, a: Sequence[int], axes: tuple[int, int, int]) -> np.ndarray:
+        """sum_i a_i table[...] with the table's axes permuted: a mult matrix."""
+        return self.table.transpose(axes) @ np.array(self.additive.reduce(a), dtype=object)
 
     # ------------------------------------------------------ element ops
 
@@ -259,8 +256,7 @@ class FiniteRing:
 
     @property
     def is_commutative(self) -> bool:
-        return all(self.mult[i][j] == self.mult[j][i]
-                   for i in range(self.rank) for j in range(i))
+        return bool((self.table == self.table.transpose(1, 0, 2)).all())
 
     def zero(self) -> Vector:
         return self.additive.zero()
@@ -276,29 +272,15 @@ class FiniteRing:
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> Vector:
         g = self.additive
-        acc = [0] * g.rank
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            row = self.mult[i]
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                prod_ij = row[j]
-                coeff = x * y
-                for l in range(g.rank):
-                    acc[l] += coeff * prod_ij[l]
-        return g.reduce(acc)
+        return g.reduce(self._contract(a, (2, 1, 0)) @ np.array(g.reduce(b), dtype=object))
 
     def left_mult_matrix(self, a: Sequence[int]) -> IntegerMatrix:
-        """Matrix of x -> a*x on generator coordinates."""
-        cols = [self.mul(a, self._gen(j)) for j in range(self.rank)]
-        return IntegerMatrix.from_columns(cols, self.rank)
+        """Matrix of x -> a*x on generator coordinates: entry (l, j) is (a e_j)_l."""
+        return self.additive.reduce_columns(IntegerMatrix.adopt(self._contract(a, (2, 1, 0))))
 
     def right_mult_matrix(self, a: Sequence[int]) -> IntegerMatrix:
-        """Matrix of x -> x*a on generator coordinates."""
-        cols = [self.mul(self._gen(j), a) for j in range(self.rank)]
-        return IntegerMatrix.from_columns(cols, self.rank)
+        """Matrix of x -> x*a on generator coordinates: entry (l, j) is (e_j a)_l."""
+        return self.additive.reduce_columns(IntegerMatrix.adopt(self._contract(a, (2, 0, 1))))
 
     def elements(self):
         return self.additive.elements()
@@ -336,49 +318,28 @@ def matrix_ring(R: FiniteRing, n: int) -> FiniteRing:
 
     Additive generators are indexed (l, i, j) with the ring-factor index
     l major so the invariant factors still form a divisibility chain.
+    The product of r_l e_ij and r_l2 e_i2j2 is [j = i2] (r_l r_l2) e_ij2.
     """
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    k = R.rank
     fs = R.additive.invariant_factors
-    factors = tuple(fs[l] for l in range(k) for _ in range(n * n))
-    g = FiniteAbelianGroup(factors)
-    rank = k * n * n
-
-    def idx(l: int, i: int, j: int) -> int:
-        return l * n * n + i * n + j
-
-    zero = (0,) * rank
-    mult_rows = []
-    for l in range(k):
-        for i in range(n):
-            for j in range(n):
-                row = []
-                for l2 in range(k):
-                    prod_ll2 = R.mult[l][l2]
-                    for i2 in range(n):
-                        for j2 in range(n):
-                            if j != i2:
-                                row.append(zero)
-                            else:
-                                vec = [0] * rank
-                                for m, c in enumerate(prod_ll2):
-                                    if c:
-                                        vec[idx(m, i, j2)] = c
-                                row.append(tuple(vec))
-                mult_rows.append(tuple(row))
-    unit = [0] * rank
-    for i in range(n):
-        for m, c in enumerate(R.unit):
-            unit[idx(m, i, i)] = c
+    g = FiniteAbelianGroup(tuple(f for f in fs for _ in range(n * n)))
+    rank = R.rank * n * n
+    I = np.identity(n, dtype=object)
+    # axes (l, i, j) x (l2, i2, j2) -> (m, i3, j3) of the product table
+    table = (R.table[:, None, None, :, None, None, :, None, None]
+             * I[None, None, :, None, :, None, None, None, None]   # j = i2
+             * I[None, :, None, None, None, None, None, :, None]   # i3 = i
+             * I[None, None, None, None, None, :, None, None, :])  # j3 = j2
+    unit = np.array(R.unit, dtype=object)[:, None, None] * I
     name = f"M_{n}({R.name})" if R.name else f"M_{n}"
-    return FiniteRing(g, tuple(mult_rows), tuple(unit), name=name)
+    return FiniteRing(g, table.reshape(rank, rank, rank).tolist(), unit.reshape(rank).tolist(),
+                      name=name)
 
 
 def opposite_ring(R: FiniteRing) -> FiniteRing:
     """Same group, multiplication reversed."""
-    k = R.rank
-    mult = tuple(tuple(R.mult[j][i] for j in range(k)) for i in range(k))
+    mult = R.table.transpose(1, 0, 2).tolist()
     name = R.name[:-3] if R.name.endswith("^op") else (R.name + "^op" if R.name else "")
     return FiniteRing(R.additive, mult, R.unit, name=name)
 

@@ -7,9 +7,12 @@ left matrices must represent the left ring, the right matrices must
 anti-represent the right ring, and ``stacks_commute`` compares
 lambda_i @ rho_j with rho_j @ lambda_i on the same two reduced stacks
 (int64, or object dtype past the overflow guard described in ``base``),
-one left generator against all right ones at a time.  A map must be a
-group map of the carriers (``is_group_map``) that intertwines the
-actions on its tagged sides (``intertwines``).
+one left generator against all right ones at a time.  The bimodule
+keeps those two checked stacks (``action_stack``): maps, hom groups and
+tensor products read the actions from them instead of re-stacking and
+re-reducing the matrices.  A map must be a group map of the carriers
+(``is_group_map``) that intertwines the actions on its tagged sides
+(``intertwines``).
 
 Maps carry a ``sides`` tag: hom computations for one-sided module maps
 reuse the same class with ``sides=("right",)`` or ``("left",)``.
@@ -20,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import NoSolution, RingMismatch
 from ..exact import (
     FiniteAbelianGroup,
@@ -27,6 +32,7 @@ from ..exact import (
     cokernel,
     direct_sum,
     invert_group_map,
+    kron,
     solve_congruences,
 )
 from .base import (
@@ -54,19 +60,30 @@ class Bimodule:
     left_action: tuple[IntegerMatrix, ...]
     right_action: tuple[IntegerMatrix, ...]
     name: str = field(default="", compare=False)
+    _stacks: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fs = self.carrier.invariant_factors
-        stacks = []
+        stacks = {}
         for side, mats, ring, anti in (
                 ("left", self.left_action, self.left_ring, False),
                 ("right", self.right_action, self.right_ring, True)):
             law, stack = checked_stack(mats, fs, ring, anti)
             if law is not None:
                 raise ValueError(f"{side} action is not {law}")
-            stacks.append(stack)
-        if not stacks_commute(*stacks, fs):
+            stack.flags.writeable = False
+            stacks[side] = stack
+        if not stacks_commute(stacks["left"], stacks["right"], fs):
             raise ValueError("left and right actions do not commute")
+        object.__setattr__(self, "_stacks", stacks)
+
+    def action_stack(self, side: str) -> np.ndarray:
+        """The side's actions as the read-only stack checked at construction.
+
+        One (k, n, n) array with row a reduced modulo f_a, in the dtype
+        ``law_dtype`` chose (int64 or object).
+        """
+        return self._stacks[side]
 
     # ----------------------------------------------------- element ops
 
@@ -75,12 +92,12 @@ class Bimodule:
         return self.carrier.rank
 
     def act_left(self, r: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
-        mat = combine_matrices(self.left_action, list(r))
-        return self.carrier.reduce(mat.apply(list(m)))
+        mat = combine_matrices(self.left_action, self.left_ring.additive.reduce(r))
+        return self.carrier.reduce(mat.apply(self.carrier.reduce(m)))
 
     def act_right(self, m: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
-        mat = combine_matrices(self.right_action, list(s))
-        return self.carrier.reduce(mat.apply(list(m)))
+        mat = combine_matrices(self.right_action, self.right_ring.additive.reduce(s))
+        return self.carrier.reduce(mat.apply(self.carrier.reduce(m)))
 
     def __repr__(self) -> str:
         label = self.name or f"carrier {self.carrier.invariant_factors}"
@@ -106,8 +123,8 @@ class BimoduleMap:
                 continue
             if getattr(src, f"{side}_ring") != getattr(tgt, f"{side}_ring"):
                 raise RingMismatch(f"{side} rings differ")
-            if not intertwines(self.matrix, getattr(src, f"{side}_action"),
-                               getattr(tgt, f"{side}_action"), sfs, tfs):
+            if not intertwines(self.matrix, src.action_stack(side),
+                               tgt.action_stack(side), sfs, tfs):
                 raise ValueError(f"map does not intertwine the {side} action")
 
     def apply(self, m: Sequence[int]) -> tuple[int, ...]:
@@ -199,43 +216,35 @@ def right_module(R: FiniteRing, carrier: FiniteAbelianGroup,
                     name=name)
 
 
-def _slot_action(R: FiniteRing, n: int, g: int, ring_left: bool,
-                 move: tuple[int, int] | None = None) -> IntegerMatrix:
-    """Generator g of R multiplying each entry of R^n, then moving slots.
-
-    The basis of R^n is (l, a): generator l of R in slot a.  Each entry is
-    multiplied by g on the left (ring_left) or on the right; move (src,
-    dst) then carries slot src to slot dst and kills the others, while
-    without move every slot stays.
-    """
-    rank = R.rank * n
-    rows = [[0] * rank for _ in range(rank)]
-    for l in range(R.rank):
-        prod = R.mult[g][l] if ring_left else R.mult[l][g]
-        for a in (range(n) if move is None else (move[0],)):
-            dst = a if move is None else move[1]
-            for m, cval in enumerate(prod):
-                if cval:
-                    rows[m * n + dst][l * n + a] = cval
-    return IntegerMatrix.adopt(rows, rank, rank)
-
-
 def _matrix_module(R: FiniteRing, n: int, Mn: FiniteRing | None,
                    columns: bool) -> Bimodule:
     """R^n with M_n(R) acting on one side and R scaling on the other.
 
-    The generator (g, i, j) of M_n(R) is r_g . e_ij; on columns it moves
-    slot j to slot i with r_g on the left, on rows slot i to slot j with
-    r_g on the right.
+    The basis of R^n is (l, a), generator l of R in slot a, at l * n + a,
+    so an action is M (x) S: M multiplies each entry, S moves the slots.
+    The generator (g, i, j) of M_n(R) is r_g . e_ij; on columns it is
+    L_g (x) e_ij, left multiplication by r_g moving slot j to slot i; on
+    rows it is R_g (x) e_ji.  The scalar r_g is R_g (x) 1 on columns and
+    L_g (x) 1 on rows.
     """
     if Mn is None:
         Mn = matrix_ring(R, n)
     k = R.rank
     fs = R.additive.invariant_factors
     carrier = FiniteAbelianGroup(tuple(fs[l] for l in range(k) for _ in range(n)))
-    units = tuple(_slot_action(R, n, g, columns, (j, i) if columns else (i, j))
+    gens = IntegerMatrix.identity(k).columns()
+    left = [R.left_mult_matrix(x) for x in gens]
+    right = [R.right_mult_matrix(x) for x in gens]
+
+    def e(i: int, j: int) -> IntegerMatrix:
+        unit = np.zeros((n, n), dtype=object)
+        unit[i, j] = 1
+        return IntegerMatrix.adopt(unit)
+
+    units = tuple(kron(left[g], e(i, j)) if columns else kron(right[g], e(j, i))
                   for g in range(k) for i in range(n) for j in range(n))
-    scalars = tuple(_slot_action(R, n, g, not columns) for g in range(k))
+    scalars = tuple(kron(right[g] if columns else left[g], IntegerMatrix.identity(n))
+                    for g in range(k))
     label = R.name or "R"
     if columns:
         return Bimodule(Mn, R, carrier, units, scalars,

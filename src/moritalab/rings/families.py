@@ -80,9 +80,7 @@ def right_ideals(R: FiniteRing) -> list[frozenset]:
 def quotient_right_module(R: FiniteRing, ideal: frozenset,
                           name: str = "") -> Bimodule:
     """R/I as a right R-module (scalar left action by Z/char)."""
-    elems = [list(x) for x in sorted(ideal)]
-    rel = IntegerMatrix.from_columns(elems, R.rank) if elems \
-        else IntegerMatrix.zeros(R.rank, 0)
+    rel = IntegerMatrix.from_columns(sorted(ideal), R.rank)
     group, proj = cokernel(rel, list(R.additive.invariant_factors))
     gens = [tuple(1 if j == i else 0 for j in range(R.rank))
             for i in range(R.rank)]

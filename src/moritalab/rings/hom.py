@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ..errors import SearchBudgetExceeded, UnitDegenerate
 from ..exact import (
     CokernelProjection,
@@ -27,7 +29,7 @@ from ..exact import (
     smith_normal_form,
     solve_congruences,
 )
-from .base import FiniteRing, kron_differences, reduced_stack
+from .base import FiniteRing, kron_differences
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap
 
 
@@ -55,27 +57,25 @@ class HomGroup:
     def rank(self) -> int:
         return self.group.rank
 
-    def _unflatten(self, flat: Sequence[int]) -> IntegerMatrix:
-        nt, ns = self.target.rank, self.source.rank
-        return IntegerMatrix([flat[i * ns:(i + 1) * ns] for i in range(nt)], nt, ns)
+    def _unflatten(self, flat: np.ndarray) -> IntegerMatrix:
+        return IntegerMatrix.adopt(flat.reshape(self.target.rank, self.source.rank))
 
     def from_coordinates(self, coords: Sequence[int]) -> BimoduleMap:
-        vec = self._proj.section_matrix.apply(list(coords))
-        return BimoduleMap(self.source, self.target,
-                           self._unflatten(self.basis_matrix.apply(vec)), self.sides)
+        vec = self._proj.section_matrix.apply(coords)
+        flat = np.array(self.basis_matrix.apply(vec), dtype=object)
+        return BimoduleMap(self.source, self.target, self._unflatten(flat), self.sides)
 
     def coordinates(self, f: BimoduleMap | IntegerMatrix) -> tuple[int, ...]:
         M = f.matrix if isinstance(f, BimoduleMap) else f
-        flat = [M.data[i][j] for i in range(M.rows) for j in range(M.cols)]
-        y = self._basis_snf.solve(flat)
+        y = self._basis_snf.solve(M.array.ravel().tolist())
         if y is None:
             raise ValueError("matrix is not a map in this hom group")
         return self._proj.apply(y)
 
     def generator_matrices(self) -> list[IntegerMatrix]:
         """Matrices of the maps at the group's generators, in order."""
-        gens = self.basis_matrix @ self._proj.section_matrix
-        return [self._unflatten(col) for col in gens.columns()]
+        gens = (self.basis_matrix @ self._proj.section_matrix).array
+        return [self._unflatten(col) for col in gens.T]
 
     def elements(self) -> Iterator[BimoduleMap]:
         for coords in self.group.elements():
@@ -99,33 +99,25 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
 
     # X[i][j] sits at i * ns + j; each variable first carries its order
     row_moduli = [cT[i] for i in range(nt) for _ in range(ns)]
-    rows = [[cS[v % ns] if u == v else 0 for u in range(nvars)] for v in range(nvars)]
-    moduli = row_moduli[:]
-    action_pairs = []
-    if "right" in sides:
-        action_pairs += list(zip(M.right_action, N.right_action))
-    if "left" in sides:
-        action_pairs += list(zip(M.left_action, N.left_action))
-    # X @ As = At @ X entry-wise: the rows of 1 (x) As^T - At (x) 1 on X.
-    # Moving row k of As by ord(src_k), or row i of At by ord(tgt_i),
-    # moves X @ As - At @ X by a multiple of ord(tgt_i) in row i, so each
-    # action row is read modulo its order; unreduced entries would only
-    # feed coefficient growth to the Smith form.
-    src = reduced_stack([As for As, _ in action_pairs], cS).transpose(0, 2, 1)
-    tgt = reduced_stack([At for _, At in action_pairs], cT)
-    D = -kron_differences(tgt, src).reshape(len(action_pairs) * nvars, nvars)
-    for row, d in zip(D.tolist(), row_moduli * len(action_pairs)):
-        if any(row):
-            rows.append(row)
-            moduli.append(d)
-    A = IntegerMatrix.adopt(rows, len(rows), nvars)
-    sol = solve_congruences(A, moduli, [0] * len(rows))
+    orders = np.diag(np.array([cS[v % ns] for v in range(nvars)], dtype=object))
+    # X @ As = At @ X entry-wise: the rows of 1 (x) As^T - At (x) 1 on X,
+    # right actions first.  Moving row k of As by ord(src_k), or row i of
+    # At by ord(tgt_i), moves X @ As - At @ X by a multiple of ord(tgt_i)
+    # in row i, so each action row is read modulo its order (the reduced
+    # stacks of the bimodules); unreduced entries would only feed
+    # coefficient growth to the Smith form.
+    order = [s for s in ("right", "left") if s in sides]
+    src = np.concatenate([M.action_stack(s).astype(object) for s in order])
+    tgt = np.concatenate([N.action_stack(s).astype(object) for s in order])
+    D = -kron_differences(tgt, src.transpose(0, 2, 1)).reshape(len(src) * nvars, nvars)
+    live = (D != 0).any(axis=1)
+    moduli = row_moduli + [d for d, keep in zip(row_moduli * len(src), live) if keep]
+    A = IntegerMatrix.adopt(np.vstack([orders, D[live]]))
+    sol = solve_congruences(A, moduli, [0] * len(moduli))
     K, K_snf = lattice_basis(sol.kernel)
 
     K0_in_K = []
-    for v in range(nvars):
-        col = [0] * nvars
-        col[v] = row_moduli[v]
+    for col in np.diag(np.array(row_moduli, dtype=object)).tolist():
         y = K_snf.solve(col)
         if y is None:
             raise RuntimeError("zero-map lattice escaped the solution lattice")

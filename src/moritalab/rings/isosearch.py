@@ -19,6 +19,7 @@ from ..exact import (
     cokernel,
     invert_group_map,
     lattice_column_basis,
+    moduli_column,
     solve_congruences,
 )
 from .base import FiniteRing, is_group_map
@@ -33,21 +34,12 @@ def is_ring_isomorphism(A: FiniteRing, B: FiniteRing, T: IntegerMatrix) -> bool:
         return False
     if not is_group_map(T, A.additive.invariant_factors, B.additive.invariant_factors):
         return False
-    images = [B.additive.reduce(T.column(l)) for l in range(A.rank)]
-    for i in range(A.rank):
-        for j in range(A.rank):
-            lhs = B.mul(images[i], images[j])
-            acc = B.additive.zero()
-            for l, c in enumerate(A.mult[i][j]):
-                if c:
-                    acc = B.additive.add(acc, B.additive.scale(c, images[l]))
-            if lhs != acc:
-                return False
-    unit_img = B.additive.zero()
-    for l, c in enumerate(A.unit):
-        if c:
-            unit_img = B.additive.add(unit_img, B.additive.scale(c, images[l]))
-    if unit_img != B.unit:
+    t, f = T.array, np.array(B.additive.invariant_factors, dtype=object)
+    # T(e_i) T(e_j) - T(e_i e_j) at (i, j, l), and T(1) - 1, modulo B's factors
+    products = np.tensordot(np.tensordot(t, B.table, axes=(0, 0)), t, axes=(1, 0))
+    if ((products.transpose(0, 2, 1) - A.table @ t.T) % f).any():
+        return False
+    if ((t @ np.array(A.unit, dtype=object) - np.array(B.unit, dtype=object)) % f).any():
         return False
     group, _ = cokernel(T, list(B.additive.invariant_factors))
     return group.order == 1
@@ -68,9 +60,10 @@ def _element_table(factors: tuple[int, ...]) -> np.ndarray:
 
 def _square_table(X: np.ndarray, ring: FiniteRing) -> np.ndarray:
     k = ring.rank
+    table = ring.table.astype(np.int64)  # entries below the exponent of an enumerable ring
     acc = np.zeros_like(X)
     for i in range(k):
-        acc += X[:, i:i + 1] * (X @ ring.table[i])
+        acc += X[:, i:i + 1] * (X @ table[i])
     fs = np.array(ring.additive.invariant_factors, dtype=np.int64)
     return acc % fs
 
@@ -84,7 +77,7 @@ def _element_orders(X: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 def _subgroup_order(cols: list[tuple[int, ...]], ring: FiniteRing) -> int:
     if not cols:
         return 1
-    M = IntegerMatrix.from_columns([list(c) for c in cols], ring.rank)
+    M = IntegerMatrix.from_columns(cols, ring.rank)
     group, _ = cokernel(M, list(ring.additive.invariant_factors))
     return ring.order // group.order
 
@@ -94,8 +87,7 @@ def _enumerate_coset(particular: list[int], kernel: IntegerMatrix,
     k = len(factors)
     base = tuple(particular[i] % factors[i] for i in range(k))
     K = lattice_column_basis(kernel)
-    gens = [tuple(K.data[i][c] % factors[i] for i in range(k))
-            for c in range(K.cols)]
+    gens = [tuple(g) for g in (K.array % moduli_column(factors)).T.tolist()]
     seen = {base}
     frontier = [base]
     while frontier:
@@ -176,24 +168,9 @@ class _Search:
         D, C, k = self.D, self.C, self.k
         fs = self.factors
         dp = D.additive.invariant_factors[p]
-        rows: list[list[int]] = []
-        mods: list[int] = []
-        rhs: list[int] = []
-        for r in range(k):
-            row = [0] * k
-            row[r] = dp
-            rows.append(row)
-            mods.append(fs[r])
-            rhs.append(0)
-        ident = IntegerMatrix.identity(k)
-
-        def add_block(M: IntegerMatrix, target: tuple[int, ...]):
-            for r in range(k):
-                rows.append(list(M.data[r]))
-                mods.append(fs[r])
-                rhs.append(target[r])
-
-        linear = 0
+        ident = np.identity(k, dtype=object)
+        # each block B with right-hand side t is the congruence B x = t (mod fs)
+        blocks, rhs = [dp * ident], [C.additive.zero()]
         for (i, j), lvl in self.pair_level.items():
             if lvl != p or (i == p and j == p):
                 continue
@@ -201,36 +178,24 @@ class _Search:
             cp = coeffs[p] if p < len(coeffs) else 0
             known = self.known_sum(coeffs, chosen)
             if i == p:
-                M = C.right_mult_matrix(chosen[j])
-                block_data = [[M.data[r][c] - (cp if r == c else 0)
-                               for c in range(k)] for r in range(k)]
-                add_block(IntegerMatrix(block_data, k, k), known)
-                linear += 1
+                blocks.append(C.right_mult_matrix(chosen[j]).array - cp * ident)
+                rhs.append(known)
             elif j == p:
-                M = C.left_mult_matrix(chosen[i])
-                block_data = [[M.data[r][c] - (cp if r == c else 0)
-                               for c in range(k)] for r in range(k)]
-                add_block(IntegerMatrix(block_data, k, k), known)
-                linear += 1
+                blocks.append(C.left_mult_matrix(chosen[i]).array - cp * ident)
+                rhs.append(known)
             else:
                 prod = C.mul(chosen[i], chosen[j])
-                target = C.additive.add(prod, C.additive.neg(known))
-                block_data = [[cp if r == c else 0 for c in range(k)]
-                              for r in range(k)]
-                add_block(IntegerMatrix(block_data, k, k), target)
-                linear += 1
+                blocks.append(cp * ident)
+                rhs.append(C.additive.add(prod, C.additive.neg(known)))
         if self.unit_level == p:
-            up = D.unit[p]
             known = self.known_sum(D.unit, chosen)
-            target = self.C.additive.add(self.C.unit, self.C.additive.neg(known))
-            block_data = [[up if r == c else 0 for c in range(k)] for r in range(k)]
-            add_block(IntegerMatrix(block_data, k, k), target)
-            linear += 1
+            blocks.append(D.unit[p] * ident)
+            rhs.append(C.additive.add(C.unit, C.additive.neg(known)))
 
-        if linear:
-            A = IntegerMatrix(rows, len(rows), k)
+        if len(blocks) > 1:
+            A = IntegerMatrix.adopt(np.vstack(blocks))
             try:
-                sol = solve_congruences(A, mods, rhs)
+                sol = solve_congruences(A, list(fs) * len(blocks), [v for t in rhs for v in t])
             except NoSolution:
                 return []
             pool = _enumerate_coset(sol.particular, sol.kernel, fs)
@@ -275,7 +240,7 @@ class _Search:
         p = len(chosen)
         if p == self.k:
             # a leaf failing the independent check is a dead end, not a refutation
-            T = IntegerMatrix.from_columns([list(t) for t in chosen], self.k)
+            T = IntegerMatrix.from_columns(chosen, self.k)
             return T if is_ring_isomorphism(self.D, self.C, T) else None
         self.nodes += 1
         if self.nodes > NODE_CAP:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..exact import IntegerMatrix, cokernel, invert_group_map
 from .base import FiniteRing, combine_matrices
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, regular_bimodule
@@ -49,16 +51,17 @@ def _pairing_matrices(P: Bimodule, F: list[IntegerMatrix],
     p_i (x) f_a to the endomorphism p -> p_i . f_a(p) in End coordinates.
     """
     S = P.right_ring
-    ev_cols = [list(S.additive.reduce(Fa.column(j)))
-               for Fa in F for j in range(P.rank)]
+    ev = np.concatenate([Fa.array for Fa in F] or [np.zeros((S.rank, 0), dtype=object)],
+                        axis=1)
+    rhos = np.array([rho.array for rho in P.right_action], dtype=object)
     co_cols = []
     for i in range(P.rank):
         # column l of R_i is p_i . s_l, so p -> p_i . f_a(p) is R_i @ F_a
-        R_i = IntegerMatrix.from_columns([rho.column(i) for rho in P.right_action], P.rank)
+        R_i = IntegerMatrix.adopt(rhos[:, :, i].T)
         for Fa in F:
             op_matrix = P.carrier.reduce_columns(R_i @ Fa)
             co_cols.append(list(E.coordinates_of(op_matrix)))
-    return (IntegerMatrix.from_columns(ev_cols, S.rank),
+    return (S.additive.reduce_columns(IntegerMatrix.adopt(ev)),
             IntegerMatrix.from_columns(co_cols, E.ring.rank))
 
 
@@ -73,19 +76,12 @@ def morita_context(P: Bimodule) -> MoritaContext:
     Sreg = regular_bimodule(S)
     H = hom_group(P_up, Sreg, side="right")
     F = H.generator_matrices()
-    r = H.rank
-    lam = []
-    for g in range(S.rank):
-        gen = tuple(1 if i == g else 0 for i in range(S.rank))
-        L = S.left_mult_matrix(gen)
-        cols = [list(H.coordinates(L @ F[a])) for a in range(r)]
-        lam.append(IntegerMatrix.from_columns(cols, r))
-    rho = []
-    for b in range(E.ring.rank):
-        cols = [list(H.coordinates(F[a] @ X[b])) for a in range(r)]
-        rho.append(IntegerMatrix.from_columns(cols, r))
-    P_star = Bimodule(S, E.ring, H.group, tuple(lam), tuple(rho),
-                      name=f"({P.name})*" if P.name else "")
+    # s . f = L_s @ f and f . x = f @ X_x, in the dual's coordinates
+    lam = tuple(IntegerMatrix.from_columns([H.coordinates(L @ Fa) for Fa in F], H.rank)
+                for L in Sreg.left_action)
+    rho = tuple(IntegerMatrix.from_columns([H.coordinates(Fa @ Xb) for Fa in F], H.rank)
+                for Xb in X)
+    P_star = Bimodule(S, E.ring, H.group, lam, rho, name=f"({P.name})*" if P.name else "")
 
     ev, co = _pairing_matrices(P, F, E)
     T_alpha = tensor_product(P_star, P_up)
@@ -112,10 +108,7 @@ def _surjectivity_certificate(f: BimoduleMap) -> PropertyCertificate:
     group, _ = cokernel(f.matrix, tfs)
     if group.order != 1:
         return PropertyCertificate(False, obstruction=group.invariant_factors)
-    pres = []
-    for g in range(f.target.rank):
-        e = [1 if i == g else 0 for i in range(f.target.rank)]
-        pres.append(f.preimage(e))
+    pres = [f.preimage(e) for e in IntegerMatrix.identity(f.target.rank).columns()]
     return PropertyCertificate(True, preimages=pres)
 
 
@@ -203,12 +196,8 @@ def certify_invertible_bimodule(P: Bimodule) -> MoritaCertificate:
 
     # Q = P* with the right End-action pulled back along the canonical map
     Q_star = ctx.dual
-    rho_R = []
-    for g in range(R.rank):
-        coeffs = cmat.column(g)
-        rho_R.append(combine_matrices(Q_star.right_action, coeffs))
-    Q = Bimodule(S, R, Q_star.carrier, Q_star.left_action, tuple(rho_R),
-                 name=Q_star.name)
+    rho_R = tuple(combine_matrices(Q_star.right_action, c) for c in cmat.columns())
+    Q = Bimodule(S, R, Q_star.carrier, Q_star.left_action, rho_R, name=Q_star.name)
 
     T_QP = tensor_product(Q, P)
     iso_right = factor_through_tensor(T_QP, ctx.ev, ctx.alpha.target, BOTH_SIDES)

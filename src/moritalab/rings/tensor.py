@@ -13,6 +13,9 @@ index of ``exact.kron`` and of ``wstar.fusion``: the relations of s are
 the columns of rho_s (x) 1 - 1 (x) lambda_s, the actions are transported
 as L (x) 1 and 1 (x) R, and the associator is
 proj_{A(BC)} . (1_A (x) proj_{BC}) . (sec_{AB} (x) 1_C) . sec_{(AB)C}.
+A Kronecker product is never formed to be multiplied: ``exact.kron_apply``
+applies its factors one at a time, and the actions of one side are
+transported in one product over the bimodule's reduced action stack.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NotBalanced, RingMismatch
-from ..exact import CokernelProjection, IntegerMatrix, cokernel, kron
-from .base import kron_differences, matrices_congruent, reduced_stack
+from ..exact import CokernelProjection, IntegerMatrix, cokernel, kron_apply
+from .base import kron_differences
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap
 
 
@@ -70,14 +73,30 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     # zero.  Relations only matter modulo the pair orders, which the
     # lattice holds; the pair order of (k, l) divides ord e_k and ord f_l,
     # so rho_g and lambda_g may be read modulo their row orders first.
-    D = kron_differences(reduced_stack(M.right_action, cM), reduced_stack(N.left_action, cN))
+    D = kron_differences(M.action_stack("right"), N.action_stack("left"))
     cols = D.transpose(0, 2, 1).reshape(S.rank * amb, amb) % np.array(moduli, dtype=object)
     rel_cols = dict.fromkeys(tuple(c) for c in cols.tolist() if any(c))
     relations = IntegerMatrix.from_columns(list(rel_cols), amb)
     group, proj = cokernel(relations, list(moduli))
-    one_M, one_N = IntegerMatrix.identity(nM), IntegerMatrix.identity(nN)
-    lamT = tuple(proj.transport(kron(L, one_N)) for L in M.left_action)
-    rhoT = tuple(proj.transport(kron(one_M, R)) for R in N.right_action)
+    r = group.rank
+    sec = proj.section_matrix.array.reshape(nM, nN, r)
+
+    def transported(side_stack: np.ndarray, factor: np.ndarray, m: int,
+                    axes: tuple[int, ...]) -> tuple[IntegerMatrix, ...]:
+        # factor is the section with the acted-on index first, (n, m * r);
+        # stacked (k * n, n) @ factor holds generator g's image of section
+        # column c at (g, acted index, other index, c), and axes reorder
+        # that to the ambient pair (i, j), then (g, c)
+        k, n = len(side_stack), side_stack.shape[1]
+        A = IntegerMatrix.adopt(side_stack.astype(object).reshape(k * n, n))
+        images = (A @ IntegerMatrix.adopt(factor)).array.reshape(k, n, m, r).transpose(axes)
+        X = proj.project(IntegerMatrix.adopt(images.reshape(amb, k * r))).array
+        return tuple(IntegerMatrix.adopt(X[:, g * r:(g + 1) * r]) for g in range(k))
+
+    # the actions transported as L (x) 1 and 1 (x) R, every generator in one product
+    lamT = transported(M.action_stack("left"), sec.reshape(nM, nN * r), nN, (1, 2, 0, 3))
+    rhoT = transported(N.action_stack("right"), sec.transpose(1, 0, 2).reshape(nN, nM * r),
+                       nM, (2, 1, 0, 3))
 
     label = name or (f"{M.name}(x){N.name}" if M.name and N.name else "")
     module = Bimodule(M.left_ring, N.right_ring, group, lamT, rhoT, name=label)
@@ -96,9 +115,7 @@ def factor_through_tensor(tp: TensorProduct, ambient_matrix: IntegerMatrix,
     B = ambient_matrix
     if B.rows != target.rank or B.cols != tp.ambient_size:
         raise ValueError("ambient matrix shape mismatch")
-    tfs = target.carrier.invariant_factors
-    rel = tp.relation_matrix
-    if not matrices_congruent(B @ rel, IntegerMatrix.zeros(B.rows, rel.cols), tfs):
+    if target.carrier.reduce_columns(B @ tp.relation_matrix).array.any():
         raise NotBalanced("map does not kill the balancing relations and pair orders")
     induced = target.carrier.reduce_columns(B @ tp.projection.section_matrix)
     return BimoduleMap(tp.module, target, induced, sides)
@@ -113,14 +130,13 @@ def tensor_of_maps(tp_src: TensorProduct, tp_tgt: TensorProduct,
         raise ValueError("g does not start at the source right factor")
     if f.target != tp_tgt.left_factor or g.target != tp_tgt.right_factor:
         raise ValueError("maps do not land in the target factors")
-    # ambient of the source -> quotient coordinates of the target
-    to_tgt = tp_tgt.projection.matrix @ kron(f.matrix, g.matrix)
-    tgt = tp_tgt.module.carrier
-    rel = tp_src.relation_matrix
-    if not matrices_congruent(to_tgt @ rel, IntegerMatrix.zeros(tgt.rank, rel.cols),
-                              tgt.invariant_factors):
+    # f (x) g on the source relations, then on the source section, in target coordinates
+    rel, sec = tp_src.relation_matrix, tp_src.projection.section_matrix
+    both = IntegerMatrix.adopt(np.concatenate((rel.array, sec.array), axis=1))
+    images = tp_tgt.projection.project(kron_apply(f.matrix, g.matrix, both)).array
+    if images[:, :rel.cols].any():
         raise NotBalanced("map pair does not preserve balancing relations and pair orders")
-    induced = tgt.reduce_columns(to_tgt @ tp_src.projection.section_matrix)
+    induced = IntegerMatrix.adopt(images[:, rel.cols:])
     sides = []
     if "left" in f.sides:
         sides.append("left")
@@ -139,9 +155,9 @@ def tensor_associator(t_ab: TensorProduct, t_ab_c: TensorProduct,
     # proj_{A(BC)} . (1_A (x) proj_{BC}) . (sec_{AB} (x) 1_C) . sec_{(AB)C}
     one_A = IntegerMatrix.identity(t_ab.left_factor.rank)
     one_C = IntegerMatrix.identity(t_ab_c.right_factor.rank)
-    to_a_bc = kron(one_A, t_bc.projection.matrix)
-    from_ab_c = kron(t_ab.projection.section_matrix, one_C) @ t_ab_c.projection.section_matrix
-    matrix = t_a_bc.projection.transport(to_a_bc, from_ab_c)
+    from_ab_c = kron_apply(t_ab.projection.section_matrix, one_C,
+                           t_ab_c.projection.section_matrix)
+    matrix = t_a_bc.projection.project(kron_apply(one_A, t_bc.projection.matrix, from_ab_c))
     return BimoduleMap(t_ab_c.module, t_a_bc.module, matrix, BOTH_SIDES)
 
 
@@ -151,8 +167,8 @@ def left_unitor(tp: TensorProduct) -> BimoduleMap:
     R = tp.left_factor
     if R.carrier != R.left_ring.additive:
         raise ValueError("left factor is not a regular bimodule presentation")
-    amb = IntegerMatrix.from_columns(
-        [col for act in M.left_action for col in act.columns()], M.rank)
+    # column (i, j) is lambda_i e_j
+    amb = IntegerMatrix.adopt(np.hstack([act.array for act in M.left_action]))
     return factor_through_tensor(tp, amb, M, BOTH_SIDES)
 
 
@@ -162,6 +178,7 @@ def right_unitor(tp: TensorProduct) -> BimoduleMap:
     S = tp.right_factor
     if S.carrier != S.right_ring.additive:
         raise ValueError("right factor is not a regular bimodule presentation")
-    amb = IntegerMatrix.from_columns(
-        [act.column(j) for j in range(M.rank) for act in M.right_action], M.rank)
+    # column (j, s) is rho_s e_j
+    amb = np.stack([act.array for act in M.right_action], axis=2)
+    amb = IntegerMatrix.adopt(amb.reshape(M.rank, M.rank * len(M.right_action)))
     return factor_through_tensor(tp, amb, M, BOTH_SIDES)

@@ -129,6 +129,7 @@ def hom_count_oracle(M: Bimodule, N: Bimodule, side: str = "right") -> int:
         pairs += list(zip(M.right_action, N.right_action))
     if side in ("left", "both"):
         pairs += list(zip(M.left_action, N.left_action))
+    pairs = [(As.tolist(), At.tolist()) for As, At in pairs]
     count = 0
     for flat in itertools.product(*ranges):
         X = [[flat[i * ns + j] for j in range(ns)] for i in range(nt)]
@@ -139,8 +140,8 @@ def hom_count_oracle(M: Bimodule, N: Bimodule, side: str = "right") -> int:
         for As, At in pairs:
             for i in range(nt):
                 for j in range(ns):
-                    lhs = sum(X[i][k] * As.data[k][j] for k in range(ns))
-                    rhs = sum(At.data[i][k] * X[k][j] for k in range(nt))
+                    lhs = sum(X[i][k] * As[k][j] for k in range(ns))
+                    rhs = sum(At[i][k] * X[k][j] for k in range(nt))
                     if (lhs - rhs) % cT[i]:
                         ok = False
                         break
@@ -175,7 +176,7 @@ def broken_law_loop(mats, factors, ring, anti: bool = False) -> str | None:
     n, k = len(factors), ring.rank
     if len(mats) != k or any(M.rows != n or M.cols != n for M in mats):
         return "well shaped"
-    data = [M.data for M in mats]
+    data = [M.tolist() for M in mats]
     if any(v * s % t for A in data for row, t in zip(A, factors)
            for v, s in zip(row, factors)):
         return "well defined"
@@ -201,6 +202,6 @@ def broken_law_loop(mats, factors, ring, anti: bool = False) -> str | None:
 
 def intertwines_loop(M, src_mats, tgt_mats, moduli) -> bool:
     """M @ A = B @ M modulo the target orders, one pair (A, B) at a time."""
-    return all(_congruent(_matmul(M.data, A.data, M.cols),
-                          _matmul(B.data, M.data, M.rows), moduli)
+    return all(_congruent(_matmul(M.tolist(), A.tolist(), M.cols),
+                          _matmul(B.tolist(), M.tolist(), M.rows), moduli)
                for A, B in zip(src_mats, tgt_mats))

@@ -123,7 +123,7 @@ class TestRingsCoherence:
         rng = np.random.default_rng(0)
         scalars = [[[n, 0], [0, n]] for n in (0, 1)]
         drawn = [rings_inst.random_endo_2cell(P, rng) for _ in range(8)]
-        assert any([[v % 2 for v in row] for row in f.matrix.data]
+        assert any([[v % 2 for v in row] for row in f.matrix.tolist()]
                    not in scalars for f in drawn)
         res = verify_associator_naturality(rings_inst, P, P, P, rng)
         assert res.holds

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,7 +67,7 @@ def congruence_solutions_oracle(A, moduli, b):
     for x in product(range(L), repeat=A.cols):
         ok = True
         for i in range(A.rows):
-            lhs = sum(A.data[i][j] * x[j] for j in range(A.cols)) - b[i]
+            lhs = sum(A.array[i, j] * x[j] for j in range(A.cols)) - b[i]
             if moduli[i]:
                 if lhs % moduli[i]:
                     ok = False
@@ -81,25 +82,33 @@ def congruence_solutions_oracle(A, moduli, b):
 
 # ------------------------------------------------------- integer matrix
 
+def _exact(M: IntegerMatrix) -> bool:
+    """M is one object array of its own shape holding Python ints only."""
+    return (M.array.dtype == object and M.array.shape == (M.rows, M.cols)
+            and all(type(v) is int for v in M.array.flat))
+
+
 def test_public_constructor_converts_and_checks_shape():
     M = IntegerMatrix([(True, 2.0), range(2)])
-    assert M.data == [[1, 2], [0, 1]] and all(type(v) is int for r in M.data for v in r)
+    assert M.tolist() == [[1, 2], [0, 1]] and _exact(M)
+    # an object array keeping np.int64 scalars would wrap at 2^63 silently
+    big = IntegerMatrix(np.array([[2 ** 62]], dtype=np.int64))
+    P = big @ IntegerMatrix([[4]])
+    assert P.tolist() == [[2 ** 64]] and _exact(big) and _exact(P)
     with pytest.raises(ValueError, match="inconsistent matrix shape"):
         IntegerMatrix([[1, 2], [3]])
 
 
-def test_internal_builders_own_fresh_int_rows():
-    """Products, columns and reductions build new rows the inputs do not share."""
+def test_internal_builders_return_object_arrays_of_python_ints():
     A = IntegerMatrix([[1, 2], [3, 4]])
     cols = [(5, 6), (7, 8)]
+    dec = smith_normal_form(A)
     built = [A @ A, IntegerMatrix.from_columns(cols), IntegerMatrix.identity(2),
-             FiniteAbelianGroup((3, 6)).reduce_columns(A), smith_normal_form(A).U]
-    assert [M.data for M in built[:4]] == [[[7, 10], [15, 22]], [[5, 7], [6, 8]],
-                                           [[1, 0], [0, 1]], [[1, 2], [3, 4]]]
-    for M in built:
-        assert M.rows == len(M.data) and all(len(r) == M.cols for r in M.data)
-        assert all(type(v) is int for r in M.data for v in r)
-        assert not any(r is s for r in M.data for s in A.data)
+             FiniteAbelianGroup((3, 6)).reduce_columns(A), IntegerMatrix.zeros(2, 0),
+             kron(A, A), direct_sum(A, A), dec.U, dec.D, dec.V, dec.U_inv]
+    assert [M.tolist() for M in built[:5]] == [[[7, 10], [15, 22]], [[5, 7], [6, 8]],
+                                               [[1, 0], [0, 1]], [[1, 2], [3, 4]], [[], []]]
+    assert all(_exact(M) for M in built)
 
 
 # ---------------------------------------------------------- smith form
@@ -153,7 +162,7 @@ def test_snf_properties(m, n, data):
     for i in range(m):
         for j in range(n):
             if i != j:
-                assert dec.D.data[i][j] == 0
+                assert dec.D.array[i, j] == 0
 
 
 def test_snf_deterministic():
@@ -285,9 +294,9 @@ def leibniz_determinant(rows):
 
 def on_lattice_oracle(M, t):
     """t in col_span_Z(M) for square nonsingular M, by Cramer's rule."""
-    det = leibniz_determinant(M.data)
+    det = leibniz_determinant(M.tolist())
     for i in range(M.cols):
-        Mi = [row[:i] + [t[r]] + row[i + 1:] for r, row in enumerate(M.data)]
+        Mi = [row[:i] + [t[r]] + row[i + 1:] for r, row in enumerate(M.tolist())]
         if leibniz_determinant(Mi) % det:
             return False
     return True
@@ -308,7 +317,7 @@ def test_smith_solve_is_none_exactly_off_the_lattice(m, n, data):
     assert solve_integer(M, t) == y
     if y is not None:
         assert M.apply(y) == t
-    if m == n and leibniz_determinant(M.data):
+    if m == n and leibniz_determinant(M.tolist()):
         assert (y is not None) == on_lattice_oracle(M, t)
     # the basis decomposition reuses M's U: it must be a Smith form of the
     # basis and solve exactly as a fresh factorization of the basis does
@@ -333,41 +342,43 @@ def test_lattice_column_basis_spans_same_lattice():
 
 # ------------------------------------------------- Kronecker and block maps
 
-def _matrix(data, rows, cols):
-    entries = data.draw(st.lists(st.integers(-5, 5), min_size=rows * cols,
-                                 max_size=rows * cols))
+def _matrix(data, rows, cols, entries=st.integers(-5, 5)):
+    entries = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
     return IntegerMatrix([entries[i * cols:(i + 1) * cols] for i in range(rows)], rows, cols)
 
 
 _dims = st.integers(0, 3)
+# small entries mixed with entries whose products leave int64
+_past_int64 = st.one_of(st.integers(-5, 5), st.integers(2 ** 63, 2 ** 80),
+                        st.integers(-2 ** 80, -2 ** 63))
 
 
 @settings(max_examples=100, derandomize=True)
 @given(_dims, _dims, _dims, _dims, st.data())
 def test_kron_matches_its_index_definition(ar, ac, br, bc, data):
-    A, B = _matrix(data, ar, ac), _matrix(data, br, bc)
+    A, B = _matrix(data, ar, ac, _past_int64), _matrix(data, br, bc, _past_int64)
     K = kron(A, B)
-    assert (K.rows, K.cols) == (ar * br, ac * bc)
-    assert len(K.data) == K.rows and all(len(row) == K.cols for row in K.data)
+    assert (K.rows, K.cols) == (ar * br, ac * bc) and _exact(K)
+    k_, a_, b_ = K.tolist(), A.tolist(), B.tolist()
     for i, j, k, l in product(range(ar), range(ac), range(br), range(bc)):
-        assert K.data[i * br + k][j * bc + l] == A.data[i][j] * B.data[k][l]
+        assert k_[i * br + k][j * bc + l] == a_[i][j] * b_[k][l]
 
 
 @settings(max_examples=100, derandomize=True)
 @given(_dims, _dims, _dims, _dims, st.data())
 def test_direct_sum_matches_its_index_definition(ar, ac, br, bc, data):
-    A, B = _matrix(data, ar, ac), _matrix(data, br, bc)
+    A, B = _matrix(data, ar, ac, _past_int64), _matrix(data, br, bc, _past_int64)
     D = direct_sum(A, B)
-    assert (D.rows, D.cols) == (ar + br, ac + bc)
-    assert len(D.data) == D.rows and all(len(row) == D.cols for row in D.data)
+    assert (D.rows, D.cols) == (ar + br, ac + bc) and _exact(D)
+    d_, a_, b_ = D.tolist(), A.tolist(), B.tolist()
     for r, c in product(range(D.rows), range(D.cols)):
         if r < ar and c < ac:
-            want = A.data[r][c]
+            want = a_[r][c]
         elif r >= ar and c >= ac:
-            want = B.data[r - ar][c - ac]
+            want = b_[r - ar][c - ac]
         else:
             want = 0
-        assert D.data[r][c] == want
+        assert d_[r][c] == want
 
 
 @settings(max_examples=100, derandomize=True)

@@ -68,7 +68,7 @@ class TestHomGroups:
         for f in H.elements():
             coords = H.coordinates(f)
             assert H.from_coordinates(coords).matrix == f.matrix
-            seen.add(tuple(tuple(row) for row in f.matrix.data))
+            seen.add(tuple(tuple(row) for row in f.matrix.tolist()))
         assert len(seen) == H.group.order == 16
 
     def test_stored_decomposition_matches_fresh_solve(self):
@@ -83,7 +83,7 @@ class TestHomGroups:
             assert K.rows == K.cols == M.rank * N.rank
             for coords in H.group.elements():
                 f = H.from_coordinates(coords)
-                flat = [v for row in f.matrix.data for v in row]
+                flat = [v for row in f.matrix.tolist() for v in row]
                 assert H.coordinates(f) == H._proj.apply(solve_integer(K, flat)) \
                     == coords
 

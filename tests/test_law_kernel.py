@@ -31,6 +31,7 @@ from moritalab.rings.base import (
     checked_stack,
     intertwines,
     law_dtype,
+    reduced_stack,
     stacks_commute,
 )
 from moritalab.rings.bimodules import Bimodule
@@ -110,7 +111,7 @@ def test_corpus_reaches_both_anti_verdicts():
 
 
 def _perturbed(M: IntegerMatrix, a: int, b: int, delta: int) -> IntegerMatrix:
-    data = [row[:] for row in M.data]
+    data = [row[:] for row in M.tolist()]
     data[a][b] += delta
     return IntegerMatrix(data)
 
@@ -146,7 +147,8 @@ def test_perturbed_maps_intertwine_like_the_loop(name, data):
     delta = int(step) * data.draw(st.integers(-3, 3))
     M = _perturbed(IntegerMatrix.identity(B.rank), a, b, delta)
     for mats, _ in _sides(B):
-        assert intertwines(M, mats, mats, fs, fs) == intertwines_loop(M, mats, mats, fs)
+        stack = reduced_stack(mats, fs)
+        assert intertwines(M, stack, stack, fs, fs) == intertwines_loop(M, mats, mats, fs)
 
 
 # ----------------------------------------------------------- rank 0
@@ -167,7 +169,8 @@ def test_zero_bimodule_and_rank_zero_carriers():
     _assert_laws_agree([empty] * R.rank, (), R)
     M = IntegerMatrix.zeros(0, 2)  # a map from Z/2 x Z/2 onto the zero group
     src = regular_bimodule(R)
-    assert intertwines(M, src.left_action, [empty] * R.rank, (2, 2), ())
+    assert intertwines(M, src.action_stack("left"), reduced_stack([empty] * R.rank, ()),
+                       (2, 2), ())
     assert intertwines_loop(M, src.left_action, [empty] * R.rank, ())
 
 
@@ -212,7 +215,7 @@ def test_unreduced_entries_stay_in_int64():
     B = column_module(R, 2)
     fs = B.carrier.invariant_factors
     big = 4 * 2 ** 38
-    lam = [IntegerMatrix([[v + big for v in row] for row in M.data])
+    lam = [IntegerMatrix([[v + big for v in row] for row in M.tolist()])
            for M in B.left_action]
     law, stack = checked_stack(lam, fs, B.left_ring)
     assert stack.dtype == np.int64
@@ -220,7 +223,7 @@ def test_unreduced_entries_stay_in_int64():
     lam[1] = _perturbed(lam[1], 0, 1, 1)
     assert broken_law(lam, fs, B.left_ring) == \
         broken_law_loop(lam, fs, B.left_ring) == "multiplicative"
-    huge = [IntegerMatrix([[v + 4 * 2 ** 80 for v in row] for row in M.data])
+    huge = [IntegerMatrix([[v + 4 * 2 ** 80 for v in row] for row in M.tolist()])
             for M in B.right_action]
     law, stack = checked_stack(huge, fs, B.right_ring, True)
     assert stack.dtype == np.int64 and law is None

@@ -40,15 +40,15 @@ def _digest(obj) -> str:
 
 
 def _actions(B):
-    return [[A.data for A in B.left_action], [A.data for A in B.right_action]]
+    return [[A.tolist() for A in B.left_action], [A.tolist() for A in B.right_action]]
 
 
 def _tensor_presentations():
     out = []
     for M, N in tensor_oracle_corpus():
         tp = tensor_product(M, N)
-        out.append([tp.projection.matrix.data, tp.projection.section_matrix.data,
-                    tp.relation_matrix.data])
+        out.append([tp.projection.matrix.tolist(), tp.projection.section_matrix.tolist(),
+                    tp.relation_matrix.tolist()])
     return out
 
 
@@ -66,8 +66,8 @@ def _hom_presentations():
             seen.append(B)
             for side in ("right", "left", "both"):
                 H = hom_group(B, B, side)
-                out.append([H.group.invariant_factors, H.basis_matrix.data,
-                            [X.data for X in H.generator_matrices()]])
+                out.append([H.group.invariant_factors, H.basis_matrix.tolist(),
+                            [X.tolist() for X in H.generator_matrices()]])
     return out
 
 
@@ -77,7 +77,7 @@ def _certificates():
                  (truncated_polynomial_ring(2, 2), 2), (cyclic_ring(2), 3)):
         cert = certify_invertible_bimodule(column_module(R, n))
         assert cert.equivalent
-        out.append([cert.iso_to_left.matrix.data, cert.iso_to_right.matrix.data,
+        out.append([cert.iso_to_left.matrix.tolist(), cert.iso_to_right.matrix.tolist(),
                     cert.inverse.carrier.invariant_factors, _actions(cert.inverse)])
     return out
 
@@ -97,7 +97,7 @@ def _associators():
         t_ab_c = tensor_product(t_ab.module, C)
         t_bc = tensor_product(B, C)
         t_a_bc = tensor_product(A, t_bc.module)
-        out.append(tensor_associator(t_ab, t_ab_c, t_bc, t_a_bc).matrix.data)
+        out.append(tensor_associator(t_ab, t_ab_c, t_bc, t_a_bc).matrix.tolist())
     return out
 
 

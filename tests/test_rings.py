@@ -141,6 +141,18 @@ class TestRingLaws:
         assert cyclic_ring(6).is_commutative
         assert not matrix_ring(cyclic_ring(2), 2).is_commutative
 
+    def test_wrong_length_elements_raise(self):
+        F = truncated_polynomial_ring(2, 2)
+        B = regular_bimodule(F)
+        calls = [lambda: F.mul((1,), (0, 1)), lambda: F.mul((0, 1), (1, 0, 0)),
+                 lambda: F.left_mult_matrix((1,)), lambda: F.right_mult_matrix((1, 0, 1)),
+                 lambda: B.act_left((1, 0, 1), (0, 1)), lambda: B.act_left((1, 0), (0,)),
+                 lambda: B.act_right((0, 1), (1,)), lambda: B.act_right((0, 1, 1), (1, 0))]
+        for call in calls:
+            with pytest.raises(ValueError, match="element length mismatch"):
+                call()
+        assert F.mul((1, 1), (0, 1)) == B.act_left((1, 1), (0, 1)) == (0, 1)
+
 
 class TestBimoduleValidation:
     def test_representation_is_not_a_right_action(self):

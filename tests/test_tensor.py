@@ -332,13 +332,13 @@ class TestKroneckerStack:
         assert D.shape == (k, a * b, a * b)
 
         def reduced(M, fs):
-            return IntegerMatrix([[v % f for v in row] for row, f in zip(M.data, fs)], M.rows, M.cols)
+            return IntegerMatrix([[v % f for v in row] for row, f in zip(M.tolist(), fs)], M.rows, M.cols)
 
         one_a, one_b = IntegerMatrix.identity(a), IntegerMatrix.identity(b)
         for g in range(k):
             left, right = kron(reduced(X[g], fa), one_b), kron(one_a, reduced(Y[g], fb))
             assert D[g].tolist() == [[u - v for u, v in zip(ru, rv)]
-                                     for ru, rv in zip(left.data, right.data)]
+                                     for ru, rv in zip(left.tolist(), right.tolist())]
 
     def test_zero_bimodule_hom_and_tensor(self):
         Z4 = cyclic_ring(4)
@@ -355,7 +355,7 @@ def _shifted(B: Bimodule) -> Bimodule:
 
     def shift(mats):
         return tuple(IntegerMatrix([[v + 2 ** 80 * f for v in row]
-                                    for row, f in zip(M.data, fs)], M.rows, M.cols)
+                                    for row, f in zip(M.tolist(), fs)], M.rows, M.cols)
                      for M in mats)
 
     return Bimodule(B.left_ring, B.right_ring, B.carrier, shift(B.left_action),
