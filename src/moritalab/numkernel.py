@@ -208,7 +208,10 @@ def commutant(generators, dim: int) -> np.ndarray:
     """Orthonormal basis of {X : XA = AX for all given A}.
 
     Returned as a (dim*dim) x k matrix of row-major vectorized solutions of
-    the stacked Sylvester system.
+    the stacked Sylvester system.  This is the generic solver for arbitrary
+    generator sets (bicommutants of generated subalgebras, and the tests'
+    reference); commutants of matrix-unit representations are read off
+    their isotypic frames in wstar.algebras instead.
     """
     eye = np.eye(dim, dtype=np.complex128)
     blocks = []

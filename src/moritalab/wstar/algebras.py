@@ -1,8 +1,12 @@
-"""Multi-matrix algebras and faithful states.
+"""Multi-matrix algebras, faithful states, and isotypic frames.
 
 An algebra is a direct sum of full matrix blocks, represented concretely:
 elements are block-diagonal complex matrices, and the matrix units of the
 blocks are the distinguished basis every representation is specified on.
+
+Matrix units fix a representation of ⊕_b M_{n_b} as ⊕_b C^{n_b} ⊗ C^{mult_b},
+with commutant ⊕_b 1 ⊗ M_{mult_b}. Its isotypic frames count every mult_b
+exactly and give bases of commutants and intertwiner spaces directly.
 """
 
 from __future__ import annotations
@@ -12,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import AlgebraMismatch, NotFaithful
-from ..numkernel import DEFAULT_TOL, as_complex_matrix, operator_norm
+from ..numkernel import (
+    DEFAULT_TOL,
+    as_complex_matrix,
+    matrices_to_columns,
+    norm_exceeds,
+    operator_norm,
+    subspaces_equal,
+)
 
 FAITHFULNESS_FLOOR = 1e-3
 
@@ -43,12 +54,8 @@ class MultiMatrixAlgebra:
 
     def unit_triples(self) -> list[tuple[int, int, int]]:
         """(block, row, col) for each matrix unit, in basis order."""
-        out = []
-        for b, n in enumerate(self.block_sizes):
-            for i in range(n):
-                for j in range(n):
-                    out.append((b, i, j))
-        return out
+        return [(b, i, j) for b, n in enumerate(self.block_sizes)
+                for i in range(n) for j in range(n)]
 
     def unit_index(self, b: int, i: int, j: int) -> int:
         """Position of the matrix unit (b, i, j) in basis order."""
@@ -58,11 +65,8 @@ class MultiMatrixAlgebra:
     def extend_linearly(self, x: np.ndarray,
                         unit_images: tuple[np.ndarray, ...]) -> np.ndarray:
         """Image of x under the linear map given on the matrix units."""
-        out = np.zeros_like(unit_images[0])
-        for c, U in zip(self.coords(x), unit_images):
-            if c:
-                out += c * U
-        return out
+        return sum((c * U for c, U in zip(self.coords(x), unit_images) if c),
+                   np.zeros_like(unit_images[0]))
 
     def matrix_unit(self, b: int, i: int, j: int) -> np.ndarray:
         E = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -78,13 +82,8 @@ class MultiMatrixAlgebra:
 
     def center_basis(self) -> list[np.ndarray]:
         """Block identities span the center."""
-        out = []
-        for b, n in enumerate(self.block_sizes):
-            off = self.block_offset(b)
-            z = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            z[off:off + n, off:off + n] = np.eye(n)
-            out.append(z)
-        return out
+        return [sum(self.matrix_unit(b, i, i) for i in range(n))
+                for b, n in enumerate(self.block_sizes)]
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Matrix-unit coordinates; rejects matrices off the block pattern."""
@@ -93,8 +92,9 @@ class MultiMatrixAlgebra:
             raise AlgebraMismatch("element has the wrong ambient dimension")
         v = np.array([x[self.block_offset(b) + i, self.block_offset(b) + j]
                       for b, i, j in self.unit_triples()])
-        bound = DEFAULT_TOL * (1.0 + operator_norm(x))
-        if operator_norm(x - self.from_coords(v)) > bound:
+        rest = x - self.from_coords(v)
+        if np.any(rest) and norm_exceeds(
+                rest, DEFAULT_TOL * (1.0 + operator_norm(x))):
             raise AlgebraMismatch("element is not block-diagonal")
         return v
 
@@ -181,3 +181,51 @@ def random_faithful_state(A: MultiMatrixAlgebra, rng: np.random.Generator,
         if float(np.min(np.linalg.eigvalsh(rho))) >= floor:
             return State(A, rho, floor)
     raise NotFaithful("could not sample a density above the floor")
+
+
+def isotypic_frames(lefts, rights) -> np.ndarray:
+    """Isometric frames of one isotypic component, shape (mult, dim, slots).
+
+    lefts are pi_l(e_{b,i,0}), rights pi_r(f_{c,0,k}) (pi_r reverses
+    products, so f_{c,0,k} moves slot 0 to slot k) or [I] for the left
+    action alone.  lefts[i] . rights[k] carries the range of the minimal
+    projection at slot (0, 0) onto slot (i, k), and frame s collects the
+    images of the s-th vector of an orthonormal basis of that range.  The
+    multiplicity is a spectral count at 1/2 of a near-projection, so exact.
+    """
+    P = lefts[0] @ rights[0]
+    w, V = np.linalg.eigh((P + P.conj().T) / 2.0)
+    Q = V[:, w > 0.5]
+    slots = [L @ (R @ Q) for L in lefts for R in rights]
+    return np.stack(slots, axis=2).transpose(1, 0, 2)
+
+
+def frame_products(pairs) -> np.ndarray:
+    """Orthonormal columns A_s . B_t* / sqrt(slots) over frame pairs (A, B).
+
+    A and B frame the same component in the target and the source; the
+    columns are the products vectorized row-major.  Different components
+    live on orthogonal ranges, so there are sum(mult_A * mult_B) of them.
+    """
+    parts = [(np.einsum("sip,tjp->stij", A, B.conj()) / np.sqrt(A.shape[2]))
+             .reshape(len(A) * len(B), A.shape[1] * B.shape[1])
+             for A, B in pairs]
+    return np.concatenate(parts, axis=0).T
+
+
+def left_frames(A: MultiMatrixAlgebra, units) -> list[np.ndarray]:
+    """Frames of each block of a representation of A; all nonempty iff faithful."""
+    eye = [np.eye(units[0].shape[0], dtype=np.complex128)]
+    return [isotypic_frames([units[A.unit_index(b, i, 0)] for i in range(n)],
+                            eye) for b, n in enumerate(A.block_sizes)]
+
+
+def left_commutant(frames) -> np.ndarray:
+    """Orthonormal left commutant basis sum_i F_{s,i} . F_{t,i}* / sqrt(n_b)."""
+    return frame_products([(F, F) for F in frames])
+
+
+def right_fills_commutant(frames, right_units) -> tuple[bool, float]:
+    """subspaces_equal(left_commutant(frames), span(right_units))."""
+    return subspaces_equal(left_commutant(frames),
+                           matrices_to_columns(right_units))

@@ -18,11 +18,10 @@ from ..numkernel import (
     as_complex_matrix,
     max_operator_norm,
     norm_exceeds,
-    operator_norm,
     orthonormal_columns,
     polar_unitary,
 )
-from .algebras import MultiMatrixAlgebra
+from .algebras import MultiMatrixAlgebra, frame_products, isotypic_frames
 from .standard import StandardFormData
 
 
@@ -58,9 +57,8 @@ def _check_rep(A: MultiMatrixAlgebra, units: tuple[np.ndarray, ...],
     triples = A.unit_triples()
     if len(units) != len(triples):
         raise ValueError(f"{label}: expected {len(triples)} unit images")
-    for U in units:
-        if U.shape != (dim, dim):
-            raise ValueError(f"{label}: unit image has wrong shape")
+    if any(U.shape != (dim, dim) for U in units):
+        raise ValueError(f"{label}: unit image has wrong shape")
     top = max_operator_norm(units)
     bound = DEFAULT_TOL * (1.0 + top)
     total = sum((U for (b, i, j), U in zip(triples, units) if i == j),
@@ -101,10 +99,9 @@ class Correspondence:
         top_r = _check_rep(self.right_algebra, self.pi_r_units, self.dim,
                            anti=True, label="right action")
         bound = DEFAULT_TOL * (1.0 + max(top_l, top_r))
-        for U in self.pi_l_units:
-            for V in self.pi_r_units:
-                if norm_exceeds(U @ V - V @ U, bound):
-                    raise ValueError("left and right actions do not commute")
+        if any(norm_exceeds(U @ V - V @ U, bound)
+               for U in self.pi_l_units for V in self.pi_r_units):
+            raise ValueError("left and right actions do not commute")
 
     def pi_l(self, x: np.ndarray) -> np.ndarray:
         return self.left_algebra.extend_linearly(x, self.pi_l_units)
@@ -150,12 +147,9 @@ class Intertwiner:
 
     def residual(self) -> float:
         T = self.matrix
-        worst = 0.0
-        for As, At in zip(self.source.pi_l_units, self.target.pi_l_units):
-            worst = max(worst, operator_norm(T @ As - At @ T))
-        for As, At in zip(self.source.pi_r_units, self.target.pi_r_units):
-            worst = max(worst, operator_norm(T @ As - At @ T))
-        return worst
+        pairs = zip(self.source.pi_l_units + self.source.pi_r_units,
+                    self.target.pi_l_units + self.target.pi_r_units)
+        return max_operator_norm([T @ As - At @ T for As, At in pairs])
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         T = self.matrix
@@ -266,34 +260,17 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     right_p = np.stack([N.coords(E @ unit_img) for E in units], axis=1)
     Q = orthonormal_columns(right_p)
     pi_l = [Q.conj().T @ L @ Q for L in std_N.pi_l_units]
-    pi_r = []
-    for img in imgs:
-        R = np.stack([N.coords(E @ img) for E in units], axis=1)
-        pi_r.append(Q.conj().T @ R @ Q)
+    pi_r = [Q.conj().T @ np.stack([N.coords(E @ img) for E in units], axis=1)
+            @ Q for img in imgs]
     return Correspondence(N, source, Q.shape[1], tuple(pi_l), tuple(pi_r))
 
 
-def _isotypic_frames(C: Correspondence, b: int, c: int) -> np.ndarray:
-    """Isometric frames of C's (b, c) block pair, shape (mult, dim, n*m).
-
-    W_ik = pi_l(e_{b,i,0}) . pi_r(f_{c,0,k}) carries the range of the
-    minimal projection W_00 isometrically onto the (i, k) slot; pi_r is an
-    antihomomorphism, so f_{c,0,k} is the unit that moves slot 0 to slot k.
-    Frame s collects the images W_ik q_s of the s-th vector of an
-    orthonormal basis of that range.  The range is read off the spectrum
-    of a near-projection, so its dimension (the multiplicity) is an exact
-    count at the cutoff 1/2.
-    """
+def _block_pair_frames(C: Correspondence, b: int, c: int) -> np.ndarray:
+    """Isotypic frames of C's (b, c) block pair, shape (mult, dim, n*m)."""
     M, N = C.left_algebra, C.right_algebra
-    lefts = [C.pi_l_units[M.unit_index(b, i, 0)]
-             for i in range(M.block_sizes[b])]
-    rights = [C.pi_r_units[N.unit_index(c, 0, k)]
-              for k in range(N.block_sizes[c])]
-    P = lefts[0] @ rights[0]
-    w, V = np.linalg.eigh((P + P.conj().T) / 2.0)
-    Q = V[:, w > 0.5]
-    slots = [L @ (R @ Q) for L in lefts for R in rights]
-    return np.stack(slots, axis=2).transpose(1, 0, 2)
+    return isotypic_frames(
+        [C.pi_l_units[M.unit_index(b, i, 0)] for i in range(M.block_sizes[b])],
+        [C.pi_r_units[N.unit_index(c, 0, k)] for k in range(N.block_sizes[c])])
 
 
 def intertwiner_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
@@ -301,23 +278,15 @@ def intertwiner_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
 
     Built from the matrix units, with no linear system solved: on each
     block pair (b, c) the intertwiners are A_s . B_t* / sqrt(n m), for A_s
-    a frame of K and B_t a frame of H.  Frames of different block pairs
-    live on orthogonal ranges, so the elements are orthonormal and their
-    count is the sum over (b, c) of mult_H[b][c] * mult_K[b][c].
+    a frame of K and B_t a frame of H, so their count is the sum over
+    (b, c) of mult_H[b][c] * mult_K[b][c].
     """
     if H.left_algebra != K.left_algebra or H.right_algebra != K.right_algebra:
         raise AlgebraMismatch("correspondences over different algebra pairs")
-    dH, dK = H.dim, K.dim
-    if dH == 0 or dK == 0:
-        return np.zeros((dH * dK, 0), dtype=np.complex128)
-    parts = []
-    for b, n in enumerate(H.left_algebra.block_sizes):
-        for c, m in enumerate(H.right_algebra.block_sizes):
-            A = _isotypic_frames(K, b, c)
-            B = _isotypic_frames(H, b, c)
-            T = np.einsum("sip,tjp->stij", A, B.conj()) / np.sqrt(n * m)
-            parts.append(T.reshape(-1, dK * dH))
-    return np.concatenate(parts, axis=0).T
+    pairs = [(_block_pair_frames(K, b, c), _block_pair_frames(H, b, c))
+             for b in range(len(H.left_algebra.block_sizes))
+             for c in range(len(H.right_algebra.block_sizes))]
+    return frame_products(pairs)
 
 
 def unitary_intertwiner(H: Correspondence, K: Correspondence,

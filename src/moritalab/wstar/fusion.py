@@ -89,10 +89,8 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     V = _unit_images(std_N)
     V_inv = np.linalg.inv(V)
     cyc = std_N.cyclic_vector()
-    R = []
-    for a in range(dH):
-        W = np.stack([U[:, a] for U in H.pi_r_units], axis=1)
-        R.append(W @ V_inv)
+    R = [np.stack([U[:, a] for U in H.pi_r_units], axis=1) @ V_inv
+         for a in range(dH)]
 
     G = np.zeros((ambient, ambient), dtype=np.complex128)
     for a in range(dH):
@@ -122,11 +120,8 @@ def left_unitor(K: Correspondence, std_M: StandardFormData,
         fusion = connes_fusion(identity_correspondence(std_M), K, std_M)
     if fusion.left_dim != std_M.dim or fusion.right_dim != K.dim:
         raise ValueError("fusion data does not match the unitor factors")
-    dK = K.dim
-    A = np.zeros((dK, std_M.dim * dK), dtype=np.complex128)
-    for u in range(std_M.dim):
-        x_u = std_M.algebra.from_coords(std_M.lam_inv[:, u])
-        A[:, u * dK:(u + 1) * dK] = K.pi_l(x_u)
+    A = np.hstack([K.pi_l(std_M.algebra.from_coords(std_M.lam_inv[:, u]))
+                   for u in range(std_M.dim)])
     return Intertwiner(fusion.corr, K, A @ fusion.section)
 
 
@@ -142,16 +137,11 @@ def right_unitor(H: Correspondence, std_N: StandardFormData,
         fusion = connes_fusion(H, identity_correspondence(std_N), std_N)
     if fusion.left_dim != H.dim or fusion.right_dim != std_N.dim:
         raise ValueError("fusion data does not match the unitor factors")
-    dH = H.dim
-    n = std_N.dim
-    A = np.zeros((dH, dH * n), dtype=np.complex128)
-    acts = []
-    for v in range(n):
-        y_v = std_N.algebra.from_coords(std_N.lam_inv[:, v])
-        acts.append(H.pi_r(std_N.modular_twist(y_v, sign=-1)))
-    for a in range(dH):
-        for v in range(n):
-            A[:, a * n + v] = acts[v][:, a]
+    acts = [H.pi_r(std_N.modular_twist(
+        std_N.algebra.from_coords(std_N.lam_inv[:, v]), sign=-1))
+        for v in range(std_N.dim)]
+    # column a * n + v of the map is column a of acts[v]
+    A = np.stack(acts, axis=2).reshape(H.dim, H.dim * std_N.dim)
     return Intertwiner(fusion.corr, H, A @ fusion.section)
 
 

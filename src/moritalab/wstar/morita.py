@@ -4,8 +4,10 @@ A correspondence implements an equivalence exactly when its left action is
 faithful, its right action spans the full commutant of the left one, and
 fusing with the conjugate on either side returns the identity
 correspondence up to unitary intertwiner. The certificate records the
-witnesses; a refutation records which gate failed. Every gate decides at
-the fixed cutoff DEFAULT_TOL; callers gate the certificate's residual.
+witnesses; a refutation records which gate failed. Faithfulness and the
+commutant come from the left action's isotypic frames, counted at the
+spectral cutoff 1/2; the span comparison and the fusion gates decide at
+DEFAULT_TOL, and callers gate the certificate's residual.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import AlgebraMismatch
-from ..numkernel import (
-    commutant,
-    matrices_to_columns,
-    null_space,
-    subspaces_equal,
-)
-from .algebras import State, trace_state
+from .algebras import State, left_frames, right_fills_commutant, trace_state
 from .correspondences import (
     Correspondence,
     Intertwiner,
@@ -66,16 +62,13 @@ def certify_morita_equivalent(H: Correspondence,
     if phi_M.algebra != M or phi_N.algebra != N:
         raise AlgebraMismatch("states are not on the correspondence algebras")
 
-    cols = matrices_to_columns(H.pi_l_units)
-    kernel = null_space(cols) if cols.size else np.eye(len(H.pi_l_units))
-    if H.dim == 0 or kernel.shape[1] > 0:
+    frames = left_frames(M, H.pi_l_units)
+    if not all(len(F) for F in frames):
         return WStarMoritaCertificate(
             corr=H, equivalent=False,
             reason="left action is not faithful")
 
-    comm = commutant(H.pi_l_units, H.dim)
-    right_span = matrices_to_columns(H.pi_r_units)
-    same, res = subspaces_equal(comm, right_span)
+    same, res = right_fills_commutant(frames, H.pi_r_units)
     if not same:
         return WStarMoritaCertificate(
             corr=H, equivalent=False, residual=res,

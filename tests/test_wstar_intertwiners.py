@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from moritalab.numkernel import joint_null_space, operator_norm, subspaces_equal
+from moritalab.numkernel import (
+    commutant,
+    joint_null_space,
+    operator_norm,
+    subspaces_equal,
+)
 from moritalab.wstar import (
     Correspondence,
     Intertwiner,
@@ -15,9 +20,11 @@ from moritalab.wstar import (
     gns_standard_form,
     identity_correspondence,
     intertwiner_basis,
+    random_faithful_state,
     trace_state,
     vector_correspondence,
 )
+from moritalab.wstar.algebras import left_commutant, left_frames
 
 
 def _kronecker_reference(H, K):
@@ -87,6 +94,55 @@ class TestIntertwinerBasis:
         L2 = identity_correspondence(gns_standard_form(M3, trace_state(M3)))
         assert _assert_matches_reference(fused, fused) == 1
         assert _assert_matches_reference(fused, L2) == 1
+
+
+def _haar_unitary(d, rng):
+    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _assert_commutant_matches_reference(A, units):
+    """The frame commutant against the Kronecker Sylvester solve."""
+    d = units[0].shape[0]
+    frames = left_frames(A, units)
+    comm = left_commutant(frames)
+    ref = commutant(units, d)
+    k = comm.shape[1]
+    assert comm.shape == (d * d, ref.shape[1])
+    assert np.allclose(comm.conj().T @ comm, np.eye(k), atol=1e-12)
+    same, res = subspaces_equal(comm, ref)
+    assert same, res
+    return k
+
+
+class TestLeftCommutant:
+    @pytest.mark.parametrize("left, right, mult", [
+        (left, right, mult) for left, right, mult_h, mult_k in BLOCK_CASES
+        for mult in (mult_h, mult_k)] + [
+        # rows of zero multiplicity
+        ((2, 1), (1, 2), [[0, 0], [1, 2]]),
+        ((1, 2, 1), (2, 1), [[1, 0], [0, 0], [2, 1]]),
+        ((3,), (1, 1), [[0, 0]]),
+    ])
+    def test_rotated_block_correspondences(self, left, right, mult):
+        A, B = MultiMatrixAlgebra(left), MultiMatrixAlgebra(right)
+        H = block_correspondence(A, B, mult)
+        W = _haar_unitary(H.dim, np.random.default_rng(H.dim))
+        units = [W @ U @ W.conj().T for U in H.pi_l_units]
+        # the commutant is M_{mult_b} (x) 1 with mult_b = sum_c mult[b][c] m_c
+        want = sum(sum(k * m for k, m in zip(row, B.block_sizes)) ** 2
+                   for row in mult)
+        assert _assert_commutant_matches_reference(A, units) == want
+
+    @pytest.mark.parametrize("blocks", [(2,), (3,), (2, 1), (1, 2, 1)])
+    def test_non_tracial_standard_forms(self, blocks):
+        A = MultiMatrixAlgebra(blocks)
+        rng = np.random.default_rng(sum(blocks))
+        for _ in range(3):
+            std = gns_standard_form(A, random_faithful_state(A, rng, floor=0.05))
+            want = sum(n * n for n in blocks)
+            assert _assert_commutant_matches_reference(A, std.pi_l_units) == want
 
 
 def _near_identity_unitary(d, eps, rng):

@@ -149,3 +149,65 @@ class TestConjugates:
         H = block_correspondence(A, C, [[2], [0]])
         K = block_correspondence(A, C, [[0], [2]])
         assert unitary_intertwiner(H, K) is None
+
+
+SHADOW_PATTERNS = ((1,), (2,), (1, 1), (3,), (2, 1), (1, 2, 1))
+NOT_FAITHFUL = "left action is not faithful"
+COMMUTANT = "right action does not fill the commutant of the left one"
+RIGHT_FUSION = ("conjugate fusion is not the identity correspondence "
+                "of the right algebra")
+
+
+def _shadow_reason(mult):
+    """The certification reason predicted from the multiplicity matrix.
+
+    An equivalence bimodule between multi-matrix algebras is a sum of
+    simple bimodules along a bijection of the blocks, so the verdict is a
+    property of the integer matrix alone.
+    """
+    if any(not any(row) for row in mult):
+        return NOT_FAITHFUL
+    cols = []
+    for row in mult:
+        hits = [c for c, k in enumerate(row) if k]
+        if len(hits) != 1 or row[hits[0]] != 1:
+            return COMMUTANT
+        cols.append(hits[0])
+    if len(set(cols)) < len(cols):
+        return COMMUTANT
+    # the matched columns are distinct, so fewer of them leaves a zero column
+    if len(cols) < len(mult[0]):
+        return RIGHT_FUSION
+    return "certified"
+
+
+def _random_mult(rng, rows, cols):
+    if rng.random() < 0.5:
+        return rng.integers(0, 3, size=(rows, cols)).tolist()
+    mult = [[0] * cols for _ in range(rows)]
+    for r, c in enumerate(rng.permutation(max(rows, cols))[:rows]):
+        if c < cols and rng.random() < 0.85:
+            mult[r][c] = 1
+    return mult
+
+
+def test_verdict_matches_multiplicity_shadow():
+    """The numeric verdict agrees with the exact multiplicity shadow."""
+    rng = np.random.default_rng(2020)
+    seen = set()
+    draws = 0
+    while draws < 240:
+        A = MultiMatrixAlgebra(SHADOW_PATTERNS[rng.integers(len(SHADOW_PATTERNS))])
+        B = MultiMatrixAlgebra(SHADOW_PATTERNS[rng.integers(len(SHADOW_PATTERNS))])
+        mult = _random_mult(rng, len(A.block_sizes), len(B.block_sizes))
+        dim = sum(k * n * m for row, n in zip(mult, A.block_sizes)
+                  for k, m in zip(row, B.block_sizes))
+        if dim > 30:
+            continue
+        draws += 1
+        want = _shadow_reason(mult)
+        cert = certify_morita_equivalent(block_correspondence(A, B, mult))
+        assert cert.reason == want, (A.block_sizes, B.block_sizes, mult)
+        assert cert.equivalent == (want == "certified")
+        seen.add(want)
+    assert seen == {NOT_FAITHFUL, COMMUTANT, RIGHT_FUSION, "certified"}

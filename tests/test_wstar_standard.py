@@ -52,6 +52,16 @@ class TestAlgebras:
         with pytest.raises(AlgebraMismatch):
             M23.coords(x)
 
+    def test_coords_off_block_boundary(self):
+        # on a norm-1 element the off-block bound is about 2e-8
+        x = np.zeros((5, 5), dtype=np.complex128)
+        x[0, 0] = 1.0
+        x[0, 3] = 1e-12
+        assert M23.coords(x)[0] == 1.0
+        x[0, 3] = 1e-6
+        with pytest.raises(AlgebraMismatch):
+            M23.coords(x)
+
     def test_state_guards(self):
         with pytest.raises(NotFaithful):
             State(M2, np.diag([1.0, 0.0]).astype(np.complex128))
