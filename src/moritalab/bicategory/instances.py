@@ -114,14 +114,14 @@ class WStarBicategory:
     Standard forms (one per algebra) are built lazily from the supplied
     states and cached, so every composite over the same middle algebra
     reuses one relative-tensor presentation.  tol gates only cells_equal,
-    the measured discrepancy of a coherence law; fusion ranks, unitary
-    witnesses and invertibility use the fixed cutoff DEFAULT_TOL.
+    the measured discrepancy of a coherence law; fusion ranks and
+    invertibility use the fixed cutoff DEFAULT_TOL.  find_iso decides by
+    multiplicity and builds its unitary from the isotypic frames.
     """
 
     def __init__(self, states: dict[MultiMatrixAlgebra, State] | None = None,
-                 tol: float = DEFAULT_TOL, seed: int = 0):
+                 tol: float = DEFAULT_TOL):
         self.tol = tol
-        self.seed = seed
         self._states = dict(states) if states else {}
         self._std: dict[MultiMatrixAlgebra, StandardFormData] = {}
         self._ident: dict[MultiMatrixAlgebra, Correspondence] = {}
@@ -192,7 +192,7 @@ class WStarBicategory:
         return disc <= self.tol, disc
 
     def find_iso(self, X: Correspondence, Y: Correspondence):
-        U = unitary_intertwiner(X, Y, seed=self.seed)
+        U = unitary_intertwiner(X, Y)
         return None if U is None else Intertwiner(X, Y, U)
 
     def invertible_2cell(self, f: Intertwiner) -> bool:

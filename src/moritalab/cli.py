@@ -175,16 +175,18 @@ def _task_morita_wstar(spec: SpecFile, task: dict, opts: _Options):
     H = spec.correspondences[task["correspondence"]]
     phi_M = spec.states[task["state_left"]] if "state_left" in task else None
     phi_N = spec.states[task["state_right"]] if "state_right" in task else None
-    cert = certify_morita_equivalent(H, phi_M, phi_N, seed=opts.seed)
+    cert = certify_morita_equivalent(H, phi_M, phi_N)
+    data = {"multiplicities": [list(row) for row in H.multiplicities]}
     if not cert.equivalent:
-        return REFUTED, cert.reason, {"reason": cert.reason}, cert.residual
-    data = {
+        data["reason"] = cert.reason
+        return REFUTED, cert.reason, data, cert.residual
+    data.update({
         "residual": cert.residual,
         "fusion_left_dim": cert.fusion_left.corr.dim,
         "fusion_right_dim": cert.fusion_right.corr.dim,
         "unitary_left": encode_complex_matrix(cert.unitary_left),
         "unitary_right": encode_complex_matrix(cert.unitary_right),
-    }
+    })
     if cert.residual > opts.tol:
         return FAIL, _exceeds("certificate residual", cert.residual, opts), \
             data, cert.residual

@@ -277,15 +277,3 @@ def gram_quotient(G: np.ndarray, scale: float = 0.0) -> GramQuotient:
     project = (Vk * np.power(wk, 0.5)).conj().T
     return GramQuotient(Gs, section, project, int(np.sum(keep)))
 
-
-def polar_unitary(T: np.ndarray) -> np.ndarray:
-    """Unitary factor of an invertible square matrix."""
-    T = as_complex_matrix(T)
-    if T.shape[0] != T.shape[1]:
-        raise ValueError("polar factor needs a square matrix")
-    if T.size == 0:
-        return T
-    U, s, Vh = np.linalg.svd(T)
-    if s[-1] <= DEFAULT_TOL * max(s[0], 1e-300):
-        raise Singular("matrix has no unitary polar factor")
-    return U @ Vh

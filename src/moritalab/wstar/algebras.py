@@ -12,6 +12,7 @@ exactly and give bases of commutants and intertwiner spaces directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,12 @@ class MultiMatrixAlgebra:
         return sum(n * n for n in self.block_sizes[:b]) \
             + i * self.block_sizes[b] + j
 
+    @cached_property
+    def _unit_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) index arrays of the matrix units, in basis order."""
+        return tuple(np.array([(self.block_offset(b) + i, self.block_offset(b) + j)
+                               for b, i, j in self.unit_triples()]).T)
+
     def extend_linearly(self, x: np.ndarray,
                         unit_images: tuple[np.ndarray, ...]) -> np.ndarray:
         """Image of x under the linear map given on the matrix units."""
@@ -90,8 +97,7 @@ class MultiMatrixAlgebra:
         x = as_complex_matrix(x)
         if x.shape != (self.dim, self.dim):
             raise AlgebraMismatch("element has the wrong ambient dimension")
-        v = np.array([x[self.block_offset(b) + i, self.block_offset(b) + j]
-                      for b, i, j in self.unit_triples()])
+        v = x[self._unit_positions]
         rest = x - self.from_coords(v)
         if np.any(rest) and norm_exceeds(
                 rest, DEFAULT_TOL * (1.0 + operator_norm(x))):
@@ -103,8 +109,7 @@ class MultiMatrixAlgebra:
         if v.shape != (self.vector_dim,):
             raise AlgebraMismatch("coordinate vector length mismatch")
         x = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for val, (b, i, j) in zip(v, self.unit_triples()):
-            x[self.block_offset(b) + i, self.block_offset(b) + j] = val
+        x[self._unit_positions] = v
         return x
 
     def contains(self, x: np.ndarray) -> bool:

@@ -9,17 +9,17 @@ all of it on unit pairs, which suffices by linearity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ..errors import AlgebraMismatch, NotComposable, NotHomomorphism, Singular
+from ..errors import AlgebraMismatch, NotComposable, NotHomomorphism
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
     max_operator_norm,
     norm_exceeds,
     orthonormal_columns,
-    polar_unitary,
 )
 from .algebras import MultiMatrixAlgebra, frame_products, isotypic_frames
 from .standard import StandardFormData
@@ -102,6 +102,22 @@ class Correspondence:
         if any(norm_exceeds(U @ V - V @ U, bound)
                for U in self.pi_l_units for V in self.pi_r_units):
             raise ValueError("left and right actions do not commute")
+
+    @cached_property
+    def frames(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Isotypic frames per block pair: frames[b][c] is (mult, dim, n_b m_c)."""
+        M, N = self.left_algebra, self.right_algebra
+        lefts = [[self.pi_l_units[M.unit_index(b, i, 0)] for i in range(n)]
+                 for b, n in enumerate(M.block_sizes)]
+        rights = [[self.pi_r_units[N.unit_index(c, 0, k)] for k in range(m)]
+                  for c, m in enumerate(N.block_sizes)]
+        return tuple(tuple(isotypic_frames(L, R) for R in rights)
+                     for L in lefts)
+
+    @property
+    def multiplicities(self) -> tuple[tuple[int, ...], ...]:
+        """How often each simple (b, c) bimodule occurs: the frame counts."""
+        return tuple(tuple(len(F) for F in row) for row in self.frames)
 
     def pi_l(self, x: np.ndarray) -> np.ndarray:
         return self.left_algebra.extend_linearly(x, self.pi_l_units)
@@ -265,12 +281,11 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     return Correspondence(N, source, Q.shape[1], tuple(pi_l), tuple(pi_r))
 
 
-def _block_pair_frames(C: Correspondence, b: int, c: int) -> np.ndarray:
-    """Isotypic frames of C's (b, c) block pair, shape (mult, dim, n*m)."""
-    M, N = C.left_algebra, C.right_algebra
-    return isotypic_frames(
-        [C.pi_l_units[M.unit_index(b, i, 0)] for i in range(M.block_sizes[b])],
-        [C.pi_r_units[N.unit_index(c, 0, k)] for k in range(N.block_sizes[c])])
+def _frame_pairs(H: Correspondence, K: Correspondence):
+    """(frames of K, frames of H) per block pair, both over one algebra pair."""
+    if H.left_algebra != K.left_algebra or H.right_algebra != K.right_algebra:
+        raise AlgebraMismatch("correspondences over different algebra pairs")
+    return [pair for rows in zip(K.frames, H.frames) for pair in zip(*rows)]
 
 
 def intertwiner_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
@@ -281,36 +296,23 @@ def intertwiner_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
     a frame of K and B_t a frame of H, so their count is the sum over
     (b, c) of mult_H[b][c] * mult_K[b][c].
     """
-    if H.left_algebra != K.left_algebra or H.right_algebra != K.right_algebra:
-        raise AlgebraMismatch("correspondences over different algebra pairs")
-    pairs = [(_block_pair_frames(K, b, c), _block_pair_frames(H, b, c))
-             for b in range(len(H.left_algebra.block_sizes))
-             for c in range(len(H.right_algebra.block_sizes))]
-    return frame_products(pairs)
+    return frame_products(_frame_pairs(H, K))
 
 
-def unitary_intertwiner(H: Correspondence, K: Correspondence,
-                        seed: int = 0, attempts: int = 8) -> np.ndarray | None:
-    """A unitary intertwiner H -> K, or None if none exists numerically.
+def unitary_intertwiner(H: Correspondence, K: Correspondence
+                        ) -> np.ndarray | None:
+    """A unitary intertwiner H -> K, or None if none exists.
 
-    A polar factor is accepted when its intertwining residual is within
-    DEFAULT_TOL; callers gate the residual against their own tolerance.
+    H and K are unitarily equivalent exactly when their multiplicity
+    matrices agree.  Then U = sum over block pairs and s of A_s . B_s*,
+    for A_s the frames of K and B_s those of H, maps H's orthonormal frame
+    basis onto K's slot by slot, so it is unitary and intertwines.  Its
+    residual is re-checked against DEFAULT_TOL; callers gate it against
+    their own tolerance.
     """
-    if H.dim != K.dim:
+    pairs = _frame_pairs(H, K)
+    if H.dim != K.dim or H.multiplicities != K.multiplicities:
         return None
-    if H.dim == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    basis = intertwiner_basis(H, K)
-    if basis.shape[1] == 0:
-        return None
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
-        c = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
-        T = (basis @ c).reshape(K.dim, H.dim)
-        try:
-            U = polar_unitary(T)
-        except Singular:
-            continue
-        if Intertwiner(H, K, U).residual() <= DEFAULT_TOL:
-            return U
-    return None
+    U = sum(np.tensordot(A, B.conj(), axes=([0, 2], [0, 2]))
+            for A, B in pairs)
+    return U if Intertwiner(H, K, U).residual() <= DEFAULT_TOL else None

@@ -6,8 +6,9 @@ fusing with the conjugate on either side returns the identity
 correspondence up to unitary intertwiner. The certificate records the
 witnesses; a refutation records which gate failed. Faithfulness and the
 commutant come from the left action's isotypic frames, counted at the
-spectral cutoff 1/2; the span comparison and the fusion gates decide at
-DEFAULT_TOL, and callers gate the certificate's residual.
+spectral cutoff 1/2, and the span comparison decides at DEFAULT_TOL. The
+fusion gates compare multiplicity matrices and build their unitaries from
+the frames, so the certificate is deterministic; callers gate its residual.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class WStarMoritaCertificate:
 
 def certify_morita_equivalent(H: Correspondence,
                               phi_M: State | None = None,
-                              phi_N: State | None = None,
-                              seed: int = 0) -> WStarMoritaCertificate:
+                              phi_N: State | None = None
+                              ) -> WStarMoritaCertificate:
     """Decide whether H implements an equivalence between its two algebras.
 
     States default to the normalized traces; by state independence of the
@@ -80,7 +81,7 @@ def certify_morita_equivalent(H: Correspondence,
 
     fus_left = connes_fusion(H, Hbar, std_N)
     ident_M = identity_correspondence(std_M)
-    U_left = unitary_intertwiner(fus_left.corr, ident_M, seed=seed)
+    U_left = unitary_intertwiner(fus_left.corr, ident_M)
     if U_left is None:
         return WStarMoritaCertificate(
             corr=H, equivalent=False, conjugate=Hbar, fusion_left=fus_left,
@@ -89,7 +90,7 @@ def certify_morita_equivalent(H: Correspondence,
 
     fus_right = connes_fusion(Hbar, H, std_M)
     ident_N = identity_correspondence(std_N)
-    U_right = unitary_intertwiner(fus_right.corr, ident_N, seed=seed)
+    U_right = unitary_intertwiner(fus_right.corr, ident_N)
     if U_right is None:
         return WStarMoritaCertificate(
             corr=H, equivalent=False, conjugate=Hbar,

@@ -355,7 +355,7 @@ def test_criterion_10_analytic_coherence_and_state_independence(report):
             phi = random_faithful_state(B, rng)
             std = gns_standard_form(B, phi)
             fusions.append(connes_fusion(H, K, std))
-        U = unitary_intertwiner(fusions[0].corr, fusions[1].corr, seed=0)
+        U = unitary_intertwiner(fusions[0].corr, fusions[1].corr)
         if U is None:
             notes.append(f"state choice changed the fusion over {B.block_sizes}")
     report(10, not notes, notes)

@@ -238,6 +238,19 @@ class TestDemos:
         assert report["input_digest"].startswith("sha256:")
         assert all(row["status"] == "Pass" for row in report["tasks"])
 
+    @pytest.mark.parametrize("name", ["mn-vs-c", "non-tracial-fusion"])
+    def test_morita_wstar_data_do_not_depend_on_seed(self, name, tmp_path,
+                                                     capsys):
+        data = []
+        for seed in ("0", "5"):
+            path = tmp_path / f"r{seed}.json"
+            main(["demo", name, "--seed", seed, "--report", str(path)])
+            data.append([row["data"] for row in
+                         json.loads(path.read_text())["tasks"]
+                         if row["task"] == "morita-wstar"])
+        assert data[0] and data[0] == data[1]
+        assert data[0][0]["multiplicities"] == [[1]]
+
     def test_demo_spec_out_reloads(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         rc = main(["demo", "non-tracial-fusion", "--spec-out", str(spec_path),
@@ -423,6 +436,7 @@ class TestToleranceGatesResidualsOnly:
         assert row["status"] == "Refuted"
         assert row["detail"] == ("right action does not fill the commutant "
                                  "of the left one")
+        assert row["data"]["multiplicities"] == [[2]]
 
     def test_fused_dimension_does_not_move_with_tolerance(self, tmp_path,
                                                           capsys):

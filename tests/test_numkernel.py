@@ -20,7 +20,6 @@ from moritalab.numkernel import (
     operator_norm,
     orthonormal_columns,
     polar_antilinear,
-    polar_unitary,
     subspaces_equal,
 )
 
@@ -275,15 +274,3 @@ class TestGramQuotient:
         with pytest.raises(NotPSD):
             gram_quotient(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
 
-
-class TestPolarUnitary:
-    def test_recovers_unitary_factor(self):
-        rng = np.random.default_rng(3)
-        U = _haar_unitary(3, rng)
-        P = np.diag([1.0, 2.0, 3.0])
-        got = polar_unitary(U @ P)
-        assert operator_norm(got - U) < 1e-10
-
-    def test_rank_deficient_raises(self):
-        with pytest.raises(Singular):
-            polar_unitary(np.diag([1.0, 0.0]).astype(np.complex128))

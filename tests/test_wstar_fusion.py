@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moritalab.bicategory import sample_wstar_chain
 from moritalab.errors import AlgebraMismatch, CapExceeded, NotHomomorphism
 from moritalab.numkernel import operator_norm
 from moritalab.wstar import (
@@ -372,3 +373,41 @@ class TestCorrFromHomomorphism:
         with pytest.raises(NotHomomorphism):
             corr_from_homomorphism(
                 [np.array([[0.5, 0.0], [0.0, 0.0]], dtype=np.complex128)], C, std)
+
+
+def _mult(H):
+    return np.array(H.multiplicities, dtype=int).reshape(
+        len(H.left_algebra.block_sizes), len(H.right_algebra.block_sizes))
+
+
+class TestMultiplicities:
+    """The multiplicity matrix is an exact invariant that fusion multiplies."""
+
+    def test_block_correspondence_reads_back(self):
+        rng = np.random.default_rng(31)
+        for left, right in (((2,), (1, 2)), ((2, 1), (1, 1, 1)),
+                            ((1, 2, 1), (2,))):
+            A, B = MultiMatrixAlgebra(left), MultiMatrixAlgebra(right)
+            mult = rng.integers(0, 3, size=(len(left), len(right)))
+            H = block_correspondence(A, B, mult.tolist())
+            assert np.array_equal(_mult(H), mult)
+
+    @pytest.mark.parametrize("blocks", [(2,), (1, 2), (2, 3)])
+    def test_identity_is_the_identity_matrix(self, blocks):
+        A = MultiMatrixAlgebra(blocks)
+        for phi in (trace_state(A),
+                    random_faithful_state(A, np.random.default_rng(len(blocks)))):
+            L2 = identity_correspondence(gns_standard_form(A, phi))
+            assert np.array_equal(_mult(L2), np.eye(len(blocks), dtype=int))
+
+    def test_fusion_multiplies_and_conjugation_transposes(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            algs, (H, K) = sample_wstar_chain(rng, 2, dim_cap=12)
+            B = algs[1]
+            for phi in (trace_state(B), random_faithful_state(B, rng)):
+                fused = connes_fusion(H, K, gns_standard_form(B, phi)).corr
+                assert np.array_equal(_mult(fused), _mult(H) @ _mult(K))
+            for X in (H, K):
+                assert np.array_equal(_mult(conjugate_correspondence(X)),
+                                      _mult(X).T)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moritalab.errors import AlgebraMismatch
 from moritalab.numkernel import (
     commutant,
     joint_null_space,
@@ -22,6 +23,7 @@ from moritalab.wstar import (
     intertwiner_basis,
     random_faithful_state,
     trace_state,
+    unitary_intertwiner,
     vector_correspondence,
 )
 from moritalab.wstar.algebras import left_commutant, left_frames
@@ -143,6 +145,46 @@ class TestLeftCommutant:
             std = gns_standard_form(A, random_faithful_state(A, rng, floor=0.05))
             want = sum(n * n for n in blocks)
             assert _assert_commutant_matches_reference(A, std.pi_l_units) == want
+
+
+def _rotated(H, W):
+    """W . H . W* as a correspondence over the same algebra pair."""
+    return Correspondence(
+        H.left_algebra, H.right_algebra, H.dim,
+        tuple(W @ U @ W.conj().T for U in H.pi_l_units),
+        tuple(W @ U @ W.conj().T for U in H.pi_r_units))
+
+
+class TestUnitaryIntertwiner:
+    @pytest.mark.parametrize("left, right, mult", [
+        ((2, 1), (1, 2), [[1, 1], [2, 0]]),
+        ((1, 2, 1), (2, 1), [[1, 0], [1, 1], [0, 2]]),
+        ((2, 1), (1, 1, 1), [[1, 0, 2], [1, 1, 0]]),
+    ])
+    def test_rotated_frames_give_unitary_witness(self, left, right, mult):
+        A, B = MultiMatrixAlgebra(left), MultiMatrixAlgebra(right)
+        H = block_correspondence(A, B, mult)
+        W = _haar_unitary(H.dim, np.random.default_rng(7 * H.dim))
+        K = _rotated(H, W)
+        assert K.multiplicities == H.multiplicities
+        U = unitary_intertwiner(H, K)
+        assert U is not None
+        eye = np.eye(H.dim)
+        assert operator_norm(U.conj().T @ U - eye) <= 1e-12
+        assert operator_norm(U @ U.conj().T - eye) <= 1e-12
+        assert Intertwiner(H, K, U).residual() <= 1e-12
+        # no seed: fresh copies of both endpoints give the same array
+        again = unitary_intertwiner(block_correspondence(A, B, mult),
+                                    _rotated(H, W))
+        assert np.array_equal(U, again)
+
+    def test_different_algebra_pair_raises(self):
+        A, B = MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((1, 2))
+        H = block_correspondence(A, B, [[1, 1], [2, 0]])
+        other = block_correspondence(A, MultiMatrixAlgebra((1, 1)),
+                                     [[1, 1], [2, 0]])
+        with pytest.raises(AlgebraMismatch):
+            unitary_intertwiner(H, other)
 
 
 def _near_identity_unitary(d, eps, rng):

@@ -46,6 +46,19 @@ class TestAlgebras:
         x = M23.random_element(rng)
         assert np.allclose(M23.from_coords(M23.coords(x)), x)
 
+    def test_coords_match_per_entry_reference(self):
+        rng = np.random.default_rng(5)
+        for A in (M2, M23, MultiMatrixAlgebra((1, 3, 2))):
+            pos = [(A.block_offset(b) + i, A.block_offset(b) + j)
+                   for b, i, j in A.unit_triples()]
+            x = A.random_element(rng)
+            want = np.array([x[r, c] for r, c in pos])
+            assert A.coords(x).tobytes() == want.tobytes()
+            ref = np.zeros((A.dim, A.dim), dtype=np.complex128)
+            for val, (r, c) in zip(want, pos):
+                ref[r, c] = val
+            assert A.from_coords(want).tobytes() == ref.tobytes()
+
     def test_coords_rejects_off_block_entries(self):
         x = np.zeros((5, 5), dtype=np.complex128)
         x[0, 3] = 1.0
