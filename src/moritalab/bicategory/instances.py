@@ -124,7 +124,6 @@ class WStarBicategory:
         self.tol = tol
         self._states = dict(states) if states else {}
         self._std: dict[MultiMatrixAlgebra, StandardFormData] = {}
-        self._ident: dict[MultiMatrixAlgebra, Correspondence] = {}
 
     def standard_form(self, A: MultiMatrixAlgebra) -> StandardFormData:
         if A not in self._std:
@@ -139,9 +138,7 @@ class WStarBicategory:
         return P.right_algebra
 
     def identity(self, A: MultiMatrixAlgebra) -> Correspondence:
-        if A not in self._ident:
-            self._ident[A] = identity_correspondence(self.standard_form(A))
-        return self._ident[A]
+        return identity_correspondence(self.standard_form(A))
 
     def compose(self, P: Correspondence, Q: Correspondence) -> wf.FusionResult:
         if P.right_algebra != Q.left_algebra:

@@ -19,7 +19,6 @@ between construction sites.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +51,18 @@ def max_operator_norm(mats) -> float:
 
 
 def norm_exceeds(A: np.ndarray, bound: float) -> bool:
-    """operator_norm(A) > bound, deciding by the Frobenius norm when it can.
+    """operator_norm(M) > bound for the matrix A or for some M in a stack A.
 
-    The operator norm never exceeds the Frobenius norm, so the SVD only
-    runs when the Frobenius norm is above the bound; the answer is the
-    same either way.  A non-finite norm counts as exceeding: NaN compares
-    False with everything and would otherwise read as within the bound.
+    The SVD only runs on matrices whose Frobenius norm, never below the
+    operator norm, is above the bound.  A non-finite norm (from a non-finite
+    entry or overflow) counts as exceeding, without a warning.
     """
-    fro = float(np.linalg.norm(A))
-    if not math.isfinite(fro):
-        return True
-    return fro > bound and operator_norm(A) > bound
+    stack = A[None] if np.ndim(A) == 2 else np.asarray(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro = np.linalg.norm(stack, axis=(1, 2))
+    over = stack[fro > bound]
+    return not np.all(np.isfinite(fro)) or len(over) > 0 and bool(
+        np.any(np.linalg.norm(over, 2, axis=(1, 2)) > bound))
 
 
 @dataclass(frozen=True)

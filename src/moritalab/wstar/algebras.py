@@ -64,6 +64,11 @@ class MultiMatrixAlgebra:
             + i * self.block_sizes[b] + j
 
     @cached_property
+    def adjoint_order(self) -> np.ndarray:
+        """Position of the adjoint (b, j, i) of each unit (b, i, j), in basis order."""
+        return np.array([self.unit_index(b, j, i) for b, i, j in self.unit_triples()])
+
+    @cached_property
     def _unit_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) index arrays of the matrix units, in basis order."""
         return tuple(np.array([(self.block_offset(b) + i, self.block_offset(b) + j)

@@ -1,9 +1,9 @@
 """Correspondences: Hilbert spaces with commuting left and right actions.
 
-Both actions are specified on matrix units and extended linearly. The left
-data must be a unital *-homomorphism and the right data a unital
-*-antihomomorphism, and the two images must commute; construction checks
-all of it on unit pairs, which suffices by linearity.
+Both actions are specified on matrix units and extended linearly: a unital
+*-homomorphism on the left, a unital *-antihomomorphism on the right, with
+commuting images. Construction checks unitality and the star law on every
+unit, the rest on the generating relations (see _generator_eps).
 """
 
 from __future__ import annotations
@@ -25,53 +25,55 @@ from .algebras import MultiMatrixAlgebra, frame_products, isotypic_frames
 from .standard import StandardFormData
 
 
-def _broken_unit_relation(A: MultiMatrixAlgebra, units, anti: bool,
-                          bound: float) -> str | None:
-    """Which matrix-unit law the images break first: "star", "product" or None.
+def _generator_eps(t: float) -> float:
+    """Tolerance on the generating relations that bounds every unit pair.
 
-    With anti set the images must multiply in reverse order, as the right
-    action of an antihomomorphism does.
+    Let one action's unit images U_bij have norms at most s <= t and every
+    generating residual, U_bi0.U_b0j - U_bij or U_b0j.U_ck0 - [b=c, j=k].U_b00,
+    be at most eps.  With r1 to r5 the residuals, up to sign, of U_bij, U_ckl,
+    the pair (U_b0j, U_ck0), U_bi0 = U_bi0.U_b00 and U_bil,
+        U_bij.U_ckl - [b=c, j=k].U_bil = r1.U_ckl + U_bi0.U_b0j.r2
+            + U_bi0.r3.U_c0l + [b=c, j=k].(r4.U_b0l + r5)
+    is at most eps.(1 + 2s + 2s^2) <= DEFAULT_TOL.(1 + s), the all-pairs
+    bound, as (1 + s)(1 + 2t)^2 - (1 + t)(1 + 2s + 2s^2) is concave in s
+    and nonnegative at s = 0 and s = t.  For left and right unit images
+    X = AB + r1 and Y = CD + r2, with A, B, C, D images of units with a 0
+    index whose commutators across the actions are at most eps,
+        [X, Y] = AC[B, D] + A[B, C]D + C[A, D]B + [A, C]DB
+            + [X, r2] - [r1, r2] + [r1, Y]
+    is at most eps.(4t^2 + 4t + 2 eps) <= DEFAULT_TOL.(1 + t), as eps <= 1/2.
     """
-    triples = A.unit_triples()
-    for (b, i, j), U in zip(triples, units):
-        if norm_exceeds(U.conj().T - units[A.unit_index(b, j, i)], bound):
-            return "star"
-    zero = np.zeros_like(units[0])
-    for (b, i, j), U in zip(triples, units):
-        for (c, k, l), V in zip(triples, units):
-            if anti:
-                # product reverses: U.V must be the image of e_kl . e_ij
-                want = units[A.unit_index(c, k, j)] if (b == c and i == l) \
-                    else zero
-            else:
-                want = units[A.unit_index(b, i, l)] if (b == c and j == k) \
-                    else zero
-            if norm_exceeds(U @ V - want, bound):
+    return DEFAULT_TOL * (1.0 + t) / (1.0 + 2.0 * t) ** 2
+
+
+def _unit_blocks(A: MultiMatrixAlgebra, units: np.ndarray) -> list[np.ndarray]:
+    """Per block, the (n, n, d, d) view of a unit stack holding U_bij at [i, j]."""
+    return [units[A.unit_index(b, 0, 0):][:n * n].reshape((n, n) + units.shape[1:])
+            for b, n in enumerate(A.block_sizes)]
+
+
+def _broken_unit_relation(A: MultiMatrixAlgebra, units: np.ndarray,
+                          top: float, eps: float) -> str | None:
+    """Which law a unit stack breaks first: "star", "product" or None.
+
+    The star law is checked on every unit against DEFAULT_TOL.(1 + top),
+    for top the largest unit norm, and the product law against eps on the
+    generating pairs e_bi0.e_b0j = e_bij and e_b0i.e_cj0 = [b = c, i = j].e_b00,
+    one generator at a time against a stack.
+    """
+    bound = DEFAULT_TOL * (1.0 + top)
+    if norm_exceeds(units.transpose(0, 2, 1).conj() - units[A.adjoint_order], bound):
+        return "star"
+    blocks = _unit_blocks(A, units)
+    firsts = np.concatenate([blk[:, 0] for blk in blocks])
+    for b, blk in enumerate(blocks):
+        for i in range(len(blk)):
+            onto = blk[0, i] @ firsts
+            onto[A.block_offset(b) + i] -= blk[0, 0]
+            if norm_exceeds(blk[i, 0] @ blk[0] - blk[i], eps) \
+                    or norm_exceeds(onto, eps):
                 return "product"
     return None
-
-
-def _check_rep(A: MultiMatrixAlgebra, units: tuple[np.ndarray, ...],
-               dim: int, anti: bool, label: str) -> float:
-    """Raise unless units represent A; return their largest operator norm."""
-    triples = A.unit_triples()
-    if len(units) != len(triples):
-        raise ValueError(f"{label}: expected {len(triples)} unit images")
-    if any(U.shape != (dim, dim) for U in units):
-        raise ValueError(f"{label}: unit image has wrong shape")
-    top = max_operator_norm(units)
-    bound = DEFAULT_TOL * (1.0 + top)
-    total = sum((U for (b, i, j), U in zip(triples, units) if i == j),
-                np.zeros((dim, dim), dtype=np.complex128))
-    if norm_exceeds(total - np.eye(dim), bound):
-        raise ValueError(f"{label}: representation is not unital")
-    broken = _broken_unit_relation(A, units, anti, bound)
-    if broken == "star":
-        raise ValueError(f"{label}: star property fails on a unit")
-    if broken == "product":
-        kind = "antihomomorphism" if anti else "homomorphism"
-        raise ValueError(f"{label}: not a {kind} on unit pairs")
-    return top
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,13 +96,34 @@ class Correspondence:
                            tuple(as_complex_matrix(U) for U in self.pi_l_units))
         object.__setattr__(self, "pi_r_units",
                            tuple(as_complex_matrix(U) for U in self.pi_r_units))
-        top_l = _check_rep(self.left_algebra, self.pi_l_units, self.dim,
-                           anti=False, label="left action")
-        top_r = _check_rep(self.right_algebra, self.pi_r_units, self.dim,
-                           anti=True, label="right action")
-        bound = DEFAULT_TOL * (1.0 + max(top_l, top_r))
-        if any(norm_exceeds(U @ V - V @ U, bound)
-               for U in self.pi_l_units for V in self.pi_r_units):
+        M, N = self.left_algebra, self.right_algebra
+        stacks = []
+        for A, units, label in ((M, self.pi_l_units, "left action"),
+                                (N, self.pi_r_units, "right action")):
+            if len(units) != A.vector_dim:
+                raise ValueError(f"{label}: expected {A.vector_dim} unit images")
+            if any(U.shape != (self.dim, self.dim) for U in units):
+                raise ValueError(f"{label}: unit image has wrong shape")
+            stacks.append(np.stack(units))
+        # y -> pi_r(y^T) is a homomorphism exactly when pi_r reverses products
+        lefts, rights = stacks[0], stacks.pop()[N.adjoint_order]
+        tops = [max_operator_norm(lefts), max_operator_norm(rights)]
+        eps = _generator_eps(max(tops))
+        for A, units, top, label, kind in (
+                (M, lefts, tops[0], "left action", "homomorphism"),
+                (N, rights, tops[1], "right action", "antihomomorphism")):
+            total = sum(U for (b, i, j), U in zip(A.unit_triples(), units) if i == j)
+            if norm_exceeds(total - np.eye(self.dim), DEFAULT_TOL * (1.0 + top)):
+                raise ValueError(f"{label}: representation is not unital")
+            broken = _broken_unit_relation(A, units, top, eps)
+            if broken == "star":
+                raise ValueError(f"{label}: star property fails on a unit")
+            if broken == "product":
+                raise ValueError(f"{label}: not a {kind} on unit pairs")
+        gens = [np.concatenate([blk[:, 0] for blk in blocks]
+                               + [blk[0, 1:] for blk in blocks])
+                for blocks in (_unit_blocks(M, lefts), _unit_blocks(N, rights))]
+        if any(norm_exceeds(U @ gens[1] - gens[1] @ U, eps) for U in gens[0]):
             raise ValueError("left and right actions do not commute")
 
     @cached_property
@@ -135,14 +158,11 @@ def correspondences_close(a: Correspondence, b: Correspondence,
     """Same algebra pair, same dimension, and actions within tol."""
     if a is b:
         return True
-    if a.left_algebra != b.left_algebra or a.right_algebra != b.right_algebra:
+    if (a.left_algebra, a.right_algebra, a.dim) != \
+            (b.left_algebra, b.right_algebra, b.dim):
         return False
-    if a.dim != b.dim:
-        return False
-    for U, V in zip(a.pi_l_units + a.pi_r_units, b.pi_l_units + b.pi_r_units):
-        if norm_exceeds(U - V, tol):
-            return False
-    return True
+    return not norm_exceeds(np.stack(a.pi_l_units + a.pi_r_units)
+                            - np.stack(b.pi_l_units + b.pi_r_units), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +189,8 @@ class Intertwiner:
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         T = self.matrix
-        if T.shape[0] != T.shape[1]:
-            return False
-        d = T.shape[0]
-        return not (norm_exceeds(T.conj().T @ T - np.eye(d), tol)
-                    or norm_exceeds(T @ T.conj().T - np.eye(d), tol))
+        return T.shape[0] == T.shape[1] and not norm_exceeds(
+            np.stack([T.conj().T @ T, T @ T.conj().T]) - np.eye(len(T)), tol)
 
     def compose(self, other: "Intertwiner") -> "Intertwiner":
         if not correspondences_close(other.target, self.source):
@@ -193,36 +210,27 @@ def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
     """The (A, B)-correspondence with mult[b][c] copies of C^{n_b x m_c}.
 
     Basis order: (block pair (b, c), copy k, row i, col j), rows fastest
-    last. Left action hits the row index, right action the column index.
+    last. The actions x (x) 1 and 1 (x) y^T on C^{n x m} (x) C^copies,
+    restricted to the occupied slots, hit the row and the column index.
     """
-    mult = [[int(mult[b][c]) for c in range(len(B.block_sizes))]
-            for b in range(len(A.block_sizes))]
+    rows, cols = len(A.block_sizes), len(B.block_sizes)
+    if len(mult) != rows or any(len(row) != cols for row in mult):
+        raise ValueError(f"multiplicity table must be {rows} x {cols}")
+    mult = [[int(m) for m in row] for row in mult]
     if any(m < 0 for row in mult for m in row):
         raise ValueError("multiplicities must be nonnegative")
-    index = {}
-    dim = 0
-    for b, n in enumerate(A.block_sizes):
-        for c, m in enumerate(B.block_sizes):
-            for k in range(mult[b][c]):
-                for i in range(n):
-                    for j in range(m):
-                        index[(b, c, k, i, j)] = dim
-                        dim += 1
-    pi_l = []
-    for (bb, p, q) in A.unit_triples():
-        U = np.zeros((dim, dim), dtype=np.complex128)
-        for (b, c, k, i, j), col in index.items():
-            if b == bb and i == q:
-                U[index[(b, c, k, p, j)], col] = 1.0
-        pi_l.append(U)
-    pi_r = []
-    for (cc, p, q) in B.unit_triples():
-        U = np.zeros((dim, dim), dtype=np.complex128)
-        for (b, c, k, i, j), col in index.items():
-            if c == cc and j == p:
-                U[index[(b, c, k, i, q)], col] = 1.0
-        pi_r.append(U)
-    return Correspondence(A, B, dim, tuple(pi_l), tuple(pi_r))
+    copies = max(max(row) for row in mult)
+    slots = np.array([((A.block_offset(b) + i) * B.dim + B.block_offset(c) + j)
+                      * copies + k
+                      for b, n in enumerate(A.block_sizes)
+                      for c, m in enumerate(B.block_sizes)
+                      for k in range(mult[b][c]) for i in range(n)
+                      for j in range(m)], dtype=int)
+    pick = np.ix_(slots, slots)
+    pi_l = [np.kron(E, np.eye(B.dim * copies))[pick] for E in A.matrix_units()]
+    pi_r = [np.kron(np.eye(A.dim), np.kron(F.T, np.eye(copies)))[pick]
+            for F in B.matrix_units()]
+    return Correspondence(A, B, len(slots), tuple(pi_l), tuple(pi_r))
 
 
 def vector_correspondence(n: int) -> Correspondence:
@@ -240,10 +248,8 @@ def conjugate_correspondence(H: Correspondence) -> Correspondence:
     becomes conj(pi_l(m*)).
     """
     A, B = H.left_algebra, H.right_algebra
-    pi_l = [np.conj(H.pi_r_units[B.unit_index(b, j, i)])
-            for (b, i, j) in B.unit_triples()]
-    pi_r = [np.conj(H.pi_l_units[A.unit_index(b, j, i)])
-            for (b, i, j) in A.unit_triples()]
+    pi_l = [np.conj(H.pi_r_units[u]) for u in B.adjoint_order]
+    pi_r = [np.conj(H.pi_l_units[u]) for u in A.adjoint_order]
     return Correspondence(B, A, H.dim, tuple(pi_l), tuple(pi_r),
                           name=f"conj({H.name})" if H.name else "")
 
@@ -256,21 +262,19 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     multiplication by the projection ρ(1).
     """
     N = std_N.algebra
-    triples = source.unit_triples()
-    if len(rho_units) != len(triples):
+    if len(rho_units) != source.vector_dim:
         raise NotHomomorphism("wrong number of unit images")
     imgs = [as_complex_matrix(U) for U in rho_units]
     for U in imgs:
         if not N.contains(U):
             raise NotHomomorphism("unit image leaves the target algebra")
-    bound = DEFAULT_TOL * (1.0 + max_operator_norm(imgs))
-    broken = _broken_unit_relation(source, imgs, False, bound)
+    top = max_operator_norm(imgs)
+    broken = _broken_unit_relation(source, np.stack(imgs), top, _generator_eps(top))
     if broken == "star":
         raise NotHomomorphism("images do not respect the involution")
     if broken == "product":
         raise NotHomomorphism("images do not multiply like matrix units")
-    unit_img = sum((U for (b, i, j), U in zip(triples, imgs) if i == j),
-                   np.zeros((N.dim, N.dim), dtype=np.complex128))
+    unit_img = sum(U for (b, i, j), U in zip(source.unit_triples(), imgs) if i == j)
 
     units = N.matrix_units()
     right_p = np.stack([N.coords(E @ unit_img) for E in units], axis=1)

@@ -38,9 +38,8 @@ def r_eta(H: Correspondence, std_N: StandardFormData,
 
 def _unit_images(std: StandardFormData) -> np.ndarray:
     """Columns J Lambda(E_u*) over the matrix units E_u, in unit order."""
-    A = std.algebra
-    return np.stack([std.J.apply(std.lam[:, A.unit_index(b, j, i)])
-                     for b, i, j in A.unit_triples()], axis=1)
+    return np.stack([std.J.apply(std.lam[:, u])
+                     for u in std.algebra.adjoint_order], axis=1)
 
 
 @dataclass(frozen=True, eq=False)

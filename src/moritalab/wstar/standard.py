@@ -97,19 +97,14 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
     delta_half = hermitian_power(delta, 0.5)
     delta_minus_half = hermitian_power(delta, -0.5)
 
-    # left multiplication by each matrix unit, in coordinates:
-    # e_{b,i,j} . e_{b,j,l} = e_{b,i,l}, and every other product is zero
-    d = A.vector_dim
-    lefts = []
-    for b, i, j in A.unit_triples():
-        L = np.zeros((d, d), dtype=np.complex128)
-        for l in range(A.block_sizes[b]):
-            L[A.unit_index(b, i, l), A.unit_index(b, j, l)] = 1.0
-        lefts.append(L)
+    # e_{b,i,j} . e_{b,j,l} = e_{b,i,l}: an identity block from row j to row i
+    lefts = [np.zeros((A.vector_dim,) * 2, dtype=np.complex128) for _ in units]
+    for L, (b, i, j) in zip(lefts, A.unit_triples()):
+        r, c, n = A.unit_index(b, i, 0), A.unit_index(b, j, 0), A.block_sizes[b]
+        L[r:r + n, c:c + n] = np.eye(n)
     # right action through the modular involution: y -> J y* J
     MJ = J.matrix
-    pi_r_units = [MJ @ np.conj(lefts[A.unit_index(b, j, i)] @ MJ)
-                  for b, i, j in A.unit_triples()]
+    pi_r_units = [MJ @ np.conj(lefts[u] @ MJ) for u in A.adjoint_order]
     return StandardFormData(A, phi, lam, lam_inv, S, J, delta,
                             delta_half, delta_minus_half,
                             tuple(lefts), tuple(pi_r_units))

@@ -1,5 +1,7 @@
 """Numeric kernel: spectra, antilinear polar parts, kernels, Gram quotients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,35 @@ class TestBasics:
         A = np.array([[1.0, bad], [0.0, 1.0]], dtype=np.complex128)
         assert norm_exceeds(A, 1e300)
         assert norm_exceeds(np.array([[complex(0.0, bad)]]), 1.0)
+
+    def test_norm_exceeds_on_a_stack_equals_the_loop(self):
+        rng = np.random.default_rng(13)
+        for d in (1, 3, 8):
+            for k in (1, 2, 7):
+                mats = rng.normal(size=(k, d, d)) \
+                    + 1j * rng.normal(size=(k, d, d))
+                mats *= 10.0 ** rng.integers(-3, 4, size=(k, 1, 1))
+                tops = [operator_norm(M) for M in mats]
+                frobs = [float(np.linalg.norm(M)) for M in mats]
+                for bound in sorted(tops + frobs) + [0.0, 2.0 * max(frobs)]:
+                    for scale in (0.999, 1.001):
+                        want = any(top > scale * bound for top in tops)
+                        assert norm_exceeds(mats, scale * bound) == want
+                        assert norm_exceeds(mats[0], scale * bound) == \
+                            (tops[0] > scale * bound)
+        for empty in (np.zeros((0, 0)), np.zeros((0, 3, 3)),
+                      np.zeros((4, 0, 0))):
+            assert not norm_exceeds(empty, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_norm_exceeds_non_finite_stack_is_exceeding(self, bad):
+        stack = np.zeros((3, 2, 2), dtype=np.complex128)
+        stack[1, 0, 1] = complex(bad, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm_exceeds(stack, 1e300)
+            assert norm_exceeds(stack[1], 1e300)
+            assert not norm_exceeds(stack[[0, 2]], 0.0)
 
     def test_as_complex_matrix_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from moritalab.bicategory import sample_wstar_chain
 from moritalab.errors import AlgebraMismatch, CapExceeded, NotHomomorphism
-from moritalab.numkernel import operator_norm
+from moritalab.numkernel import DEFAULT_TOL, operator_norm
 from moritalab.wstar import (
     Correspondence,
     Intertwiner,
@@ -29,6 +29,8 @@ from moritalab.wstar import (
 
 M2 = MultiMatrixAlgebra((2,), name="M2")
 M21 = MultiMatrixAlgebra((2, 1), name="M2+C")
+M12 = MultiMatrixAlgebra((1, 2), name="C+M2")
+C1 = MultiMatrixAlgebra((1,), name="C")
 
 
 def _nontracial_std(alg=M2):
@@ -40,6 +42,106 @@ def _nontracial_std(alg=M2):
 
 def _rand_vec(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _haar_unitary(n, rng):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _unitary_near_identity(n, angle, rng):
+    """exp(i.angle.K) for a random Hermitian K of operator norm 1."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    w, Q = np.linalg.eigh(z + z.conj().T)
+    return (Q * np.exp(1j * angle * w / np.max(np.abs(w)))) @ Q.conj().T
+
+
+def _rotated(pi_l, pi_r, rng):
+    """Both actions' unit images conjugated by one Haar unitary."""
+    W = _haar_unitary(len(pi_l[0]), rng)
+    return ([W @ U @ W.conj().T for U in pi_l],
+            [W @ V @ W.conj().T for V in pi_r])
+
+
+def _direct_sum(units, extra):
+    """U (+) X for each unit image U and matching image X on another space."""
+    return [np.block([[U, np.zeros((len(U), len(X)))],
+                      [np.zeros((len(X), len(U))), X]])
+            for U, X in zip(units, extra)]
+
+
+def _violation(A, B, pi_l, pi_r):
+    """The message Correspondence raises on these unit images, or None."""
+    try:
+        Correspondence(A, B, len(pi_l[0]), tuple(pi_l), tuple(pi_r))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _norm(X):
+    return float(np.linalg.norm(X, 2)) if np.size(X) else 0.0
+
+
+def _all_pairs_violation(A, B, pi_l, pi_r):
+    """Reference: the message a check on every pair of units gives, or None.
+
+    Each action's bound is DEFAULT_TOL.(1 + its largest unit norm), and
+    commutation is bounded with the largest norm over both actions.
+    """
+    tops = []
+    for alg, units, anti, label in ((A, pi_l, False, "left action"),
+                                    (B, pi_r, True, "right action")):
+        triples = alg.unit_triples()
+        top = max(_norm(U) for U in units)
+        tops.append(top)
+        bound = DEFAULT_TOL * (1.0 + top)
+        total = sum(U for (b, i, j), U in zip(triples, units) if i == j)
+        if _norm(total - np.eye(len(total))) > bound:
+            return f"{label}: representation is not unital"
+        if any(_norm(U.conj().T - units[alg.unit_index(b, j, i)]) > bound
+               for (b, i, j), U in zip(triples, units)):
+            return f"{label}: star property fails on a unit"
+        for (b, i, j), U in zip(triples, units):
+            for (c, k, l), V in zip(triples, units):
+                if anti:
+                    want = units[alg.unit_index(c, k, j)] \
+                        if (b == c and i == l) else 0.0
+                else:
+                    want = units[alg.unit_index(b, i, l)] \
+                        if (b == c and j == k) else 0.0
+                if _norm(U @ V - want) > bound:
+                    kind = "antihomomorphism" if anti else "homomorphism"
+                    return f"{label}: not a {kind} on unit pairs"
+    bound = DEFAULT_TOL * (1.0 + max(tops))
+    if any(_norm(U @ V - V @ U) > bound for U in pi_l for V in pi_r):
+        return "left and right actions do not commute"
+    return None
+
+
+def _generating_residuals(A, B, pi_l, pi_r):
+    """Residuals of every generating product and commutation relation.
+
+    The right action enters as y -> pi_r(y^T), a homomorphism."""
+    def products(alg, u):
+        ix = alg.unit_index
+        heads = [(b, i) for b, n in enumerate(alg.block_sizes)
+                 for i in range(n)]
+        return ([_norm(u[ix(b, i, 0)] @ u[ix(b, 0, j)] - u[ix(b, i, j)])
+                 for b, i, j in alg.unit_triples()]
+                + [_norm(u[ix(b, 0, i)] @ u[ix(c, j, 0)]
+                         - (u[ix(b, 0, 0)] if (b, i) == (c, j) else 0.0))
+                   for b, i in heads for c, j in heads])
+
+    def zero_index(alg, u):
+        return [U for (b, i, j), U in zip(alg.unit_triples(), u)
+                if i == 0 or j == 0]
+
+    sigma = [pi_r[B.unit_index(b, j, i)] for b, i, j in B.unit_triples()]
+    return (products(A, pi_l) + products(B, sigma)
+            + [_norm(X @ Y - Y @ X) for X in zero_index(A, pi_l)
+               for Y in zero_index(B, sigma)])
 
 
 class TestCorrespondences:
@@ -61,6 +163,70 @@ class TestCorrespondences:
                 units.append(E)
         with pytest.raises(ValueError):
             Correspondence(M2, M2, 2, tuple(units), tuple(units))
+
+    def test_block_correspondence_rejects_misshapen_tables(self):
+        # one table too wide and tall for (M2, C), one too short for (M2+C, M2)
+        with pytest.raises(ValueError, match="multiplicity table must be 1 x 1"):
+            block_correspondence(M2, C1, [[1, 5], [3, 3]])
+        with pytest.raises(ValueError, match="multiplicity table must be 2 x 1"):
+            block_correspondence(M21, M2, [[1]])
+
+    def test_each_broken_law_is_named(self):
+        rng = np.random.default_rng(41)
+        H = block_correspondence(M21, M12, [[1, 1], [1, 0]])
+        pi_l, pi_r = _rotated(H.pi_l_units, H.pi_r_units, rng)
+        assert _violation(M21, M12, pi_l, pi_r) is None
+
+        def left(x):
+            return M21.extend_linearly(x, pi_l)
+
+        def right(y):
+            return M12.extend_linearly(y, pi_r)
+
+        # an extra summand that only one side acts on
+        side = block_correspondence(C1, M12, [[1, 1]])
+        zeros = [np.zeros((side.dim, side.dim))] * M21.vector_dim
+        assert _violation(M21, M12, *_rotated(
+            _direct_sum(H.pi_l_units, zeros),
+            _direct_sum(H.pi_r_units, side.pi_r_units), rng)) == \
+            "left action: representation is not unital"
+        side = block_correspondence(M21, C1, [[1], [1]])
+        zeros = [np.zeros((side.dim, side.dim))] * M12.vector_dim
+        assert _violation(M21, M12, *_rotated(
+            _direct_sum(H.pi_l_units, side.pi_l_units),
+            _direct_sum(H.pi_r_units, zeros), rng)) == \
+            "right action: representation is not unital"
+
+        # similarity by an invertible of the other action's commutant
+        G = np.eye(H.dim) + 0.1 * left(M21.random_element(rng))
+        assert _violation(M21, M12, [G @ U @ np.linalg.inv(G) for U in pi_l],
+                          pi_r) == "left action: star property fails on a unit"
+        G = np.eye(H.dim) + 0.1 * right(M12.random_element(rng))
+        assert _violation(M21, M12, pi_l,
+                          [G @ V @ np.linalg.inv(G) for V in pi_r]) == \
+            "right action: star property fails on a unit"
+
+        # star-preserving: one off-diagonal unit pair moves inside its own
+        # action's image, so unitality and commutation still hold
+        x = 1e-3 * left(M21.random_element(rng))
+        bent = list(pi_l)
+        bent[M21.unit_index(0, 0, 1)] = bent[M21.unit_index(0, 0, 1)] + x
+        bent[M21.unit_index(0, 1, 0)] = bent[M21.unit_index(0, 1, 0)] \
+            + x.conj().T
+        assert _violation(M21, M12, bent, pi_r) == \
+            "left action: not a homomorphism on unit pairs"
+        y = 1e-3 * right(M12.random_element(rng))
+        bent = list(pi_r)
+        bent[M12.unit_index(1, 0, 1)] = bent[M12.unit_index(1, 0, 1)] + y
+        bent[M12.unit_index(1, 1, 0)] = bent[M12.unit_index(1, 1, 0)] \
+            + y.conj().T
+        assert _violation(M21, M12, pi_l, bent) == \
+            "right action: not a antihomomorphism on unit pairs"
+
+        W = _unitary_near_identity(H.dim, 1e-3, rng)
+        assert _violation(M21, M12, pi_l,
+                          [W @ V @ W.conj().T for V in pi_r]) == \
+            "left and right actions do not commute"
 
     def test_conjugate_is_involutive(self):
         H = block_correspondence(M2, M21, [[1, 2]])
@@ -84,6 +250,65 @@ class TestCorrespondences:
             Intertwiner(H, H, np.zeros((3, 2)))
         with pytest.raises(AlgebraMismatch):
             Intertwiner(H, vector_correspondence(3), np.zeros((3, 2)))
+
+
+class TestGeneratingRelations:
+    """Construction checks the generating relations against a tightened
+    tolerance; compared with the all-pairs reference it is never laxer, and
+    it differs only while some generating residual lies in the band between
+    that tolerance and the all-pairs bound."""
+
+    def _cases(self):
+        rng = np.random.default_rng(47)
+        blocks = block_correspondence(M21, M12, [[1, 1], [1, 0]])
+        std = gns_standard_form(M21, random_faithful_state(M21, rng))
+        L2 = identity_correspondence(std)
+        for H in (blocks, L2):
+            for _ in range(40):
+                pi_l, pi_r = _rotated(H.pi_l_units, H.pi_r_units, rng)
+                size = DEFAULT_TOL * 10.0 ** rng.uniform(-1.5, 1.5)
+                kind = rng.integers(3)
+                if kind == 0:
+                    # free: every unit of one side moves
+                    units = pi_l if rng.integers(2) else pi_r
+                    for u, U in enumerate(units):
+                        Z = rng.normal(size=U.shape) \
+                            + 1j * rng.normal(size=U.shape)
+                        units[u] = U + size * Z / _norm(Z)
+                elif kind == 1:
+                    # star-preserving: off-diagonal unit pairs move together
+                    alg, units = ((H.left_algebra, pi_l) if rng.integers(2)
+                                  else (H.right_algebra, pi_r))
+                    for u, (b, i, j) in enumerate(alg.unit_triples()):
+                        if i < j:
+                            Z = rng.normal(size=units[u].shape) \
+                                + 1j * rng.normal(size=units[u].shape)
+                            Z *= size / _norm(Z)
+                            units[u] = units[u] + Z
+                            adj = alg.unit_index(b, j, i)
+                            units[adj] = units[adj] + Z.conj().T
+                else:
+                    # commutation only: the right action rotates slightly
+                    W = _unitary_near_identity(H.dim, size, rng)
+                    pi_r = [W @ V @ W.conj().T for V in pi_r]
+                yield H.left_algebra, H.right_algebra, pi_l, pi_r
+
+    def test_never_laxer_and_equal_outside_the_band(self):
+        outcomes = {"accepted": 0, "rejected": 0, "band": 0}
+        for A, B, pi_l, pi_r in self._cases():
+            got = _violation(A, B, pi_l, pi_r)
+            want = _all_pairs_violation(A, B, pi_l, pi_r)
+            if got is None:
+                assert want is None
+            t = max(_norm(U) for U in pi_l + pi_r)
+            eps = DEFAULT_TOL * (1.0 + t) / (1.0 + 2.0 * t) ** 2
+            if any(eps < r <= DEFAULT_TOL * (1.0 + t)
+                   for r in _generating_residuals(A, B, pi_l, pi_r)):
+                outcomes["band"] += 1
+            else:
+                assert got == want
+            outcomes["accepted" if got is None else "rejected"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
 
 
 class TestCreationOperators:
@@ -363,6 +588,25 @@ class TestCorrFromHomomorphism:
         corr = corr_from_homomorphism(
             [np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)], C, std)
         assert corr.dim == 2
+
+    def test_rejects_product_breaker_on_multi_block_source(self):
+        # M2 + C embedded block-diagonally in M3, then one off-diagonal unit
+        # pair moved star-preservingly
+        M3 = MultiMatrixAlgebra((3,), name="M3")
+        std = gns_standard_form(M3, trace_state(M3))
+        rng = np.random.default_rng(43)
+        units = []
+        for b, i, j in M21.unit_triples():
+            E = np.zeros((3, 3), dtype=np.complex128)
+            E[2 * b + i, 2 * b + j] = 1.0
+            units.append(E)
+        assert corr_from_homomorphism(units, M21, std).dim == 9
+        x = 1e-3 * M3.random_element(rng)
+        units[M21.unit_index(0, 0, 1)] += x
+        units[M21.unit_index(0, 1, 0)] += x.conj().T
+        with pytest.raises(NotHomomorphism) as caught:
+            corr_from_homomorphism(units, M21, std)
+        assert str(caught.value) == "images do not multiply like matrix units"
 
     def test_rejects_non_homomorphism(self):
         std = _nontracial_std()
