@@ -47,22 +47,22 @@ def max_operator_norm(mats) -> float:
     """max(operator_norm(M) for M in mats), 0 for none, in one stacked SVD."""
     if len(mats) == 0 or mats[0].size == 0:
         return 0.0
-    return float(np.linalg.norm(np.stack(mats), 2, axis=(1, 2)).max())
+    return float(np.linalg.norm(np.asarray(mats), 2, axis=(1, 2)).max())
 
 
 def norm_exceeds(A: np.ndarray, bound: float) -> bool:
     """operator_norm(M) > bound for the matrix A or for some M in a stack A.
 
     The SVD only runs on matrices whose Frobenius norm, never below the
-    operator norm, is above the bound.  A non-finite norm (from a non-finite
-    entry or overflow) counts as exceeding, without a warning.
+    operator norm, is above the bound or overflows (the SVD scales finite
+    entries).  A non-finite entry counts as exceeding, without a warning.
     """
     stack = A[None] if np.ndim(A) == 2 else np.asarray(A)
     with np.errstate(over="ignore", invalid="ignore"):
         fro = np.linalg.norm(stack, axis=(1, 2))
     over = stack[fro > bound]
-    return not np.all(np.isfinite(fro)) or len(over) > 0 and bool(
-        np.any(np.linalg.norm(over, 2, axis=(1, 2)) > bound))
+    return not np.all(np.isfinite(stack[~np.isfinite(fro)])) or len(over) > 0 \
+        and bool(np.any(np.linalg.norm(over, 2, axis=(1, 2)) > bound))
 
 
 @dataclass(frozen=True)
@@ -247,10 +247,6 @@ class GramQuotient:
     section: np.ndarray   # ambient x rank
     project: np.ndarray   # rank x ambient
     rank: int
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.gram.shape[0]
 
 
 def gram_quotient(G: np.ndarray, scale: float = 0.0) -> GramQuotient:

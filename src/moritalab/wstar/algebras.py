@@ -69,7 +69,7 @@ class MultiMatrixAlgebra:
         return np.array([self.unit_index(b, j, i) for b, i, j in self.unit_triples()])
 
     @cached_property
-    def _unit_positions(self) -> tuple[np.ndarray, np.ndarray]:
+    def unit_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) index arrays of the matrix units, in basis order."""
         return tuple(np.array([(self.block_offset(b) + i, self.block_offset(b) + j)
                                for b, i, j in self.unit_triples()]).T)
@@ -77,8 +77,7 @@ class MultiMatrixAlgebra:
     def extend_linearly(self, x: np.ndarray,
                         unit_images: tuple[np.ndarray, ...]) -> np.ndarray:
         """Image of x under the linear map given on the matrix units."""
-        return sum((c * U for c, U in zip(self.coords(x), unit_images) if c),
-                   np.zeros_like(unit_images[0]))
+        return np.tensordot(self.coords(x), unit_images, 1)
 
     def matrix_unit(self, b: int, i: int, j: int) -> np.ndarray:
         E = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -102,7 +101,7 @@ class MultiMatrixAlgebra:
         x = as_complex_matrix(x)
         if x.shape != (self.dim, self.dim):
             raise AlgebraMismatch("element has the wrong ambient dimension")
-        v = x[self._unit_positions]
+        v = x[self.unit_positions]
         rest = x - self.from_coords(v)
         if np.any(rest) and norm_exceeds(
                 rest, DEFAULT_TOL * (1.0 + operator_norm(x))):
@@ -114,7 +113,7 @@ class MultiMatrixAlgebra:
         if v.shape != (self.vector_dim,):
             raise AlgebraMismatch("coordinate vector length mismatch")
         x = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        x[self._unit_positions] = v
+        x[self.unit_positions] = v
         return x
 
     def contains(self, x: np.ndarray) -> bool:

@@ -56,15 +56,16 @@ def _broken_unit_relation(A: MultiMatrixAlgebra, units: np.ndarray,
                           top: float, eps: float) -> str | None:
     """Which law a unit stack breaks first: "star", "product" or None.
 
-    The star law is checked on every unit against DEFAULT_TOL.(1 + top),
-    for top the largest unit norm, and the product law against eps on the
-    generating pairs e_bi0.e_b0j = e_bij and e_b0i.e_cj0 = [b = c, i = j].e_b00,
-    one generator at a time against a stack.
+    The star law is checked on every unit, a block row at a time, against
+    DEFAULT_TOL.(1 + top) for top the largest unit norm, and the product law
+    against eps on the generating pairs e_bi0.e_b0j = e_bij and
+    e_b0i.e_cj0 = [b = c, i = j].e_b00, one generator at a time against a stack.
     """
     bound = DEFAULT_TOL * (1.0 + top)
-    if norm_exceeds(units.transpose(0, 2, 1).conj() - units[A.adjoint_order], bound):
-        return "star"
     blocks = _unit_blocks(A, units)
+    if any(norm_exceeds(row.transpose(0, 2, 1).conj() - blk[:, i], bound)
+           for blk in blocks for i, row in enumerate(blk)):
+        return "star"
     firsts = np.concatenate([blk[:, 0] for blk in blocks])
     for b, blk in enumerate(blocks):
         for i in range(len(blk)):
@@ -97,16 +98,15 @@ class Correspondence:
         object.__setattr__(self, "pi_r_units",
                            tuple(as_complex_matrix(U) for U in self.pi_r_units))
         M, N = self.left_algebra, self.right_algebra
-        stacks = []
         for A, units, label in ((M, self.pi_l_units, "left action"),
                                 (N, self.pi_r_units, "right action")):
             if len(units) != A.vector_dim:
                 raise ValueError(f"{label}: expected {A.vector_dim} unit images")
             if any(U.shape != (self.dim, self.dim) for U in units):
                 raise ValueError(f"{label}: unit image has wrong shape")
-            stacks.append(np.stack(units))
         # y -> pi_r(y^T) is a homomorphism exactly when pi_r reverses products
-        lefts, rights = stacks[0], stacks.pop()[N.adjoint_order]
+        lefts = np.stack(self.pi_l_units)
+        rights = np.stack([self.pi_r_units[u] for u in N.adjoint_order])
         tops = [max_operator_norm(lefts), max_operator_norm(rights)]
         eps = _generator_eps(max(tops))
         for A, units, top, label, kind in (

@@ -5,6 +5,10 @@ where the inner product of elementary tensors routes the middle algebra
 through bounded right-creation operators: each vector eta of the left
 factor gives R_eta: L2(N) -> H, and R_eta1* R_eta2 lands in pi_l(N), so
 it can be moved onto the right factor before taking plain inner products.
+Every map here is linear in the middle algebra, so each is one contraction
+of middle coordinates with a stack of unit images: those of R_a*.R_c over
+basis pairs give the Gram matrix, and those of Lambda^{-1} of L2's basis
+(twisted by the standard form's table on the right) give the unitors.
 """
 
 from __future__ import annotations
@@ -26,20 +30,14 @@ def r_eta(H: Correspondence, std_N: StandardFormData,
     """The creation operator L2(N) -> H sending J Lambda(y*) to eta . y.
 
     The map y -> J Lambda(y*) is linear and carries the matrix units to a
-    basis of L2(N), so the operator is determined by matching columns.
+    basis of L2(N), so the operator is determined by matching columns.  A
+    stack of vectors, one per row, gives the stack of their operators.
     """
     if H.right_algebra != std_N.algebra:
         raise AlgebraMismatch("standard form is not over the right algebra")
-    eta = np.asarray(eta, dtype=np.complex128).reshape(H.dim)
-    V = _unit_images(std_N)
-    W = np.stack([U @ eta for U in H.pi_r_units], axis=1)
+    V = std_N.J.matrix @ np.conj(std_N.lam[:, std_N.algebra.adjoint_order])
+    W = np.einsum("uij,...j->...iu", H.pi_r_units, eta, optimize=True)
     return W @ np.linalg.inv(V)
-
-
-def _unit_images(std: StandardFormData) -> np.ndarray:
-    """Columns J Lambda(E_u*) over the matrix units E_u, in unit order."""
-    return np.stack([std.J.apply(std.lam[:, u])
-                     for u in std.algebra.adjoint_order], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,25 +83,17 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     if ambient > cap:
         raise CapExceeded(f"ambient tensor dimension {ambient} exceeds {cap}")
 
-    V = _unit_images(std_N)
-    V_inv = np.linalg.inv(V)
-    cyc = std_N.cyclic_vector()
-    R = [np.stack([U[:, a] for U in H.pi_r_units], axis=1) @ V_inv
-         for a in range(dH)]
-
-    G = np.zeros((ambient, ambient), dtype=np.complex128)
-    for a in range(dH):
-        for c in range(dH):
-            T_ac = R[a].conj().T @ R[c]
-            n_ac = std_N.Lambda_inv(T_ac @ cyc)
-            G[a * dK:(a + 1) * dK, c * dK:(c + 1) * dK] = K.pi_l(n_ac)
+    R = r_eta(H, std_N, np.eye(dH))
+    # coordinates lam_inv.R_a*.R_c.Lambda(1) of the middle element of (a, c)
+    coef = np.einsum("um,aim,ci->acu", std_N.lam_inv, R.conj(),
+                     R @ std_N.cyclic_vector(), optimize=True)
+    G = np.tensordot(coef, K.pi_l_units, 1).transpose(0, 2, 1, 3) \
+        .reshape(ambient, ambient)
     q = gram_quotient(G, scale=1.0)
 
-    eye_K = np.eye(dK)
-    eye_H = np.eye(dH)
-    pi_l = tuple(q.project @ np.kron(U, eye_K) @ q.section
+    pi_l = tuple(q.project @ np.kron(U, np.eye(dK)) @ q.section
                  for U in H.pi_l_units)
-    pi_r = tuple(q.project @ np.kron(eye_H, U) @ q.section
+    pi_r = tuple(q.project @ np.kron(np.eye(dH), U) @ q.section
                  for U in K.pi_r_units)
     name = f"({H.name}*{K.name})" if H.name and K.name else ""
     corr = Correspondence(H.left_algebra, K.right_algebra, q.rank,
@@ -119,8 +109,9 @@ def left_unitor(K: Correspondence, std_M: StandardFormData,
         fusion = connes_fusion(identity_correspondence(std_M), K, std_M)
     if fusion.left_dim != std_M.dim or fusion.right_dim != K.dim:
         raise ValueError("fusion data does not match the unitor factors")
-    A = np.hstack([K.pi_l(std_M.algebra.from_coords(std_M.lam_inv[:, u]))
-                   for u in range(std_M.dim)])
+    # block u of the map is K.pi_l of Lambda^{-1} of basis vector u
+    A = np.tensordot(std_M.lam_inv.T, K.pi_l_units, 1).transpose(1, 0, 2) \
+        .reshape(K.dim, std_M.dim * K.dim)
     return Intertwiner(fusion.corr, K, A @ fusion.section)
 
 
@@ -136,11 +127,10 @@ def right_unitor(H: Correspondence, std_N: StandardFormData,
         fusion = connes_fusion(H, identity_correspondence(std_N), std_N)
     if fusion.left_dim != H.dim or fusion.right_dim != std_N.dim:
         raise ValueError("fusion data does not match the unitor factors")
-    acts = [H.pi_r(std_N.modular_twist(
-        std_N.algebra.from_coords(std_N.lam_inv[:, v]), sign=-1))
-        for v in range(std_N.dim)]
-    # column a * n + v of the map is column a of acts[v]
-    A = np.stack(acts, axis=2).reshape(H.dim, H.dim * std_N.dim)
+    # column a * n + v is column a of H.pi_r(twist of Lambda^{-1}(e_v))
+    twists = std_N.twist_tables[-1] @ std_N.lam_inv
+    A = np.tensordot(twists.T, H.pi_r_units, 1).transpose(1, 2, 0) \
+        .reshape(H.dim, H.dim * std_N.dim)
     return Intertwiner(fusion.corr, H, A @ fusion.section)
 
 
@@ -174,15 +164,17 @@ def twisted_balancing_residual(fus: FusionResult, std_N: StandardFormData,
     modular twist: eta.n (x) zeta matches eta (x) twist_+(n).zeta, and
     eta (x) n.zeta matches twist_-(n).eta (x) zeta.
     """
-    H, K = fus.left_factor, fus.right_factor
+    H, K, N = fus.left_factor, fus.right_factor, std_N.algebra
+    right_H, left_K = np.stack(H.pi_r_units), np.stack(K.pi_l_units)
+    plus, minus = std_N.twist_tables[1], std_N.twist_tables[-1]
     worst = 0.0
     for _ in range(samples):
         eta = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
         zeta = rng.standard_normal(K.dim) + 1j * rng.standard_normal(K.dim)
-        n = std_N.algebra.random_element(rng)
-        plus = std_N.modular_twist(n, sign=+1)
-        minus = std_N.modular_twist(n, sign=-1)
-        v = fus.pure(H.pi_r(n) @ eta, zeta) - fus.pure(eta, K.pi_l(plus) @ zeta)
-        w = fus.pure(eta, K.pi_l(n) @ zeta) - fus.pure(H.pi_r(minus) @ eta, zeta)
+        n = N.coords(N.random_element(rng))
+        v = fus.pure(np.tensordot(n, right_H, 1) @ eta, zeta) \
+            - fus.pure(eta, np.tensordot(plus @ n, left_K, 1) @ zeta)
+        w = fus.pure(eta, np.tensordot(n, left_K, 1) @ zeta) \
+            - fus.pure(np.tensordot(minus @ n, right_H, 1) @ eta, zeta)
         worst = max(worst, float(np.linalg.norm(v)), float(np.linalg.norm(w)))
     return worst

@@ -7,11 +7,14 @@ is assembled as an antilinear matrix and handed to the polar routine; J
 and Δ are whatever comes back, never a closed form assumed up front. The
 commutation theorem is checked against the commutant read off the left
 action's isotypic frames, not solved for.
+Λ, Λ^{-1} and S are read off the stacked products E_u·X, whose entries are
+single products; the modular twist is a coordinate table over the units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from ..numkernel import (
     AntilinearOp,
     hermitian_power,
     max_operator_norm,
+    norm_exceeds,
     operator_norm,
     polar_antilinear,
 )
@@ -63,19 +67,31 @@ class StandardFormData:
         """Λ(1), the cyclic and separating vector of the standard form."""
         return self.lam @ self.algebra.coords(self.algebra.identity())
 
+    @cached_property
+    def twist_tables(self) -> dict[int, np.ndarray]:
+        """Per sign s, column u holds the coordinates of Δ^{s/2}·π_l(E_u)·Δ^{-s/2}.
+
+        Every matrix unit's twist is checked to stay inside the algebra.
+        """
+        units, tables = np.stack(self.pi_l_units), {}
+        for sign, a, b in ((-1, self.delta_minus_half, self.delta_half),
+                           (1, self.delta_half, self.delta_minus_half)):
+            ops = a @ units @ b
+            tables[sign] = self.lam_inv @ (ops @ self.cyclic_vector()).T
+            resid = ops - np.tensordot(tables[sign].T, units, 1)
+            if norm_exceeds(resid, DEFAULT_TOL):  # else below every unit's bound
+                resid = np.linalg.norm(resid, 2, axis=(1, 2))
+                drift = resid > DEFAULT_TOL * (1.0 + np.linalg.norm(ops, 2, axis=(1, 2)))
+                if np.any(drift):
+                    raise NotFaithful("modular twist left the algebra, "
+                                      f"residual {resid[drift].max():.3g}")
+        return tables
+
     def modular_twist(self, y: np.ndarray, sign: int = -1) -> np.ndarray:
         """The algebra element with π_l-image Δ^{sign/2}·π_l(y)·Δ^{-sign/2}."""
         if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        a, b = ((self.delta_minus_half, self.delta_half) if sign == -1
-                else (self.delta_half, self.delta_minus_half))
-        op = a @ self.pi_l(y) @ b
-        twisted = self.Lambda_inv(op @ self.cyclic_vector())
-        # the twist stays inside the algebra; detect drift early
-        resid = operator_norm(op - self.pi_l(twisted))
-        if resid > DEFAULT_TOL * (1.0 + operator_norm(op)):
-            raise NotFaithful(f"modular twist left the algebra, residual {resid:.3g}")
-        return twisted
+        return self.algebra.from_coords(self.twist_tables[sign] @ self.algebra.coords(y))
 
 
 def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
@@ -85,29 +101,26 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
     rho = phi.density
     rho_half = hermitian_power(rho, 0.5)
     rho_minus_half = hermitian_power(rho, -0.5)
-    units = A.matrix_units()
-
-    lam = np.stack([A.coords(E @ rho_half) for E in units], axis=1)
-    lam_inv = np.stack([A.coords(E @ rho_minus_half) for E in units], axis=1)
-
+    units = np.stack(A.matrix_units())
+    rows, cols = A.unit_positions
+    lam = (units @ rho_half)[:, rows, cols].T
+    right_minus_half = units @ rho_minus_half
+    lam_inv = right_minus_half[:, rows, cols].T
     # S(ξ) = Λ((Λ^{-1}ξ)*): columns are images of the basis vectors
-    S = AntilinearOp(np.stack([A.coords((E @ rho_minus_half).conj().T @ rho_half)
-                               for E in units], axis=1))
+    S = AntilinearOp((right_minus_half.conj().transpose(0, 2, 1)
+                      @ rho_half)[:, rows, cols].T)
     J, delta = polar_antilinear(S)
     delta_half = hermitian_power(delta, 0.5)
     delta_minus_half = hermitian_power(delta, -0.5)
 
-    # e_{b,i,j} . e_{b,j,l} = e_{b,i,l}: an identity block from row j to row i
-    lefts = [np.zeros((A.vector_dim,) * 2, dtype=np.complex128) for _ in units]
-    for L, (b, i, j) in zip(lefts, A.unit_triples()):
-        r, c, n = A.unit_index(b, i, 0), A.unit_index(b, j, 0), A.block_sizes[b]
-        L[r:r + n, c:c + n] = np.eye(n)
+    # pi_l(E_u) sends E_w to E_u.E_w: a 1 at (v, w) exactly when row(v) =
+    # row(u), row(w) = col(u) and col(v) = col(w), as global matrix positions
+    lefts = ((rows[:, None, None] == rows[:, None]) & (cols[:, None, None] == rows)
+             & (cols[:, None] == cols)).astype(np.complex128)
     # right action through the modular involution: y -> J y* J
-    MJ = J.matrix
-    pi_r_units = [MJ @ np.conj(lefts[u] @ MJ) for u in A.adjoint_order]
-    return StandardFormData(A, phi, lam, lam_inv, S, J, delta,
-                            delta_half, delta_minus_half,
-                            tuple(lefts), tuple(pi_r_units))
+    pi_r_units = [J.matrix @ np.conj(lefts[u] @ J.matrix) for u in A.adjoint_order]
+    return StandardFormData(A, phi, lam, lam_inv, S, J, delta, delta_half,
+                            delta_minus_half, tuple(lefts), tuple(pi_r_units))
 
 
 def standard_form_residuals(std: StandardFormData) -> dict[str, float]:

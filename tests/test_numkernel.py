@@ -103,6 +103,26 @@ class TestBasics:
             assert norm_exceeds(stack[1], 1e300)
             assert not norm_exceeds(stack[[0, 2]], 0.0)
 
+    def test_norm_exceeds_overflowing_frobenius_uses_the_operator_norm(self):
+        # the Frobenius norm overflows, the operator norm is 1.4e200
+        A = np.array([[0, 1e200 + 1e200j]])
+        stack = np.stack([np.zeros((2, 2)), np.full((2, 2), 1e300)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not norm_exceeds(A, 1e300)
+            assert norm_exceeds(A, 1e199)
+            assert not norm_exceeds(stack, 1.8e308)
+            assert norm_exceeds(stack, 1e300)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_norm_exceeds_non_finite_beside_overflow_is_exceeding(self, bad):
+        A = np.array([[1e200 + 1e200j, bad]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm_exceeds(A, 1e300)
+            assert norm_exceeds(np.stack([np.array([[1e300, 1e300]]), A]),
+                                1.8e308)
+
     def test_as_complex_matrix_rejects_bad_input(self):
         with pytest.raises(ValueError):
             as_complex_matrix(np.array([1.0, 2.0]))

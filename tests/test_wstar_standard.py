@@ -1,16 +1,29 @@
 """Standard forms: modular data, commutation theorem, tracial degeneration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from moritalab.errors import AlgebraMismatch, NotFaithful
-from moritalab.numkernel import commutant, matrices_to_columns, operator_norm, subspaces_equal
+from moritalab.numkernel import (
+    commutant,
+    hermitian_power,
+    matrices_to_columns,
+    operator_norm,
+    subspaces_equal,
+)
 from moritalab.wstar import (
     MultiMatrixAlgebra,
     State,
+    connes_fusion,
+    conjugate_correspondence,
     gns_standard_form,
+    identity_correspondence,
     random_faithful_state,
+    right_unitor,
     trace_state,
+    twisted_balancing_residual,
 )
 
 M2 = MultiMatrixAlgebra((2,), name="M2")
@@ -157,6 +170,27 @@ class TestModularData:
         assert np.allclose(std.modular_twist(y, sign=+1),
                            r_half @ y @ r_mhalf, atol=1e-10)
 
+    def test_twist_leaving_the_algebra_is_not_faithful(self):
+        # a modular operator swapped for a generic unitary conjugation
+        # carries pi_l(A) off itself, which the twist's drift check reports
+        std = gns_standard_form(M2, State(M2, np.diag([2 / 3, 1 / 3])
+                                          .astype(np.complex128)))
+        rng = np.random.default_rng(9)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        W, _ = np.linalg.qr(z)
+        bad = dataclasses.replace(std, delta_half=W,
+                                  delta_minus_half=W.conj().T)
+        L2 = identity_correspondence(bad)
+        fus = connes_fusion(L2, conjugate_correspondence(L2), bad)
+        for sign in (-1, 1):
+            with pytest.raises(NotFaithful,
+                               match="modular twist left the algebra"):
+                bad.modular_twist(M2.random_element(rng), sign=sign)
+        with pytest.raises(NotFaithful, match="modular twist left the algebra"):
+            right_unitor(L2, bad)
+        with pytest.raises(NotFaithful, match="modular twist left the algebra"):
+            twisted_balancing_residual(fus, bad, rng, samples=3)
+
 
 class TestLeftMultiplication:
     @pytest.mark.parametrize("alg", [M23, MultiMatrixAlgebra((4,))])
@@ -167,6 +201,26 @@ class TestLeftMultiplication:
         for U, L in zip(units, std.pi_l_units):
             want = np.stack([alg.coords(U @ E) for E in units], axis=1)
             assert np.array_equal(L, want)
+
+    @pytest.mark.parametrize("blocks", [(1,), (2,), (2, 3), (1, 2, 2)])
+    def test_modular_data_equal_the_per_unit_build(self, blocks):
+        # each entry of E_u . X is a single product, so reading coordinates
+        # off the stacked products changes no bit of lam, lam_inv or S
+        alg = MultiMatrixAlgebra(blocks)
+        rng = np.random.default_rng(len(blocks))
+        for phi in (trace_state(alg), random_faithful_state(alg, rng)):
+            std = gns_standard_form(alg, phi)
+            half = hermitian_power(phi.density, 0.5)
+            minus_half = hermitian_power(phi.density, -0.5)
+            units = alg.matrix_units()
+            lam = np.stack([alg.coords(E @ half) for E in units], axis=1)
+            lam_inv = np.stack([alg.coords(E @ minus_half) for E in units],
+                               axis=1)
+            S = np.stack([alg.coords((E @ minus_half).conj().T @ half)
+                          for E in units], axis=1)
+            assert np.array_equal(std.lam, lam)
+            assert np.array_equal(std.lam_inv, lam_inv)
+            assert np.array_equal(std.S.matrix, S)
 
 
 class TestTracialCase:
