@@ -8,7 +8,9 @@ form pivots one scalar at a time on a private list copy, with a fixed
 rule (smallest absolute value, ties broken by lowest (row, col)), so
 group presentations derived from it are reproducible across runs.
 Downstream code leans on that: quotient presentations, solution lattices
-and hom bases all come out of the functions here.
+and hom bases all come out of the functions here.  Each caller tracks only
+the transforms it reads (U and U^-1 for cokernels and lattice bases, U
+and V for solves); skipping one changes no pivot.
 
 Conventions:
 
@@ -199,51 +201,64 @@ def determinant(A: IntegerMatrix) -> int:
 
 @dataclass
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
+    """U @ A @ V == D with U, V unimodular and D in Smith normal form (None: untracked)."""
 
     U: IntegerMatrix
     D: IntegerMatrix
-    V: IntegerMatrix
-    U_inv: IntegerMatrix
+    V: IntegerMatrix | None
+    U_inv: IntegerMatrix | None
 
     def diagonal(self) -> list[int]:
         return self.D.array.diagonal().tolist()
 
-    def solve(self, target: Sequence[int]) -> list[int] | None:
-        """One integer solution x of ``A x = target`` exactly, or None.
+    def solve(self, target: Sequence[int] | IntegerMatrix) -> list[int] | IntegerMatrix | None:
+        """Integer solutions of ``A x = target`` exactly, or None.
 
         With A = U^-1 D V^-1 this is x = V w for D w = U target, so every
-        right-hand side reuses the same factorization.
+        right-hand side reuses the same factorization.  A matrix target is
+        solved column by column, and gives None if any column has none.
         """
+        if not isinstance(target, IntegerMatrix):
+            X = self.solve(IntegerMatrix([[v] for v in target], len(target), 1))
+            return None if X is None else X.column(0)
+        C = (self.U @ target).array
         diag = self.diagonal()
-        c = self.U.apply(list(target))
-        w = [0] * self.V.rows
-        for i, ci in enumerate(c):
-            d = diag[i] if i < len(diag) else 0
-            if d:
-                q, r = divmod(ci, d)
-                if r:
-                    return None
-                w[i] = q
-            elif ci:
-                return None
-        return self.V.apply(w)
+        r = sum(1 for d in diag if d)  # zeros come last
+        d = np.array(diag[:r], dtype=object).reshape(r, 1)
+        if C[r:].any() or (C[:r] % d).any():
+            return None
+        W = np.zeros((self.V.rows, C.shape[1]), dtype=object)
+        W[:r] = C[:r] // d
+        return self.V @ IntegerMatrix.adopt(W)
 
 
-def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
+def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
+                      track_U_inv: bool = True) -> SmithDecomposition:
     """Smith normal form with tracked transforms and the inverse of U.
 
     The diagonal of D is nonnegative and satisfies d_1 | d_2 | ... with
     zeros last.  Pivot choice is the smallest nonzero absolute value in
     the trailing submatrix, ties broken by the lowest (row, col), which
     makes the output deterministic.  A matrix already in Smith form is
-    returned with U = V = I.
+    returned with U = V = I.  A caller that never reads V or U_inv can
+    skip tracking it, and gets None in its place.
     """
     m, n = A.rows, A.cols
     D = A.array.tolist()
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # U_inv and V are kept transposed, so a column operation on either is
+    # one row update; an untracked one is an empty list and never touched
+    UinvT = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_U_inv else []
+    VT = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_V else []
+
+    def add_row(rows: list[list[int]], j: int, i: int, q: int) -> None:
+        # rows[j] += q * rows[i]
+        if rows:
+            rows[j] = [a + q * b for a, b in zip(rows[j], rows[i])]
+
+    def swap_rows(rows: list[list[int]], i: int, j: int) -> None:
+        if rows:
+            rows[i], rows[j] = rows[j], rows[i]
 
     def row_sub(i: int, j: int, q: int) -> None:
         # row_i -= q * row_j; inverse transform gains column_j += q * column_i
@@ -255,8 +270,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
         Ui, Uj = U[i], U[j]
         for c in range(m):
             Ui[c] -= q * Uj[c]
-        for r in range(m):
-            Uinv[r][j] += q * Uinv[r][i]
+        add_row(UinvT, j, i, q)
 
     def col_sub(j: int, i: int, q: int) -> None:
         # col_j -= q * col_i
@@ -264,30 +278,27 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             return
         for r in range(m):
             D[r][j] -= q * D[r][i]
-        for r in range(n):
-            V[r][j] -= q * V[r][i]
+        add_row(VT, j, i, -q)
 
     def row_swap(i: int, j: int) -> None:
         if i == j:
             return
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
+        swap_rows(UinvT, i, j)
 
     def col_swap(i: int, j: int) -> None:
         if i == j:
             return
         for r in range(m):
             D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        swap_rows(VT, i, j)
 
     def row_negate(i: int) -> None:
         D[i] = [-v for v in D[i]]
         U[i] = [-v for v in U[i]]
-        for r in range(m):
-            Uinv[r][i] = -Uinv[r][i]
+        if UinvT:
+            UinvT[i] = [-v for v in UinvT[i]]
 
     t = 0
     bound = min(m, n)
@@ -353,7 +364,11 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     def wrap(lists: list[list[int]], rows: int, cols: int) -> IntegerMatrix:
         return IntegerMatrix.adopt(np.array(lists, dtype=object).reshape(rows, cols))
 
-    return SmithDecomposition(wrap(U, m, m), wrap(D, m, n), wrap(V, n, n), wrap(Uinv, m, m))
+    def untranspose(lists: list[list[int]], size: int, tracked: bool) -> IntegerMatrix | None:
+        return IntegerMatrix.adopt(wrap(lists, size, size).array.T) if tracked else None
+
+    return SmithDecomposition(wrap(U, m, m), wrap(D, m, n), untranspose(VT, n, track_V),
+                              untranspose(UinvT, m, track_U_inv))
 
 
 @dataclass(frozen=True)
@@ -499,7 +514,7 @@ def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGrou
     n = A.rows
     if len(moduli) != n:
         raise ValueError("moduli length must match the ambient dimension")
-    dec = smith_normal_form(_with_moduli(A, moduli))
+    dec = smith_normal_form(_with_moduli(A, moduli), track_V=False)
     diag = dec.diagonal()
     diag = diag + [0] * (n - len(diag))
     if any(d == 0 for d in diag):
@@ -531,7 +546,7 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
     n, m = A.rows, A.cols
     if len(moduli) != n or len(b) != n:
         raise ValueError("system shape mismatch")
-    dec = smith_normal_form(_with_moduli(A, moduli))
+    dec = smith_normal_form(_with_moduli(A, moduli), track_U_inv=False)
     z = dec.solve(b)
     if z is None:
         raise NoSolution("no integer solution")
@@ -539,6 +554,17 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
     free = dec.V.array[:m, [j for j in range(m + n) if j >= len(diag) or not diag[j]]]
     kernel = lattice_column_basis(IntegerMatrix.adopt(free[:, (free != 0).any(axis=0)]))
     return CongruenceSolution(z[:m], kernel)
+
+
+def solve_columns(A: IntegerMatrix, moduli: Sequence[int], B: IntegerMatrix) -> IntegerMatrix:
+    """The particular solution of ``solve_congruences`` for each column of B.
+
+    Every column reuses one factorization.  Raises NoSolution if any has none.
+    """
+    X = smith_normal_form(_with_moduli(A, moduli), track_U_inv=False).solve(B)
+    if X is None:
+        raise NoSolution("no integer solution")
+    return IntegerMatrix.adopt(X.array[:A.cols])
 
 
 def invert_group_map(T: IntegerMatrix, source: FiniteAbelianGroup,
@@ -549,12 +575,8 @@ def invert_group_map(T: IntegerMatrix, source: FiniteAbelianGroup,
     result is a reduced preimage of the i-th target generator.  Raises
     NoSolution when T is not onto and ValueError when it is not one-to-one.
     """
-    dec = smith_normal_form(_with_moduli(T, target.invariant_factors))
-    cols = [dec.solve(e) for e in IntegerMatrix.identity(target.rank).columns()]
-    if any(c is None for c in cols):
-        raise NoSolution("no integer solution")
-    inv = IntegerMatrix.from_columns([source.reduce(c[:source.rank]) for c in cols],
-                                     source.rank)
+    inv = source.reduce_columns(solve_columns(T, target.invariant_factors,
+                                              IntegerMatrix.identity(target.rank)))
     back = (inv @ T).array - np.identity(source.rank, dtype=object)
     if (back % moduli_column(source.invariant_factors)).any():
         raise ValueError("map is not injective")
@@ -568,7 +590,7 @@ def lattice_basis(M: IntegerMatrix) -> tuple[IntegerMatrix, SmithDecomposition]:
     U L is already diagonal: the returned decomposition of L reuses M's
     U and needs no second factorization.
     """
-    dec = smith_normal_form(M)
+    dec = smith_normal_form(M, track_V=False)
     diag = [d for d in dec.diagonal() if d]
     L = _scaled_columns(dec.U_inv, diag)
     D = _scaled_columns(IntegerMatrix.identity(M.rows), diag)
@@ -582,4 +604,4 @@ def lattice_column_basis(M: IntegerMatrix) -> IntegerMatrix:
 
 def solve_integer(M: IntegerMatrix, target: Sequence[int]) -> list[int] | None:
     """One integer solution of ``M y = target`` exactly, or None."""
-    return smith_normal_form(M).solve(target)
+    return smith_normal_form(M, track_U_inv=False).solve(target)

@@ -24,6 +24,10 @@ table exactly when the product is well defined in both slots and
 associative.  The zero ring is rejected: a presentation whose unit has
 additive order below 2 raises UnitDegenerate.
 
+The public ``FiniteRing`` constructor checks every law.  An endomorphism
+ring is lawful by construction (its table is read off composites of
+maps), so ``FiniteRing._lawful`` only reduces its ``mult`` and ``unit``.
+
 The laws run as one stacked-array kernel.  A family of k matrices on a
 carrier with invariant factors f_1 | ... | f_n becomes one (k, n, n)
 array with row a reduced modulo f_a, and ring coefficients are read
@@ -99,6 +103,12 @@ def reduced_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
     return _reduced(stack, moduli_column(factors), dtype)
 
 
+def law_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
+              ring: "FiniteRing") -> np.ndarray:
+    """mats as the stack the law kernel checks, at ``law_dtype``; no law is checked."""
+    return reduced_stack(mats, factors, law_dtype(max(len(factors), ring.rank), lcm(*factors)))
+
+
 def kron_differences(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X[g] (x) 1 - 1 (x) Y[g] for every g, as one (k, a b, a b) array.
 
@@ -151,9 +161,9 @@ def checked_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
     if len(mats) != k or any(M.rows != n or M.cols != n for M in mats):
         return "well shaped", None
     N = lcm(*factors)
-    dtype = law_dtype(max(n, k), N)
+    A = law_stack(mats, factors, ring)
+    dtype = A.dtype
     f = np.array(factors, dtype=dtype).reshape(n, 1)
-    A = reduced_stack(mats, factors, dtype)
     if (A * (f.T % f) % f).any():  # A[l, a, b] * f_b (mod f_a)
         return "well defined", A
     orders = _reduced(ring.additive.invariant_factors, N, dtype).reshape(k, 1, 1)
@@ -206,12 +216,10 @@ class FiniteRing:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        self._reduce()
         g = self.additive
         k = g.rank
-        mult = tuple(tuple(g.reduce(v) for v in row) for row in self.mult)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "unit", g.reduce(self.unit))
-        law, L = checked_stack([IntegerMatrix.from_columns(row, k) for row in mult],
+        law, L = checked_stack([IntegerMatrix.from_columns(row, k) for row in self.mult],
                                g.invariant_factors, self)
         if law in (None, "unital") and g.element_order(self.unit) < 2:
             raise UnitDegenerate("unit of additive order < 2 (zero ring)")
@@ -222,6 +230,21 @@ class FiniteRing:
         if ((L @ u - np.eye(k, dtype=np.int64)) % f).any():
             raise ValueError("unit law fails on a generator")
 
+    def _reduce(self) -> None:
+        g = self.additive
+        mult = tuple(tuple(g.reduce(v) for v in row) for row in self.mult)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "unit", g.reduce(self.unit))
+
+    @classmethod
+    def _lawful(cls, additive: FiniteAbelianGroup, mult: Sequence[Sequence[Sequence[int]]],
+                unit: Sequence[int], name: str = "") -> "FiniteRing":
+        """A ring associative and unital by construction: reduced, not re-checked."""
+        R = object.__new__(cls)
+        vars(R).update(additive=additive, mult=mult, unit=unit, name=name)
+        R._reduce()
+        return R
+
     @cached_property
     def table(self) -> np.ndarray:
         """The read-only exact (k, k, k) array table[i, j] = e_i * e_j."""
@@ -229,7 +252,7 @@ class FiniteRing:
         table.flags.writeable = False
         return table
 
-    def reduced_table(self, N: int, dtype: type) -> np.ndarray:
+    def reduced_table(self, N: int, dtype: np.dtype) -> np.ndarray:
         """``table`` modulo N in dtype, built once per (N, dtype) the laws ask for."""
         cache = self.__dict__.setdefault("_reduced_tables", {})
         if (N, dtype) not in cache:

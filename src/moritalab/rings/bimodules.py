@@ -14,6 +14,16 @@ re-reducing the matrices.  A map must be a group map of the carriers
 (``is_group_map``) that intertwines the actions on its tagged sides
 (``intertwines``).
 
+Validation happens once, at the boundary: ``Bimodule(...)`` checks every
+law, as do the constructors that take caller data (the spec loader,
+``scalar_bimodule``, ``right_module``, ``augmentation_scalar``, and
+``column_module``/``row_module``, which accept a matrix ring).  Regular
+bimodules, direct sums, tensor products and the Morita context's P_up,
+P* and inverse Q are lawful by construction from lawful inputs, so they
+go through ``Bimodule._lawful``, which keeps the reduced stacks at the
+kernel's dtype (``law_stack``) and checks nothing.  A differential test
+re-checks every such object built on a corpus of inputs.
+
 Maps carry a ``sides`` tag: hom computations for one-sided module maps
 reuse the same class with ``sides=("right",)`` or ``("left",)``.
 """
@@ -33,6 +43,7 @@ from ..exact import (
     direct_sum,
     invert_group_map,
     kron,
+    moduli_column,
     solve_congruences,
 )
 from .base import (
@@ -42,6 +53,7 @@ from .base import (
     cyclic_ring,
     intertwines,
     is_group_map,
+    law_stack,
     matrices_congruent,
     matrix_ring,
     stacks_commute,
@@ -76,6 +88,22 @@ class Bimodule:
         if not stacks_commute(stacks["left"], stacks["right"], fs):
             raise ValueError("left and right actions do not commute")
         object.__setattr__(self, "_stacks", stacks)
+
+    @classmethod
+    def _lawful(cls, left_ring: FiniteRing, right_ring: FiniteRing,
+                carrier: FiniteAbelianGroup, left_action: Sequence[IntegerMatrix],
+                right_action: Sequence[IntegerMatrix], name: str = "") -> "Bimodule":
+        """A bimodule lawful by construction: its reduced stacks, no law re-checked."""
+        B = object.__new__(cls)
+        fs = carrier.invariant_factors
+        stacks = {"left": law_stack(left_action, fs, left_ring),
+                  "right": law_stack(right_action, fs, right_ring)}
+        for stack in stacks.values():
+            stack.flags.writeable = False
+        vars(B).update(left_ring=left_ring, right_ring=right_ring, carrier=carrier,
+                       left_action=left_action, right_action=right_action, name=name,
+                       _stacks=stacks)
+        return B
 
     def action_stack(self, side: str) -> np.ndarray:
         """The side's actions as the read-only stack checked at construction.
@@ -178,10 +206,11 @@ def invert_bimodule_map(f: BimoduleMap) -> BimoduleMap:
 
 def regular_bimodule(R: FiniteRing) -> Bimodule:
     """R as an (R, R)-bimodule by left and right multiplication."""
-    gens = [tuple(1 if j == i else 0 for j in range(R.rank)) for i in range(R.rank)]
-    lam = tuple(R.left_mult_matrix(g) for g in gens)
-    rho = tuple(R.right_mult_matrix(g) for g in gens)
-    return Bimodule(R, R, R.additive, lam, rho, name=f"{R.name or 'R'} (regular)")
+    # column j of lambda_i is e_i e_j = table[i, j], of rho_i it is e_j e_i = table[j, i]
+    f = moduli_column(R.additive.invariant_factors)
+    lam = tuple(IntegerMatrix.adopt(R.table[i].T % f) for i in range(R.rank))
+    rho = tuple(IntegerMatrix.adopt(R.table[:, i].T % f) for i in range(R.rank))
+    return Bimodule._lawful(R, R, R.additive, lam, rho, name=f"{R.name or 'R'} (regular)")
 
 
 def zero_bimodule(R: FiniteRing, S: FiniteRing) -> Bimodule:
@@ -274,4 +303,4 @@ def bimodule_direct_sum(M1: Bimodule, M2: Bimodule) -> Bimodule:
     rho = tuple(proj.transport(direct_sum(A1, A2))
                 for A1, A2 in zip(M1.right_action, M2.right_action))
     name = f"{M1.name}+{M2.name}" if M1.name and M2.name else ""
-    return Bimodule(M1.left_ring, M1.right_ring, group, lam, rho, name=name)
+    return Bimodule._lawful(M1.left_ring, M1.right_ring, group, lam, rho, name=name)

@@ -14,6 +14,7 @@ coordinates, found through one Smith decomposition kept with the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -57,25 +58,34 @@ class HomGroup:
     def rank(self) -> int:
         return self.group.rank
 
-    def _unflatten(self, flat: np.ndarray) -> IntegerMatrix:
-        return IntegerMatrix.adopt(flat.reshape(self.target.rank, self.source.rank))
-
     def from_coordinates(self, coords: Sequence[int]) -> BimoduleMap:
         vec = self._proj.section_matrix.apply(coords)
         flat = np.array(self.basis_matrix.apply(vec), dtype=object)
-        return BimoduleMap(self.source, self.target, self._unflatten(flat), self.sides)
+        X = IntegerMatrix.adopt(flat.reshape(self.target.rank, self.source.rank))
+        return BimoduleMap(self.source, self.target, X, self.sides)
 
-    def coordinates(self, f: BimoduleMap | IntegerMatrix) -> tuple[int, ...]:
-        M = f.matrix if isinstance(f, BimoduleMap) else f
-        y = self._basis_snf.solve(M.array.ravel().tolist())
-        if y is None:
+    def coordinates(self, f: BimoduleMap | IntegerMatrix | np.ndarray
+                    ) -> tuple[int, ...] | IntegerMatrix:
+        """Coordinates of one map, or of a (w, target rank, source rank) stack of maps.
+
+        A stack is solved on the one kept Smith decomposition, one column per map.
+        """
+        if not isinstance(f, np.ndarray):
+            M = f.matrix if isinstance(f, BimoduleMap) else f
+            return tuple(self.coordinates(M.array[None]).column(0))
+        Y = self._basis_snf.solve(IntegerMatrix.adopt(f.reshape(len(f), prod(f.shape[1:])).T))
+        if Y is None:
             raise ValueError("matrix is not a map in this hom group")
-        return self._proj.apply(y)
+        return self._proj.project(Y)
+
+    def generator_stack(self) -> np.ndarray:
+        """Matrices of the maps at the group's generators as one (rank, target, source) array."""
+        gens = (self.basis_matrix @ self._proj.section_matrix).array
+        return gens.T.reshape(self.rank, self.target.rank, self.source.rank)
 
     def generator_matrices(self) -> list[IntegerMatrix]:
         """Matrices of the maps at the group's generators, in order."""
-        gens = (self.basis_matrix @ self._proj.section_matrix).array
-        return [self._unflatten(col) for col in gens.T]
+        return [IntegerMatrix.adopt(X) for X in self.generator_stack()]
 
     def elements(self) -> Iterator[BimoduleMap]:
         for coords in self.group.elements():
@@ -116,14 +126,10 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
     sol = solve_congruences(A, moduli, [0] * len(moduli))
     K, K_snf = lattice_basis(sol.kernel)
 
-    K0_in_K = []
-    for col in np.diag(np.array(row_moduli, dtype=object)).tolist():
-        y = K_snf.solve(col)
-        if y is None:
-            raise RuntimeError("zero-map lattice escaped the solution lattice")
-        K0_in_K.append(y)
-    rank = K.cols
-    group, proj = cokernel(IntegerMatrix.from_columns(K0_in_K, rank), [0] * rank)
+    K0_in_K = K_snf.solve(IntegerMatrix.adopt(np.diag(np.array(row_moduli, dtype=object))))
+    if K0_in_K is None:
+        raise RuntimeError("zero-map lattice escaped the solution lattice")
+    group, proj = cokernel(K0_in_K, [0] * K.cols)
     return HomGroup(M, N, sides, group, K, proj, K_snf)
 
 
@@ -147,14 +153,14 @@ def endomorphism_ring(M: Bimodule, side: str = "right",
     if M.rank == 0:
         raise UnitDegenerate("endomorphism ring of the zero module")
     H = hom_group(M, M, side)
-    r = H.rank
-    basis_mats = H.generator_matrices()
-    mult = tuple(
-        tuple(H.coordinates(basis_mats[a] @ basis_mats[b]) for b in range(r))
-        for a in range(r)
-    )
-    unit = H.coordinates(IntegerMatrix.identity(M.rank))
-    ring = FiniteRing(H.group, mult, unit, name=name or f"End({M.name})")
+    r, n = H.rank, M.rank
+    G = H.generator_stack()
+    # column a * r + b holds e_a . e_b = the composite of basis maps a and b; the last, 1
+    products = np.concatenate([(G[:, None] @ G[None]).reshape(r * r, n, n),
+                               np.identity(n, dtype=object)[None]])
+    table = H.coordinates(products).array
+    ring = FiniteRing._lawful(H.group, table[:, :-1].T.reshape(r, r, r).tolist(),
+                              table[:, -1].tolist(), name=name or f"End({M.name})")
     return EndomorphismRing(ring, H)
 
 

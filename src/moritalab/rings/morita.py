@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exact import IntegerMatrix, cokernel, invert_group_map
+from ..errors import NoSolution
+from ..exact import IntegerMatrix, cokernel, invert_group_map, moduli_column, solve_columns
 from .base import FiniteRing, combine_matrices
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, regular_bimodule
 from .hom import EndomorphismRing, HomGroup, endomorphism_ring, hom_group
@@ -42,46 +43,45 @@ class MoritaContext:
     co: IntegerMatrix            # p (x) f -> (p' -> p . f(p')) on generator pairs
 
 
-def _pairing_matrices(P: Bimodule, F: list[IntegerMatrix],
+def _pairing_matrices(P: Bimodule, F: np.ndarray,
                       E: EndomorphismRing) -> tuple[IntegerMatrix, IntegerMatrix]:
     """Evaluation and coevaluation on elementary tensors of generators.
 
-    F lists the dual's generator maps P -> S.  The first matrix sends
+    F stacks the dual's generator maps P -> S.  The first matrix sends
     f_a (x) p_j to f_a(p_j) in S coordinates, the second sends
     p_i (x) f_a to the endomorphism p -> p_i . f_a(p) in End coordinates.
     """
-    S = P.right_ring
-    ev = np.concatenate([Fa.array for Fa in F] or [np.zeros((S.rank, 0), dtype=object)],
-                        axis=1)
-    rhos = np.array([rho.array for rho in P.right_action], dtype=object)
-    co_cols = []
-    for i in range(P.rank):
-        # column l of R_i is p_i . s_l, so p -> p_i . f_a(p) is R_i @ F_a
-        R_i = IntegerMatrix.adopt(rhos[:, :, i].T)
-        for Fa in F:
-            op_matrix = P.carrier.reduce_columns(R_i @ Fa)
-            co_cols.append(list(E.coordinates_of(op_matrix)))
-    return (S.additive.reduce_columns(IntegerMatrix.adopt(ev)),
-            IntegerMatrix.from_columns(co_cols, E.ring.rank))
+    S, h, n = P.right_ring, len(F), P.rank
+    ev = IntegerMatrix.adopt(F.transpose(1, 0, 2).reshape(S.rank, h * n))
+    # column l of R_i is p_i . s_l, so p -> p_i . f_a(p) is R_i @ F_a, at column (i, a)
+    R = P.action_stack("right").astype(object).transpose(2, 1, 0)
+    ops = (R[:, None] @ F[None]) % moduli_column(P.carrier.invariant_factors)
+    return S.additive.reduce_columns(ev), E.hom.coordinates(ops.reshape(n * h, n, n))
 
 
 def morita_context(P: Bimodule) -> MoritaContext:
     """Context of P as a right module; the given left structure is ignored."""
     S = P.right_ring
     E = endomorphism_ring(P, side="right")
-    X = E.hom.generator_matrices()
-    P_up = Bimodule(E.ring, S, P.carrier, tuple(X), P.right_action,
-                    name=P.name)
+    X = E.hom.generator_stack()
+    P_up = Bimodule._lawful(E.ring, S, P.carrier, tuple(map(IntegerMatrix.adopt, X)),
+                            P.right_action, name=P.name)
 
     Sreg = regular_bimodule(S)
     H = hom_group(P_up, Sreg, side="right")
-    F = H.generator_matrices()
+    F = H.generator_stack()
+    h, n = len(F), P.rank
+    L = Sreg.action_stack("left").astype(object)
+
+    def action(images: np.ndarray) -> tuple[IntegerMatrix, ...]:
+        # images[g, a] is generator g acting on f_a; its coordinates are column a
+        C = H.coordinates(images.reshape(len(images) * h, S.rank, n)).array
+        return tuple(IntegerMatrix.adopt(C[:, g * h:(g + 1) * h]) for g in range(len(images)))
+
     # s . f = L_s @ f and f . x = f @ X_x, in the dual's coordinates
-    lam = tuple(IntegerMatrix.from_columns([H.coordinates(L @ Fa) for Fa in F], H.rank)
-                for L in Sreg.left_action)
-    rho = tuple(IntegerMatrix.from_columns([H.coordinates(Fa @ Xb) for Fa in F], H.rank)
-                for Xb in X)
-    P_star = Bimodule(S, E.ring, H.group, lam, rho, name=f"({P.name})*" if P.name else "")
+    P_star = Bimodule._lawful(S, E.ring, H.group, action(L[:, None] @ F[None]),
+                              action(F[None] @ X[:, None]),
+                              name=f"({P.name})*" if P.name else "")
 
     ev, co = _pairing_matrices(P, F, E)
     T_alpha = tensor_product(P_star, P_up)
@@ -104,12 +104,14 @@ class PropertyCertificate:
 
 
 def _surjectivity_certificate(f: BimoduleMap) -> PropertyCertificate:
-    tfs = list(f.target.carrier.invariant_factors)
-    group, _ = cokernel(f.matrix, tfs)
-    if group.order != 1:
+    tfs = f.target.carrier.invariant_factors
+    try:  # preimages of all target generators on one factorization
+        X = solve_columns(f.matrix, tfs, IntegerMatrix.identity(f.target.rank))
+    except NoSolution:
+        group, _ = cokernel(f.matrix, tfs)
         return PropertyCertificate(False, obstruction=group.invariant_factors)
-    pres = [f.preimage(e) for e in IntegerMatrix.identity(f.target.rank).columns()]
-    return PropertyCertificate(True, preimages=pres)
+    pres = f.source.carrier.reduce_columns(X).columns()
+    return PropertyCertificate(True, preimages=[tuple(p) for p in pres])
 
 
 def is_generator(P: Bimodule, ctx: MoritaContext | None = None) -> PropertyCertificate:
@@ -137,10 +139,7 @@ def is_progenerator(P: Bimodule, ctx: MoritaContext | None = None) -> PropertyCe
 
 def canonical_end_map(P: Bimodule, ctx: MoritaContext) -> IntegerMatrix:
     """Left-ring coordinates -> End coordinates, r -> (p -> r.p)."""
-    R = P.left_ring
-    cols = [list(ctx.end.coordinates_of(P.left_action[l]))
-            for l in range(R.rank)]
-    return IntegerMatrix.from_columns(cols, ctx.end.ring.rank)
+    return ctx.end.hom.coordinates(P.action_stack("left").astype(object))
 
 
 @dataclass
@@ -182,22 +181,21 @@ def certify_invertible_bimodule(P: Bimodule) -> MoritaCertificate:
     S = P.right_ring
     E = ctx.end
     cmat = canonical_end_map(P, ctx)
-    emods = list(E.ring.additive.invariant_factors)
     if R.order != E.ring.order:
         return MoritaCertificate(
             P, False, context=ctx,
             reason="left ring order differs from the endomorphism ring")
-    cgroup, _ = cokernel(cmat, emods)
-    if cgroup.order != 1:
+    try:  # onto between groups of one order, so bijective
+        cinv = invert_group_map(cmat, R.additive, E.ring.additive)
+    except NoSolution:
         return MoritaCertificate(
             P, False, context=ctx,
             reason="canonical map to the endomorphism ring is not onto")
-    cinv = invert_group_map(cmat, R.additive, E.ring.additive)
 
     # Q = P* with the right End-action pulled back along the canonical map
     Q_star = ctx.dual
     rho_R = tuple(combine_matrices(Q_star.right_action, c) for c in cmat.columns())
-    Q = Bimodule(S, R, Q_star.carrier, Q_star.left_action, rho_R, name=Q_star.name)
+    Q = Bimodule._lawful(S, R, Q_star.carrier, Q_star.left_action, rho_R, name=Q_star.name)
 
     T_QP = tensor_product(Q, P)
     iso_right = factor_through_tensor(T_QP, ctx.ev, ctx.alpha.target, BOTH_SIDES)

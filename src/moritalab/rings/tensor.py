@@ -99,7 +99,7 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
                        nM, (2, 1, 0, 3))
 
     label = name or (f"{M.name}(x){N.name}" if M.name and N.name else "")
-    module = Bimodule(M.left_ring, N.right_ring, group, lamT, rhoT, name=label)
+    module = Bimodule._lawful(M.left_ring, N.right_ring, group, lamT, rhoT, name=label)
     return TensorProduct(M, N, module, proj, moduli)
 
 

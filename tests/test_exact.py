@@ -165,6 +165,54 @@ def test_snf_properties(m, n, data):
                 assert dec.D.array[i, j] == 0
 
 
+def _snf_differential_cases():
+    """Seeded integer matrices: empty shapes, zero rows and columns, [A | diag(moduli)]."""
+    rng = np.random.default_rng(20)
+    cases = [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+             np.zeros((0, 0), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)]
+    for _ in range(120):
+        m, n = rng.integers(1, 7, size=2)
+        A = rng.integers(-9, 10, size=(m, n)) * (rng.random((m, n)) < rng.random())
+        A[rng.random(m) < 0.2] = 0
+        A[:, rng.random(n) < 0.2] = 0
+        cases.append(A)
+        moduli = rng.choice([0, 1, 2, 3, 4, 6, 8, 9, 12], size=m)
+        cases.append(np.hstack([A, np.diag(moduli)]))
+    return [IntegerMatrix(A.tolist(), *A.shape) for A in cases]
+
+
+@pytest.mark.parametrize("track_V, track_U_inv", [(True, False), (False, True), (False, False)])
+def test_snf_pruned_transforms_equal_the_full_ones(track_V, track_U_inv):
+    for A in _snf_differential_cases():
+        full = smith_normal_form(A)
+        dec = smith_normal_form(A, track_V=track_V, track_U_inv=track_U_inv)
+        assert dec.U == full.U and dec.D == full.D
+        assert (dec.V == full.V) if track_V else dec.V is None
+        assert (dec.U_inv == full.U_inv) if track_U_inv else dec.U_inv is None
+        if track_V:
+            assert dec.U @ A @ dec.V == dec.D
+        if track_U_inv:
+            assert dec.U @ dec.U_inv == IntegerMatrix.identity(A.rows)
+        assert all(_exact(M) for M in (dec.U, dec.D, dec.V, dec.U_inv) if M is not None)
+
+
+def test_snf_solve_on_a_matrix_solves_each_column():
+    rng = np.random.default_rng(21)
+    for A in _snf_differential_cases():
+        dec = smith_normal_form(A, track_U_inv=False)
+        hits = A @ IntegerMatrix(rng.integers(-3, 4, size=(A.cols, 3)).tolist(), A.cols, 3)
+        misses = IntegerMatrix(rng.integers(-5, 6, size=(A.rows, 3)).tolist(), A.rows, 3)
+        for B in (hits, misses):
+            X = dec.solve(B)
+            cols = [dec.solve(b) for b in B.columns()]
+            if X is None:
+                assert any(c is None for c in cols)
+            else:
+                assert X.columns() == cols and A @ X == B
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        smith_normal_form(IntegerMatrix([[2, 0]])).solve([1, 2])
+
+
 def test_snf_deterministic():
     A = IntegerMatrix([[4, 6, 2], [6, 4, 8]])
     d1 = smith_normal_form(A)

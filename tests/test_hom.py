@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from moritalab.errors import SearchBudgetExceeded, UnitDegenerate
@@ -182,3 +183,20 @@ class TestModuleIsomorphism:
         tp = tensor_product(C, W)
         f = bimodule_isomorphic(tp.module, regular_bimodule(M2))
         assert f is not None
+
+
+def test_stacked_coordinates_equal_one_map_at_a_time():
+    # a stack of maps is solved on one factorization: each column must be
+    # the coordinates of its map alone, and one non-map anywhere must raise
+    Z4 = cyclic_ring(4)
+    C = column_module(Z4, 2)
+    for M, N, side in _hom_pairs() + [(C, C, "left")]:
+        H = hom_group(M, N, side)
+        maps = [f.matrix for f in H.elements()]
+        stacked = H.coordinates(np.array([X.array for X in maps], dtype=object))
+        assert stacked.columns() == [list(H.coordinates(X)) for X in maps]
+    not_a_map = IntegerMatrix([[1, 0], [0, 0]])
+    with pytest.raises(ValueError, match="^matrix is not a map in this hom group$"):
+        H.coordinates(not_a_map)
+    with pytest.raises(ValueError, match="^matrix is not a map in this hom group$"):
+        H.coordinates(np.array([maps[1].array, not_a_map.array], dtype=object))
