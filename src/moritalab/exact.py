@@ -25,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
@@ -463,10 +464,6 @@ class CokernelProjection:
     section_matrix: IntegerMatrix  # ambient x rank
     relations: IntegerMatrix       # ambient x ambient, basis of the kernel
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.cols
-
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return self.group.reduce(self.matrix.apply(vec))
 
@@ -529,22 +526,41 @@ def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGrou
 
 @dataclass
 class CongruenceSolution:
-    """Coset description of all solutions: ``particular + col_span(kernel)``."""
+    """Coset description of all solutions: ``particular + col_span(kernel)``.
 
-    particular: list[int]
-    kernel: IntegerMatrix  # columns generate the homogeneous solution lattice
+    ``particular`` has the shape of the right-hand side: a vector, or a
+    matrix with one solution column per column.  ``free`` holds the
+    solve's generators of the homogeneous lattice; the kernel basis is
+    read off them the first time it is asked for.
+    """
+
+    particular: list[int] | IntegerMatrix
+    free: np.ndarray
+
+    @cached_property
+    def lattice(self) -> tuple[IntegerMatrix, SmithDecomposition]:
+        """``lattice_basis`` of the free generators: the kernel and its SNF."""
+        free = self.free[:, (self.free != 0).any(axis=0)]
+        return lattice_basis(IntegerMatrix.adopt(free))
+
+    @property
+    def kernel(self) -> IntegerMatrix:
+        """Basis (as columns) of the homogeneous solution lattice."""
+        return self.lattice[0]
 
 
 def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
-                      b: Sequence[int]) -> CongruenceSolution:
+                      b: Sequence[int] | IntegerMatrix) -> CongruenceSolution:
     """Solve ``A x = b (mod moduli)`` row-wise over the integers.
 
     Row i is the congruence ``sum_j A[i][j] x_j = b_i (mod moduli[i])``;
-    a zero modulus means equality over Z.  Raises NoSolution when the
-    system is inconsistent.
+    a zero modulus means equality over Z.  A matrix b is solved column by
+    column on one factorization.  Raises NoSolution when the system (for
+    a matrix, any column of it) is inconsistent.
     """
     n, m = A.rows, A.cols
-    if len(moduli) != n or len(b) != n:
+    rows = b.rows if isinstance(b, IntegerMatrix) else len(b)
+    if len(moduli) != n or rows != n:
         raise ValueError("system shape mismatch")
     dec = smith_normal_form(_with_moduli(A, moduli), track_U_inv=False)
     z = dec.solve(b)
@@ -552,19 +568,8 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
         raise NoSolution("no integer solution")
     diag = dec.diagonal()
     free = dec.V.array[:m, [j for j in range(m + n) if j >= len(diag) or not diag[j]]]
-    kernel = lattice_column_basis(IntegerMatrix.adopt(free[:, (free != 0).any(axis=0)]))
-    return CongruenceSolution(z[:m], kernel)
-
-
-def solve_columns(A: IntegerMatrix, moduli: Sequence[int], B: IntegerMatrix) -> IntegerMatrix:
-    """The particular solution of ``solve_congruences`` for each column of B.
-
-    Every column reuses one factorization.  Raises NoSolution if any has none.
-    """
-    X = smith_normal_form(_with_moduli(A, moduli), track_U_inv=False).solve(B)
-    if X is None:
-        raise NoSolution("no integer solution")
-    return IntegerMatrix.adopt(X.array[:A.cols])
+    return CongruenceSolution(
+        z[:m] if isinstance(z, list) else IntegerMatrix.adopt(z.array[:m]), free)
 
 
 def invert_group_map(T: IntegerMatrix, source: FiniteAbelianGroup,
@@ -575,8 +580,8 @@ def invert_group_map(T: IntegerMatrix, source: FiniteAbelianGroup,
     result is a reduced preimage of the i-th target generator.  Raises
     NoSolution when T is not onto and ValueError when it is not one-to-one.
     """
-    inv = source.reduce_columns(solve_columns(T, target.invariant_factors,
-                                              IntegerMatrix.identity(target.rank)))
+    inv = source.reduce_columns(solve_congruences(
+        T, target.invariant_factors, IntegerMatrix.identity(target.rank)).particular)
     back = (inv @ T).array - np.identity(source.rank, dtype=object)
     if (back % moduli_column(source.invariant_factors)).any():
         raise ValueError("map is not injective")
@@ -595,11 +600,6 @@ def lattice_basis(M: IntegerMatrix) -> tuple[IntegerMatrix, SmithDecomposition]:
     L = _scaled_columns(dec.U_inv, diag)
     D = _scaled_columns(IntegerMatrix.identity(M.rows), diag)
     return L, SmithDecomposition(dec.U, D, IntegerMatrix.identity(L.cols), dec.U_inv)
-
-
-def lattice_column_basis(M: IntegerMatrix) -> IntegerMatrix:
-    """A basis (as columns) of the lattice spanned by the columns of M."""
-    return lattice_basis(M)[0]
 
 
 def solve_integer(M: IntegerMatrix, target: Sequence[int]) -> list[int] | None:

@@ -157,24 +157,24 @@ def orthonormal_columns(A: np.ndarray) -> np.ndarray:
     return U[:, :rank]
 
 
+def _span_residual(inner: np.ndarray, Q: np.ndarray) -> float:
+    """Worst relative distance from a nonzero column of inner to span(Q), Q orthonormal."""
+    norms = np.linalg.norm(inner, axis=0)
+    live = norms > 0.0
+    V = inner[:, live]
+    return float(np.max(np.linalg.norm(V - Q @ (Q.conj().T @ V), axis=0)
+                        / norms[live], initial=0.0))
+
+
 def containment_residual(inner: np.ndarray, outer: np.ndarray) -> float:
     """Worst relative distance from a column of `inner` to span(outer)."""
-    Q = orthonormal_columns(outer)
-    worst = 0.0
-    for j in range(inner.shape[1]):
-        v = inner[:, j]
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        res = float(np.linalg.norm(v - Q @ (Q.conj().T @ v))) / nv
-        worst = max(worst, res)
-    return worst
+    return _span_residual(inner, orthonormal_columns(outer))
 
 
 def subspaces_equal(A: np.ndarray, B: np.ndarray) -> tuple[bool, float]:
     """Same span at the fixed cutoff, and the mutual containment residual."""
     QA, QB = orthonormal_columns(A), orthonormal_columns(B)
-    res = max(containment_residual(QA, QB), containment_residual(QB, QA))
+    res = max(_span_residual(QA, QB), _span_residual(QB, QA))
     return (QA.shape[1] == QB.shape[1] and res <= DEFAULT_TOL), res
 
 
@@ -257,11 +257,11 @@ def gram_quotient(G: np.ndarray, scale: float = 0.0) -> GramQuotient:
     rounding noise being kept as a genuine line.
     """
     G = as_complex_matrix(G)
-    norm = operator_norm(G)
-    if operator_norm(G - G.conj().T) > DEFAULT_TOL * (1.0 + norm):
-        raise NotPSD("pre-inner product matrix is not Hermitian")
     Gs = (G + G.conj().T) / 2.0
     w, V = np.linalg.eigh(Gs) if Gs.size else (np.zeros(0), np.zeros((0, 0)))
+    if norm_exceeds(G - G.conj().T,
+                    DEFAULT_TOL * (1.0 + float(np.max(np.abs(w), initial=0.0)))):
+        raise NotPSD("pre-inner product matrix is not Hermitian")
     top = float(np.max(w, initial=0.0))
     if np.any(w < -DEFAULT_TOL * max(top, 1.0)):
         raise NotPSD("pre-inner product has a negative direction")

@@ -26,7 +26,6 @@ from ..exact import (
     IntegerMatrix,
     SmithDecomposition,
     cokernel,
-    lattice_basis,
     smith_normal_form,
     solve_congruences,
 )
@@ -123,8 +122,7 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
     live = (D != 0).any(axis=1)
     moduli = row_moduli + [d for d, keep in zip(row_moduli * len(src), live) if keep]
     A = IntegerMatrix.adopt(np.vstack([orders, D[live]]))
-    sol = solve_congruences(A, moduli, [0] * len(moduli))
-    K, K_snf = lattice_basis(sol.kernel)
+    K, K_snf = solve_congruences(A, moduli, [0] * len(moduli)).lattice
 
     K0_in_K = K_snf.solve(IntegerMatrix.adopt(np.diag(np.array(row_moduli, dtype=object))))
     if K0_in_K is None:

@@ -18,7 +18,6 @@ from ..exact import (
     IntegerMatrix,
     cokernel,
     invert_group_map,
-    lattice_column_basis,
     moduli_column,
     solve_congruences,
 )
@@ -86,8 +85,7 @@ def _enumerate_coset(particular: list[int], kernel: IntegerMatrix,
                      factors: tuple[int, ...]) -> list[tuple[int, ...]]:
     k = len(factors)
     base = tuple(particular[i] % factors[i] for i in range(k))
-    K = lattice_column_basis(kernel)
-    gens = [tuple(g) for g in (K.array % moduli_column(factors)).T.tolist()]
+    gens = [tuple(g) for g in (kernel.array % moduli_column(factors)).T.tolist()]
     seen = {base}
     frontier = [base]
     while frontier:

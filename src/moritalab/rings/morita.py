@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NoSolution
-from ..exact import IntegerMatrix, cokernel, invert_group_map, moduli_column, solve_columns
+from ..exact import IntegerMatrix, cokernel, invert_group_map, moduli_column, solve_congruences
 from .base import FiniteRing, combine_matrices
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, regular_bimodule
 from .hom import EndomorphismRing, HomGroup, endomorphism_ring, hom_group
@@ -106,7 +106,8 @@ class PropertyCertificate:
 def _surjectivity_certificate(f: BimoduleMap) -> PropertyCertificate:
     tfs = f.target.carrier.invariant_factors
     try:  # preimages of all target generators on one factorization
-        X = solve_columns(f.matrix, tfs, IntegerMatrix.identity(f.target.rank))
+        X = solve_congruences(f.matrix, tfs,
+                              IntegerMatrix.identity(f.target.rank)).particular
     except NoSolution:
         group, _ = cokernel(f.matrix, tfs)
         return PropertyCertificate(False, obstruction=group.invariant_factors)

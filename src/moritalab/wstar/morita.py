@@ -1,14 +1,16 @@
 """Equivalence certification for correspondences between multi-matrix algebras.
 
-A correspondence implements an equivalence exactly when its left action is
-faithful, its right action spans the full commutant of the left one, and
-fusing with the conjugate on either side returns the identity
-correspondence up to unitary intertwiner. The certificate records the
-witnesses; a refutation records which gate failed. Faithfulness and the
-commutant come from the left action's isotypic frames, counted at the
-spectral cutoff 1/2, and the span comparison decides at DEFAULT_TOL. The
-fusion gates compare multiplicity matrices and build their unitaries from
-the frames, so the certificate is deterministic; callers gate its residual.
+A correspondence between multi-matrix algebras implements an equivalence
+exactly when its multiplicity matrix is a permutation matrix (Jones and
+Sunder, Introduction to Subfactors, ch. 1-2).  That integer matrix, the
+frame counts of Correspondence.multiplicities, alone decides the verdict:
+a refutation names the first way it fails and has no residual.  For a
+permutation matrix, fusing with the conjugate on either side and the
+unitaries onto the identity correspondences are the certificate's
+witnesses.  They are built from the frames, so the certificate is
+deterministic; callers gate its residual.  A fusion that does not match
+the identity correspondence although the multiplicities predict it raises
+RuntimeError, never a refutation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import AlgebraMismatch
-from .algebras import State, left_frames, right_fills_commutant, trace_state
+from .algebras import State, trace_state
 from .correspondences import (
     Correspondence,
     Intertwiner,
@@ -45,15 +47,43 @@ class WStarMoritaCertificate:
     unitary_right: np.ndarray | None = field(default=None, repr=False)
 
 
+def _refutation(mult) -> str | None:
+    """Why a multiplicity matrix is not a permutation matrix, None if it is."""
+    rows = [sum(row) for row in mult]
+    cols = [sum(col) for col in zip(*mult)]
+    if 0 in rows:
+        return "left action is not faithful"
+    if any(r != 1 for r in rows) or any(c > 1 for c in cols):
+        return "right action does not fill the commutant of the left one"
+    if 0 in cols:
+        return ("conjugate fusion is not the identity correspondence "
+                "of the right algebra")
+    return None
+
+
+def _witness(H: Correspondence, K: Correspondence, std_mid: StandardFormData,
+             std_out: StandardFormData):
+    """H fused with K over std_mid, its unitary onto L²(std_out), the residual."""
+    fus = connes_fusion(H, K, std_mid)
+    ident = identity_correspondence(std_out)
+    U = unitary_intertwiner(fus.corr, ident)
+    if U is None:
+        raise RuntimeError(
+            f"the multiplicities predict an equivalence, but the fusion with "
+            f"multiplicities {fus.corr.multiplicities} does not match the "
+            f"identity correspondence with {ident.multiplicities}")
+    return fus, U, Intertwiner(fus.corr, ident, U).residual()
+
+
 def certify_morita_equivalent(H: Correspondence,
                               phi_M: State | None = None,
                               phi_N: State | None = None
                               ) -> WStarMoritaCertificate:
     """Decide whether H implements an equivalence between its two algebras.
 
-    States default to the normalized traces; by state independence of the
-    fusion the verdict does not depend on the choice, only the recorded
-    unitaries do.
+    States default to the normalized traces; they enter only the
+    witnesses, so the verdict does not depend on the choice, only the
+    recorded unitaries do.
     """
     M, N = H.left_algebra, H.right_algebra
     if phi_M is None:
@@ -63,45 +93,17 @@ def certify_morita_equivalent(H: Correspondence,
     if phi_M.algebra != M or phi_N.algebra != N:
         raise AlgebraMismatch("states are not on the correspondence algebras")
 
-    frames = left_frames(M, H.pi_l_units)
-    if not all(len(F) for F in frames):
-        return WStarMoritaCertificate(
-            corr=H, equivalent=False,
-            reason="left action is not faithful")
-
-    same, res = right_fills_commutant(frames, H.pi_r_units)
-    if not same:
-        return WStarMoritaCertificate(
-            corr=H, equivalent=False, residual=res,
-            reason="right action does not fill the commutant of the left one")
+    reason = _refutation(H.multiplicities)
+    if reason is not None:
+        return WStarMoritaCertificate(corr=H, equivalent=False, reason=reason)
 
     std_M = gns_standard_form(M, phi_M)
     std_N = gns_standard_form(N, phi_N)
     Hbar = conjugate_correspondence(H)
-
-    fus_left = connes_fusion(H, Hbar, std_N)
-    ident_M = identity_correspondence(std_M)
-    U_left = unitary_intertwiner(fus_left.corr, ident_M)
-    if U_left is None:
-        return WStarMoritaCertificate(
-            corr=H, equivalent=False, conjugate=Hbar, fusion_left=fus_left,
-            reason="fusion with the conjugate is not the identity "
-                   "correspondence of the left algebra")
-
-    fus_right = connes_fusion(Hbar, H, std_M)
-    ident_N = identity_correspondence(std_N)
-    U_right = unitary_intertwiner(fus_right.corr, ident_N)
-    if U_right is None:
-        return WStarMoritaCertificate(
-            corr=H, equivalent=False, conjugate=Hbar,
-            fusion_left=fus_left, fusion_right=fus_right,
-            reason="conjugate fusion is not the identity correspondence "
-                   "of the right algebra")
-
-    worst = max(Intertwiner(fus_left.corr, ident_M, U_left).residual(),
-                Intertwiner(fus_right.corr, ident_N, U_right).residual(),
-                res)
+    fus_left, U_left, res_left = _witness(H, Hbar, std_N, std_M)
+    fus_right, U_right, res_right = _witness(Hbar, H, std_M, std_N)
     return WStarMoritaCertificate(
-        corr=H, equivalent=True, reason="certified", residual=worst,
-        conjugate=Hbar, fusion_left=fus_left, fusion_right=fus_right,
+        corr=H, equivalent=True, reason="certified",
+        residual=max(res_left, res_right), conjugate=Hbar,
+        fusion_left=fus_left, fusion_right=fus_right,
         unitary_left=U_left, unitary_right=U_right)

@@ -24,7 +24,6 @@ from moritalab.exact import (
     direct_sum,
     kron,
     lattice_basis,
-    lattice_column_basis,
     smith_normal_form,
     solve_congruences,
     solve_integer,
@@ -323,6 +322,29 @@ def test_congruences_match_enumeration(n, m, data):
     assert coset_mod_L(sol, L, m) == oracle
 
 
+@settings(max_examples=120, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3), st.data())
+def test_matrix_right_hand_side_solves_column_by_column(n, m, k, data):
+    moduli = data.draw(st.lists(st.sampled_from([0, 2, 3, 4]), min_size=n, max_size=n))
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=n * m, max_size=n * m))
+    rhs = data.draw(st.lists(st.integers(-4, 4), min_size=n * k, max_size=n * k))
+    A = IntegerMatrix([entries[i * m:(i + 1) * m] for i in range(n)], n, m)
+    B = IntegerMatrix([rhs[i * k:(i + 1) * k] for i in range(n)], n, k)
+    columns = []
+    for j in range(k):
+        try:
+            columns.append(solve_congruences(A, moduli, B.column(j)))
+        except NoSolution:
+            columns.append(None)
+    if None in columns:
+        with pytest.raises(NoSolution):
+            solve_congruences(A, moduli, B)
+        return
+    sol = solve_congruences(A, moduli, B)
+    assert sol.particular.columns() == [c.particular for c in columns]
+    assert all(sol.kernel == c.kernel for c in columns)
+
+
 def test_solve_integer_exact():
     M = IntegerMatrix([[2, 1], [0, 3]])
     y = solve_integer(M, [5, 9])
@@ -370,7 +392,7 @@ def test_smith_solve_is_none_exactly_off_the_lattice(m, n, data):
     # the basis decomposition reuses M's U: it must be a Smith form of the
     # basis and solve exactly as a fresh factorization of the basis does
     L, ldec = lattice_basis(M)
-    assert L == lattice_column_basis(M)
+    assert L == lattice_basis(M)[0]
     assert ldec.U @ L @ ldec.V == ldec.D
     for target in (hit, t):
         got = ldec.solve(target)
@@ -382,7 +404,7 @@ def test_smith_solve_is_none_exactly_off_the_lattice(m, n, data):
 
 def test_lattice_column_basis_spans_same_lattice():
     M = IntegerMatrix([[2, 4, 6], [0, 2, 2]])
-    B = lattice_column_basis(M)
+    B = lattice_basis(M)[0]
     # both generating sets must produce the same subgroup mod a big modulus
     mod = [24, 24]
     assert subgroup_closure(M.columns(), mod) == subgroup_closure(B.columns(), mod)

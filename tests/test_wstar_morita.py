@@ -1,10 +1,15 @@
 """Equivalence certificates for correspondences, positive and refuted."""
 
+import json
+
 import numpy as np
 import pytest
 
+from moritalab.cli import main
 from moritalab.numkernel import operator_norm
+from moritalab.specfile import SpecFile, serialize_spec
 from moritalab.wstar import (
+    Correspondence,
     Intertwiner,
     MultiMatrixAlgebra,
     State,
@@ -128,6 +133,32 @@ class TestRefuted:
         assert not cert.equivalent
 
 
+class TestWitnessesMustAgree:
+    """A fusion that contradicts the multiplicities raises, never refutes."""
+
+    @pytest.fixture
+    def no_unitary(self, monkeypatch):
+        import moritalab.wstar.morita as morita
+        monkeypatch.setattr(morita, "unitary_intertwiner", lambda H, K: None)
+
+    def test_certification_raises(self, no_unitary):
+        with pytest.raises(RuntimeError, match="multiplicities"):
+            certify_morita_equivalent(vector_correspondence(2))
+
+    def test_cli_row_is_error(self, no_unitary, tmp_path, capsys):
+        C = MultiMatrixAlgebra((1,), name="C")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(serialize_spec(SpecFile(
+            algebras={"M2": M2, "C": C},
+            correspondences={"H": vector_correspondence(2)},
+            tasks=({"task": "morita-wstar", "correspondence": "H"},)))))
+        report_path = tmp_path / "report.json"
+        assert main(["run", str(spec_path), "--report", str(report_path)]) == 1
+        (row,) = json.loads(report_path.read_text())["tasks"]
+        assert row["status"] == "Error"
+        assert row["detail"].startswith("RuntimeError")
+
+
 class TestConjugates:
     def test_conjugate_fusions_have_expected_ranks(self):
         H = vector_correspondence(3)
@@ -191,9 +222,26 @@ def _random_mult(rng, rows, cols):
     return mult
 
 
+def _rotated(H, rng):
+    """H carried into another orthonormal basis by a random unitary W."""
+    g = rng.normal(size=(H.dim, H.dim)) + 1j * rng.normal(size=(H.dim, H.dim))
+    W, _ = np.linalg.qr(g)
+
+    def rotate(units):
+        return tuple(W @ U @ W.conj().T for U in units)
+
+    return Correspondence(H.left_algebra, H.right_algebra, H.dim,
+                          rotate(H.pi_l_units), rotate(H.pi_r_units))
+
+
 def test_verdict_matches_multiplicity_shadow():
-    """The numeric verdict agrees with the exact multiplicity shadow."""
+    """The verdict agrees with the multiplicity shadow, in any basis and state.
+
+    Each draw also certifies a copy of the block correspondence rotated by
+    a random unitary, at random faithful states on both algebras.
+    """
     rng = np.random.default_rng(2020)
+    rot_rng = np.random.default_rng(2021)
     seen = set()
     draws = 0
     while draws < 240:
@@ -206,8 +254,13 @@ def test_verdict_matches_multiplicity_shadow():
             continue
         draws += 1
         want = _shadow_reason(mult)
-        cert = certify_morita_equivalent(block_correspondence(A, B, mult))
-        assert cert.reason == want, (A.block_sizes, B.block_sizes, mult)
-        assert cert.equivalent == (want == "certified")
+        H = block_correspondence(A, B, mult)
+        for cert in (certify_morita_equivalent(H),
+                     certify_morita_equivalent(
+                         _rotated(H, rot_rng), random_faithful_state(A, rot_rng),
+                         random_faithful_state(B, rot_rng))):
+            assert cert.reason == want, (A.block_sizes, B.block_sizes, mult)
+            assert cert.equivalent == (want == "certified")
+            assert cert.residual <= 1e-8 or not cert.equivalent
         seen.add(want)
     assert seen == {NOT_FAITHFUL, COMMUTANT, RIGHT_FUSION, "certified"}
