@@ -189,8 +189,8 @@ class WStarBicategory:
         return disc <= self.tol, disc
 
     def find_iso(self, X: Correspondence, Y: Correspondence):
-        U = unitary_intertwiner(X, Y)
-        return None if U is None else Intertwiner(X, Y, U)
+        found = unitary_intertwiner(X, Y)
+        return None if found is None else Intertwiner(X, Y, found[0])
 
     def invertible_2cell(self, f: Intertwiner) -> bool:
         if f.matrix.shape[0] != f.matrix.shape[1]:

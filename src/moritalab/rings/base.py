@@ -24,9 +24,10 @@ table exactly when the product is well defined in both slots and
 associative.  The zero ring is rejected: a presentation whose unit has
 additive order below 2 raises UnitDegenerate.
 
-The public ``FiniteRing`` constructor checks every law.  An endomorphism
-ring is lawful by construction (its table is read off composites of
-maps), so ``FiniteRing._lawful`` only reduces its ``mult`` and ``unit``.
+The public ``FiniteRing`` constructor checks every law.  Endomorphism
+rings (tables read off composites of maps) and the matrix, opposite and
+direct product rings of checked rings are lawful by construction, so
+``FiniteRing._lawful`` only reduces their ``mult`` and ``unit``.
 
 The laws run as one stacked-array kernel.  A family of k matrices on a
 carrier with invariant factors f_1 | ... | f_n becomes one (k, n, n)
@@ -356,15 +357,15 @@ def matrix_ring(R: FiniteRing, n: int) -> FiniteRing:
              * I[None, None, None, None, None, :, None, None, :])  # j3 = j2
     unit = np.array(R.unit, dtype=object)[:, None, None] * I
     name = f"M_{n}({R.name})" if R.name else f"M_{n}"
-    return FiniteRing(g, table.reshape(rank, rank, rank).tolist(), unit.reshape(rank).tolist(),
-                      name=name)
+    return FiniteRing._lawful(g, table.reshape(rank, rank, rank).tolist(),
+                              unit.reshape(rank).tolist(), name=name)
 
 
 def opposite_ring(R: FiniteRing) -> FiniteRing:
     """Same group, multiplication reversed."""
     mult = R.table.transpose(1, 0, 2).tolist()
     name = R.name[:-3] if R.name.endswith("^op") else (R.name + "^op" if R.name else "")
-    return FiniteRing(R.additive, mult, R.unit, name=name)
+    return FiniteRing._lawful(R.additive, mult, R.unit, name=name)
 
 
 def direct_product_ring(R: FiniteRing, S: FiniteRing) -> FiniteRing:
@@ -384,5 +385,5 @@ def direct_product_ring(R: FiniteRing, S: FiniteRing) -> FiniteRing:
                  for a in proj.section_matrix.columns())
     unit = proj.apply(list(R.unit) + list(S.unit))
     name = f"({R.name} x {S.name})" if R.name and S.name else ""
-    return FiniteRing(group, mult, unit, name=name)
+    return FiniteRing._lawful(group, mult, unit, name=name)
 

@@ -23,7 +23,8 @@ from ..numkernel import (
     matrices_to_columns,
     norm_exceeds,
     operator_norm,
-    subspaces_equal,
+    orthonormal_columns,
+    spans_equal,
 )
 
 FAITHFULNESS_FLOOR = 1e-3
@@ -235,6 +236,10 @@ def left_commutant(frames) -> np.ndarray:
 
 
 def right_fills_commutant(frames, right_units) -> tuple[bool, float]:
-    """subspaces_equal(left_commutant(frames), span(right_units))."""
-    return subspaces_equal(left_commutant(frames),
-                           matrices_to_columns(right_units))
+    """subspaces_equal(left_commutant(frames), span(right_units)).
+
+    The commutant basis is orthonormal by construction, so it is compared
+    as it is; only the right units are orthonormalized.
+    """
+    return spans_equal(left_commutant(frames),
+                       orthonormal_columns(matrices_to_columns(right_units)))

@@ -2,8 +2,11 @@
 
 Both actions are specified on matrix units and extended linearly: a unital
 *-homomorphism on the left, a unital *-antihomomorphism on the right, with
-commuting images. Construction checks unitality and the star law on every
-unit, the rest on the generating relations (see _generator_eps).
+commuting images.  Inputs are validated once, at the boundary: the public
+constructor checks unitality and the star law on every unit, the rest on
+the generating relations (see _generator_eps).  Correspondences lawful by
+construction (conjugates, block correspondences, fusion results) go
+through Correspondence._lawful, which checks nothing.
 """
 
 from __future__ import annotations
@@ -126,6 +129,19 @@ class Correspondence:
         if any(norm_exceeds(U @ gens[1] - gens[1] @ U, eps) for U in gens[0]):
             raise ValueError("left and right actions do not commute")
 
+    @classmethod
+    def _lawful(cls, left_algebra: MultiMatrixAlgebra,
+                right_algebra: MultiMatrixAlgebra, dim: int, pi_l_units,
+                pi_r_units, name: str = "") -> "Correspondence":
+        """A correspondence lawful by construction: complex128 units, no law re-checked."""
+        H = object.__new__(cls)
+        vars(H).update(
+            left_algebra=left_algebra, right_algebra=right_algebra, dim=dim,
+            pi_l_units=tuple(np.asarray(U, dtype=np.complex128) for U in pi_l_units),
+            pi_r_units=tuple(np.asarray(U, dtype=np.complex128) for U in pi_r_units),
+            name=name)
+        return H
+
     @cached_property
     def frames(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """Isotypic frames per block pair: frames[b][c] is (mult, dim, n_b m_c)."""
@@ -199,7 +215,11 @@ class Intertwiner:
 
 
 def identity_correspondence(std: StandardFormData) -> Correspondence:
-    """L²(A) as an (A, A)-correspondence, right action through J."""
+    """L²(A) as an (A, A)-correspondence, right action through J.
+
+    Checked like an input: J comes from a numerical polar decomposition,
+    and nothing else bounds how far its right action is from lawful.
+    """
     A = std.algebra
     return Correspondence(A, A, std.dim, std.pi_l_units, std.pi_r_units,
                           name=f"L2({A.name})" if A.name else "L2")
@@ -212,6 +232,7 @@ def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
     Basis order: (block pair (b, c), copy k, row i, col j), rows fastest
     last. The actions x (x) 1 and 1 (x) y^T on C^{n x m} (x) C^copies,
     restricted to the occupied slots, hit the row and the column index.
+    Once the table passes its checks the result is lawful by construction.
     """
     rows, cols = len(A.block_sizes), len(B.block_sizes)
     if len(mult) != rows or any(len(row) != cols for row in mult):
@@ -230,7 +251,7 @@ def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
     pi_l = [np.kron(E, np.eye(B.dim * copies))[pick] for E in A.matrix_units()]
     pi_r = [np.kron(np.eye(A.dim), np.kron(F.T, np.eye(copies)))[pick]
             for F in B.matrix_units()]
-    return Correspondence(A, B, len(slots), tuple(pi_l), tuple(pi_r))
+    return Correspondence._lawful(A, B, len(slots), pi_l, pi_r)
 
 
 def vector_correspondence(n: int) -> Correspondence:
@@ -245,13 +266,14 @@ def conjugate_correspondence(H: Correspondence) -> Correspondence:
 
     In coordinates the conjugate of a vector is its entrywise conjugate, so
     the left action of n becomes conj(pi_r(n*)) and the right action of m
-    becomes conj(pi_l(m*)).
+    becomes conj(pi_l(m*)).  A conjugation and a reordering of H's checked
+    units, so lawful by construction.
     """
     A, B = H.left_algebra, H.right_algebra
     pi_l = [np.conj(H.pi_r_units[u]) for u in B.adjoint_order]
     pi_r = [np.conj(H.pi_l_units[u]) for u in A.adjoint_order]
-    return Correspondence(B, A, H.dim, tuple(pi_l), tuple(pi_r),
-                          name=f"conj({H.name})" if H.name else "")
+    return Correspondence._lawful(B, A, H.dim, pi_l, pi_r,
+                                  name=f"conj({H.name})" if H.name else "")
 
 
 def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
@@ -304,19 +326,32 @@ def intertwiner_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
 
 
 def unitary_intertwiner(H: Correspondence, K: Correspondence
-                        ) -> np.ndarray | None:
-    """A unitary intertwiner H -> K, or None if none exists.
+                        ) -> tuple[np.ndarray, float] | None:
+    """A unitary intertwiner H -> K with its residual, or None if none exists.
 
     H and K are unitarily equivalent exactly when their multiplicity
     matrices agree.  Then U = sum over block pairs and s of A_s . B_s*,
     for A_s the frames of K and B_s those of H, maps H's orthonormal frame
-    basis onto K's slot by slot, so it is unitary and intertwines.  Its
-    residual is re-checked against DEFAULT_TOL; callers gate it against
-    their own tolerance.
+    basis onto K's slot by slot, so it is unitary and intertwines.  U is
+    accepted only if it is unitary and its residual r is at most
+    DEFAULT_TOL, both re-checked; callers gate r against their own
+    tolerance.
+
+    Unitarity is what lets r stand for H's laws when H was built without a
+    check, as fusion results are.  With U*U and UU* within DEFAULT_TOL =: d
+    of 1, pi_H(x) = U*U.pi_H(x) + (1 - U*U).pi_H(x) lies within
+    (1 + d) r + d |pi_H(x)| of U*.pi_K(x).U, and x -> U*.pi_K(x).U is
+    K's checked representation up to the factor UU* = 1 + O(d), so every
+    law of H holds on the units within O(r + d) times their norms.  A
+    scaled U would make r small and bound nothing.
     """
     pairs = _frame_pairs(H, K)
     if H.dim != K.dim or H.multiplicities != K.multiplicities:
         return None
     U = sum(np.tensordot(A, B.conj(), axes=([0, 2], [0, 2]))
             for A, B in pairs)
-    return U if Intertwiner(H, K, U).residual() <= DEFAULT_TOL else None
+    witness = Intertwiner(H, K, U)
+    if not witness.is_unitary():
+        return None
+    residual = witness.residual()
+    return (U, residual) if residual <= DEFAULT_TOL else None

@@ -74,7 +74,17 @@ class FusionResult:
 def connes_fusion(H: Correspondence, K: Correspondence,
                   std_N: StandardFormData,
                   cap: int = FUSION_DIM_CAP) -> FusionResult:
-    """Fuse an (M, N)- with an (N, P)-correspondence over N."""
+    """Fuse an (M, N)- with an (N, P)-correspondence over N.
+
+    The fused actions compress the factors' actions onto the Gram quotient,
+    so they are lawful up to rounding unless the quotient cut the rank
+    wrong.  That is gated exactly, and the result is built without a law
+    check.  Multiplicities multiply under fusion (Jones and Sunder,
+    Introduction to Subfactors, ch. 1-2; Sauvageot, J. Operator Theory 9,
+    1983), and the simple (b, d) bimodule has dimension n_b p_d, so the
+    fused dimension is the sum over (b, d) of (mult(H) mult(K))[b][d] n_b p_d;
+    a Gram rank other than that raises RuntimeError.
+    """
     N = std_N.algebra
     if H.right_algebra != N or K.left_algebra != N:
         raise AlgebraMismatch("fusion factors do not share the middle algebra")
@@ -90,14 +100,20 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     G = np.tensordot(coef, K.pi_l_units, 1).transpose(0, 2, 1, 3) \
         .reshape(ambient, ambient)
     q = gram_quotient(G, scale=1.0)
+    fused = np.array(H.multiplicities) @ np.array(K.multiplicities)
+    predicted = int(np.array(H.left_algebra.block_sizes) @ fused
+                    @ np.array(K.right_algebra.block_sizes))
+    if q.rank != predicted:
+        raise RuntimeError(f"fusion Gram rank {q.rank} differs from the "
+                           f"dimension {predicted} the multiplicities predict")
 
     pi_l = tuple(q.project @ np.kron(U, np.eye(dK)) @ q.section
                  for U in H.pi_l_units)
     pi_r = tuple(q.project @ np.kron(np.eye(dH), U) @ q.section
                  for U in K.pi_r_units)
     name = f"({H.name}*{K.name})" if H.name and K.name else ""
-    corr = Correspondence(H.left_algebra, K.right_algebra, q.rank,
-                          pi_l, pi_r, name=name)
+    corr = Correspondence._lawful(H.left_algebra, K.right_algebra, q.rank,
+                                  pi_l, pi_r, name=name)
     return FusionResult(corr=corr, project=q.project, section=q.section,
                         gram=G, left_factor=H, right_factor=K)
 

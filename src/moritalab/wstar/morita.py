@@ -8,7 +8,9 @@ a refutation names the first way it fails and has no residual.  For a
 permutation matrix, fusing with the conjugate on either side and the
 unitaries onto the identity correspondences are the certificate's
 witnesses.  They are built from the frames, so the certificate is
-deterministic; callers gate its residual.  A fusion that does not match
+deterministic; callers gate its residual.  The fusions are built without a
+law check; the witnesses' unitarity makes that residual bound their laws
+(see unitary_intertwiner).  A fusion that does not match
 the identity correspondence although the multiplicities predict it raises
 RuntimeError, never a refutation.
 """
@@ -23,7 +25,6 @@ from ..errors import AlgebraMismatch
 from .algebras import State, trace_state
 from .correspondences import (
     Correspondence,
-    Intertwiner,
     conjugate_correspondence,
     identity_correspondence,
     unitary_intertwiner,
@@ -66,13 +67,13 @@ def _witness(H: Correspondence, K: Correspondence, std_mid: StandardFormData,
     """H fused with K over std_mid, its unitary onto L²(std_out), the residual."""
     fus = connes_fusion(H, K, std_mid)
     ident = identity_correspondence(std_out)
-    U = unitary_intertwiner(fus.corr, ident)
-    if U is None:
+    found = unitary_intertwiner(fus.corr, ident)
+    if found is None:
         raise RuntimeError(
-            f"the multiplicities predict an equivalence, but the fusion with "
-            f"multiplicities {fus.corr.multiplicities} does not match the "
-            f"identity correspondence with {ident.multiplicities}")
-    return fus, U, Intertwiner(fus.corr, ident, U).residual()
+            f"the multiplicities predict an equivalence, but no unitary maps "
+            f"the fusion with multiplicities {fus.corr.multiplicities} onto "
+            f"the identity correspondence with {ident.multiplicities}")
+    return (fus, *found)
 
 
 def certify_morita_equivalent(H: Correspondence,

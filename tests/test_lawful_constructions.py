@@ -2,15 +2,16 @@
 
 Bimodules and rings that the library builds from lawful inputs (regular
 bimodules, tensor products, direct sums, the Morita context's P_up and
-P*, the inverse Q and endomorphism rings) skip the law kernel when they
-are built.  This test records every such object built on a corpus of
+P*, the inverse Q, endomorphism rings, and matrix, opposite and direct
+product rings of checked rings) skip the law kernel when they are built.  This test records every such object built on a corpus of
 inputs and re-runs the boundary checks on it: ``checked_stack`` on both
 action families, ``stacks_commute`` on the two checked stacks, and the
 public ``FiniteRing`` constructor on each ring.  The stack a bimodule
 stores must equal the checked stack bit for bit, in the same dtype.  The
 corpus is the tensor oracle corpus, the eight benchmark certification
 inputs with the right-module families of their rings run through the
-benchmark's round-trip tensors, and the ``matrix-ring-pair`` demo.  Two
+benchmark's round-trip tensors, opposite and direct product rings of
+small rings, and the ``matrix-ring-pair`` demo.  Two
 deliberately broken constructions show that the test bites.
 """
 
@@ -30,6 +31,9 @@ from moritalab.rings import (
     certify_invertible_bimodule,
     column_module,
     cyclic_ring,
+    direct_product_ring,
+    matrix_ring,
+    opposite_ring,
     right_module_family,
     scalar_bimodule,
     tensor_oracle_corpus,
@@ -97,6 +101,14 @@ def _certification_corpus():
     assert not certify_invertible_bimodule(scalar_bimodule(Z4, Z4, 2)).equivalent
 
 
+def _ring_constructions():
+    Z2, Z4, F2x2 = cyclic_ring(2), cyclic_ring(4), truncated_polynomial_ring(2, 2)
+    for R in (Z4, F2x2, matrix_ring(Z2, 2)):
+        opposite_ring(R)
+        direct_product_ring(R, Z2)
+    direct_product_ring(Z4, F2x2)
+
+
 def _demo(tmp_path):
     assert main(["demo", "matrix-ring-pair", "--report", str(tmp_path / "demo.json")]) == 0
 
@@ -104,11 +116,13 @@ def _demo(tmp_path):
 def test_every_lawful_construction_passes_the_boundary_checks(built, tmp_path):
     _oracle_tensors()
     _certification_corpus()
+    _ring_constructions()
     _demo(tmp_path)
     builders = {builder for builder, _ in built}
     assert builders == {"regular_bimodule", "tensor_product", "bimodule_direct_sum",
                         "morita_context", "certify_invertible_bimodule",
-                        "endomorphism_ring"}, builders
+                        "endomorphism_ring", "matrix_ring", "opposite_ring",
+                        "direct_product_ring"}, builders
     assert [v for _, obj in built for v in law_violations(obj)] == []
 
 

@@ -1,0 +1,212 @@
+"""Differential law test of the lawful correspondences.
+
+Correspondences that the library builds lawful by construction
+(conjugates, block correspondences once their table has passed, and
+fusion results, which are gated by their exact rank instead) skip the
+law check when they are built.  This test records every such
+correspondence built on a corpus of inputs, with the arguments its
+builder passed, and re-runs the public ``Correspondence`` constructor on
+those arguments.  The unit images stored on the lawful path must equal
+the checked ones bit for bit, in the same dtype.  The corpus is the
+wstar-morita benchmark inputs (M_n vs C for n = 2..6, the L² self-pairs,
+the two refutations, the unitor and balancing fusions), the 20 W*
+coherence-batch chains through pentagon, triangle and both naturality
+checks, and the three CLI demos.  Deliberately broken constructions show
+that the test bites, and a dropped Gram direction shows that the rank
+gate does.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import numpy as np
+import pytest
+
+import moritalab.wstar.fusion as fusion_module
+from moritalab.bicategory import (
+    WStarBicategory,
+    sample_wstar_chain,
+    verify_associator_naturality,
+    verify_pentagon,
+    verify_triangle,
+    verify_unitor_naturality,
+)
+from moritalab.cli import DEMOS, main
+from moritalab.numkernel import GramQuotient
+from moritalab.wstar import (
+    Correspondence,
+    MultiMatrixAlgebra,
+    State,
+    block_correspondence,
+    certify_morita_equivalent,
+    conjugate_correspondence,
+    connes_fusion,
+    gns_standard_form,
+    identity_correspondence,
+    left_unitor,
+    random_faithful_state,
+    right_unitor,
+    trace_state,
+    twisted_balancing_residual,
+    vector_correspondence,
+)
+
+CHAIN_SEED = 20030301   # the coherence-batch chain shapes
+STATE_FLOOR = 0.05
+
+
+def law_violations(args, kwargs, obj) -> list[str]:
+    """What the public constructor finds wrong with one lawful build."""
+    try:
+        checked = Correspondence(*args, **kwargs)
+    except ValueError as exc:
+        return [f"{obj!r}: {exc}"]
+    stored = obj.pi_l_units + obj.pi_r_units
+    fresh = checked.pi_l_units + checked.pi_r_units
+    same = (obj.left_algebra, obj.right_algebra, obj.dim, obj.name) == \
+        (checked.left_algebra, checked.right_algebra, checked.dim, checked.name) \
+        and len(stored) == len(fresh) \
+        and all(a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in zip(stored, fresh))
+    return [] if same else [f"{obj!r}: stored units differ from the checked ones"]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every correspondence the lawful path builds, with builder and arguments."""
+    out = []
+    lawful = Correspondence._lawful.__func__
+
+    def record(cls, *args, **kwargs):
+        obj = lawful(cls, *args, **kwargs)
+        out.append((sys._getframe(1).f_code.co_name, args, kwargs, obj))
+        return obj
+    monkeypatch.setattr(Correspondence, "_lawful", classmethod(record))
+    return out
+
+
+def violations(built) -> list[str]:
+    return [v for _, args, kwargs, obj in built
+            for v in law_violations(args, kwargs, obj)]
+
+
+def _wstar_morita():
+    rng = np.random.default_rng(7)
+    for n in range(2, 7):
+        assert certify_morita_equivalent(vector_correspondence(n)).equivalent
+    for blocks in ((2,), (3,), (2, 3)):
+        A = MultiMatrixAlgebra(blocks)
+        L2 = identity_correspondence(gns_standard_form(A, trace_state(A)))
+        assert certify_morita_equivalent(L2).equivalent
+    for A, mult in (((2, 1), [[1], [0]]), ((2,), [[2]])):
+        H = block_correspondence(MultiMatrixAlgebra(A), MultiMatrixAlgebra((1,)), mult)
+        assert not certify_morita_equivalent(H).equivalent
+    M2, B = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((2, 1))
+    skew = gns_standard_form(M2, State(M2, np.diag([2.0 / 3.0, 1.0 / 3.0])))
+    H3 = vector_correspondence(3)
+    for H, std_M, std_N in (
+            (identity_correspondence(skew), skew, skew),
+            (block_correspondence(M2, B, [[1, 1]]),
+             gns_standard_form(M2, random_faithful_state(M2, rng, floor=STATE_FLOOR)),
+             gns_standard_form(B, random_faithful_state(B, rng, floor=STATE_FLOOR))),
+            (H3, gns_standard_form(H3.left_algebra, trace_state(H3.left_algebra)),
+             gns_standard_form(H3.right_algebra, trace_state(H3.right_algebra)))):
+        right_unitor(H, std_N)
+        left_unitor(H, std_M)
+        fus = connes_fusion(H, conjugate_correspondence(H), std_N)
+        assert twisted_balancing_residual(fus, std_N, rng, samples=5) <= 1e-8
+
+
+def _chains():
+    shape_rng = np.random.default_rng(CHAIN_SEED)
+    return [sample_wstar_chain(shape_rng, 4, dim_cap=24)[1] for _ in range(20)]
+
+
+def _coherence_batch():
+    chains, rng = _chains(), np.random.default_rng(7)
+    algebras = {H.left_algebra for c in chains for H in c} \
+        | {H.right_algebra for c in chains for H in c}
+    inst = WStarBicategory(states={A: random_faithful_state(A, rng, floor=STATE_FLOOR)
+                                   for A in sorted(algebras, key=lambda A: A.block_sizes)})
+    for P, Q, R, S in chains:
+        for result in (verify_pentagon(inst, P, Q, R, S), verify_triangle(inst, P, Q),
+                       verify_associator_naturality(inst, P, Q, R, rng),
+                       verify_unitor_naturality(inst, P, rng)):
+            assert result.holds, result
+
+
+def _demos(tmp_path):
+    for name in sorted(DEMOS):
+        assert main(["demo", name, "--report", str(tmp_path / f"{name}.json")]) == 0
+
+
+def test_every_lawful_correspondence_passes_the_boundary_checks(built, tmp_path):
+    _wstar_morita()
+    _coherence_batch()
+    _demos(tmp_path)
+    builders = {builder for builder, *_ in built}
+    assert builders == {"block_correspondence", "conjugate_correspondence",
+                        "connes_fusion"}, builders
+    assert violations(built) == []
+
+
+def _mutate(monkeypatch, builder, change):
+    """Let change(left, right, pi_l, pi_r) rewrite what builder hands _lawful."""
+    recording = Correspondence._lawful.__func__
+
+    def mutated(cls, left, right, dim, pi_l, pi_r, name=""):
+        if sys._getframe(1).f_code.co_name == builder:
+            pi_l, pi_r = change(left, right, list(pi_l), list(pi_r))
+        return recording(cls, left, right, dim, pi_l, pi_r, name)
+    monkeypatch.setattr(Correspondence, "_lawful", classmethod(mutated))
+
+
+def test_the_check_finds_an_unconjugated_conjugate(built, monkeypatch):
+    # undo the conjugation and the adjoint reordering: the conjugate then
+    # carries H's own actions with the sides swapped
+    _mutate(monkeypatch, "conjugate_correspondence",
+            lambda left, right, pi_l, pi_r: (
+                [np.conj(pi_l[u]) for u in left.adjoint_order],
+                [np.conj(pi_r[u]) for u in right.adjoint_order]))
+    with pytest.raises(RuntimeError):
+        certify_morita_equivalent(vector_correspondence(3))
+    assert [v for v in violations(built) if "homomorphism" in v]
+
+
+def test_the_check_finds_a_transposed_block_unit(built, monkeypatch):
+    def transpose_second_left_unit(left, right, pi_l, pi_r):
+        if len(pi_l) > 1:
+            pi_l[1] = pi_l[1].T
+        return pi_l, pi_r
+    _mutate(monkeypatch, "block_correspondence", transpose_second_left_unit)
+    vector_correspondence(3)
+    _chains()
+    assert [v for v in violations(built) if "star property" in v]
+
+
+class TestRankGate:
+    """A Gram quotient that cuts the rank wrong raises before any result."""
+
+    @pytest.fixture
+    def dropped_direction(self, monkeypatch):
+        gram_quotient = fusion_module.gram_quotient
+
+        def dropped(G, scale=0.0):
+            q = gram_quotient(G, scale)
+            return GramQuotient(q.gram, q.section[:, :-1], q.project[:-1], q.rank - 1)
+        monkeypatch.setattr(fusion_module, "gram_quotient", dropped)
+
+    def test_fusion_raises_naming_both_numbers(self, dropped_direction):
+        H = vector_correspondence(3)
+        std = gns_standard_form(H.right_algebra, trace_state(H.right_algebra))
+        with pytest.raises(RuntimeError, match=r"rank 8 .*dimension 9"):
+            connes_fusion(H, conjugate_correspondence(H), std)
+
+    def test_cli_row_is_error(self, dropped_direction, tmp_path):
+        report = tmp_path / "mn-vs-c.json"
+        assert main(["demo", "mn-vs-c", "--report", str(report)]) == 1
+        rows = {row["task"]: row for row in json.loads(report.read_text())["tasks"]}
+        assert rows["morita-wstar"]["status"] == "Error"
+        assert rows["morita-wstar"]["detail"].startswith("RuntimeError: fusion Gram rank")

@@ -67,6 +67,21 @@ class TestBasics:
                                                       for M in mats)
         assert max_operator_norm([]) == 0.0
         assert max_operator_norm([np.zeros((0, 0))] * 3) == 0.0
+        assert max_operator_norm(np.zeros((0, 4, 4))) == 0.0
+        # the SVDs are screened by Frobenius norm; on stacks where the
+        # screen prunes everything, nothing, or ties, the value stays the loop's
+        Q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+        rank_two = Q[:, :2] @ Q[:, :2].conj().T
+        stacks = [
+            np.zeros((5, 4, 4), dtype=np.complex128),
+            [np.eye(3)] * 4,
+            [Q, Q.conj().T, Q @ Q, np.zeros((6, 6))],
+            [rank_two, 3.0 * rank_two, np.eye(6), Q[:, :1] @ Q[:, 1:2].conj().T],
+            [np.kron(np.eye(3), U) for U in (np.diag([1.0, 0.0]),
+                                             np.array([[0.0, 1.0], [0.0, 0.0]]))],
+        ]
+        for mats in stacks:
+            assert max_operator_norm(mats) == max(operator_norm(M) for M in mats)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_norm_exceeds_non_finite_is_exceeding(self, bad):

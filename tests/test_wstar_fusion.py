@@ -383,9 +383,10 @@ class TestFusion:
         L2 = identity_correspondence(std)
         f = connes_fusion(L2, L2, std)
         assert f.corr.dim == std.dim
-        U = unitary_intertwiner(f.corr, L2)
-        assert U is not None
-        assert Intertwiner(f.corr, L2, U).residual() <= 1e-8
+        found = unitary_intertwiner(f.corr, L2)
+        assert found is not None
+        U, residual = found
+        assert residual == Intertwiner(f.corr, L2, U).residual() <= 1e-8
 
     def test_gram_is_positive(self):
         std = _nontracial_std(M21)
@@ -472,9 +473,10 @@ class TestFusion:
         f1 = connes_fusion(H, K, gns_standard_form(M21, random_faithful_state(M21, rng)))
         f2 = connes_fusion(H, K, gns_standard_form(M21, random_faithful_state(M21, rng)))
         assert f1.corr.dim == f2.corr.dim
-        U = unitary_intertwiner(f1.corr, f2.corr)
-        assert U is not None
-        assert Intertwiner(f1.corr, f2.corr, U).residual() <= 1e-8
+        found = unitary_intertwiner(f1.corr, f2.corr)
+        assert found is not None
+        U, residual = found
+        assert residual == Intertwiner(f1.corr, f2.corr, U).residual() <= 1e-8
 
 
 class TestUnitors:

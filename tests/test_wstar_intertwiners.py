@@ -167,15 +167,17 @@ class TestUnitaryIntertwiner:
         W = _haar_unitary(H.dim, np.random.default_rng(7 * H.dim))
         K = _rotated(H, W)
         assert K.multiplicities == H.multiplicities
-        U = unitary_intertwiner(H, K)
-        assert U is not None
+        found = unitary_intertwiner(H, K)
+        assert found is not None
+        U, residual = found
         eye = np.eye(H.dim)
         assert operator_norm(U.conj().T @ U - eye) <= 1e-12
         assert operator_norm(U @ U.conj().T - eye) <= 1e-12
-        assert Intertwiner(H, K, U).residual() <= 1e-12
+        # the residual handed back is the one the intertwiner measures
+        assert residual == Intertwiner(H, K, U).residual() <= 1e-12
         # no seed: fresh copies of both endpoints give the same array
-        again = unitary_intertwiner(block_correspondence(A, B, mult),
-                                    _rotated(H, W))
+        again, _ = unitary_intertwiner(block_correspondence(A, B, mult),
+                                       _rotated(H, W))
         assert np.array_equal(U, again)
 
     def test_different_algebra_pair_raises(self):

@@ -145,6 +145,16 @@ class TestWitnessesMustAgree:
         with pytest.raises(RuntimeError, match="multiplicities"):
             certify_morita_equivalent(vector_correspondence(2))
 
+    def test_a_scaled_witness_is_not_a_certificate(self, monkeypatch):
+        # half-scale frames keep every multiplicity, and the witness they
+        # give, of norm 1/4, has a residual at rounding level
+        import moritalab.wstar.correspondences as correspondences
+        frames = correspondences.isotypic_frames
+        monkeypatch.setattr(correspondences, "isotypic_frames",
+                            lambda lefts, rights: 0.5 * frames(lefts, rights))
+        with pytest.raises(RuntimeError, match="no unitary"):
+            certify_morita_equivalent(vector_correspondence(3))
+
     def test_cli_row_is_error(self, no_unitary, tmp_path, capsys):
         C = MultiMatrixAlgebra((1,), name="C")
         spec_path = tmp_path / "spec.json"
