@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CapExceeded, NotComposable
-from ..numkernel import DEFAULT_TOL, operator_norm
+from ..numkernel import DEFAULT_TOL, kron_sandwich, operator_norm
 from ..rings.base import FiniteRing
 from ..rings.bimodules import (
     Bimodule,
@@ -170,7 +170,7 @@ class WStarBicategory:
         d = c_src.right_dim
         if c_dst.right_dim != d:
             raise NotComposable("right legs of the composites differ")
-        mat = c_dst.project @ np.kron(f.matrix, np.eye(d)) @ c_src.section
+        mat = kron_sandwich(c_dst.project, f.matrix, d, c_src.section)
         return Intertwiner(c_src.corr, c_dst.corr, mat)
 
     def hcomp_right(self, c_src: wf.FusionResult, c_dst: wf.FusionResult,
@@ -178,7 +178,7 @@ class WStarBicategory:
         d = c_src.left_dim
         if c_dst.left_dim != d:
             raise NotComposable("left legs of the composites differ")
-        mat = c_dst.project @ np.kron(np.eye(d), f.matrix) @ c_src.section
+        mat = kron_sandwich(c_dst.project, d, f.matrix, c_src.section)
         return Intertwiner(c_src.corr, c_dst.corr, mat)
 
     def cells_equal(self, f: Intertwiner, g: Intertwiner):

@@ -273,13 +273,13 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
             Ui[c] -= q * Uj[c]
         add_row(UinvT, j, i, q)
 
-    def col_sub(j: int, i: int, q: int) -> None:
-        # col_j -= q * col_i
-        if not q:
-            return
-        for r in range(m):
-            D[r][j] -= q * D[r][i]
-        add_row(VT, j, i, -q)
+    def col_sub(j: int, q: int) -> None:
+        # col_j -= q * col_t; only called once the row pass has cleared
+        # column t below the pivot, and rows above t are zero from column t
+        # on, so D changes in row t alone
+        if q:
+            D[t][j] -= q * D[t][t]
+            add_row(VT, j, t, -q)
 
     def row_swap(i: int, j: int) -> None:
         if i == j:
@@ -288,12 +288,13 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
         U[i], U[j] = U[j], U[i]
         swap_rows(UinvT, i, j)
 
-    def col_swap(i: int, j: int) -> None:
-        if i == j:
+    def col_swap(j: int) -> None:
+        # rows above t are zero in both columns
+        if j == t:
             return
-        for r in range(m):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        swap_rows(VT, i, j)
+        for r in range(t, m):
+            D[r][t], D[r][j] = D[r][j], D[r][t]
+        swap_rows(VT, t, j)
 
     def row_negate(i: int) -> None:
         D[i] = [-v for v in D[i]]
@@ -320,7 +321,7 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
         if best is None:
             break
         row_swap(t, best[1])
-        col_swap(t, best[2])
+        col_swap(best[2])
         if D[t][t] < 0:
             row_negate(t)
 
@@ -339,9 +340,9 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
             for j in range(t + 1, n):
                 v = D[t][j]
                 if v:
-                    col_sub(j, t, v // D[t][t])
+                    col_sub(j, v // D[t][t])
                     if D[t][j]:
-                        col_swap(t, j)
+                        col_swap(j)
                         restarted = True
                         break
             if restarted:

@@ -254,6 +254,27 @@ def matrices_to_columns(mats) -> np.ndarray:
     return np.stack([M.reshape(d) for M in mats], axis=1)
 
 
+def kron_sandwich(project, left, right, section: np.ndarray) -> np.ndarray:
+    """project @ kron(left, right) @ section, with no Kronecker product formed.
+
+    left and right are matrices, an int n for the n x n identity, or
+    stacks of matrices: a stack gives the stack of sandwiches, and two
+    stacks pair up entry by entry.  project None is the identity.  The
+    factors act on the two axes of section's rows reshaped to a matrix.
+    """
+    n_l = left if isinstance(left, int) else left.shape[-1]
+    n_r = right if isinstance(right, int) else right.shape[-1]
+    cols = section.shape[1]
+    X = section.reshape(n_l, n_r * cols)
+    if not isinstance(left, int):
+        X = left @ X
+    X = X.reshape(X.shape[:-1] + (n_r, cols))
+    if not isinstance(right, int):
+        X = right[..., None, :, :] @ X
+    X = X.reshape(X.shape[:-3] + (X.shape[-3] * X.shape[-2], cols))
+    return X if project is None else project @ X
+
+
 @dataclass(frozen=True)
 class GramQuotient:
     """Hilbert-space quotient of a PSD pre-inner product.

@@ -9,6 +9,20 @@ Every map here is linear in the middle algebra, so each is one contraction
 of middle coordinates with a stack of unit images: those of R_a*.R_c over
 basis pairs give the Gram matrix, and those of Lambda^{-1} of L2's basis
 (twisted by the standard form's table on the right) give the unitors.
+
+The quotient is taken on a reduced ambient.  With p_b the minimal
+projection e_{b00} of the middle algebra's block b, the fused space is
+the sum over b of (H.p_b) (x) (p_b.K) (Sauvageot, J. Operator Theory 9,
+1983; Jones and Sunder, Introduction to Subfactors, ch. 1-2), so the Gram
+matrix G is compressed onto S, the direct sum of X_b (x) Y_b for
+orthonormal bases X_b of H.p_b and Y_b of p_b.K read off the isotypic
+frames.  S has exactly the fused dimension of columns.  Its quotient is
+lifted back to ambient coordinates, section = S.section_r and
+project = section*.G (G's Hermitian part, as the quotient reads it),
+and certified against G in one residual, |G - project*.project|: it
+bounds at once how far G is from Hermitian, from positive, and from
+being spanned by S.  Kronecker factors are applied by reshaping
+(numkernel.kron_sandwich), never formed.
 """
 
 from __future__ import annotations
@@ -18,7 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AlgebraMismatch, CapExceeded
-from ..numkernel import gram_quotient
+from ..numkernel import (
+    DEFAULT_TOL,
+    gram_quotient,
+    kron_sandwich,
+    norm_exceeds,
+    operator_norm,
+)
 from .correspondences import Correspondence, Intertwiner, identity_correspondence
 from .standard import StandardFormData
 
@@ -35,9 +55,8 @@ def r_eta(H: Correspondence, std_N: StandardFormData,
     """
     if H.right_algebra != std_N.algebra:
         raise AlgebraMismatch("standard form is not over the right algebra")
-    V = std_N.J.matrix @ np.conj(std_N.lam[:, std_N.algebra.adjoint_order])
-    W = np.einsum("uij,...j->...iu", H.pi_r_units, eta, optimize=True)
-    return W @ np.linalg.inv(V)
+    W = np.einsum("uij,...j->...iu", H.pi_r_units, eta)
+    return W @ std_N.creation_inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,10 +84,33 @@ class FusionResult:
         return self.right_factor.dim
 
     def pure(self, eta: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-        """Quotient class of the elementary tensor eta (x) zeta."""
-        eta = np.asarray(eta, dtype=np.complex128).reshape(self.left_dim)
-        zeta = np.asarray(zeta, dtype=np.complex128).reshape(self.right_dim)
-        return self.project @ np.kron(eta, zeta)
+        """Quotient class of the elementary tensor eta (x) zeta.
+
+        Stacks of vectors, one per row, give the stack of their classes.
+        """
+        eta = np.asarray(eta, dtype=np.complex128)[..., :, None]
+        zeta = np.asarray(zeta, dtype=np.complex128)[..., :, None]
+        return kron_sandwich(self.project, eta, zeta, np.ones((1, 1)))[..., 0]
+
+
+def _reduced_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
+    """S, the direct sum over middle blocks b of X_b (x) Y_b, as ambient columns.
+
+    X_b spans H.p_b: slot (i, 0) of H's (a, b) frames, for every a, copy
+    and i.  Y_b spans p_b.K: slot (0, k) of K's (b, d) frames.  Both are
+    orthonormal, as the frames are.
+    """
+    def columns(F):
+        return F.transpose(1, 0, 2).reshape(F.shape[1], F.shape[0] * F.shape[2])
+
+    parts = []
+    for b, m in enumerate(H.right_algebra.block_sizes):
+        X = np.concatenate([columns(row[b][:, :, ::m]) for row in H.frames], axis=1)
+        Y = np.concatenate([columns(F[:, :, :p]) for F, p in
+                            zip(K.frames[b], K.right_algebra.block_sizes)], axis=1)
+        parts.append((X[:, None, :, None] * Y[None, :, None, :])
+                     .reshape(H.dim * K.dim, X.shape[1] * Y.shape[1]))
+    return np.concatenate(parts, axis=1)
 
 
 def connes_fusion(H: Correspondence, K: Correspondence,
@@ -77,13 +119,17 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     """Fuse an (M, N)- with an (N, P)-correspondence over N.
 
     The fused actions compress the factors' actions onto the Gram quotient,
-    so they are lawful up to rounding unless the quotient cut the rank
-    wrong.  That is gated exactly, and the result is built without a law
-    check.  Multiplicities multiply under fusion (Jones and Sunder,
-    Introduction to Subfactors, ch. 1-2; Sauvageot, J. Operator Theory 9,
-    1983), and the simple (b, d) bimodule has dimension n_b p_d, so the
-    fused dimension is the sum over (b, d) of (mult(H) mult(K))[b][d] n_b p_d;
-    a Gram rank other than that raises RuntimeError.
+    so they are lawful up to rounding unless the quotient is wrong.  That
+    is gated twice, and the result is built without a law check.
+    Multiplicities multiply under fusion (Jones and Sunder, Introduction
+    to Subfactors, ch. 1-2; Sauvageot, J. Operator Theory 9, 1983), and the
+    simple (b, d) bimodule has dimension n_b p_d, so the fused dimension is
+    the sum over (b, d) of (mult(H) mult(K))[b][d] n_b p_d; a Gram rank
+    other than that raises RuntimeError.  So does a residual
+    |G - project*.project| above DEFAULT_TOL.max(top, 1), top the largest
+    eigenvalue of G, the scale of the full quotient's rank cut: an
+    operator norm behind a Frobenius screen, so the SVD runs only near
+    the bound.
     """
     N = std_N.algebra
     if H.right_algebra != N or K.left_algebra != N:
@@ -93,28 +139,40 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     if ambient > cap:
         raise CapExceeded(f"ambient tensor dimension {ambient} exceeds {cap}")
 
-    R = r_eta(H, std_N, np.eye(dH))
+    # R[a] is r_eta of basis vector a: the right units' columns a, stacked
+    R = np.stack(H.pi_r_units).transpose(2, 1, 0) @ std_N.creation_inverse
     # coordinates lam_inv.R_a*.R_c.Lambda(1) of the middle element of (a, c)
-    coef = np.einsum("um,aim,ci->acu", std_N.lam_inv, R.conj(),
-                     R @ std_N.cyclic_vector(), optimize=True)
+    coef = (R @ std_N.cyclic_vector()) @ (R.conj() @ std_N.lam_inv.T)
     G = np.tensordot(coef, K.pi_l_units, 1).transpose(0, 2, 1, 3) \
         .reshape(ambient, ambient)
-    q = gram_quotient(G, scale=1.0)
-    fused = np.array(H.multiplicities) @ np.array(K.multiplicities)
-    predicted = int(np.array(H.left_algebra.block_sizes) @ fused
-                    @ np.array(K.right_algebra.block_sizes))
+    # the quotient reads G's Hermitian part; the residual below uses G itself
+    Gh = G + G.conj().T
+    Gh *= 0.5
+    S = _reduced_basis(H, K)
+    q = gram_quotient(S.conj().T @ Gh @ S, scale=1.0)
+    # S has sum_b dim(H.p_b) dim(p_b.K) columns, the predicted dimension
+    predicted = S.shape[1]
     if q.rank != predicted:
         raise RuntimeError(f"fusion Gram rank {q.rank} differs from the "
                            f"dimension {predicted} the multiplicities predict")
+    section = S @ q.section
+    project = section.conj().T @ Gh
+    del Gh
+    # project*.project is G once S spans it, so its top eigenvalue is G's
+    bound = DEFAULT_TOL * max(operator_norm(project) ** 2, 1.0)
+    miss = project.conj().T @ project
+    miss -= G
+    if norm_exceeds(miss, bound):
+        raise RuntimeError(f"fusion Gram residual {operator_norm(miss):.3g} "
+                           f"exceeds {bound:.3g}: the reduced quotient does "
+                           f"not span the Gram matrix")
 
-    pi_l = tuple(q.project @ np.kron(U, np.eye(dK)) @ q.section
-                 for U in H.pi_l_units)
-    pi_r = tuple(q.project @ np.kron(np.eye(dH), U) @ q.section
-                 for U in K.pi_r_units)
+    pi_l = kron_sandwich(project, np.stack(H.pi_l_units), dK, section)
+    pi_r = kron_sandwich(project, dH, np.stack(K.pi_r_units), section)
     name = f"({H.name}*{K.name})" if H.name and K.name else ""
     corr = Correspondence._lawful(H.left_algebra, K.right_algebra, q.rank,
                                   pi_l, pi_r, name=name)
-    return FusionResult(corr=corr, project=q.project, section=q.section,
+    return FusionResult(corr=corr, project=project, section=section,
                         gram=G, left_factor=H, right_factor=K)
 
 
@@ -165,10 +223,8 @@ def associator(f_ab: FusionResult, f_ab_c: FusionResult,
         raise ValueError("left-bracketed fusion does not match")
     if f_a_bc.left_dim != dH or f_a_bc.right_dim != f_bc.corr.dim:
         raise ValueError("right-bracketed fusion does not match")
-    mat = f_a_bc.project \
-        @ np.kron(np.eye(dH), f_bc.project) \
-        @ np.kron(f_ab.section, np.eye(dL)) \
-        @ f_ab_c.section
+    rebracketed = kron_sandwich(None, f_ab.section, dL, f_ab_c.section)
+    mat = kron_sandwich(f_a_bc.project, dH, f_bc.project, rebracketed)
     return Intertwiner(f_ab_c.corr, f_a_bc.corr, mat)
 
 
@@ -178,19 +234,24 @@ def twisted_balancing_residual(fus: FusionResult, std_N: StandardFormData,
 
     Sliding a middle-algebra element across the fusion sign picks up a
     modular twist: eta.n (x) zeta matches eta (x) twist_+(n).zeta, and
-    eta (x) n.zeta matches twist_-(n).eta (x) zeta.
+    eta (x) n.zeta matches twist_-(n).eta (x) zeta.  The samples are drawn
+    one (eta, zeta, n) at a time and then evaluated as one stack.
     """
     H, K, N = fus.left_factor, fus.right_factor, std_N.algebra
+    draws = [(rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim),
+              rng.standard_normal(K.dim) + 1j * rng.standard_normal(K.dim),
+              N.coords(N.random_element(rng))) for _ in range(samples)]
+    if not draws:
+        return 0.0
+    eta, zeta, n = (np.stack(x) for x in zip(*draws))
     right_H, left_K = np.stack(H.pi_r_units), np.stack(K.pi_l_units)
     plus, minus = std_N.twist_tables[1], std_N.twist_tables[-1]
-    worst = 0.0
-    for _ in range(samples):
-        eta = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
-        zeta = rng.standard_normal(K.dim) + 1j * rng.standard_normal(K.dim)
-        n = N.coords(N.random_element(rng))
-        v = fus.pure(np.tensordot(n, right_H, 1) @ eta, zeta) \
-            - fus.pure(eta, np.tensordot(plus @ n, left_K, 1) @ zeta)
-        w = fus.pure(eta, np.tensordot(n, left_K, 1) @ zeta) \
-            - fus.pure(np.tensordot(minus @ n, right_H, 1) @ eta, zeta)
-        worst = max(worst, float(np.linalg.norm(v)), float(np.linalg.norm(w)))
-    return worst
+
+    def act(coords, units, vecs):
+        return (np.tensordot(coords, units, 1) @ vecs[:, :, None])[:, :, 0]
+
+    v = fus.pure(act(n, right_H, eta), zeta) \
+        - fus.pure(eta, act(n @ plus.T, left_K, zeta))
+    w = fus.pure(eta, act(n, left_K, zeta)) \
+        - fus.pure(act(n @ minus.T, right_H, eta), zeta)
+    return float(np.max(np.linalg.norm(np.concatenate([v, w]), axis=1)))

@@ -63,10 +63,9 @@ def _refutation(mult) -> str | None:
 
 
 def _witness(H: Correspondence, K: Correspondence, std_mid: StandardFormData,
-             std_out: StandardFormData):
-    """H fused with K over std_mid, its unitary onto L²(std_out), the residual."""
+             ident: Correspondence):
+    """H fused with K over std_mid, its unitary onto the L² ident, the residual."""
     fus = connes_fusion(H, K, std_mid)
-    ident = identity_correspondence(std_out)
     found = unitary_intertwiner(fus.corr, ident)
     if found is None:
         raise RuntimeError(
@@ -84,9 +83,11 @@ def certify_morita_equivalent(H: Correspondence,
 
     States default to the normalized traces; they enter only the
     witnesses, so the verdict does not depend on the choice, only the
-    recorded unitaries do.
+    recorded unitaries do.  When M is N under one state (both defaulted,
+    or the same object), one standard form and one L² serve both sides.
     """
     M, N = H.left_algebra, H.right_algebra
+    self_pair = M == N and phi_M is phi_N
     if phi_M is None:
         phi_M = trace_state(M)
     if phi_N is None:
@@ -99,10 +100,12 @@ def certify_morita_equivalent(H: Correspondence,
         return WStarMoritaCertificate(corr=H, equivalent=False, reason=reason)
 
     std_M = gns_standard_form(M, phi_M)
-    std_N = gns_standard_form(N, phi_N)
+    std_N = std_M if self_pair else gns_standard_form(N, phi_N)
+    L2_M = identity_correspondence(std_M)
+    L2_N = L2_M if self_pair else identity_correspondence(std_N)
     Hbar = conjugate_correspondence(H)
-    fus_left, U_left, res_left = _witness(H, Hbar, std_N, std_M)
-    fus_right, U_right, res_right = _witness(Hbar, H, std_M, std_N)
+    fus_left, U_left, res_left = _witness(H, Hbar, std_N, L2_M)
+    fus_right, U_right, res_right = _witness(Hbar, H, std_M, L2_N)
     return WStarMoritaCertificate(
         corr=H, equivalent=True, reason="certified",
         residual=max(res_left, res_right), conjugate=Hbar,

@@ -68,6 +68,15 @@ class StandardFormData:
         return self.lam @ self.algebra.coords(self.algebra.identity())
 
     @cached_property
+    def creation_inverse(self) -> np.ndarray:
+        """Inverse of the matrix sending coords of y to J Λ(y*).
+
+        Column u of a stack of right actions on a vector, times this,
+        gives that vector's creation operator (see fusion.r_eta).
+        """
+        return np.linalg.inv(self.J.matrix @ np.conj(self.lam[:, self.algebra.adjoint_order]))
+
+    @cached_property
     def twist_tables(self) -> dict[int, np.ndarray]:
         """Per sign s, column u holds the coordinates of Δ^{s/2}·π_l(E_u)·Δ^{-s/2}.
 

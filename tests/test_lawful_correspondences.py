@@ -92,8 +92,8 @@ def violations(built) -> list[str]:
             for v in law_violations(args, kwargs, obj)]
 
 
-def _wstar_morita():
-    rng = np.random.default_rng(7)
+def _wstar_morita(seed=7):
+    rng = np.random.default_rng(seed)
     for n in range(2, 7):
         assert certify_morita_equivalent(vector_correspondence(n)).equivalent
     for blocks in ((2,), (3,), (2, 3)):
@@ -124,8 +124,8 @@ def _chains():
     return [sample_wstar_chain(shape_rng, 4, dim_cap=24)[1] for _ in range(20)]
 
 
-def _coherence_batch():
-    chains, rng = _chains(), np.random.default_rng(7)
+def _coherence_batch(seed=7):
+    chains, rng = _chains(), np.random.default_rng(seed)
     algebras = {H.left_algebra for c in chains for H in c} \
         | {H.right_algebra for c in chains for H in c}
     inst = WStarBicategory(states={A: random_faithful_state(A, rng, floor=STATE_FLOOR)

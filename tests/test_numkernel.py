@@ -15,6 +15,7 @@ from moritalab.numkernel import (
     hermitian_power,
     hermitian_spectrum,
     joint_null_space,
+    kron_sandwich,
     matrices_to_columns,
     max_operator_norm,
     norm_exceeds,
@@ -340,3 +341,44 @@ class TestGramQuotient:
         with pytest.raises(NotPSD):
             gram_quotient(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
 
+
+
+class TestKronSandwich:
+    """project @ kron(left, right) @ section against the formed Kronecker product."""
+
+    @staticmethod
+    def _factor(rng, spec):
+        """A random matrix or stack for a shape tuple, the int itself for an identity."""
+        if isinstance(spec, int):
+            return spec, np.eye(spec)
+        M = rng.normal(size=spec) + 1j * rng.normal(size=spec)
+        return M, M
+
+    @pytest.mark.parametrize("left, right", [
+        ((3, 2), (4, 5)), (2, (4, 3)), ((3, 2), 4), ((6, 3, 2), 4), (2, (6, 4, 3)),
+        ((6, 3, 2), (6, 4, 5)), ((0, 2), (4, 3)), ((3, 0), 4), (0, (3, 3)),
+        ((6, 3, 2), 0), (2, (6, 0, 3)), ((1, 1), (1, 1))])
+    @pytest.mark.parametrize("cols", [0, 1, 3])
+    @pytest.mark.parametrize("with_project", [False, True])
+    def test_matches_the_formed_kronecker_product(self, left, right, cols,
+                                                  with_project):
+        rng = np.random.default_rng(cols)
+        L, L_ref = self._factor(rng, left)
+        R, R_ref = self._factor(rng, right)
+        stack = max(L_ref.ndim, R_ref.ndim) == 3
+        rows_in = L_ref.shape[-1] * R_ref.shape[-1]
+        rows_out = L_ref.shape[-2] * R_ref.shape[-2]
+        section = rng.normal(size=(rows_in, cols)) + 1j * rng.normal(size=(rows_in, cols))
+        project = rng.normal(size=(2, rows_out)) if with_project else None
+        got = kron_sandwich(project, L, R, section)
+        if stack:
+            count = max(len(M) for M in (L_ref, R_ref) if M.ndim == 3)
+            lefts = L_ref if L_ref.ndim == 3 else [L_ref] * count
+            rights = R_ref if R_ref.ndim == 3 else [R_ref] * count
+            want = np.stack([np.kron(A, B) @ section for A, B in zip(lefts, rights)])
+        else:
+            want = np.kron(L_ref, R_ref) @ section
+        if project is not None:
+            want = project @ want
+        assert got.shape == want.shape
+        assert np.allclose(got, want, atol=1e-12)

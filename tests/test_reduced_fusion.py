@@ -1,0 +1,119 @@
+"""The reduced Gram quotient of connes_fusion against the full one.
+
+connes_fusion quotients its Gram matrix G only on S, the direct sum over
+middle blocks b of (H.p_b) (x) (p_b.K), and certifies the result against
+G in one residual.  This test records every fusion built on the corpus of
+tests/test_lawful_correspondences.py (the wstar-morita inputs, the 20 W*
+coherence chains and the three CLI demos) at three seeds, and compares
+each with the full quotient of the same G, whose fused actions are formed
+with explicit Kronecker products: the same rank, project.section = 1,
+and a unitary intertwiner from the reduced fused correspondence onto the
+full one.  A mutation that drops one block pair from a factor's frames
+keeps the rank gate satisfied, and the residual check must catch it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import moritalab.wstar.fusion as fusion_module
+from moritalab.numkernel import DEFAULT_TOL, gram_quotient
+from moritalab.wstar import (
+    Correspondence,
+    MultiMatrixAlgebra,
+    block_correspondence,
+    conjugate_correspondence,
+    connes_fusion,
+    gns_standard_form,
+    identity_correspondence,
+    random_faithful_state,
+    unitary_intertwiner,
+)
+from test_lawful_correspondences import _coherence_batch, _demos, _wstar_morita
+
+
+@pytest.fixture
+def fusions(monkeypatch):
+    """Every FusionResult connes_fusion returns."""
+    out, real = [], fusion_module.FusionResult
+
+    def record(**kwargs):
+        out.append(real(**kwargs))
+        return out[-1]
+    monkeypatch.setattr(fusion_module, "FusionResult", record)
+    return out
+
+
+def full_quotient(fus) -> Correspondence:
+    """The fused correspondence from the full Gram quotient, Kronecker products formed."""
+    H, K = fus.left_factor, fus.right_factor
+    q = gram_quotient(fus.gram, scale=1.0)
+    pi_l = [q.project @ np.kron(U, np.eye(K.dim)) @ q.section for U in H.pi_l_units]
+    pi_r = [q.project @ np.kron(np.eye(H.dim), U) @ q.section for U in K.pi_r_units]
+    return Correspondence._lawful(H.left_algebra, K.right_algebra, q.rank, pi_l, pi_r)
+
+
+def mismatches(fus) -> list[str]:
+    full = full_quotient(fus)
+    out = []
+    if full.dim != fus.corr.dim:
+        out.append(f"rank {fus.corr.dim} against the full {full.dim}")
+    elif np.max(np.abs(fus.project @ fus.section - np.eye(full.dim)), initial=0.0) \
+            > DEFAULT_TOL:
+        out.append("project.section is not the identity")
+    elif unitary_intertwiner(fus.corr, full) is None:
+        out.append("no unitary onto the full quotient")
+    return [f"{fus.corr!r}: {m}" for m in out]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 31])
+def test_reduced_fusions_match_the_full_quotient(fusions, seed, tmp_path):
+    _wstar_morita(seed)
+    _coherence_batch(seed)
+    _demos(tmp_path)
+    assert len(fusions) > 500
+    assert [m for fus in fusions for m in mismatches(fus)] == []
+
+
+def _two_block_fusion_inputs():
+    """H over (M2+C, M2+C) with both block pairs, L2 of a non-tracial state."""
+    A = MultiMatrixAlgebra((2, 1), name="M2+C")
+    std = gns_standard_form(A, random_faithful_state(A, np.random.default_rng(3)))
+    return block_correspondence(A, A, [[1, 0], [0, 1]]), identity_correspondence(std), std
+
+
+def test_unmutated_inputs_pass_both_gates():
+    H, L2, std = _two_block_fusion_inputs()
+    assert connes_fusion(H, L2, std).corr.dim == 5
+
+
+def test_residual_check_catches_a_dropped_block_basis():
+    # the frames lose block pair (1, 1): the multiplicities and the reduced
+    # basis shrink together, so the rank gate agrees with the cut rank 4,
+    # and only the residual against the full Gram matrix sees the loss
+    H, L2, std = _two_block_fusion_inputs()
+    frames = [list(row) for row in H.frames]
+    frames[1][1] = frames[1][1][:0]
+    vars(H)["frames"] = tuple(tuple(row) for row in frames)
+    assert H.multiplicities == ((1, 0), (0, 0))
+    with pytest.raises(RuntimeError, match=r"fusion Gram residual \S+ exceeds \S+: the reduced"):
+        connes_fusion(H, L2, std)
+
+
+def test_inputs_lawful_within_the_boundary_tolerance_still_fuse():
+    # unit images perturbed by 1e-9 in operator norm pass the boundary
+    # checks; the full quotient fused them, and the reduced one must too
+    rng = np.random.default_rng(0)
+    A, B = MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((2,))
+    exact = block_correspondence(A, B, [[1], [2]])
+    std = gns_standard_form(B, random_faithful_state(B, rng))
+
+    def perturbed(units):
+        noise = [rng.normal(size=U.shape) + 1j * rng.normal(size=U.shape) for U in units]
+        return [U + 1e-9 * E / np.linalg.norm(E, 2) for U, E in zip(units, noise)]
+    for _ in range(5):
+        H = Correspondence(A, B, exact.dim, perturbed(exact.pi_l_units),
+                           perturbed(exact.pi_r_units))
+        assert connes_fusion(H, conjugate_correspondence(H), std).corr.dim == 16
+        assert connes_fusion(H, identity_correspondence(std), std).corr.dim == 8

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import moritalab.wstar.morita as morita_module
 from moritalab.cli import main
 from moritalab.numkernel import operator_norm
 from moritalab.specfile import SpecFile, serialize_spec
@@ -56,6 +57,41 @@ class TestPositive:
         cert = certify_morita_equivalent(identity_correspondence(std),
                                          phi_M=phi, phi_N=phi)
         assert cert.equivalent
+
+    @pytest.mark.parametrize("blocks, given", [((3,), False), ((2, 3), True),
+                                               ((2, 1), False)])
+    def test_self_pair_builds_one_standard_form(self, blocks, given,
+                                                monkeypatch):
+        """One standard form and one L² for M = N under one state, same witnesses.
+
+        States are defaulted, or given as one object; the two-build path is
+        forced with two equal but distinct states.
+        """
+        alg = MultiMatrixAlgebra(blocks)
+        rng = np.random.default_rng(len(blocks))
+        phi = random_faithful_state(alg, rng) if given else trace_state(alg)
+        H = identity_correspondence(gns_standard_form(alg, phi))
+        builds = {"std": 0, "l2": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                builds[name] += 1
+                return fn(*args)
+            return call
+        monkeypatch.setattr(morita_module, "gns_standard_form",
+                            counted("std", morita_module.gns_standard_form))
+        monkeypatch.setattr(morita_module, "identity_correspondence",
+                            counted("l2", morita_module.identity_correspondence))
+        one = certify_morita_equivalent(H, phi, phi) if given \
+            else certify_morita_equivalent(H)
+        assert builds == {"std": 1, "l2": 1}
+        two = certify_morita_equivalent(H, State(alg, phi.density),
+                                        State(alg, phi.density))
+        assert builds == {"std": 3, "l2": 3}
+        assert one.equivalent and two.equivalent
+        assert one.residual == two.residual
+        for attr in ("unitary_left", "unitary_right"):
+            assert np.array_equal(getattr(one, attr), getattr(two, attr))
 
     def test_certificate_unitaries_intertwine(self):
         cert = certify_morita_equivalent(vector_correspondence(2))
