@@ -113,10 +113,12 @@ class WStarBicategory:
 
     Standard forms (one per algebra) are built lazily from the supplied
     states and cached, so every composite over the same middle algebra
-    reuses one relative-tensor presentation.  tol gates only cells_equal,
-    the measured discrepancy of a coherence law; fusion ranks and
-    invertibility use the fixed cutoff DEFAULT_TOL.  find_iso decides by
-    multiplicity and builds its unitary from the isotypic frames.
+    reuses one relative-tensor presentation; L²(A) is cached with its
+    standard form, checked once and reused by every triangle and unitor
+    check.  tol gates only cells_equal, the measured discrepancy of a
+    coherence law; fusion ranks and invertibility use the fixed cutoff
+    DEFAULT_TOL.  find_iso decides by multiplicity and builds its unitary
+    from the isotypic frames.
     """
 
     def __init__(self, states: dict[MultiMatrixAlgebra, State] | None = None,
@@ -124,11 +126,11 @@ class WStarBicategory:
         self.tol = tol
         self._states = dict(states) if states else {}
         self._std: dict[MultiMatrixAlgebra, StandardFormData] = {}
+        self._l2: dict[MultiMatrixAlgebra, Correspondence] = {}
 
     def standard_form(self, A: MultiMatrixAlgebra) -> StandardFormData:
         if A not in self._std:
-            phi = self._states.get(A) or trace_state(A)
-            self._std[A] = gns_standard_form(A, phi)
+            self._std[A] = gns_standard_form(A, self._states.get(A) or trace_state(A))
         return self._std[A]
 
     def dom(self, P: Correspondence) -> MultiMatrixAlgebra:
@@ -138,7 +140,9 @@ class WStarBicategory:
         return P.right_algebra
 
     def identity(self, A: MultiMatrixAlgebra) -> Correspondence:
-        return identity_correspondence(self.standard_form(A))
+        if A not in self._l2:
+            self._l2[A] = identity_correspondence(self.standard_form(A))
+        return self._l2[A]
 
     def compose(self, P: Correspondence, Q: Correspondence) -> wf.FusionResult:
         if P.right_algebra != Q.left_algebra:

@@ -1,15 +1,19 @@
 """Dense complex linear algebra for the operator-algebra layer.
 
-One numeric primitive carries everything: the Hermitian eigendecomposition.
-Square roots, polar decompositions, Gram quotients, and ranks all derive
-from it (or from the SVD for non-square systems). Every rank, null
+One numeric primitive carries everything: the Hermitian eigendecomposition,
+taken once per matrix.  Powers and the antiunitary part of a polar
+decomposition are read off that one spectrum (hermitian_powers,
+polar_antilinear); Gram quotients and ranks derive from it too (or from
+the SVD for non-square systems). Every rank, null
 direction and singularity decision uses the one fixed cutoff DEFAULT_TOL,
 relative to the scale it measures; a caller's acceptance tolerance gates
 measured residuals only and never moves these decisions.  Two sanity
 checks keep their own fixed constants: ``hermitian_spectrum`` requires
 its eigendecomposition to reconstruct the input within
 1e-10 * (1 + max |eigenvalue|), and ``State`` requires its density to
-have trace 1 within an absolute 1e-12.
+have trace 1 within an absolute 1e-12.  The spectrum's checks, this one
+and Hermitian within DEFAULT_TOL * (1 + ||H||), run behind the Frobenius
+screen of norm_exceeds with their bounds unchanged.
 
 Antilinear maps are stored as a plain matrix A acting by v -> A.conj(v),
 always relative to the one fixed basis of the ambient space. Keeping every
@@ -38,9 +42,7 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def operator_norm(A: np.ndarray) -> float:
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
 def max_operator_norm(mats) -> float:
@@ -90,10 +92,6 @@ class AntilinearOp:
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_complex_matrix(self.matrix))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.conj(v)
 
@@ -109,40 +107,45 @@ class AntilinearOp:
 def hermitian_spectrum(H: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of Hermitian H."""
     H = as_complex_matrix(H)
-    scale = operator_norm(H)
-    if operator_norm(H - H.conj().T) > DEFAULT_TOL * (1.0 + scale):
+    skew = H - H.conj().T  # each check's SVDs run only where the screen cannot clear it
+    if norm_exceeds(skew, DEFAULT_TOL) \
+            and operator_norm(skew) > DEFAULT_TOL * (1.0 + operator_norm(H)):
         raise ValueError("matrix is not Hermitian")
     w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    recon = (V * w) @ V.conj().T
-    if operator_norm(H - recon) > 1e-10 * (1.0 + float(np.max(np.abs(w), initial=0.0))):
+    miss = H - (V * w) @ V.conj().T
+    bound = 1e-10 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+    if norm_exceeds(miss, bound) and operator_norm(miss) > bound:
         raise ValueError("eigendecomposition failed to reconstruct input")
     return w, V
 
 
-def hermitian_power(H: np.ndarray, power: float) -> np.ndarray:
-    """H^power for Hermitian PSD H via its spectrum."""
-    w, V = hermitian_spectrum(H)
+def _spectral_powers(w: np.ndarray, V: np.ndarray, powers) -> list[np.ndarray]:
+    """V . diag(w^p) . V* for each p, after the PSD and singularity guards."""
     cut = DEFAULT_TOL * max(float(np.max(w, initial=0.0)), 1.0)
     if np.any(w < -cut):
         raise NotPSD("negative eigenvalue beyond tolerance")
     w = np.clip(w, 0.0, None)
-    if power < 0 and np.any(w <= cut):
+    if min(powers) < 0 and np.any(w <= cut):
         raise Singular("negative power of a singular matrix")
-    return (V * np.power(w, power)) @ V.conj().T
+    return [(V * np.power(w, p)) @ V.conj().T for p in powers]
+
+
+def hermitian_powers(H: np.ndarray, powers) -> list[np.ndarray]:
+    """H^p for each p in powers, Hermitian PSD H, from one spectrum."""
+    return _spectral_powers(*hermitian_spectrum(H), powers)
 
 
 def polar_antilinear(S: AntilinearOp):
-    """S = J . Delta^{1/2} with J antiunitary and Delta = S*S positive."""
+    """S = J . Delta^{1/2}, J antiunitary, Delta = S*S positive: returns
+    (J, Delta, Delta^{1/2}, Delta^{-1/2}) read off one spectrum of Delta."""
     M = S.matrix
     delta = M.T @ np.conj(M)
     w, V = hermitian_spectrum(delta)
-    w = np.clip(w, 0.0, None)
-    smin, smax = float(np.sqrt(w[0])), float(np.sqrt(w[-1]))
+    smin, smax = np.sqrt(np.clip(w[[0, -1]], 0.0, None))
     if smin <= DEFAULT_TOL * max(1.0, smax):
         raise Singular("antilinear operator is numerically singular")
-    inv_sqrt = (V * np.power(w, -0.5)) @ V.conj().T
-    J = AntilinearOp(M @ np.conj(inv_sqrt))
-    return J, delta
+    half, minus_half = _spectral_powers(w, V, (0.5, -0.5))
+    return AntilinearOp(M @ np.conj(minus_half)), delta, half, minus_half
 
 
 def null_space(A: np.ndarray, scale: float = 0.0) -> np.ndarray:
@@ -157,8 +160,7 @@ def null_space(A: np.ndarray, scale: float = 0.0) -> np.ndarray:
     if A.shape[0] == 0 or A.size == 0:
         return np.eye(A.shape[1], dtype=np.complex128)
     _, s, Vh = np.linalg.svd(A)
-    top = s[0] if s.size else 0.0
-    rank = int(np.sum(s > DEFAULT_TOL * max(top, scale, 1e-300)))
+    rank = int(np.sum(s > DEFAULT_TOL * max(s[0], scale, 1e-300)))
     return Vh[rank:].conj().T
 
 
@@ -168,8 +170,7 @@ def orthonormal_columns(A: np.ndarray) -> np.ndarray:
     if A.size == 0:
         return np.zeros((A.shape[0], 0), dtype=np.complex128)
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    top = s[0] if s.size else 0.0
-    rank = int(np.sum(s > DEFAULT_TOL * max(top, 1e-300)))
+    rank = int(np.sum(s > DEFAULT_TOL * max(s[0], 1e-300)))
     return U[:, :rank]
 
 

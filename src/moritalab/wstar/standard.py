@@ -3,12 +3,13 @@
 L²(A, φ) is realized on the matrix-unit coordinate space of the algebra:
 Λ(x) = x·ρ^{1/2} identifies elements with vectors, and the matrix units
 are an orthonormal basis for <x, y> = φ(x*y). The involution S(Λx) = Λ(x*)
-is assembled as an antilinear matrix and handed to the polar routine; J
-and Δ are whatever comes back, never a closed form assumed up front. The
+is assembled as an antilinear matrix and handed to the polar routine; J,
+Δ and Δ^{±1/2} are whatever comes back from its one spectrum of Δ, never
+a closed form assumed up front, and ρ^{±1/2} share one spectrum of ρ. The
 commutation theorem is checked against the commutant read off the left
-action's isotypic frames, not solved for.
-Λ, Λ^{-1} and S are read off the stacked products E_u·X, whose entries are
-single products; the modular twist is a coordinate table over the units.
+action's isotypic frames, not solved for.  Λ, Λ^{-1} and S are read off
+the stacked products E_u·X, whose entries are single products; the
+modular twist is a coordinate table over the units.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..errors import NotFaithful
 from ..numkernel import (
     DEFAULT_TOL,
     AntilinearOp,
-    hermitian_power,
+    hermitian_powers,
     max_operator_norm,
     norm_exceeds,
     operator_norm,
@@ -107,9 +108,7 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
     """Standard form of (A, φ) with modular data from the polar step."""
     if phi.algebra != A:
         raise NotFaithful("state was built on a different algebra")
-    rho = phi.density
-    rho_half = hermitian_power(rho, 0.5)
-    rho_minus_half = hermitian_power(rho, -0.5)
+    rho_half, rho_minus_half = hermitian_powers(phi.density, (0.5, -0.5))
     units = np.stack(A.matrix_units())
     rows, cols = A.unit_positions
     lam = (units @ rho_half)[:, rows, cols].T
@@ -118,9 +117,7 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
     # S(ξ) = Λ((Λ^{-1}ξ)*): columns are images of the basis vectors
     S = AntilinearOp((right_minus_half.conj().transpose(0, 2, 1)
                       @ rho_half)[:, rows, cols].T)
-    J, delta = polar_antilinear(S)
-    delta_half = hermitian_power(delta, 0.5)
-    delta_minus_half = hermitian_power(delta, -0.5)
+    J, delta, delta_half, delta_minus_half = polar_antilinear(S)
 
     # pi_l(E_u) sends E_w to E_u.E_w: a 1 at (v, w) exactly when row(v) =
     # row(u), row(w) = col(u) and col(v) = col(w), as global matrix positions
@@ -140,10 +137,8 @@ def standard_form_residuals(std: StandardFormData) -> dict[str, float]:
     commutant of the left one), "center" (Delta-conjugation moving a
     central element).
     """
-    d = std.dim
-    s_built = std.J.compose_linear(std.delta_half).matrix
-    polar = operator_norm(s_built - std.S.matrix)
-    involution = operator_norm(std.J.compose_antilinear(std.J) - np.eye(d))
+    polar = operator_norm(std.J.compose_linear(std.delta_half).matrix - std.S.matrix)
+    involution = operator_norm(std.J.compose_antilinear(std.J) - np.eye(std.dim))
     _, comm_res = right_fills_commutant(
         left_frames(std.algebra, std.pi_l_units), std.pi_r_units)
     Zs = [std.pi_l(z) for z in std.algebra.center_basis()]

@@ -33,9 +33,11 @@ from moritalab.wstar import (
     MultiMatrixAlgebra,
     block_correspondence,
     conjugate_correspondence,
+    identity_correspondence,
     random_faithful_state,
     vector_correspondence,
 )
+from test_lawful_correspondences import _coherence_batch
 
 TOL = 1e-8
 
@@ -265,6 +267,29 @@ class TestWStarCoherence:
         d_tr = verify_pentagon(WStarBicategory(), *cells).discrepancy
         d_rand = verify_pentagon(_wstar_states_inst(1), *cells).discrepancy
         assert d_tr <= TOL and d_rand <= TOL
+
+
+class _RebuiltIdentity(WStarBicategory):
+    """Builds and checks L²(A) afresh on every identity call."""
+
+    def identity(self, A):
+        return identity_correspondence(self.standard_form(A))
+
+
+class TestWStarIdentityCache:
+    def test_identity_is_built_once_per_algebra(self):
+        inst = _wstar_states_inst(0)
+        M2 = MultiMatrixAlgebra((2,))
+        assert inst.identity(M2) is inst.identity(M2)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_cached_identity_leaves_every_discrepancy_bitwise_equal(self, seed):
+        cached = _coherence_batch(seed)
+        rebuilt = _coherence_batch(seed, _RebuiltIdentity)
+        assert [r.law for r in cached].count("triangle") == 20
+        assert [r.law for r in cached].count("unitor naturality") == 20
+        assert [(r.law, r.discrepancy) for r in cached] \
+            == [(r.law, r.discrepancy) for r in rebuilt]
 
 
 class TestWStarIso:

@@ -124,17 +124,20 @@ def _chains():
     return [sample_wstar_chain(shape_rng, 4, dim_cap=24)[1] for _ in range(20)]
 
 
-def _coherence_batch(seed=7):
+def _coherence_batch(seed=7, bicategory=WStarBicategory):
     chains, rng = _chains(), np.random.default_rng(seed)
     algebras = {H.left_algebra for c in chains for H in c} \
         | {H.right_algebra for c in chains for H in c}
-    inst = WStarBicategory(states={A: random_faithful_state(A, rng, floor=STATE_FLOOR)
-                                   for A in sorted(algebras, key=lambda A: A.block_sizes)})
+    inst = bicategory(states={A: random_faithful_state(A, rng, floor=STATE_FLOOR)
+                              for A in sorted(algebras, key=lambda A: A.block_sizes)})
+    results = []
     for P, Q, R, S in chains:
         for result in (verify_pentagon(inst, P, Q, R, S), verify_triangle(inst, P, Q),
                        verify_associator_naturality(inst, P, Q, R, rng),
                        verify_unitor_naturality(inst, P, rng)):
             assert result.holds, result
+            results.append(result)
+    return results
 
 
 def _demos(tmp_path):

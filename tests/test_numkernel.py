@@ -12,7 +12,7 @@ from moritalab.numkernel import (
     commutant,
     containment_residual,
     gram_quotient,
-    hermitian_power,
+    hermitian_powers,
     hermitian_spectrum,
     joint_null_space,
     kron_sandwich,
@@ -157,14 +157,46 @@ class TestBasics:
 
     def test_hermitian_power_square_root(self):
         H = np.diag([4.0, 9.0]).astype(np.complex128)
-        assert np.allclose(hermitian_power(H, 0.5), np.diag([2.0, 3.0]))
-        assert np.allclose(hermitian_power(H, -0.5), np.diag([0.5, 1 / 3]))
+        half, minus_half = hermitian_powers(H, (0.5, -0.5))
+        assert np.allclose(half, np.diag([2.0, 3.0]))
+        assert np.allclose(minus_half, np.diag([0.5, 1 / 3]))
 
     def test_hermitian_power_guards(self):
-        with pytest.raises(NotPSD):
-            hermitian_power(np.diag([1.0, -1.0]), 0.5)
-        with pytest.raises(Singular):
-            hermitian_power(np.diag([1.0, 0.0]), -0.5)
+        with pytest.raises(NotPSD, match="^negative eigenvalue beyond tolerance$"):
+            hermitian_powers(np.diag([1.0, -1.0]), (0.5,))
+        with pytest.raises(Singular, match="^negative power of a singular matrix$"):
+            hermitian_powers(np.diag([1.0, 0.0]), (0.5, -0.5))
+        # a singular matrix has every nonnegative power
+        half, = hermitian_powers(np.diag([1.0, 0.0]), (0.5,))
+        assert np.array_equal(half, np.diag([1.0, 0.0]))
+
+    def test_non_hermitian_input_is_rejected_by_every_caller(self):
+        H = np.array([[1.0, 1.0], [0.0, 1.0]])
+        for call in (hermitian_spectrum, lambda M: hermitian_powers(M, (0.5,))):
+            with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+                call(H)
+        # anti-Hermitian noise above DEFAULT_TOL but below DEFAULT_TOL * (1 + ||H||)
+        # passes, so the screen falls back to the scaled bound
+        big = np.diag([1e3, 1.0]).astype(np.complex128)
+        noise = np.array([[0.0, 1.0], [0.0, 0.0]])
+        hermitian_spectrum(big + 5e-8 * noise)
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            hermitian_spectrum(big + 5e-5 * noise)
+
+    def test_reconstruction_check_still_bites(self, monkeypatch):
+        # the Frobenius screen must not let a bad eigendecomposition through
+        eigh = np.linalg.eigh
+
+        def perturbed(M):
+            w, V = eigh(M)
+            return w, V + 1e-6 * np.ones_like(V)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        H = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
+        for call in (hermitian_spectrum, lambda M: hermitian_powers(M, (0.5,)),
+                     lambda M: polar_antilinear(AntilinearOp(M))):
+            with pytest.raises(ValueError,
+                               match="^eigendecomposition failed to reconstruct input$"):
+                call(H)
 
 
 class TestAntilinear:
@@ -191,17 +223,23 @@ class TestAntilinear:
         S = AntilinearOp(np.array([[0.0, 2.0], [0.5, 0.0]], dtype=np.complex128))
         v = np.array([1.0 + 1.0j, -2.0])
         assert np.allclose(S.apply(S.apply(v)), v)
-        J, delta = polar_antilinear(S)
-        half = hermitian_power(delta, 0.5)
+        J, delta, half, minus_half = polar_antilinear(S)
         assert operator_norm(J.compose_linear(half).matrix - S.matrix) < 1e-12
         assert operator_norm(J.compose_antilinear(J) - np.eye(2)) < 1e-12
-        inv = hermitian_power(delta, -1.0)
+        assert operator_norm(half @ minus_half - np.eye(2)) < 1e-12
+        inv, = hermitian_powers(delta, (-1.0,))
         assert operator_norm(J.compose_linear(delta).compose_antilinear(J) - inv) < 1e-12
 
     def test_polar_rejects_singular(self):
-        with pytest.raises(Singular):
+        with pytest.raises(Singular, match="^antilinear operator is numerically singular$"):
             polar_antilinear(AntilinearOp(
                 np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)))
+
+    def test_polar_applies_the_power_guards_after_its_own(self):
+        # smallest singular value 1e-6 clears the polar cutoff 1e-8 but its
+        # square 1e-12 is below the cutoff for Delta^{-1/2}
+        with pytest.raises(Singular, match="^negative power of a singular matrix$"):
+            polar_antilinear(AntilinearOp(np.diag([1.0, 1e-6]).astype(np.complex128)))
 
 
 class TestKernels:

@@ -5,16 +5,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from moritalab import numkernel
 from moritalab.errors import AlgebraMismatch, NotFaithful
 from moritalab.numkernel import (
+    AntilinearOp,
     commutant,
-    hermitian_power,
+    hermitian_spectrum,
+    hermitian_powers,
     matrices_to_columns,
     operator_norm,
     subspaces_equal,
 )
 from moritalab.wstar import (
     MultiMatrixAlgebra,
+    StandardFormData,
     State,
     connes_fusion,
     conjugate_correspondence,
@@ -22,6 +26,7 @@ from moritalab.wstar import (
     identity_correspondence,
     random_faithful_state,
     right_unitor,
+    standard_form_residuals,
     trace_state,
     twisted_balancing_residual,
 )
@@ -210,8 +215,7 @@ class TestLeftMultiplication:
         rng = np.random.default_rng(len(blocks))
         for phi in (trace_state(alg), random_faithful_state(alg, rng)):
             std = gns_standard_form(alg, phi)
-            half = hermitian_power(phi.density, 0.5)
-            minus_half = hermitian_power(phi.density, -0.5)
+            half, minus_half = hermitian_powers(phi.density, (0.5, -0.5))
             units = alg.matrix_units()
             lam = np.stack([alg.coords(E @ half) for E in units], axis=1)
             lam_inv = np.stack([alg.coords(E @ minus_half) for E in units],
@@ -242,3 +246,74 @@ class TestTracialCase:
         rng = np.random.default_rng(8)
         y = M23.random_element(rng)
         assert np.allclose(std.modular_twist(y, sign=-1), y, atol=1e-12)
+
+
+def _reference_power(H, power):
+    """H^power from its own spectrum, the way each power used to be built."""
+    w, V = hermitian_spectrum(H)
+    return (V * np.power(np.clip(w, 0.0, None), power)) @ V.conj().T
+
+
+def _reference_standard_form(A, phi):
+    """gns_standard_form with one spectrum per power, as separate builds."""
+    rho = phi.density
+    rho_half, rho_minus_half = (_reference_power(rho, p) for p in (0.5, -0.5))
+    units = np.stack(A.matrix_units())
+    rows, cols = A.unit_positions
+    lam = (units @ rho_half)[:, rows, cols].T
+    right_minus_half = units @ rho_minus_half
+    lam_inv = right_minus_half[:, rows, cols].T
+    M = (right_minus_half.conj().transpose(0, 2, 1) @ rho_half)[:, rows, cols].T
+    delta = M.T @ np.conj(M)
+    J = M @ np.conj(_reference_power(delta, -0.5))
+    lefts = ((rows[:, None, None] == rows[:, None]) & (cols[:, None, None] == rows)
+             & (cols[:, None] == cols)).astype(np.complex128)
+    pi_r = [J @ np.conj(lefts[u] @ J) for u in A.adjoint_order]
+    return StandardFormData(A, phi, lam, lam_inv, AntilinearOp(M), AntilinearOp(J),
+                            delta, _reference_power(delta, 0.5),
+                            _reference_power(delta, -0.5), tuple(lefts), tuple(pi_r))
+
+
+def _differential_corpus():
+    """The 100 seeded states of the wstar-morita bench, a skew state on M_2
+    and one state on M_2 + M_2 + C."""
+    rng = np.random.default_rng(7)
+    for blocks in ((2,), (3,), (2, 3), (4,)):
+        A = MultiMatrixAlgebra(blocks)
+        for _ in range(25):
+            yield A, random_faithful_state(A, rng, floor=0.05)
+    yield M2, State(M2, np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(np.complex128))
+    A = MultiMatrixAlgebra((2, 2, 1))
+    yield A, random_faithful_state(A, rng, floor=0.05)
+
+
+class TestOneSpectrumPerOperator:
+    def test_standard_form_equals_the_per_power_build_bitwise(self):
+        count = 0
+        for A, phi in _differential_corpus():
+            std, ref = gns_standard_form(A, phi), _reference_standard_form(A, phi)
+            for name in ("lam", "lam_inv", "delta", "delta_half", "delta_minus_half",
+                         "creation_inverse"):
+                assert np.array_equal(getattr(std, name), getattr(ref, name)), name
+            assert np.array_equal(std.S.matrix, ref.S.matrix)
+            assert np.array_equal(std.J.matrix, ref.J.matrix)
+            assert np.array_equal(std.pi_l_units, ref.pi_l_units)
+            assert np.array_equal(std.pi_r_units, ref.pi_r_units)
+            for sign in (-1, 1):
+                assert np.array_equal(std.twist_tables[sign], ref.twist_tables[sign])
+            assert standard_form_residuals(std) == standard_form_residuals(ref)
+            count += 1
+        assert count == 102
+
+    def test_two_spectra_per_standard_form(self, monkeypatch):
+        calls = []
+
+        def counted(H):
+            calls.append(H.shape)
+            return hermitian_spectrum(H)
+        monkeypatch.setattr(numkernel, "hermitian_spectrum", counted)
+        for A in (M2, M23, MultiMatrixAlgebra((2, 2, 1))):
+            calls.clear()
+            gns_standard_form(A, random_faithful_state(A, np.random.default_rng(3)))
+            # one of rho (A.dim square), one of Delta (vector_dim square)
+            assert calls == [(A.dim, A.dim), (A.vector_dim, A.vector_dim)]
