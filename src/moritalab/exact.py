@@ -6,7 +6,10 @@ arbitrary-precision Python integers, and products, Kronecker products,
 block sums and reductions are array expressions on it.  Smith normal
 form pivots one scalar at a time on a private list copy, with a fixed
 rule (smallest absolute value, ties broken by lowest (row, col)), so
-group presentations derived from it are reproducible across runs.
+group presentations derived from it are reproducible across runs.  The
+last pivot is a floor: every entry left to eliminate is a multiple of
+it, so the pivot search stops at the first entry of that size and the
+divisibility scan runs only for a pivot above it, with the same pivots.
 Downstream code leans on that: quotient presentations, solution lattices
 and hom bases all come out of the functions here.  Each caller tracks only
 the transforms it reads (U and U^-1 for cokernels and lattice bases, U
@@ -243,6 +246,15 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
     makes the output deterministic.  A matrix already in Smith form is
     returned with U = V = I.  A caller that never reads V or U_inv can
     skip tracking it, and gets None in its place.
+
+    The last pivot is a floor (1 at the start): after step t every entry
+    of the trailing block is a multiple of p_t, since the divisibility
+    scan has just shown it or p_t equals the previous floor, and each
+    operation of the step (swaps, the negation, subtracting multiples of
+    a row or column of multiples of p_t) keeps that.  So the search stops
+    at the first entry equal to the floor in row-major order, the one the
+    full search picks, and a pivot equal to the floor skips the scan,
+    which would find nothing: the operations, and U, D, V and U^-1, stay.
     """
     m, n = A.rows, A.cols
     D = A.array.tolist()
@@ -304,6 +316,7 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
 
     t = 0
     bound = min(m, n)
+    floor = 1  # every entry of the trailing block is a multiple of floor
     while t < bound:
         best = None
         for i in range(t, m):
@@ -314,9 +327,9 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
                     a = -v if v < 0 else v
                     if best is None or a < best[0]:
                         best = (a, i, j)
-                        if a == 1:
+                        if a == floor:
                             break
-            if best is not None and best[0] == 1:
+            if best is not None and best[0] == floor:
                 break
         if best is None:
             break
@@ -349,7 +362,7 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
                 continue
             p = D[t][t]
             offender = None
-            if p != 1:
+            if p != floor:
                 for i in range(t + 1, m):
                     row = D[i]
                     for j in range(t + 1, n):
@@ -361,6 +374,7 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
             if offender is None:
                 break
             row_sub(t, offender, -1)  # fold the offending row in, shrink the pivot gcd
+        floor = D[t][t]
         t += 1
 
     def wrap(lists: list[list[int]], rows: int, cols: int) -> IntegerMatrix:

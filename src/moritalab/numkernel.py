@@ -104,18 +104,31 @@ class AntilinearOp:
         return AntilinearOp(self.matrix @ np.conj(M))
 
 
+def _norm_within(A: np.ndarray, bound: float) -> bool:
+    """operator_norm(A) <= bound; never for a non-finite A, the mark of an overflow."""
+    return bool(np.all(np.isfinite(A))) and operator_norm(A) <= bound
+
+
 def hermitian_spectrum(H: np.ndarray):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of Hermitian H."""
+    """Eigenvalues (ascending) and orthonormal eigenvectors of Hermitian H.
+
+    Near the float limit H - H*, H + H* or the spectrum can overflow; the
+    non-finite entry fails the next check, a ValueError, not a numpy warning.
+    """
     H = as_complex_matrix(H)
-    skew = H - H.conj().T  # each check's SVDs run only where the screen cannot clear it
-    if norm_exceeds(skew, DEFAULT_TOL) \
-            and operator_norm(skew) > DEFAULT_TOL * (1.0 + operator_norm(H)):
-        raise ValueError("matrix is not Hermitian")
-    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    miss = H - (V * w) @ V.conj().T
-    bound = 1e-10 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
-    if norm_exceeds(miss, bound) and operator_norm(miss) > bound:
-        raise ValueError("eigendecomposition failed to reconstruct input")
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = H - H.conj().T  # each check's SVDs run only where the screen cannot clear it
+        if norm_exceeds(skew, DEFAULT_TOL) \
+                and not _norm_within(skew, DEFAULT_TOL * (1.0 + operator_norm(H))):
+            raise ValueError("matrix is not Hermitian")
+        try:
+            w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+        except np.linalg.LinAlgError:
+            raise ValueError("eigendecomposition failed to reconstruct input") from None
+        miss = H - (V * w) @ V.conj().T
+        bound = 1e-10 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
+        if norm_exceeds(miss, bound) and not _norm_within(miss, bound):
+            raise ValueError("eigendecomposition failed to reconstruct input")
     return w, V
 
 

@@ -27,7 +27,7 @@ additive order below 2 raises UnitDegenerate.
 The public ``FiniteRing`` constructor checks every law.  Endomorphism
 rings (tables read off composites of maps) and the matrix, opposite and
 direct product rings of checked rings are lawful by construction, so
-``FiniteRing._lawful`` only reduces their ``mult`` and ``unit``.
+``FiniteRing._lawful`` only reduces their table and unit, as one array.
 
 The laws run as one stacked-array kernel.  A family of k matrices on a
 carrier with invariant factors f_1 | ... | f_n becomes one (k, n, n)
@@ -217,8 +217,9 @@ class FiniteRing:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        self._reduce()
         g = self.additive
+        object.__setattr__(self, "mult", tuple(tuple(g.reduce(v) for v in row) for row in self.mult))
+        object.__setattr__(self, "unit", g.reduce(self.unit))
         k = g.rank
         law, L = checked_stack([IntegerMatrix.from_columns(row, k) for row in self.mult],
                                g.invariant_factors, self)
@@ -231,19 +232,18 @@ class FiniteRing:
         if ((L @ u - np.eye(k, dtype=np.int64)) % f).any():
             raise ValueError("unit law fails on a generator")
 
-    def _reduce(self) -> None:
-        g = self.additive
-        mult = tuple(tuple(g.reduce(v) for v in row) for row in self.mult)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "unit", g.reduce(self.unit))
-
     @classmethod
     def _lawful(cls, additive: FiniteAbelianGroup, mult: Sequence[Sequence[Sequence[int]]],
                 unit: Sequence[int], name: str = "") -> "FiniteRing":
-        """A ring associative and unital by construction: reduced, not re-checked."""
+        """A ring associative and unital by construction: reduced as one array, not re-checked."""
+        k = additive.rank
+        f = np.array(additive.invariant_factors, dtype=object)
+        table = np.array(mult, dtype=object).reshape(k, k, k) % f
+        table.flags.writeable = False
         R = object.__new__(cls)
-        vars(R).update(additive=additive, mult=mult, unit=unit, name=name)
-        R._reduce()
+        vars(R).update(additive=additive, name=name, table=table,
+                       mult=tuple(tuple(map(tuple, row)) for row in table.tolist()),
+                       unit=tuple((np.array(unit, dtype=object) % f).tolist()))
         return R
 
     @cached_property

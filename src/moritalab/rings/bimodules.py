@@ -21,8 +21,13 @@ law, as do the constructors that take caller data (the spec loader,
 bimodules, direct sums, tensor products and the Morita context's P_up,
 P* and inverse Q are lawful by construction from lawful inputs, so they
 go through ``Bimodule._lawful``, which keeps the reduced stacks at the
-kernel's dtype (``law_stack``) and checks nothing.  A differential test
-re-checks every such object built on a corpus of inputs.
+kernel's dtype (``law_stack``) and checks nothing.  Likewise identities,
+composites, hom-group elements, tensors of maps, associators and unitors
+are maps lawful by construction (``BimoduleMap._lawful``), while
+``BimoduleMap(...)``, ``factor_through_tensor`` and ``invert_bimodule_map``
+check theirs, as do the Morita certificate's pairing maps built through
+them.  A differential test re-checks every such object and map built on
+a corpus of inputs.
 
 Maps carry a ``sides`` tag: hom computations for one-sided module maps
 reuse the same class with ``sides=("right",)`` or ``("left",)``.
@@ -155,6 +160,14 @@ class BimoduleMap:
                                tgt.action_stack(side), sfs, tfs):
                 raise ValueError(f"map does not intertwine the {side} action")
 
+    @classmethod
+    def _lawful(cls, source: Bimodule, target: Bimodule, matrix: IntegerMatrix,
+                sides: tuple[str, ...] = BOTH_SIDES) -> "BimoduleMap":
+        """A map lawful by construction: a group map intertwining its sides, not re-checked."""
+        f = object.__new__(cls)
+        vars(f).update(source=source, target=target, matrix=matrix, sides=sides)
+        return f
+
     def apply(self, m: Sequence[int]) -> tuple[int, ...]:
         return self.target.carrier.reduce(self.matrix.apply(list(m)))
 
@@ -163,7 +176,8 @@ class BimoduleMap:
         if other.target is not self.source and other.target != self.source:
             raise ValueError("maps are not composable")
         sides = tuple(s for s in self.sides if s in other.sides)
-        return BimoduleMap(other.source, self.target, self.matrix @ other.matrix, sides)
+        return BimoduleMap._lawful(other.source, self.target, self.matrix @ other.matrix,
+                                   sides)
 
     def is_surjective(self) -> bool:
         tfs = list(self.target.carrier.invariant_factors)
@@ -188,7 +202,7 @@ def maps_equal(f: BimoduleMap, g: BimoduleMap) -> bool:
 
 
 def identity_map(M: Bimodule, sides: tuple[str, ...] = BOTH_SIDES) -> BimoduleMap:
-    return BimoduleMap(M, M, IntegerMatrix.identity(M.rank), sides)
+    return BimoduleMap._lawful(M, M, IntegerMatrix.identity(M.rank), sides)
 
 
 def invert_bimodule_map(f: BimoduleMap) -> BimoduleMap:

@@ -61,7 +61,7 @@ class HomGroup:
         vec = self._proj.section_matrix.apply(coords)
         flat = np.array(self.basis_matrix.apply(vec), dtype=object)
         X = IntegerMatrix.adopt(flat.reshape(self.target.rank, self.source.rank))
-        return BimoduleMap(self.source, self.target, X, self.sides)
+        return BimoduleMap._lawful(self.source, self.target, X, self.sides)
 
     def coordinates(self, f: BimoduleMap | IntegerMatrix | np.ndarray
                     ) -> tuple[int, ...] | IntegerMatrix:

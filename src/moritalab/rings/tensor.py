@@ -28,8 +28,8 @@ import numpy as np
 
 from ..errors import NotBalanced, RingMismatch
 from ..exact import CokernelProjection, IntegerMatrix, cokernel, kron_apply
-from .base import kron_differences
-from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap
+from .base import FiniteRing, kron_differences
+from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, regular_bimodule
 
 
 @dataclass
@@ -75,8 +75,8 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     # so rho_g and lambda_g may be read modulo their row orders first.
     D = kron_differences(M.action_stack("right"), N.action_stack("left"))
     cols = D.transpose(0, 2, 1).reshape(S.rank * amb, amb) % np.array(moduli, dtype=object)
-    rel_cols = dict.fromkeys(tuple(c) for c in cols.tolist() if any(c))
-    relations = IntegerMatrix.from_columns(list(rel_cols), amb)
+    rel_cols = list(dict.fromkeys(map(tuple, cols[(cols != 0).any(axis=1)].tolist())))
+    relations = IntegerMatrix.adopt(np.array(rel_cols, dtype=object).reshape(len(rel_cols), amb).T)
     group, proj = cokernel(relations, list(moduli))
     r = group.rank
     sec = proj.section_matrix.array.reshape(nM, nN, r)
@@ -103,6 +103,15 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     return TensorProduct(M, N, module, proj, moduli)
 
 
+def _induced(tp: TensorProduct, B: IntegerMatrix, target: Bimodule) -> IntegerMatrix:
+    """The matrix on the tensor of B on generator pairs; NotBalanced unless well defined."""
+    if B.rows != target.rank or B.cols != tp.ambient_size:
+        raise ValueError("ambient matrix shape mismatch")
+    if target.carrier.reduce_columns(B @ tp.relation_matrix).array.any():
+        raise NotBalanced("map does not kill the balancing relations and pair orders")
+    return target.carrier.reduce_columns(B @ tp.projection.section_matrix)
+
+
 def factor_through_tensor(tp: TensorProduct, ambient_matrix: IntegerMatrix,
                           target: Bimodule,
                           sides: tuple[str, ...] = BOTH_SIDES) -> BimoduleMap:
@@ -110,15 +119,9 @@ def factor_through_tensor(tp: TensorProduct, ambient_matrix: IntegerMatrix,
 
     ambient_matrix columns are indexed by the pairs (i, j); the map must
     kill every balancing relation and pair order, otherwise NotBalanced is
-    raised.
+    raised.  The induced map is checked like any caller's map.
     """
-    B = ambient_matrix
-    if B.rows != target.rank or B.cols != tp.ambient_size:
-        raise ValueError("ambient matrix shape mismatch")
-    if target.carrier.reduce_columns(B @ tp.relation_matrix).array.any():
-        raise NotBalanced("map does not kill the balancing relations and pair orders")
-    induced = target.carrier.reduce_columns(B @ tp.projection.section_matrix)
-    return BimoduleMap(tp.module, target, induced, sides)
+    return BimoduleMap(tp.module, target, _induced(tp, ambient_matrix, target), sides)
 
 
 def tensor_of_maps(tp_src: TensorProduct, tp_tgt: TensorProduct,
@@ -142,7 +145,7 @@ def tensor_of_maps(tp_src: TensorProduct, tp_tgt: TensorProduct,
         sides.append("left")
     if "right" in g.sides:
         sides.append("right")
-    return BimoduleMap(tp_src.module, tp_tgt.module, induced, tuple(sides))
+    return BimoduleMap._lawful(tp_src.module, tp_tgt.module, induced, tuple(sides))
 
 
 def tensor_associator(t_ab: TensorProduct, t_ab_c: TensorProduct,
@@ -152,33 +155,44 @@ def tensor_associator(t_ab: TensorProduct, t_ab_c: TensorProduct,
         raise ValueError("(A(x)B)(x)C must be built on the A(x)B presentation")
     if t_a_bc.right_factor is not t_bc.module:
         raise ValueError("A(x)(B(x)C) must be built on the B(x)C presentation")
+    for X, Y in ((t_ab.left_factor, t_a_bc.left_factor), (t_ab.right_factor, t_bc.left_factor),
+                 (t_ab_c.right_factor, t_bc.right_factor)):
+        if X is not Y and X != Y:
+            raise ValueError("the four presentations do not share A, B and C")
     # proj_{A(BC)} . (1_A (x) proj_{BC}) . (sec_{AB} (x) 1_C) . sec_{(AB)C}
     one_A = IntegerMatrix.identity(t_ab.left_factor.rank)
     one_C = IntegerMatrix.identity(t_ab_c.right_factor.rank)
     from_ab_c = kron_apply(t_ab.projection.section_matrix, one_C,
                            t_ab_c.projection.section_matrix)
     matrix = t_a_bc.projection.project(kron_apply(one_A, t_bc.projection.matrix, from_ab_c))
-    return BimoduleMap(t_ab_c.module, t_a_bc.module, matrix, BOTH_SIDES)
+    return BimoduleMap._lawful(t_ab_c.module, t_a_bc.module, matrix, BOTH_SIDES)
+
+
+def _is_regular(B: Bimodule, R: FiniteRing) -> bool:
+    """B is R's regular bimodule: R on both sides, R's group, R's reduced actions."""
+    reg = regular_bimodule(R)
+    return (B.left_ring == R and B.right_ring == R and B.carrier == reg.carrier
+            and all(np.array_equal(B.action_stack(s), reg.action_stack(s)) for s in BOTH_SIDES))
 
 
 def left_unitor(tp: TensorProduct) -> BimoduleMap:
     """R (x)_R M -> M, r (x) m -> r.m, for tp built on the regular bimodule."""
     M = tp.right_factor
     R = tp.left_factor
-    if R.carrier != R.left_ring.additive:
+    if not _is_regular(R, R.left_ring):
         raise ValueError("left factor is not a regular bimodule presentation")
     # column (i, j) is lambda_i e_j
     amb = IntegerMatrix.adopt(np.hstack([act.array for act in M.left_action]))
-    return factor_through_tensor(tp, amb, M, BOTH_SIDES)
+    return BimoduleMap._lawful(tp.module, M, _induced(tp, amb, M))
 
 
 def right_unitor(tp: TensorProduct) -> BimoduleMap:
     """M (x)_S S -> M, m (x) s -> m.s, for tp built on the regular bimodule."""
     M = tp.left_factor
     S = tp.right_factor
-    if S.carrier != S.right_ring.additive:
+    if not _is_regular(S, S.right_ring):
         raise ValueError("right factor is not a regular bimodule presentation")
     # column (j, s) is rho_s e_j
     amb = np.stack([act.array for act in M.right_action], axis=2)
     amb = IntegerMatrix.adopt(amb.reshape(M.rank, M.rank * len(M.right_action)))
-    return factor_through_tensor(tp, amb, M, BOTH_SIDES)
+    return BimoduleMap._lawful(tp.module, M, _induced(tp, amb, M))

@@ -30,6 +30,7 @@ from moritalab.exact import (
     solve_congruences,
     solve_integer,
 )
+from moritalab.rings import tensor_oracle_corpus, tensor_product
 
 
 # ---------------------------------------------------------------- oracles
@@ -241,6 +242,35 @@ def test_snf_outputs_are_pinned_on_a_seeded_corpus():
                                   (dec.U, dec.D, dec.V, dec.U_inv)]).encode())
     assert digest.hexdigest() == \
         "211dfdc42cf9bc3900f0792602c1df58f76b39446db0d4339a42932d016289b9"
+
+
+def test_snf_outputs_are_pinned_at_workload_sizes():
+    """(U, D, V, U_inv) of presentation-sized matrices, hashed like the corpus above.
+
+    40 seeded [A | diag(moduli)] with 12 to 96 rows, A as sparse as the
+    presentations (entries in -1..1 at density 0.02; denser random entries
+    make this elimination's coefficients run to thousands of digits), and
+    moduli whose divisibility chains (2 | 4 | 8, 3 | 9 | 27) make the pivots
+    repeat and grow; then the relation matrix of every tensor in
+    ``tensor_oracle_corpus``.  The digest was computed before the Smith
+    form learned to trust its last pivot as a divisibility floor.
+    """
+    rng = np.random.default_rng(1996)
+    matrices = []
+    for _ in range(40):
+        m = int(rng.integers(12, 97))
+        n = int(rng.integers(m // 2, 2 * m + 1))
+        A = rng.integers(-1, 2, size=(m, n)) * (rng.random((m, n)) < 0.02)
+        moduli = rng.choice([2, 3, 4, 8, 9, 12, 27], size=m)
+        matrices.append(IntegerMatrix(np.hstack([A, np.diag(moduli)]).tolist(), m, n + m))
+    matrices += [tensor_product(M, N).relation_matrix for M, N in tensor_oracle_corpus()]
+    digest = hashlib.sha256()
+    for A in matrices:
+        dec = smith_normal_form(A)
+        digest.update(json.dumps([M.tolist() for M in
+                                  (dec.U, dec.D, dec.V, dec.U_inv)]).encode())
+    assert digest.hexdigest() == \
+        "e5f52096962dfcd9ffb88e2540179c4a27b52f5c7e8006db3b03a35e553b7ccc"
 
 
 # ------------------------------------------------------------- cokernel

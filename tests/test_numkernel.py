@@ -183,6 +183,19 @@ class TestBasics:
         with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
             hermitian_spectrum(big + 5e-5 * noise)
 
+    @pytest.mark.parametrize("H, message", [
+        # Hermitian, but H + H* and the spectrum overflow
+        ([[1.7e308, 1.7e308], [1.7e308, 1.7e308]],
+         "^eigendecomposition failed to reconstruct input$"),
+        # H - H* overflows
+        ([[0.0, 1.7e308], [-1.7e308, 0.0]], "^matrix is not Hermitian$"),
+    ])
+    def test_overflow_near_the_float_limit_raises_the_library_error(self, H, message):
+        # the suite turns RuntimeWarning into an error, so a leaked warning fails here too
+        for call in (hermitian_spectrum, lambda M: hermitian_powers(M, (0.5,))):
+            with pytest.raises(ValueError, match=message):
+                call(np.array(H))
+
     def test_reconstruction_check_still_bites(self, monkeypatch):
         # the Frobenius screen must not let a bad eigendecomposition through
         eigh = np.linalg.eigh

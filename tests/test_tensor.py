@@ -19,6 +19,7 @@ from moritalab.rings import (
     BimoduleMap,
     column_module,
     cyclic_ring,
+    direct_product_ring,
     factor_through_tensor,
     hom_group,
     identity_map,
@@ -173,6 +174,18 @@ class TestUnitors:
         with pytest.raises(ValueError):
             left_unitor(tp)
 
+    def test_unitor_rejects_a_twisted_factor_on_the_regular_group(self):
+        # Z/2 x Z/2 acting on itself through the swap of its two idempotents
+        # is a bimodule on the regular group, but r (x) m -> r.m is not linear
+        R = direct_product_ring(cyclic_ring(2), cyclic_ring(2))
+        reg = regular_bimodule(R)
+        twisted_left = Bimodule(R, R, R.additive, reg.left_action[::-1], reg.right_action)
+        twisted_right = Bimodule(R, R, R.additive, reg.left_action, reg.right_action[::-1])
+        with pytest.raises(ValueError, match="^left factor is not a regular"):
+            left_unitor(tensor_product(twisted_left, reg))
+        with pytest.raises(ValueError, match="^right factor is not a regular"):
+            right_unitor(tensor_product(reg, twisted_right))
+
 
 class TestAssociator:
     def test_pentagon_legs_share_values(self):
@@ -195,6 +208,15 @@ class TestAssociator:
         inv = invert_bimodule_map(assoc)
         assert maps_equal(inv.after(assoc), identity_map(t_ab_c.module))
         assert maps_equal(assoc.after(inv), identity_map(t_a_bc.module))
+
+    def test_presentations_must_share_their_factors(self):
+        Z4 = cyclic_ring(4)
+        A, C = regular_bimodule(Z4), scalar_bimodule(Z4, Z4, 2)
+        t_ab = tensor_product(A, scalar_bimodule(Z4, Z4, 2))
+        t_bc = tensor_product(regular_bimodule(Z4), C)  # another B
+        with pytest.raises(ValueError, match="^the four presentations do not share"):
+            tensor_associator(t_ab, tensor_product(t_ab.module, C), t_bc,
+                              tensor_product(A, t_bc.module))
 
     def test_matrix_ring_chain(self):
         Z2 = cyclic_ring(2)
