@@ -56,23 +56,15 @@ from .wstar.standard import gns_standard_form, standard_form_residuals
 PASS, FAIL, REFUTED, ERROR = "Pass", "Fail", "Refuted", "Error"
 
 
-class _Options:
-    def __init__(self, args):
-        self.tol = args.tol
-        self.seed = args.seed
-        self.max_dim = args.max_dim
-        self.max_order = args.max_order
-
-
 # ------------------------------------------------------------ task bodies
 # each returns (status, detail, data, discrepancy); --tol gates only the
 # measured discrepancy, so tightening it turns Pass into Fail, nothing else
 
-def _exceeds(what: str, value: float, opts: _Options) -> str:
+def _exceeds(what: str, value: float, opts: argparse.Namespace) -> str:
     return f"{what} {value:.3g} exceeds tolerance {opts.tol:g}"
 
 
-def _task_check_ring(spec: SpecFile, task: dict, opts: _Options):
+def _task_check_ring(spec: SpecFile, task: dict, opts: argparse.Namespace):
     R = spec.rings[task["ring"]]
     data = {
         "order": R.order,
@@ -83,7 +75,7 @@ def _task_check_ring(spec: SpecFile, task: dict, opts: _Options):
     return PASS, f"ring of order {R.order} is well-formed", data, 0.0
 
 
-def _task_tensor(spec: SpecFile, task: dict, opts: _Options):
+def _task_tensor(spec: SpecFile, task: dict, opts: argparse.Namespace):
     P = spec.bimodules[task["left"]]
     Q = spec.bimodules[task["right"]]
     t = tensor_product(P, Q)
@@ -95,7 +87,7 @@ def _task_tensor(spec: SpecFile, task: dict, opts: _Options):
     return PASS, f"tensor carrier {data['carrier']}", data, 0.0
 
 
-def _task_morita_ring(spec: SpecFile, task: dict, opts: _Options):
+def _task_morita_ring(spec: SpecFile, task: dict, opts: argparse.Namespace):
     P = spec.bimodules[task["bimodule"]]
     cert = certify_invertible_bimodule(P)
     if not cert.equivalent:
@@ -114,7 +106,7 @@ def _task_morita_ring(spec: SpecFile, task: dict, opts: _Options):
     return PASS, "invertible bimodule with explicit inverse", data, 0.0
 
 
-def _task_coherence_rings(spec: SpecFile, task: dict, opts: _Options):
+def _task_coherence_rings(spec: SpecFile, task: dict, opts: argparse.Namespace):
     count = task.get("count", 5)
     seed = task.get("seed", opts.seed)
     rng = random.Random(seed)
@@ -140,7 +132,7 @@ def _task_coherence_rings(spec: SpecFile, task: dict, opts: _Options):
             f"({nonzero} with no zero cell)", data, 0.0)
 
 
-def _task_standard_form(spec: SpecFile, task: dict, opts: _Options):
+def _task_standard_form(spec: SpecFile, task: dict, opts: argparse.Namespace):
     A = spec.algebras[task["algebra"]]
     phi = spec.states[task["state"]] if "state" in task else trace_state(A)
     std = gns_standard_form(A, phi)
@@ -154,7 +146,7 @@ def _task_standard_form(spec: SpecFile, task: dict, opts: _Options):
     return PASS, "modular data verified", data, worst
 
 
-def _task_fusion(spec: SpecFile, task: dict, opts: _Options):
+def _task_fusion(spec: SpecFile, task: dict, opts: argparse.Namespace):
     H = spec.correspondences[task["left"]]
     K = spec.correspondences[task["right"]]
     N = H.right_algebra
@@ -171,7 +163,7 @@ def _task_fusion(spec: SpecFile, task: dict, opts: _Options):
     return PASS, f"fused to dimension {fus.corr.dim}", data, disc
 
 
-def _task_morita_wstar(spec: SpecFile, task: dict, opts: _Options):
+def _task_morita_wstar(spec: SpecFile, task: dict, opts: argparse.Namespace):
     H = spec.correspondences[task["correspondence"]]
     phi_M = spec.states[task["state_left"]] if "state_left" in task else None
     phi_N = spec.states[task["state_right"]] if "state_right" in task else None
@@ -193,7 +185,7 @@ def _task_morita_wstar(spec: SpecFile, task: dict, opts: _Options):
     return PASS, "correspondence implements an equivalence", data, cert.residual
 
 
-def _task_coherence_wstar(spec: SpecFile, task: dict, opts: _Options):
+def _task_coherence_wstar(spec: SpecFile, task: dict, opts: argparse.Namespace):
     count = task.get("count", 5)
     seed = task.get("seed", opts.seed)
     rng = np.random.default_rng(seed)
@@ -229,7 +221,7 @@ _TASKS = {
 
 # --------------------------------------------------------------- runner
 
-def _run_one(spec: SpecFile, idx: int, task: dict, opts: _Options) -> dict:
+def _run_one(spec: SpecFile, idx: int, task: dict, opts: argparse.Namespace) -> dict:
     kind = task["task"]
     name = task.get("name", f"{kind}#{idx}")
     started = time.perf_counter()
@@ -252,7 +244,7 @@ def _run_one(spec: SpecFile, idx: int, task: dict, opts: _Options) -> dict:
     }
 
 
-def run_spec(spec: SpecFile, opts: _Options, digest: str) -> dict:
+def run_spec(spec: SpecFile, opts: argparse.Namespace, digest: str) -> dict:
     started = time.perf_counter()
     rows = [_run_one(spec, i, t, opts) for i, t in enumerate(spec.tasks)]
     return {
@@ -454,8 +446,7 @@ def main(argv=None) -> int:
         spec = load_spec_dict(doc)
         digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    opts = _Options(args)
-    report = run_spec(spec, opts, digest)
+    report = run_spec(spec, args, digest)
     _emit(report, args.report, sys.stdout)
     return 0 if report["all_pass"] else 1
 

@@ -112,8 +112,9 @@ def _norm_within(A: np.ndarray, bound: float) -> bool:
 def hermitian_spectrum(H: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of Hermitian H.
 
-    Near the float limit H - H*, H + H* or the spectrum can overflow; the
-    non-finite entry fails the next check, a ValueError, not a numpy warning.
+    H/2 + H*/2 never overflows, and is (H + H*)/2 bit for bit away from
+    overflow and subnormals.  H - H* or the spectrum can overflow near the
+    float limit; the non-finite entry fails the next check, a ValueError.
     """
     H = as_complex_matrix(H)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -122,7 +123,7 @@ def hermitian_spectrum(H: np.ndarray):
                 and not _norm_within(skew, DEFAULT_TOL * (1.0 + operator_norm(H))):
             raise ValueError("matrix is not Hermitian")
         try:
-            w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+            w, V = np.linalg.eigh(H / 2.0 + H.conj().T / 2.0)
         except np.linalg.LinAlgError:
             raise ValueError("eigendecomposition failed to reconstruct input") from None
         miss = H - (V * w) @ V.conj().T

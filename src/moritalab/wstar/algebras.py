@@ -20,11 +20,8 @@ from ..errors import AlgebraMismatch, NotFaithful
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
-    matrices_to_columns,
     norm_exceeds,
     operator_norm,
-    orthonormal_columns,
-    spans_equal,
 )
 
 FAITHFULNESS_FLOOR = 1e-3
@@ -233,13 +230,3 @@ def left_frames(A: MultiMatrixAlgebra, units) -> list[np.ndarray]:
 def left_commutant(frames) -> np.ndarray:
     """Orthonormal left commutant basis sum_i F_{s,i} . F_{t,i}* / sqrt(n_b)."""
     return frame_products([(F, F) for F in frames])
-
-
-def right_fills_commutant(frames, right_units) -> tuple[bool, float]:
-    """subspaces_equal(left_commutant(frames), span(right_units)).
-
-    The commutant basis is orthonormal by construction, so it is compared
-    as it is; only the right units are orthonormalized.
-    """
-    return spans_equal(left_commutant(frames),
-                       orthonormal_columns(matrices_to_columns(right_units)))

@@ -4,9 +4,9 @@ Both actions are specified on matrix units and extended linearly: a unital
 *-homomorphism on the left, a unital *-antihomomorphism on the right, with
 commuting images.  Inputs are validated once, at the boundary: the public
 constructor checks unitality and the star law on every unit, the rest on
-the generating relations (see _generator_eps).  Correspondences lawful by
-construction (conjugates, block correspondences, fusion results) go
-through Correspondence._lawful, which checks nothing.
+the generating relations (see _generator_eps).  Conjugates, block
+correspondences, fusion results and certification's witness-bounded L²
+go through Correspondence._lawful, which checks nothing.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ class Intertwiner:
 def identity_correspondence(std: StandardFormData) -> Correspondence:
     """L²(A) as an (A, A)-correspondence, right action through J.
 
-    Checked like an input: J comes from a numerical polar decomposition,
-    and nothing else bounds how far its right action is from lawful.
+    Public and checked like an input: J comes from a numerical polar
+    decomposition.  Certification's own L² is bounded by its witnesses.
     """
     A = std.algebra
     return Correspondence(A, A, std.dim, std.pi_l_units, std.pi_r_units,
@@ -337,13 +337,15 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence
     DEFAULT_TOL, both re-checked; callers gate r against their own
     tolerance.
 
-    Unitarity is what lets r stand for H's laws when H was built without a
-    check, as fusion results are.  With U*U and UU* within DEFAULT_TOL =: d
-    of 1, pi_H(x) = U*U.pi_H(x) + (1 - U*U).pi_H(x) lies within
-    (1 + d) r + d |pi_H(x)| of U*.pi_K(x).U, and x -> U*.pi_K(x).U is
-    K's checked representation up to the factor UU* = 1 + O(d), so every
-    law of H holds on the units within O(r + d) times their norms.  A
-    scaled U would make r small and bound nothing.
+    Unitarity lets r carry laws across U onto a side built without a
+    check.  With U*U and UU* within DEFAULT_TOL =: d of 1, pi_H(x) =
+    U*U.pi_H(x) + (1 - U*U).pi_H(x) lies within (1 + d) r + d |pi_H(x)| of
+    U*.pi_K(x).U, and pi_K(x) as near U.pi_H(x).U*.  Conjugating by U keeps
+    each law up to U*U or UU* = 1 + O(d), so the unchecked side's laws hold
+    on the units within O(r + d) times their norms, plus the other side's
+    law residual.  Certification checks neither side: connes_fusion's gates
+    bound the fusion source, this transfer the L² target.  A scaled U would
+    make r small and bound nothing.
     """
     pairs = _frame_pairs(H, K)
     if H.dim != K.dim or H.multiplicities != K.multiplicities:

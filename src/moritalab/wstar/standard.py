@@ -27,9 +27,11 @@ from ..numkernel import (
     max_operator_norm,
     norm_exceeds,
     operator_norm,
+    orthonormal_columns,
     polar_antilinear,
+    spans_equal,
 )
-from .algebras import MultiMatrixAlgebra, State, left_frames, right_fills_commutant
+from .algebras import MultiMatrixAlgebra, State, left_commutant, left_frames
 
 
 @dataclass(frozen=True)
@@ -135,13 +137,15 @@ def standard_form_residuals(std: StandardFormData) -> dict[str, float]:
     Keys: "polar" (S against J.Delta^{1/2}), "involution" (J squared
     against the identity), "commutant" (right action against the
     commutant of the left one), "center" (Delta-conjugation moving a
-    central element).
+    central element).  The arrays are read as built, none re-validated.
     """
-    polar = operator_norm(std.J.compose_linear(std.delta_half).matrix - std.S.matrix)
+    polar = operator_norm(std.J.matrix @ np.conj(std.delta_half) - std.S.matrix)
     involution = operator_norm(std.J.compose_antilinear(std.J) - np.eye(std.dim))
-    _, comm_res = right_fills_commutant(
-        left_frames(std.algebra, std.pi_l_units), std.pi_r_units)
-    Zs = [std.pi_l(z) for z in std.algebra.center_basis()]
+    rights = np.stack(std.pi_r_units).reshape(len(std.pi_r_units), -1).T
+    _, comm_res = spans_equal(left_commutant(left_frames(std.algebra, std.pi_l_units)),
+                              orthonormal_columns(rights))
+    units, pos = np.stack(std.pi_l_units), std.algebra.unit_positions
+    Zs = [np.tensordot(z[pos], units, 1) for z in std.algebra.center_basis()]
     center = max_operator_norm([std.delta @ Z - Z @ std.delta for Z in Zs])
     return {"polar": polar, "involution": involution,
             "commutant": comm_res, "center": center}

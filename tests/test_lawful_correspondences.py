@@ -1,9 +1,10 @@
 """Differential law test of the lawful correspondences.
 
 Correspondences that the library builds lawful by construction
-(conjugates, block correspondences once their table has passed, and
-fusion results, which are gated by their exact rank instead) skip the
-law check when they are built.  This test records every such
+(conjugates, block correspondences once their table has passed, fusion
+results, which are gated by their exact rank instead, and the L² that
+certification maps its fusions onto, which its unitary witnesses bound)
+skip the law check when they are built.  This test records every such
 correspondence built on a corpus of inputs, with the arguments its
 builder passed, and re-runs the public ``Correspondence`` constructor on
 those arguments.  The unit images stored on the lawful path must equal
@@ -150,8 +151,9 @@ def test_every_lawful_correspondence_passes_the_boundary_checks(built, tmp_path)
     _coherence_batch()
     _demos(tmp_path)
     builders = {builder for builder, *_ in built}
+    # _witness_l2 is every L² that a certification in _wstar_morita maps onto
     assert builders == {"block_correspondence", "conjugate_correspondence",
-                        "connes_fusion"}, builders
+                        "connes_fusion", "_witness_l2"}, builders
     assert violations(built) == []
 
 

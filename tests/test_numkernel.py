@@ -196,6 +196,22 @@ class TestBasics:
             with pytest.raises(ValueError, match=message):
                 call(np.array(H))
 
+    def test_spectrum_whose_hermitian_sum_would_overflow(self):
+        # H + H* overflows, H/2 + H*/2 is H itself
+        H = np.diag([1.7e308, -1.7e308])
+        w, V = hermitian_spectrum(H)
+        assert np.array_equal(w, [-1.7e308, 1.7e308])
+        assert np.array_equal(np.abs(V), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_halving_first_keeps_the_spectrum_bitwise(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 5, 16, 36):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            H = (g + g.conj().T) * 10.0 ** rng.integers(-6, 7) + 1e-12 * g
+            w, V = hermitian_spectrum(H)
+            w_sum, V_sum = np.linalg.eigh((H + H.conj().T) / 2.0)
+            assert np.array_equal(w, w_sum) and np.array_equal(V, V_sum)
+
     def test_reconstruction_check_still_bites(self, monkeypatch):
         # the Frobenius screen must not let a bad eigendecomposition through
         eigh = np.linalg.eigh

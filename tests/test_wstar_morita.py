@@ -80,8 +80,8 @@ class TestPositive:
             return call
         monkeypatch.setattr(morita_module, "gns_standard_form",
                             counted("std", morita_module.gns_standard_form))
-        monkeypatch.setattr(morita_module, "identity_correspondence",
-                            counted("l2", morita_module.identity_correspondence))
+        monkeypatch.setattr(morita_module, "_witness_l2",
+                            counted("l2", morita_module._witness_l2))
         one = certify_morita_equivalent(H, phi, phi) if given \
             else certify_morita_equivalent(H)
         assert builds == {"std": 1, "l2": 1}
@@ -203,6 +203,75 @@ class TestWitnessesMustAgree:
         (row,) = json.loads(report_path.read_text())["tasks"]
         assert row["status"] == "Error"
         assert row["detail"].startswith("RuntimeError")
+
+
+def _certified_pairs():
+    """M_3 vs C, and L²(M2+M3) at a random state with itself."""
+    A = MultiMatrixAlgebra((2, 3))
+    phi = random_faithful_state(A, np.random.default_rng(5))
+    return [(vector_correspondence(3), None),
+            (identity_correspondence(gns_standard_form(A, phi)), phi)]
+
+
+def _noise(size):
+    def change(units):
+        rng = np.random.default_rng(11)
+        noise = rng.normal(size=units.shape) + 1j * rng.normal(size=units.shape)
+        return units + size * noise / np.linalg.norm(noise, 2, axis=(1, 2))[:, None, None]
+    return change
+
+
+def _rotation(size):
+    def change(units):
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=units.shape[1:]) + 1j * rng.normal(size=units.shape[1:])
+        w, V = np.linalg.eigh(g + g.conj().T)
+        W = (V * np.exp(1j * size * w / np.abs(w).max())) @ V.conj().T
+        return W @ units @ W.conj().T
+    return change
+
+
+class TestTheWitnessesBoundL2:
+    """Certification maps its fusions onto an unchecked L²; the witness gates it.
+
+    Each mutation rewrites the right action of every L² that certification
+    builds.  A law broken above the witness tolerance must raise, never
+    certify or refute; one broken below it certifies and shows in the
+    residual.
+    """
+
+    @staticmethod
+    def corrupt(monkeypatch, change):
+        build = morita_module._witness_l2
+
+        def corrupted(std):
+            L2 = build(std)
+            return Correspondence._lawful(
+                L2.left_algebra, L2.right_algebra, L2.dim, L2.pi_l_units,
+                change(np.stack(L2.pi_r_units)), L2.name)
+        monkeypatch.setattr(morita_module, "_witness_l2", corrupted)
+
+    @staticmethod
+    def certify(H, phi):
+        return certify_morita_equivalent(H, phi, phi) if phi is not None \
+            else certify_morita_equivalent(H)
+
+    @pytest.mark.parametrize("change", [
+        _noise(1e-7), _rotation(1e-7), lambda units: units.transpose(0, 2, 1)],
+        ids=["noise", "rotation", "transposed"])
+    def test_a_broken_right_action_raises(self, monkeypatch, change):
+        self.corrupt(monkeypatch, change)
+        for H, phi in _certified_pairs():
+            with pytest.raises(RuntimeError, match="no unitary"):
+                self.certify(H, phi)
+
+    def test_sub_tolerance_noise_certifies_and_shows(self, monkeypatch):
+        clean = [self.certify(H, phi).residual for H, phi in _certified_pairs()]
+        self.corrupt(monkeypatch, _noise(1e-9))
+        for (H, phi), before in zip(_certified_pairs(), clean):
+            cert = self.certify(H, phi)
+            assert cert.equivalent
+            assert before < 1e-12 and 1e-9 <= cert.residual <= 1e-8
 
 
 class TestConjugates:

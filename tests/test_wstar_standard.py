@@ -13,7 +13,10 @@ from moritalab.numkernel import (
     hermitian_spectrum,
     hermitian_powers,
     matrices_to_columns,
+    max_operator_norm,
     operator_norm,
+    orthonormal_columns,
+    spans_equal,
     subspaces_equal,
 )
 from moritalab.wstar import (
@@ -30,6 +33,7 @@ from moritalab.wstar import (
     trace_state,
     twisted_balancing_residual,
 )
+from moritalab.wstar.algebras import left_commutant, left_frames
 
 M2 = MultiMatrixAlgebra((2,), name="M2")
 M3 = MultiMatrixAlgebra((3,), name="M3")
@@ -285,6 +289,27 @@ def _differential_corpus():
     yield M2, State(M2, np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(np.complex128))
     A = MultiMatrixAlgebra((2, 2, 1))
     yield A, random_faithful_state(A, rng, floor=0.05)
+
+
+def _reference_residuals(std):
+    """standard_form_residuals re-validating every array, as it used to."""
+    polar = operator_norm(std.J.compose_linear(std.delta_half).matrix - std.S.matrix)
+    involution = operator_norm(std.J.compose_antilinear(std.J) - np.eye(std.dim))
+    _, comm_res = spans_equal(
+        left_commutant(left_frames(std.algebra, std.pi_l_units)),
+        orthonormal_columns(matrices_to_columns(std.pi_r_units)))
+    Zs = [std.pi_l(z) for z in std.algebra.center_basis()]
+    center = max_operator_norm([std.delta @ Z - Z @ std.delta for Z in Zs])
+    return {"polar": polar, "involution": involution,
+            "commutant": comm_res, "center": center}
+
+
+def test_residuals_equal_the_validating_build_bitwise():
+    for A, phi in _differential_corpus():
+        std = gns_standard_form(A, phi)
+        got, want = standard_form_residuals(std), _reference_residuals(std)
+        assert {k: v.hex() for k, v in got.items()} == \
+            {k: v.hex() for k, v in want.items()}, A.block_sizes
 
 
 class TestOneSpectrumPerOperator:
