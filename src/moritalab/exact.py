@@ -176,33 +176,6 @@ def direct_sum(A: IntegerMatrix, B: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.adopt(out)
 
 
-def determinant(A: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = A.array.tolist()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 @dataclass
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D in Smith normal form (None: untracked)."""

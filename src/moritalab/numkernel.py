@@ -1,10 +1,11 @@
 """Dense complex linear algebra for the operator-algebra layer.
 
 One numeric primitive carries everything: the Hermitian eigendecomposition,
-taken once per matrix.  Powers and the antiunitary part of a polar
-decomposition are read off that one spectrum (hermitian_powers,
-polar_antilinear); Gram quotients and ranks derive from it too (or from
-the SVD for non-square systems). Every rank, null
+taken once per matrix.  Every power is read off that one spectrum
+(spectral_powers, hermitian_powers): a standard form decomposes only its
+density, as its modular data are closed forms in the density's powers.
+Gram quotients and ranks derive from it too (or from the SVD for
+non-square systems). Every rank, null
 direction and singularity decision uses the one fixed cutoff DEFAULT_TOL,
 relative to the scale it measures; a caller's acceptance tolerance gates
 measured residuals only and never moves these decisions.  Two sanity
@@ -83,27 +84,6 @@ def norm_exceeds(A: np.ndarray, bound: float) -> bool:
         and bool(np.any(np.linalg.norm(over, 2, axis=(1, 2)) > bound))
 
 
-@dataclass(frozen=True)
-class AntilinearOp:
-    """v -> matrix . conj(v) in the ambient basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_complex_matrix(self.matrix))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.conj(v)
-
-    def compose_antilinear(self, other: "AntilinearOp") -> np.ndarray:
-        """self . other is linear: A1 . conj(A2) as a plain matrix."""
-        return self.matrix @ np.conj(other.matrix)
-
-    def compose_linear(self, M: np.ndarray) -> "AntilinearOp":
-        """self . M, still antilinear."""
-        return AntilinearOp(self.matrix @ np.conj(M))
-
-
 def _norm_within(A: np.ndarray, bound: float) -> bool:
     """operator_norm(A) <= bound; never for a non-finite A, the mark of an overflow."""
     return bool(np.all(np.isfinite(A))) and operator_norm(A) <= bound
@@ -133,7 +113,7 @@ def hermitian_spectrum(H: np.ndarray):
     return w, V
 
 
-def _spectral_powers(w: np.ndarray, V: np.ndarray, powers) -> list[np.ndarray]:
+def spectral_powers(w: np.ndarray, V: np.ndarray, powers) -> list[np.ndarray]:
     """V . diag(w^p) . V* for each p, after the PSD and singularity guards."""
     cut = DEFAULT_TOL * max(float(np.max(w, initial=0.0)), 1.0)
     if np.any(w < -cut):
@@ -146,20 +126,7 @@ def _spectral_powers(w: np.ndarray, V: np.ndarray, powers) -> list[np.ndarray]:
 
 def hermitian_powers(H: np.ndarray, powers) -> list[np.ndarray]:
     """H^p for each p in powers, Hermitian PSD H, from one spectrum."""
-    return _spectral_powers(*hermitian_spectrum(H), powers)
-
-
-def polar_antilinear(S: AntilinearOp):
-    """S = J . Delta^{1/2}, J antiunitary, Delta = S*S positive: returns
-    (J, Delta, Delta^{1/2}, Delta^{-1/2}) read off one spectrum of Delta."""
-    M = S.matrix
-    delta = M.T @ np.conj(M)
-    w, V = hermitian_spectrum(delta)
-    smin, smax = np.sqrt(np.clip(w[[0, -1]], 0.0, None))
-    if smin <= DEFAULT_TOL * max(1.0, smax):
-        raise Singular("antilinear operator is numerically singular")
-    half, minus_half = _spectral_powers(w, V, (0.5, -0.5))
-    return AntilinearOp(M @ np.conj(minus_half)), delta, half, minus_half
+    return spectral_powers(*hermitian_spectrum(H), powers)
 
 
 def null_space(A: np.ndarray, scale: float = 0.0) -> np.ndarray:
@@ -203,14 +170,10 @@ def containment_residual(inner: np.ndarray, outer: np.ndarray) -> float:
 
 
 def spans_equal(QA: np.ndarray, QB: np.ndarray) -> tuple[bool, float]:
-    """subspaces_equal for two bases that are already orthonormal."""
+    """Same span at the fixed cutoff, and the mutual containment residual,
+    for two bases that are already orthonormal."""
     res = max(_span_residual(QA, QB), _span_residual(QB, QA))
     return (QA.shape[1] == QB.shape[1] and res <= DEFAULT_TOL), res
-
-
-def subspaces_equal(A: np.ndarray, B: np.ndarray) -> tuple[bool, float]:
-    """Same span at the fixed cutoff, and the mutual containment residual."""
-    return spans_equal(orthonormal_columns(A), orthonormal_columns(B))
 
 
 def joint_null_space(blocks, width: int, scale: float = 0.0) -> np.ndarray:

@@ -5,8 +5,8 @@ Both actions are specified on matrix units and extended linearly: a unital
 commuting images.  Inputs are validated once, at the boundary: the public
 constructor checks unitality and the star law on every unit, the rest on
 the generating relations (see _generator_eps).  Conjugates, block
-correspondences, fusion results and certification's witness-bounded L²
-go through Correspondence._lawful, which checks nothing.
+correspondences, fusion results and L², whose units are exact index
+matrices, go through Correspondence._lawful, which checks nothing.
 """
 
 from __future__ import annotations
@@ -215,14 +215,14 @@ class Intertwiner:
 
 
 def identity_correspondence(std: StandardFormData) -> Correspondence:
-    """L²(A) as an (A, A)-correspondence, right action through J.
+    """L²(A) as an (A, A)-correspondence, x.ξ.y on the standard form.
 
-    Public and checked like an input: J comes from a numerical polar
-    decomposition.  Certification's own L² is bounded by its witnesses.
+    Both unit stacks of gns_standard_form are exact 0/1 index matrices,
+    E_u.E_w and E_w.E_u, so L² is lawful by construction and not checked.
     """
     A = std.algebra
-    return Correspondence(A, A, std.dim, std.pi_l_units, std.pi_r_units,
-                          name=f"L2({A.name})" if A.name else "L2")
+    return Correspondence._lawful(A, A, std.dim, std.pi_l_units, std.pi_r_units,
+                                  name=f"L2({A.name})" if A.name else "L2")
 
 
 def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,

@@ -8,7 +8,7 @@ it can be moved onto the right factor before taking plain inner products.
 Every map here is linear in the middle algebra, so each is one contraction
 of middle coordinates with a stack of unit images: those of R_a*.R_c over
 basis pairs give the Gram matrix, and those of Lambda^{-1} of L2's basis
-(twisted by the standard form's table on the right) give the unitors.
+(twisted by Δ^{-1/2} on the right) give the unitors.
 
 The quotient is taken on a reduced ambient.  With p_b the minimal
 projection e_{b00} of the middle algebra's block b, the fused space is
@@ -202,7 +202,7 @@ def right_unitor(H: Correspondence, std_N: StandardFormData,
     if fusion.left_dim != H.dim or fusion.right_dim != std_N.dim:
         raise ValueError("fusion data does not match the unitor factors")
     # column a * n + v is column a of H.pi_r(twist of Lambda^{-1}(e_v))
-    twists = std_N.twist_tables[-1] @ std_N.lam_inv
+    twists = std_N.delta_minus_half @ std_N.lam_inv
     A = np.tensordot(twists.T, H.pi_r_units, 1).transpose(1, 2, 0) \
         .reshape(H.dim, H.dim * std_N.dim)
     return Intertwiner(fusion.corr, H, A @ fusion.section)
@@ -245,7 +245,7 @@ def twisted_balancing_residual(fus: FusionResult, std_N: StandardFormData,
         return 0.0
     eta, zeta, n = (np.stack(x) for x in zip(*draws))
     right_H, left_K = np.stack(H.pi_r_units), np.stack(K.pi_l_units)
-    plus, minus = std_N.twist_tables[1], std_N.twist_tables[-1]
+    plus, minus = std_N.delta_half, std_N.delta_minus_half
 
     def act(coords, units, vecs):
         return (np.tensordot(coords, units, 1) @ vecs[:, :, None])[:, :, 0]

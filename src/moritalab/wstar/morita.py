@@ -25,6 +25,7 @@ from .algebras import State, trace_state
 from .correspondences import (
     Correspondence,
     conjugate_correspondence,
+    identity_correspondence,
     unitary_intertwiner,
 )
 from .fusion import FusionResult, connes_fusion
@@ -60,13 +61,6 @@ def _refutation(mult) -> str | None:
     return None
 
 
-def _witness_l2(std: StandardFormData) -> Correspondence:
-    """L²(A) as a witness target: the standard form's own units, unchecked."""
-    A = std.algebra
-    return Correspondence._lawful(A, A, std.dim, std.pi_l_units, std.pi_r_units,
-                                  name=f"L2({A.name})" if A.name else "L2")
-
-
 def _witness(H: Correspondence, K: Correspondence, std_mid: StandardFormData,
              ident: Correspondence):
     """H fused with K over std_mid, its unitary onto the L² ident, the residual."""
@@ -93,13 +87,11 @@ def certify_morita_equivalent(H: Correspondence,
 
     The fusions and both L² skip the law check.  Gram-rank and Gram-residual
     gates bound a fusion's laws from its checked factors and the middle
-    standard form alone.  A witness U passes only unitary within
-    DEFAULT_TOL =: d with residual r <= d, so each unit of L² (norm 1) lies
-    within (1 + d) r + d, about 2e-8, of U.pi_fus(e).U*: L²'s laws hold
-    within O(r + d) (see unitary_intertwiner).  So an L² with law residual
-    between _generator_eps(1), about 2.2e-9, and that bound certifies, with
-    a residual of its size, where identity_correspondence raises ValueError;
-    at the faithfulness floor the J of gns_standard_form keeps it near 2e-10.
+    standard form alone, and L²'s units are exact index matrices.  A
+    witness U passes only unitary within DEFAULT_TOL =: d with residual
+    r <= d, so each unit of L² (norm 1) lies within (1 + d) r + d, about
+    2e-8, of U.pi_fus(e).U*: the witnesses alone bound L²'s laws within
+    O(r + d) (see unitary_intertwiner), and an L² broken further raises.
     """
     M, N = H.left_algebra, H.right_algebra
     self_pair = M == N and phi_M is phi_N
@@ -116,8 +108,8 @@ def certify_morita_equivalent(H: Correspondence,
 
     std_M = gns_standard_form(M, phi_M)
     std_N = std_M if self_pair else gns_standard_form(N, phi_N)
-    L2_M = _witness_l2(std_M)
-    L2_N = L2_M if self_pair else _witness_l2(std_N)
+    L2_M = identity_correspondence(std_M)
+    L2_N = L2_M if self_pair else identity_correspondence(std_N)
     Hbar = conjugate_correspondence(H)
     fus_left, U_left, res_left = _witness(H, Hbar, std_N, L2_M)
     fus_right, U_right, res_right = _witness(Hbar, H, std_M, L2_N)

@@ -1,37 +1,43 @@
-"""GNS construction and the standard form with its modular data.
+"""GNS construction and the standard form with its modular data, in closed form.
 
 L²(A, φ) is realized on the matrix-unit coordinate space of the algebra:
 Λ(x) = x·ρ^{1/2} identifies elements with vectors, and the matrix units
-are an orthonormal basis for <x, y> = φ(x*y). The involution S(Λx) = Λ(x*)
-is assembled as an antilinear matrix and handed to the polar routine; J,
-Δ and Δ^{±1/2} are whatever comes back from its one spectrum of Δ, never
-a closed form assumed up front, and ρ^{±1/2} share one spectrum of ρ. The
-commutation theorem is checked against the commutant read off the left
-action's isotypic frames, not solved for.  Λ, Λ^{-1} and S are read off
-the stacked products E_u·X, whose entries are single products; the
-modular twist is a coordinate table over the units.
+are an orthonormal basis for <x, y> = φ(x*y), which is the trace inner
+product of the vectors ξ = Λ(x).  For A = ⊕_b M_{n_b} the standard form
+is then known exactly (Haagerup, Math. Scand. 37, 1975; Takesaki, Theory
+of Operator Algebras II): J ξ = ξ*, Δ^s ξ = ρ^s·ξ·ρ^{-s} and
+π_r(y) ξ = ξ·y.  Each piece is an index gather on the unit positions
+from the one spectrum of ρ; no operator on L² is decomposed or inverted.
+
+The involution S(Λx) = Λ(x*) is still built from its definition, and
+every residual is measured against it.  S is invertible, so its polar
+decomposition S = J·Δ^{1/2}, J antiunitary and Δ positive, is unique: a
+small |J·Δ^{1/2} - S| shows that the closed form is that decomposition.
+The commutation theorem is checked against the commutant read off the
+left action's isotypic frames, not solved for.  Λ, Λ^{-1} and S are read
+off the stacked products E_u·X, whose entries are single products.
+Antilinear maps are stored as matrices M acting by v -> M.conj(v).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from ..errors import NotFaithful
+from ..errors import NotFaithful, Singular
 from ..numkernel import (
     DEFAULT_TOL,
-    AntilinearOp,
-    hermitian_powers,
+    hermitian_spectrum,
     max_operator_norm,
-    norm_exceeds,
     operator_norm,
     orthonormal_columns,
-    polar_antilinear,
     spans_equal,
+    spectral_powers,
 )
 from .algebras import MultiMatrixAlgebra, State, left_commutant, left_frames
+
+_POWERS = (1.0, 0.5, -0.5, -1.0)
 
 
 @dataclass(frozen=True)
@@ -42,11 +48,15 @@ class StandardFormData:
     state: State
     lam: np.ndarray          # coords of x -> coords of Λ(x) = x.rho^{1/2}
     lam_inv: np.ndarray
-    S: AntilinearOp
-    J: AntilinearOp
+    S: np.ndarray            # antilinear, v -> S.conj(v)
+    J: np.ndarray            # antilinear, v -> J.conj(v)
     delta: np.ndarray
     delta_half: np.ndarray
     delta_minus_half: np.ndarray
+    # inverse of coords of y -> J Λ(y*) = rho^{1/2}.y, left multiplication by
+    # rho^{-1/2}: column u of a stack of right actions on a vector, times
+    # this, gives that vector's creation operator (see fusion.r_eta)
+    creation_inverse: np.ndarray = field(repr=False)
     pi_l_units: tuple[np.ndarray, ...] = field(repr=False, default=())
     pi_r_units: tuple[np.ndarray, ...] = field(repr=False, default=())
 
@@ -70,65 +80,70 @@ class StandardFormData:
         """Λ(1), the cyclic and separating vector of the standard form."""
         return self.lam @ self.algebra.coords(self.algebra.identity())
 
-    @cached_property
-    def creation_inverse(self) -> np.ndarray:
-        """Inverse of the matrix sending coords of y to J Λ(y*).
-
-        Column u of a stack of right actions on a vector, times this,
-        gives that vector's creation operator (see fusion.r_eta).
-        """
-        return np.linalg.inv(self.J.matrix @ np.conj(self.lam[:, self.algebra.adjoint_order]))
-
-    @cached_property
-    def twist_tables(self) -> dict[int, np.ndarray]:
-        """Per sign s, column u holds the coordinates of Δ^{s/2}·π_l(E_u)·Δ^{-s/2}.
-
-        Every matrix unit's twist is checked to stay inside the algebra.
-        """
-        units, tables = np.stack(self.pi_l_units), {}
-        for sign, a, b in ((-1, self.delta_minus_half, self.delta_half),
-                           (1, self.delta_half, self.delta_minus_half)):
-            ops = a @ units @ b
-            tables[sign] = self.lam_inv @ (ops @ self.cyclic_vector()).T
-            resid = ops - np.tensordot(tables[sign].T, units, 1)
-            if norm_exceeds(resid, DEFAULT_TOL):  # else below every unit's bound
-                resid = np.linalg.norm(resid, 2, axis=(1, 2))
-                drift = resid > DEFAULT_TOL * (1.0 + np.linalg.norm(ops, 2, axis=(1, 2)))
-                if np.any(drift):
-                    raise NotFaithful("modular twist left the algebra, "
-                                      f"residual {resid[drift].max():.3g}")
-        return tables
-
     def modular_twist(self, y: np.ndarray, sign: int = -1) -> np.ndarray:
-        """The algebra element with π_l-image Δ^{sign/2}·π_l(y)·Δ^{-sign/2}."""
+        """The algebra element with π_l-image Δ^{sign/2}·π_l(y)·Δ^{-sign/2}.
+
+        That element is rho^{sign/2}.y.rho^{-sign/2}, so its coordinates are
+        Δ^{sign/2} applied to those of y.
+        """
         if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        return self.algebra.from_coords(self.twist_tables[sign] @ self.algebra.coords(y))
+        table = self.delta_half if sign == 1 else self.delta_minus_half
+        return self.algebra.from_coords(table @ self.algebra.coords(y))
+
+
+def _block_condition(A: MultiMatrixAlgebra, w: np.ndarray, V: np.ndarray) -> float:
+    """The largest ratio of extreme eigenvalues within one block of rho.
+
+    Eigenvalue k belongs to block b when eigenvector k has weight on b.  An
+    eigenspace shared by several blocks may mix them, but some vector of
+    its basis keeps weight at least 1/A.dim on each, above the cutoff.
+    """
+    starts = [A.block_offset(b) for b in range(len(A.block_sizes))]
+    weight = np.add.reduceat(np.abs(V) ** 2, starts, axis=0)
+    return max(w[on].max() / w[on].min() for on in weight > 0.5 / A.dim)
 
 
 def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
-    """Standard form of (A, φ) with modular data from the polar step."""
+    """Standard form of (A, φ), its modular data in closed form from rho's spectrum."""
     if phi.algebra != A:
         raise NotFaithful("state was built on a different algebra")
-    rho_half, rho_minus_half = hermitian_powers(phi.density, (0.5, -0.5))
+    w, V = hermitian_spectrum(phi.density)
+    rho = dict(zip(_POWERS, spectral_powers(w, V, _POWERS)))
+    # Δ's spectrum is the ratios within each block, from 1/top to top: the
+    # negative-power guard of spectral_powers at Δ's scale
+    top = _block_condition(A, w, V)
+    if 1.0 / top <= DEFAULT_TOL * top:
+        raise Singular("negative power of a singular matrix")
     units = np.stack(A.matrix_units())
     rows, cols = A.unit_positions
-    lam = (units @ rho_half)[:, rows, cols].T
-    right_minus_half = units @ rho_minus_half
+    lam = (units @ rho[0.5])[:, rows, cols].T
+    right_minus_half = units @ rho[-0.5]
     lam_inv = right_minus_half[:, rows, cols].T
     # S(ξ) = Λ((Λ^{-1}ξ)*): columns are images of the basis vectors
-    S = AntilinearOp((right_minus_half.conj().transpose(0, 2, 1)
-                      @ rho_half)[:, rows, cols].T)
-    J, delta, delta_half, delta_minus_half = polar_antilinear(S)
+    S = (right_minus_half.conj().transpose(0, 2, 1) @ rho[0.5])[:, rows, cols].T
+    # Δ^s sends E_w to rho^s.E_w.rho^{-s}, whose entry at unit v is
+    # rho^s[row(v), row(w)] . rho^{-s}[col(w), col(v)]
+    delta, delta_half, delta_minus_half = (
+        rho[s][rows[:, None], rows] * rho[-s][cols, cols[:, None]]
+        for s in (1.0, 0.5, -0.5))
+    # J ξ = ξ*: the coordinate of E_u in J ξ is conj of that of E_u*
+    J = np.eye(A.vector_dim, dtype=np.complex128)[A.adjoint_order]
+    # the inverse of Λ's own rho^{1/2}, an A.dim-square matrix, rather than
+    # rho^{-1/2}: fusion pairs the creation operators with Λ(1)
+    creation_inverse = np.linalg.inv(rho[0.5])[rows[:, None], rows] * (cols[:, None] == cols)
 
     # pi_l(E_u) sends E_w to E_u.E_w: a 1 at (v, w) exactly when row(v) =
     # row(u), row(w) = col(u) and col(v) = col(w), as global matrix positions
     lefts = ((rows[:, None, None] == rows[:, None]) & (cols[:, None, None] == rows)
              & (cols[:, None] == cols)).astype(np.complex128)
-    # right action through the modular involution: y -> J y* J
-    pi_r_units = [J.matrix @ np.conj(lefts[u] @ J.matrix) for u in A.adjoint_order]
+    # pi_r(E_u) sends E_w to E_w.E_u: a 1 at (v, w) exactly when row(v) =
+    # row(w), col(w) = row(u) and col(v) = col(u)
+    rights = ((rows[:, None] == rows) & (rows[:, None, None] == cols)
+              & (cols[:, None, None] == cols[:, None])).astype(np.complex128)
     return StandardFormData(A, phi, lam, lam_inv, S, J, delta, delta_half,
-                            delta_minus_half, tuple(lefts), tuple(pi_r_units))
+                            delta_minus_half, creation_inverse, tuple(lefts),
+                            tuple(rights))
 
 
 def standard_form_residuals(std: StandardFormData) -> dict[str, float]:
@@ -138,9 +153,15 @@ def standard_form_residuals(std: StandardFormData) -> dict[str, float]:
     against the identity), "commutant" (right action against the
     commutant of the left one), "center" (Delta-conjugation moving a
     central element).  The arrays are read as built, none re-validated.
+
+    On gns_standard_form's output "involution" and "center" are exactly 0,
+    and neither passes vacuously: J squared is the identity because
+    adjoint_order is an involution, and Δ commutes with the center because
+    it has exact zeros across blocks while a central element acts by one
+    scalar per block.  A J or Δ breaking either law shows in its value.
     """
-    polar = operator_norm(std.J.matrix @ np.conj(std.delta_half) - std.S.matrix)
-    involution = operator_norm(std.J.compose_antilinear(std.J) - np.eye(std.dim))
+    polar = operator_norm(std.J @ np.conj(std.delta_half) - std.S)
+    involution = operator_norm(std.J @ np.conj(std.J) - np.eye(std.dim))
     rights = np.stack(std.pi_r_units).reshape(len(std.pi_r_units), -1).T
     _, comm_res = spans_equal(left_commutant(left_frames(std.algebra, std.pi_l_units)),
                               orthonormal_columns(rights))

@@ -1,15 +1,32 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here avoids the library's Smith-normal-form path: quotients
-are computed by enumerating finite ambient groups and reconstructing
-invariant factors from element-order counts.
+Everything on the ring side avoids the library's Smith-normal-form path:
+quotients are computed by enumerating finite ambient groups and
+reconstructing invariant factors from element-order counts, and
+determinants by fraction-free elimination.  On the analytic side the
+modular data of a standard form come from a numerical polar
+decomposition of S, the reference for the library's closed form, and
+subspaces are compared through fresh orthonormal bases.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
+from moritalab.errors import Singular
+from moritalab.exact import IntegerMatrix
+from moritalab.numkernel import (
+    DEFAULT_TOL,
+    as_complex_matrix,
+    hermitian_spectrum,
+    orthonormal_columns,
+    spans_equal,
+    spectral_powers,
+)
 from moritalab.rings.bimodules import Bimodule
 
 
@@ -205,3 +222,69 @@ def intertwines_loop(M, src_mats, tgt_mats, moduli) -> bool:
     return all(_congruent(_matmul(M.tolist(), A.tolist(), M.cols),
                           _matmul(B.tolist(), M.tolist(), M.rows), moduli)
                for A, B in zip(src_mats, tgt_mats))
+
+
+def determinant(A: IntegerMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if A.rows != A.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = A.rows
+    if n == 0:
+        return 1
+    M = A.array.tolist()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def subspaces_equal(A: np.ndarray, B: np.ndarray) -> tuple[bool, float]:
+    """Same span at the fixed cutoff, and the mutual containment residual."""
+    return spans_equal(orthonormal_columns(A), orthonormal_columns(B))
+
+
+@dataclass(frozen=True)
+class AntilinearOp:
+    """v -> matrix . conj(v) in the ambient basis."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", as_complex_matrix(self.matrix))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix @ np.conj(v)
+
+    def compose_antilinear(self, other: "AntilinearOp") -> np.ndarray:
+        """self . other is linear: A1 . conj(A2) as a plain matrix."""
+        return self.matrix @ np.conj(other.matrix)
+
+    def compose_linear(self, M: np.ndarray) -> "AntilinearOp":
+        """self . M, still antilinear."""
+        return AntilinearOp(self.matrix @ np.conj(M))
+
+
+def polar_antilinear(S: AntilinearOp):
+    """S = J . Delta^{1/2}, J antiunitary, Delta = S*S positive: returns
+    (J, Delta, Delta^{1/2}, Delta^{-1/2}) read off one spectrum of Delta."""
+    M = S.matrix
+    delta = M.T @ np.conj(M)
+    w, V = hermitian_spectrum(delta)
+    smin, smax = np.sqrt(np.clip(w[[0, -1]], 0.0, None))
+    if smin <= DEFAULT_TOL * max(1.0, smax):
+        raise Singular("antilinear operator is numerically singular")
+    half, minus_half = spectral_powers(w, V, (0.5, -0.5))
+    return AntilinearOp(M @ np.conj(minus_half)), delta, half, minus_half

@@ -22,7 +22,6 @@ from moritalab.exact import (
     FiniteAbelianGroup,
     IntegerMatrix,
     cokernel,
-    determinant,
     direct_sum,
     kron,
     lattice_basis,
@@ -31,6 +30,8 @@ from moritalab.exact import (
     solve_integer,
 )
 from moritalab.rings import tensor_oracle_corpus, tensor_product
+
+from oracles import determinant
 
 
 # ---------------------------------------------------------------- oracles

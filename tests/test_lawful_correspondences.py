@@ -2,8 +2,8 @@
 
 Correspondences that the library builds lawful by construction
 (conjugates, block correspondences once their table has passed, fusion
-results, which are gated by their exact rank instead, and the L² that
-certification maps its fusions onto, which its unitary witnesses bound)
+results, which are gated by their exact rank instead, and L², whose
+units are exact index matrices)
 skip the law check when they are built.  This test records every such
 correspondence built on a corpus of inputs, with the arguments its
 builder passed, and re-runs the public ``Correspondence`` constructor on
@@ -151,9 +151,9 @@ def test_every_lawful_correspondence_passes_the_boundary_checks(built, tmp_path)
     _coherence_batch()
     _demos(tmp_path)
     builders = {builder for builder, *_ in built}
-    # _witness_l2 is every L² that a certification in _wstar_morita maps onto
+    # identity_correspondence is every L², the ones certification maps onto too
     assert builders == {"block_correspondence", "conjugate_correspondence",
-                        "connes_fusion", "_witness_l2"}, builders
+                        "connes_fusion", "identity_correspondence"}, builders
     assert violations(built) == []
 
 

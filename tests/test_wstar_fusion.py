@@ -321,7 +321,7 @@ class TestCreationOperators:
         for _ in range(5):
             y = std.algebra.random_element(rng)
             ystar = y.conj().T
-            arg = std.J.apply(std.Lambda(ystar))
+            arg = std.J @ np.conj(std.Lambda(ystar))
             assert np.allclose(R @ arg, std.pi_r(y) @ eta, atol=1e-10)
 
     def test_product_lands_in_left_action(self):

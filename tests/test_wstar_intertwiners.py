@@ -8,7 +8,6 @@ from moritalab.numkernel import (
     commutant,
     joint_null_space,
     operator_norm,
-    subspaces_equal,
 )
 from moritalab.wstar import (
     Correspondence,
@@ -27,6 +26,8 @@ from moritalab.wstar import (
     vector_correspondence,
 )
 from moritalab.wstar.algebras import left_commutant, left_frames
+
+from oracles import subspaces_equal
 
 
 def _kronecker_reference(H, K):

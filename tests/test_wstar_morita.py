@@ -80,8 +80,8 @@ class TestPositive:
             return call
         monkeypatch.setattr(morita_module, "gns_standard_form",
                             counted("std", morita_module.gns_standard_form))
-        monkeypatch.setattr(morita_module, "_witness_l2",
-                            counted("l2", morita_module._witness_l2))
+        monkeypatch.setattr(morita_module, "identity_correspondence",
+                            counted("l2", morita_module.identity_correspondence))
         one = certify_morita_equivalent(H, phi, phi) if given \
             else certify_morita_equivalent(H)
         assert builds == {"std": 1, "l2": 1}
@@ -232,7 +232,7 @@ def _rotation(size):
 
 
 class TestTheWitnessesBoundL2:
-    """Certification maps its fusions onto an unchecked L²; the witness gates it.
+    """Certification maps its fusions onto an unchecked L²; the witnesses gate it.
 
     Each mutation rewrites the right action of every L² that certification
     builds.  A law broken above the witness tolerance must raise, never
@@ -242,14 +242,14 @@ class TestTheWitnessesBoundL2:
 
     @staticmethod
     def corrupt(monkeypatch, change):
-        build = morita_module._witness_l2
+        build = morita_module.identity_correspondence
 
         def corrupted(std):
             L2 = build(std)
             return Correspondence._lawful(
                 L2.left_algebra, L2.right_algebra, L2.dim, L2.pi_l_units,
                 change(np.stack(L2.pi_r_units)), L2.name)
-        monkeypatch.setattr(morita_module, "_witness_l2", corrupted)
+        monkeypatch.setattr(morita_module, "identity_correspondence", corrupted)
 
     @staticmethod
     def certify(H, phi):

@@ -44,7 +44,7 @@ def _reference_twist(std, y, sign):
 def _reference_gram(H, K, std):
     """The fusion Gram matrix, one block K.pi_l(n_ac) per pair (a, c)."""
     dH, dK = H.dim, K.dim
-    V = np.stack([std.J.apply(std.lam[:, u])
+    V = np.stack([std.J @ np.conj(std.lam[:, u])
                   for u in std.algebra.adjoint_order], axis=1)
     V_inv = np.linalg.inv(V)
     cyc = std.cyclic_vector()
