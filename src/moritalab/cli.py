@@ -14,7 +14,6 @@ instead.  MORITALAB_SEED overrides --seed when set.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -424,6 +423,10 @@ def main(argv=None) -> int:
         }
         print(json.dumps({"valid": True, **counts}))
         return 0
+
+    # hashlib loads OpenSSL, about 3 MB resident, which only the report's
+    # spec digest needs, so a plain `import moritalab.cli` does not pay it
+    import hashlib
 
     if args.command == "run":
         try:

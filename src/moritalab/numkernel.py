@@ -43,7 +43,8 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def operator_norm(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A, 2)) if A.size else 0.0
+    """Largest singular value; 0 with no SVD when A has no nonzero entry."""
+    return float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
 
 
 def max_operator_norm(mats) -> float:
@@ -54,11 +55,14 @@ def max_operator_norm(mats) -> float:
     Frobenius norm has its operator norm, only matrices whose Frobenius
     norm exceeds that value can beat it, and only they go into one stacked
     SVD.  The DEFAULT_TOL margin on the screen covers rounding in either
-    norm, so the result is the value the loop gives.
+    norm, so the result is the value the loop gives.  A stack with no
+    nonzero entry reads 0 with no SVD.
     """
     if len(mats) == 0 or mats[0].size == 0:
         return 0.0
     stack = np.asarray(mats)
+    if not np.any(stack):
+        return 0.0
     # summed over real and imaginary views, so no stack-sized temporary
     fro = np.sqrt(np.einsum("kij,kij->k", stack.real, stack.real)
                   + np.einsum("kij,kij->k", stack.imag, stack.imag))
@@ -67,6 +71,32 @@ def max_operator_norm(mats) -> float:
     live = fro * (1.0 + DEFAULT_TOL) > best
     live[top] = False
     return float(np.linalg.norm(stack[live], 2, axis=(1, 2)).max(initial=best))
+
+
+def max_operator_norm_of(term, count: int) -> float:
+    """max_operator_norm([term(k) for k in range(count)]), streamed.
+
+    The same screen with one term alive at a time besides the largest: a
+    first pass keeps each term's Frobenius norm, then only the terms that
+    pass the screen are formed again, one SVD each.  term(k) must give the
+    same matrix on every call, so the value is max_operator_norm's bit for
+    bit: both take the largest singular value over candidates that hold
+    the term of largest operator norm.  Use it where the terms would not
+    fit in memory as one stack.
+    """
+    fro = np.zeros(count)
+    top, kept = 0, None
+    for k in range(count):
+        M = term(k)
+        fro[k] = np.sqrt(np.vdot(M, M).real)
+        if kept is None or fro[k] > fro[top]:
+            top, kept = k, M
+    if kept is None:
+        return 0.0
+    best = operator_norm(kept)
+    live = fro * (1.0 + DEFAULT_TOL) > best
+    live[top] = False
+    return max([best] + [operator_norm(term(k)) for k in np.flatnonzero(live)])
 
 
 def norm_exceeds(A: np.ndarray, bound: float) -> bool:

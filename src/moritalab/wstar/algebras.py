@@ -22,6 +22,8 @@ from ..numkernel import (
     as_complex_matrix,
     norm_exceeds,
     operator_norm,
+    orthonormal_columns,
+    spans_equal,
 )
 
 FAITHFULNESS_FLOOR = 1e-3
@@ -72,6 +74,47 @@ class MultiMatrixAlgebra:
         return tuple(np.array([(self.block_offset(b) + i, self.block_offset(b) + j)
                                for b, i, j in self.unit_triples()]).T)
 
+    @cached_property
+    def unit_stack(self) -> np.ndarray:
+        """The matrix units stacked in basis order, read-only."""
+        units = np.stack(self.matrix_units())
+        units.flags.writeable = False
+        return units
+
+    # The regular unit stacks have vector_dim**3 entries each, so they are
+    # built on every call and never cached on the algebra.
+    def left_regular_units(self) -> np.ndarray:
+        """The 0/1 matrices of E_w -> E_u.E_w on the unit basis, stacked over u.
+
+        A 1 at (v, w) exactly when row(v) = row(u), row(w) = col(u) and
+        col(v) = col(w), as global matrix positions.
+        """
+        rows, cols = self.unit_positions
+        return ((rows[:, None, None] == rows[:, None]) & (cols[:, None, None] == rows)
+                & (cols[:, None] == cols)).astype(np.complex128)
+
+    def right_regular_units(self) -> np.ndarray:
+        """The 0/1 matrices of E_w -> E_w.E_u on the unit basis, stacked over u.
+
+        A 1 at (v, w) exactly when row(v) = row(w), col(w) = row(u) and
+        col(v) = col(u).
+        """
+        rows, cols = self.unit_positions
+        return ((rows[:, None] == rows) & (rows[:, None, None] == cols)
+                & (cols[:, None, None] == cols[:, None])).astype(np.complex128)
+
+    @cached_property
+    def regular_commutant_residual(self) -> float:
+        """How far the right regular units are from spanning the frame
+        commutant of the left ones: the "commutant" residual of every
+        standard form of this algebra, whose actions are these stacks
+        whatever the state.
+        """
+        rights = self.right_regular_units()
+        _, res = spans_equal(left_commutant(left_frames(self, self.left_regular_units())),
+                             orthonormal_columns(rights.reshape(len(rights), -1).T))
+        return res
+
     def extend_linearly(self, x: np.ndarray,
                         unit_images: tuple[np.ndarray, ...]) -> np.ndarray:
         """Image of x under the linear map given on the matrix units."""
@@ -88,11 +131,6 @@ class MultiMatrixAlgebra:
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=np.complex128)
-
-    def center_basis(self) -> list[np.ndarray]:
-        """Block identities span the center."""
-        return [sum(self.matrix_unit(b, i, i) for i in range(n))
-                for b, n in enumerate(self.block_sizes)]
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Matrix-unit coordinates; rejects matrices off the block pattern."""
@@ -174,20 +212,38 @@ def trace_state(A: MultiMatrixAlgebra) -> State:
 
 def random_faithful_state(A: MultiMatrixAlgebra, rng: np.random.Generator,
                           floor: float = FAITHFULNESS_FLOOR) -> State:
-    """Random density with all eigenvalues at or above the floor."""
+    """Random density with all eigenvalues at or above the floor.
+
+    Each draw is a random basis per block with the spectrum floor + e, e
+    exponential, normalized by its trace; up to 64 draws are tried.  As the
+    normalization pulls the spectrum down, large blocks rarely pass, so
+    after the last draw its basis is kept with the spectrum rescaled to
+    floor + (1 - dim.floor).e/sum(e), whose trace is 1.  Only a floor that
+    no trace-1 density clears, dim.floor >= 1, raises NotFaithful.
+    """
     d = A.dim
     for _ in range(64):
         rho = np.zeros((d, d), dtype=np.complex128)
+        bases, draws = [], []
         for b, n in enumerate(A.block_sizes):
             off = A.block_offset(b)
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             Q, _ = np.linalg.qr(g)
-            evals = floor + rng.exponential(scale=1.0, size=n)
-            rho[off:off + n, off:off + n] = (Q * evals) @ Q.conj().T
+            e = rng.exponential(scale=1.0, size=n)
+            bases.append(Q)
+            draws.append(e)
+            rho[off:off + n, off:off + n] = (Q * (floor + e)) @ Q.conj().T
         rho = rho / np.trace(rho).real
         if float(np.min(np.linalg.eigvalsh(rho))) >= floor:
             return State(A, rho, floor)
-    raise NotFaithful("could not sample a density above the floor")
+    if d * floor >= 1.0:
+        raise NotFaithful("could not sample a density above the floor")
+    total = sum(e.sum() for e in draws)
+    for b, (Q, e) in enumerate(zip(bases, draws)):
+        off, n = A.block_offset(b), len(e)
+        spectrum = floor + (1.0 - d * floor) * e / total
+        rho[off:off + n, off:off + n] = (Q * spectrum) @ Q.conj().T
+    return State(A, rho, floor)
 
 
 def isotypic_frames(lefts, rights) -> np.ndarray:

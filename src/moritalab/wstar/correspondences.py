@@ -21,6 +21,7 @@ from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
     max_operator_norm,
+    max_operator_norm_of,
     norm_exceeds,
     orthonormal_columns,
 )
@@ -198,10 +199,12 @@ class Intertwiner:
             raise AlgebraMismatch("intertwiner endpoints over different algebras")
 
     def residual(self) -> float:
+        """max over unit pairs of |T.A_s - A_t.T|, one product formed at a time."""
         T = self.matrix
-        pairs = zip(self.source.pi_l_units + self.source.pi_r_units,
-                    self.target.pi_l_units + self.target.pi_r_units)
-        return max_operator_norm([T @ As - At @ T for As, At in pairs])
+        pairs = tuple(zip(self.source.pi_l_units + self.source.pi_r_units,
+                          self.target.pi_l_units + self.target.pi_r_units))
+        return max_operator_norm_of(lambda k: T @ pairs[k][0] - pairs[k][1] @ T,
+                                    len(pairs))
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         T = self.matrix

@@ -29,7 +29,7 @@ from .correspondences import (
     unitary_intertwiner,
 )
 from .fusion import FusionResult, connes_fusion
-from .standard import StandardFormData, gns_standard_form
+from .standard import gns_standard_form
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,15 @@ def _refutation(mult) -> str | None:
     return None
 
 
-def _witness(H: Correspondence, K: Correspondence, std_mid: StandardFormData,
-             ident: Correspondence):
-    """H fused with K over std_mid, its unitary onto the L² ident, the residual."""
-    fus = connes_fusion(H, K, std_mid)
+def _witness(fus: FusionResult, ident: Correspondence):
+    """The unitary from a fusion onto the L² ident, and its residual."""
     found = unitary_intertwiner(fus.corr, ident)
     if found is None:
         raise RuntimeError(
             f"the multiplicities predict an equivalence, but no unitary maps "
             f"the fusion with multiplicities {fus.corr.multiplicities} onto "
             f"the identity correspondence with {ident.multiplicities}")
-    return (fus, *found)
+    return found
 
 
 def certify_morita_equivalent(H: Correspondence,
@@ -108,11 +106,15 @@ def certify_morita_equivalent(H: Correspondence,
 
     std_M = gns_standard_form(M, phi_M)
     std_N = std_M if self_pair else gns_standard_form(N, phi_N)
-    L2_M = identity_correspondence(std_M)
-    L2_N = L2_M if self_pair else identity_correspondence(std_N)
     Hbar = conjugate_correspondence(H)
-    fus_left, U_left, res_left = _witness(H, Hbar, std_N, L2_M)
-    fus_right, U_right, res_right = _witness(Hbar, H, std_M, L2_N)
+    # each L² is built after the fusion it receives, so that its dense unit
+    # stacks are not alive while the fusion forms its actions
+    fus_left = connes_fusion(H, Hbar, std_N)
+    L2_M = identity_correspondence(std_M)
+    U_left, res_left = _witness(fus_left, L2_M)
+    fus_right = connes_fusion(Hbar, H, std_M)
+    L2_N = L2_M if self_pair else identity_correspondence(std_N)
+    U_right, res_right = _witness(fus_right, L2_N)
     return WStarMoritaCertificate(
         corr=H, equivalent=True, reason="certified",
         residual=max(res_left, res_right), conjugate=Hbar,

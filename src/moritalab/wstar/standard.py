@@ -14,7 +14,8 @@ every residual is measured against it.  S is invertible, so its polar
 decomposition S = J·Δ^{1/2}, J antiunitary and Δ positive, is unique: a
 small |J·Δ^{1/2} - S| shows that the closed form is that decomposition.
 The commutation theorem is checked against the commutant read off the
-left action's isotypic frames, not solved for.  Λ, Λ^{-1} and S are read
+left action's isotypic frames, not solved for, once per algebra: both
+actions depend on the algebra alone.  Λ, Λ^{-1} and S are read
 off the stacked products E_u·X, whose entries are single products.
 Antilinear maps are stored as matrices M acting by v -> M.conj(v).
 """
@@ -22,6 +23,7 @@ Antilinear maps are stored as matrices M acting by v -> M.conj(v).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,11 +33,9 @@ from ..numkernel import (
     hermitian_spectrum,
     max_operator_norm,
     operator_norm,
-    orthonormal_columns,
-    spans_equal,
     spectral_powers,
 )
-from .algebras import MultiMatrixAlgebra, State, left_commutant, left_frames
+from .algebras import MultiMatrixAlgebra, State
 
 _POWERS = (1.0, 0.5, -0.5, -1.0)
 
@@ -57,12 +57,22 @@ class StandardFormData:
     # rho^{-1/2}: column u of a stack of right actions on a vector, times
     # this, gives that vector's creation operator (see fusion.r_eta)
     creation_inverse: np.ndarray = field(repr=False)
-    pi_l_units: tuple[np.ndarray, ...] = field(repr=False, default=())
-    pi_r_units: tuple[np.ndarray, ...] = field(repr=False, default=())
 
     @property
     def dim(self) -> int:
         return self.algebra.vector_dim
+
+    # The actions depend on the algebra alone, so they are not fields: no
+    # replaced stack can sit under the algebra's measured commutant residual.
+    @cached_property
+    def pi_l_units(self) -> tuple[np.ndarray, ...]:
+        """pi_l(E_u), the 0/1 matrix of E_w -> E_u.E_w, for each unit u."""
+        return tuple(self.algebra.left_regular_units())
+
+    @cached_property
+    def pi_r_units(self) -> tuple[np.ndarray, ...]:
+        """pi_r(E_u), the 0/1 matrix of E_w -> E_w.E_u, for each unit u."""
+        return tuple(self.algebra.right_regular_units())
 
     def Lambda(self, x: np.ndarray) -> np.ndarray:
         return self.lam @ self.algebra.coords(x)
@@ -115,7 +125,7 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
     top = _block_condition(A, w, V)
     if 1.0 / top <= DEFAULT_TOL * top:
         raise Singular("negative power of a singular matrix")
-    units = np.stack(A.matrix_units())
+    units = A.unit_stack
     rows, cols = A.unit_positions
     lam = (units @ rho[0.5])[:, rows, cols].T
     right_minus_half = units @ rho[-0.5]
@@ -132,18 +142,8 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
     # the inverse of Λ's own rho^{1/2}, an A.dim-square matrix, rather than
     # rho^{-1/2}: fusion pairs the creation operators with Λ(1)
     creation_inverse = np.linalg.inv(rho[0.5])[rows[:, None], rows] * (cols[:, None] == cols)
-
-    # pi_l(E_u) sends E_w to E_u.E_w: a 1 at (v, w) exactly when row(v) =
-    # row(u), row(w) = col(u) and col(v) = col(w), as global matrix positions
-    lefts = ((rows[:, None, None] == rows[:, None]) & (cols[:, None, None] == rows)
-             & (cols[:, None] == cols)).astype(np.complex128)
-    # pi_r(E_u) sends E_w to E_w.E_u: a 1 at (v, w) exactly when row(v) =
-    # row(w), col(w) = row(u) and col(v) = col(u)
-    rights = ((rows[:, None] == rows) & (rows[:, None, None] == cols)
-              & (cols[:, None, None] == cols[:, None])).astype(np.complex128)
     return StandardFormData(A, phi, lam, lam_inv, S, J, delta, delta_half,
-                            delta_minus_half, creation_inverse, tuple(lefts),
-                            tuple(rights))
+                            delta_minus_half, creation_inverse)
 
 
 def standard_form_residuals(std: StandardFormData) -> dict[str, float]:
@@ -154,19 +154,27 @@ def standard_form_residuals(std: StandardFormData) -> dict[str, float]:
     commutant of the left one), "center" (Delta-conjugation moving a
     central element).  The arrays are read as built, none re-validated.
 
-    On gns_standard_form's output "involution" and "center" are exactly 0,
+    "polar" is the one state-dependent measurement, an SVD of
+    J.conj(Δ^{1/2}) - S.  "commutant" is a per-algebra measurement: both
+    actions are the algebra's regular unit stacks whatever the state, so
+    the algebra measures their residual once, on the frame commutant of
+    the left stack, and a StandardFormData cannot carry other stacks.  On
+    gns_standard_form's output "involution" and "center" are exactly 0,
     and neither passes vacuously: J squared is the identity because
     adjoint_order is an involution, and Δ commutes with the center because
     it has exact zeros across blocks while a central element acts by one
     scalar per block.  A J or Δ breaking either law shows in its value.
     """
+    A = std.algebra
     polar = operator_norm(std.J @ np.conj(std.delta_half) - std.S)
     involution = operator_norm(std.J @ np.conj(std.J) - np.eye(std.dim))
-    rights = np.stack(std.pi_r_units).reshape(len(std.pi_r_units), -1).T
-    _, comm_res = spans_equal(left_commutant(left_frames(std.algebra, std.pi_l_units)),
-                              orthonormal_columns(rights))
-    units, pos = np.stack(std.pi_l_units), std.algebra.unit_positions
-    Zs = [np.tensordot(z[pos], units, 1) for z in std.algebra.center_basis()]
-    center = max_operator_norm([std.delta @ Z - Z @ std.delta for Z in Zs])
+    # pi_l of block b's identity is the diagonal z_b, 1 on the units of
+    # block b, so Δ.Z_b - Z_b.Δ has entry Δ[v, w].(z_w - z_v); adding 0.0
+    # turns its -0 entries into the +0 the two products give, since the sign
+    # of a zero can steer the SVD's reflections and so the value's last bit
+    k = len(A.block_sizes)
+    z = (np.repeat(np.arange(k), np.square(A.block_sizes))
+         == np.arange(k)[:, None]).astype(float)
+    center = max_operator_norm(std.delta * (z[:, None, :] - z[:, :, None]) + 0.0)
     return {"polar": polar, "involution": involution,
-            "commutant": comm_res, "center": center}
+            "commutant": A.regular_commutant_residual, "center": center}

@@ -288,3 +288,27 @@ def polar_antilinear(S: AntilinearOp):
         raise Singular("antilinear operator is numerically singular")
     half, minus_half = spectral_powers(w, V, (0.5, -0.5))
     return AntilinearOp(M @ np.conj(minus_half)), delta, half, minus_half
+
+
+def center_basis(A) -> list[np.ndarray]:
+    """The block identities of a multi-matrix algebra, which span its center."""
+    return [sum(A.matrix_unit(b, i, i) for i in range(n))
+            for b, n in enumerate(A.block_sizes)]
+
+
+def rejection_sampled_state(A, rng: np.random.Generator, floor: float):
+    """random_faithful_state's density as it was sampled before any fallback:
+    up to 64 draws of a random basis with spectrum floor + e, e exponential,
+    normalized by the trace; None when no draw clears the floor."""
+    for _ in range(64):
+        rho = np.zeros((A.dim, A.dim), dtype=np.complex128)
+        for b, n in enumerate(A.block_sizes):
+            off = A.block_offset(b)
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            Q, _ = np.linalg.qr(g)
+            evals = floor + rng.exponential(scale=1.0, size=n)
+            rho[off:off + n, off:off + n] = (Q * evals) @ Q.conj().T
+        rho = rho / np.trace(rho).real
+        if float(np.min(np.linalg.eigvalsh(rho))) >= floor:
+            return rho
+    return None

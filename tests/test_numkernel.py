@@ -17,6 +17,7 @@ from moritalab.numkernel import (
     kron_sandwich,
     matrices_to_columns,
     max_operator_norm,
+    max_operator_norm_of,
     norm_exceeds,
     null_space,
     operator_norm,
@@ -82,6 +83,46 @@ class TestBasics:
         ]
         for mats in stacks:
             assert max_operator_norm(mats) == max(operator_norm(M) for M in mats)
+
+    def test_streamed_max_equals_the_loop(self):
+        # terms formed on demand, as Intertwiner.residual forms its products
+        rng = np.random.default_rng(13)
+        for d in (1, 3, 8, 20):
+            for k in (1, 5, 16):
+                A, B = (rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+                        for _ in range(2))
+                A *= 10.0 ** rng.integers(-3, 4, size=(k, 1, 1))
+
+                def term(j):
+                    return A[j] @ B[j] - B[j] @ A[j]
+                got = max_operator_norm_of(term, k)
+                assert got.hex() == max(operator_norm(term(j)) for j in range(k)).hex()
+        assert max_operator_norm_of(lambda j: np.eye(2), 0) == 0.0
+
+    def test_zero_matrices_read_zero_without_an_svd(self, monkeypatch):
+        calls = []
+        norm = np.linalg.norm
+
+        def counted(*args, **kwargs):
+            if np.size(args[0]):  # an empty stack runs no SVD
+                calls.append(args[1:])
+            return norm(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        zero = np.zeros((4, 4), dtype=np.complex128)
+        assert operator_norm(zero) == 0.0
+        assert operator_norm(-zero) == 0.0
+        assert max_operator_norm(np.zeros((3, 4, 4))) == 0.0
+        assert max_operator_norm([zero, -zero]) == 0.0
+        assert max_operator_norm_of(lambda k: zero, 5) == 0.0
+        assert calls == []
+        # a single nonzero entry anywhere brings the SVD back
+        one = zero.copy()
+        one[1, 2] = 1e-3j
+        assert operator_norm(one) == pytest.approx(1e-3)
+        assert max_operator_norm([zero, one]) == pytest.approx(1e-3)
+        assert max_operator_norm_of(lambda k: one if k == 3 else zero, 5) \
+            == pytest.approx(1e-3)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_norm_exceeds_non_finite_is_exceeding(self, bad):

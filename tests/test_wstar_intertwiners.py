@@ -1,5 +1,7 @@
 """Intertwiner spaces from matrix units, against the Kronecker null space."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from moritalab.errors import AlgebraMismatch
 from moritalab.numkernel import (
     commutant,
     joint_null_space,
+    max_operator_norm,
     operator_norm,
 )
 from moritalab.wstar import (
@@ -14,6 +17,7 @@ from moritalab.wstar import (
     Intertwiner,
     MultiMatrixAlgebra,
     block_correspondence,
+    certify_morita_equivalent,
     conjugate_correspondence,
     connes_fusion,
     correspondences_close,
@@ -237,3 +241,62 @@ class TestFrobeniusFirstGates:
             for tol in _bounds_around(top, frob):
                 want = all(operator_norm(D) <= tol for D in defects)
                 assert Intertwiner(H, H, T).is_unitary(tol) == want
+
+
+def _listed_residual(w):
+    """Intertwiner.residual with every product listed at once, the value
+    checked against the plain loop of operator norms."""
+    T = w.matrix
+    listed = [T @ As - At @ T for As, At in zip(
+        w.source.pi_l_units + w.source.pi_r_units,
+        w.target.pi_l_units + w.target.pi_r_units)]
+    value = max_operator_norm(listed)
+    assert value == max(operator_norm(D) for D in listed)
+    return value
+
+
+def _certificate_witness(n):
+    """The left witness of M_n vs C: the fusion, L²(M_n) and the unitary."""
+    cert = certify_morita_equivalent(vector_correspondence(n))
+    A = cert.corr.left_algebra
+    L2 = identity_correspondence(gns_standard_form(A, trace_state(A)))
+    return cert.fusion_left.corr, L2, cert.unitary_left
+
+
+class TestStreamedResidual:
+    """The residual forms one product at a time and keeps the listed value."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_perturbed_witnesses_equal_the_listed_residual(self, n):
+        source, target, U = _certificate_witness(n)
+        rng = np.random.default_rng(n)
+        for eps in (1e-9, 1e-3, 1.0):
+            T = U + eps * (rng.normal(size=U.shape) + 1j * rng.normal(size=U.shape))
+            w = Intertwiner(source, target, T)
+            got = w.residual()
+            assert got > 0.0
+            assert got.hex() == _listed_residual(w).hex()
+
+    def test_rotated_witness_equals_the_listed_residual(self):
+        A, B = MultiMatrixAlgebra((1, 2, 1)), MultiMatrixAlgebra((2, 1))
+        H = block_correspondence(A, B, [[1, 0], [1, 1], [0, 2]])
+        K = _rotated(H, _haar_unitary(H.dim, np.random.default_rng(3)))
+        U, _ = unitary_intertwiner(H, K)
+        rng = np.random.default_rng(4)
+        for eps in (1e-12, 1e-6):
+            w = Intertwiner(H, K, U + eps * rng.normal(size=U.shape))
+            assert w.residual().hex() == _listed_residual(w).hex()
+
+    def test_peak_memory_for_m8(self):
+        # listing the 2 x 64 products of 64 x 64 matrices, then stacking
+        # them, peaks near 24 MB; the stream holds a few products at a time
+        source, target, U = _certificate_witness(8)
+        w = Intertwiner(source, target, U)
+        tracemalloc.start()
+        try:
+            residual = w.residual()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-12
+        assert peak < 1 << 20, peak

@@ -30,10 +30,17 @@ from moritalab.wstar import (
     trace_state,
     twisted_balancing_residual,
 )
+from moritalab.wstar import algebras as algebras_module
 from moritalab.wstar import standard as standard_module
 from moritalab.wstar.algebras import left_commutant, left_frames
 
-from oracles import AntilinearOp, polar_antilinear, subspaces_equal
+from oracles import (
+    AntilinearOp,
+    center_basis,
+    polar_antilinear,
+    rejection_sampled_state,
+    subspaces_equal,
+)
 
 M2 = MultiMatrixAlgebra((2,), name="M2")
 M3 = MultiMatrixAlgebra((3,), name="M3")
@@ -50,7 +57,7 @@ def _check_modular_identities(std, tol=1e-9):
     same, res = subspaces_equal(comm, matrices_to_columns(std.pi_r_units))
     assert same and res <= 1e-8
     # conjugating by the modular operator fixes the center pointwise
-    for z in std.algebra.center_basis():
+    for z in center_basis(std.algebra):
         Z = std.pi_l(z)
         assert operator_norm(std.delta @ Z - Z @ std.delta) <= tol
 
@@ -60,7 +67,7 @@ class TestAlgebras:
         assert M23.dim == 5
         assert M23.vector_dim == 13
         assert len(M23.matrix_units()) == 13
-        assert len(M23.center_basis()) == 2
+        assert len(center_basis(M23)) == 2
 
     def test_coords_round_trip(self):
         rng = np.random.default_rng(0)
@@ -111,6 +118,41 @@ class TestAlgebras:
             evals = np.linalg.eigvalsh(phi.density)
             assert evals.min() >= 1e-3 - 1e-12
             assert abs(np.trace(phi.density) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_random_state_on_large_blocks(self, n):
+        # at the bench floor rejection alone almost never clears M_11 or M_12
+        A = MultiMatrixAlgebra((n,))
+        for seed in range(10):
+            phi = random_faithful_state(A, np.random.default_rng(seed), floor=0.05)
+            assert np.linalg.eigvalsh(phi.density).min() >= 0.05
+            assert abs(np.trace(phi.density) - 1.0) <= 1e-12
+
+    def test_random_state_keeps_every_draw_that_clears_the_floor(self):
+        # the bench's states and every test corpus depend on these draws
+        cases = [(MultiMatrixAlgebra(blocks), floor) for blocks in
+                 ((2,), (3,), (2, 3), (4,), (1, 2, 2), (6,), (8,), (9,))
+                 for floor in (1e-3, 0.05)]
+        kept = 0
+        for A, floor in cases:
+            for seed in range(5):
+                old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = rejection_sampled_state(A, old, floor)
+                got = random_faithful_state(A, new, floor=floor).density
+                if want is not None:
+                    kept += 1
+                    assert got.tobytes() == want.tobytes()
+                    assert old.random() == new.random()
+        assert kept >= 70
+
+    @pytest.mark.parametrize("blocks, floor", [((2,), 0.5), ((2, 1), 0.4), ((4,), 0.3)])
+    def test_random_state_raises_only_without_room(self, blocks, floor):
+        A = MultiMatrixAlgebra(blocks)
+        with pytest.raises(NotFaithful):
+            random_faithful_state(A, np.random.default_rng(0), floor=floor)
+        # just below dim.floor = 1 the fallback spectrum still clears the floor
+        phi = random_faithful_state(A, np.random.default_rng(0), floor=0.99 / A.dim)
+        assert np.linalg.eigvalsh(phi.density).min() >= 0.99 / A.dim
 
     def test_trace_state_is_tracial(self):
         assert trace_state(M23).is_tracial()
@@ -305,7 +347,7 @@ def _reference_residuals(std):
     _, comm_res = spans_equal(
         left_commutant(left_frames(std.algebra, std.pi_l_units)),
         orthonormal_columns(matrices_to_columns(std.pi_r_units)))
-    Zs = [std.pi_l(z) for z in std.algebra.center_basis()]
+    Zs = [std.pi_l(z) for z in center_basis(std.algebra)]
     center = max_operator_norm([std.delta @ Z - Z @ std.delta for Z in Zs])
     return {"polar": polar, "involution": involution,
             "commutant": comm_res, "center": center}
@@ -317,6 +359,71 @@ def test_residuals_equal_the_validating_build_bitwise():
         got, want = standard_form_residuals(std), _reference_residuals(std)
         assert {k: v.hex() for k, v in got.items()} == \
             {k: v.hex() for k, v in want.items()}, A.block_sizes
+
+
+def _same_bits(got, want):
+    return {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+class TestHandBuiltForms:
+    """Forms whose arrays were swapped after the build: every residual is
+    still the validating build's, bit for bit, and the broken law shows."""
+
+    def test_j_that_is_not_an_involution(self):
+        std = gns_standard_form(M23, random_faithful_state(M23, np.random.default_rng(21)))
+        rng = np.random.default_rng(22)
+        M = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
+        bad = dataclasses.replace(std, J=std.J + 0.1 * M)
+        got = standard_form_residuals(bad)
+        assert _same_bits(got, _reference_residuals(bad))
+        assert got["involution"] > 0.1 and got["polar"] > 0.1
+
+    def test_delta_with_entries_across_blocks(self):
+        std = gns_standard_form(MultiMatrixAlgebra((1, 2, 2)),
+                                random_faithful_state(MultiMatrixAlgebra((1, 2, 2)),
+                                                      np.random.default_rng(23)))
+        rng = np.random.default_rng(24)
+        M = rng.normal(size=(std.dim,) * 2) + 1j * rng.normal(size=(std.dim,) * 2)
+        for bad in (dataclasses.replace(std, delta=std.delta + 1e-3 * (M + M.conj().T)),
+                    dataclasses.replace(std, delta=M)):
+            got = standard_form_residuals(bad)
+            assert _same_bits(got, _reference_residuals(bad))
+            assert got["center"] > 1e-4
+
+    def test_foreign_half_power(self):
+        # the unitary Δ^{1/2} of test_twist_leaving_the_algebra_is_caught_downstream
+        std = gns_standard_form(M2, State(M2, np.diag([2 / 3, 1 / 3])
+                                          .astype(np.complex128)))
+        rng = np.random.default_rng(9)
+        W, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        bad = dataclasses.replace(std, delta_half=W, delta_minus_half=W.conj().T)
+        got = standard_form_residuals(bad)
+        assert _same_bits(got, _reference_residuals(bad))
+        assert got["polar"] > 0.1
+
+    def test_unit_stacks_cannot_be_replaced(self):
+        std = gns_standard_form(M2, trace_state(M2))
+        names = {f.name for f in dataclasses.fields(std)}
+        assert not names & {"pi_l_units", "pi_r_units"}
+        with pytest.raises(TypeError):
+            dataclasses.replace(std, pi_r_units=tuple(std.pi_l_units))
+        with pytest.raises(TypeError):
+            dataclasses.replace(std, pi_l_units=tuple(std.pi_r_units))
+
+    def test_commutant_is_measured_once_per_algebra(self, monkeypatch):
+        calls = []
+
+        def counted(A, units):
+            calls.append(A.block_sizes)
+            return left_frames(A, units)
+        monkeypatch.setattr(algebras_module, "left_frames", counted)
+        A = MultiMatrixAlgebra((2, 1))
+        rng = np.random.default_rng(25)
+        for _ in range(3):
+            std = gns_standard_form(A, random_faithful_state(A, rng))
+            got = standard_form_residuals(std)["commutant"]
+            assert got.hex() == _reference_residuals(std)["commutant"].hex()
+        assert calls == [(2, 1)]
 
 
 class TestOneSpectrumPerOperator:
