@@ -113,12 +113,12 @@ class WStarBicategory:
 
     Standard forms (one per algebra) are built lazily from the supplied
     states and cached, so every composite over the same middle algebra
-    reuses one relative-tensor presentation; L²(A) is cached with its
-    standard form, checked once and reused by every triangle and unitor
-    check.  tol gates only cells_equal, the measured discrepancy of a
-    coherence law; fusion ranks and invertibility use the fixed cutoff
-    DEFAULT_TOL.  find_iso decides by multiplicity and builds its unitary
-    from the isotypic frames.
+    reuses one relative-tensor presentation; L²(A), lawful by
+    construction and never checked, is cached with its standard form and
+    reused by every triangle and unitor check.  tol gates only
+    cells_equal, the measured discrepancy of a coherence law; fusion ranks
+    and invertibility use the fixed cutoff DEFAULT_TOL.  find_iso decides
+    by multiplicity and builds its unitary from the isotypic frames.
     """
 
     def __init__(self, states: dict[MultiMatrixAlgebra, State] | None = None,

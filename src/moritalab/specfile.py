@@ -171,8 +171,8 @@ def _correspondence(name: str, d: dict, where: str,
     pr = d["pi_r"]
     if not isinstance(pl, list) or not isinstance(pr, list):
         raise _fail(where, "pi_l and pi_r must be lists of matrices")
-    pi_l = tuple(_complex_matrix(m, where) for m in pl)
-    pi_r = tuple(_complex_matrix(m, where) for m in pr)
+    pi_l = [_complex_matrix(m, where) for m in pl]
+    pi_r = [_complex_matrix(m, where) for m in pr]
     return Correspondence(A, B, dim, pi_l, pi_r, name=name)
 
 

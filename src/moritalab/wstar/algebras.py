@@ -7,6 +7,10 @@ blocks are the distinguished basis every representation is specified on.
 Matrix units fix a representation of ⊕_b M_{n_b} as ⊕_b C^{n_b} ⊗ C^{mult_b},
 with commutant ⊕_b 1 ⊗ M_{mult_b}. Its isotypic frames count every mult_b
 exactly and give bases of commutants and intertwiner spaces directly.
+
+L² and block correspondences are sums of copies of C^{n_b} ⊗ C^{m_c}, acted
+on by ξ -> x·ξ·y; one gather, _bimodule_action, builds that map for their
+unit stacks and for a standard form's Λ^{±1}, Δ^s and creation inverse.
 """
 
 from __future__ import annotations
@@ -77,46 +81,24 @@ class MultiMatrixAlgebra:
     @cached_property
     def unit_stack(self) -> np.ndarray:
         """The matrix units stacked in basis order, read-only."""
-        units = np.stack(self.matrix_units())
-        units.flags.writeable = False
-        return units
+        return _read_only(np.stack(self.matrix_units()))
 
-    # The regular unit stacks have vector_dim**3 entries each, so they are
-    # built on every call and never cached on the algebra.
-    def left_regular_units(self) -> np.ndarray:
-        """The 0/1 matrices of E_w -> E_u.E_w on the unit basis, stacked over u.
-
-        A 1 at (v, w) exactly when row(v) = row(u), row(w) = col(u) and
-        col(v) = col(w), as global matrix positions.
-        """
+    def _regular_units(self, side: str) -> np.ndarray:
+        """The read-only stack of E_w -> E_u.E_w ("left") or E_w.E_u ("right"),
+        vector_dim**3 entries, so built per call and never cached here."""
         rows, cols = self.unit_positions
-        return ((rows[:, None, None] == rows[:, None]) & (cols[:, None, None] == rows)
-                & (cols[:, None] == cols)).astype(np.complex128)
-
-    def right_regular_units(self) -> np.ndarray:
-        """The 0/1 matrices of E_w -> E_w.E_u on the unit basis, stacked over u.
-
-        A 1 at (v, w) exactly when row(v) = row(w), col(w) = row(u) and
-        col(v) = col(u).
-        """
-        rows, cols = self.unit_positions
-        return ((rows[:, None] == rows) & (rows[:, None, None] == cols)
-                & (cols[:, None, None] == cols[:, None])).astype(np.complex128)
+        return _read_only(_bimodule_action(rows, cols, x=self.unit_stack) if side == "left"
+                          else _bimodule_action(rows, cols, y=self.unit_stack))
 
     @cached_property
     def regular_commutant_residual(self) -> float:
-        """How far the right regular units are from spanning the frame
-        commutant of the left ones: the "commutant" residual of every
-        standard form of this algebra, whose actions are these stacks
-        whatever the state.
-        """
-        rights = self.right_regular_units()
-        _, res = spans_equal(left_commutant(left_frames(self, self.left_regular_units())),
-                             orthonormal_columns(rights.reshape(len(rights), -1).T))
-        return res
+        """How far the right regular units are from spanning the frame commutant
+        of the left ones: the "commutant" residual of every standard form."""
+        rights = self._regular_units("right")
+        return spans_equal(left_commutant(left_frames(self, self._regular_units("left"))),
+                           orthonormal_columns(rights.reshape(len(rights), -1).T))[1]
 
-    def extend_linearly(self, x: np.ndarray,
-                        unit_images: tuple[np.ndarray, ...]) -> np.ndarray:
+    def extend_linearly(self, x: np.ndarray, unit_images: np.ndarray) -> np.ndarray:
         """Image of x under the linear map given on the matrix units."""
         return np.tensordot(self.coords(x), unit_images, 1)
 
@@ -244,6 +226,34 @@ def random_faithful_state(A: MultiMatrixAlgebra, rng: np.random.Generator,
         spectrum = floor + (1.0 - d * floor) * e / total
         rho[off:off + n, off:off + n] = (Q * spectrum) @ Q.conj().T
     return State(A, rho, floor)
+
+
+def _read_only(units) -> np.ndarray:
+    """A read-only complex128 view of a stack, copied only to convert."""
+    view = np.asarray(units, dtype=np.complex128).view()
+    view.flags.writeable = False
+    return view
+
+
+def _bimodule_action(rows: np.ndarray, cols: np.ndarray, x=None, y=None,
+                     copies: np.ndarray | None = None) -> np.ndarray:
+    """The matrix of ξ -> x.ξ.y on the matrix units at (rows, cols) in copies.
+
+    Entry (s, t) is x[r_s, r_t] . y[c_t, c_s] . [k_s = k_t]; an omitted x
+    is [r_s = r_t], an omitted y [c_s = c_t], omitted copies one copy.  A
+    stack x, or a stack y with x omitted, gives a C-contiguous stack, the
+    other factors multiplied into it in place: no stack-sized temporary.
+    """
+    def entries(z, i, j):  # z[..., i, j], a stack gathered C-contiguous by np.take
+        return z[i, j] if z.ndim == 2 else \
+            np.take(z.reshape(len(z), -1), i * z.shape[-1] + j, axis=1)
+    left = rows[:, None] == rows if x is None else entries(x, rows[:, None], rows)
+    right = cols[:, None] == cols if y is None else entries(y, cols, cols[:, None])
+    out, other = (right, left) if x is None else (left, right)
+    out *= other
+    if copies is not None:
+        out *= copies[:, None] == copies
+    return out
 
 
 def isotypic_frames(lefts, rights) -> np.ndarray:

@@ -7,6 +7,9 @@ constructor checks unitality and the star law on every unit, the rest on
 the generating relations (see _generator_eps).  Conjugates, block
 correspondences, fusion results and L², whose units are exact index
 matrices, go through Correspondence._lawful, which checks nothing.
+
+Each action is one read-only complex128 (units, dim, dim) stack, which the
+constructor stacks once from its validated images and _lawful wraps uncopied.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from ..numkernel import (
     norm_exceeds,
     orthonormal_columns,
 )
-from .algebras import MultiMatrixAlgebra, frame_products, isotypic_frames
+from .algebras import (
+    MultiMatrixAlgebra,
+    _bimodule_action,
+    _read_only,
+    frame_products,
+    isotypic_frames,
+)
 from .standard import StandardFormData
 
 
@@ -92,25 +101,23 @@ class Correspondence:
     left_algebra: MultiMatrixAlgebra
     right_algebra: MultiMatrixAlgebra
     dim: int
-    pi_l_units: tuple[np.ndarray, ...]
-    pi_r_units: tuple[np.ndarray, ...]
+    pi_l_units: np.ndarray
+    pi_r_units: np.ndarray
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pi_l_units",
-                           tuple(as_complex_matrix(U) for U in self.pi_l_units))
-        object.__setattr__(self, "pi_r_units",
-                           tuple(as_complex_matrix(U) for U in self.pi_r_units))
         M, N = self.left_algebra, self.right_algebra
-        for A, units, label in ((M, self.pi_l_units, "left action"),
-                                (N, self.pi_r_units, "right action")):
+        images = [[as_complex_matrix(U) for U in units]
+                  for units in (self.pi_l_units, self.pi_r_units)]
+        for A, units, label in zip((M, N), images, ("left action", "right action")):
             if len(units) != A.vector_dim:
                 raise ValueError(f"{label}: expected {A.vector_dim} unit images")
             if any(U.shape != (self.dim, self.dim) for U in units):
                 raise ValueError(f"{label}: unit image has wrong shape")
+        lefts, pi_r = (_read_only(np.stack(units)) for units in images)
+        vars(self).update(pi_l_units=lefts, pi_r_units=pi_r)
         # y -> pi_r(y^T) is a homomorphism exactly when pi_r reverses products
-        lefts = np.stack(self.pi_l_units)
-        rights = np.stack([self.pi_r_units[u] for u in N.adjoint_order])
+        rights = pi_r[N.adjoint_order]
         tops = [max_operator_norm(lefts), max_operator_norm(rights)]
         eps = _generator_eps(max(tops))
         for A, units, top, label, kind in (
@@ -134,25 +141,21 @@ class Correspondence:
     def _lawful(cls, left_algebra: MultiMatrixAlgebra,
                 right_algebra: MultiMatrixAlgebra, dim: int, pi_l_units,
                 pi_r_units, name: str = "") -> "Correspondence":
-        """A correspondence lawful by construction: complex128 units, no law re-checked."""
+        """Lawful by construction: unit stacks wrapped read-only, no law re-checked."""
         H = object.__new__(cls)
         vars(H).update(
             left_algebra=left_algebra, right_algebra=right_algebra, dim=dim,
-            pi_l_units=tuple(np.asarray(U, dtype=np.complex128) for U in pi_l_units),
-            pi_r_units=tuple(np.asarray(U, dtype=np.complex128) for U in pi_r_units),
+            pi_l_units=_read_only(pi_l_units), pi_r_units=_read_only(pi_r_units),
             name=name)
         return H
 
     @cached_property
     def frames(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Isotypic frames per block pair: frames[b][c] is (mult, dim, n_b m_c)."""
-        M, N = self.left_algebra, self.right_algebra
-        lefts = [[self.pi_l_units[M.unit_index(b, i, 0)] for i in range(n)]
-                 for b, n in enumerate(M.block_sizes)]
-        rights = [[self.pi_r_units[N.unit_index(c, 0, k)] for k in range(m)]
-                  for c, m in enumerate(N.block_sizes)]
-        return tuple(tuple(isotypic_frames(L, R) for R in rights)
-                     for L in lefts)
+        """Isotypic frames per block pair: frames[b][c] is (mult, dim, n_b m_c),
+        from column 0 of each left unit block and row 0 of each right one."""
+        rights = _unit_blocks(self.right_algebra, self.pi_r_units)
+        return tuple(tuple(isotypic_frames(L[:, 0], R[0]) for R in rights)
+                     for L in _unit_blocks(self.left_algebra, self.pi_l_units))
 
     @property
     def multiplicities(self) -> tuple[tuple[int, ...], ...]:
@@ -178,8 +181,8 @@ def correspondences_close(a: Correspondence, b: Correspondence,
     if (a.left_algebra, a.right_algebra, a.dim) != \
             (b.left_algebra, b.right_algebra, b.dim):
         return False
-    return not norm_exceeds(np.stack(a.pi_l_units + a.pi_r_units)
-                            - np.stack(b.pi_l_units + b.pi_r_units), tol)
+    return not norm_exceeds(np.concatenate([a.pi_l_units - b.pi_l_units,
+                                            a.pi_r_units - b.pi_r_units]), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,11 +203,10 @@ class Intertwiner:
 
     def residual(self) -> float:
         """max over unit pairs of |T.A_s - A_t.T|, one product formed at a time."""
-        T = self.matrix
-        pairs = tuple(zip(self.source.pi_l_units + self.source.pi_r_units,
-                          self.target.pi_l_units + self.target.pi_r_units))
-        return max_operator_norm_of(lambda k: T @ pairs[k][0] - pairs[k][1] @ T,
-                                    len(pairs))
+        T, H, K = self.matrix, self.source, self.target
+        return max(max_operator_norm_of(lambda u: T @ src[u] - tgt[u] @ T, len(src))
+                   for src, tgt in ((H.pi_l_units, K.pi_l_units),
+                                    (H.pi_r_units, K.pi_r_units)))
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         T = self.matrix
@@ -233,28 +235,25 @@ def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
     """The (A, B)-correspondence with mult[b][c] copies of C^{n_b x m_c}.
 
     Basis order: (block pair (b, c), copy k, row i, col j), rows fastest
-    last. The actions x (x) 1 and 1 (x) y^T on C^{n x m} (x) C^copies,
-    restricted to the occupied slots, hit the row and the column index.
-    Once the table passes its checks the result is lawful by construction.
+    last.  Slot (b, c, k, i, j) is the unit at (row i of A's block b, column
+    j of B's block c) in copy k, acted on by x.ξ.y.  Once the table passes
+    its checks the result is lawful by construction.
     """
-    rows, cols = len(A.block_sizes), len(B.block_sizes)
-    if len(mult) != rows or any(len(row) != cols for row in mult):
-        raise ValueError(f"multiplicity table must be {rows} x {cols}")
+    shape = (len(A.block_sizes), len(B.block_sizes))
+    if len(mult) != shape[0] or any(len(row) != shape[1] for row in mult):
+        raise ValueError(f"multiplicity table must be {shape[0]} x {shape[1]}")
     mult = [[int(m) for m in row] for row in mult]
     if any(m < 0 for row in mult for m in row):
         raise ValueError("multiplicities must be nonnegative")
-    copies = max(max(row) for row in mult)
-    slots = np.array([((A.block_offset(b) + i) * B.dim + B.block_offset(c) + j)
-                      * copies + k
-                      for b, n in enumerate(A.block_sizes)
-                      for c, m in enumerate(B.block_sizes)
-                      for k in range(mult[b][c]) for i in range(n)
-                      for j in range(m)], dtype=int)
-    pick = np.ix_(slots, slots)
-    pi_l = [np.kron(E, np.eye(B.dim * copies))[pick] for E in A.matrix_units()]
-    pi_r = [np.kron(np.eye(A.dim), np.kron(F.T, np.eye(copies)))[pick]
-            for F in B.matrix_units()]
-    return Correspondence._lawful(A, B, len(slots), pi_l, pi_r)
+    rows, cols, copies = np.array(
+        [(A.block_offset(b) + i, B.block_offset(c) + j, k)
+         for b, n in enumerate(A.block_sizes)
+         for c, m in enumerate(B.block_sizes)
+         for k in range(mult[b][c]) for i in range(n) for j in range(m)],
+        dtype=int).reshape(-1, 3).T
+    pi_l = _bimodule_action(rows, cols, x=A.unit_stack, copies=copies)
+    pi_r = _bimodule_action(rows, cols, y=B.unit_stack, copies=copies)
+    return Correspondence._lawful(A, B, len(rows), pi_l, pi_r)
 
 
 def vector_correspondence(n: int) -> Correspondence:
@@ -273,8 +272,8 @@ def conjugate_correspondence(H: Correspondence) -> Correspondence:
     units, so lawful by construction.
     """
     A, B = H.left_algebra, H.right_algebra
-    pi_l = [np.conj(H.pi_r_units[u]) for u in B.adjoint_order]
-    pi_r = [np.conj(H.pi_l_units[u]) for u in A.adjoint_order]
+    pi_l, pi_r = (np.conjugate(U, out=U) for U in (H.pi_r_units[B.adjoint_order],
+                                                    H.pi_l_units[A.adjoint_order]))
     return Correspondence._lawful(B, A, H.dim, pi_l, pi_r,
                                   name=f"conj({H.name})" if H.name else "")
 
@@ -293,21 +292,20 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     for U in imgs:
         if not N.contains(U):
             raise NotHomomorphism("unit image leaves the target algebra")
+    imgs = np.stack(imgs)
     top = max_operator_norm(imgs)
-    broken = _broken_unit_relation(source, np.stack(imgs), top, _generator_eps(top))
+    broken = _broken_unit_relation(source, imgs, top, _generator_eps(top))
     if broken == "star":
         raise NotHomomorphism("images do not respect the involution")
     if broken == "product":
         raise NotHomomorphism("images do not multiply like matrix units")
     unit_img = sum(U for (b, i, j), U in zip(source.unit_triples(), imgs) if i == j)
 
-    units = N.matrix_units()
-    right_p = np.stack([N.coords(E @ unit_img) for E in units], axis=1)
-    Q = orthonormal_columns(right_p)
-    pi_l = [Q.conj().T @ L @ Q for L in std_N.pi_l_units]
-    pi_r = [Q.conj().T @ np.stack([N.coords(E @ img) for E in units], axis=1)
-            @ Q for img in imgs]
-    return Correspondence(N, source, Q.shape[1], tuple(pi_l), tuple(pi_r))
+    # the range of ξ -> ξ.ρ(1), on which ρ acts by right multiplication
+    rows, cols = N.unit_positions
+    Q = orthonormal_columns(_bimodule_action(rows, cols, y=unit_img))
+    pi_r = Q.conj().T @ _bimodule_action(rows, cols, y=imgs) @ Q
+    return Correspondence(N, source, Q.shape[1], Q.conj().T @ std_N.pi_l_units @ Q, pi_r)
 
 
 def _frame_pairs(H: Correspondence, K: Correspondence):

@@ -61,17 +61,13 @@ def r_eta(H: Correspondence, std_N: StandardFormData,
 
 @dataclass(frozen=True, eq=False)
 class FusionResult:
-    """Fused correspondence plus the quotient data of the ambient tensor.
-
+    """Fused correspondence plus the quotient data of the ambient tensor:
     project maps the ambient tensor coordinates onto the fused space and
-    section embeds it back; project @ section is the identity on the
-    quotient, and gram is the ambient Gram matrix that was quotiented.
-    """
+    section embeds it back, project @ section the identity on the quotient."""
 
     corr: Correspondence
     project: np.ndarray
     section: np.ndarray
-    gram: np.ndarray
     left_factor: Correspondence
     right_factor: Correspondence
 
@@ -140,7 +136,7 @@ def connes_fusion(H: Correspondence, K: Correspondence,
         raise CapExceeded(f"ambient tensor dimension {ambient} exceeds {cap}")
 
     # R[a] is r_eta of basis vector a: the right units' columns a, stacked
-    R = np.stack(H.pi_r_units).transpose(2, 1, 0) @ std_N.creation_inverse
+    R = H.pi_r_units.transpose(2, 1, 0) @ std_N.creation_inverse
     # coordinates lam_inv.R_a*.R_c.Lambda(1) of the middle element of (a, c)
     coef = (R @ std_N.cyclic_vector()) @ (R.conj() @ std_N.lam_inv.T)
     G = np.tensordot(coef, K.pi_l_units, 1).transpose(0, 2, 1, 3) \
@@ -167,13 +163,13 @@ def connes_fusion(H: Correspondence, K: Correspondence,
                            f"exceeds {bound:.3g}: the reduced quotient does "
                            f"not span the Gram matrix")
 
-    pi_l = kron_sandwich(project, np.stack(H.pi_l_units), dK, section)
-    pi_r = kron_sandwich(project, dH, np.stack(K.pi_r_units), section)
+    pi_l = kron_sandwich(project, H.pi_l_units, dK, section)
+    pi_r = kron_sandwich(project, dH, K.pi_r_units, section)
     name = f"({H.name}*{K.name})" if H.name and K.name else ""
     corr = Correspondence._lawful(H.left_algebra, K.right_algebra, q.rank,
                                   pi_l, pi_r, name=name)
     return FusionResult(corr=corr, project=project, section=section,
-                        gram=G, left_factor=H, right_factor=K)
+                        left_factor=H, right_factor=K)
 
 
 def left_unitor(K: Correspondence, std_M: StandardFormData,
@@ -240,18 +236,17 @@ def twisted_balancing_residual(fus: FusionResult, std_N: StandardFormData,
     H, K, N = fus.left_factor, fus.right_factor, std_N.algebra
     draws = [(rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim),
               rng.standard_normal(K.dim) + 1j * rng.standard_normal(K.dim),
-              N.coords(N.random_element(rng))) for _ in range(samples)]
+              N.random_element(rng)[N.unit_positions]) for _ in range(samples)]
     if not draws:
         return 0.0
     eta, zeta, n = (np.stack(x) for x in zip(*draws))
-    right_H, left_K = np.stack(H.pi_r_units), np.stack(K.pi_l_units)
     plus, minus = std_N.delta_half, std_N.delta_minus_half
 
     def act(coords, units, vecs):
         return (np.tensordot(coords, units, 1) @ vecs[:, :, None])[:, :, 0]
 
-    v = fus.pure(act(n, right_H, eta), zeta) \
-        - fus.pure(eta, act(n @ plus.T, left_K, zeta))
-    w = fus.pure(eta, act(n, left_K, zeta)) \
-        - fus.pure(act(n @ minus.T, right_H, eta), zeta)
+    v = fus.pure(act(n, H.pi_r_units, eta), zeta) \
+        - fus.pure(eta, act(n @ plus.T, K.pi_l_units, zeta))
+    w = fus.pure(eta, act(n, K.pi_l_units, zeta)) \
+        - fus.pure(act(n @ minus.T, H.pi_r_units, eta), zeta)
     return float(np.max(np.linalg.norm(np.concatenate([v, w]), axis=1)))

@@ -6,18 +6,19 @@ are an orthonormal basis for <x, y> = φ(x*y), which is the trace inner
 product of the vectors ξ = Λ(x).  For A = ⊕_b M_{n_b} the standard form
 is then known exactly (Haagerup, Math. Scand. 37, 1975; Takesaki, Theory
 of Operator Algebras II): J ξ = ξ*, Δ^s ξ = ρ^s·ξ·ρ^{-s} and
-π_r(y) ξ = ξ·y.  Each piece is an index gather on the unit positions
-from the one spectrum of ρ; no operator on L² is decomposed or inverted.
+π_r(y) ξ = ξ·y.  J permutes the unit basis; Λ^{±1} (ξ -> ξ·ρ^{±1/2}), Δ^s,
+the creation inverse and both actions (read-only unit stacks) are each one
+gather of ξ -> x·ξ·y (algebras._bimodule_action) from the powers of ρ.
 
-The involution S(Λx) = Λ(x*) is still built from its definition, and
-every residual is measured against it.  S is invertible, so its polar
-decomposition S = J·Δ^{1/2}, J antiunitary and Δ positive, is unique: a
-small |J·Δ^{1/2} - S| shows that the closed form is that decomposition.
-The commutation theorem is checked against the commutant read off the
-left action's isotypic frames, not solved for, once per algebra: both
-actions depend on the algebra alone.  Λ, Λ^{-1} and S are read
-off the stacked products E_u·X, whose entries are single products.
-Antilinear maps are stored as matrices M acting by v -> M.conj(v).
+The involution S(Λx) = Λ(x*) is still built from its definition, on the
+stacked products E_u·ρ^{-1/2}, and every residual is measured against
+it.  S is invertible, so its polar decomposition S = J·Δ^{1/2}, J
+antiunitary and Δ positive, is unique: a small |J·Δ^{1/2} - S| shows
+that the closed form is that decomposition.  The commutation theorem is
+checked against the commutant read off the left action's isotypic
+frames, not solved for, once per algebra: both actions depend on the
+algebra alone.  Antilinear maps are stored as matrices M acting by
+v -> M.conj(v).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ..numkernel import (
     operator_norm,
     spectral_powers,
 )
-from .algebras import MultiMatrixAlgebra, State
+from .algebras import MultiMatrixAlgebra, State, _bimodule_action
 
 _POWERS = (1.0, 0.5, -0.5, -1.0)
 
@@ -65,14 +66,14 @@ class StandardFormData:
     # The actions depend on the algebra alone, so they are not fields: no
     # replaced stack can sit under the algebra's measured commutant residual.
     @cached_property
-    def pi_l_units(self) -> tuple[np.ndarray, ...]:
-        """pi_l(E_u), the 0/1 matrix of E_w -> E_u.E_w, for each unit u."""
-        return tuple(self.algebra.left_regular_units())
+    def pi_l_units(self) -> np.ndarray:
+        """pi_l(E_u), the 0/1 matrix of E_w -> E_u.E_w, stacked over u, read-only."""
+        return self.algebra._regular_units("left")
 
     @cached_property
-    def pi_r_units(self) -> tuple[np.ndarray, ...]:
-        """pi_r(E_u), the 0/1 matrix of E_w -> E_w.E_u, for each unit u."""
-        return tuple(self.algebra.right_regular_units())
+    def pi_r_units(self) -> np.ndarray:
+        """pi_r(E_u), the 0/1 matrix of E_w -> E_w.E_u, stacked over u, read-only."""
+        return self.algebra._regular_units("right")
 
     def Lambda(self, x: np.ndarray) -> np.ndarray:
         return self.lam @ self.algebra.coords(x)
@@ -125,23 +126,18 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
     top = _block_condition(A, w, V)
     if 1.0 / top <= DEFAULT_TOL * top:
         raise Singular("negative power of a singular matrix")
-    units = A.unit_stack
     rows, cols = A.unit_positions
-    lam = (units @ rho[0.5])[:, rows, cols].T
-    right_minus_half = units @ rho[-0.5]
-    lam_inv = right_minus_half[:, rows, cols].T
-    # S(ξ) = Λ((Λ^{-1}ξ)*): columns are images of the basis vectors
-    S = (right_minus_half.conj().transpose(0, 2, 1) @ rho[0.5])[:, rows, cols].T
-    # Δ^s sends E_w to rho^s.E_w.rho^{-s}, whose entry at unit v is
-    # rho^s[row(v), row(w)] . rho^{-s}[col(w), col(v)]
+    # Λ^{±1} is ξ -> ξ.rho^{±1/2} and Δ^s is ξ -> rho^s.ξ.rho^{-s}
+    lam, lam_inv = (_bimodule_action(rows, cols, y=rho[s]) for s in (0.5, -0.5))
     delta, delta_half, delta_minus_half = (
-        rho[s][rows[:, None], rows] * rho[-s][cols, cols[:, None]]
-        for s in (1.0, 0.5, -0.5))
+        _bimodule_action(rows, cols, rho[s], rho[-s]) for s in (1.0, 0.5, -0.5))
+    # S(ξ) = Λ((Λ^{-1}ξ)*) from its definition, on the products E_w.rho^{-1/2}
+    S = ((A.unit_stack @ rho[-0.5]).conj().transpose(0, 2, 1) @ rho[0.5])[:, rows, cols].T
     # J ξ = ξ*: the coordinate of E_u in J ξ is conj of that of E_u*
     J = np.eye(A.vector_dim, dtype=np.complex128)[A.adjoint_order]
     # the inverse of Λ's own rho^{1/2}, an A.dim-square matrix, rather than
     # rho^{-1/2}: fusion pairs the creation operators with Λ(1)
-    creation_inverse = np.linalg.inv(rho[0.5])[rows[:, None], rows] * (cols[:, None] == cols)
+    creation_inverse = _bimodule_action(rows, cols, x=np.linalg.inv(rho[0.5]))
     return StandardFormData(A, phi, lam, lam_inv, S, J, delta, delta_half,
                             delta_minus_half, creation_inverse)
 

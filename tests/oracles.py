@@ -5,8 +5,10 @@ quotients are computed by enumerating finite ambient groups and
 reconstructing invariant factors from element-order counts, and
 determinants by fraction-free elimination.  On the analytic side the
 modular data of a standard form come from a numerical polar
-decomposition of S, the reference for the library's closed form, and
-subspaces are compared through fresh orthonormal bases.
+decomposition of S, the reference for the library's closed form, the
+maps ξ -> x.ξ.y from the broadcasts, Kronecker products and stacked
+products the library's one gather replaced, fusion Gram matrices pair by
+pair, and subspaces are compared through fresh orthonormal bases.
 """
 
 from __future__ import annotations
@@ -288,6 +290,78 @@ def polar_antilinear(S: AntilinearOp):
         raise Singular("antilinear operator is numerically singular")
     half, minus_half = spectral_powers(w, V, (0.5, -0.5))
     return AntilinearOp(M @ np.conj(minus_half)), delta, half, minus_half
+
+
+def fusion_gram(H, K, std):
+    """The ambient Gram matrix of H fused with K over std's algebra, one
+    block K.pi_l(n_ac) per pair (a, c) of H's basis vectors.
+
+    n_ac = Lambda^{-1}(R_a*.R_c.Lambda(1)) for R_a the creation operator of
+    basis vector a, matched on the basis J Lambda(E_u*) of L²: no stacked
+    contraction and no creation_inverse of the standard form.
+    """
+    dH, dK = H.dim, K.dim
+    V = np.stack([std.J @ np.conj(std.lam[:, u])
+                  for u in std.algebra.adjoint_order], axis=1)
+    V_inv = np.linalg.inv(V)
+    cyc = std.cyclic_vector()
+    R = [np.stack([U[:, a] for U in H.pi_r_units], axis=1) @ V_inv
+         for a in range(dH)]
+    G = np.zeros((dH * dK, dH * dK), dtype=np.complex128)
+    for a in range(dH):
+        for c in range(dH):
+            n_ac = std.Lambda_inv(R[a].conj().T @ R[c] @ cyc)
+            G[a * dK:(a + 1) * dK, c * dK:(c + 1) * dK] = K.pi_l(n_ac)
+    return G
+
+
+# ------------------------------------ reference constructions of x.ξ.y maps
+
+def broadcast_regular_units(A):
+    """L²(A)'s unit stacks (left, right) by boolean broadcasts on the unit
+    positions: a 1 at (v, w) of left unit u exactly when row(v) = row(u),
+    row(w) = col(u) and col(v) = col(w), and of right unit u exactly when
+    row(v) = row(w), col(w) = row(u) and col(v) = col(u)."""
+    rows, cols = A.unit_positions
+    left = ((rows[:, None, None] == rows[:, None]) & (cols[:, None, None] == rows)
+            & (cols[:, None] == cols)).astype(np.complex128)
+    right = ((rows[:, None] == rows) & (rows[:, None, None] == cols)
+             & (cols[:, None, None] == cols[:, None])).astype(np.complex128)
+    return left, right
+
+
+def kron_block_units(A, B, mult):
+    """block_correspondence(A, B, mult)'s unit stacks, one Kronecker product
+    x (x) 1 or 1 (x) y^T (x) 1 per unit, restricted to the occupied slots."""
+    copies = max(max(row) for row in mult)
+    slots = np.array([((A.block_offset(b) + i) * B.dim + B.block_offset(c) + j)
+                      * copies + k
+                      for b, n in enumerate(A.block_sizes)
+                      for c, m in enumerate(B.block_sizes)
+                      for k in range(mult[b][c]) for i in range(n)
+                      for j in range(m)], dtype=int)
+    pick = np.ix_(slots, slots)
+    pi_l = [np.kron(E, np.eye(B.dim * copies))[pick] for E in A.matrix_units()]
+    pi_r = [np.kron(np.eye(A.dim), np.kron(F.T, np.eye(copies)))[pick]
+            for F in B.matrix_units()]
+    return np.stack(pi_l), np.stack(pi_r)
+
+
+def product_lambdas(A, rho_half, rho_minus_half):
+    """Λ and Λ^{-1} in coordinates, read off the stacked products E_u.ρ^{±1/2}."""
+    rows, cols = A.unit_positions
+    return tuple((A.unit_stack @ r)[:, rows, cols].T for r in (rho_half, rho_minus_half))
+
+
+def index_modular_tables(A, rho):
+    """Δ, Δ^{1/2}, Δ^{-1/2} and the creation inverse by index formulas, for
+    rho a dict of the density's powers 1, 1/2, -1/2 and -1: the entry of
+    Δ^s at (v, w) is rho^s[row(v), row(w)] . rho^{-s}[col(w), col(v)]."""
+    rows, cols = A.unit_positions
+    deltas = [rho[s][rows[:, None], rows] * rho[-s][cols, cols[:, None]]
+              for s in (1.0, 0.5, -0.5)]
+    inverse = np.linalg.inv(rho[0.5])[rows[:, None], rows] * (cols[:, None] == cols)
+    return deltas + [inverse]
 
 
 def center_basis(A) -> list[np.ndarray]:

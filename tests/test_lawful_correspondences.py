@@ -64,8 +64,8 @@ def law_violations(args, kwargs, obj) -> list[str]:
         checked = Correspondence(*args, **kwargs)
     except ValueError as exc:
         return [f"{obj!r}: {exc}"]
-    stored = obj.pi_l_units + obj.pi_r_units
-    fresh = checked.pi_l_units + checked.pi_r_units
+    stored = np.concatenate([obj.pi_l_units, obj.pi_r_units])
+    fresh = np.concatenate([checked.pi_l_units, checked.pi_r_units])
     same = (obj.left_algebra, obj.right_algebra, obj.dim, obj.name) == \
         (checked.left_algebra, checked.right_algebra, checked.dim, checked.name) \
         and len(stored) == len(fresh) \

@@ -5,14 +5,16 @@ middle blocks b of (H.p_b) (x) (p_b.K), and certifies the result against
 G in one residual.  This test records every fusion built on the corpus of
 tests/test_lawful_correspondences.py (the wstar-morita inputs, the 20 W*
 coherence chains and the three CLI demos) at three seeds, and compares
-each with the full quotient of the same G, whose fused actions are formed
-with explicit Kronecker products: the same rank, project.section = 1,
+each with the full quotient of G built pair by pair (oracles.fusion_gram),
+whose fused actions are formed with explicit Kronecker products: the same rank, project.section = 1,
 and a unitary intertwiner from the reduced fused correspondence onto the
 full one.  A mutation that drops one block pair from a factor's frames
 keeps the rank gate satisfied, and the residual check must catch it.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -30,32 +32,33 @@ from moritalab.wstar import (
     random_faithful_state,
     unitary_intertwiner,
 )
+from oracles import fusion_gram
 from test_lawful_correspondences import _coherence_batch, _demos, _wstar_morita
 
 
 @pytest.fixture
 def fusions(monkeypatch):
-    """Every FusionResult connes_fusion returns."""
+    """Every FusionResult connes_fusion returns, with its middle standard form."""
     out, real = [], fusion_module.FusionResult
 
     def record(**kwargs):
-        out.append(real(**kwargs))
-        return out[-1]
+        out.append((real(**kwargs), sys._getframe(1).f_locals["std_N"]))
+        return out[-1][0]
     monkeypatch.setattr(fusion_module, "FusionResult", record)
     return out
 
 
-def full_quotient(fus) -> Correspondence:
+def full_quotient(fus, std_N) -> Correspondence:
     """The fused correspondence from the full Gram quotient, Kronecker products formed."""
     H, K = fus.left_factor, fus.right_factor
-    q = gram_quotient(fus.gram, scale=1.0)
+    q = gram_quotient(fusion_gram(H, K, std_N), scale=1.0)
     pi_l = [q.project @ np.kron(U, np.eye(K.dim)) @ q.section for U in H.pi_l_units]
     pi_r = [q.project @ np.kron(np.eye(H.dim), U) @ q.section for U in K.pi_r_units]
     return Correspondence._lawful(H.left_algebra, K.right_algebra, q.rank, pi_l, pi_r)
 
 
-def mismatches(fus) -> list[str]:
-    full = full_quotient(fus)
+def mismatches(fus, std_N) -> list[str]:
+    full = full_quotient(fus, std_N)
     out = []
     if full.dim != fus.corr.dim:
         out.append(f"rank {fus.corr.dim} against the full {full.dim}")
@@ -73,7 +76,7 @@ def test_reduced_fusions_match_the_full_quotient(fusions, seed, tmp_path):
     _coherence_batch(seed)
     _demos(tmp_path)
     assert len(fusions) > 500
-    assert [m for fus in fusions for m in mismatches(fus)] == []
+    assert [m for fus, std_N in fusions for m in mismatches(fus, std_N)] == []
 
 
 def _two_block_fusion_inputs():

@@ -38,8 +38,8 @@ def _kronecker_reference(H, K):
     """Hom(H, K) as the common kernel of the stacked Sylvester systems."""
     dH, dK = H.dim, K.dim
     rows = [np.kron(At, np.eye(dH)) - np.kron(np.eye(dK), As.T)
-            for As, At in zip(H.pi_l_units + H.pi_r_units,
-                              K.pi_l_units + K.pi_r_units)]
+            for As, At in zip(np.concatenate([H.pi_l_units, H.pi_r_units]),
+                              np.concatenate([K.pi_l_units, K.pi_r_units]))]
     return joint_null_space(rows, dH * dK, scale=2.0)
 
 
@@ -218,8 +218,8 @@ class TestFrobeniusFirstGates:
             moved = [tuple(W @ U @ W.conj().T for U in units)
                      for units in (H.pi_l_units, H.pi_r_units)]
             K = Correspondence(H.left_algebra, H.right_algebra, H.dim, *moved)
-            diffs = [U - V for U, V in zip(H.pi_l_units + H.pi_r_units,
-                                           K.pi_l_units + K.pi_r_units)]
+            diffs = [U - V for U, V in zip(np.concatenate([H.pi_l_units, H.pi_r_units]),
+                                           np.concatenate([K.pi_l_units, K.pi_r_units]))]
             top = max(operator_norm(D) for D in diffs)
             frob = max(float(np.linalg.norm(D)) for D in diffs)
             assert frob > top > 0
@@ -248,8 +248,8 @@ def _listed_residual(w):
     checked against the plain loop of operator norms."""
     T = w.matrix
     listed = [T @ As - At @ T for As, At in zip(
-        w.source.pi_l_units + w.source.pi_r_units,
-        w.target.pi_l_units + w.target.pi_r_units)]
+        np.concatenate([w.source.pi_l_units, w.source.pi_r_units]),
+        np.concatenate([w.target.pi_l_units, w.target.pi_r_units]))]
     value = max_operator_norm(listed)
     assert value == max(operator_norm(D) for D in listed)
     return value

@@ -2,9 +2,11 @@
 
 The Gram matrix of a fusion, both unitors and the modular twist are linear
 in the middle algebra, so the library forms each of them once per matrix
-unit.  The references below build the same maps one pair, one unit or one
-element at a time, reading every middle element back through Lambda_inv
-and the checked extension pi_l / pi_r.
+unit.  The references below (and oracles.fusion_gram) build the same maps
+one pair, one unit or one element at a time, reading every middle element
+back through Lambda_inv and the checked extension pi_l / pi_r.  A fusion
+does not keep its Gram matrix; its quotient must reproduce the reference
+one as project*.project.
 """
 
 import numpy as np
@@ -26,6 +28,8 @@ from moritalab.wstar import (
     trace_state,
 )
 
+from oracles import fusion_gram
+
 PATTERNS = ((2,), (2, 3), (1, 2, 2))
 
 
@@ -39,23 +43,6 @@ def _reference_twist(std, y, sign):
     if resid > DEFAULT_TOL * (1.0 + operator_norm(op)):
         raise NotFaithful(f"modular twist left the algebra, residual {resid:.3g}")
     return twisted
-
-
-def _reference_gram(H, K, std):
-    """The fusion Gram matrix, one block K.pi_l(n_ac) per pair (a, c)."""
-    dH, dK = H.dim, K.dim
-    V = np.stack([std.J @ np.conj(std.lam[:, u])
-                  for u in std.algebra.adjoint_order], axis=1)
-    V_inv = np.linalg.inv(V)
-    cyc = std.cyclic_vector()
-    R = [np.stack([U[:, a] for U in H.pi_r_units], axis=1) @ V_inv
-         for a in range(dH)]
-    G = np.zeros((dH * dK, dH * dK), dtype=np.complex128)
-    for a in range(dH):
-        for c in range(dH):
-            n_ac = std.Lambda_inv(R[a].conj().T @ R[c] @ cyc)
-            G[a * dK:(a + 1) * dK, c * dK:(c + 1) * dK] = K.pi_l(n_ac)
-    return G
 
 
 def _reference_left_unitor(K, std, fusion):
@@ -114,8 +101,9 @@ def test_gram_and_rank_equal_the_per_pair_loop(blocks):
         for H in [L2] + _left_factors(std.algebra):
             for K in (L2, conjugate_correspondence(H)):
                 f = connes_fusion(H, K, std)
-                G = _reference_gram(H, K, std)
-                _assert_close(f.gram, G)
+                G = fusion_gram(H, K, std)
+                # the quotient reproduces G: project*.project is G on S's span
+                _assert_close(f.project.conj().T @ f.project, G)
                 assert f.corr.dim == gram_quotient(G, scale=1.0).rank
 
 
