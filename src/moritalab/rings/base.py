@@ -6,43 +6,43 @@ and ``table`` holds the same tensor as one exact (k, k, k) object array.
 Products and the left and right multiplication matrices are
 contractions of that array with an element's coordinates.  Like every
 ``IntegerMatrix``, the matrices here and the helpers below
-(``combine_matrices``, ``matrices_congruent``, ``is_group_map``,
-``reduced_stack``) work on object-dtype arrays of Python ints, so they
-are exact at any size.
+(``matrices_congruent``, ``is_group_map``, ``reduced_stack``) work on
+object-dtype arrays of Python ints, so they are exact at any size.
 
-Every ring and bimodule law is checked on generator matrices by
-``broken_law``, which names the first law a family of integer matrices
-breaks as an (anti-)representation of a ring: well shaped (one square
-matrix per generator), well defined (each matrix is a group
-endomorphism), additive in the ring argument, (anti-)multiplicative
-against the ring's table, or unital.  Its two
-companions are ``is_group_map`` (a matrix defines a homomorphism between
-two invariant-factor groups) and ``intertwines`` (a matrix commutes with
-two families of actions).  A ring states its laws through its
-left-regular matrices L_i (column j is e_i * e_j): they represent the
-table exactly when the product is well defined in both slots and
-associative.  The zero ring is rejected: a presentation whose unit has
-additive order below 2 raises UnitDegenerate.
+Every ring and bimodule law is checked on a stack of generator matrices
+by ``broken_law``, which names the first law a (k, n, n) stack breaks as
+an (anti-)representation of a ring: well shaped (one square matrix per
+generator), well defined (each matrix is a group endomorphism), additive
+in the ring argument, (anti-)multiplicative against the ring's table, or
+unital.  Its two companions are ``is_group_map`` (a matrix defines a
+homomorphism between two invariant-factor groups) and ``intertwines`` (a
+matrix commutes with two stacks of actions).  A ring states its laws
+through its left-regular stack L, L[i] the matrix of x -> e_i * x
+(column j is e_i * e_j), which is ``table`` with its last two axes
+swapped: it represents the table exactly when the product is well
+defined in both slots and associative.  The zero ring is rejected: a
+presentation whose unit has additive order below 2 raises UnitDegenerate.
 
 The public ``FiniteRing`` constructor checks every law.  Endomorphism
 rings (tables read off composites of maps) and the matrix, opposite and
 direct product rings of checked rings are lawful by construction, so
 ``FiniteRing._lawful`` only reduces their table and unit, as one array.
 
-The laws run as one stacked-array kernel.  A family of k matrices on a
-carrier with invariant factors f_1 | ... | f_n becomes one (k, n, n)
-array with row a reduced modulo f_a, and ring coefficients are read
-modulo the exponent N = lcm(f).  Every law compares row a modulo f_a, so
-this changes no verdict once "well defined" has passed: A[a][b] * f_b = 0
-(mod f_a) means that moving row b of a factor by f_b moves row a of a
-product by a multiple of f_a.  "Well defined", "additive" and "unital"
-are single broadcasts; "multiplicative" checks row i of the table
-against all j at once, in O(k n^2) memory.  Sums of w products of
-reduced entries stay below w (N - 1)^2, so ``law_dtype`` picks int64 when
-that is below 2^63 for w = max(n, k), and object (exact Python integers)
-above it; both dtypes run the same code.  Entries are always reduced in
-object dtype first and cast afterwards, so an unreduced entry past 2^63
-never meets an int64.
+A stack of k matrices on a carrier with invariant factors
+f_1 | ... | f_n is read with row a reduced modulo f_a (``reduced_stack``,
+exact), and ring coefficients modulo the exponent N = lcm(f).  Every law
+compares row a modulo f_a, so this changes no verdict once "well
+defined" has passed: A[a][b] * f_b = 0 (mod f_a) means that moving row b
+of a factor by f_b moves row a of a product by a multiple of f_a.  "Well
+defined", "additive" and "unital" are single broadcasts;
+"multiplicative" checks row i of the table against all j at once, in
+O(k n^2) memory.  Sums of w products of reduced entries stay below
+w (N - 1)^2, so inside the kernel ``law_dtype`` picks int64 when that is
+below 2^63 for w = max(n, k), and object (exact Python integers) above
+it; both dtypes run the same code.  Entries are always reduced in object
+dtype first and cast afterwards, so an unreduced entry past 2^63 never
+meets an int64, and what the kernel hands back is the exact reduced
+stack, whatever dtype it checked in.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ Vector = tuple[int, ...]
 
 
 # ------------------------------------------------------- law checker
-
-def combine_matrices(mats: Sequence[IntegerMatrix], coeffs: Sequence[int]) -> IntegerMatrix:
-    """Integer linear combination sum_i coeffs[i] * mats[i]."""
-    if not mats:
-        return IntegerMatrix.zeros(0, 0)
-    stack = np.array([M.array for M in mats], dtype=object)
-    return IntegerMatrix.adopt(np.tensordot(np.array(coeffs, dtype=object), stack, 1))
-
 
 def matrices_congruent(A: IntegerMatrix, B: IntegerMatrix,
                        row_moduli: Sequence[int]) -> bool:
@@ -93,31 +85,20 @@ def law_dtype(width: int, exponent: int) -> type:
 
 def _reduced(values, modulus, dtype: type = object) -> np.ndarray:
     """Integers reduced modulo modulus in exact arithmetic, then cast to dtype."""
-    return (np.array(values, dtype=object) % modulus).astype(dtype, copy=False)
+    return (np.asarray(values, dtype=object) % modulus).astype(dtype, copy=False)
 
 
-def reduced_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
-                  dtype: type = object) -> np.ndarray:
-    """mats as one (k, n, n) array, row a reduced modulo factors[a], cast to dtype."""
-    n = len(factors)
-    stack = np.array([M.array for M in mats], dtype=object).reshape(len(mats), n, n)
-    return _reduced(stack, moduli_column(factors), dtype)
-
-
-def law_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
-              ring: "FiniteRing") -> np.ndarray:
-    """mats as the stack the law kernel checks, at ``law_dtype``; no law is checked."""
-    return reduced_stack(mats, factors, law_dtype(max(len(factors), ring.rank), lcm(*factors)))
+def reduced_stack(stack: np.ndarray, factors: Sequence[int]) -> np.ndarray:
+    """A (k, n, n) stack of integer matrices with row a reduced modulo factors[a], exact."""
+    return _reduced(stack, moduli_column(factors))
 
 
 def kron_differences(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X[g] (x) 1 - 1 (x) Y[g] for every g, as one (k, a b, a b) array.
 
-    X is (k, a, a) and Y is (k, b, b), int64 or object; row and column
-    (i, j) sit at i * b + j, the pair index of ``kron``.  The result is
-    exact (object dtype).
+    X is (k, a, a) and Y is (k, b, b), both exact (object dtype); row and
+    column (i, j) sit at i * b + j, the pair index of ``kron``.
     """
-    X, Y = X.astype(object, copy=False), Y.astype(object, copy=False)
     k, a, b = len(X), X.shape[1], Y.shape[1]
     D = np.zeros((k, a, b, a, b), dtype=object)
     # D[g, i, j, i', j'] = X[g, i, i'] [j = j'] - [i = i'] Y[g, j, j']
@@ -135,10 +116,11 @@ def intertwines(M: IntegerMatrix, src_stack: np.ndarray, tgt_stack: np.ndarray,
                 src_factors: Sequence[int], tgt_factors: Sequence[int]) -> bool:
     """M @ A[j] = B[j] @ M modulo the target orders, for every j.
 
-    A = src_stack and B = tgt_stack are two families of actions as reduced
-    stacks (``reduced_stack``, or ``Bimodule.action_stack``), int64 or
-    object.  M must be a group map (``is_group_map``) and the actions well
-    defined, which makes reducing each row modulo its factor exact.
+    A = src_stack and B = tgt_stack are two families of actions as exact
+    reduced stacks (``reduced_stack``, or a bimodule's ``left_action`` or
+    ``right_action``), read at ``law_dtype``.  M must be a group map
+    (``is_group_map``) and the actions well defined, which makes reducing
+    each row modulo its factor exact.
     """
     dtype = law_dtype(max(len(src_factors), len(tgt_factors)),
                       max(lcm(*src_factors), lcm(*tgt_factors)))
@@ -150,51 +132,54 @@ def intertwines(M: IntegerMatrix, src_stack: np.ndarray, tgt_stack: np.ndarray,
 
 def stacks_commute(L: np.ndarray, P: np.ndarray, factors: Sequence[int]) -> bool:
     """L[i] @ P[j] = P[j] @ L[i] for all pairs of reduced stacks, one i at a time."""
-    f = np.array(factors, dtype=np.result_type(L, P)).reshape(-1, 1)
+    dtype = law_dtype(len(factors), lcm(*factors))
+    L, P = L.astype(dtype, copy=False), P.astype(dtype, copy=False)
+    f = np.array(factors, dtype=dtype).reshape(-1, 1)
     return all(_intertwined(Li, P, P, f) for Li in L)
 
 
-def checked_stack(mats: Sequence[IntegerMatrix], factors: Sequence[int],
-                  ring: "FiniteRing", anti: bool = False
-                  ) -> tuple[str | None, np.ndarray | None]:
-    """``broken_law`` and the reduced stack it checked (None if ill-shaped)."""
+def checked_stack(stack: np.ndarray, factors: Sequence[int], ring: "FiniteRing",
+                  anti: bool = False) -> tuple[str | None, np.ndarray | None]:
+    """``broken_law`` and the exact reduced stack it checked (None if ill-shaped)."""
     n, k = len(factors), ring.rank
-    if len(mats) != k or any(M.rows != n or M.cols != n for M in mats):
+    if np.shape(stack) != (k, n, n):
         return "well shaped", None
     N = lcm(*factors)
-    A = law_stack(mats, factors, ring)
-    dtype = A.dtype
+    exact = reduced_stack(stack, factors)
+    dtype = law_dtype(max(n, k), N)
+    A = exact.astype(dtype, copy=False)
     f = np.array(factors, dtype=dtype).reshape(n, 1)
     if (A * (f.T % f) % f).any():  # A[l, a, b] * f_b (mod f_a)
-        return "well defined", A
+        return "well defined", exact
     orders = _reduced(ring.additive.invariant_factors, N, dtype).reshape(k, 1, 1)
     if (orders * A % f).any():
-        return "additive", A
+        return "additive", exact
     table = ring.reduced_table(N, dtype)
     flat = A.reshape(k, n * n)
     for i in range(k):
         product = A @ A[i] if anti else A[i] @ A
         if ((product - (table[i] @ flat).reshape(k, n, n)) % f).any():
-            return ("anti-multiplicative" if anti else "multiplicative"), A
+            return ("anti-multiplicative" if anti else "multiplicative"), exact
     unit = _reduced(ring.unit, N, dtype)
     if (((unit @ flat).reshape(n, n) - np.eye(n, dtype=np.int64)) % f).any():
-        return "unital", A
-    return None, A
+        return "unital", exact
+    return None, exact
 
 
-def broken_law(mats: Sequence[IntegerMatrix], factors: Sequence[int],
-               ring: "FiniteRing", anti: bool = False) -> str | None:
-    """The first law mats break as an (anti-)representation of ring, or None.
+def broken_law(stack: np.ndarray, factors: Sequence[int], ring: "FiniteRing",
+               anti: bool = False) -> str | None:
+    """The first law a stack breaks as an (anti-)representation of ring, or None.
 
-    mats[l] acts for the l-th additive generator of ring on the group with
+    stack[l] acts for the l-th additive generator of ring on the group with
     invariant factors ``factors``.  The laws, in the order checked: "well
-    shaped" (one square matrix per generator), "well defined" (each is a
-    group endomorphism), "additive" (ord(e_l) * mats[l] = 0), then
-    "multiplicative" (mats[i] @ mats[j] = sum_l mult[i][j][l] mats[l]), or
+    shaped" (a (k, n, n) stack, one square matrix per generator), "well
+    defined" (each is a group endomorphism), "additive"
+    (ord(e_l) * stack[l] = 0), then "multiplicative"
+    (stack[i] @ stack[j] = sum_l mult[i][j][l] stack[l]), or
     "anti-multiplicative" with the product reversed when anti, and
-    "unital" (sum_l unit[l] mats[l] = I).
+    "unital" (sum_l unit[l] stack[l] = I).
     """
-    return checked_stack(mats, factors, ring, anti)[0]
+    return checked_stack(stack, factors, ring, anti)[0]
 
 
 # what each law of the left-regular matrices means for the table
@@ -221,14 +206,16 @@ class FiniteRing:
         object.__setattr__(self, "mult", tuple(tuple(g.reduce(v) for v in row) for row in self.mult))
         object.__setattr__(self, "unit", g.reduce(self.unit))
         k = g.rank
-        law, L = checked_stack([IntegerMatrix.from_columns(row, k) for row in self.mult],
-                               g.invariant_factors, self)
+        if len(self.mult) != k or any(len(row) != k for row in self.mult):
+            raise ValueError(_TABLE_LAWS["well shaped"])
+        # the left-regular matrices: column j of L_i is e_i * e_j = table[i, j]
+        law, L = checked_stack(self.table.transpose(0, 2, 1), g.invariant_factors, self)
         if law in (None, "unital") and g.element_order(self.unit) < 2:
             raise UnitDegenerate("unit of additive order < 2 (zero ring)")
         if law is not None:
             raise ValueError(_TABLE_LAWS[law])
         # the left unit law passed in checked_stack; (L_i u)_a = [i == a] is the right one
-        u, f = (np.array(v, dtype=L.dtype) for v in (self.unit, g.invariant_factors))
+        u, f = (np.array(v, dtype=object) for v in (self.unit, g.invariant_factors))
         if ((L @ u - np.eye(k, dtype=np.int64)) % f).any():
             raise ValueError("unit law fails on a generator")
 

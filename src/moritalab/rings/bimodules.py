@@ -1,33 +1,35 @@
 """Bimodules over finite rings and the maps between them.
 
-A bimodule stores its carrier group plus one integer action matrix per
-additive generator of each ring.  Construction states its laws through
-the ring layer's stacked checker (``checked_stack`` in ``base``): the
-left matrices must represent the left ring, the right matrices must
-anti-represent the right ring, and ``stacks_commute`` compares
-lambda_i @ rho_j with rho_j @ lambda_i on the same two reduced stacks
-(int64, or object dtype past the overflow guard described in ``base``),
-one left generator against all right ones at a time.  The bimodule
-keeps those two checked stacks (``action_stack``): maps, hom groups and
-tensor products read the actions from them instead of re-stacking and
-re-reducing the matrices.  A map must be a group map of the carriers
+A bimodule stores its carrier group and each ring's action as one
+read-only exact stack: ``left_action[i]`` acts for additive generator i
+of the left ring, a (k, n, n) object array of Python ints with row a
+reduced modulo the carrier factor f_a, and likewise ``right_action``.
+Two bimodules are equal when their rings, carriers and stacks are (the
+name aside); they are not hashable.  Construction states its laws
+through the ring layer's stacked checker (``checked_stack`` in
+``base``): the left stack must represent the left ring, the right stack
+must anti-represent the right ring, and ``stacks_commute`` compares
+lambda_i @ rho_j with rho_j @ lambda_i (int64, or object dtype past the
+overflow guard described in ``base``), one left generator against all
+right ones at a time.  A map must be a group map of the carriers
 (``is_group_map``) that intertwines the actions on its tagged sides
 (``intertwines``).
 
-Validation happens once, at the boundary: ``Bimodule(...)`` checks every
-law, as do the constructors that take caller data (the spec loader,
+Validation happens once, at the boundary: ``Bimodule(...)`` takes one
+``IntegerMatrix`` per generator on each side, stacks them once and
+checks every law, as do the constructors that take caller data (the spec loader,
 ``scalar_bimodule``, ``right_module``, ``augmentation_scalar``, and
 ``column_module``/``row_module``, which accept a matrix ring).  Regular
 bimodules, direct sums, tensor products and the Morita context's P_up,
 P* and inverse Q are lawful by construction from lawful inputs, so they
-go through ``Bimodule._lawful``, which keeps the reduced stacks at the
-kernel's dtype (``law_stack``) and checks nothing.  Likewise identities,
-composites, hom-group elements, tensors of maps, associators and unitors
-are maps lawful by construction (``BimoduleMap._lawful``), while
-``BimoduleMap(...)``, ``factor_through_tensor`` and ``invert_bimodule_map``
-check theirs, as do the Morita certificate's pairing maps built through
-them.  A differential test re-checks every such object and map built on
-a corpus of inputs.
+hand their stacks to ``Bimodule._lawful``, which only reduces them.
+Likewise identities, composites, hom-group elements, tensors of maps,
+associators and unitors are maps lawful by construction
+(``BimoduleMap._lawful``), while ``BimoduleMap(...)``,
+``factor_through_tensor`` and ``invert_bimodule_map`` check theirs, as do
+the Morita certificate's pairing maps built through them.  A
+differential test re-checks every such object and map built on a corpus
+of inputs.
 
 Maps carry a ``sides`` tag: hom computations for one-sided module maps
 reuse the same class with ``sides=("right",)`` or ``("left",)``.
@@ -35,7 +37,7 @@ reuse the same class with ``sides=("right",)`` or ``("left",)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,78 +47,73 @@ from ..exact import (
     FiniteAbelianGroup,
     IntegerMatrix,
     cokernel,
-    direct_sum,
     invert_group_map,
     kron,
-    moduli_column,
     solve_congruences,
 )
 from .base import (
     FiniteRing,
     checked_stack,
-    combine_matrices,
     cyclic_ring,
     intertwines,
     is_group_map,
-    law_stack,
     matrices_congruent,
     matrix_ring,
+    reduced_stack,
     stacks_commute,
 )
 
 BOTH_SIDES = ("left", "right")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bimodule:
-    """An (R, S)-bimodule with commuting validated actions."""
+    """An (R, S)-bimodule with commuting validated actions, one exact stack per side."""
 
     left_ring: FiniteRing
     right_ring: FiniteRing
     carrier: FiniteAbelianGroup
-    left_action: tuple[IntegerMatrix, ...]
-    right_action: tuple[IntegerMatrix, ...]
-    name: str = field(default="", compare=False)
-    _stacks: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    left_action: np.ndarray
+    right_action: np.ndarray
+    name: str = ""
 
     def __post_init__(self):
         fs = self.carrier.invariant_factors
-        stacks = {}
-        for side, mats, ring, anti in (
-                ("left", self.left_action, self.left_ring, False),
-                ("right", self.right_action, self.right_ring, True)):
-            law, stack = checked_stack(mats, fs, ring, anti)
+        n = len(fs)
+        for side, ring, anti in (("left", self.left_ring, False),
+                                 ("right", self.right_ring, True)):
+            mats = getattr(self, f"{side}_action")
+            if len(mats) != ring.rank or any(M.rows != n or M.cols != n for M in mats):
+                raise ValueError(f"{side} action is not well shaped")
+            stack = np.array([M.array for M in mats], dtype=object).reshape(ring.rank, n, n)
+            law, stack = checked_stack(stack, fs, ring, anti)
             if law is not None:
                 raise ValueError(f"{side} action is not {law}")
             stack.flags.writeable = False
-            stacks[side] = stack
-        if not stacks_commute(stacks["left"], stacks["right"], fs):
+            object.__setattr__(self, f"{side}_action", stack)
+        if not stacks_commute(self.left_action, self.right_action, fs):
             raise ValueError("left and right actions do not commute")
-        object.__setattr__(self, "_stacks", stacks)
 
     @classmethod
     def _lawful(cls, left_ring: FiniteRing, right_ring: FiniteRing,
-                carrier: FiniteAbelianGroup, left_action: Sequence[IntegerMatrix],
-                right_action: Sequence[IntegerMatrix], name: str = "") -> "Bimodule":
-        """A bimodule lawful by construction: its reduced stacks, no law re-checked."""
+                carrier: FiniteAbelianGroup, left_action: np.ndarray,
+                right_action: np.ndarray, name: str = "") -> "Bimodule":
+        """A bimodule lawful by construction from its two stacks: reduced, no law re-checked."""
         B = object.__new__(cls)
-        fs = carrier.invariant_factors
-        stacks = {"left": law_stack(left_action, fs, left_ring),
-                  "right": law_stack(right_action, fs, right_ring)}
-        for stack in stacks.values():
-            stack.flags.writeable = False
+        left, right = (reduced_stack(stack, carrier.invariant_factors)
+                       for stack in (left_action, right_action))
+        left.flags.writeable = right.flags.writeable = False
         vars(B).update(left_ring=left_ring, right_ring=right_ring, carrier=carrier,
-                       left_action=left_action, right_action=right_action, name=name,
-                       _stacks=stacks)
+                       left_action=left, right_action=right, name=name)
         return B
 
-    def action_stack(self, side: str) -> np.ndarray:
-        """The side's actions as the read-only stack checked at construction.
-
-        One (k, n, n) array with row a reduced modulo f_a, in the dtype
-        ``law_dtype`` chose (int64 or object).
-        """
-        return self._stacks[side]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Bimodule):
+            return NotImplemented
+        return (self.left_ring == other.left_ring and self.right_ring == other.right_ring
+                and self.carrier == other.carrier
+                and np.array_equal(self.left_action, other.left_action)
+                and np.array_equal(self.right_action, other.right_action))
 
     # ----------------------------------------------------- element ops
 
@@ -124,13 +121,16 @@ class Bimodule:
     def rank(self) -> int:
         return self.carrier.rank
 
+    def _act(self, stack: np.ndarray, ring: FiniteRing, r: Sequence[int],
+             m: Sequence[int]) -> tuple[int, ...]:
+        mat = np.tensordot(np.array(ring.additive.reduce(r), dtype=object), stack, 1)
+        return self.carrier.reduce(mat @ np.array(self.carrier.reduce(m), dtype=object))
+
     def act_left(self, r: Sequence[int], m: Sequence[int]) -> tuple[int, ...]:
-        mat = combine_matrices(self.left_action, self.left_ring.additive.reduce(r))
-        return self.carrier.reduce(mat.apply(self.carrier.reduce(m)))
+        return self._act(self.left_action, self.left_ring, r, m)
 
     def act_right(self, m: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
-        mat = combine_matrices(self.right_action, self.right_ring.additive.reduce(s))
-        return self.carrier.reduce(mat.apply(self.carrier.reduce(m)))
+        return self._act(self.right_action, self.right_ring, s, m)
 
     def __repr__(self) -> str:
         label = self.name or f"carrier {self.carrier.invariant_factors}"
@@ -156,8 +156,8 @@ class BimoduleMap:
                 continue
             if getattr(src, f"{side}_ring") != getattr(tgt, f"{side}_ring"):
                 raise RingMismatch(f"{side} rings differ")
-            if not intertwines(self.matrix, src.action_stack(side),
-                               tgt.action_stack(side), sfs, tfs):
+            if not intertwines(self.matrix, getattr(src, f"{side}_action"),
+                               getattr(tgt, f"{side}_action"), sfs, tfs):
                 raise ValueError(f"map does not intertwine the {side} action")
 
     @classmethod
@@ -221,10 +221,8 @@ def invert_bimodule_map(f: BimoduleMap) -> BimoduleMap:
 def regular_bimodule(R: FiniteRing) -> Bimodule:
     """R as an (R, R)-bimodule by left and right multiplication."""
     # column j of lambda_i is e_i e_j = table[i, j], of rho_i it is e_j e_i = table[j, i]
-    f = moduli_column(R.additive.invariant_factors)
-    lam = tuple(IntegerMatrix.adopt(R.table[i].T % f) for i in range(R.rank))
-    rho = tuple(IntegerMatrix.adopt(R.table[:, i].T % f) for i in range(R.rank))
-    return Bimodule._lawful(R, R, R.additive, lam, rho, name=f"{R.name or 'R'} (regular)")
+    return Bimodule._lawful(R, R, R.additive, R.table.transpose(0, 2, 1),
+                            R.table.transpose(1, 2, 0), name=f"{R.name or 'R'} (regular)")
 
 
 def zero_bimodule(R: FiniteRing, S: FiniteRing) -> Bimodule:
@@ -310,11 +308,16 @@ def bimodule_direct_sum(M1: Bimodule, M2: Bimodule) -> Bimodule:
     if M1.left_ring != M2.left_ring or M1.right_ring != M2.right_ring:
         raise RingMismatch("direct sum needs matching rings on both sides")
     combined = list(M1.carrier.invariant_factors) + list(M2.carrier.invariant_factors)
-    n = len(combined)
+    n1, n = M1.rank, len(combined)
     group, proj = cokernel(IntegerMatrix.zeros(n, 0), combined)
-    lam = tuple(proj.transport(direct_sum(A1, A2))
-                for A1, A2 in zip(M1.left_action, M2.left_action))
-    rho = tuple(proj.transport(direct_sum(A1, A2))
-                for A1, A2 in zip(M1.right_action, M2.right_action))
+
+    def transported(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+        # every generator's block sum A1 + A2 carried to the canonical carrier at once
+        D = np.zeros((len(A1), n, n), dtype=object)
+        D[:, :n1, :n1], D[:, n1:, n1:] = A1, A2
+        return proj.matrix.array @ D @ proj.section_matrix.array
+
     name = f"{M1.name}+{M2.name}" if M1.name and M2.name else ""
-    return Bimodule._lawful(M1.left_ring, M1.right_ring, group, lam, rho, name=name)
+    return Bimodule._lawful(M1.left_ring, M1.right_ring, group,
+                            transported(M1.left_action, M2.left_action),
+                            transported(M1.right_action, M2.right_action), name=name)

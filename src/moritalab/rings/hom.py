@@ -116,8 +116,8 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
     # stacks of the bimodules); unreduced entries would only feed
     # coefficient growth to the Smith form.
     order = [s for s in ("right", "left") if s in sides]
-    src = np.concatenate([M.action_stack(s).astype(object) for s in order])
-    tgt = np.concatenate([N.action_stack(s).astype(object) for s in order])
+    src = np.concatenate([getattr(M, f"{s}_action") for s in order])
+    tgt = np.concatenate([getattr(N, f"{s}_action") for s in order])
     D = -kron_differences(tgt, src.transpose(0, 2, 1)).reshape(len(src) * nvars, nvars)
     live = (D != 0).any(axis=1)
     moduli = row_moduli + [d for d, keep in zip(row_moduli * len(src), live) if keep]

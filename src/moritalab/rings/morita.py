@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import NoSolution
 from ..exact import IntegerMatrix, cokernel, invert_group_map, moduli_column, solve_congruences
-from .base import FiniteRing, combine_matrices
+from .base import FiniteRing
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, regular_bimodule
 from .hom import EndomorphismRing, HomGroup, endomorphism_ring, hom_group
 from .tensor import TensorProduct, factor_through_tensor, tensor_product
@@ -54,7 +54,7 @@ def _pairing_matrices(P: Bimodule, F: np.ndarray,
     S, h, n = P.right_ring, len(F), P.rank
     ev = IntegerMatrix.adopt(F.transpose(1, 0, 2).reshape(S.rank, h * n))
     # column l of R_i is p_i . s_l, so p -> p_i . f_a(p) is R_i @ F_a, at column (i, a)
-    R = P.action_stack("right").astype(object).transpose(2, 1, 0)
+    R = P.right_action.transpose(2, 1, 0)
     ops = (R[:, None] @ F[None]) % moduli_column(P.carrier.invariant_factors)
     return S.additive.reduce_columns(ev), E.hom.coordinates(ops.reshape(n * h, n, n))
 
@@ -64,19 +64,19 @@ def morita_context(P: Bimodule) -> MoritaContext:
     S = P.right_ring
     E = endomorphism_ring(P, side="right")
     X = E.hom.generator_stack()
-    P_up = Bimodule._lawful(E.ring, S, P.carrier, tuple(map(IntegerMatrix.adopt, X)),
-                            P.right_action, name=P.name)
+    P_up = Bimodule._lawful(E.ring, S, P.carrier, X, P.right_action, name=P.name)
 
     Sreg = regular_bimodule(S)
     H = hom_group(P_up, Sreg, side="right")
     F = H.generator_stack()
     h, n = len(F), P.rank
-    L = Sreg.action_stack("left").astype(object)
+    L = Sreg.left_action
 
-    def action(images: np.ndarray) -> tuple[IntegerMatrix, ...]:
+    def action(images: np.ndarray) -> np.ndarray:
         # images[g, a] is generator g acting on f_a; its coordinates are column a
-        C = H.coordinates(images.reshape(len(images) * h, S.rank, n)).array
-        return tuple(IntegerMatrix.adopt(C[:, g * h:(g + 1) * h]) for g in range(len(images)))
+        k = len(images)
+        C = H.coordinates(images.reshape(k * h, S.rank, n)).array
+        return C.reshape(h, k, h).transpose(1, 0, 2)
 
     # s . f = L_s @ f and f . x = f @ X_x, in the dual's coordinates
     P_star = Bimodule._lawful(S, E.ring, H.group, action(L[:, None] @ F[None]),
@@ -140,7 +140,7 @@ def is_progenerator(P: Bimodule, ctx: MoritaContext | None = None) -> PropertyCe
 
 def canonical_end_map(P: Bimodule, ctx: MoritaContext) -> IntegerMatrix:
     """Left-ring coordinates -> End coordinates, r -> (p -> r.p)."""
-    return ctx.end.hom.coordinates(P.action_stack("left").astype(object))
+    return ctx.end.hom.coordinates(P.left_action)
 
 
 @dataclass
@@ -195,7 +195,7 @@ def certify_invertible_bimodule(P: Bimodule) -> MoritaCertificate:
 
     # Q = P* with the right End-action pulled back along the canonical map
     Q_star = ctx.dual
-    rho_R = tuple(combine_matrices(Q_star.right_action, c) for c in cmat.columns())
+    rho_R = np.tensordot(cmat.array.T, Q_star.right_action, 1)
     Q = Bimodule._lawful(S, R, Q_star.carrier, Q_star.left_action, rho_R, name=Q_star.name)
 
     T_QP = tensor_product(Q, P)

@@ -15,7 +15,7 @@ as L (x) 1 and 1 (x) R, and the associator is
 proj_{A(BC)} . (1_A (x) proj_{BC}) . (sec_{AB} (x) 1_C) . sec_{(AB)C}.
 A Kronecker product is never formed to be multiplied: ``exact.kron_apply``
 applies its factors one at a time, and the actions of one side are
-transported in one product over the bimodule's reduced action stack.
+transported in one product over the bimodule's action stack.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import NotBalanced, RingMismatch
 from ..exact import CokernelProjection, IntegerMatrix, cokernel, kron_apply
-from .base import FiniteRing, kron_differences
+from .base import kron_differences
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, regular_bimodule
 
 
@@ -73,7 +73,7 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     # zero.  Relations only matter modulo the pair orders, which the
     # lattice holds; the pair order of (k, l) divides ord e_k and ord f_l,
     # so rho_g and lambda_g may be read modulo their row orders first.
-    D = kron_differences(M.action_stack("right"), N.action_stack("left"))
+    D = kron_differences(M.right_action, N.left_action)
     cols = D.transpose(0, 2, 1).reshape(S.rank * amb, amb) % np.array(moduli, dtype=object)
     rel_cols = list(dict.fromkeys(map(tuple, cols[(cols != 0).any(axis=1)].tolist())))
     relations = IntegerMatrix.adopt(np.array(rel_cols, dtype=object).reshape(len(rel_cols), amb).T)
@@ -82,20 +82,20 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     sec = proj.section_matrix.array.reshape(nM, nN, r)
 
     def transported(side_stack: np.ndarray, factor: np.ndarray, m: int,
-                    axes: tuple[int, ...]) -> tuple[IntegerMatrix, ...]:
+                    axes: tuple[int, ...]) -> np.ndarray:
         # factor is the section with the acted-on index first, (n, m * r);
         # stacked (k * n, n) @ factor holds generator g's image of section
         # column c at (g, acted index, other index, c), and axes reorder
         # that to the ambient pair (i, j), then (g, c)
         k, n = len(side_stack), side_stack.shape[1]
-        A = IntegerMatrix.adopt(side_stack.astype(object).reshape(k * n, n))
+        A = IntegerMatrix.adopt(side_stack.reshape(k * n, n))
         images = (A @ IntegerMatrix.adopt(factor)).array.reshape(k, n, m, r).transpose(axes)
         X = proj.project(IntegerMatrix.adopt(images.reshape(amb, k * r))).array
-        return tuple(IntegerMatrix.adopt(X[:, g * r:(g + 1) * r]) for g in range(k))
+        return X.reshape(r, k, r).transpose(1, 0, 2)
 
     # the actions transported as L (x) 1 and 1 (x) R, every generator in one product
-    lamT = transported(M.action_stack("left"), sec.reshape(nM, nN * r), nN, (1, 2, 0, 3))
-    rhoT = transported(N.action_stack("right"), sec.transpose(1, 0, 2).reshape(nN, nM * r),
+    lamT = transported(M.left_action, sec.reshape(nM, nN * r), nN, (1, 2, 0, 3))
+    rhoT = transported(N.right_action, sec.transpose(1, 0, 2).reshape(nN, nM * r),
                        nM, (2, 1, 0, 3))
 
     label = name or (f"{M.name}(x){N.name}" if M.name and N.name else "")
@@ -168,21 +168,15 @@ def tensor_associator(t_ab: TensorProduct, t_ab_c: TensorProduct,
     return BimoduleMap._lawful(t_ab_c.module, t_a_bc.module, matrix, BOTH_SIDES)
 
 
-def _is_regular(B: Bimodule, R: FiniteRing) -> bool:
-    """B is R's regular bimodule: R on both sides, R's group, R's reduced actions."""
-    reg = regular_bimodule(R)
-    return (B.left_ring == R and B.right_ring == R and B.carrier == reg.carrier
-            and all(np.array_equal(B.action_stack(s), reg.action_stack(s)) for s in BOTH_SIDES))
-
-
 def left_unitor(tp: TensorProduct) -> BimoduleMap:
     """R (x)_R M -> M, r (x) m -> r.m, for tp built on the regular bimodule."""
     M = tp.right_factor
     R = tp.left_factor
-    if not _is_regular(R, R.left_ring):
+    if R != regular_bimodule(R.left_ring):
         raise ValueError("left factor is not a regular bimodule presentation")
     # column (i, j) is lambda_i e_j
-    amb = IntegerMatrix.adopt(np.hstack([act.array for act in M.left_action]))
+    k, n = len(M.left_action), M.rank
+    amb = IntegerMatrix.adopt(M.left_action.transpose(1, 0, 2).reshape(n, k * n))
     return BimoduleMap._lawful(tp.module, M, _induced(tp, amb, M))
 
 
@@ -190,9 +184,9 @@ def right_unitor(tp: TensorProduct) -> BimoduleMap:
     """M (x)_S S -> M, m (x) s -> m.s, for tp built on the regular bimodule."""
     M = tp.left_factor
     S = tp.right_factor
-    if not _is_regular(S, S.right_ring):
+    if S != regular_bimodule(S.right_ring):
         raise ValueError("right factor is not a regular bimodule presentation")
     # column (j, s) is rho_s e_j
-    amb = np.stack([act.array for act in M.right_action], axis=2)
-    amb = IntegerMatrix.adopt(amb.reshape(M.rank, M.rank * len(M.right_action)))
+    k, n = len(M.right_action), M.rank
+    amb = IntegerMatrix.adopt(M.right_action.transpose(1, 2, 0).reshape(n, n * k))
     return BimoduleMap._lawful(tp.module, M, _induced(tp, amb, M))

@@ -298,8 +298,8 @@ def _encode_bimodule(name: str, M: Bimodule, ring_names: dict) -> dict:
         "left": _lookup(ring_names, M.left_ring, where, "ring"),
         "right": _lookup(ring_names, M.right_ring, where, "ring"),
         "carrier": list(M.carrier.invariant_factors),
-        "left_action": [m.tolist() for m in M.left_action],
-        "right_action": [m.tolist() for m in M.right_action],
+        "left_action": M.left_action.tolist(),
+        "right_action": M.right_action.tolist(),
     }
 
 

@@ -83,6 +83,11 @@ class MultiMatrixAlgebra:
         """The matrix units stacked in basis order, read-only."""
         return _read_only(np.stack(self.matrix_units()))
 
+    @cached_property
+    def _involution(self) -> np.ndarray:
+        """The standard forms' J, read-only: row u picks the adjoint unit's coordinate."""
+        return _read_only(np.eye(self.vector_dim, dtype=np.complex128)[self.adjoint_order])
+
     def _regular_units(self, side: str) -> np.ndarray:
         """The read-only stack of E_w -> E_u.E_w ("left") or E_w.E_u ("right"),
         vector_dim**3 entries, so built per call and never cached here."""

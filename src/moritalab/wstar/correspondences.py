@@ -10,6 +10,8 @@ matrices, go through Correspondence._lawful, which checks nothing.
 
 Each action is one read-only complex128 (units, dim, dim) stack, which the
 constructor stacks once from its validated images and _lawful wraps uncopied.
+The constructor reads the right action's reversed products through views
+with each block's unit axes swapped: it holds no reordered copy.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ def _unit_blocks(A: MultiMatrixAlgebra, units: np.ndarray) -> list[np.ndarray]:
             for b, n in enumerate(A.block_sizes)]
 
 
-def _broken_unit_relation(A: MultiMatrixAlgebra, units: np.ndarray,
+def _broken_unit_relation(A: MultiMatrixAlgebra, blocks: list[np.ndarray],
                           top: float, eps: float) -> str | None:
-    """Which law a unit stack breaks first: "star", "product" or None.
+    """Which law unit images U_bij at blocks[b][i, j] break first: "star", "product" or None.
 
     The star law is checked on every unit, a block row at a time, against
     DEFAULT_TOL.(1 + top) for top the largest unit norm, and the product law
@@ -75,7 +77,6 @@ def _broken_unit_relation(A: MultiMatrixAlgebra, units: np.ndarray,
     e_b0i.e_cj0 = [b = c, i = j].e_b00, one generator at a time against a stack.
     """
     bound = DEFAULT_TOL * (1.0 + top)
-    blocks = _unit_blocks(A, units)
     if any(norm_exceeds(row.transpose(0, 2, 1).conj() - blk[:, i], bound)
            for blk in blocks for i, row in enumerate(blk)):
         return "star"
@@ -116,24 +117,25 @@ class Correspondence:
                 raise ValueError(f"{label}: unit image has wrong shape")
         lefts, pi_r = (_read_only(np.stack(units)) for units in images)
         vars(self).update(pi_l_units=lefts, pi_r_units=pi_r)
-        # y -> pi_r(y^T) is a homomorphism exactly when pi_r reverses products
-        rights = pi_r[N.adjoint_order]
-        tops = [max_operator_norm(lefts), max_operator_norm(rights)]
+        # y -> pi_r(y^T) is a homomorphism exactly when pi_r reverses products:
+        # its unit (b, i, j) is pi_r's (b, j, i), read through swapped block axes
+        sides = (_unit_blocks(M, lefts),
+                 [blk.transpose(1, 0, 2, 3) for blk in _unit_blocks(N, pi_r)])
+        tops = [max_operator_norm(lefts), max_operator_norm(pi_r)]
         eps = _generator_eps(max(tops))
-        for A, units, top, label, kind in (
-                (M, lefts, tops[0], "left action", "homomorphism"),
-                (N, rights, tops[1], "right action", "antihomomorphism")):
-            total = sum(U for (b, i, j), U in zip(A.unit_triples(), units) if i == j)
+        for A, blocks, top, label, kind in (
+                (M, sides[0], tops[0], "left action", "homomorphism"),
+                (N, sides[1], tops[1], "right action", "antihomomorphism")):
+            total = sum(blk[i, i] for blk in blocks for i in range(len(blk)))
             if norm_exceeds(total - np.eye(self.dim), DEFAULT_TOL * (1.0 + top)):
                 raise ValueError(f"{label}: representation is not unital")
-            broken = _broken_unit_relation(A, units, top, eps)
+            broken = _broken_unit_relation(A, blocks, top, eps)
             if broken == "star":
                 raise ValueError(f"{label}: star property fails on a unit")
             if broken == "product":
                 raise ValueError(f"{label}: not a {kind} on unit pairs")
         gens = [np.concatenate([blk[:, 0] for blk in blocks]
-                               + [blk[0, 1:] for blk in blocks])
-                for blocks in (_unit_blocks(M, lefts), _unit_blocks(N, rights))]
+                               + [blk[0, 1:] for blk in blocks]) for blocks in sides]
         if any(norm_exceeds(U @ gens[1] - gens[1] @ U, eps) for U in gens[0]):
             raise ValueError("left and right actions do not commute")
 
@@ -294,7 +296,8 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
             raise NotHomomorphism("unit image leaves the target algebra")
     imgs = np.stack(imgs)
     top = max_operator_norm(imgs)
-    broken = _broken_unit_relation(source, imgs, top, _generator_eps(top))
+    broken = _broken_unit_relation(source, _unit_blocks(source, imgs), top,
+                                   _generator_eps(top))
     if broken == "star":
         raise NotHomomorphism("images do not respect the involution")
     if broken == "product":

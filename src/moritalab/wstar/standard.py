@@ -6,7 +6,8 @@ are an orthonormal basis for <x, y> = φ(x*y), which is the trace inner
 product of the vectors ξ = Λ(x).  For A = ⊕_b M_{n_b} the standard form
 is then known exactly (Haagerup, Math. Scand. 37, 1975; Takesaki, Theory
 of Operator Algebras II): J ξ = ξ*, Δ^s ξ = ρ^s·ξ·ρ^{-s} and
-π_r(y) ξ = ξ·y.  J permutes the unit basis; Λ^{±1} (ξ -> ξ·ρ^{±1/2}), Δ^s,
+π_r(y) ξ = ξ·y.  J permutes the unit basis, one read-only matrix per
+algebra; Λ^{±1} (ξ -> ξ·ρ^{±1/2}), Δ^s,
 the creation inverse and both actions (read-only unit stacks) are each one
 gather of ξ -> x·ξ·y (algebras._bimodule_action) from the powers of ρ.
 
@@ -133,12 +134,11 @@ def gns_standard_form(A: MultiMatrixAlgebra, phi: State) -> StandardFormData:
         _bimodule_action(rows, cols, rho[s], rho[-s]) for s in (1.0, 0.5, -0.5))
     # S(ξ) = Λ((Λ^{-1}ξ)*) from its definition, on the products E_w.rho^{-1/2}
     S = ((A.unit_stack @ rho[-0.5]).conj().transpose(0, 2, 1) @ rho[0.5])[:, rows, cols].T
-    # J ξ = ξ*: the coordinate of E_u in J ξ is conj of that of E_u*
-    J = np.eye(A.vector_dim, dtype=np.complex128)[A.adjoint_order]
     # the inverse of Λ's own rho^{1/2}, an A.dim-square matrix, rather than
     # rho^{-1/2}: fusion pairs the creation operators with Λ(1)
     creation_inverse = _bimodule_action(rows, cols, x=np.linalg.inv(rho[0.5]))
-    return StandardFormData(A, phi, lam, lam_inv, S, J, delta, delta_half,
+    # J ξ = ξ*: the coordinate of E_u in J ξ is conj of that of E_u*
+    return StandardFormData(A, phi, lam, lam_inv, S, A._involution, delta, delta_half,
                             delta_minus_half, creation_inverse)
 
 

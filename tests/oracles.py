@@ -175,6 +175,16 @@ def hom_count_oracle(M: Bimodule, N: Bimodule, side: str = "right") -> int:
 
 # ------------------------------------------- reference law checker loops
 
+def matrices(stack: np.ndarray) -> list[IntegerMatrix]:
+    """A (k, n, n) action stack as the list of matrices the loops and ``Bimodule`` take."""
+    return [IntegerMatrix.adopt(A) for A in stack]
+
+
+def stacked(mats, n: int) -> np.ndarray:
+    """A list of n x n matrices as one exact (k, n, n) stack, the law kernel's input."""
+    return np.array([M.array for M in mats], dtype=object).reshape(len(mats), n, n)
+
+
 def _matmul(A: list[list[int]], B: list[list[int]], inner: int) -> list[list[int]]:
     cols = len(B[0]) if B else 0
     return [[sum(A[a][c] * B[c][b] for c in range(inner)) for b in range(cols)]

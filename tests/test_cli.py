@@ -46,6 +46,23 @@ class TestSpecFile:
         assert loaded.rings["M2"] == M2
         assert loaded.bimodules["col"] == col
 
+    def test_unreduced_action_entries_serialize_reduced(self):
+        # a bimodule keeps its actions with row a reduced modulo the carrier
+        # factor f_a, so an entry moved by a multiple of f_a is written reduced
+        doc = _demo_doc("matrix-ring-pair")
+        action = doc["bimodules"]["column"]["left_action"]
+        original = load_spec_dict(doc).bimodules["column"]
+        m, i, j = _first_one(action)
+        f = doc["bimodules"]["column"]["carrier"][i]
+        action[m][i][j] += 3 * f
+        loaded = load_spec_dict(doc).bimodules["column"]
+        assert loaded == original
+        written = serialize_spec(load_spec_dict(doc))["bimodules"]["column"]["left_action"]
+        assert written[m][i][j] == 1
+        assert written == original.left_action.tolist()
+        again = load_spec_dict(serialize_spec(load_spec_dict(doc))).bimodules["column"]
+        assert again == original
+
     def test_state_and_correspondence_round_trip(self):
         A = MultiMatrixAlgebra((2, 1))
         rho = np.diag([0.3, 0.3, 0.4]).astype(np.complex128)

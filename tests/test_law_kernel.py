@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import broken_law_loop, intertwines_loop
+from oracles import broken_law_loop, intertwines_loop, matrices, stacked
 
 from moritalab.exact import FiniteAbelianGroup, IntegerMatrix
 from moritalab.rings import (
@@ -59,8 +59,8 @@ SMALL = {name: B for name, B in CORPUS.items()
 
 
 def _sides(B: Bimodule):
-    yield B.left_action, B.left_ring
-    yield B.right_action, B.right_ring
+    yield matrices(B.left_action), B.left_ring
+    yield matrices(B.right_action), B.right_ring
 
 
 def _commute_loop(lam, rho, fs) -> bool:
@@ -68,16 +68,17 @@ def _commute_loop(lam, rho, fs) -> bool:
 
 
 def _commute(B: Bimodule, lam=None, rho=None) -> bool:
-    """The stacked commutation check, on B's actions or on replacements."""
+    """The stacked commutation check, on B's actions or on replacement lists."""
     fs = B.carrier.invariant_factors
-    return stacks_commute(
-        checked_stack(lam or B.left_action, fs, B.left_ring)[1],
-        checked_stack(rho or B.right_action, fs, B.right_ring, True)[1], fs)
+    lam = B.left_action if lam is None else stacked(lam, len(fs))
+    rho = B.right_action if rho is None else stacked(rho, len(fs))
+    return stacks_commute(checked_stack(lam, fs, B.left_ring)[1],
+                          checked_stack(rho, fs, B.right_ring, True)[1], fs)
 
 
 def _assert_laws_agree(mats, factors, ring):
     for anti in (False, True):
-        assert broken_law(mats, factors, ring, anti) == \
+        assert broken_law(stacked(mats, len(factors)), factors, ring, anti) == \
             broken_law_loop(mats, factors, ring, anti)
 
 
@@ -87,7 +88,7 @@ def test_corpus_verdicts_equal_the_loops(name):
     fs = B.carrier.invariant_factors
     for mats, ring in _sides(B):
         _assert_laws_agree(mats, fs, ring)
-    assert _commute(B) and _commute_loop(B.left_action, B.right_action, fs)
+    assert _commute(B) and _commute_loop(matrices(B.left_action), matrices(B.right_action), fs)
 
 
 RING_TABLES = {R.name: R for B in CORPUS.values() for R in (B.left_ring, B.right_ring)}
@@ -129,9 +130,9 @@ def test_single_entry_perturbations_equal_the_loops(name, right, data):
     bent = list(mats)
     bent[g] = _perturbed(mats[g], a, b, delta)
     _assert_laws_agree(bent, fs, ring)
-    lam, rho = (B.left_action, bent) if right else (bent, B.right_action)
-    if broken_law(lam, fs, B.left_ring) is None and \
-            broken_law(rho, fs, B.right_ring, True) is None:
+    lam, rho = (matrices(B.left_action), bent) if right else (bent, matrices(B.right_action))
+    if broken_law(stacked(lam, B.rank), fs, B.left_ring) is None and \
+            broken_law(stacked(rho, B.rank), fs, B.right_ring, True) is None:
         assert _commute(B, lam, rho) == _commute_loop(lam, rho, fs)
 
 
@@ -147,7 +148,7 @@ def test_perturbed_maps_intertwine_like_the_loop(name, data):
     delta = int(step) * data.draw(st.integers(-3, 3))
     M = _perturbed(IntegerMatrix.identity(B.rank), a, b, delta)
     for mats, _ in _sides(B):
-        stack = reduced_stack(mats, fs)
+        stack = reduced_stack(stacked(mats, B.rank), fs)
         assert intertwines(M, stack, stack, fs, fs) == intertwines_loop(M, mats, mats, fs)
 
 
@@ -160,18 +161,19 @@ def test_zero_bimodule_and_rank_zero_carriers():
             Z = zero_bimodule(R, S)
             for mats, ring in _sides(Z):
                 _assert_laws_agree(mats, (), ring)
-                assert broken_law(mats, (), ring) is None
-            assert _commute(Z) and _commute_loop(Z.left_action, Z.right_action, ())
+                assert broken_law(stacked(mats, 0), (), ring) is None
+            assert _commute(Z)
+            assert _commute_loop(matrices(Z.left_action), matrices(Z.right_action), ())
     R = RINGS["F2[x]/x^2"]
     empty = IntegerMatrix.zeros(0, 0)
     _assert_laws_agree([], (), R)
-    assert broken_law([], (), R) == "well shaped"
+    assert broken_law(stacked([], 0), (), R) == "well shaped"
     _assert_laws_agree([empty] * R.rank, (), R)
     M = IntegerMatrix.zeros(0, 2)  # a map from Z/2 x Z/2 onto the zero group
     src = regular_bimodule(R)
-    assert intertwines(M, src.action_stack("left"), reduced_stack([empty] * R.rank, ()),
+    assert intertwines(M, src.left_action, reduced_stack(stacked([empty] * R.rank, 0), ()),
                        (2, 2), ())
-    assert intertwines_loop(M, src.left_action, [empty] * R.rank, ())
+    assert intertwines_loop(M, matrices(src.left_action), [empty] * R.rank, ())
 
 
 # -------------------------------------------------------- int64 guard
@@ -193,19 +195,20 @@ def test_object_dtype_past_the_guard(modulus):
     R = cyclic_ring(modulus)
     fs = (modulus,)
     B = regular_bimodule(R)
+    assert law_dtype(1, modulus) is object
     for mats, ring in _sides(B):
-        law, stack = checked_stack(mats, fs, ring)
+        law, stack = checked_stack(stacked(mats, 1), fs, ring)
         assert stack.dtype == object
         assert law is None and broken_law_loop(mats, fs, ring) is None
     # -1 squares to 1, not to -1: int64 products of (modulus - 1)^2 would wrap
     for bad in ([[modulus - 1]], [[2]], [[modulus + 5]]):
         mats = [IntegerMatrix(bad)]
-        law, stack = checked_stack(mats, fs, R)
+        law, stack = checked_stack(stacked(mats, 1), fs, R)
         assert stack.dtype == object
         assert law == broken_law_loop(mats, fs, R) == "multiplicative"
     unit_broken = [IntegerMatrix([[1 + modulus * 2 ** 70]]), IntegerMatrix([[0]])]
-    assert broken_law(unit_broken[:1], fs, R) is None
-    assert broken_law(unit_broken[1:], fs, R) == broken_law_loop(
+    assert broken_law(stacked(unit_broken[:1], 1), fs, R) is None
+    assert broken_law(stacked(unit_broken[1:], 1), fs, R) == broken_law_loop(
         unit_broken[1:], fs, R) == "unital"
 
 
@@ -216,17 +219,19 @@ def test_unreduced_entries_stay_in_int64():
     fs = B.carrier.invariant_factors
     big = 4 * 2 ** 38
     lam = [IntegerMatrix([[v + big for v in row] for row in M.tolist()])
-           for M in B.left_action]
-    law, stack = checked_stack(lam, fs, B.left_ring)
-    assert stack.dtype == np.int64
+           for M in matrices(B.left_action)]
+    assert law_dtype(max(B.rank, B.left_ring.rank), 4) is np.int64
+    law, stack = checked_stack(stacked(lam, B.rank), fs, B.left_ring)
+    assert np.array_equal(stack, B.left_action)
     assert law is None and broken_law_loop(lam, fs, B.left_ring) is None
     lam[1] = _perturbed(lam[1], 0, 1, 1)
-    assert broken_law(lam, fs, B.left_ring) == \
+    assert broken_law(stacked(lam, B.rank), fs, B.left_ring) == \
         broken_law_loop(lam, fs, B.left_ring) == "multiplicative"
     huge = [IntegerMatrix([[v + 4 * 2 ** 80 for v in row] for row in M.tolist()])
-            for M in B.right_action]
-    law, stack = checked_stack(huge, fs, B.right_ring, True)
-    assert stack.dtype == np.int64 and law is None
+            for M in matrices(B.right_action)]
+    assert law_dtype(max(B.rank, B.right_ring.rank), 4) is np.int64
+    law, stack = checked_stack(stacked(huge, B.rank), fs, B.right_ring, True)
+    assert np.array_equal(stack, B.right_action) and law is None
     assert stacks_commute(checked_stack(B.left_action, fs, B.left_ring)[1], stack, fs)
 
 
@@ -244,8 +249,8 @@ def test_ring_coefficients_are_reduced_before_products():
     M = 3 * 2 ** 61
     R = FiniteRing(FiniteAbelianGroup((M,)), (((M - 1,),),), (M - 1,))
     minus_one = [IntegerMatrix([[2]])]
-    law, stack = checked_stack(minus_one, (3,), R)
-    assert stack.dtype == np.int64
+    assert law_dtype(1, 3) is np.int64
+    law, stack = checked_stack(stacked(minus_one, 1), (3,), R)
     assert law is None and broken_law_loop(minus_one, (3,), R) is None
-    assert broken_law([IntegerMatrix([[1]])], (3,), R) == \
+    assert broken_law(stacked([IntegerMatrix([[1]])], 1), (3,), R) == \
         broken_law_loop([IntegerMatrix([[1]])], (3,), R) == "multiplicative"

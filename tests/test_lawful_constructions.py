@@ -7,11 +7,13 @@ product rings of checked rings) skip the law kernel when they are built,
 and so do the bimodule maps it builds (identities, composites, tensors of
 maps, associators, unitors and hom-group elements).  This test records
 every such object built on a corpus of inputs and re-runs the boundary
-checks on it: ``checked_stack`` on both action families, ``stacks_commute``
+checks on it: ``checked_stack`` on both action stacks, ``stacks_commute``
 on the two checked stacks, the public ``FiniteRing`` constructor on each
 ring, and the public ``BimoduleMap`` constructor (``is_group_map`` and
-``intertwines`` on every tagged side) on each map.  The stack a bimodule
-stores must equal the checked stack bit for bit, in the same dtype.  The
+``intertwines`` on every tagged side) on each map.  Each stack a bimodule
+stores must be read-only, of object dtype and reduced (equal to the
+checked stack), and equal to the stack the public ``Bimodule``
+constructor stores for the same matrices.  The
 corpus is the tensor oracle corpus, the eight benchmark certification
 inputs with the right-module families of their rings run through the
 benchmark's round trips and naturality squares, opposite and direct
@@ -43,6 +45,7 @@ from moritalab.rings import (
     Bimodule,
     BimoduleMap,
     FiniteRing,
+    bimodule_direct_sum,
     certify_invertible_bimodule,
     column_module,
     cyclic_ring,
@@ -52,6 +55,7 @@ from moritalab.rings import (
     maps_equal,
     matrix_ring,
     opposite_ring,
+    regular_bimodule,
     right_module_family,
     right_unitor,
     scalar_bimodule,
@@ -62,6 +66,8 @@ from moritalab.rings import (
 )
 from moritalab.rings.base import checked_stack, reduced_stack, stacks_commute
 from moritalab.rings.families import CoherencePool
+
+from oracles import matrices
 
 
 def law_violations(obj) -> list[str]:
@@ -82,15 +88,18 @@ def law_violations(obj) -> list[str]:
     fs = obj.carrier.invariant_factors
     found, stacks = [], []
     for side, ring, anti in (("left", obj.left_ring, False), ("right", obj.right_ring, True)):
-        law, stack = checked_stack(getattr(obj, f"{side}_action"), fs, ring, anti)
-        stored = obj.action_stack(side)
+        stored = getattr(obj, f"{side}_action")
+        law, stack = checked_stack(stored, fs, ring, anti)
         if law is not None:
             found.append(f"{obj!r}: {side} action is not {law}")
-        elif stack.dtype != stored.dtype or not np.array_equal(stack, stored):
+        elif stored.flags.writeable or stored.dtype != object or not np.array_equal(stack, stored):
             found.append(f"{obj!r}: stored {side} stack differs from the checked one")
         stacks.append(stack)
     if not found and not stacks_commute(stacks[0], stacks[1], fs):
         found.append(f"{obj!r}: left and right actions do not commute")
+    if not found and Bimodule(obj.left_ring, obj.right_ring, obj.carrier, matrices(stacks[0]),
+                              matrices(stacks[1])) != obj:
+        found.append(f"{obj!r}: stored stacks differ from the public constructor's")
     return found
 
 
@@ -194,16 +203,28 @@ def test_every_lawful_construction_passes_the_boundary_checks(built, tmp_path):
     assert [v for _, obj in built for v in law_violations(obj)] == []
 
 
+def test_stored_stacks_refuse_in_place_writes():
+    F = truncated_polynomial_ring(2, 2)
+    P = column_module(F, 2)
+    cert = certify_invertible_bimodule(P)
+    reg = regular_bimodule(F)
+    for B in (P, reg, tensor_product(reg, reg).module, bimodule_direct_sum(reg, reg),
+              cert.context.dual, cert.inverse):
+        for stack in (B.left_action, B.right_action):
+            assert stack.dtype == object
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1
+
+
 def test_the_check_finds_swapped_transported_generators(built, monkeypatch):
     class Swapped:
         """tensor.py's Bimodule, with its first two left generators swapped."""
 
         @staticmethod
         def _lawful(left_ring, right_ring, carrier, left_action, right_action, name=""):
-            left = list(left_action)
-            left[:2] = left[1::-1]
-            return Bimodule._lawful(left_ring, right_ring, carrier, tuple(left),
-                                    right_action, name)
+            left = left_action.copy()
+            left[:2] = left_action[1::-1]
+            return Bimodule._lawful(left_ring, right_ring, carrier, left, right_action, name)
 
     monkeypatch.setattr(tensor_module, "Bimodule", Swapped)
     _oracle_tensors()
@@ -211,8 +232,8 @@ def test_the_check_finds_swapped_transported_generators(built, monkeypatch):
 
 
 def test_the_check_finds_a_stack_in_the_wrong_dtype(built, monkeypatch):
-    monkeypatch.setattr(bimodules_module, "law_stack",
-                        lambda mats, factors, ring: reduced_stack(mats, factors))
+    monkeypatch.setattr(bimodules_module, "reduced_stack",
+                        lambda stack, factors: reduced_stack(stack, factors).astype(np.int64))
     _oracle_tensors()
     assert [v for _, obj in built for v in law_violations(obj) if "stack differs" in v]
 

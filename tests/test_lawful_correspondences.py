@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,3 +216,23 @@ class TestRankGate:
         rows = {row["task"]: row for row in json.loads(report.read_text())["tasks"]}
         assert rows["morita-wstar"]["status"] == "Error"
         assert rows["morita-wstar"]["detail"].startswith("RuntimeError: fusion Gram rank")
+
+
+def test_validation_holds_the_two_stored_stacks_and_no_reordered_copy():
+    # a 42-dimensional (M_6, M_2 + M_3) correspondence whose caller keeps its
+    # own lists: the constructor stores 1.39 MB of units; a third, reordered
+    # copy of the right stack for the antihomomorphism check took the peak
+    # to 3.00 MB, past twice the stored units
+    M6, M23 = MultiMatrixAlgebra((6,)), MultiMatrixAlgebra((2, 3))
+    H = block_correspondence(M6, M23, [[2, 1]])
+    lefts, rights = [U.copy() for U in H.pi_l_units], [U.copy() for U in H.pi_r_units]
+    tracemalloc.start()
+    try:
+        K = Correspondence(M6, M23, H.dim, lefts, rights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = K.pi_l_units.nbytes + K.pi_r_units.nbytes
+    assert H.dim == 42 and stored == (36 + 13) * 42 * 42 * 16
+    assert peak < 2 * stored, (peak, stored)
+    assert np.array_equal(K.pi_r_units, H.pi_r_units)

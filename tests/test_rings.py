@@ -1,5 +1,6 @@
 """Finite ring constructors and bimodule validation."""
 
+import numpy as np
 import pytest
 
 from moritalab.errors import RingMismatch, UnitDegenerate
@@ -20,6 +21,8 @@ from moritalab.rings import (
     zero_bimodule,
 )
 from moritalab.rings.base import FiniteRing
+
+from oracles import matrices
 
 
 def vec(matrix_2x2, p=2):
@@ -163,14 +166,14 @@ class TestBimoduleValidation:
         C = column_module(Z2, 2, M2)
         with pytest.raises(ValueError, match="anti-multiplicative"):
             Bimodule(Z2, M2, C.carrier, (IntegerMatrix.identity(2),),
-                     C.left_action)
+                     matrices(C.left_action))
 
     def test_only_commutation_fails(self):
         # s -> s^T is an anti-representation of M_2(Z/2), so both actions
         # are valid alone, but E_01 and E_01^T = E_10 do not commute
         Z2 = cyclic_ring(2)
         M2 = matrix_ring(Z2, 2)
-        lam = column_module(Z2, 2, M2).left_action
+        lam = matrices(column_module(Z2, 2, M2).left_action)
         rho = tuple(lam[2 * j + i] for i in range(2) for j in range(2))
         with pytest.raises(ValueError, match="do not commute"):
             Bimodule(M2, M2, FiniteAbelianGroup((2, 2)), lam, rho)
@@ -189,11 +192,11 @@ class TestBimoduleValidation:
         M2 = matrix_ring(cyclic_ring(2), 2)
         C = column_module(cyclic_ring(2), 2, M2)
         # swap a left-action matrix with a non-commuting one
-        bad_left = list(C.left_action)
-        bad_left[1] = C.left_action[2]
+        bad_left = matrices(C.left_action)
+        bad_left[1] = bad_left[2]
         with pytest.raises(ValueError):
             Bimodule(C.left_ring, C.right_ring, C.carrier,
-                     tuple(bad_left), C.right_action)
+                     tuple(bad_left), matrices(C.right_action))
 
     def test_map_must_intertwine(self):
         Z4 = cyclic_ring(4)
@@ -260,13 +263,38 @@ class TestBimoduleValidation:
 
         units = [(g, i, j) for g in range(k) for i in range(n) for j in range(n)]
         C, W = column_module(R, n), row_module(R, n)
-        assert list(C.left_action) == [unit(*u, cols=True) for u in units]
-        assert list(C.right_action) == [scalar(g, False) for g in range(k)]
-        assert list(W.left_action) == [scalar(g, True) for g in range(k)]
-        assert list(W.right_action) == [unit(*u, cols=False) for u in units]
+        assert matrices(C.left_action) == [unit(*u, cols=True) for u in units]
+        assert matrices(C.right_action) == [scalar(g, False) for g in range(k)]
+        assert matrices(W.left_action) == [scalar(g, True) for g in range(k)]
+        assert matrices(W.right_action) == [unit(*u, cols=False) for u in units]
 
     def test_zero_bimodule(self):
         Z2, Z4 = cyclic_ring(2), cyclic_ring(4)
         Z = zero_bimodule(Z2, Z4)
         assert Z.carrier.order == 1
         assert Z.rank == 0
+
+
+class TestOneStack:
+    def test_equality_reads_reduced_stacks_and_ignores_the_name(self):
+        # Z/2 x Z/4 has carrier factors (2, 4): each row has its own modulus
+        R = direct_product_ring(cyclic_ring(2), cyclic_ring(4))
+        B = regular_bimodule(R)
+        fs = B.carrier.invariant_factors
+        renamed = Bimodule(R, R, B.carrier, matrices(B.left_action),
+                           matrices(B.right_action), name="another name")
+        assert renamed == B and renamed.name != B.name
+        assert B != regular_bimodule(cyclic_ring(4))
+        assert B != "not a bimodule"
+        with pytest.raises(TypeError):
+            hash(B)
+        for side in ("left", "right"):
+            stack = getattr(B, f"{side}_action")
+            for g, a, b in np.ndindex(stack.shape):
+                for delta, same in ((fs[a], True), (-3 * fs[a], True), (1, False)):
+                    moved = stack.copy()
+                    moved[g, a, b] += delta
+                    stacks = {"left_action": B.left_action, "right_action": B.right_action,
+                              f"{side}_action": moved}
+                    other = Bimodule._lawful(R, R, B.carrier, **stacks)
+                    assert (other == B) is same, (side, g, a, b, delta)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,7 +41,7 @@ from moritalab.rings import (
 )
 from moritalab.rings.base import kron_differences, reduced_stack
 
-from oracles import determinant, tensor_invariants_oracle
+from oracles import determinant, matrices, stacked, tensor_invariants_oracle
 
 
 def _generators(rank):
@@ -179,8 +180,9 @@ class TestUnitors:
         # is a bimodule on the regular group, but r (x) m -> r.m is not linear
         R = direct_product_ring(cyclic_ring(2), cyclic_ring(2))
         reg = regular_bimodule(R)
-        twisted_left = Bimodule(R, R, R.additive, reg.left_action[::-1], reg.right_action)
-        twisted_right = Bimodule(R, R, R.additive, reg.left_action, reg.right_action[::-1])
+        lam, rho = matrices(reg.left_action), matrices(reg.right_action)
+        twisted_left = Bimodule(R, R, R.additive, lam[::-1], rho)
+        twisted_right = Bimodule(R, R, R.additive, lam, rho[::-1])
         with pytest.raises(ValueError, match="^left factor is not a regular"):
             left_unitor(tensor_product(twisted_left, reg))
         with pytest.raises(ValueError, match="^right factor is not a regular"):
@@ -350,7 +352,7 @@ class TestKroneckerStack:
         X, Y = _square_stack(data, k, a), _square_stack(data, k, b)
         fa, fb = (data.draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=n, max_size=n))
                   for n in (a, b))
-        D = kron_differences(reduced_stack(X, fa), reduced_stack(Y, fb))
+        D = kron_differences(reduced_stack(stacked(X, a), fa), reduced_stack(stacked(Y, b), fb))
         assert D.shape == (k, a * b, a * b)
 
         def reduced(M, fs):
@@ -380,8 +382,8 @@ def _shifted(B: Bimodule) -> Bimodule:
                                     for row, f in zip(M.tolist(), fs)], M.rows, M.cols)
                      for M in mats)
 
-    return Bimodule(B.left_ring, B.right_ring, B.carrier, shift(B.left_action),
-                    shift(B.right_action), name=B.name)
+    return Bimodule(B.left_ring, B.right_ring, B.carrier, shift(matrices(B.left_action)),
+                    shift(matrices(B.right_action)), name=B.name)
 
 
 def _past_int64_pairs():
@@ -402,8 +404,8 @@ class TestExactPastInt64:
         tp = tensor_product(M, N)
         big = tensor_product(_shifted(M), _shifted(N))
         assert big.module.carrier == tp.module.carrier
-        assert big.module.left_action == tp.module.left_action
-        assert big.module.right_action == tp.module.right_action
+        assert np.array_equal(big.module.left_action, tp.module.left_action)
+        assert np.array_equal(big.module.right_action, tp.module.right_action)
 
     @pytest.mark.parametrize("idx", range(6))
     def test_shifted_hom_equals_the_reduced_one(self, idx):

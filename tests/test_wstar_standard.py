@@ -426,6 +426,18 @@ class TestHandBuiltForms:
         assert calls == [(2, 1)]
 
 
+    def test_j_is_held_once_per_algebra(self):
+        rng = np.random.default_rng(26)
+        for A in (M2, M23, MultiMatrixAlgebra((1, 2, 2))):
+            forms = [gns_standard_form(A, random_faithful_state(A, rng)) for _ in range(3)]
+            J = forms[0].J
+            assert all(std.J is J for std in forms)
+            want = np.eye(A.vector_dim, dtype=np.complex128)[A.adjoint_order]
+            assert J.dtype == want.dtype and J.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                J[0, 0] = 1.0
+
+
 class TestOneSpectrumPerOperator:
     def test_closed_form_matches_the_polar_decomposition(self):
         corpora = (_differential_corpus(),
