@@ -116,7 +116,7 @@ class WStarBicategory:
     reuses one relative-tensor presentation; L²(A), lawful by
     construction and never checked, is cached with its standard form and
     reused by every triangle and unitor check.  tol gates only
-    cells_equal, the measured discrepancy of a coherence law; fusion ranks
+    cells_equal, the measured discrepancy of a coherence law; fusion gates
     and invertibility use the fixed cutoff DEFAULT_TOL.  find_iso decides
     by multiplicity and builds its unitary from the isotypic frames.
     """

@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", default=None,
                        help="write the JSON report here instead of stdout")
         p.add_argument("--max-dim", type=_int_at_least(1), default=24,
-                       help="total dimension cap for sampled W* tuples")
+                       help="dimension cap for sampled W* tuples; its square caps fusion ambients")
         p.add_argument("--max-order", type=_int_at_least(1), default=16,
                        help="carrier order cap for sampled ring tuples")
 

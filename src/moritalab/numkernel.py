@@ -292,7 +292,6 @@ class GramQuotient:
     the identity on the quotient.
     """
 
-    gram: np.ndarray
     section: np.ndarray   # ambient x rank
     project: np.ndarray   # rank x ambient
     rank: int
@@ -320,5 +319,5 @@ def gram_quotient(G: np.ndarray, scale: float = 0.0) -> GramQuotient:
     Vk = V[:, keep]
     section = Vk * np.power(wk, -0.5)
     project = (Vk * np.power(wk, 0.5)).conj().T
-    return GramQuotient(Gs, section, project, int(np.sum(keep)))
+    return GramQuotient(section, project, int(np.sum(keep)))
 

@@ -73,6 +73,11 @@ class MultiMatrixAlgebra:
         return np.array([self.unit_index(b, j, i) for b, i, j in self.unit_triples()])
 
     @cached_property
+    def generator_units(self) -> np.ndarray:
+        """Positions of the generating units e_bi0 and e_b0j, in basis order."""
+        return np.flatnonzero([i == 0 or j == 0 for _, i, j in self.unit_triples()])
+
+    @cached_property
     def unit_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) index arrays of the matrix units, in basis order."""
         return tuple(np.array([(self.block_offset(b) + i, self.block_offset(b) + j)

@@ -134,9 +134,11 @@ class Correspondence:
                 raise ValueError(f"{label}: star property fails on a unit")
             if broken == "product":
                 raise ValueError(f"{label}: not a {kind} on unit pairs")
-        gens = [np.concatenate([blk[:, 0] for blk in blocks]
-                               + [blk[0, 1:] for blk in blocks]) for blocks in sides]
-        if any(norm_exceeds(U @ gens[1] - gens[1] @ U, eps) for U in gens[0]):
+        # one commutator of generating units at a time, formed in place
+        ab, ba = np.empty((2, self.dim, self.dim), dtype=np.complex128)
+        if any(norm_exceeds(np.subtract(np.matmul(lefts[u], pi_r[v], out=ab),
+                                        np.matmul(pi_r[v], lefts[u], out=ba), out=ab), eps)
+               for u in M.generator_units for v in N.generator_units):
             raise ValueError("left and right actions do not commute")
 
     @classmethod
@@ -342,14 +344,13 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence
     tolerance.
 
     Unitarity lets r carry laws across U onto a side built without a
-    check.  With U*U and UU* within DEFAULT_TOL =: d of 1, pi_H(x) =
-    U*U.pi_H(x) + (1 - U*U).pi_H(x) lies within (1 + d) r + d |pi_H(x)| of
-    U*.pi_K(x).U, and pi_K(x) as near U.pi_H(x).U*.  Conjugating by U keeps
-    each law up to U*U or UU* = 1 + O(d), so the unchecked side's laws hold
-    on the units within O(r + d) times their norms, plus the other side's
-    law residual.  Certification checks neither side: connes_fusion's gates
-    bound the fusion source, this transfer the L² target.  A scaled U would
-    make r small and bound nothing.
+    check.  With U*U and UU* within DEFAULT_TOL =: d of 1, pi_H(x) lies
+    within (1 + d) r + d |pi_H(x)| of U*.pi_K(x).U, and pi_K(x) as near
+    U.pi_H(x).U*, so either side's laws hold on the units within O(r + d)
+    times their norms plus the other's law residual.  A scaled U would make
+    r small and bound nothing.  Block correspondences of one table, such
+    as L²(M) and H fused with conj(H) for an equivalence H, hold the same
+    exact frames: U is the identity and r is 0.
     """
     pairs = _frame_pairs(H, K)
     if H.dim != K.dim or H.multiplicities != K.multiplicities:

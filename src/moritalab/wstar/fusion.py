@@ -7,22 +7,22 @@ factor gives R_eta: L2(N) -> H, and R_eta1* R_eta2 lands in pi_l(N), so
 it can be moved onto the right factor before taking plain inner products.
 Every map here is linear in the middle algebra, so each is one contraction
 of middle coordinates with a stack of unit images: those of R_a*.R_c over
-basis pairs give the Gram matrix, and those of Lambda^{-1} of L2's basis
+basis pairs give the Gram matrix G, and those of Lambda^{-1} of L2's basis
 (twisted by Δ^{-1/2} on the right) give the unitors.
 
-The quotient is taken on a reduced ambient.  With p_b the minimal
-projection e_{b00} of the middle algebra's block b, the fused space is
-the sum over b of (H.p_b) (x) (p_b.K) (Sauvageot, J. Operator Theory 9,
-1983; Jones and Sunder, Introduction to Subfactors, ch. 1-2), so the Gram
-matrix G is compressed onto S, the direct sum of X_b (x) Y_b for
-orthonormal bases X_b of H.p_b and Y_b of p_b.K read off the isotypic
-frames.  S has exactly the fused dimension of columns.  Its quotient is
-lifted back to ambient coordinates, section = S.section_r and
-project = section*.G (G's Hermitian part, as the quotient reads it),
-and certified against G in one residual, |G - project*.project|: it
-bounds at once how far G is from Hermitian, from positive, and from
-being spanned by S.  Kronecker factors are applied by reshaping
-(numkernel.kron_sandwich), never formed.
+The quotient is exact: with p_b = e_{b00} in middle block b, the fused
+space is the sum over b of (H.p_b) (x) (p_b.K) (Sauvageot, J. Operator
+Theory 9, 1983) and multiplicities multiply (Jones and Sunder,
+Introduction to Subfactors, ch. 1-2), so it is block_correspondence of
+mult(H).mult(K), and the state enters only project and section.  S, the
+products of orthonormal frame bases of H.p_b and p_b.K in that basis
+order, has S*.G.S = c_b on block b (p_b is minimal): section = S.c^{-1/2},
+project = c^{-1/2}.S*.G (G's Hermitian part).  Three gates carry this:
+every c_j is positive; |G - project*.project| bounds how far G is from
+Hermitian, positive and spanned by S, and S*.G.S from diagonal; and the
+generating units of either side compress to the fused ones, so every
+unit does, both being *-representations.  Kronecker factors are applied
+by reshaping (numkernel.kron_sandwich), never formed.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ import numpy as np
 from ..errors import AlgebraMismatch, CapExceeded
 from ..numkernel import (
     DEFAULT_TOL,
-    gram_quotient,
     kron_sandwich,
+    max_operator_norm,
     norm_exceeds,
     operator_norm,
 )
-from .correspondences import Correspondence, Intertwiner, identity_correspondence
+from .correspondences import (Correspondence, Intertwiner, block_correspondence,
+                              identity_correspondence)
 from .standard import StandardFormData
 
 FUSION_DIM_CAP = 10 ** 4
@@ -90,22 +91,18 @@ class FusionResult:
 
 
 def _reduced_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
-    """S, the direct sum over middle blocks b of X_b (x) Y_b, as ambient columns.
-
-    X_b spans H.p_b: slot (i, 0) of H's (a, b) frames, for every a, copy
-    and i.  Y_b spans p_b.K: slot (0, k) of K's (b, d) frames.  Both are
-    orthonormal, as the frames are.
-    """
-    def columns(F):
-        return F.transpose(1, 0, 2).reshape(F.shape[1], F.shape[0] * F.shape[2])
-
+    """S, orthonormal ambient columns x (x) y in the fused basis order: per
+    outer block pair (a, d) and middle block b, slot (i, 0) of H's (a, b)
+    frames times slot (0, j) of K's (b, d) frames, columns (copy s, copy t,
+    i, j), so copy k of (a, d) in the fused basis is (b, s, t)."""
     parts = []
-    for b, m in enumerate(H.right_algebra.block_sizes):
-        X = np.concatenate([columns(row[b][:, :, ::m]) for row in H.frames], axis=1)
-        Y = np.concatenate([columns(F[:, :, :p]) for F, p in
-                            zip(K.frames[b], K.right_algebra.block_sizes)], axis=1)
-        parts.append((X[:, None, :, None] * Y[None, :, None, :])
-                     .reshape(H.dim * K.dim, X.shape[1] * Y.shape[1]))
+    for row in H.frames:
+        for d, p in enumerate(K.right_algebra.block_sizes):
+            for b, n in enumerate(H.right_algebra.block_sizes):
+                X = row[b][:, :, ::n].transpose(1, 0, 2)
+                Y = K.frames[b][d][:, :, :p].transpose(1, 0, 2)
+                xy = X[:, None, :, None, :, None] * Y[None, :, None, :, None, :]
+                parts.append(xy.reshape(H.dim * K.dim, np.prod(xy.shape[2:], dtype=int)))
     return np.concatenate(parts, axis=1)
 
 
@@ -114,24 +111,16 @@ def connes_fusion(H: Correspondence, K: Correspondence,
                   cap: int = FUSION_DIM_CAP) -> FusionResult:
     """Fuse an (M, N)- with an (N, P)-correspondence over N.
 
-    The fused actions compress the factors' actions onto the Gram quotient,
-    so they are lawful up to rounding unless the quotient is wrong.  That
-    is gated twice, and the result is built without a law check.
-    Multiplicities multiply under fusion (Jones and Sunder, Introduction
-    to Subfactors, ch. 1-2; Sauvageot, J. Operator Theory 9, 1983), and the
-    simple (b, d) bimodule has dimension n_b p_d, so the fused dimension is
-    the sum over (b, d) of (mult(H) mult(K))[b][d] n_b p_d; a Gram rank
-    other than that raises RuntimeError.  So does a residual
-    |G - project*.project| above DEFAULT_TOL.max(top, 1), top the largest
-    eigenvalue of G, the scale of the full quotient's rank cut: an
-    operator norm behind a Frobenius screen, so the SVD runs only near
-    the bound.
+    corr is block_correspondence(M, P, mult(H).mult(K)).  RuntimeError is
+    raised by a block constant c_j at or below DEFAULT_TOL.max(max c, 1),
+    |G - project*.project| above bound = DEFAULT_TOL.max(|project|^2, 1)
+    (G's top eigenvalue), or a compressed generating unit further than
+    bound from the fused one: operator norms behind a Frobenius screen.
     """
     N = std_N.algebra
     if H.right_algebra != N or K.left_algebra != N:
         raise AlgebraMismatch("fusion factors do not share the middle algebra")
-    dH, dK = H.dim, K.dim
-    ambient = dH * dK
+    ambient = H.dim * K.dim
     if ambient > cap:
         raise CapExceeded(f"ambient tensor dimension {ambient} exceeds {cap}")
 
@@ -141,33 +130,40 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     coef = (R @ std_N.cyclic_vector()) @ (R.conj() @ std_N.lam_inv.T)
     G = np.tensordot(coef, K.pi_l_units, 1).transpose(0, 2, 1, 3) \
         .reshape(ambient, ambient)
-    # the quotient reads G's Hermitian part; the residual below uses G itself
-    Gh = G + G.conj().T
-    Gh *= 0.5
     S = _reduced_basis(H, K)
-    q = gram_quotient(S.conj().T @ Gh @ S, scale=1.0)
-    # S has sum_b dim(H.p_b) dim(p_b.K) columns, the predicted dimension
-    predicted = S.shape[1]
-    if q.rank != predicted:
-        raise RuntimeError(f"fusion Gram rank {q.rank} differs from the "
-                           f"dimension {predicted} the multiplicities predict")
-    section = S @ q.section
-    project = section.conj().T @ Gh
+    # project reads (G + G*)/2, halved after the product; the residual reads G
+    Gh = np.conjugate(G.T, order="C")
+    Gh += G
+    SG = (S.conj().T @ Gh) * 0.5
     del Gh
+    # S*.G.S is c_b times the identity on middle block b: its diagonal
+    c = np.einsum("ji,ij->j", SG, S).real
+    cut = DEFAULT_TOL * max(np.max(c, initial=0.0), 1.0)
+    if np.any(c <= cut):
+        raise RuntimeError(f"fusion block constant {np.min(c):.3g} is not "
+                           f"above {cut:.3g}: a reduced basis vector is null")
+    scale = 1.0 / np.sqrt(c)
+    section, project = S * scale, SG * scale[:, None]
     # project*.project is G once S spans it, so its top eigenvalue is G's
     bound = DEFAULT_TOL * max(operator_norm(project) ** 2, 1.0)
     miss = project.conj().T @ project
     miss -= G
+    del G
     if norm_exceeds(miss, bound):
         raise RuntimeError(f"fusion Gram residual {operator_norm(miss):.3g} "
                            f"exceeds {bound:.3g}: the reduced quotient does "
                            f"not span the Gram matrix")
-
-    pi_l = kron_sandwich(project, H.pi_l_units, dK, section)
-    pi_r = kron_sandwich(project, dH, K.pi_r_units, section)
+    M, P = H.left_algebra, K.right_algebra
+    fused = block_correspondence(M, P, np.dot(H.multiplicities, K.multiplicities))
+    gl, gr = M.generator_units, P.generator_units
+    off = np.concatenate([
+        kron_sandwich(project, H.pi_l_units[gl], K.dim, section) - fused.pi_l_units[gl],
+        kron_sandwich(project, H.dim, K.pi_r_units[gr], section) - fused.pi_r_units[gr]])
+    if norm_exceeds(off, bound):
+        raise RuntimeError(f"fusion compression residual {max_operator_norm(off):.3g} exceeds "
+                           f"{bound:.3g}: the reduced basis is not in the fused basis order")
     name = f"({H.name}*{K.name})" if H.name and K.name else ""
-    corr = Correspondence._lawful(H.left_algebra, K.right_algebra, q.rank,
-                                  pi_l, pi_r, name=name)
+    corr = Correspondence._lawful(M, P, fused.dim, fused.pi_l_units, fused.pi_r_units, name)
     return FusionResult(corr=corr, project=project, section=section,
                         left_factor=H, right_factor=K)
 

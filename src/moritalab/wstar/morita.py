@@ -78,18 +78,16 @@ def certify_morita_equivalent(H: Correspondence,
                               ) -> WStarMoritaCertificate:
     """Decide whether H implements an equivalence between its two algebras.
 
-    States default to the normalized traces; they enter only the
-    witnesses, so the verdict does not depend on the choice, only the
-    recorded unitaries do.  When M is N under one state (both defaulted,
-    or the same object), one standard form and one L² serve both sides.
+    States default to the normalized traces; they enter only the fusions'
+    project and section, so neither the verdict nor the witnesses depend
+    on the choice.  When M is N under one state (both defaulted, or the
+    same object), one standard form and one L² serve both sides.
 
-    The fusions and both L² skip the law check.  Gram-rank and Gram-residual
-    gates bound a fusion's laws from its checked factors and the middle
-    standard form alone, and L²'s units are exact index matrices.  A
-    witness U passes only unitary within DEFAULT_TOL =: d with residual
-    r <= d, so each unit of L² (norm 1) lies within (1 + d) r + d, about
-    2e-8, of U.pi_fus(e).U*: the witnesses alone bound L²'s laws within
-    O(r + d) (see unitary_intertwiner), and an L² broken further raises.
+    For a permutation multiplicity matrix P, H fused with its conjugate is
+    block_correspondence(M, M, P.P^T = 1), L²(M) stack for stack, so the
+    witness U is the identity and its residual exactly 0.  That zero is not
+    vacuous: connes_fusion's three gates carry the identification of the
+    block correspondence with the Gram quotient of H (x) conj(H).
     """
     M, N = H.left_algebra, H.right_algebra
     self_pair = M == N and phi_M is phi_N

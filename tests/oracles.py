@@ -8,7 +8,8 @@ modular data of a standard form come from a numerical polar
 decomposition of S, the reference for the library's closed form, the
 maps ξ -> x.ξ.y from the broadcasts, Kronecker products and stacked
 products the library's one gather replaced, fusion Gram matrices pair by
-pair, and subspaces are compared through fresh orthonormal bases.
+pair, fused actions compressed unit by unit, and subspaces are compared
+through fresh orthonormal bases.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from moritalab.numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
     hermitian_spectrum,
+    kron_sandwich,
     orthonormal_columns,
     spans_equal,
     spectral_powers,
@@ -323,6 +325,15 @@ def fusion_gram(H, K, std):
             n_ac = std.Lambda_inv(R[a].conj().T @ R[c] @ cyc)
             G[a * dK:(a + 1) * dK, c * dK:(c + 1) * dK] = K.pi_l(n_ac)
     return G
+
+
+def compressed_units(fus):
+    """Every unit of either factor compressed onto the quotient, the fused
+    actions as connes_fusion formed them before it built the block
+    correspondence: project.(U (x) 1).section and project.(1 (x) V).section."""
+    H, K = fus.left_factor, fus.right_factor
+    return (kron_sandwich(fus.project, H.pi_l_units, K.dim, fus.section),
+            kron_sandwich(fus.project, H.dim, K.pi_r_units, fus.section))
 
 
 # ------------------------------------ reference constructions of x.ξ.y maps

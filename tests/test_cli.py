@@ -361,6 +361,28 @@ class TestRunCommand:
         assert [r["status"] for r in rows] == ["Pass", "Pass", "Error"]
         assert "CapExceeded" in rows[2]["detail"]
 
+    @pytest.mark.parametrize("flags, rc, status", [([], 1, "Error"),
+                                                   (["--max-dim", "25"], 0, "Pass")])
+    def test_fusion_ambient_cap_is_max_dim_squared(self, tmp_path, capsys,
+                                                   flags, rc, status):
+        # L2(M_5) with itself has ambient 25 * 25 = 625, past 24 ** 2 = 576
+        M5 = MultiMatrixAlgebra((5,), name="M5")
+        doc = serialize_spec(SpecFile(
+            algebras={"M5": M5},
+            correspondences={"L": block_correspondence(M5, M5, [[1]])},
+            tasks=({"task": "fusion", "left": "L", "right": "L", "samples": 5},)))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        report_path = tmp_path / "report.json"
+        assert main(["run", str(spec_path), "--report", str(report_path)] + flags) == rc
+        (row,) = json.loads(report_path.read_text())["tasks"]
+        assert row["status"] == status
+        if status == "Error":
+            assert row["detail"] == ("CapExceeded: ambient tensor dimension "
+                                     "625 exceeds 576")
+        else:
+            assert row["data"]["fused_dim"] == 25
+
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(

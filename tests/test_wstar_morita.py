@@ -183,13 +183,20 @@ class TestWitnessesMustAgree:
 
     def test_a_scaled_witness_is_not_a_certificate(self, monkeypatch):
         # half-scale frames keep every multiplicity, and the witness they
-        # give, of norm 1/4, has a residual at rounding level
+        # give, of norm 1/4, has a residual at rounding level; the fusion
+        # normalizes its reduced basis by the block constants, so both
+        # fusions pass and the certificate reaches the witness search
         import moritalab.wstar.correspondences as correspondences
+        import moritalab.wstar.morita as morita
         frames = correspondences.isotypic_frames
         monkeypatch.setattr(correspondences, "isotypic_frames",
                             lambda lefts, rights: 0.5 * frames(lefts, rights))
+        found, searched = morita.unitary_intertwiner, []
+        monkeypatch.setattr(morita, "unitary_intertwiner",
+                            lambda H, K: searched.append(H) or found(H, K))
         with pytest.raises(RuntimeError, match="no unitary"):
             certify_morita_equivalent(vector_correspondence(3))
+        assert len(searched) == 1
 
     def test_cli_row_is_error(self, no_unitary, tmp_path, capsys):
         C = MultiMatrixAlgebra((1,), name="C")
@@ -272,6 +279,16 @@ class TestTheWitnessesBoundL2:
             cert = self.certify(H, phi)
             assert cert.equivalent
             assert before < 1e-12 and 1e-9 <= cert.residual <= 1e-8
+
+
+def test_an_equivalence_fuses_onto_l2_stack_for_stack():
+    # H fused with its conjugate is the identity block correspondence, L²'s
+    # own stacks, so both witnesses are the identity and the residual is 0
+    for H, phi in _certified_pairs():
+        cert = TestTheWitnessesBoundL2.certify(H, phi)
+        assert cert.equivalent and cert.residual == 0.0
+        for U in (cert.unitary_left, cert.unitary_right):
+            assert np.array_equal(U, np.eye(len(U)))
 
 
 class TestConjugates:
