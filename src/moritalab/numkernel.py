@@ -47,30 +47,50 @@ def operator_norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(A, 2)) if np.any(A) else 0.0
 
 
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Each matrix's Frobenius norm, summed over the real and imaginary
+    views: no stack-sized temporary, and no warning on overflow."""
+    if not np.iscomplexobj(stack):
+        return np.sqrt(np.einsum("kij,kij->k", stack, stack))
+    return np.sqrt(np.einsum("kij,kij->k", stack.real, stack.real)
+                   + np.einsum("kij,kij->k", stack.imag, stack.imag))
+
+
+def _operator_norms(stack: np.ndarray, live: np.ndarray) -> list[np.ndarray]:
+    """Operator norms of the matrices marked live, one stacked SVD per run of
+    consecutive ones over a view of the stack, so nothing is copied.  Each
+    matrix's SVD is the one a single stacked call makes, bit for bit."""
+    if live.all():
+        return [np.linalg.norm(stack, 2, axis=(1, 2))]
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
+    return [np.linalg.norm(stack[a:b], 2, axis=(1, 2)) for a, b in zip(edges[::2], edges[1::2])]
+
+
 def max_operator_norm(mats) -> float:
     """max(operator_norm(M) for M in mats), 0 for none, SVDs screened.
 
     The Frobenius norm is never below the operator norm (Golub and Van
     Loan, Matrix Computations, 2.3), so once the matrix of largest
     Frobenius norm has its operator norm, only matrices whose Frobenius
-    norm exceeds that value can beat it, and only they go into one stacked
-    SVD.  The DEFAULT_TOL margin on the screen covers rounding in either
-    norm, so the result is the value the loop gives.  A stack with no
-    nonzero entry reads 0 with no SVD.
+    norm exceeds that value can beat it, and only they go through the SVD,
+    with no copy (_operator_norms).  The largest goes with them, its SVD
+    repeated bit for bit, so that where all pass, as on a block
+    correspondence's units, one call takes them.  The DEFAULT_TOL margin
+    on the screen covers rounding in either norm, so the result is the
+    value the loop gives.  A stack with no nonzero entry reads 0 with no
+    SVD.
     """
     if len(mats) == 0 or mats[0].size == 0:
         return 0.0
     stack = np.asarray(mats)
     if not np.any(stack):
         return 0.0
-    # summed over real and imaginary views, so no stack-sized temporary
-    fro = np.sqrt(np.einsum("kij,kij->k", stack.real, stack.real)
-                  + np.einsum("kij,kij->k", stack.imag, stack.imag))
+    fro = _frobenius_norms(stack)
     top = int(np.argmax(fro))
     best = float(np.linalg.norm(stack[top], 2))
     live = fro * (1.0 + DEFAULT_TOL) > best
-    live[top] = False
-    return float(np.linalg.norm(stack[live], 2, axis=(1, 2)).max(initial=best))
+    live[top] = np.count_nonzero(live) > 1
+    return max([best] + [float(norms.max()) for norms in _operator_norms(stack, live)])
 
 
 def max_operator_norm_of(term, count: int) -> float:
@@ -105,13 +125,21 @@ def norm_exceeds(A: np.ndarray, bound: float) -> bool:
     The SVD only runs on matrices whose Frobenius norm, never below the
     operator norm, is above the bound or overflows (the SVD scales finite
     entries).  A non-finite entry counts as exceeding, without a warning.
+    The Frobenius norms are summed over real and imaginary views and the
+    SVDs read views (_operator_norms), so no temporary is the size of the
+    stack.
     """
-    stack = A[None] if np.ndim(A) == 2 else np.asarray(A)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fro = np.linalg.norm(stack, axis=(1, 2))
-    over = stack[fro > bound]
-    return not np.all(np.isfinite(stack[~np.isfinite(fro)])) or len(over) > 0 \
-        and bool(np.any(np.linalg.norm(over, 2, axis=(1, 2)) > bound))
+    stack = np.asarray(A)
+    stack = stack[None] if stack.ndim == 2 else stack
+    if stack.dtype.kind not in "fc":
+        stack = stack.astype(np.float64)
+    fro = _frobenius_norms(stack)
+    finite = np.isfinite(fro)
+    if not finite.all() and not np.isfinite(stack[~finite]).all():
+        return True
+    live = fro > bound
+    return bool(live.any()) and any(bool(np.any(norms > bound))
+                                    for norms in _operator_norms(stack, live))
 
 
 def _norm_within(A: np.ndarray, bound: float) -> bool:

@@ -9,14 +9,19 @@ with commutant ⊕_b 1 ⊗ M_{mult_b}. Its isotypic frames count every mult_b
 exactly and give bases of commutants and intertwiner spaces directly.
 
 L² and block correspondences are sums of copies of C^{n_b} ⊗ C^{m_c}, acted
-on by ξ -> x·ξ·y; one gather, _bimodule_action, builds that map for their
-unit stacks and for a standard form's Λ^{±1}, Δ^s and creation inverse.
+on by ξ -> x·ξ·y, and are fixed by their multiplicity table.  Each of their
+unit images is a partial permutation of the basis, whose index data
+table_units reads off the table, and table_stack writes the stacks from
+it; their isotypic frames are coordinate columns, which table_frames reads
+off it with no eigendecomposition.  One gather, _bimodule_action, builds
+x·ξ·y on the matrix units for a standard form's Λ^{±1}, Δ^s and creation
+inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,12 +98,16 @@ class MultiMatrixAlgebra:
         """The standard forms' J, read-only: row u picks the adjoint unit's coordinate."""
         return _read_only(np.eye(self.vector_dim, dtype=np.complex128)[self.adjoint_order])
 
+    @cached_property
+    def identity_table(self) -> tuple[tuple[int, ...], ...]:
+        """L²'s multiplicity table: each block once against itself."""
+        return tuple(map(tuple, np.eye(len(self.block_sizes), dtype=int).tolist()))
+
     def _regular_units(self, side: str) -> np.ndarray:
         """The read-only stack of E_w -> E_u.E_w ("left") or E_w.E_u ("right"),
-        vector_dim**3 entries, so built per call and never cached here."""
-        rows, cols = self.unit_positions
-        return _read_only(_bimodule_action(rows, cols, x=self.unit_stack) if side == "left"
-                          else _bimodule_action(rows, cols, y=self.unit_stack))
+        the identity table's, vector_dim**3 entries, so built per call and
+        never cached here."""
+        return table_stack(self, self, self.identity_table, side)
 
     @cached_property
     def regular_commutant_residual(self) -> float:
@@ -245,14 +254,13 @@ def _read_only(units) -> np.ndarray:
     return view
 
 
-def _bimodule_action(rows: np.ndarray, cols: np.ndarray, x=None, y=None,
-                     copies: np.ndarray | None = None) -> np.ndarray:
-    """The matrix of ξ -> x.ξ.y on the matrix units at (rows, cols) in copies.
+def _bimodule_action(rows: np.ndarray, cols: np.ndarray, x=None, y=None) -> np.ndarray:
+    """The matrix of ξ -> x.ξ.y on the matrix units at (rows, cols).
 
-    Entry (s, t) is x[r_s, r_t] . y[c_t, c_s] . [k_s = k_t]; an omitted x
-    is [r_s = r_t], an omitted y [c_s = c_t], omitted copies one copy.  A
-    stack x, or a stack y with x omitted, gives a C-contiguous stack, the
-    other factors multiplied into it in place: no stack-sized temporary.
+    Entry (s, t) is x[r_s, r_t] . y[c_t, c_s]; an omitted x is [r_s = r_t],
+    an omitted y [c_s = c_t].  A stack x, or a stack y with x omitted,
+    gives a C-contiguous stack, the other factor multiplied into it in
+    place: no stack-sized temporary.
     """
     def entries(z, i, j):  # z[..., i, j], a stack gathered C-contiguous by np.take
         return z[i, j] if z.ndim == 2 else \
@@ -261,9 +269,81 @@ def _bimodule_action(rows: np.ndarray, cols: np.ndarray, x=None, y=None,
     right = cols[:, None] == cols if y is None else entries(y, cols, cols[:, None])
     out, other = (right, left) if x is None else (left, right)
     out *= other
-    if copies is not None:
-        out *= copies[:, None] == copies
     return out
+
+
+def table_dim(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table) -> int:
+    """Dimension of the (A, B) block correspondence with table[b][c] copies
+    of C^{n_b x m_c}."""
+    return sum(k * n * m for row, n in zip(table, A.block_sizes)
+               for k, m in zip(row, B.block_sizes))
+
+
+@lru_cache(maxsize=512)
+def table_units(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, side: str,
+                generators: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index data (k, t, s) of one side of that block correspondence: matrix
+    unit k of A ("left") or B ("right"), or generating unit k, sends basis
+    vector s to t under ξ -> x.ξ.y, and has no other entry.
+
+    Basis order: block pair (b, c), copy, row i, col j, the last fastest,
+    the nonzeros of one block mask per copy.  So e_RC moves a slot in row C
+    to row R, (R - C).m_c places on, and one in column R to column C.
+
+    table is a tuple of int tuples.  The arrays are read-only; the latest
+    512 calls keep theirs (3 ints per 1 of the unit images), as fusion
+    meets few tables: all bracketings of a product share one, and 511
+    fusions of a coherence-batch pass meet 123 (A, B, table) triples.
+    """
+    nb, nc = len(A.block_sizes), len(B.block_sizes)
+    b, c = np.divmod(np.repeat(np.arange(nb * nc), np.ravel(table)), nc)
+    in_b = np.repeat(np.arange(nb), A.block_sizes) == b[:, None]
+    in_c = np.repeat(np.arange(nc), B.block_sizes) == c[:, None]
+    copies, rows, cols = np.nonzero(in_b[:, :, None] & in_c[:, None, :])
+    algebra = A if side == "left" else B
+    R, C = algebra.unit_positions
+    if generators:
+        R, C = R[algebra.generator_units], C[algebra.generator_units]
+    if side == "left":
+        k, s = np.nonzero(rows == C[:, None])
+        t = s + (R - C)[k] * np.take(B.block_sizes, c)[copies[s]]
+    else:
+        k, s = np.nonzero(cols == R[:, None])
+        t = s + (C - R)[k]
+    for index in (k, t, s):
+        index.flags.writeable = False
+    return k, t, s
+
+
+def table_stack(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table,
+                side: str) -> np.ndarray:
+    """One side's read-only unit stack of that block correspondence: its
+    partial permutations, written from the index data."""
+    dim = table_dim(A, B, table)
+    units = np.zeros(((A if side == "left" else B).vector_dim, dim, dim),
+                     dtype=np.complex128)
+    units[table_units(A, B, table, side)] = 1.0
+    return _read_only(units)
+
+
+def table_frames(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
+                 table) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The isotypic frames of that block correspondence, read-only views.
+
+    Slot (i, j) of copy s of block pair (b, c) is its own basis vector, so
+    frames[b][c] is (table[b][c], dim, n_b m_c) of identity columns, exactly
+    isometric, in table order: what isotypic_frames spans, with no eigh.
+    """
+    slots = [[n * m for m in B.block_sizes] for n in A.block_sizes]
+    dim = table_dim(A, B, table)
+    eye = _read_only(np.eye(dim, dtype=np.complex128))
+    frames, start = [], 0
+    for row, widths in zip(table, slots):
+        frames.append([])
+        for k, w in zip(row, widths):
+            frames[-1].append(eye[start:start + k * w].reshape(k, w, dim).transpose(0, 2, 1))
+            start += k * w
+    return tuple(map(tuple, frames))
 
 
 def isotypic_frames(lefts, rights) -> np.ndarray:

@@ -12,6 +12,14 @@ Each action is one read-only complex128 (units, dim, dim) stack, which the
 constructor stacks once from its validated images and _lawful wraps uncopied.
 The constructor reads the right action's reversed products through views
 with each block's unit axes swapped: it holds no reordered copy.
+
+A block correspondence, L² and every fusion result among them, carries its
+multiplicity table, which fixes it up to the basis order (Jones and Sunder,
+Introduction to Subfactors, ch. 1-2).  Its frames are coordinate columns
+read off the table (algebras.table_frames), not eigendecompositions, and
+its unit images are partial permutations with index data read off it too
+(algebras.table_units).  A fusion result holds the table alone and writes
+its stacks from that index data on first read.
 """
 
 from __future__ import annotations
@@ -36,8 +44,14 @@ from .algebras import (
     _read_only,
     frame_products,
     isotypic_frames,
+    table_dim,
+    table_frames,
+    table_stack,
 )
 from .standard import StandardFormData
+
+
+_SIDES = {"pi_l_units": "left", "pi_r_units": "right"}
 
 
 def _generator_eps(t: float) -> float:
@@ -99,6 +113,9 @@ class Correspondence:
     whether two of them carry the same actions numerically.
     """
 
+    # the multiplicity table of a block correspondence; only _lawful sets one
+    table = None
+
     left_algebra: MultiMatrixAlgebra
     right_algebra: MultiMatrixAlgebra
     dim: int
@@ -143,20 +160,40 @@ class Correspondence:
 
     @classmethod
     def _lawful(cls, left_algebra: MultiMatrixAlgebra,
-                right_algebra: MultiMatrixAlgebra, dim: int, pi_l_units,
-                pi_r_units, name: str = "") -> "Correspondence":
-        """Lawful by construction: unit stacks wrapped read-only, no law re-checked."""
+                right_algebra: MultiMatrixAlgebra, dim: int, pi_l_units=None,
+                pi_r_units=None, name: str = "", table=None) -> "Correspondence":
+        """Lawful by construction: unit stacks wrapped read-only, no law re-checked.
+
+        table, a tuple of int tuples, marks block_correspondence(left_algebra,
+        right_algebra, table) in its basis order; the stacks may then be
+        omitted, to be written from the table on first read.
+        """
         H = object.__new__(cls)
-        vars(H).update(
-            left_algebra=left_algebra, right_algebra=right_algebra, dim=dim,
-            pi_l_units=_read_only(pi_l_units), pi_r_units=_read_only(pi_r_units),
-            name=name)
+        vars(H).update(left_algebra=left_algebra, right_algebra=right_algebra,
+                       dim=dim, name=name)
+        if table is not None:
+            vars(H)["table"] = table
+        for key, units in (("pi_l_units", pi_l_units), ("pi_r_units", pi_r_units)):
+            if units is not None:
+                vars(H)[key] = _read_only(units)
         return H
+
+    def __getattr__(self, key: str):
+        # reached only for what the instance lacks: a block correspondence's
+        # stack that nothing has read yet
+        if key not in _SIDES or self.table is None:
+            raise AttributeError(key)
+        vars(self)[key] = units = table_stack(
+            self.left_algebra, self.right_algebra, self.table, _SIDES[key])
+        return units
 
     @cached_property
     def frames(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """Isotypic frames per block pair: frames[b][c] is (mult, dim, n_b m_c),
-        from column 0 of each left unit block and row 0 of each right one."""
+        read off the table of a block correspondence, otherwise from column 0
+        of each left unit block and row 0 of each right one."""
+        if self.table is not None:
+            return table_frames(self.left_algebra, self.right_algebra, self.table)
         rights = _unit_blocks(self.right_algebra, self.pi_r_units)
         return tuple(tuple(isotypic_frames(L[:, 0], R[0]) for R in rights)
                      for L in _unit_blocks(self.left_algebra, self.pi_l_units))
@@ -228,10 +265,12 @@ def identity_correspondence(std: StandardFormData) -> Correspondence:
 
     Both unit stacks of gns_standard_form are exact 0/1 index matrices,
     E_u.E_w and E_w.E_u, so L² is lawful by construction and not checked.
+    They are block_correspondence(A, A, 1)'s, whose table L² carries.
     """
     A = std.algebra
     return Correspondence._lawful(A, A, std.dim, std.pi_l_units, std.pi_r_units,
-                                  name=f"L2({A.name})" if A.name else "L2")
+                                  name=f"L2({A.name})" if A.name else "L2",
+                                  table=A.identity_table)
 
 
 def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
@@ -239,25 +278,20 @@ def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
     """The (A, B)-correspondence with mult[b][c] copies of C^{n_b x m_c}.
 
     Basis order: (block pair (b, c), copy k, row i, col j), rows fastest
-    last.  Slot (b, c, k, i, j) is the unit at (row i of A's block b, column
-    j of B's block c) in copy k, acted on by x.ξ.y.  Once the table passes
-    its checks the result is lawful by construction.
+    last (algebras.table_units).  Slot (b, c, k, i, j) is the unit at
+    (row i of A's block b, column j of B's block c) in copy k, acted on by
+    x.ξ.y.  Once the table passes its checks the result is lawful by
+    construction, and it carries the table.
     """
     shape = (len(A.block_sizes), len(B.block_sizes))
     if len(mult) != shape[0] or any(len(row) != shape[1] for row in mult):
         raise ValueError(f"multiplicity table must be {shape[0]} x {shape[1]}")
-    mult = [[int(m) for m in row] for row in mult]
-    if any(m < 0 for row in mult for m in row):
+    table = tuple(tuple(int(m) for m in row) for row in mult)
+    if any(m < 0 for row in table for m in row):
         raise ValueError("multiplicities must be nonnegative")
-    rows, cols, copies = np.array(
-        [(A.block_offset(b) + i, B.block_offset(c) + j, k)
-         for b, n in enumerate(A.block_sizes)
-         for c, m in enumerate(B.block_sizes)
-         for k in range(mult[b][c]) for i in range(n) for j in range(m)],
-        dtype=int).reshape(-1, 3).T
-    pi_l = _bimodule_action(rows, cols, x=A.unit_stack, copies=copies)
-    pi_r = _bimodule_action(rows, cols, y=B.unit_stack, copies=copies)
-    return Correspondence._lawful(A, B, len(rows), pi_l, pi_r)
+    return Correspondence._lawful(A, B, table_dim(A, B, table),
+                                  table_stack(A, B, table, "left"),
+                                  table_stack(A, B, table, "right"), table=table)
 
 
 def vector_correspondence(n: int) -> Correspondence:

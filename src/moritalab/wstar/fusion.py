@@ -14,7 +14,10 @@ The quotient is exact: with p_b = e_{b00} in middle block b, the fused
 space is the sum over b of (H.p_b) (x) (p_b.K) (Sauvageot, J. Operator
 Theory 9, 1983) and multiplicities multiply (Jones and Sunder,
 Introduction to Subfactors, ch. 1-2), so it is block_correspondence of
-mult(H).mult(K), and the state enters only project and section.  S, the
+mult(H).mult(K), and the state enters only project and section.  The
+result carries that table alone and writes its stacks on first read; the
+gate below reads the fused generating units as their index data
+(algebras.table_units), and so does G when K carries a table.  S, the
 products of orthonormal frame bases of H.p_b and p_b.K in that basis
 order, has S*.G.S = c_b on block b (p_b is minimal): section = S.c^{-1/2},
 project = c^{-1/2}.S*.G (G's Hermitian part).  Three gates carry this:
@@ -39,8 +42,8 @@ from ..numkernel import (
     norm_exceeds,
     operator_norm,
 )
-from .correspondences import (Correspondence, Intertwiner, block_correspondence,
-                              identity_correspondence)
+from .algebras import table_dim, table_units
+from .correspondences import Correspondence, Intertwiner, identity_correspondence
 from .standard import StandardFormData
 
 FUSION_DIM_CAP = 10 ** 4
@@ -94,16 +97,17 @@ def _reduced_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
     """S, orthonormal ambient columns x (x) y in the fused basis order: per
     outer block pair (a, d) and middle block b, slot (i, 0) of H's (a, b)
     frames times slot (0, j) of K's (b, d) frames, columns (copy s, copy t,
-    i, j), so copy k of (a, d) in the fused basis is (b, s, t)."""
-    parts = []
-    for row in H.frames:
-        for d, p in enumerate(K.right_algebra.block_sizes):
-            for b, n in enumerate(H.right_algebra.block_sizes):
-                X = row[b][:, :, ::n].transpose(1, 0, 2)
-                Y = K.frames[b][d][:, :, :p].transpose(1, 0, 2)
-                xy = X[:, None, :, None, :, None] * Y[None, :, None, :, None, :]
-                parts.append(xy.reshape(H.dim * K.dim, np.prod(xy.shape[2:], dtype=int)))
-    return np.concatenate(parts, axis=1)
+    i, j), so copy k of (a, d) in the fused basis is (b, s, t).  On block
+    correspondences the frames are the tables' coordinate columns, so S is
+    0/1 and its copies come in table order."""
+    ns, ps = H.right_algebra.block_sizes, K.right_algebra.block_sizes
+    Xs = [[F[:, :, ::n].transpose(1, 0, 2)[:, None, :, None, :, None]
+           for F, n in zip(row, ns)] for row in H.frames]
+    Ys = [[F[:, :, :p].transpose(1, 0, 2)[None, :, None, :, None, :]
+           for F, p in zip(row, ps)] for row in K.frames]
+    parts = [X * Ys[b][d] for row in Xs for d in range(len(ps)) for b, X in enumerate(row)]
+    return np.concatenate([xy.reshape(H.dim * K.dim, np.prod(xy.shape[2:], dtype=int))
+                           for xy in parts], axis=1)
 
 
 def connes_fusion(H: Correspondence, K: Correspondence,
@@ -111,7 +115,8 @@ def connes_fusion(H: Correspondence, K: Correspondence,
                   cap: int = FUSION_DIM_CAP) -> FusionResult:
     """Fuse an (M, N)- with an (N, P)-correspondence over N.
 
-    corr is block_correspondence(M, P, mult(H).mult(K)).  RuntimeError is
+    corr is block_correspondence(M, P, mult(H).mult(K)), built from that
+    table alone, its stacks written on first read.  RuntimeError is
     raised by a block constant c_j at or below DEFAULT_TOL.max(max c, 1),
     |G - project*.project| above bound = DEFAULT_TOL.max(|project|^2, 1)
     (G's top eigenvalue), or a compressed generating unit further than
@@ -128,8 +133,15 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     R = H.pi_r_units.transpose(2, 1, 0) @ std_N.creation_inverse
     # coordinates lam_inv.R_a*.R_c.Lambda(1) of the middle element of (a, c)
     coef = (R @ std_N.cyclic_vector()) @ (R.conj() @ std_N.lam_inv.T)
-    G = np.tensordot(coef, K.pi_l_units, 1).transpose(0, 2, 1, 3) \
-        .reshape(ambient, ambient)
+    # G[(a, b), (c, d)] = sum_u coef[a, c, u].pi_l(e_u)[b, d]: on a block
+    # correspondence one coef per index entry of its left units, written as is
+    if K.table is None:
+        G = np.tensordot(coef, K.pi_l_units, 1)
+    else:
+        k, t, s = table_units(N, K.right_algebra, K.table, "left")
+        G = np.zeros((H.dim, H.dim, K.dim, K.dim), dtype=np.complex128)
+        G[:, :, t, s] = coef[:, :, k]
+    G = G.transpose(0, 2, 1, 3).reshape(ambient, ambient)
     S = _reduced_basis(H, K)
     # project reads (G + G*)/2, halved after the product; the residual reads G
     Gh = np.conjugate(G.T, order="C")
@@ -154,16 +166,21 @@ def connes_fusion(H: Correspondence, K: Correspondence,
                            f"exceeds {bound:.3g}: the reduced quotient does "
                            f"not span the Gram matrix")
     M, P = H.left_algebra, K.right_algebra
-    fused = block_correspondence(M, P, np.dot(H.multiplicities, K.multiplicities))
-    gl, gr = M.generator_units, P.generator_units
+    table = tuple(tuple(sum(h * k for h, k in zip(row, col)) for col in zip(*K.multiplicities))
+                  for row in H.multiplicities)
+    # compressed generating units less the fused ones, 1 at their index data
     off = np.concatenate([
-        kron_sandwich(project, H.pi_l_units[gl], K.dim, section) - fused.pi_l_units[gl],
-        kron_sandwich(project, H.dim, K.pi_r_units[gr], section) - fused.pi_r_units[gr]])
+        kron_sandwich(project, H.pi_l_units[M.generator_units], K.dim, section),
+        kron_sandwich(project, H.dim, K.pi_r_units[P.generator_units], section)])
+    k, t, s = table_units(M, P, table, "left", generators=True)
+    off[k, t, s] -= 1.0
+    k, t, s = table_units(M, P, table, "right", generators=True)
+    off[len(M.generator_units) + k, t, s] -= 1.0
     if norm_exceeds(off, bound):
         raise RuntimeError(f"fusion compression residual {max_operator_norm(off):.3g} exceeds "
                            f"{bound:.3g}: the reduced basis is not in the fused basis order")
-    name = f"({H.name}*{K.name})" if H.name and K.name else ""
-    corr = Correspondence._lawful(M, P, fused.dim, fused.pi_l_units, fused.pi_r_units, name)
+    corr = Correspondence._lawful(M, P, table_dim(M, P, table), table=table,
+                                  name=f"({H.name}*{K.name})" if H.name and K.name else "")
     return FusionResult(corr=corr, project=project, section=section,
                         left_factor=H, right_factor=K)
 

@@ -7,9 +7,11 @@ product of the vectors ξ = Λ(x).  For A = ⊕_b M_{n_b} the standard form
 is then known exactly (Haagerup, Math. Scand. 37, 1975; Takesaki, Theory
 of Operator Algebras II): J ξ = ξ*, Δ^s ξ = ρ^s·ξ·ρ^{-s} and
 π_r(y) ξ = ξ·y.  J permutes the unit basis, one read-only matrix per
-algebra; Λ^{±1} (ξ -> ξ·ρ^{±1/2}), Δ^s,
-the creation inverse and both actions (read-only unit stacks) are each one
-gather of ξ -> x·ξ·y (algebras._bimodule_action) from the powers of ρ.
+algebra; Λ^{±1} (ξ -> ξ·ρ^{±1/2}), Δ^s and
+the creation inverse are each one gather of ξ -> x·ξ·y
+(algebras._bimodule_action) from the powers of ρ, and both actions
+(read-only unit stacks) those of the algebra's identity table
+(algebras.table_stack).
 
 The involution S(Λx) = Λ(x*) is still built from its definition, on the
 stacked products E_u·ρ^{-1/2}, and every residual is measured against
@@ -37,7 +39,7 @@ from ..numkernel import (
     operator_norm,
     spectral_powers,
 )
-from .algebras import MultiMatrixAlgebra, State, _bimodule_action
+from .algebras import MultiMatrixAlgebra, State, _bimodule_action, _read_only
 
 _POWERS = (1.0, 0.5, -0.5, -1.0)
 
@@ -89,8 +91,12 @@ class StandardFormData:
         return self.algebra.extend_linearly(y, self.pi_r_units)
 
     def cyclic_vector(self) -> np.ndarray:
-        """Λ(1), the cyclic and separating vector of the standard form."""
-        return self.lam @ self.algebra.coords(self.algebra.identity())
+        """Λ(1), the cyclic and separating vector of the standard form, read-only."""
+        return self._cyclic_vector
+
+    @cached_property
+    def _cyclic_vector(self) -> np.ndarray:
+        return _read_only(self.lam @ self.algebra.coords(self.algebra.identity()))
 
     def modular_twist(self, y: np.ndarray, sign: int = -1) -> np.ndarray:
         """The algebra element with π_l-image Δ^{sign/2}·π_l(y)·Δ^{-sign/2}.

@@ -188,9 +188,12 @@ class TestWitnessesMustAgree:
         # fusions pass and the certificate reaches the witness search
         import moritalab.wstar.correspondences as correspondences
         import moritalab.wstar.morita as morita
-        frames = correspondences.isotypic_frames
+        # every frame halved: the measured ones and those read off a table
+        measured, tabled = correspondences.isotypic_frames, correspondences.table_frames
         monkeypatch.setattr(correspondences, "isotypic_frames",
-                            lambda lefts, rights: 0.5 * frames(lefts, rights))
+                            lambda lefts, rights: 0.5 * measured(lefts, rights))
+        monkeypatch.setattr(correspondences, "table_frames", lambda *table: tuple(
+            tuple(0.5 * F for F in row) for row in tabled(*table)))
         found, searched = morita.unitary_intertwiner, []
         monkeypatch.setattr(morita, "unitary_intertwiner",
                             lambda H, K: searched.append(H) or found(H, K))
