@@ -113,9 +113,9 @@ class WStarBicategory:
 
     Standard forms (one per algebra) are built lazily from the supplied
     states and cached, so every composite over the same middle algebra
-    reuses one relative-tensor presentation; L²(A), lawful by
-    construction and never checked, is cached with its standard form and
-    reused by every triangle and unitor check.  tol gates only
+    reuses one relative-tensor presentation; L²(A), lawful by construction,
+    never checked and with no stack until one is read, is cached with its
+    standard form and reused by every triangle and unitor check.  tol gates only
     cells_equal, the measured discrepancy of a coherence law; fusion gates
     and invertibility use the fixed cutoff DEFAULT_TOL.  find_iso decides
     by multiplicity and builds its unitary from the isotypic frames.

@@ -22,7 +22,8 @@ Conventions:
 * finite abelian groups are kept in invariant-factor form
   ``d_1 | d_2 | ... | d_k`` with every ``d_i >= 2`` (factors equal to 1
   are dropped, so the trivial group has an empty factor list);
-* elements of such a group are integer vectors read modulo the factors.
+* elements of such a group are integer vectors read modulo the factors;
+  sizes given at the boundary go through ``as_int``, which never truncates.
 """
 
 from __future__ import annotations
@@ -360,6 +361,14 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
                               untranspose(UinvT, m, track_U_inv))
 
 
+def as_int(value) -> int:
+    """value as a Python int: NumPy integers pass, bools, floats and strings
+    raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Finite abelian group in invariant-factor form d_1 | d_2 | ... | d_k.
@@ -371,7 +380,7 @@ class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        fs = tuple(int(d) for d in self.invariant_factors)
+        fs = tuple(map(as_int, self.invariant_factors))
         object.__setattr__(self, "invariant_factors", fs)
         if any(d < 2 for d in fs):
             raise ValueError("invariant factors must be >= 2")

@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import UnitDegenerate
-from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel, direct_sum, moduli_column
+from ..exact import FiniteAbelianGroup, IntegerMatrix, as_int, cokernel, direct_sum, moduli_column
 
 Vector = tuple[int, ...]
 
@@ -305,6 +305,7 @@ class FiniteRing:
 
 def cyclic_ring(n: int) -> FiniteRing:
     """Z/n with its usual multiplication."""
+    n = as_int(n)
     if n < 2:
         raise UnitDegenerate("Z/n needs n >= 2")
     g = FiniteAbelianGroup((n,))
@@ -313,6 +314,7 @@ def cyclic_ring(n: int) -> FiniteRing:
 
 def truncated_polynomial_ring(p: int, k: int) -> FiniteRing:
     """(Z/p)[x] / (x^k); generators 1, x, ..., x^(k-1)."""
+    p, k = as_int(p), as_int(k)
     if p < 2 or k < 1:
         raise ValueError("need p >= 2 and k >= 1")
     g = FiniteAbelianGroup((p,) * k)

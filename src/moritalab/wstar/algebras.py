@@ -13,9 +13,9 @@ on by ξ -> x·ξ·y, and are fixed by their multiplicity table.  Each of their
 unit images is a partial permutation of the basis, whose index data
 table_units reads off the table, and table_stack writes the stacks from
 it; their isotypic frames are coordinate columns, which table_frames reads
-off it with no eigendecomposition.  One gather, _bimodule_action, builds
-x·ξ·y on the matrix units for a standard form's Λ^{±1}, Δ^s and creation
-inverse.
+off it with no eigendecomposition; L²'s are the identity table's.  One
+gather, _bimodule_action, builds x·ξ·y on the matrix units for a standard
+form's Λ^{±1}, Δ^s and creation inverse.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from ..errors import AlgebraMismatch, NotFaithful
+from ..exact import as_int
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
@@ -46,7 +47,9 @@ class MultiMatrixAlgebra:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if not self.block_sizes or any(n < 1 for n in self.block_sizes):
+        sizes = tuple(map(as_int, self.block_sizes))
+        object.__setattr__(self, "block_sizes", sizes)
+        if not sizes or any(n < 1 for n in sizes):
             raise ValueError("block sizes must be positive")
 
     @property
@@ -103,18 +106,13 @@ class MultiMatrixAlgebra:
         """L²'s multiplicity table: each block once against itself."""
         return tuple(map(tuple, np.eye(len(self.block_sizes), dtype=int).tolist()))
 
-    def _regular_units(self, side: str) -> np.ndarray:
-        """The read-only stack of E_w -> E_u.E_w ("left") or E_w.E_u ("right"),
-        the identity table's, vector_dim**3 entries, so built per call and
-        never cached here."""
-        return table_stack(self, self, self.identity_table, side)
-
     @cached_property
     def regular_commutant_residual(self) -> float:
-        """How far the right regular units are from spanning the frame commutant
-        of the left ones: the "commutant" residual of every standard form."""
-        rights = self._regular_units("right")
-        return spans_equal(left_commutant(left_frames(self, self._regular_units("left"))),
+        """How far L²'s right units are from spanning the frame commutant of
+        its left ones: the "commutant" residual of every standard form."""
+        lefts, rights = (table_stack(self, self, self.identity_table, side)
+                         for side in ("left", "right"))
+        return spans_equal(left_commutant(left_frames(self, lefts)),
                            orthonormal_columns(rights.reshape(len(rights), -1).T))[1]
 
     def extend_linearly(self, x: np.ndarray, unit_images: np.ndarray) -> np.ndarray:
@@ -178,13 +176,16 @@ class MultiMatrixAlgebra:
 
 @dataclass(frozen=True)
 class State:
-    """Faithful state x -> Tr(rho x) given by a block-diagonal density."""
+    """Faithful state x -> Tr(rho x) given by a block-diagonal density whose
+    eigenvalues are at least floor, finite and positive (else ValueError)."""
 
     algebra: MultiMatrixAlgebra
     density: np.ndarray
     floor: float = FAITHFULNESS_FLOOR
 
     def __post_init__(self):
+        if not 0.0 < self.floor < np.inf:
+            raise ValueError(f"floor must be finite and positive, got {self.floor!r}")
         rho = as_complex_matrix(self.density)
         object.__setattr__(self, "density", rho)
         A = self.algebra

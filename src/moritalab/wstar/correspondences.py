@@ -4,22 +4,20 @@ Both actions are specified on matrix units and extended linearly: a unital
 *-homomorphism on the left, a unital *-antihomomorphism on the right, with
 commuting images.  Inputs are validated once, at the boundary: the public
 constructor checks unitality and the star law on every unit, the rest on
-the generating relations (see _generator_eps).  Conjugates, block
-correspondences, fusion results and L², whose units are exact index
-matrices, go through Correspondence._lawful, which checks nothing.
+the generating relations (see _generator_eps).  Conjugates and block
+correspondences go through Correspondence._lawful, which checks nothing.
 
 Each action is one read-only complex128 (units, dim, dim) stack, which the
 constructor stacks once from its validated images and _lawful wraps uncopied.
 The constructor reads the right action's reversed products through views
 with each block's unit axes swapped: it holds no reordered copy.
 
-A block correspondence, L² and every fusion result among them, carries its
+A block correspondence, L² and every fusion result among them, is its
 multiplicity table, which fixes it up to the basis order (Jones and Sunder,
-Introduction to Subfactors, ch. 1-2).  Its frames are coordinate columns
-read off the table (algebras.table_frames), not eigendecompositions, and
-its unit images are partial permutations with index data read off it too
-(algebras.table_units).  A fusion result holds the table alone and writes
-its stacks from that index data on first read.
+Introduction to Subfactors, ch. 1-2).  It is built one way, from the table
+alone: its frames are coordinate columns read off the table
+(algebras.table_frames), not eigendecompositions, and its unit images are
+partial permutations whose stacks algebras.table_stack writes on first read.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import AlgebraMismatch, NotComposable, NotHomomorphism
+from ..exact import as_int
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
@@ -164,9 +163,9 @@ class Correspondence:
                 pi_r_units=None, name: str = "", table=None) -> "Correspondence":
         """Lawful by construction: unit stacks wrapped read-only, no law re-checked.
 
-        table, a tuple of int tuples, marks block_correspondence(left_algebra,
-        right_algebra, table) in its basis order; the stacks may then be
-        omitted, to be written from the table on first read.
+        table, a tuple of int tuples, makes this block_correspondence(left_algebra,
+        right_algebra, table) in its basis order, and takes no stacks: they
+        are written from the table on first read.
         """
         H = object.__new__(cls)
         vars(H).update(left_algebra=left_algebra, right_algebra=right_algebra,
@@ -263,13 +262,12 @@ class Intertwiner:
 def identity_correspondence(std: StandardFormData) -> Correspondence:
     """L²(A) as an (A, A)-correspondence, x.ξ.y on the standard form.
 
-    Both unit stacks of gns_standard_form are exact 0/1 index matrices,
-    E_u.E_w and E_w.E_u, so L² is lawful by construction and not checked.
-    They are block_correspondence(A, A, 1)'s, whose table L² carries.
+    Its unit stacks, E_w -> E_u.E_w and E_w -> E_w.E_u, are exact 0/1 index
+    matrices whatever the state: block_correspondence(A, A, 1)'s, whose
+    table L² is, so it is lawful by construction and not checked.
     """
     A = std.algebra
-    return Correspondence._lawful(A, A, std.dim, std.pi_l_units, std.pi_r_units,
-                                  name=f"L2({A.name})" if A.name else "L2",
+    return Correspondence._lawful(A, A, std.dim, name=f"L2({A.name})" if A.name else "L2",
                                   table=A.identity_table)
 
 
@@ -281,17 +279,15 @@ def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
     last (algebras.table_units).  Slot (b, c, k, i, j) is the unit at
     (row i of A's block b, column j of B's block c) in copy k, acted on by
     x.ξ.y.  Once the table passes its checks the result is lawful by
-    construction, and it carries the table.
+    construction: it is the table, with no stack until one is read.
     """
     shape = (len(A.block_sizes), len(B.block_sizes))
     if len(mult) != shape[0] or any(len(row) != shape[1] for row in mult):
         raise ValueError(f"multiplicity table must be {shape[0]} x {shape[1]}")
-    table = tuple(tuple(int(m) for m in row) for row in mult)
+    table = tuple(tuple(as_int(m) for m in row) for row in mult)
     if any(m < 0 for row in table for m in row):
         raise ValueError("multiplicities must be nonnegative")
-    return Correspondence._lawful(A, B, table_dim(A, B, table),
-                                  table_stack(A, B, table, "left"),
-                                  table_stack(A, B, table, "right"), table=table)
+    return Correspondence._lawful(A, B, table_dim(A, B, table), table=table)
 
 
 def vector_correspondence(n: int) -> Correspondence:
@@ -344,7 +340,8 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
     rows, cols = N.unit_positions
     Q = orthonormal_columns(_bimodule_action(rows, cols, y=unit_img))
     pi_r = Q.conj().T @ _bimodule_action(rows, cols, y=imgs) @ Q
-    return Correspondence(N, source, Q.shape[1], Q.conj().T @ std_N.pi_l_units @ Q, pi_r)
+    pi_l = Q.conj().T @ table_stack(N, N, N.identity_table, "left") @ Q
+    return Correspondence(N, source, Q.shape[1], pi_l, pi_r)
 
 
 def _frame_pairs(H: Correspondence, K: Correspondence):

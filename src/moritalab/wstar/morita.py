@@ -9,9 +9,9 @@ permutation matrix, fusing with the conjugate on either side and the
 unitaries onto the identity correspondences are the certificate's
 witnesses.  They are built from the frames, so the certificate is
 deterministic; callers gate its residual.  The fusions and the L² they map
-onto are built without a law check (see certify_morita_equivalent).  A
-fusion that does not match L² although the multiplicities predict it
-raises RuntimeError, never a refutation.
+onto are block correspondences, built without a law check or a stack
+(see certify_morita_equivalent).  A fusion that does not match L² although
+the multiplicities predict it raises RuntimeError, never a refutation.
 """
 
 from __future__ import annotations
@@ -105,13 +105,11 @@ def certify_morita_equivalent(H: Correspondence,
     std_M = gns_standard_form(M, phi_M)
     std_N = std_M if self_pair else gns_standard_form(N, phi_N)
     Hbar = conjugate_correspondence(H)
-    # each L² is built after the fusion it receives, so that its dense unit
-    # stacks are not alive while the fusion forms its actions
-    fus_left = connes_fusion(H, Hbar, std_N)
     L2_M = identity_correspondence(std_M)
+    L2_N = L2_M if self_pair else identity_correspondence(std_N)
+    fus_left = connes_fusion(H, Hbar, std_N)
     U_left, res_left = _witness(fus_left, L2_M)
     fus_right = connes_fusion(Hbar, H, std_M)
-    L2_N = L2_M if self_pair else identity_correspondence(std_N)
     U_right, res_right = _witness(fus_right, L2_N)
     return WStarMoritaCertificate(
         corr=H, equivalent=True, reason="certified",

@@ -9,9 +9,8 @@ of Operator Algebras II): J ξ = ξ*, Δ^s ξ = ρ^s·ξ·ρ^{-s} and
 π_r(y) ξ = ξ·y.  J permutes the unit basis, one read-only matrix per
 algebra; Λ^{±1} (ξ -> ξ·ρ^{±1/2}), Δ^s and
 the creation inverse are each one gather of ξ -> x·ξ·y
-(algebras._bimodule_action) from the powers of ρ, and both actions
-(read-only unit stacks) those of the algebra's identity table
-(algebras.table_stack).
+(algebras._bimodule_action) from the powers of ρ.  The actions are
+state-free and live on L² alone, identity_correspondence(std).
 
 The involution S(Λx) = Λ(x*) is still built from its definition, on the
 stacked products E_u·ρ^{-1/2}, and every residual is measured against
@@ -66,29 +65,11 @@ class StandardFormData:
     def dim(self) -> int:
         return self.algebra.vector_dim
 
-    # The actions depend on the algebra alone, so they are not fields: no
-    # replaced stack can sit under the algebra's measured commutant residual.
-    @cached_property
-    def pi_l_units(self) -> np.ndarray:
-        """pi_l(E_u), the 0/1 matrix of E_w -> E_u.E_w, stacked over u, read-only."""
-        return self.algebra._regular_units("left")
-
-    @cached_property
-    def pi_r_units(self) -> np.ndarray:
-        """pi_r(E_u), the 0/1 matrix of E_w -> E_w.E_u, stacked over u, read-only."""
-        return self.algebra._regular_units("right")
-
     def Lambda(self, x: np.ndarray) -> np.ndarray:
         return self.lam @ self.algebra.coords(x)
 
     def Lambda_inv(self, v: np.ndarray) -> np.ndarray:
         return self.algebra.from_coords(self.lam_inv @ v)
-
-    def pi_l(self, x: np.ndarray) -> np.ndarray:
-        return self.algebra.extend_linearly(x, self.pi_l_units)
-
-    def pi_r(self, y: np.ndarray) -> np.ndarray:
-        return self.algebra.extend_linearly(y, self.pi_r_units)
 
     def cyclic_vector(self) -> np.ndarray:
         """Λ(1), the cyclic and separating vector of the standard form, read-only."""
@@ -160,7 +141,7 @@ def standard_form_residuals(std: StandardFormData) -> dict[str, float]:
     J.conj(Δ^{1/2}) - S.  "commutant" is a per-algebra measurement: both
     actions are the algebra's regular unit stacks whatever the state, so
     the algebra measures their residual once, on the frame commutant of
-    the left stack, and a StandardFormData cannot carry other stacks.  On
+    the left stack, and a StandardFormData carries no stacks.  On
     gns_standard_form's output "involution" and "center" are exactly 0,
     and neither passes vacuously: J squared is the identity because
     adjoint_order is an involution, and Δ commutes with the center because

@@ -1,9 +1,10 @@
 """Block correspondences read off their multiplicity table.
 
-A block correspondence carries its table.  Its frames are coordinate
+A block correspondence is its table.  Its frames are coordinate
 columns read off the table (table_frames), its unit images are partial
-permutations given by index data (table_units), and a fusion result holds
-the table alone, its stacks written on first read.  Checked here against
+permutations given by index data (table_units), and every block
+correspondence, L² and fusion results included, holds the table alone,
+its stacks written on first read.  Checked here against
 the constructions they replace: the frames against the eigendecompositions
 of isotypic_frames on the same stacks, the index data against per-unit
 Kronecker products, and fused stacks against block_correspondence.  The
@@ -29,14 +30,16 @@ from moritalab.wstar import (
     Correspondence,
     MultiMatrixAlgebra,
     block_correspondence,
+    certify_morita_equivalent,
     conjugate_correspondence,
     connes_fusion,
     gns_standard_form,
     identity_correspondence,
     random_faithful_state,
     trace_state,
+    vector_correspondence,
 )
-from moritalab.wstar.algebras import table_frames, table_units
+from moritalab.wstar.algebras import table_frames, table_stack, table_units
 
 from oracles import kron_block_units
 
@@ -143,6 +146,27 @@ def test_a_fusion_result_holds_its_table_and_writes_its_stacks_on_first_read():
     del vars(H_measured)["pi_l_units"]
     with pytest.raises(AttributeError):
         H_measured.pi_l_units
+
+
+def test_every_block_correspondence_is_built_from_its_table_alone():
+    # block_correspondence, vector_correspondence and L² hold no stack once
+    # built; a refutation, decided by the table, writes none; a stack read
+    # later is table_stack's, read-only
+    M21, C = MultiMatrixAlgebra((2, 1), name="M2+C"), MultiMatrixAlgebra((1,))
+    built = [block_correspondence(M21, C, [[1], [0]]), vector_correspondence(3),
+             identity_correspondence(gns_standard_form(M21, trace_state(M21))),
+             block_correspondence(M21, M21, [[0, 2], [1, 1]])]
+    for H in built:
+        assert not {"pi_l_units", "pi_r_units"} & set(vars(H)), H
+    assert not certify_morita_equivalent(built[0]).equivalent
+    assert not {"pi_l_units", "pi_r_units"} & set(vars(built[0]))
+    for H in built:
+        for key, side in (("pi_l_units", "left"), ("pi_r_units", "right")):
+            units = getattr(H, key)
+            assert np.array_equal(units, table_stack(H.left_algebra, H.right_algebra,
+                                                     H.table, side))
+            with pytest.raises(ValueError, match="read-only"):
+                units[0, 0, 0] = 1.0
 
 
 def test_tensordot_and_index_data_give_the_same_fusion():

@@ -29,6 +29,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import moritalab.wstar.correspondences as correspondences
 import moritalab.wstar.fusion as fusion_module
 from moritalab.bicategory import (
     WStarBicategory,
@@ -190,11 +191,17 @@ def test_the_check_finds_an_unconjugated_conjugate(built, monkeypatch):
 
 
 def test_the_check_finds_a_transposed_block_unit(built, monkeypatch):
-    def transpose_second_left_unit(left, right, pi_l, pi_r):
-        if len(pi_l) > 1:
-            pi_l[1] = pi_l[1].T
-        return pi_l, pi_r
-    _mutate(monkeypatch, "block_correspondence", transpose_second_left_unit)
+    # a block correspondence hands _lawful no stacks: it writes them from its
+    # table on first read, so the mutation sits in that lazy write
+    write = correspondences.table_stack
+
+    def transpose_second_left_unit(A, B, table, side):
+        units = write(A, B, table, side)
+        if side == "left" and len(units) > 1:
+            units = np.array(units)
+            units[1] = units[1].T
+        return units
+    monkeypatch.setattr(correspondences, "table_stack", transpose_second_left_unit)
     vector_correspondence(3)
     _chains()
     assert [v for v in violations(built) if "star property" in v]
@@ -223,7 +230,6 @@ class TestFusionGates:
             self._fuse(H)
 
     def test_cli_row_is_error(self, monkeypatch, tmp_path):
-        import moritalab.wstar.correspondences as correspondences
         # every frame's copy 0 zeroed: the measured ones and those read off a table
         measured, tabled = correspondences.isotypic_frames, correspondences.table_frames
         monkeypatch.setattr(correspondences, "isotypic_frames",

@@ -324,7 +324,7 @@ class TestCreationOperators:
             y = std.algebra.random_element(rng)
             ystar = y.conj().T
             arg = std.J @ np.conj(std.Lambda(ystar))
-            assert np.allclose(R @ arg, std.pi_r(y) @ eta, atol=1e-10)
+            assert np.allclose(R @ arg, L2.pi_r(y) @ eta, atol=1e-10)
 
     def test_product_lands_in_left_action(self):
         std = _nontracial_std(M21)
@@ -334,7 +334,7 @@ class TestCreationOperators:
         R2 = r_eta(H, std, _rand_vec(rng, H.dim))
         T = R1.conj().T @ R2
         n = std.Lambda_inv(T @ std.cyclic_vector())
-        assert operator_norm(T - std.pi_l(n)) < 1e-8
+        assert operator_norm(T - identity_correspondence(std).pi_l(n)) < 1e-8
 
     def test_left_vectors_give_left_products(self):
         std = _nontracial_std()
@@ -342,7 +342,7 @@ class TestCreationOperators:
         rng = np.random.default_rng(2)
         x = std.algebra.random_element(rng)
         R = r_eta(L2, std, std.Lambda(x))
-        assert operator_norm(R.conj().T @ R - std.pi_l(x.conj().T @ x)) < 1e-10
+        assert operator_norm(R.conj().T @ R - L2.pi_l(x.conj().T @ x)) < 1e-10
 
     def test_state_of_product_is_squared_norm(self):
         std = _nontracial_std()
@@ -358,7 +358,7 @@ class TestCreationOperators:
         L2 = identity_correspondence(std)
         rng = np.random.default_rng(4)
         eta1, eta2 = _rand_vec(rng, 4), _rand_vec(rng, 4)
-        B = std.pi_l(std.algebra.random_element(rng))
+        B = L2.pi_l(std.algebra.random_element(rng))
         R1 = r_eta(L2, std, eta1)
         RB1 = r_eta(L2, std, B @ eta1)
         RB2 = r_eta(L2, std, B @ eta2)
@@ -374,8 +374,8 @@ class TestCreationOperators:
         rng = np.random.default_rng(5)
         eta = _rand_vec(rng, 4)
         a = std.algebra.random_element(rng)
-        lhs = r_eta(L2, std, std.pi_r(a) @ eta)
-        rhs = r_eta(L2, std, eta) @ std.pi_l(std.modular_twist(a, sign=+1))
+        lhs = r_eta(L2, std, L2.pi_r(a) @ eta)
+        rhs = r_eta(L2, std, eta) @ L2.pi_l(std.modular_twist(a, sign=+1))
         assert operator_norm(lhs - rhs) < 1e-8
 
 

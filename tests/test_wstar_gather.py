@@ -49,10 +49,10 @@ def identity_table(A):
 @pytest.mark.parametrize("blocks", PATTERNS)
 def test_regular_units_match_the_broadcasts(blocks):
     A = MultiMatrixAlgebra(blocks)
-    std = gns_standard_form(A, trace_state(A))
+    L2 = identity_correspondence(gns_standard_form(A, trace_state(A)))
     left, right = broadcast_regular_units(A)
-    assert same_bits(std.pi_l_units, left)
-    assert same_bits(std.pi_r_units, right)
+    assert same_bits(L2.pi_l_units, left)
+    assert same_bits(L2.pi_r_units, right)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 31])

@@ -149,7 +149,8 @@ class TestLeftCommutant:
         for _ in range(3):
             std = gns_standard_form(A, random_faithful_state(A, rng, floor=0.05))
             want = sum(n * n for n in blocks)
-            assert _assert_commutant_matches_reference(A, std.pi_l_units) == want
+            L2 = identity_correspondence(std)
+            assert _assert_commutant_matches_reference(A, L2.pi_l_units) == want
 
 
 def _rotated(H, W):
@@ -292,6 +293,10 @@ class TestStreamedResidual:
         # them, peaks near 24 MB; the stream holds a few products at a time
         source, target, U = _certificate_witness(8)
         w = Intertwiner(source, target, U)
+        # L²(M_8)'s stacks are written on first read, 8.4 MB: before the
+        # trace, so the bound is the residual's own stream
+        for H in (source, target):
+            H.pi_l_units, H.pi_r_units
         tracemalloc.start()
         try:
             residual = w.residual()

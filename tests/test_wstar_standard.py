@@ -53,12 +53,13 @@ def _check_modular_identities(std, tol=1e-9):
     assert operator_norm(S_from_parts - std.S) <= tol
     assert operator_norm(std.J @ np.conj(std.J) - np.eye(d)) <= tol
     # the right action is exactly the commutant of the left one
-    comm = commutant(std.pi_l_units, d)
-    same, res = subspaces_equal(comm, matrices_to_columns(std.pi_r_units))
+    L2 = identity_correspondence(std)
+    comm = commutant(L2.pi_l_units, d)
+    same, res = subspaces_equal(comm, matrices_to_columns(L2.pi_r_units))
     assert same and res <= 1e-8
     # conjugating by the modular operator fixes the center pointwise
     for z in center_basis(std.algebra):
-        Z = std.pi_l(z)
+        Z = L2.pi_l(z)
         assert operator_norm(std.delta @ Z - Z @ std.delta) <= tol
 
 
@@ -202,10 +203,10 @@ class TestModularData:
         rng = np.random.default_rng(5)
         phi = random_faithful_state(M2, rng)
         std = gns_standard_form(M2, phi)
-        cyc = std.cyclic_vector()
+        cyc, L2 = std.cyclic_vector(), identity_correspondence(std)
         for _ in range(5):
             x = M2.random_element(rng)
-            assert abs(np.vdot(cyc, std.pi_l(x) @ cyc) - phi(x)) < 1e-10
+            assert abs(np.vdot(cyc, L2.pi_l(x) @ cyc) - phi(x)) < 1e-10
 
     def test_modular_twist_matches_density_conjugation(self):
         phi = State(M2, np.diag([2 / 3, 1 / 3]).astype(np.complex128))
@@ -247,7 +248,7 @@ class TestLeftMultiplication:
         rng = np.random.default_rng(5)
         std = gns_standard_form(alg, random_faithful_state(alg, rng))
         units = alg.matrix_units()
-        for U, L in zip(units, std.pi_l_units):
+        for U, L in zip(units, identity_correspondence(std).pi_l_units):
             want = np.stack([alg.coords(U @ E) for E in units], axis=1)
             assert np.array_equal(L, want)
 
@@ -283,7 +284,7 @@ class TestTracialCase:
         y = M2.random_element(rng)
         units = M2.matrix_units()
         right = np.stack([M2.coords(E @ y) for E in units], axis=1)
-        assert operator_norm(std.pi_r(y) - right) <= 1e-12
+        assert operator_norm(identity_correspondence(std).pi_r(y) - right) <= 1e-12
 
     def test_twist_is_trivial(self):
         std = gns_standard_form(M23, trace_state(M23))
@@ -300,7 +301,7 @@ def _polar_modular_data(std):
     A = std.algebra
     J, delta, half, minus_half = polar_antilinear(AntilinearOp(std.S))
     J = J.matrix
-    lefts = np.stack(std.pi_l_units)
+    lefts = np.stack(identity_correspondence(std).pi_l_units)
     data = {"J": J, "delta": delta, "delta_half": half,
             "delta_minus_half": minus_half,
             "pi_r_units": J @ np.conj(lefts[A.adjoint_order] @ J),
@@ -344,10 +345,11 @@ def _reference_residuals(std):
     """standard_form_residuals re-validating every array, as it used to."""
     polar = operator_norm(std.J @ np.conj(std.delta_half) - std.S)
     involution = operator_norm(std.J @ np.conj(std.J) - np.eye(std.dim))
+    L2 = identity_correspondence(std)
     _, comm_res = spans_equal(
-        left_commutant(left_frames(std.algebra, std.pi_l_units)),
-        orthonormal_columns(matrices_to_columns(std.pi_r_units)))
-    Zs = [std.pi_l(z) for z in center_basis(std.algebra)]
+        left_commutant(left_frames(std.algebra, L2.pi_l_units)),
+        orthonormal_columns(matrices_to_columns(L2.pi_r_units)))
+    Zs = [L2.pi_l(z) for z in center_basis(std.algebra)]
     center = max_operator_norm([std.delta @ Z - Z @ std.delta for Z in Zs])
     return {"polar": polar, "involution": involution,
             "commutant": comm_res, "center": center}
@@ -402,13 +404,17 @@ class TestHandBuiltForms:
         assert got["polar"] > 0.1
 
     def test_unit_stacks_cannot_be_replaced(self):
+        # the actions live on L² alone: a form neither holds nor takes them
         std = gns_standard_form(M2, trace_state(M2))
+        L2 = identity_correspondence(std)
         names = {f.name for f in dataclasses.fields(std)}
         assert not names & {"pi_l_units", "pi_r_units"}
+        assert not any(hasattr(std, key)
+                       for key in ("pi_l_units", "pi_r_units", "pi_l", "pi_r"))
         with pytest.raises(TypeError):
-            dataclasses.replace(std, pi_r_units=tuple(std.pi_l_units))
+            dataclasses.replace(std, pi_r_units=tuple(L2.pi_l_units))
         with pytest.raises(TypeError):
-            dataclasses.replace(std, pi_l_units=tuple(std.pi_r_units))
+            dataclasses.replace(std, pi_l_units=tuple(L2.pi_r_units))
 
     def test_commutant_is_measured_once_per_algebra(self, monkeypatch):
         calls = []
@@ -449,8 +455,9 @@ class TestOneSpectrumPerOperator:
             std = gns_standard_form(A, phi)
             bound = 1e-12 * operator_norm(std.delta)
             for name, want in _polar_modular_data(std).items():
-                # a unit stack is compared as one tall matrix
-                got = np.reshape(getattr(std, name.removeprefix("twist of ")),
+                # a unit stack, L²'s, is compared as one tall matrix
+                owner = identity_correspondence(std) if name == "pi_r_units" else std
+                got = np.reshape(getattr(owner, name.removeprefix("twist of ")),
                                  (-1, std.dim))
                 assert operator_norm(got - want.reshape(-1, std.dim)) <= bound, \
                     (A.block_sizes, name)

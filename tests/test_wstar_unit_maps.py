@@ -37,9 +37,10 @@ def _reference_twist(std, y, sign):
     """The twist of one element, with its drift check."""
     a, b = ((std.delta_minus_half, std.delta_half) if sign == -1
             else (std.delta_half, std.delta_minus_half))
-    op = a @ std.pi_l(y) @ b
+    pi_l = identity_correspondence(std).pi_l
+    op = a @ pi_l(y) @ b
     twisted = std.Lambda_inv(op @ std.cyclic_vector())
-    resid = operator_norm(op - std.pi_l(twisted))
+    resid = operator_norm(op - pi_l(twisted))
     if resid > DEFAULT_TOL * (1.0 + operator_norm(op)):
         raise NotFaithful(f"modular twist left the algebra, residual {resid:.3g}")
     return twisted
