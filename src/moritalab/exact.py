@@ -43,9 +43,11 @@ class IntegerMatrix:
 
     Python ints never overflow, so every product, sum and remainder of
     these arrays is exact.  The constructor is the one boundary: it
-    converts each entry with ``int()`` and checks the shape, so no
-    fixed-width numpy integer gets in.  Arithmetic on the array yields
-    Python ints again, and ``adopt`` wraps such a result as it is.
+    converts each entry with ``as_int`` and checks the shape, so no
+    fixed-width numpy integer gets in, and a float, a string or a bool
+    raises ValueError rather than being truncated or read.  Arithmetic on
+    the array yields Python ints again, and ``adopt`` wraps such a result
+    as it is, unchecked.
     Matrices are treated as immutable: no routine writes to ``array``.
     """
 
@@ -53,7 +55,7 @@ class IntegerMatrix:
 
     def __init__(self, data: Sequence[Sequence[int]], rows: int | None = None,
                  cols: int | None = None):
-        mat = [[int(v) for v in row] for row in data]
+        mat = [[v if type(v) is int else as_int(v) for v in row] for row in data]
         if rows is None:
             rows = len(mat)
         if cols is None:

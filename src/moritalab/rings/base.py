@@ -333,6 +333,7 @@ def matrix_ring(R: FiniteRing, n: int) -> FiniteRing:
     l major so the invariant factors still form a divisibility chain.
     The product of r_l e_ij and r_l2 e_i2j2 is [j = i2] (r_l r_l2) e_ij2.
     """
+    n = as_int(n)
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     fs = R.additive.invariant_factors

@@ -49,6 +49,7 @@ from ..errors import NoSolution, RingMismatch
 from ..exact import (
     FiniteAbelianGroup,
     IntegerMatrix,
+    as_int,
     cokernel,
     invert_group_map,
     kron,
@@ -282,6 +283,7 @@ def _matrix_module(R: FiniteRing, n: int, Mn: FiniteRing | None,
     rows it is R_g (x) e_ji.  The scalar r_g is R_g (x) 1 on columns and
     L_g (x) 1 on rows.
     """
+    n = as_int(n)
     if Mn is None:
         Mn = matrix_ring(R, n)
     k = R.rank

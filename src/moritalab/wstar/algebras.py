@@ -11,8 +11,10 @@ exactly and give bases of commutants and intertwiner spaces directly.
 L² and block correspondences are sums of copies of C^{n_b} ⊗ C^{m_c}, acted
 on by ξ -> x·ξ·y, and are fixed by their multiplicity table.  Each of their
 unit images is a partial permutation of the basis, whose index data
-table_units reads off the table, and table_stack writes the stacks from
-it; their isotypic frames are coordinate columns, which table_frames reads
+table_units reads off the table and table_unit_slices splits by unit, for
+readers that move rows and columns instead of multiplying; table_stack
+writes the stacks from it, for readers of pi_l_units and pi_r_units.
+Their isotypic frames are coordinate columns, which table_frames reads
 off it with no eigendecomposition; L²'s are the identity table's.  One
 gather, _bimodule_action, builds x·ξ·y on the matrix units for a standard
 form's Λ^{±1}, Δ^s and creation inverse.
@@ -314,6 +316,31 @@ def table_units(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, side: str,
     for index in (k, t, s):
         index.flags.writeable = False
     return k, t, s
+
+
+@lru_cache(maxsize=512)
+def table_unit_slices(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, side: str,
+                      generators: bool = False) -> tuple[tuple, ...]:
+    """table_units split by unit: per unit k, its (t, s), each a slice
+    where the entries are evenly spaced (every unit of L², whose entries
+    are one row or column of a block) and a read-only index array
+    otherwise, so that a reader moves a unit's entries with no Python loop
+    and, mostly, no fancy index.  The latest 512 calls keep theirs."""
+    k, t, s = table_units(A, B, table, side, generators)
+    algebra = A if side == "left" else B
+    count = len(algebra.generator_units) if generators else algebra.vector_dim
+    cuts = np.searchsorted(k, np.arange(count + 1)).tolist()
+    return tuple((_as_slice(t[a:b]), _as_slice(s[a:b])) for a, b in zip(cuts, cuts[1:]))
+
+
+def _as_slice(index: np.ndarray):
+    """An increasing, evenly spaced index array as a slice, else as it is."""
+    if len(index) < 2:
+        return slice(int(index[0]), int(index[0]) + 1) if len(index) else slice(0, 0)
+    step = int(index[1] - index[0])
+    if step > 0 and np.all(np.diff(index) == step):
+        return slice(int(index[0]), int(index[-1]) + 1, step)
+    return index
 
 
 def table_stack(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table,

@@ -7,17 +7,23 @@ constructor checks unitality and the star law on every unit, the rest on
 the generating relations (see _generator_eps).  Conjugates and block
 correspondences go through Correspondence._lawful, which checks nothing.
 
-Each action is one read-only complex128 (units, dim, dim) stack, which the
-constructor stacks once from its validated images and _lawful wraps uncopied.
-The constructor reads the right action's reversed products through views
-with each block's unit axes swapped: it holds no reordered copy.
+A checked correspondence or a conjugate holds each action as one read-only
+complex128 (units, dim, dim) stack, which the constructor stacks once from
+its validated images and _lawful wraps uncopied.  The constructor reads the
+right action's reversed products through views with each block's unit axes
+swapped: it holds no reordered copy.
 
 A block correspondence, L² and every fusion result among them, is its
 multiplicity table, which fixes it up to the basis order (Jones and Sunder,
 Introduction to Subfactors, ch. 1-2).  It is built one way, from the table
 alone: its frames are coordinate columns read off the table
 (algebras.table_frames), not eigendecompositions, and its unit images are
-partial permutations whose stacks algebras.table_stack writes on first read.
+partial permutations, given by index data (algebras.table_units).  The
+library's own readers act with them by gathers, unit u sending basis vector
+s to t: the witness residual here, and fusion's creation operators,
+compression gate and unitors.  Two block correspondences of one table are
+close with no stack read.  A stack is written (algebras.table_stack) only
+when something reads pi_l_units or pi_r_units.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .algebras import (
     table_dim,
     table_frames,
     table_stack,
+    table_unit_slices,
 )
 from .standard import StandardFormData
 
@@ -221,6 +228,10 @@ def correspondences_close(a: Correspondence, b: Correspondence,
     if (a.left_algebra, a.right_algebra, a.dim) != \
             (b.left_algebra, b.right_algebra, b.dim):
         return False
+    if a.table is not None and a.table == b.table:
+        # one table_stack key on both sides: their difference is exactly 0,
+        # within every tol but a negative one
+        return not tol < 0.0
     return not norm_exceeds(np.concatenate([a.pi_l_units - b.pi_l_units,
                                             a.pi_r_units - b.pi_r_units]), tol)
 
@@ -242,11 +253,18 @@ class Intertwiner:
             raise AlgebraMismatch("intertwiner endpoints over different algebras")
 
     def residual(self) -> float:
-        """max over unit pairs of |T.A_s - A_t.T|, one product formed at a time."""
+        """max over unit pairs of |T.A_u - B_u.T|, one difference formed at a time.
+
+        On a side with a table, unit u sends basis vector s to t and has no
+        other entry, so T.A_u is T's column t moved to column s and B_u.T
+        T's row s moved to row t: gathers, not products.  Each entry of
+        either product has that one term, so the difference, and the
+        residual, is the matmul's bit for bit.  A side without a table
+        keeps its matmul.
+        """
         T, H, K = self.matrix, self.source, self.target
-        return max(max_operator_norm_of(lambda u: T @ src[u] - tgt[u] @ T, len(src))
-                   for src, tgt in ((H.pi_l_units, K.pi_l_units),
-                                    (H.pi_r_units, K.pi_r_units)))
+        return max(max_operator_norm_of(_unit_difference(T, H, K, key), A.vector_dim)
+                   for key, A in zip(_SIDES, (H.left_algebra, H.right_algebra)))
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         T = self.matrix
@@ -257,6 +275,32 @@ class Intertwiner:
         if not correspondences_close(other.target, self.source):
             raise NotComposable("intertwiners do not compose")
         return Intertwiner(other.source, self.target, self.matrix @ other.matrix)
+
+
+def _unit_difference(T: np.ndarray, H: Correspondence, K: Correspondence, key: str):
+    """u -> T.H_u - K_u.T on one side, H_u and K_u its unit images: on a side
+    with a table, gathers at the unit's slices (algebras.table_unit_slices),
+    on one without, a product with the stack."""
+    side = _SIDES[key]
+    src = getattr(H, key) if H.table is None else \
+        table_unit_slices(H.left_algebra, H.right_algebra, H.table, side)
+    tgt = getattr(K, key) if K.table is None else \
+        table_unit_slices(K.left_algebra, K.right_algebra, K.table, side)
+
+    def difference(u: int) -> np.ndarray:
+        if H.table is None:
+            D = T @ src[u]
+        else:
+            to, fro = src[u]
+            D = np.zeros(T.shape, dtype=np.complex128)
+            D[:, fro] = T[:, to]
+        if K.table is None:
+            D -= tgt[u] @ T
+        else:
+            to, fro = tgt[u]
+            D[to] -= T[fro]
+        return D
+    return difference
 
 
 def identity_correspondence(std: StandardFormData) -> Correspondence:

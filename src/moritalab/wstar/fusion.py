@@ -8,7 +8,12 @@ it can be moved onto the right factor before taking plain inner products.
 Every map here is linear in the middle algebra, so each is one contraction
 of middle coordinates with a stack of unit images: those of R_a*.R_c over
 basis pairs give the Gram matrix G, and those of Lambda^{-1} of L2's basis
-(twisted by Δ^{-1/2} on the right) give the unitors.
+(twisted by Δ^{-1/2} on the right) give the unitors.  On a factor with a
+table each unit image is a partial permutation, unit k sending basis
+vector s to t (algebras.table_units), so the contraction has one term per
+entry and is a gather or scatter instead: the creation operators R, G,
+the unitors and the compression gate below read the index data and write
+no stack of that factor.
 
 The quotient is exact: with p_b = e_{b00} in middle block b, the fused
 space is the sum over b of (H.p_b) (x) (p_b.K) (Sauvageot, J. Operator
@@ -16,16 +21,16 @@ Theory 9, 1983) and multiplicities multiply (Jones and Sunder,
 Introduction to Subfactors, ch. 1-2), so it is block_correspondence of
 mult(H).mult(K), and the state enters only project and section.  The
 result carries that table alone and writes its stacks on first read; the
-gate below reads the fused generating units as their index data
-(algebras.table_units), and so does G when K carries a table.  S, the
+gate below reads the fused generating units as their index data.  S, the
 products of orthonormal frame bases of H.p_b and p_b.K in that basis
 order, has S*.G.S = c_b on block b (p_b is minimal): section = S.c^{-1/2},
 project = c^{-1/2}.S*.G (G's Hermitian part).  Three gates carry this:
 every c_j is positive; |G - project*.project| bounds how far G is from
 Hermitian, positive and spanned by S, and S*.G.S from diagonal; and the
 generating units of either side compress to the fused ones, so every
-unit does, both being *-representations.  Kronecker factors are applied
-by reshaping (numkernel.kron_sandwich), never formed.
+unit does, both being *-representations; the gate takes one side at a
+time.  Kronecker factors are applied by reshaping (numkernel.kron_sandwich)
+or, for a factor with a table, by moving rows, never formed.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from ..numkernel import (
     norm_exceeds,
     operator_norm,
 )
-from .algebras import table_dim, table_units
+from .algebras import table_dim, table_unit_slices, table_units
 from .correspondences import Correspondence, Intertwiner, identity_correspondence
 from .standard import StandardFormData
 
@@ -110,6 +115,32 @@ def _reduced_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
                            for xy in parts], axis=1)
 
 
+def _generators_on_section(H: Correspondence, side: str, section: np.ndarray,
+                           other: int) -> np.ndarray:
+    """(U_g (x) 1).section for H's left generating units U_g, side "left",
+    or (1 (x) U_g).section for its right ones, H the factor on that side of
+    the tensor and other the other factor's dimension: one stack per unit.
+
+    On a block correspondence U_g moves rows s of H's axis of section to
+    rows t (algebras.table_unit_slices), so no unit stack is written; each
+    entry has that one term, so the stack is the matmul's bit for bit.
+    """
+    cols = section.shape[1]
+    if H.table is None:
+        A = H.left_algebra if side == "left" else H.right_algebra
+        gens = getattr(H, "pi_l_units" if side == "left" else "pi_r_units")[A.generator_units]
+        return kron_sandwich(None, gens, other, section) if side == "left" \
+            else kron_sandwich(None, other, gens, section)
+    # H's axis of section, between the axes before and after it
+    before, after = (1, other * cols) if side == "left" else (other, cols)
+    X = section.reshape(before, H.dim, after)
+    units = table_unit_slices(H.left_algebra, H.right_algebra, H.table, side, generators=True)
+    moved = np.zeros((len(units), before, H.dim, after), dtype=np.complex128)
+    for out, (to, fro) in zip(moved, units):
+        out[:, to] = X[:, fro]
+    return moved.reshape(len(units), H.dim * other, cols)
+
+
 def connes_fusion(H: Correspondence, K: Correspondence,
                   std_N: StandardFormData,
                   cap: int = FUSION_DIM_CAP) -> FusionResult:
@@ -129,8 +160,15 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     if ambient > cap:
         raise CapExceeded(f"ambient tensor dimension {ambient} exceeds {cap}")
 
-    # R[a] is r_eta of basis vector a: the right units' columns a, stacked
-    R = H.pi_r_units.transpose(2, 1, 0) @ std_N.creation_inverse
+    # R[a] is r_eta of basis vector a: the right units' columns a, stacked;
+    # with a table, row k of the creation inverse is R[s, t] for each entry
+    # (t, s) of right unit k, its one term
+    if H.table is None:
+        R = H.pi_r_units.transpose(2, 1, 0) @ std_N.creation_inverse
+    else:
+        k, t, s = table_units(H.left_algebra, N, H.table, "right")
+        R = np.zeros((H.dim, H.dim, N.vector_dim), dtype=np.complex128)
+        R[s, t] = std_N.creation_inverse[k]
     # coordinates lam_inv.R_a*.R_c.Lambda(1) of the middle element of (a, c)
     coef = (R @ std_N.cyclic_vector()) @ (R.conj() @ std_N.lam_inv.T)
     # G[(a, b), (c, d)] = sum_u coef[a, c, u].pi_l(e_u)[b, d]: on a block
@@ -168,17 +206,16 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     M, P = H.left_algebra, K.right_algebra
     table = tuple(tuple(sum(h * k for h, k in zip(row, col)) for col in zip(*K.multiplicities))
                   for row in H.multiplicities)
-    # compressed generating units less the fused ones, 1 at their index data
-    off = np.concatenate([
-        kron_sandwich(project, H.pi_l_units[M.generator_units], K.dim, section),
-        kron_sandwich(project, H.dim, K.pi_r_units[P.generator_units], section)])
-    k, t, s = table_units(M, P, table, "left", generators=True)
-    off[k, t, s] -= 1.0
-    k, t, s = table_units(M, P, table, "right", generators=True)
-    off[len(M.generator_units) + k, t, s] -= 1.0
-    if norm_exceeds(off, bound):
-        raise RuntimeError(f"fusion compression residual {max_operator_norm(off):.3g} exceeds "
-                           f"{bound:.3g}: the reduced basis is not in the fused basis order")
+    # compressed generating units less the fused ones, 1 at their index
+    # data, one side at a time
+    for factor, side, other in ((H, "left", K.dim), (K, "right", H.dim)):
+        off = project @ _generators_on_section(factor, side, section, other)
+        off[table_units(M, P, table, side, generators=True)] -= 1.0
+        if norm_exceeds(off, bound):
+            raise RuntimeError(f"fusion compression residual {max_operator_norm(off):.3g} "
+                               f"exceeds {bound:.3g}: the reduced basis is not in the "
+                               f"fused basis order")
+        del off
     corr = Correspondence._lawful(M, P, table_dim(M, P, table), table=table,
                                   name=f"({H.name}*{K.name})" if H.name and K.name else "")
     return FusionResult(corr=corr, project=project, section=section,
@@ -187,14 +224,26 @@ def connes_fusion(H: Correspondence, K: Correspondence,
 
 def left_unitor(K: Correspondence, std_M: StandardFormData,
                 fusion: FusionResult | None = None) -> Intertwiner:
-    """The intertwiner L2(M) fused with K -> K, Lambda(x) (x) zeta -> x.zeta."""
+    """The intertwiner L2(M) fused with K -> K, Lambda(x) (x) zeta -> x.zeta.
+
+    Its ambient matrix holds K.pi_l(Lambda^{-1}(e_u)) in block u: on a K
+    with a table, lam_inv's rows scattered to K's left index data, with no
+    stack of K read.
+    """
     if fusion is None:
         fusion = connes_fusion(identity_correspondence(std_M), K, std_M)
     if fusion.left_dim != std_M.dim or fusion.right_dim != K.dim:
         raise ValueError("fusion data does not match the unitor factors")
-    # block u of the map is K.pi_l of Lambda^{-1} of basis vector u
-    A = np.tensordot(std_M.lam_inv.T, K.pi_l_units, 1).transpose(1, 0, 2) \
-        .reshape(K.dim, std_M.dim * K.dim)
+    # block u of the map is K.pi_l of Lambda^{-1} of basis vector u; with a
+    # table, entry (t, s) of left unit k is the one term of that entry in
+    # every block, so row k of lam_inv goes there
+    if K.table is None:
+        A = np.tensordot(std_M.lam_inv.T, K.pi_l_units, 1).transpose(1, 0, 2)
+    else:
+        k, t, s = table_units(std_M.algebra, K.right_algebra, K.table, "left")
+        A = np.zeros((K.dim, std_M.dim, K.dim), dtype=np.complex128)
+        A[t, :, s] = std_M.lam_inv[k]
+    A = A.reshape(K.dim, std_M.dim * K.dim)
     return Intertwiner(fusion.corr, K, A @ fusion.section)
 
 
@@ -204,16 +253,24 @@ def right_unitor(H: Correspondence, std_N: StandardFormData,
 
     An elementary tensor eta (x) Lambda(y) lands on eta acted on the right
     by the modular twist of y; when the state is tracial the twist is the
-    identity and the map reduces to eta (x) Lambda(y) -> eta . y.
+    identity and the map reduces to eta (x) Lambda(y) -> eta . y.  On an H
+    with a table, the twists' rows are scattered to H's right index data,
+    with no stack of H read.
     """
     if fusion is None:
         fusion = connes_fusion(H, identity_correspondence(std_N), std_N)
     if fusion.left_dim != H.dim or fusion.right_dim != std_N.dim:
         raise ValueError("fusion data does not match the unitor factors")
-    # column a * n + v is column a of H.pi_r(twist of Lambda^{-1}(e_v))
+    # column a * n + v is column a of H.pi_r(twist of Lambda^{-1}(e_v)); with
+    # a table, row k of the twists goes to entry (t, s) of right unit k
     twists = std_N.delta_minus_half @ std_N.lam_inv
-    A = np.tensordot(twists.T, H.pi_r_units, 1).transpose(1, 2, 0) \
-        .reshape(H.dim, H.dim * std_N.dim)
+    if H.table is None:
+        A = np.tensordot(twists.T, H.pi_r_units, 1).transpose(1, 2, 0)
+    else:
+        k, t, s = table_units(H.left_algebra, std_N.algebra, H.table, "right")
+        A = np.zeros((H.dim, H.dim, std_N.dim), dtype=np.complex128)
+        A[t, s] = twists[k]
+    A = A.reshape(H.dim, H.dim * std_N.dim)
     return Intertwiner(fusion.corr, H, A @ fusion.section)
 
 

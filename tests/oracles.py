@@ -8,8 +8,9 @@ modular data of a standard form come from a numerical polar
 decomposition of S, the reference for the library's closed form, the
 maps ξ -> x.ξ.y from the broadcasts, Kronecker products and stacked
 products the library's one gather replaced, fusion Gram matrices pair by
-pair, fused actions compressed unit by unit, and subspaces are compared
-through fresh orthonormal bases.
+pair, fused actions compressed unit by unit, the witness residual and
+the unitors as products and contractions with the unit stacks, and
+subspaces are compared through fresh orthonormal bases.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from moritalab.numkernel import (
     as_complex_matrix,
     hermitian_spectrum,
     kron_sandwich,
+    operator_norm,
     orthonormal_columns,
     spans_equal,
     spectral_powers,
@@ -334,6 +336,31 @@ def compressed_units(fus):
     H, K = fus.left_factor, fus.right_factor
     return (kron_sandwich(fus.project, H.pi_l_units, K.dim, fus.section),
             kron_sandwich(fus.project, H.dim, K.pi_r_units, fus.section))
+
+
+# ------------------------- dense readers of the unit stacks, one unit at a time
+
+def dense_residual(w) -> tuple[float, float]:
+    """w's residual per side, (left, right): the largest |T.A_u - B_u.T|
+    over the units of that side, each a product with the unit stacks and
+    one SVD, in a plain loop."""
+    T, H, K = w.matrix, w.source, w.target
+    return tuple(max((operator_norm(T @ A - B @ T) for A, B in zip(src, tgt)), default=0.0)
+                 for src, tgt in ((H.pi_l_units, K.pi_l_units), (H.pi_r_units, K.pi_r_units)))
+
+
+def dense_left_unitor(K, std, fus) -> np.ndarray:
+    """left_unitor's matrix as a contraction of Lambda^{-1} with K's left stack."""
+    A = np.tensordot(std.lam_inv.T, K.pi_l_units, 1).transpose(1, 0, 2)
+    return A.reshape(K.dim, std.dim * K.dim) @ fus.section
+
+
+def dense_right_unitor(H, std, fus) -> np.ndarray:
+    """right_unitor's matrix as a contraction of the modular twists of
+    Lambda^{-1} with H's right stack."""
+    twists = std.delta_minus_half @ std.lam_inv
+    A = np.tensordot(twists.T, H.pi_r_units, 1).transpose(1, 2, 0)
+    return A.reshape(H.dim, H.dim * std.dim) @ fus.section
 
 
 # ------------------------------------ reference constructions of x.ξ.y maps

@@ -2,15 +2,15 @@
 
 A size is an integer, a NumPy integer included: a float, a numeric string
 or a bool raises ValueError rather than being truncated or read, as spec
-files already reject them.  A state's floor is finite and positive, so a
+files already reject them.  So is every entry of a public IntegerMatrix.  A state's floor is finite and positive, so a
 State is faithful by construction.
 """
 
 import numpy as np
 import pytest
 
-from moritalab.exact import FiniteAbelianGroup
-from moritalab.rings import cyclic_ring
+from moritalab.exact import FiniteAbelianGroup, IntegerMatrix
+from moritalab.rings import column_module, cyclic_ring, matrix_ring, row_module
 from moritalab.wstar import MultiMatrixAlgebra, State, block_correspondence
 
 NON_INTEGERS = [2.5, 2.0, "3", True, None]
@@ -32,6 +32,27 @@ def test_cyclic_ring_order_is_an_integer(bad):
     with pytest.raises(ValueError):
         cyclic_ring(bad)
     assert cyclic_ring(np.int64(3)).name == "Z/3"
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+@pytest.mark.parametrize("build", [column_module, row_module, matrix_ring])
+def test_matrix_sizes_are_integers(build, bad):
+    # before, 2.5, '3' and True raised TypeError from deep inside the build
+    with pytest.raises(ValueError):
+        build(cyclic_ring(2), bad)
+    assert build(cyclic_ring(2), np.int64(2)).name == build(cyclic_ring(2), 2).name
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS + [1.5, np.float64(2.0)])
+def test_integer_matrix_entries_are_integers(bad):
+    # before, [[1.5]] was [[1]], [['2']] was [[2]] and [[True]] was [[1]]
+    with pytest.raises(ValueError):
+        IntegerMatrix([[1, bad]])
+    M = IntegerMatrix([[np.int64(2), np.uint8(3)], [-1, 2 ** 70]])
+    assert M.tolist() == [[2, 3], [-1, 2 ** 70]]
+    assert all(type(v) is int for v in M.array.flat)
+    # adopt wraps an array as it is, unchecked
+    assert IntegerMatrix.adopt(np.array([[1.5]], dtype=object)).array[0, 0] == 1.5
 
 
 @pytest.mark.parametrize("bad", NON_INTEGERS)

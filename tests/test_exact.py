@@ -92,8 +92,12 @@ def _exact(M: IntegerMatrix) -> bool:
 
 
 def test_public_constructor_converts_and_checks_shape():
-    M = IntegerMatrix([(True, 2.0), range(2)])
+    M = IntegerMatrix([(1, np.int64(2)), range(2)])
     assert M.tolist() == [[1, 2], [0, 1]] and _exact(M)
+    # a bool or a float entry is refused, not read as 1 or truncated
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="expected an integer"):
+            IntegerMatrix([(bad, 2), range(2)])
     # an object array keeping np.int64 scalars would wrap at 2^63 silently
     big = IntegerMatrix(np.array([[2 ** 62]], dtype=np.int64))
     P = big @ IntegerMatrix([[4]])
