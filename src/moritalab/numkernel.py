@@ -24,6 +24,7 @@ between construction sites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,56 +68,36 @@ def _operator_norms(stack: np.ndarray, live: np.ndarray) -> list[np.ndarray]:
 
 
 def max_operator_norm(mats) -> float:
-    """max(operator_norm(M) for M in mats), 0 for none, SVDs screened.
-
-    The Frobenius norm is never below the operator norm (Golub and Van
-    Loan, Matrix Computations, 2.3), so once the matrix of largest
-    Frobenius norm has its operator norm, only matrices whose Frobenius
-    norm exceeds that value can beat it, and only they go through the SVD,
-    with no copy (_operator_norms).  The largest goes with them, its SVD
-    repeated bit for bit, so that where all pass, as on a block
-    correspondence's units, one call takes them.  The DEFAULT_TOL margin
-    on the screen covers rounding in either norm, so the result is the
-    value the loop gives.  A stack with no nonzero entry reads 0 with no
-    SVD.
-    """
-    if len(mats) == 0 or mats[0].size == 0:
-        return 0.0
-    stack = np.asarray(mats)
-    if not np.any(stack):
-        return 0.0
-    fro = _frobenius_norms(stack)
-    top = int(np.argmax(fro))
-    best = float(np.linalg.norm(stack[top], 2))
-    live = fro * (1.0 + DEFAULT_TOL) > best
-    live[top] = np.count_nonzero(live) > 1
-    return max([best] + [float(norms.max()) for norms in _operator_norms(stack, live)])
+    """max(operator_norm(M) for M in mats), 0 for none: max_operator_norm_of
+    over the sequence, its SVDs screened."""
+    return max_operator_norm_of(mats.__getitem__, len(mats))
 
 
 def max_operator_norm_of(term, count: int) -> float:
-    """max_operator_norm([term(k) for k in range(count)]), streamed.
+    """max(operator_norm(term(k)) for k in range(count)), 0 for none, SVDs
+    screened, with one term alive at a time besides the largest.
 
-    The same screen with one term alive at a time besides the largest: a
-    first pass keeps each term's Frobenius norm, then only the terms that
-    pass the screen are formed again, one SVD each.  term(k) must give the
-    same matrix on every call, so the value is max_operator_norm's bit for
-    bit: both take the largest singular value over candidates that hold
-    the term of largest operator norm.  Use it where the terms would not
-    fit in memory as one stack.
+    The Frobenius norm is never below the operator norm (Golub and Van
+    Loan, Matrix Computations, 2.3), so once the term of largest Frobenius
+    norm has its operator norm, only terms whose Frobenius norm exceeds
+    that value can beat it.  A first pass keeps each term's Frobenius
+    norm, then only the terms that pass the screen are formed again, one
+    SVD each; term(k) must give the same matrix on every call.  The
+    DEFAULT_TOL margin on the screen covers rounding in either norm, so
+    the result is the value the loop gives, bit for bit.  Terms with no
+    nonzero entry read 0 with no SVD.
     """
-    fro = np.zeros(count)
-    top, kept = 0, None
+    fro, top, kept = [], 0, None
     for k in range(count):
         M = term(k)
-        fro[k] = np.sqrt(np.vdot(M, M).real)
+        fro.append(math.sqrt(np.vdot(M, M).real))
         if kept is None or fro[k] > fro[top]:
             top, kept = k, M
     if kept is None:
         return 0.0
     best = operator_norm(kept)
-    live = fro * (1.0 + DEFAULT_TOL) > best
-    live[top] = False
-    return max([best] + [operator_norm(term(k)) for k in np.flatnonzero(live)])
+    return max([best] + [operator_norm(term(k)) for k, f in enumerate(fro)
+                         if k != top and f * (1.0 + DEFAULT_TOL) > best])
 
 
 def norm_exceeds(A: np.ndarray, bound: float) -> bool:

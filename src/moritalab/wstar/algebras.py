@@ -117,10 +117,6 @@ class MultiMatrixAlgebra:
         return spans_equal(left_commutant(left_frames(self, lefts)),
                            orthonormal_columns(rights.reshape(len(rights), -1).T))[1]
 
-    def extend_linearly(self, x: np.ndarray, unit_images: np.ndarray) -> np.ndarray:
-        """Image of x under the linear map given on the matrix units."""
-        return np.tensordot(self.coords(x), unit_images, 1)
-
     def matrix_unit(self, b: int, i: int, j: int) -> np.ndarray:
         E = np.zeros((self.dim, self.dim), dtype=np.complex128)
         off = self.block_offset(b)

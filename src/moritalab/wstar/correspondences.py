@@ -18,12 +18,15 @@ multiplicity table, which fixes it up to the basis order (Jones and Sunder,
 Introduction to Subfactors, ch. 1-2).  It is built one way, from the table
 alone: its frames are coordinate columns read off the table
 (algebras.table_frames), not eigendecompositions, and its unit images are
-partial permutations, given by index data (algebras.table_units).  The
-library's own readers act with them by gathers, unit u sending basis vector
-s to t: the witness residual here, and fusion's creation operators,
-compression gate and unitors.  Two block correspondences of one table are
-close with no stack read.  A stack is written (algebras.table_stack) only
-when something reads pi_l_units or pi_r_units.
+partial permutations, given by index data (algebras.table_units), unit u
+sending basis vector s to t.  Whether a side is read through that index
+data or a stack is decided here alone, by the readers of the actions:
+Correspondence.unit_sum (pi_l, pi_r, and fusion's creation operators, Gram
+matrix, unitors and balancing check), the witness residual and fusion's
+compression gate, each a gather with a table, one term per entry.  Two
+block correspondences of one table are close with no stack read.  A stack
+is written (algebras.table_stack) only when something reads pi_l_units or
+pi_r_units.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from ..exact import as_int
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
+    kron_sandwich,
     max_operator_norm,
     max_operator_norm_of,
     norm_exceeds,
@@ -53,11 +57,13 @@ from .algebras import (
     table_frames,
     table_stack,
     table_unit_slices,
+    table_units,
 )
 from .standard import StandardFormData
 
 
 _SIDES = {"pi_l_units": "left", "pi_r_units": "right"}
+_STACKS = {side: key for key, side in _SIDES.items()}
 
 
 def _generator_eps(t: float) -> float:
@@ -209,11 +215,23 @@ class Correspondence:
         """How often each simple (b, c) bimodule occurs: the frame counts."""
         return tuple(tuple(len(F) for F in row) for row in self.frames)
 
+    def unit_sum(self, side: str, coef: np.ndarray) -> np.ndarray:
+        """sum_u coef[..., u].U_u over the unit images U_u of one side,
+        "left" or "right": on a block correspondence coef[..., k] written
+        at each entry (t, s) of unit k (algebras.table_units), its one
+        term, with no stack read; otherwise a contraction with the stack."""
+        if self.table is None:
+            return np.tensordot(coef, getattr(self, _STACKS[side]), 1)
+        k, t, s = table_units(self.left_algebra, self.right_algebra, self.table, side)
+        out = np.zeros(coef.shape[:-1] + (self.dim, self.dim), dtype=np.complex128)
+        out[..., t, s] = coef[..., k]
+        return out
+
     def pi_l(self, x: np.ndarray) -> np.ndarray:
-        return self.left_algebra.extend_linearly(x, self.pi_l_units)
+        return self.unit_sum("left", self.left_algebra.coords(x))
 
     def pi_r(self, y: np.ndarray) -> np.ndarray:
-        return self.right_algebra.extend_linearly(y, self.pi_r_units)
+        return self.unit_sum("right", self.right_algebra.coords(y))
 
     def __repr__(self) -> str:
         return (f"Correspondence({self.name or 'H'}: "
@@ -301,6 +319,32 @@ def _unit_difference(T: np.ndarray, H: Correspondence, K: Correspondence, key: s
             D[to] -= T[fro]
         return D
     return difference
+
+
+def _generators_on_section(H: Correspondence, side: str, section: np.ndarray,
+                           other: int) -> np.ndarray:
+    """(U_g (x) 1).section for H's left generating units U_g, side "left",
+    or (1 (x) U_g).section for its right ones, H the factor on that side of
+    a tensor and other the other factor's dimension: one stack per unit.
+
+    On a block correspondence U_g moves rows s of H's axis of section to
+    rows t (algebras.table_unit_slices), so no unit stack is written; each
+    entry has that one term, so the stack is the matmul's bit for bit.
+    """
+    cols = section.shape[1]
+    if H.table is None:
+        A = H.left_algebra if side == "left" else H.right_algebra
+        gens = getattr(H, _STACKS[side])[A.generator_units]
+        return kron_sandwich(None, gens, other, section) if side == "left" \
+            else kron_sandwich(None, other, gens, section)
+    # H's axis of section, between the axes before and after it
+    before, after = (1, other * cols) if side == "left" else (other, cols)
+    X = section.reshape(before, H.dim, after)
+    units = table_unit_slices(H.left_algebra, H.right_algebra, H.table, side, generators=True)
+    moved = np.zeros((len(units), before, H.dim, after), dtype=np.complex128)
+    for out, (to, fro) in zip(moved, units):
+        out[:, to] = X[:, fro]
+    return moved.reshape(len(units), H.dim * other, cols)
 
 
 def identity_correspondence(std: StandardFormData) -> Correspondence:

@@ -5,15 +5,12 @@ where the inner product of elementary tensors routes the middle algebra
 through bounded right-creation operators: each vector eta of the left
 factor gives R_eta: L2(N) -> H, and R_eta1* R_eta2 lands in pi_l(N), so
 it can be moved onto the right factor before taking plain inner products.
-Every map here is linear in the middle algebra, so each is one contraction
-of middle coordinates with a stack of unit images: those of R_a*.R_c over
-basis pairs give the Gram matrix G, and those of Lambda^{-1} of L2's basis
-(twisted by Δ^{-1/2} on the right) give the unitors.  On a factor with a
-table each unit image is a partial permutation, unit k sending basis
-vector s to t (algebras.table_units), so the contraction has one term per
-entry and is a gather or scatter instead: the creation operators R, G,
-the unitors and the compression gate below read the index data and write
-no stack of that factor.
+Every map here is linear in the middle algebra, so each is one sum of
+middle coordinates times a factor's unit images, Correspondence.unit_sum:
+those of the creation inverse give R, those of R_a*.R_c over basis pairs
+the Gram matrix G, and those of Lambda^{-1} of L2's basis (twisted by
+Δ^{-1/2} on the right) the unitors.  Factors are read only through
+Correspondence, which chooses between a table's index data and a stack.
 
 The quotient is exact: with p_b = e_{b00} in middle block b, the fused
 space is the sum over b of (H.p_b) (x) (p_b.K) (Sauvageot, J. Operator
@@ -47,11 +44,24 @@ from ..numkernel import (
     norm_exceeds,
     operator_norm,
 )
-from .algebras import table_dim, table_unit_slices, table_units
-from .correspondences import Correspondence, Intertwiner, identity_correspondence
+from .algebras import table_dim, table_units
+from .correspondences import (
+    Correspondence,
+    Intertwiner,
+    _generators_on_section,
+    correspondences_close,
+    identity_correspondence,
+)
 from .standard import StandardFormData
 
 FUSION_DIM_CAP = 10 ** 4
+
+
+def _creation_operators(H: Correspondence, std_N: StandardFormData) -> np.ndarray:
+    """R, C-contiguous, R[a] the creation operator of H's basis vector a:
+    column a of sum_u creation_inverse[u, v].U_u over H's right units."""
+    R = H.unit_sum("right", std_N.creation_inverse.T)
+    return np.ascontiguousarray(R.transpose(2, 1, 0))
 
 
 def r_eta(H: Correspondence, std_N: StandardFormData,
@@ -59,13 +69,13 @@ def r_eta(H: Correspondence, std_N: StandardFormData,
     """The creation operator L2(N) -> H sending J Lambda(y*) to eta . y.
 
     The map y -> J Lambda(y*) is linear and carries the matrix units to a
-    basis of L2(N), so the operator is determined by matching columns.  A
-    stack of vectors, one per row, gives the stack of their operators.
+    basis of L2(N), so the operator is determined by matching columns: it
+    is sum_a eta[a].R[a].  A stack of vectors, one per row, gives the
+    stack of their operators.
     """
     if H.right_algebra != std_N.algebra:
         raise AlgebraMismatch("standard form is not over the right algebra")
-    W = np.einsum("uij,...j->...iu", H.pi_r_units, eta)
-    return W @ std_N.creation_inverse
+    return np.tensordot(eta, _creation_operators(H, std_N), 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +107,11 @@ class FusionResult:
         zeta = np.asarray(zeta, dtype=np.complex128)[..., :, None]
         return kron_sandwich(self.project, eta, zeta, np.ones((1, 1)))[..., 0]
 
+    def fuses(self, H: Correspondence, K: Correspondence) -> bool:
+        """Whether the factors are H and K (correspondences_close)."""
+        return correspondences_close(self.left_factor, H) \
+            and correspondences_close(self.right_factor, K)
+
 
 def _reduced_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
     """S, orthonormal ambient columns x (x) y in the fused basis order: per
@@ -113,32 +128,6 @@ def _reduced_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
     parts = [X * Ys[b][d] for row in Xs for d in range(len(ps)) for b, X in enumerate(row)]
     return np.concatenate([xy.reshape(H.dim * K.dim, np.prod(xy.shape[2:], dtype=int))
                            for xy in parts], axis=1)
-
-
-def _generators_on_section(H: Correspondence, side: str, section: np.ndarray,
-                           other: int) -> np.ndarray:
-    """(U_g (x) 1).section for H's left generating units U_g, side "left",
-    or (1 (x) U_g).section for its right ones, H the factor on that side of
-    the tensor and other the other factor's dimension: one stack per unit.
-
-    On a block correspondence U_g moves rows s of H's axis of section to
-    rows t (algebras.table_unit_slices), so no unit stack is written; each
-    entry has that one term, so the stack is the matmul's bit for bit.
-    """
-    cols = section.shape[1]
-    if H.table is None:
-        A = H.left_algebra if side == "left" else H.right_algebra
-        gens = getattr(H, "pi_l_units" if side == "left" else "pi_r_units")[A.generator_units]
-        return kron_sandwich(None, gens, other, section) if side == "left" \
-            else kron_sandwich(None, other, gens, section)
-    # H's axis of section, between the axes before and after it
-    before, after = (1, other * cols) if side == "left" else (other, cols)
-    X = section.reshape(before, H.dim, after)
-    units = table_unit_slices(H.left_algebra, H.right_algebra, H.table, side, generators=True)
-    moved = np.zeros((len(units), before, H.dim, after), dtype=np.complex128)
-    for out, (to, fro) in zip(moved, units):
-        out[:, to] = X[:, fro]
-    return moved.reshape(len(units), H.dim * other, cols)
 
 
 def connes_fusion(H: Correspondence, K: Correspondence,
@@ -160,26 +149,12 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     if ambient > cap:
         raise CapExceeded(f"ambient tensor dimension {ambient} exceeds {cap}")
 
-    # R[a] is r_eta of basis vector a: the right units' columns a, stacked;
-    # with a table, row k of the creation inverse is R[s, t] for each entry
-    # (t, s) of right unit k, its one term
-    if H.table is None:
-        R = H.pi_r_units.transpose(2, 1, 0) @ std_N.creation_inverse
-    else:
-        k, t, s = table_units(H.left_algebra, N, H.table, "right")
-        R = np.zeros((H.dim, H.dim, N.vector_dim), dtype=np.complex128)
-        R[s, t] = std_N.creation_inverse[k]
+    # R[a] is r_eta of basis vector a
+    R = _creation_operators(H, std_N)
     # coordinates lam_inv.R_a*.R_c.Lambda(1) of the middle element of (a, c)
     coef = (R @ std_N.cyclic_vector()) @ (R.conj() @ std_N.lam_inv.T)
-    # G[(a, b), (c, d)] = sum_u coef[a, c, u].pi_l(e_u)[b, d]: on a block
-    # correspondence one coef per index entry of its left units, written as is
-    if K.table is None:
-        G = np.tensordot(coef, K.pi_l_units, 1)
-    else:
-        k, t, s = table_units(N, K.right_algebra, K.table, "left")
-        G = np.zeros((H.dim, H.dim, K.dim, K.dim), dtype=np.complex128)
-        G[:, :, t, s] = coef[:, :, k]
-    G = G.transpose(0, 2, 1, 3).reshape(ambient, ambient)
+    # G[(a, b), (c, d)] = sum_u coef[a, c, u].pi_l(e_u)[b, d]
+    G = K.unit_sum("left", coef).transpose(0, 2, 1, 3).reshape(ambient, ambient)
     S = _reduced_basis(H, K)
     # project reads (G + G*)/2, halved after the product; the residual reads G
     Gh = np.conjugate(G.T, order="C")
@@ -226,25 +201,15 @@ def left_unitor(K: Correspondence, std_M: StandardFormData,
                 fusion: FusionResult | None = None) -> Intertwiner:
     """The intertwiner L2(M) fused with K -> K, Lambda(x) (x) zeta -> x.zeta.
 
-    Its ambient matrix holds K.pi_l(Lambda^{-1}(e_u)) in block u: on a K
-    with a table, lam_inv's rows scattered to K's left index data, with no
-    stack of K read.
+    Block u of its ambient matrix is K.pi_l of Lambda^{-1} of basis vector
+    u, all blocks one K.unit_sum.  fusion, if given, must fuse L2(M) with K.
     """
     if fusion is None:
         fusion = connes_fusion(identity_correspondence(std_M), K, std_M)
-    if fusion.left_dim != std_M.dim or fusion.right_dim != K.dim:
+    elif not fusion.fuses(identity_correspondence(std_M), K):
         raise ValueError("fusion data does not match the unitor factors")
-    # block u of the map is K.pi_l of Lambda^{-1} of basis vector u; with a
-    # table, entry (t, s) of left unit k is the one term of that entry in
-    # every block, so row k of lam_inv goes there
-    if K.table is None:
-        A = np.tensordot(std_M.lam_inv.T, K.pi_l_units, 1).transpose(1, 0, 2)
-    else:
-        k, t, s = table_units(std_M.algebra, K.right_algebra, K.table, "left")
-        A = np.zeros((K.dim, std_M.dim, K.dim), dtype=np.complex128)
-        A[t, :, s] = std_M.lam_inv[k]
-    A = A.reshape(K.dim, std_M.dim * K.dim)
-    return Intertwiner(fusion.corr, K, A @ fusion.section)
+    A = K.unit_sum("left", std_M.lam_inv.T).transpose(1, 0, 2)
+    return Intertwiner(fusion.corr, K, A.reshape(K.dim, std_M.dim * K.dim) @ fusion.section)
 
 
 def right_unitor(H: Correspondence, std_N: StandardFormData,
@@ -253,25 +218,17 @@ def right_unitor(H: Correspondence, std_N: StandardFormData,
 
     An elementary tensor eta (x) Lambda(y) lands on eta acted on the right
     by the modular twist of y; when the state is tracial the twist is the
-    identity and the map reduces to eta (x) Lambda(y) -> eta . y.  On an H
-    with a table, the twists' rows are scattered to H's right index data,
-    with no stack of H read.
+    identity and the map reduces to eta (x) Lambda(y) -> eta . y.  fusion,
+    if given, must fuse H with L2(N).
     """
     if fusion is None:
         fusion = connes_fusion(H, identity_correspondence(std_N), std_N)
-    if fusion.left_dim != H.dim or fusion.right_dim != std_N.dim:
+    elif not fusion.fuses(H, identity_correspondence(std_N)):
         raise ValueError("fusion data does not match the unitor factors")
-    # column a * n + v is column a of H.pi_r(twist of Lambda^{-1}(e_v)); with
-    # a table, row k of the twists goes to entry (t, s) of right unit k
+    # column a * n + v is column a of H.pi_r(twist of Lambda^{-1}(e_v))
     twists = std_N.delta_minus_half @ std_N.lam_inv
-    if H.table is None:
-        A = np.tensordot(twists.T, H.pi_r_units, 1).transpose(1, 2, 0)
-    else:
-        k, t, s = table_units(H.left_algebra, std_N.algebra, H.table, "right")
-        A = np.zeros((H.dim, H.dim, std_N.dim), dtype=np.complex128)
-        A[t, s] = twists[k]
-    A = A.reshape(H.dim, H.dim * std_N.dim)
-    return Intertwiner(fusion.corr, H, A @ fusion.section)
+    A = H.unit_sum("right", twists.T).transpose(1, 2, 0)
+    return Intertwiner(fusion.corr, H, A.reshape(H.dim, H.dim * std_N.dim) @ fusion.section)
 
 
 def associator(f_ab: FusionResult, f_ab_c: FusionResult,
@@ -279,16 +236,16 @@ def associator(f_ab: FusionResult, f_ab_c: FusionResult,
     """The rebracketing intertwiner (H * K) * L -> H * (K * L).
 
     Quotient representatives are rebracketed in the ambient triple tensor
-    and re-projected; the four fusion results must share their factors.
+    and re-projected; the four fusion results must share their factors
+    (correspondences_close).
     """
-    dH, dK = f_ab.left_dim, f_ab.right_dim
-    dL = f_bc.right_dim
-    if f_bc.left_dim != dK:
+    if not correspondences_close(f_bc.left_factor, f_ab.right_factor):
         raise ValueError("inner factors disagree")
-    if f_ab_c.left_dim != f_ab.corr.dim or f_ab_c.right_dim != dL:
+    if not f_ab_c.fuses(f_ab.corr, f_bc.right_factor):
         raise ValueError("left-bracketed fusion does not match")
-    if f_a_bc.left_dim != dH or f_a_bc.right_dim != f_bc.corr.dim:
+    if not f_a_bc.fuses(f_ab.left_factor, f_bc.corr):
         raise ValueError("right-bracketed fusion does not match")
+    dH, dL = f_ab.left_dim, f_bc.right_dim
     rebracketed = kron_sandwich(None, f_ab.section, dL, f_ab_c.section)
     mat = kron_sandwich(f_a_bc.project, dH, f_bc.project, rebracketed)
     return Intertwiner(f_ab_c.corr, f_a_bc.corr, mat)
@@ -301,22 +258,23 @@ def twisted_balancing_residual(fus: FusionResult, std_N: StandardFormData,
     Sliding a middle-algebra element across the fusion sign picks up a
     modular twist: eta.n (x) zeta matches eta (x) twist_+(n).zeta, and
     eta (x) n.zeta matches twist_-(n).eta (x) zeta.  The samples are drawn
-    one (eta, zeta, n) at a time and then evaluated as one stack.
+    one (eta, zeta, n) at a time and then evaluated as one stack; fewer
+    than one sample is a ValueError, as it would check nothing.
     """
+    if samples < 1:
+        raise ValueError(f"balancing needs at least one sample, not {samples}")
     H, K, N = fus.left_factor, fus.right_factor, std_N.algebra
     draws = [(rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim),
               rng.standard_normal(K.dim) + 1j * rng.standard_normal(K.dim),
               N.random_element(rng)[N.unit_positions]) for _ in range(samples)]
-    if not draws:
-        return 0.0
     eta, zeta, n = (np.stack(x) for x in zip(*draws))
     plus, minus = std_N.delta_half, std_N.delta_minus_half
 
-    def act(coords, units, vecs):
-        return (np.tensordot(coords, units, 1) @ vecs[:, :, None])[:, :, 0]
+    def act(X, side, coords, vecs):
+        return (X.unit_sum(side, coords) @ vecs[:, :, None])[:, :, 0]
 
-    v = fus.pure(act(n, H.pi_r_units, eta), zeta) \
-        - fus.pure(eta, act(n @ plus.T, K.pi_l_units, zeta))
-    w = fus.pure(eta, act(n, K.pi_l_units, zeta)) \
-        - fus.pure(act(n @ minus.T, H.pi_r_units, eta), zeta)
+    v = fus.pure(act(H, "right", n, eta), zeta) \
+        - fus.pure(eta, act(K, "left", n @ plus.T, zeta))
+    w = fus.pure(eta, act(K, "left", n, zeta)) \
+        - fus.pure(act(H, "right", n @ minus.T, eta), zeta)
     return float(np.max(np.linalg.norm(np.concatenate([v, w]), axis=1)))

@@ -180,10 +180,10 @@ class TestCorrespondences:
         assert _violation(M21, M12, pi_l, pi_r) is None
 
         def left(x):
-            return M21.extend_linearly(x, pi_l)
+            return np.tensordot(M21.coords(x), pi_l, 1)
 
         def right(y):
-            return M12.extend_linearly(y, pi_r)
+            return np.tensordot(M12.coords(y), pi_r, 1)
 
         # an extra summand that only one side acts on
         side = block_correspondence(C1, M12, [[1, 1]])
