@@ -171,18 +171,18 @@ class WStarBicategory:
 
     def hcomp_left(self, f: Intertwiner, c_src: wf.FusionResult,
                    c_dst: wf.FusionResult) -> Intertwiner:
-        d = c_src.right_dim
-        if c_dst.right_dim != d:
-            raise NotComposable("right legs of the composites differ")
-        mat = kron_sandwich(c_dst.project, f.matrix, d, c_src.section)
+        if not (c_src.fuses(f.source, c_dst.right_factor)
+                and correspondences_close(f.target, c_dst.left_factor)):
+            raise NotComposable("composites do not fuse the 2-cell's ends with one right leg")
+        mat = kron_sandwich(c_dst.project, f.matrix, c_src.right_dim, c_src.section)
         return Intertwiner(c_src.corr, c_dst.corr, mat)
 
     def hcomp_right(self, c_src: wf.FusionResult, c_dst: wf.FusionResult,
                     f: Intertwiner) -> Intertwiner:
-        d = c_src.left_dim
-        if c_dst.left_dim != d:
-            raise NotComposable("left legs of the composites differ")
-        mat = kron_sandwich(c_dst.project, d, f.matrix, c_src.section)
+        if not (c_src.fuses(c_dst.left_factor, f.source)
+                and correspondences_close(f.target, c_dst.right_factor)):
+            raise NotComposable("composites do not fuse one left leg with the 2-cell's ends")
+        mat = kron_sandwich(c_dst.project, c_src.left_dim, f.matrix, c_src.section)
         return Intertwiner(c_src.corr, c_dst.corr, mat)
 
     def cells_equal(self, f: Intertwiner, g: Intertwiner):

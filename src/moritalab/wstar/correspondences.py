@@ -4,18 +4,18 @@ Both actions are specified on matrix units and extended linearly: a unital
 *-homomorphism on the left, a unital *-antihomomorphism on the right, with
 commuting images.  Inputs are validated once, at the boundary: the public
 constructor checks unitality and the star law on every unit, the rest on
-the generating relations (see _generator_eps).  Conjugates and block
-correspondences go through Correspondence._lawful, which checks nothing.
+the generating relations (see _generator_eps).  Every correspondence the
+library builds goes through Correspondence._lawful, which checks nothing.
 
-A checked correspondence or a conjugate holds each action as one read-only
-complex128 (units, dim, dim) stack, which the constructor stacks once from
-its validated images and _lawful wraps uncopied.  The constructor reads the
-right action's reversed products through views with each block's unit axes
-swapped: it holds no reordered copy.
+A checked correspondence holds each action as one read-only complex128
+(units, dim, dim) stack, which the constructor stacks once from its
+validated images.  It reads the right action's reversed products through
+views with each block's unit axes swapped: it holds no reordered copy.
 
-A block correspondence, L² and every fusion result among them, is its
-multiplicity table, which fixes it up to the basis order (Jones and Sunder,
-Introduction to Subfactors, ch. 1-2).  It is built one way, from the table
+Every other correspondence, L², a block correspondence, a fusion result or
+a conjugate, is its multiplicity table, which fixes it up to the basis
+order (Jones and Sunder, Introduction to Subfactors, ch. 1-2); a
+conjugate's is the transposed table.  It is built one way, from the table
 alone: its frames are coordinate columns read off the table
 (algebras.table_frames), not eigendecompositions, and its unit images are
 partial permutations, given by index data (algebras.table_units), unit u
@@ -24,8 +24,8 @@ data or a stack is decided here alone, by the readers of the actions:
 Correspondence.unit_sum (pi_l, pi_r, and fusion's creation operators, Gram
 matrix, unitors and balancing check), the witness residual and fusion's
 compression gate, each a gather with a table, one term per entry.  Two
-block correspondences of one table are close with no stack read.  A stack
-is written (algebras.table_stack) only when something reads pi_l_units or
+correspondences of one table are close with no stack read.  A stack is
+written (algebras.table_stack) only when something reads pi_l_units or
 pi_r_units.
 """
 
@@ -125,7 +125,7 @@ class Correspondence:
     whether two of them carry the same actions numerically.
     """
 
-    # the multiplicity table of a block correspondence; only _lawful sets one
+    # the multiplicity table of what _lawful builds; only _lawful sets one
     table = None
 
     left_algebra: MultiMatrixAlgebra
@@ -171,23 +171,15 @@ class Correspondence:
             raise ValueError("left and right actions do not commute")
 
     @classmethod
-    def _lawful(cls, left_algebra: MultiMatrixAlgebra,
-                right_algebra: MultiMatrixAlgebra, dim: int, pi_l_units=None,
-                pi_r_units=None, name: str = "", table=None) -> "Correspondence":
-        """Lawful by construction: unit stacks wrapped read-only, no law re-checked.
-
-        table, a tuple of int tuples, makes this block_correspondence(left_algebra,
-        right_algebra, table) in its basis order, and takes no stacks: they
-        are written from the table on first read.
-        """
+    def _lawful(cls, left_algebra: MultiMatrixAlgebra, right_algebra: MultiMatrixAlgebra,
+                table, name: str = "") -> "Correspondence":
+        """block_correspondence(left_algebra, right_algebra, table) in its basis
+        order, lawful by construction, so no law is checked.  table is a tuple
+        of int tuples; the stacks are written from it on first read."""
         H = object.__new__(cls)
         vars(H).update(left_algebra=left_algebra, right_algebra=right_algebra,
-                       dim=dim, name=name)
-        if table is not None:
-            vars(H)["table"] = table
-        for key, units in (("pi_l_units", pi_l_units), ("pi_r_units", pi_r_units)):
-            if units is not None:
-                vars(H)[key] = _read_only(units)
+                       dim=table_dim(left_algebra, right_algebra, table),
+                       table=table, name=name)
         return H
 
     def __getattr__(self, key: str):
@@ -355,8 +347,8 @@ def identity_correspondence(std: StandardFormData) -> Correspondence:
     table L² is, so it is lawful by construction and not checked.
     """
     A = std.algebra
-    return Correspondence._lawful(A, A, std.dim, name=f"L2({A.name})" if A.name else "L2",
-                                  table=A.identity_table)
+    return Correspondence._lawful(A, A, A.identity_table,
+                                  f"L2({A.name})" if A.name else "L2")
 
 
 def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
@@ -375,7 +367,7 @@ def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
     table = tuple(tuple(as_int(m) for m in row) for row in mult)
     if any(m < 0 for row in table for m in row):
         raise ValueError("multiplicities must be nonnegative")
-    return Correspondence._lawful(A, B, table_dim(A, B, table), table=table)
+    return Correspondence._lawful(A, B, table)
 
 
 def vector_correspondence(n: int) -> Correspondence:
@@ -388,16 +380,14 @@ def vector_correspondence(n: int) -> Correspondence:
 def conjugate_correspondence(H: Correspondence) -> Correspondence:
     """The conjugate space with n.xi.m given by the adjoint actions.
 
-    In coordinates the conjugate of a vector is its entrywise conjugate, so
-    the left action of n becomes conj(pi_r(n*)) and the right action of m
-    becomes conj(pi_l(m*)).  A conjugation and a reordering of H's checked
-    units, so lawful by construction.
+    The conjugate of the simple (b, c) bimodule C^{n_b x m_c} is the simple
+    (c, b) one, so this is the block correspondence of H's multiplicities
+    transposed, read with no stack: the entrywise conjugate, n acting by
+    conj(pi_r(n*)) and m by conj(pi_l(m*)), up to a basis permutation.
     """
-    A, B = H.left_algebra, H.right_algebra
-    pi_l, pi_r = (np.conjugate(U, out=U) for U in (H.pi_r_units[B.adjoint_order],
-                                                    H.pi_l_units[A.adjoint_order]))
-    return Correspondence._lawful(B, A, H.dim, pi_l, pi_r,
-                                  name=f"conj({H.name})" if H.name else "")
+    return Correspondence._lawful(H.right_algebra, H.left_algebra,
+                                  tuple(zip(*H.multiplicities)),
+                                  f"conj({H.name})" if H.name else "")
 
 
 def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,

@@ -44,7 +44,7 @@ from ..numkernel import (
     norm_exceeds,
     operator_norm,
 )
-from .algebras import table_dim, table_units
+from .algebras import table_units
 from .correspondences import (
     Correspondence,
     Intertwiner,
@@ -191,8 +191,8 @@ def connes_fusion(H: Correspondence, K: Correspondence,
                                f"exceeds {bound:.3g}: the reduced basis is not in the "
                                f"fused basis order")
         del off
-    corr = Correspondence._lawful(M, P, table_dim(M, P, table), table=table,
-                                  name=f"({H.name}*{K.name})" if H.name and K.name else "")
+    corr = Correspondence._lawful(M, P, table,
+                                  f"({H.name}*{K.name})" if H.name and K.name else "")
     return FusionResult(corr=corr, project=project, section=section,
                         left_factor=H, right_factor=K)
 

@@ -8,8 +8,8 @@ a refutation names the first way it fails and has no residual.  For a
 permutation matrix, fusing with the conjugate on either side and the
 unitaries onto the identity correspondences are the certificate's
 witnesses.  They are built from the frames, so the certificate is
-deterministic; callers gate its residual.  The fusions and the L² they map
-onto are block correspondences, built without a law check or a stack
+deterministic; callers gate its residual.  The conjugate, the fusions and
+the L² they map onto are tables, built without a law check or a stack
 (see certify_morita_equivalent).  A fusion that does not match L² although
 the multiplicities predict it raises RuntimeError, never a refutation.
 """

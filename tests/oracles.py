@@ -9,8 +9,9 @@ decomposition of S, the reference for the library's closed form, the
 maps ξ -> x.ξ.y from the broadcasts, Kronecker products and stacked
 products the library's one gather replaced, fusion Gram matrices pair by
 pair, fused actions compressed unit by unit, the witness residual and
-the unitors as products and contractions with the unit stacks, and
-subspaces are compared through fresh orthonormal bases.
+the unitors as products and contractions with the unit stacks, the
+conjugate as the entrywise conjugate of the stacks, and subspaces are
+compared through fresh orthonormal bases.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from moritalab.numkernel import (
     spectral_powers,
 )
 from moritalab.rings.bimodules import Bimodule
+from moritalab.wstar import Correspondence
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -361,6 +363,31 @@ def dense_right_unitor(H, std, fus) -> np.ndarray:
     twists = std.delta_minus_half @ std.lam_inv
     A = np.tensordot(twists.T, H.pi_r_units, 1).transpose(1, 2, 0)
     return A.reshape(H.dim, H.dim * std.dim) @ fus.section
+
+
+# --------------------------------------- correspondences wrapped unchecked
+
+def unchecked_correspondence(A, B, dim, pi_l, pi_r, name=""):
+    """An (A, B) Correspondence holding the stacks pi_l and pi_r read-only,
+    with no law checked and no table: a fixture for the dense readers, and
+    for corrupted actions the public constructor would refuse."""
+    H = object.__new__(Correspondence)
+    vars(H).update(left_algebra=A, right_algebra=B, dim=dim, name=name)
+    for key, units in (("pi_l_units", pi_l), ("pi_r_units", pi_r)):
+        view = np.asarray(units, dtype=np.complex128).view()
+        view.flags.writeable = False
+        vars(H)[key] = view
+    return H
+
+
+def dense_conjugate(H):
+    """H's conjugate entrywise, in H's basis: the left action of n is
+    conj(pi_r(n*)) and the right action of m conj(pi_l(m*)), both read off
+    H's stacks."""
+    A, B = H.left_algebra, H.right_algebra
+    return unchecked_correspondence(B, A, H.dim, np.conj(H.pi_r_units[B.adjoint_order]),
+                                    np.conj(H.pi_l_units[A.adjoint_order]),
+                                    f"conj({H.name})" if H.name else "")
 
 
 # ------------------------------------ reference constructions of x.ξ.y maps

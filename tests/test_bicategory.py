@@ -234,6 +234,28 @@ class TestWStarCoherence:
         with pytest.raises(NotComposable):
             verify_triangle(inst, H, H)
 
+    def test_hcomp_checks_the_legs_of_both_composites(self):
+        # K1 and K2 are one-dimensional and inequivalent: composites of L²
+        # with either have equal dimensions, so only the legs tell them apart
+        inst = WStarBicategory()
+        M2, CC = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((1, 1))
+        K1, K2 = (block_correspondence(M2, CC, t) for t in ([[1, 0]], [[0, 1]]))
+        L_M2, L_CC = inst.identity(M2), inst.identity(CC)
+        with_l = [inst.compose(L_M2, K) for K in (K1, K2)]
+        with_r = [inst.compose(K, L_CC) for K in (K1, K2)]
+        with pytest.raises(NotComposable, match="one right leg"):
+            inst.hcomp_left(inst.identity_2cell(L_M2), *with_l)
+        with pytest.raises(NotComposable, match="one left leg"):
+            inst.hcomp_right(*with_r, inst.identity_2cell(L_CC))
+        # one shared leg, but the 2-cell's target is not the other leg
+        with pytest.raises(NotComposable, match="one right leg"):
+            inst.hcomp_left(inst.identity_2cell(K1), with_r[0], with_r[1])
+        with pytest.raises(NotComposable, match="one left leg"):
+            inst.hcomp_right(with_l[0], with_l[1], inst.identity_2cell(K1))
+        # the legs of one composite pass, and the cell is the identity
+        cell = inst.hcomp_left(inst.identity_2cell(K1), with_r[0], with_r[0])
+        assert inst.cells_equal(cell, inst.identity_2cell(with_r[0].corr))[0]
+
     def test_chain_sampler_rejects_a_cap_below_the_length(self):
         rng = np.random.default_rng(0)
         with pytest.raises(CapExceeded):

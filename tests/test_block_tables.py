@@ -41,7 +41,7 @@ from moritalab.wstar import (
 )
 from moritalab.wstar.algebras import table_frames, table_stack, table_units
 
-from oracles import kron_block_units
+from oracles import kron_block_units, unchecked_correspondence
 
 CHAIN_PATTERNS = ((1,), (2,), (1, 1), (3,), (2, 1))
 
@@ -58,8 +58,8 @@ def _tables(seed: int, count: int):
 
 def _measured(H: Correspondence) -> Correspondence:
     """H's stacks without its table, so that its frames come from eigh."""
-    return Correspondence._lawful(H.left_algebra, H.right_algebra, H.dim,
-                                  H.pi_l_units, H.pi_r_units)
+    return unchecked_correspondence(H.left_algebra, H.right_algebra, H.dim,
+                                    H.pi_l_units, H.pi_r_units)
 
 
 def _projection(F: np.ndarray) -> np.ndarray:

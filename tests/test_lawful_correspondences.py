@@ -1,17 +1,16 @@
 """Differential law test of the lawful correspondences.
 
-Correspondences that the library builds lawful by construction
-(conjugates, block correspondences once their table has passed, fusion
-results, which are block correspondences of the product multiplicities,
-and L², whose units are exact index matrices)
-skip the law check when they are built.  This test records every such
+Every correspondence the library builds is a multiplicity table, lawful
+by construction (block correspondences once their table has passed,
+fusion results, the block correspondences of the product multiplicities,
+L², the identity table, and conjugates, the transposed table), and skips
+the law check when it is built.  This test records every such
 correspondence built on a corpus of inputs, with its builder, and re-runs
-the public ``Correspondence`` constructor on its unit stacks (a fusion
-result holds only its multiplicity table and writes them on first read).
-The unit images stored on the lawful path must equal the checked ones bit
-for bit, in the same dtype, and a correspondence carrying a table must
-have the multiplicities and frame projections that the checked one
-measures with eigh.  The corpus is the
+the public ``Correspondence`` constructor on its unit stacks, which each
+writes from its table on first read.  The unit images stored on the
+lawful path must equal the checked ones bit for bit, in the same dtype,
+and the table must be the multiplicities, with the frame projections,
+that the checked one measures with eigh.  The corpus is the
 wstar-morita benchmark inputs (M_n vs C for n = 2..6, the L² self-pairs,
 the two refutations, the unitor and balancing fusions), the 20 W*
 coherence-batch chains through pentagon, triangle and both naturality
@@ -55,8 +54,11 @@ from moritalab.wstar import (
     right_unitor,
     trace_state,
     twisted_balancing_residual,
+    unitary_intertwiner,
     vector_correspondence,
 )
+
+from oracles import dense_conjugate
 
 CHAIN_SEED = 20030301   # the coherence-batch chain shapes
 STATE_FLOOR = 0.05
@@ -76,8 +78,7 @@ def law_violations(obj) -> list[str]:
                 for a, b in zip(stored, fresh))
     if not same:
         return [f"{obj!r}: stored units differ from the checked ones"]
-    if obj.table is not None and not (
-            obj.multiplicities == checked.multiplicities == obj.table
+    if not (obj.multiplicities == checked.multiplicities == obj.table
             and all(np.allclose(np.einsum("sik,sjk->ij", F, F.conj()),
                                 np.einsum("sik,sjk->ij", E, E.conj()), rtol=0.0, atol=1e-12)
                     for rows in zip(obj.frames, checked.frames) for F, E in zip(*rows))):
@@ -167,27 +168,25 @@ def test_every_lawful_correspondence_passes_the_boundary_checks(built, tmp_path)
     assert violations(built) == []
 
 
-def _mutate(monkeypatch, builder, change):
-    """Let change(left, right, pi_l, pi_r) rewrite what builder hands _lawful."""
-    recording = Correspondence._lawful.__func__
+def test_the_check_finds_an_untransposed_conjugate(monkeypatch):
+    # a conjugate that keeps H's table is a lawful block correspondence of
+    # the wrong class: the certification's witness and the entrywise
+    # conjugate both refuse it.  H is a 3-cycle, so its table is square and
+    # not symmetric, and H fused with the mutated conjugate is the other 3-cycle
+    A, B = MultiMatrixAlgebra((1, 2, 3)), MultiMatrixAlgebra((3, 1, 2))
+    H = block_correspondence(A, B, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert certify_morita_equivalent(H).residual == 0.0
+    lawful = Correspondence._lawful.__func__
 
-    def mutated(cls, left, right, dim, pi_l=None, pi_r=None, name="", table=None):
-        if sys._getframe(1).f_code.co_name == builder:
-            pi_l, pi_r = change(left, right, list(pi_l), list(pi_r))
-        return recording(cls, left, right, dim, pi_l, pi_r, name, table)
-    monkeypatch.setattr(Correspondence, "_lawful", classmethod(mutated))
-
-
-def test_the_check_finds_an_unconjugated_conjugate(built, monkeypatch):
-    # undo the conjugation and the adjoint reordering: the conjugate then
-    # carries H's own actions with the sides swapped
-    _mutate(monkeypatch, "conjugate_correspondence",
-            lambda left, right, pi_l, pi_r: (
-                [np.conj(pi_l[u]) for u in left.adjoint_order],
-                [np.conj(pi_r[u]) for u in right.adjoint_order]))
-    with pytest.raises(RuntimeError):
-        certify_morita_equivalent(vector_correspondence(3))
-    assert [v for v in violations(built) if "homomorphism" in v]
+    def untransposed(cls, left, right, table, name=""):
+        if sys._getframe(1).f_code.co_name == "conjugate_correspondence":
+            table = tuple(zip(*table))
+        return lawful(cls, left, right, table, name)
+    monkeypatch.setattr(Correspondence, "_lawful", classmethod(untransposed))
+    assert conjugate_correspondence(H).table == H.table
+    with pytest.raises(RuntimeError, match="no unitary maps the fusion"):
+        certify_morita_equivalent(H)
+    assert unitary_intertwiner(dense_conjugate(H), conjugate_correspondence(H)) is None
 
 
 def test_the_check_finds_a_transposed_block_unit(built, monkeypatch):

@@ -38,7 +38,7 @@ from moritalab.wstar import (
     random_faithful_state,
     unitary_intertwiner,
 )
-from oracles import compressed_units, fusion_gram
+from oracles import compressed_units, fusion_gram, unchecked_correspondence
 from test_lawful_correspondences import _coherence_batch, _demos, _wstar_morita
 
 
@@ -60,7 +60,7 @@ def full_quotient(fus, std_N) -> Correspondence:
     q = gram_quotient(fusion_gram(H, K, std_N), scale=1.0)
     pi_l = [q.project @ np.kron(U, np.eye(K.dim)) @ q.section for U in H.pi_l_units]
     pi_r = [q.project @ np.kron(np.eye(H.dim), U) @ q.section for U in K.pi_r_units]
-    return Correspondence._lawful(H.left_algebra, K.right_algebra, q.rank, pi_l, pi_r)
+    return unchecked_correspondence(H.left_algebra, K.right_algebra, q.rank, pi_l, pi_r)
 
 
 def mismatches(fus, std_N) -> list[str]:

@@ -31,6 +31,7 @@ from oracles import (
     index_modular_tables,
     kron_block_units,
     product_lambdas,
+    unchecked_correspondence,
 )
 
 PATTERNS = ((1,), (2,), (1, 1), (2, 3), (1, 2, 2), (4,))
@@ -104,13 +105,13 @@ def test_l2_is_the_identity_block_correspondence(blocks):
 
 
 def _correspondences():
-    """A checked, a _lawful, a fused, a conjugate, an L² and a block one."""
+    """A checked, an unchecked, a fused, a conjugate, an L² and a block one."""
     A, B = MultiMatrixAlgebra((2, 1)), MultiMatrixAlgebra((2,))
     block = block_correspondence(A, B, [[1], [2]])
     checked = Correspondence(A, B, block.dim, list(block.pi_l_units),
                              list(block.pi_r_units))
-    lawful = Correspondence._lawful(A, B, block.dim, np.array(block.pi_l_units),
-                                    np.array(block.pi_r_units))
+    lawful = unchecked_correspondence(A, B, block.dim, np.array(block.pi_l_units),
+                                      np.array(block.pi_r_units))
     std = gns_standard_form(B, random_faithful_state(B, np.random.default_rng(5)))
     conjugate = conjugate_correspondence(block)
     fused = connes_fusion(block, conjugate, std).corr

@@ -27,6 +27,8 @@ from moritalab.wstar import (
     vector_correspondence,
 )
 
+from oracles import unchecked_correspondence
+
 M2 = MultiMatrixAlgebra((2,), name="M2")
 
 
@@ -256,7 +258,7 @@ class TestTheWitnessesBoundL2:
 
         def corrupted(std):
             L2 = build(std)
-            return Correspondence._lawful(
+            return unchecked_correspondence(
                 L2.left_algebra, L2.right_algebra, L2.dim, L2.pi_l_units,
                 change(np.stack(L2.pi_r_units)), L2.name)
         monkeypatch.setattr(morita_module, "identity_correspondence", corrupted)
