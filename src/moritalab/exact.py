@@ -4,12 +4,18 @@ Everything in this module is exact and deterministic.  The ring side has
 one storage: an ``IntegerMatrix`` wraps one object-dtype numpy array of
 arbitrary-precision Python integers, and products, Kronecker products,
 block sums and reductions are array expressions on it.  Smith normal
-form pivots one scalar at a time on a private list copy, with a fixed
+form pivots one scalar at a time on sparse rows, each a dict of its
+nonzero entries, and swaps columns by relabelling them, with a fixed
 rule (smallest absolute value, ties broken by lowest (row, col)), so
 group presentations derived from it are reproducible across runs.  The
-last pivot is a floor: every entry left to eliminate is a multiple of
-it, so the pivot search stops at the first entry of that size and the
-divisibility scan runs only for a pivot above it, with the same pivots.
+relation matrices it sees are almost all zeros, so each operation
+touches only the nonzeros of the rows it reads; a caller that builds its
+relations entry by entry passes them as ``SparseRows``, and ``cokernel``
+and ``solve_congruences`` append the moduli to those rows.  The last
+pivot is a floor: every entry left to eliminate is a multiple of it, so
+the pivot search stops at the first row holding an entry of that size
+and the divisibility scan runs only for a pivot above it, with the same
+pivots.
 Downstream code leans on that: quotient presentations, solution lattices
 and hom bases all come out of the functions here.  Each caller tracks only
 the transforms it reads (U and U^-1 for cokernels and lattice bases, U
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,7 +218,42 @@ class SmithDecomposition:
         return self.V @ IntegerMatrix.adopt(W)
 
 
-def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
+class SparseRows(NamedTuple):
+    """An integer matrix by its nonzero entries: entries[i] maps column j to A[i][j].
+
+    The ring side's relation matrices are almost all zeros.  A caller that
+    builds one entry by entry hands it to ``smith_normal_form``,
+    ``cokernel`` or ``solve_congruences`` in this form, and no dense
+    array is made.  Keys lie in range(cols) and values are Python ints;
+    the library builds these itself, so they are not checked.  The rows
+    are read, never written.
+    """
+
+    entries: Sequence[dict[int, int]]
+    cols: int
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+
+def _nonzero_rows(A: IntegerMatrix | SparseRows) -> list[dict[int, int]]:
+    """A fresh copy of A's rows, each a dict of its nonzero entries."""
+    if isinstance(A, SparseRows):
+        return [{j: v for j, v in row.items() if v} for row in A.entries]
+    return [{j: v for j, v in enumerate(row) if v} for row in A.array.tolist()]
+
+
+def _dense(rows: list[dict[int, int]], size: int) -> np.ndarray:
+    """The (len(rows), size) object array of dict rows."""
+    out = np.zeros((len(rows), size), dtype=object)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[i, c] = v
+    return out
+
+
+def smith_normal_form(A: IntegerMatrix | SparseRows, track_V: bool = True,
                       track_U_inv: bool = True) -> SmithDecomposition:
     """Smith normal form with tracked transforms and the inverse of U.
 
@@ -223,144 +264,143 @@ def smith_normal_form(A: IntegerMatrix, track_V: bool = True,
     returned with U = V = I.  A caller that never reads V or U_inv can
     skip tracking it, and gets None in its place.
 
+    The working copy of A, U, U^-1 and V are sparse rows, each a dict of
+    its nonzero entries (U^-1 and V by their transposes, so a column
+    operation on either is one row update).  A column swap of A only
+    relabels: ``col[j]`` is the stored column at position j and
+    ``pos[c]`` the position of stored column c, and (row, col) above is
+    (row, position).  Each operation touches the nonzeros of the rows it
+    reads, and the pivots, U, D, V and U^-1 are those of the same
+    elimination on a dense copy.
+
     The last pivot is a floor (1 at the start): after step t every entry
     of the trailing block is a multiple of p_t, since the divisibility
     scan has just shown it or p_t equals the previous floor, and each
     operation of the step (swaps, the negation, subtracting multiples of
     a row or column of multiples of p_t) keeps that.  So the search stops
-    at the first entry equal to the floor in row-major order, the one the
-    full search picks, and a pivot equal to the floor skips the scan,
-    which would find nothing: the operations, and U, D, V and U^-1, stay.
+    after the first row holding an entry equal to the floor, whose
+    leftmost such entry the full search picks, and a pivot equal to the
+    floor skips the scan, which would find nothing.
     """
-    m, n = A.rows, A.cols
-    D = A.array.tolist()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    # U_inv and V are kept transposed, so a column operation on either is
-    # one row update; an untracked one is an empty list and never touched
-    UinvT = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_U_inv else []
-    VT = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_V else []
+    D = _nonzero_rows(A)
+    m, n = len(D), A.cols
+    U = [{i: 1} for i in range(m)]
+    UinvT = [{i: 1} for i in range(m)] if track_U_inv else None
+    VT = [{j: 1} for j in range(n)] if track_V else None
+    col = list(range(n))
+    pos = list(range(n))
 
-    def add_row(rows: list[list[int]], j: int, i: int, q: int) -> None:
-        # rows[j] += q * rows[i]
-        if rows:
-            rows[j] = [a + q * b for a, b in zip(rows[j], rows[i])]
-
-    def swap_rows(rows: list[list[int]], i: int, j: int) -> None:
-        if rows:
-            rows[i], rows[j] = rows[j], rows[i]
+    def add(rows: list[dict[int, int]] | None, j: int, i: int, q: int) -> None:
+        # rows[j] += q * rows[i] for q != 0, dropping entries that cancel
+        if rows is None:
+            return
+        dst = rows[j]
+        for c, v in rows[i].items():
+            w = dst.get(c, 0) + q * v
+            if w:
+                dst[c] = w
+            else:
+                del dst[c]
 
     def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j; inverse transform gains column_j += q * column_i
-        if not q:
-            return
-        Di, Dj = D[i], D[j]
-        for c in range(n):
-            Di[c] -= q * Dj[c]
-        Ui, Uj = U[i], U[j]
-        for c in range(m):
-            Ui[c] -= q * Uj[c]
-        add_row(UinvT, j, i, q)
-
-    def col_sub(j: int, q: int) -> None:
-        # col_j -= q * col_t; only called once the row pass has cleared
-        # column t below the pivot, and rows above t are zero from column t
-        # on, so D changes in row t alone
-        if q:
-            D[t][j] -= q * D[t][t]
-            add_row(VT, j, t, -q)
+        # row_i -= q * row_j; the inverse transform gains column_j += q * column_i
+        add(D, i, j, -q)
+        add(U, i, j, -q)
+        add(UinvT, j, i, q)
 
     def row_swap(i: int, j: int) -> None:
-        if i == j:
-            return
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        swap_rows(UinvT, i, j)
+        if i != j:
+            for rows in (D, U, UinvT):
+                if rows is not None:
+                    rows[i], rows[j] = rows[j], rows[i]
 
     def col_swap(j: int) -> None:
-        # rows above t are zero in both columns
-        if j == t:
-            return
-        for r in range(t, m):
-            D[r][t], D[r][j] = D[r][j], D[r][t]
-        swap_rows(VT, t, j)
-
-    def row_negate(i: int) -> None:
-        D[i] = [-v for v in D[i]]
-        U[i] = [-v for v in U[i]]
-        if UinvT:
-            UinvT[i] = [-v for v in UinvT[i]]
+        # rows above t are zero at positions t and j, so relabelling is the swap
+        if j != t:
+            a, b = col[t], col[j]
+            col[t], col[j], pos[a], pos[b] = b, a, j, t
+            if VT is not None:
+                VT[t], VT[j] = VT[j], VT[t]
 
     t = 0
     bound = min(m, n)
     floor = 1  # every entry of the trailing block is a multiple of floor
     while t < bound:
-        best = None
+        best = bi = bj = 0  # |pivot|, its row and position; best 0 is none yet
         for i in range(t, m):
-            row = D[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == floor:
-                            break
-            if best is not None and best[0] == floor:
+            for c, v in D[i].items():
+                a = v if v > 0 else -v
+                if not best or a < best or (a == best and i == bi and pos[c] < bj):
+                    best, bi, bj = a, i, pos[c]
+            if best == floor:
                 break
-        if best is None:
+        if not best:
             break
-        row_swap(t, best[1])
-        col_swap(best[2])
-        if D[t][t] < 0:
-            row_negate(t)
+        row_swap(t, bi)
+        col_swap(bj)
+        ct = col[t]
+        if D[t][ct] < 0:
+            for rows in (D, U, UinvT):
+                if rows is not None:
+                    rows[t] = {c: -v for c, v in rows[t].items()}
 
         while True:
+            p = D[t][ct]
             restarted = False
-            for i in range(t + 1, m):
-                v = D[i][t]
-                if v:
-                    row_sub(i, t, v // D[t][t])
-                    if D[i][t]:
-                        row_swap(t, i)  # remainder is a strictly smaller pivot
-                        restarted = True
-                        break
+            # a row operation changes only the row it updates, so the rows
+            # holding column t are found once per pass
+            for i in [i for i in range(t + 1, m) if ct in D[i]]:
+                v = D[i][ct]
+                q = v // p
+                if q:
+                    row_sub(i, t, q)
+                if v - q * p:
+                    row_swap(t, i)  # remainder is a strictly smaller pivot
+                    restarted = True
+                    break
             if restarted:
                 continue
-            for j in range(t + 1, n):
-                v = D[t][j]
-                if v:
-                    col_sub(j, v // D[t][t])
-                    if D[t][j]:
-                        col_swap(j)
-                        restarted = True
-                        break
+            # column t is clear below the pivot and rows above t are zero
+            # from position t on, so a column operation changes row t alone
+            Dt = D[t]
+            for c in sorted(Dt, key=pos.__getitem__)[1:]:
+                v = Dt[c]
+                q = v // p
+                r = v - q * p
+                if q:
+                    if r:
+                        Dt[c] = r
+                    else:
+                        del Dt[c]
+                    add(VT, pos[c], t, -q)
+                if r:
+                    col_swap(pos[c])
+                    ct = col[t]
+                    restarted = True
+                    break
             if restarted:
                 continue
-            p = D[t][t]
             offender = None
             if p != floor:
                 for i in range(t + 1, m):
-                    row = D[i]
-                    for j in range(t + 1, n):
-                        if row[j] % p:
-                            offender = i
-                            break
-                    if offender is not None:
+                    if any(v % p for v in D[i].values()):
+                        offender = i
                         break
             if offender is None:
                 break
             row_sub(t, offender, -1)  # fold the offending row in, shrink the pivot gcd
-        floor = D[t][t]
+        floor = D[t][ct]
         t += 1
 
-    def wrap(lists: list[list[int]], rows: int, cols: int) -> IntegerMatrix:
-        return IntegerMatrix.adopt(np.array(lists, dtype=object).reshape(rows, cols))
+    diagonal = np.zeros((m, n), dtype=object)
+    for s in range(t):
+        diagonal[s, s] = D[s][col[s]]
 
-    def untranspose(lists: list[list[int]], size: int, tracked: bool) -> IntegerMatrix | None:
-        return IntegerMatrix.adopt(wrap(lists, size, size).array.T) if tracked else None
+    def untranspose(rows: list[dict[int, int]] | None, size: int) -> IntegerMatrix | None:
+        return None if rows is None else IntegerMatrix.adopt(_dense(rows, size).T)
 
-    return SmithDecomposition(wrap(U, m, m), wrap(D, m, n), untranspose(VT, n, track_V),
-                              untranspose(UinvT, m, track_U_inv))
+    return SmithDecomposition(IntegerMatrix.adopt(_dense(U, m)), IntegerMatrix.adopt(diagonal),
+                              untranspose(VT, n), untranspose(UinvT, m))
 
 
 def as_int(value) -> int:
@@ -492,16 +532,17 @@ def _scaled_columns(M: IntegerMatrix, scales: Sequence[int]) -> IntegerMatrix:
     return IntegerMatrix.adopt(M.array[:, keep] * np.array([scales[i] for i in keep], dtype=object))
 
 
-def _with_moduli(A: IntegerMatrix, moduli: Sequence[int]) -> IntegerMatrix:
-    """[A | diag(moduli)]: A's columns followed by one modulus relation per row."""
-    n, m = A.rows, A.cols
-    out = np.zeros((n, m + n), dtype=object)
-    out[:, :m] = A.array
-    out[range(n), range(m, m + n)] = moduli
-    return IntegerMatrix.adopt(out)
+def _relations(A: IntegerMatrix | SparseRows, moduli: Sequence[int]) -> SparseRows:
+    """[A | diag(moduli)] as sparse rows: row i gains moduli[i] in column A.cols + i."""
+    rows = _nonzero_rows(A)
+    for i, d in enumerate(moduli):
+        if d:
+            rows[i][A.cols + i] = d
+    return SparseRows(rows, A.cols + len(rows))
 
 
-def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGroup, CokernelProjection]:
+def cokernel(A: IntegerMatrix | SparseRows,
+             moduli: Sequence[int]) -> tuple[FiniteAbelianGroup, CokernelProjection]:
     """Present ``Z^n / (col_span(A) + diag(moduli) Z^n)`` canonically.
 
     ``moduli`` has length n; zero entries are free directions.  Raises
@@ -510,7 +551,7 @@ def cokernel(A: IntegerMatrix, moduli: Sequence[int]) -> tuple[FiniteAbelianGrou
     n = A.rows
     if len(moduli) != n:
         raise ValueError("moduli length must match the ambient dimension")
-    dec = smith_normal_form(_with_moduli(A, moduli), track_V=False)
+    dec = smith_normal_form(_relations(A, moduli), track_V=False)
     diag = dec.diagonal()
     diag = diag + [0] * (n - len(diag))
     if any(d == 0 for d in diag):
@@ -548,7 +589,7 @@ class CongruenceSolution:
         return self.lattice[0]
 
 
-def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
+def solve_congruences(A: IntegerMatrix | SparseRows, moduli: Sequence[int],
                       b: Sequence[int] | IntegerMatrix) -> CongruenceSolution:
     """Solve ``A x = b (mod moduli)`` row-wise over the integers.
 
@@ -561,7 +602,7 @@ def solve_congruences(A: IntegerMatrix, moduli: Sequence[int],
     rows = b.rows if isinstance(b, IntegerMatrix) else len(b)
     if len(moduli) != n or rows != n:
         raise ValueError("system shape mismatch")
-    dec = smith_normal_form(_with_moduli(A, moduli), track_U_inv=False)
+    dec = smith_normal_form(_relations(A, moduli), track_U_inv=False)
     z = dec.solve(b)
     if z is None:
         raise NoSolution("no integer solution")

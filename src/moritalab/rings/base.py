@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,18 +93,29 @@ def reduced_stack(stack: np.ndarray, factors: Sequence[int]) -> np.ndarray:
     return _reduced(stack, moduli_column(factors))
 
 
-def kron_differences(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X[g] (x) 1 - 1 (x) Y[g] for every g, as one (k, a b, a b) array.
+def kron_difference_columns(X: np.ndarray, Y: np.ndarray) -> Iterator[tuple[int, dict[int, int]]]:
+    """The columns of X[g] (x) 1 - 1 (x) Y[g] that hold an entry, g first, as dicts.
 
     X is (k, a, a) and Y is (k, b, b), both exact (object dtype); row and
-    column (i, j) sit at i * b + j, the pair index of ``kron``.
+    column (i, j) sit at i * b + j, the pair index of ``kron``.  Each
+    column comes with its index g * a * b + i * b + j in the stacked
+    columns.  Column (i', j') holds X[g, i, i'] at (i, j') and
+    -Y[g, j, j'] at (i', j), so only the nonzeros of X and Y are read; a
+    column they miss is skipped, and an entry that cancels stays as 0.
     """
-    k, a, b = len(X), X.shape[1], Y.shape[1]
-    D = np.zeros((k, a, b, a, b), dtype=object)
-    # D[g, i, j, i', j'] = X[g, i, i'] [j = j'] - [i = i'] Y[g, j, j']
-    D[:, :, np.arange(b), :, np.arange(b)] = X
-    D[:, np.arange(a), :, np.arange(a), :] -= Y
-    return D.reshape(k, a * b, a * b)
+    a, b = X.shape[1], Y.shape[1]
+    for g, (Xg, Yg) in enumerate(zip(X.tolist(), Y.tolist())):
+        x_cols = [[(i * b, v) for i, v in enumerate(c) if v] for c in zip(*Xg)]
+        y_cols = [[(j, v) for j, v in enumerate(c) if v] for c in zip(*Yg)]
+        for i_, xc in enumerate(x_cols):
+            base = (g * a + i_) * b
+            for j_, yc in enumerate(y_cols):
+                if xc or yc:
+                    col = {r + j_: v for r, v in xc}
+                    for j, v in yc:
+                        r = i_ * b + j
+                        col[r] = col.get(r, 0) - v
+                    yield base + j_, col
 
 
 def _intertwined(X: np.ndarray, A: np.ndarray, B: np.ndarray, f: np.ndarray) -> bool:

@@ -13,8 +13,8 @@ lambda_i @ rho_j with rho_j @ lambda_i (int64, or object dtype past the
 overflow guard described in ``base``), one left generator against all
 right ones at a time.  A map must be a group map of the carriers
 (``is_group_map``) that intertwines the actions on its tagged sides
-(``intertwines``).  As the stacks are read-only, each bimodule casts them
-to its carrier's ``law_dtype`` once, for both checks.
+(``intertwines``).  Each check casts the exact stacks to its
+``law_dtype`` when it runs; a bimodule keeps no cast copy.
 
 Validation happens once, at the boundary: ``Bimodule(...)`` takes one
 ``IntegerMatrix`` per generator on each side, stacks them once and
@@ -39,8 +39,6 @@ reuse the same class with ``sides=("right",)`` or ``("left",)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +59,6 @@ from .base import (
     cyclic_ring,
     intertwines,
     is_group_map,
-    law_dtype,
     matrices_congruent,
     matrix_ring,
     reduced_stack,
@@ -96,8 +93,7 @@ class Bimodule:
                 raise ValueError(f"{side} action is not {law}")
             stack.flags.writeable = False
             object.__setattr__(self, f"{side}_action", stack)
-        law = self._law_stacks
-        if not stacks_commute(law["left"], law["right"], fs):
+        if not stacks_commute(self.left_action, self.right_action, fs):
             raise ValueError("left and right actions do not commute")
 
     @classmethod
@@ -112,15 +108,6 @@ class Bimodule:
         vars(B).update(left_ring=left_ring, right_ring=right_ring, carrier=carrier,
                        left_action=left, right_action=right, name=name)
         return B
-
-    @cached_property
-    def _law_stacks(self) -> dict[str, np.ndarray]:
-        """Each side's stack at its carrier's law_dtype, cast once: any wider
-        dtype a check picks is exact from it, and an int64 one reads it uncopied."""
-        fs = self.carrier.invariant_factors
-        dtype = law_dtype(len(fs), lcm(*fs))
-        return {side: getattr(self, f"{side}_action").astype(dtype, copy=False)
-                for side in BOTH_SIDES}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bimodule):
@@ -171,8 +158,8 @@ class BimoduleMap:
                 continue
             if getattr(src, f"{side}_ring") != getattr(tgt, f"{side}_ring"):
                 raise RingMismatch(f"{side} rings differ")
-            if not intertwines(self.matrix, src._law_stacks[side],
-                               tgt._law_stacks[side], sfs, tfs):
+            if not intertwines(self.matrix, getattr(src, f"{side}_action"),
+                               getattr(tgt, f"{side}_action"), sfs, tfs):
                 raise ValueError(f"map does not intertwine the {side} action")
 
     @classmethod

@@ -12,6 +12,7 @@ modules over 2x2 matrix rings).
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Callable, Sequence
 
 from ..exact import FiniteAbelianGroup, IntegerMatrix, cokernel
@@ -196,7 +197,11 @@ def tensor_oracle_corpus() -> list[tuple[Bimodule, Bimodule]]:
 # --------------------------------------------------- coherence sampler
 
 class CoherencePool:
-    """Ring pool plus atom builders for composable bimodule sampling."""
+    """Ring pool plus atom builders for composable bimodule sampling.
+
+    Each atom is built, and so validated, at most once per pool: on its
+    first draw, after which every draw returns the same bimodule.
+    """
 
     def __init__(self):
         self.rings: list[FiniteRing] = []
@@ -204,7 +209,7 @@ class CoherencePool:
         self._build()
 
     def _add_atom(self, i: int, j: int, builder: Callable[[], Bimodule]):
-        self.atoms.setdefault((i, j), []).append(builder)
+        self.atoms.setdefault((i, j), []).append(cache(builder))
 
     def _build(self):
         Z2 = cyclic_ring(2)

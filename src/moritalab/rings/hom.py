@@ -25,11 +25,12 @@ from ..exact import (
     FiniteAbelianGroup,
     IntegerMatrix,
     SmithDecomposition,
+    SparseRows,
     cokernel,
     smith_normal_form,
     solve_congruences,
 )
-from .base import FiniteRing, kron_differences
+from .base import FiniteRing, kron_difference_columns
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap
 
 
@@ -108,21 +109,24 @@ def hom_group(M: Bimodule, N: Bimodule, side: str = "right") -> HomGroup:
 
     # X[i][j] sits at i * ns + j; each variable first carries its order
     row_moduli = [cT[i] for i in range(nt) for _ in range(ns)]
-    orders = np.diag(np.array([cS[v % ns] for v in range(nvars)], dtype=object))
+    rows = [{v: cS[v % ns]} for v in range(nvars)]
+    moduli = list(row_moduli)
     # X @ As = At @ X entry-wise: the rows of 1 (x) As^T - At (x) 1 on X,
-    # right actions first.  Moving row k of As by ord(src_k), or row i of
-    # At by ord(tgt_i), moves X @ As - At @ X by a multiple of ord(tgt_i)
-    # in row i, so each action row is read modulo its order (the reduced
-    # stacks of the bimodules); unreduced entries would only feed
-    # coefficient growth to the Smith form.
+    # right actions first, which are the columns of At^T (x) 1 - 1 (x) As
+    # negated.  Moving row k of As by ord(src_k), or row i of At by
+    # ord(tgt_i), moves X @ As - At @ X by a multiple of ord(tgt_i) in row
+    # i, so each action row is read modulo its order (the reduced stacks of
+    # the bimodules); unreduced entries would only feed coefficient growth
+    # to the Smith form.  A row that cancels to zero is dropped.
     order = [s for s in ("right", "left") if s in sides]
     src = np.concatenate([getattr(M, f"{s}_action") for s in order])
     tgt = np.concatenate([getattr(N, f"{s}_action") for s in order])
-    D = -kron_differences(tgt, src.transpose(0, 2, 1)).reshape(len(src) * nvars, nvars)
-    live = (D != 0).any(axis=1)
-    moduli = row_moduli + [d for d, keep in zip(row_moduli * len(src), live) if keep]
-    A = IntegerMatrix.adopt(np.vstack([orders, D[live]]))
-    K, K_snf = solve_congruences(A, moduli, [0] * len(moduli)).lattice
+    for k, col in kron_difference_columns(tgt.transpose(0, 2, 1), src):
+        row = {c: -v for c, v in col.items() if v}
+        if row:
+            rows.append(row)
+            moduli.append(row_moduli[k % nvars])
+    K, K_snf = solve_congruences(SparseRows(rows, nvars), moduli, [0] * len(moduli)).lattice
 
     K0_in_K = K_snf.solve(IntegerMatrix.adopt(np.diag(np.array(row_moduli, dtype=object))))
     if K0_in_K is None:

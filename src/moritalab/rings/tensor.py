@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NotBalanced, RingMismatch
-from ..exact import CokernelProjection, IntegerMatrix, cokernel, kron_apply
-from .base import kron_differences
+from ..exact import CokernelProjection, IntegerMatrix, SparseRows, cokernel, kron_apply
+from .base import kron_difference_columns
 from .bimodules import BOTH_SIDES, Bimodule, BimoduleMap, regular_bimodule
 
 
@@ -62,7 +62,6 @@ class TensorProduct:
 def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     if M.right_ring != N.left_ring:
         raise RingMismatch("middle rings differ, cannot balance the tensor")
-    S = M.right_ring
     nM, nN = M.rank, N.rank
     cM = M.carrier.invariant_factors
     cN = N.carrier.invariant_factors
@@ -73,11 +72,18 @@ def tensor_product(M: Bimodule, N: Bimodule, name: str = "") -> TensorProduct:
     # zero.  Relations only matter modulo the pair orders, which the
     # lattice holds; the pair order of (k, l) divides ord e_k and ord f_l,
     # so rho_g and lambda_g may be read modulo their row orders first.
-    D = kron_differences(M.right_action, N.left_action)
-    cols = D.transpose(0, 2, 1).reshape(S.rank * amb, amb) % np.array(moduli, dtype=object)
-    rel_cols = list(dict.fromkeys(map(tuple, cols[(cols != 0).any(axis=1)].tolist())))
-    relations = IntegerMatrix.adopt(np.array(rel_cols, dtype=object).reshape(len(rel_cols), amb).T)
-    group, proj = cokernel(relations, list(moduli))
+    # Each distinct nonzero column is kept once, at its first (g, i, j),
+    # and enters the presentation by its entries.
+    relations: dict[frozenset[tuple[int, int]], None] = {}
+    for _, col in kron_difference_columns(M.right_action, N.left_action):
+        key = frozenset([(r, v % moduli[r]) for r, v in col.items() if v % moduli[r]])
+        if key:
+            relations[key] = None
+    rows: list[dict[int, int]] = [{} for _ in range(amb)]
+    for k, col in enumerate(relations):
+        for r, v in col:
+            rows[r][k] = v
+    group, proj = cokernel(SparseRows(rows, len(relations)), list(moduli))
     r = group.rank
     sec = proj.section_matrix.array.reshape(nM, nN, r)
 

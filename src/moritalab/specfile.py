@@ -9,6 +9,11 @@ any violation surfaces as SpecError with the offending definition named.
 Top-level keys: "rings", "bimodules", "algebras", "states",
 "correspondences" (each a name -> definition map) and "tasks" (a list).
 Tasks reference definitions by name; unresolved references fail at load.
+A correspondence is either its multiplicity table, {"left", "right",
+"table"}, loaded through ``block_correspondence`` (a "dim" beside it must
+be the table's), or dense unit matrices, {"left", "right", "dim",
+"pi_l", "pi_r"}, loaded through the checked constructor.  A
+correspondence that carries a table is written as its table.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .exact import FiniteAbelianGroup, IntegerMatrix
 from .rings.base import FiniteRing
 from .rings.bimodules import Bimodule
 from .wstar.algebras import MultiMatrixAlgebra, State
-from .wstar.correspondences import Correspondence
+from .wstar.correspondences import Correspondence, block_correspondence
 
 
 @dataclass(frozen=True)
@@ -164,9 +169,15 @@ def _correspondence(name: str, d: dict, where: str,
     if A is None or B is None:
         missing = d["left"] if A is None else d["right"]
         raise _fail(where, f"unknown algebra {missing!r}")
-    dim = d["dim"]
-    if not _is_int(dim) or dim < 0:
-        raise _fail(where, "dim must be a nonnegative integer")
+    if "dim" in d or "table" not in d:
+        dim = d["dim"]
+        if not _is_int(dim) or dim < 0:
+            raise _fail(where, "dim must be a nonnegative integer")
+    if "table" in d:
+        H = block_correspondence(A, B, _int_matrix(d["table"], where).tolist(), name=name)
+        if d.get("dim", H.dim) != H.dim:
+            raise _fail(where, f"dim {d['dim']} is not the table's dimension {H.dim}")
+        return H
     pl = d["pi_l"]
     pr = d["pi_r"]
     if not isinstance(pl, list) or not isinstance(pr, list):
@@ -317,13 +328,16 @@ def _encode_state(name: str, s: State, algebra_names: dict) -> dict:
 def _encode_correspondence(name: str, H: Correspondence,
                            algebra_names: dict) -> dict:
     where = f"correspondence {name!r}"
-    return {
+    doc = {
         "left": _lookup(algebra_names, H.left_algebra, where, "algebra"),
         "right": _lookup(algebra_names, H.right_algebra, where, "algebra"),
-        "dim": H.dim,
-        "pi_l": [encode_complex_matrix(U) for U in H.pi_l_units],
-        "pi_r": [encode_complex_matrix(U) for U in H.pi_r_units],
     }
+    if H.table is not None:
+        doc["table"] = [list(row) for row in H.table]
+        return doc
+    doc.update(dim=H.dim, pi_l=[encode_complex_matrix(U) for U in H.pi_l_units],
+               pi_r=[encode_complex_matrix(U) for U in H.pi_r_units])
+    return doc
 
 
 def serialize_spec(spec: SpecFile) -> dict:

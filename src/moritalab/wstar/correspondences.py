@@ -352,7 +352,7 @@ def identity_correspondence(std: StandardFormData) -> Correspondence:
 
 
 def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
-                         mult) -> Correspondence:
+                         mult, name: str = "") -> Correspondence:
     """The (A, B)-correspondence with mult[b][c] copies of C^{n_b x m_c}.
 
     Basis order: (block pair (b, c), copy k, row i, col j), rows fastest
@@ -367,7 +367,7 @@ def block_correspondence(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
     table = tuple(tuple(as_int(m) for m in row) for row in mult)
     if any(m < 0 for row in table for m in row):
         raise ValueError("multiplicities must be nonnegative")
-    return Correspondence._lawful(A, B, table)
+    return Correspondence._lawful(A, B, table, name=name)
 
 
 def vector_correspondence(n: int) -> Correspondence:

@@ -3,7 +3,9 @@
 Everything on the ring side avoids the library's Smith-normal-form path:
 quotients are computed by enumerating finite ambient groups and
 reconstructing invariant factors from element-order counts, and
-determinants by fraction-free elimination.  On the analytic side the
+determinants by fraction-free elimination.  The dense Smith elimination
+and the dense relation stacks the library used before it went sparse
+are kept here as the references its sparse rows must reproduce.  On the analytic side the
 modular data of a standard form come from a numerical polar
 decomposition of S, the reference for the library's closed form, the
 maps ξ -> x.ξ.y from the broadcasts, Kronecker products and stacked
@@ -23,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from moritalab.errors import Singular
-from moritalab.exact import IntegerMatrix
+from moritalab.exact import IntegerMatrix, SmithDecomposition
 from moritalab.numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
@@ -461,3 +463,173 @@ def rejection_sampled_state(A, rng: np.random.Generator, floor: float):
         if float(np.min(np.linalg.eigvalsh(rho))) >= floor:
             return rho
     return None
+
+
+# The dense relation stacks the tensor and hom builders read before they
+# took the nonzeros of each column (rings.base.kron_difference_columns).
+def kron_differences(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X[g] (x) 1 - 1 (x) Y[g] for every g, as one (k, a b, a b) array.
+
+    X is (k, a, a) and Y is (k, b, b), both exact (object dtype); row and
+    column (i, j) sit at i * b + j, the pair index of ``kron``.
+    """
+    k, a, b = len(X), X.shape[1], Y.shape[1]
+    D = np.zeros((k, a, b, a, b), dtype=object)
+    # D[g, i, j, i', j'] = X[g, i, i'] [j = j'] - [i = i'] Y[g, j, j']
+    D[:, :, np.arange(b), :, np.arange(b)] = X
+    D[:, np.arange(a), :, np.arange(a), :] -= Y
+    return D.reshape(k, a * b, a * b)
+
+
+# The Smith normal form on dense Python lists, as the library computed it
+# before its rows went sparse: the reference the sparse elimination must
+# match entry for entry, kept verbatim.
+def dense_smith_normal_form(A: IntegerMatrix, track_V: bool = True,
+                      track_U_inv: bool = True) -> SmithDecomposition:
+    """Smith normal form with tracked transforms and the inverse of U.
+
+    The diagonal of D is nonnegative and satisfies d_1 | d_2 | ... with
+    zeros last.  Pivot choice is the smallest nonzero absolute value in
+    the trailing submatrix, ties broken by the lowest (row, col), which
+    makes the output deterministic.  A matrix already in Smith form is
+    returned with U = V = I.  A caller that never reads V or U_inv can
+    skip tracking it, and gets None in its place.
+
+    The last pivot is a floor (1 at the start): after step t every entry
+    of the trailing block is a multiple of p_t, since the divisibility
+    scan has just shown it or p_t equals the previous floor, and each
+    operation of the step (swaps, the negation, subtracting multiples of
+    a row or column of multiples of p_t) keeps that.  So the search stops
+    at the first entry equal to the floor in row-major order, the one the
+    full search picks, and a pivot equal to the floor skips the scan,
+    which would find nothing: the operations, and U, D, V and U^-1, stay.
+    """
+    m, n = A.rows, A.cols
+    D = A.array.tolist()
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    # U_inv and V are kept transposed, so a column operation on either is
+    # one row update; an untracked one is an empty list and never touched
+    UinvT = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track_U_inv else []
+    VT = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track_V else []
+
+    def add_row(rows: list[list[int]], j: int, i: int, q: int) -> None:
+        # rows[j] += q * rows[i]
+        if rows:
+            rows[j] = [a + q * b for a, b in zip(rows[j], rows[i])]
+
+    def swap_rows(rows: list[list[int]], i: int, j: int) -> None:
+        if rows:
+            rows[i], rows[j] = rows[j], rows[i]
+
+    def row_sub(i: int, j: int, q: int) -> None:
+        # row_i -= q * row_j; inverse transform gains column_j += q * column_i
+        if not q:
+            return
+        Di, Dj = D[i], D[j]
+        for c in range(n):
+            Di[c] -= q * Dj[c]
+        Ui, Uj = U[i], U[j]
+        for c in range(m):
+            Ui[c] -= q * Uj[c]
+        add_row(UinvT, j, i, q)
+
+    def col_sub(j: int, q: int) -> None:
+        # col_j -= q * col_t; only called once the row pass has cleared
+        # column t below the pivot, and rows above t are zero from column t
+        # on, so D changes in row t alone
+        if q:
+            D[t][j] -= q * D[t][t]
+            add_row(VT, j, t, -q)
+
+    def row_swap(i: int, j: int) -> None:
+        if i == j:
+            return
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+        swap_rows(UinvT, i, j)
+
+    def col_swap(j: int) -> None:
+        # rows above t are zero in both columns
+        if j == t:
+            return
+        for r in range(t, m):
+            D[r][t], D[r][j] = D[r][j], D[r][t]
+        swap_rows(VT, t, j)
+
+    def row_negate(i: int) -> None:
+        D[i] = [-v for v in D[i]]
+        U[i] = [-v for v in U[i]]
+        if UinvT:
+            UinvT[i] = [-v for v in UinvT[i]]
+
+    t = 0
+    bound = min(m, n)
+    floor = 1  # every entry of the trailing block is a multiple of floor
+    while t < bound:
+        best = None
+        for i in range(t, m):
+            row = D[i]
+            for j in range(t, n):
+                v = row[j]
+                if v:
+                    a = -v if v < 0 else v
+                    if best is None or a < best[0]:
+                        best = (a, i, j)
+                        if a == floor:
+                            break
+            if best is not None and best[0] == floor:
+                break
+        if best is None:
+            break
+        row_swap(t, best[1])
+        col_swap(best[2])
+        if D[t][t] < 0:
+            row_negate(t)
+
+        while True:
+            restarted = False
+            for i in range(t + 1, m):
+                v = D[i][t]
+                if v:
+                    row_sub(i, t, v // D[t][t])
+                    if D[i][t]:
+                        row_swap(t, i)  # remainder is a strictly smaller pivot
+                        restarted = True
+                        break
+            if restarted:
+                continue
+            for j in range(t + 1, n):
+                v = D[t][j]
+                if v:
+                    col_sub(j, v // D[t][t])
+                    if D[t][j]:
+                        col_swap(j)
+                        restarted = True
+                        break
+            if restarted:
+                continue
+            p = D[t][t]
+            offender = None
+            if p != floor:
+                for i in range(t + 1, m):
+                    row = D[i]
+                    for j in range(t + 1, n):
+                        if row[j] % p:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+            if offender is None:
+                break
+            row_sub(t, offender, -1)  # fold the offending row in, shrink the pivot gcd
+        floor = D[t][t]
+        t += 1
+
+    def wrap(lists: list[list[int]], rows: int, cols: int) -> IntegerMatrix:
+        return IntegerMatrix.adopt(np.array(lists, dtype=object).reshape(rows, cols))
+
+    def untranspose(lists: list[list[int]], size: int, tracked: bool) -> IntegerMatrix | None:
+        return IntegerMatrix.adopt(wrap(lists, size, size).array.T) if tracked else None
+
+    return SmithDecomposition(wrap(U, m, m), wrap(D, m, n), untranspose(VT, n, track_V),
+                              untranspose(UinvT, m, track_U_inv))

@@ -244,7 +244,7 @@ def test_the_screened_norms_copy_no_matrix():
     assert peak < 0.05 * units.nbytes, (peak, units.nbytes)
 
 
-def test_a_bimodule_casts_its_law_stacks_once(monkeypatch):
+def test_a_bimodule_casts_its_law_stacks_on_use(monkeypatch):
     seen = []
     real = bimodules_module.intertwines
 
@@ -256,10 +256,13 @@ def test_a_bimodule_casts_its_law_stacks_once(monkeypatch):
     identity = identity_map(P).matrix
     for _ in range(2):
         BimoduleMap(P, P, identity)
-    assert len(seen) == 4 and all(stack.dtype == np.int64 for pair in seen for stack in pair)
-    assert seen[0][0] is seen[2][0] and seen[1][1] is seen[3][1]
-    # past the int64 guard the exact stack is read as it is
+    # every check reads the exact read-only stacks and casts them itself,
+    # so the bimodule holds no second, cast copy of either side
+    sides = [P.left_action, P.right_action] * 2
+    assert len(seen) == 4 and all(src is stack and tgt is stack
+                                  for (src, tgt), stack in zip(seen, sides))
+    assert set(vars(P)) == {"left_ring", "right_ring", "carrier", "left_action",
+                            "right_action", "name"}
     Z = cyclic_ring(2 ** 40)
     B = column_module(Z, 2)
-    assert B._law_stacks["left"] is B.left_action
-
+    assert B.left_action.dtype == object and set(vars(B)) == set(vars(P))

@@ -39,9 +39,9 @@ from moritalab.rings import (
     truncated_polynomial_ring,
     zero_bimodule,
 )
-from moritalab.rings.base import kron_differences, reduced_stack
+from moritalab.rings.base import reduced_stack
 
-from oracles import determinant, matrices, stacked, tensor_invariants_oracle
+from oracles import determinant, kron_differences, matrices, stacked, tensor_invariants_oracle
 
 
 def _generators(rank):
