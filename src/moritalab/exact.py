@@ -11,7 +11,8 @@ group presentations derived from it are reproducible across runs.  The
 relation matrices it sees are almost all zeros, so each operation
 touches only the nonzeros of the rows it reads; a caller that builds its
 relations entry by entry passes them as ``SparseRows``, and ``cokernel``
-and ``solve_congruences`` append the moduli to those rows.  The last
+and ``solve_congruences`` have ``smith_normal_form`` append the moduli
+to its one working copy of those rows.  The last
 pivot is a floor: every entry left to eliminate is a multiple of it, so
 the pivot search stops at the first row holding an entry of that size
 and the divisibility scan runs only for a pivot above it, with the same
@@ -254,7 +255,8 @@ def _dense(rows: list[dict[int, int]], size: int) -> np.ndarray:
 
 
 def smith_normal_form(A: IntegerMatrix | SparseRows, track_V: bool = True,
-                      track_U_inv: bool = True) -> SmithDecomposition:
+                      track_U_inv: bool = True,
+                      moduli: Sequence[int] = ()) -> SmithDecomposition:
     """Smith normal form with tracked transforms and the inverse of U.
 
     The diagonal of D is nonnegative and satisfies d_1 | d_2 | ... with
@@ -262,7 +264,10 @@ def smith_normal_form(A: IntegerMatrix | SparseRows, track_V: bool = True,
     the trailing submatrix, ties broken by the lowest (row, col), which
     makes the output deterministic.  A matrix already in Smith form is
     returned with U = V = I.  A caller that never reads V or U_inv can
-    skip tracking it, and gets None in its place.
+    skip tracking it, and gets None in its place.  With moduli, one per
+    row, the matrix factored is [A | diag(moduli)], row i gaining moduli[i]
+    in column A.cols + i (cokernel, solve_congruences) in the one copy of
+    A's rows the elimination works on.
 
     The working copy of A, U, U^-1 and V are sparse rows, each a dict of
     its nonzero entries (U^-1 and V by their transposes, so a column
@@ -283,7 +288,10 @@ def smith_normal_form(A: IntegerMatrix | SparseRows, track_V: bool = True,
     floor skips the scan, which would find nothing.
     """
     D = _nonzero_rows(A)
-    m, n = len(D), A.cols
+    for i, d in enumerate(moduli):
+        if d:
+            D[i][A.cols + i] = d
+    m, n = len(D), A.cols + len(moduli)
     U = [{i: 1} for i in range(m)]
     UinvT = [{i: 1} for i in range(m)] if track_U_inv else None
     VT = [{j: 1} for j in range(n)] if track_V else None
@@ -532,15 +540,6 @@ def _scaled_columns(M: IntegerMatrix, scales: Sequence[int]) -> IntegerMatrix:
     return IntegerMatrix.adopt(M.array[:, keep] * np.array([scales[i] for i in keep], dtype=object))
 
 
-def _relations(A: IntegerMatrix | SparseRows, moduli: Sequence[int]) -> SparseRows:
-    """[A | diag(moduli)] as sparse rows: row i gains moduli[i] in column A.cols + i."""
-    rows = _nonzero_rows(A)
-    for i, d in enumerate(moduli):
-        if d:
-            rows[i][A.cols + i] = d
-    return SparseRows(rows, A.cols + len(rows))
-
-
 def cokernel(A: IntegerMatrix | SparseRows,
              moduli: Sequence[int]) -> tuple[FiniteAbelianGroup, CokernelProjection]:
     """Present ``Z^n / (col_span(A) + diag(moduli) Z^n)`` canonically.
@@ -551,7 +550,7 @@ def cokernel(A: IntegerMatrix | SparseRows,
     n = A.rows
     if len(moduli) != n:
         raise ValueError("moduli length must match the ambient dimension")
-    dec = smith_normal_form(_relations(A, moduli), track_V=False)
+    dec = smith_normal_form(A, track_V=False, moduli=moduli)
     diag = dec.diagonal()
     diag = diag + [0] * (n - len(diag))
     if any(d == 0 for d in diag):
@@ -602,7 +601,7 @@ def solve_congruences(A: IntegerMatrix | SparseRows, moduli: Sequence[int],
     rows = b.rows if isinstance(b, IntegerMatrix) else len(b)
     if len(moduli) != n or rows != n:
         raise ValueError("system shape mismatch")
-    dec = smith_normal_form(_relations(A, moduli), track_U_inv=False)
+    dec = smith_normal_form(A, track_U_inv=False, moduli=moduli)
     z = dec.solve(b)
     if z is None:
         raise NoSolution("no integer solution")

@@ -15,7 +15,9 @@ table_units reads off the table and table_unit_slices splits by unit, for
 readers that move rows and columns instead of multiplying; table_stack
 writes the stacks from it, for readers of pi_l_units and pi_r_units.
 Their isotypic frames are coordinate columns, which table_frames reads
-off it with no eigendecomposition; L²'s are the identity table's.  One
+off it with no eigendecomposition, marked with the table (TableFrames) so
+that readers can tell them from frames put in their place; L²'s are the
+identity table's.  One
 gather, _bimodule_action, builds x·ξ·y on the matrix units for a standard
 form's Λ^{±1}, Δ^s and creation inverse.
 """
@@ -350,8 +352,19 @@ def table_stack(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table,
     return _read_only(units)
 
 
+class TableFrames(tuple):
+    """table_frames' result, which keeps the (A, B, table) it was read off as
+    key: frames a correspondence holds are that table's exactly when they
+    are a TableFrames of its key, as a caller's replacement is not."""
+
+    def __new__(cls, rows, key):
+        frames = super().__new__(cls, rows)
+        frames.key = key
+        return frames
+
+
 def table_frames(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
-                 table) -> tuple[tuple[np.ndarray, ...], ...]:
+                 table) -> TableFrames:
     """The isotypic frames of that block correspondence, read-only views.
 
     Slot (i, j) of copy s of block pair (b, c) is its own basis vector, so
@@ -367,7 +380,7 @@ def table_frames(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
         for k, w in zip(row, widths):
             frames[-1].append(eye[start:start + k * w].reshape(k, w, dim).transpose(0, 2, 1))
             start += k * w
-    return tuple(map(tuple, frames))
+    return TableFrames(map(tuple, frames), (A, B, table))
 
 
 def isotypic_frames(lefts, rights) -> np.ndarray:

@@ -20,13 +20,16 @@ alone: its frames are coordinate columns read off the table
 (algebras.table_frames), not eigendecompositions, and its unit images are
 partial permutations, given by index data (algebras.table_units), unit u
 sending basis vector s to t.  Whether a side is read through that index
-data or a stack is decided here alone, by the readers of the actions:
+data or a stack is decided here, by the readers of the actions:
 Correspondence.unit_sum (pi_l, pi_r, and fusion's creation operators, Gram
 matrix, unitors and balancing check), the witness residual and fusion's
-compression gate, each a gather with a table, one term per entry.  Two
-correspondences of one table are close with no stack read.  A stack is
-written (algebras.table_stack) only when something reads pi_l_units or
-pi_r_units.
+dense compression gate, each a gather with a table, one term per entry.
+A table that still holds its own frames (_holds_table_frames) needs no
+reader at all where only its table matters: two of one table are close
+with no stack read, and are each other's witness with no unit read, and
+fusion of two of them works on their index data (fusion._components).
+A stack is written (algebras.table_stack) only when something reads
+pi_l_units or pi_r_units.
 """
 
 from __future__ import annotations
@@ -204,7 +207,10 @@ class Correspondence:
 
     @property
     def multiplicities(self) -> tuple[tuple[int, ...], ...]:
-        """How often each simple (b, c) bimodule occurs: the frame counts."""
+        """How often each simple (b, c) bimodule occurs: the frame counts, or
+        the table of a block correspondence whose frames nothing has read."""
+        if self.table is not None and "frames" not in vars(self):
+            return self.table
         return tuple(tuple(len(F) for F in row) for row in self.frames)
 
     def unit_sum(self, side: str, coef: np.ndarray) -> np.ndarray:
@@ -285,6 +291,13 @@ class Intertwiner:
         if not correspondences_close(other.target, self.source):
             raise NotComposable("intertwiners do not compose")
         return Intertwiner(other.source, self.target, self.matrix @ other.matrix)
+
+
+def _holds_table_frames(H: Correspondence) -> bool:
+    """Whether H is a block correspondence holding the frames table_frames
+    reads off its table, as read now: not frames a caller put in their place."""
+    return H.table is not None and getattr(H.frames, "key", None) == \
+        (H.left_algebra, H.right_algebra, H.table)
 
 
 def _unit_difference(T: np.ndarray, H: Correspondence, K: Correspondence, key: str):
@@ -457,13 +470,19 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence
     within (1 + d) r + d |pi_H(x)| of U*.pi_K(x).U, and pi_K(x) as near
     U.pi_H(x).U*, so either side's laws hold on the units within O(r + d)
     times their norms plus the other's law residual.  A scaled U would make
-    r small and bound nothing.  Block correspondences of one table, such
-    as L²(M) and H fused with conj(H) for an equivalence H, hold the same
-    exact frames: U is the identity and r is 0.
+    r small and bound nothing.
+
+    Block correspondences of one table, such as L²(M) and H fused with
+    conj(H) for an equivalence H, hold the same exact frames: U is the
+    identity and every unit difference exactly 0.  Two that hold their
+    table's frames (_holds_table_frames) get that identity and 0.0 with no
+    unit read; any other pair, replaced frames included, is computed.
     """
     pairs = _frame_pairs(H, K)
     if H.dim != K.dim or H.multiplicities != K.multiplicities:
         return None
+    if H.table == K.table and _holds_table_frames(H) and _holds_table_frames(K):
+        return np.eye(H.dim, dtype=np.complex128), 0.0
     U = sum(np.tensordot(A, B.conj(), axes=([0, 2], [0, 2]))
             for A, B in pairs)
     witness = Intertwiner(H, K, U)

@@ -342,6 +342,61 @@ def compressed_units(fus):
             kron_sandwich(fus.project, H.dim, K.pi_r_units, fus.section))
 
 
+@dataclass
+class DenseFusion:
+    """What connes_fusion's dense route measures: project, section, the block
+    constants c, the Gram residual matrix project*.project - G, its bound,
+    and per side the compressed generating units less the fused ones."""
+
+    project: np.ndarray
+    section: np.ndarray
+    c: np.ndarray
+    miss: np.ndarray
+    bound: float
+    compressed: tuple[np.ndarray, np.ndarray]
+
+
+def dense_fusion(H, K, std) -> DenseFusion:
+    """connes_fusion's dense route with its gates measured, not applied: the
+    ambient Gram matrix contracted with K's left stack, S from the frames,
+    and each side's (generators, ambient, fused) stack of generating units
+    applied to section, Kronecker factors by reshaping."""
+    from moritalab.wstar.algebras import table_units
+    from moritalab.wstar.fusion import _creation_operators
+
+    R = _creation_operators(H, std)
+    coef = (R @ std.cyclic_vector()) @ (R.conj() @ std.lam_inv.T)
+    ambient = H.dim * K.dim
+    G = np.tensordot(coef, K.pi_l_units, 1).transpose(0, 2, 1, 3).reshape(ambient, ambient)
+    ns, ps = H.right_algebra.block_sizes, K.right_algebra.block_sizes
+    Xs = [[F[:, :, ::n].transpose(1, 0, 2)[:, None, :, None, :, None]
+           for F, n in zip(row, ns)] for row in H.frames]
+    Ys = [[F[:, :, :p].transpose(1, 0, 2)[None, :, None, :, None, :]
+           for F, p in zip(row, ps)] for row in K.frames]
+    S = np.concatenate([xy.reshape(ambient, np.prod(xy.shape[2:], dtype=int))
+                        for xy in (X * Ys[b][d] for row in Xs for d in range(len(ps))
+                                   for b, X in enumerate(row))], axis=1)
+    SG = (S.conj().T @ (np.conjugate(G.T) + G)) * 0.5
+    c = np.einsum("ji,ij->j", SG, S).real
+    scale = 1.0 / np.sqrt(c)
+    section, project = S * scale, SG * scale[:, None]
+    bound = DEFAULT_TOL * max(operator_norm(project) ** 2, 1.0)
+    miss = project.conj().T @ project - G
+    M, P = H.left_algebra, K.right_algebra
+    table = tuple(tuple(sum(h * k for h, k in zip(row, col)) for col in zip(*K.multiplicities))
+                  for row in H.multiplicities)
+    compressed = []
+    for side, A in (("left", M), ("right", P)):
+        gens = (H.pi_l_units[M.generator_units] if side == "left"
+                else K.pi_r_units[P.generator_units])
+        moved = kron_sandwich(None, gens, K.dim, section) if side == "left" \
+            else kron_sandwich(None, H.dim, gens, section)
+        off = project @ moved
+        off[table_units(M, P, table, side, generators=True)] -= 1.0
+        compressed.append(off)
+    return DenseFusion(project, section, c, miss, bound, tuple(compressed))
+
+
 # ------------------------- dense readers of the unit stacks, one unit at a time
 
 def dense_residual(w) -> tuple[float, float]:
