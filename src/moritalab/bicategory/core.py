@@ -21,6 +21,11 @@ small duck-typed surface:
     invertible_2cell(f)         whether a 2-cell is invertible
     random_endo_2cell(P, rng)   a sampled 2-cell P -> P
 
+compose may share structure with an earlier composite of equal content,
+its arrays then read-only and shared, but the factors of what it
+returns are always the caller's own P and Q: the associator finds the
+composites it rebrackets by identity.
+
 The checks run on caller-supplied tuples; passing them on sampled data is
 the verification contract, with commutativity of all remaining diagrams
 delegated to the general coherence theorem.

@@ -4,9 +4,32 @@ Two worlds plug into the same checks: bimodules over finite rings with
 tensor product as composition (equalities exact), and correspondences
 over multi-matrix algebras with fusion as composition (equalities up to
 an operator-norm tolerance).
+
+Each instance composes each distinct pair of 1-cells once.  The checks
+compose many pairs with equal content: P.I presents P itself on most
+ring chains and I.Q always presents Q, so (P.I).Q repeats P.Q, and
+(PQ)R equals P(QR) as a presentation; a coherence-batch pass at seed 7
+composes 901 ring pairs of which 476 are distinct, and 511 W* pairs of
+which 248 are.  So compose keeps its latest _MEMO_SIZE composites,
+keyed by exact content, never by a bare hash: on the ring side both
+cells' rings, carriers and reduced action stacks as exact integers, so
+a dict hit is confirmed by full equality; on the W* side (M, N, P,
+H.table, K.table), kept only when both factors hold their tables'
+frames, as such a fusion depends on nothing else but the instance's one
+standard form of N.  Other correspondences are fused on every call.  A
+hit is what a fresh compose returns, field for field: a new composite
+whose factors are the caller's own cells and whose cell carries the
+name a fresh compose gives it, sharing the stored presentation's
+read-only arrays.  The composability and cap checks run first and a
+compose that raises keeps nothing.  The bound is least recently used
+and fixed: 64 entries add under 1 MB to coherence-batch's peak memory,
+where keeping every composite added about 6 MB, a tenth of it.
 """
 
 from __future__ import annotations
+
+import copy
+from collections import OrderedDict
 
 import numpy as np
 
@@ -33,6 +56,7 @@ from ..wstar.algebras import MultiMatrixAlgebra, State, trace_state
 from ..wstar.correspondences import (
     Correspondence,
     Intertwiner,
+    _holds_table_frames,
     block_correspondence,
     correspondences_close,
     identity_correspondence,
@@ -42,12 +66,42 @@ from ..wstar.correspondences import (
 from ..wstar import fusion as wf
 from ..wstar.standard import StandardFormData, gns_standard_form
 
+_MEMO_SIZE = 64
+
+
+class _Memo(OrderedDict):
+    """The latest _MEMO_SIZE composites by key, the least recently used dropped first."""
+
+    def recall(self, key):
+        found = self.get(key)
+        if found is not None:
+            self.move_to_end(key)
+        return found
+
+    def keep(self, key, value) -> None:
+        self[key] = value
+        if len(self) > _MEMO_SIZE:
+            self.popitem(last=False)
+
+
+def _content(P: Bimodule) -> tuple:
+    """P's rings, carrier and reduced stacks as exact integers: equal keys
+    are equal bimodules, the name aside."""
+    return (P.left_ring, P.right_ring, P.carrier.invariant_factors,
+            tuple(P.left_action.ravel().tolist()), tuple(P.right_action.ravel().tolist()))
+
 
 class RingsBicategory:
-    """Bimodules over finite rings; 2-cell equality is exact."""
+    """Bimodules over finite rings; 2-cell equality is exact.
+
+    compose keeps the latest composites by the content of both cells (see
+    the module docstring) and hands out a new TensorProduct on the
+    caller's cells for each repeat.
+    """
 
     def __init__(self, rank_cap: int = 4096):
         self.rank_cap = rank_cap
+        self._composites = _Memo()
 
     def dom(self, P: Bimodule) -> FiniteRing:
         return P.left_ring
@@ -63,7 +117,19 @@ class RingsBicategory:
             raise NotComposable("middle rings differ")
         if P.rank * Q.rank > self.rank_cap:
             raise CapExceeded("ambient tensor generator count exceeds the cap")
-        return tensor_product(P, Q)
+        key = (_content(P), _content(Q))
+        tp = self._composites.recall(key)
+        if tp is None:
+            tp = tensor_product(P, Q)
+            for m in (tp.projection.matrix, tp.projection.section_matrix,
+                      tp.projection.relations):
+                m.array.flags.writeable = False
+            self._composites.keep(key, tp)
+            return tp
+        module = copy.copy(tp.module)
+        vars(module).update(left_ring=P.left_ring, right_ring=Q.right_ring,
+                            name=f"{P.name}(x){Q.name}" if P.name and Q.name else "")
+        return TensorProduct(P, Q, module, tp.projection, tp.ambient_moduli)
 
     def cell(self, comp: TensorProduct) -> Bimodule:
         return comp.module
@@ -115,7 +181,9 @@ class WStarBicategory:
     states and cached, so every composite over the same middle algebra
     reuses one relative-tensor presentation; L²(A), lawful by construction,
     never checked and with no stack until one is read, is cached with its
-    standard form and reused by every triangle and unitor check.  tol gates only
+    standard form and reused by every triangle and unitor check.  Next to
+    them compose keeps the latest fusions of two table correspondences by
+    (M, N, P, H.table, K.table) (see the module docstring).  tol gates only
     cells_equal, the measured discrepancy of a coherence law; fusion gates
     and invertibility use the fixed cutoff DEFAULT_TOL.  find_iso decides
     by multiplicity and builds its unitary from the isotypic frames.
@@ -127,6 +195,7 @@ class WStarBicategory:
         self._states = dict(states) if states else {}
         self._std: dict[MultiMatrixAlgebra, StandardFormData] = {}
         self._l2: dict[MultiMatrixAlgebra, Correspondence] = {}
+        self._composites = _Memo()
 
     def standard_form(self, A: MultiMatrixAlgebra) -> StandardFormData:
         if A not in self._std:
@@ -147,7 +216,20 @@ class WStarBicategory:
     def compose(self, P: Correspondence, Q: Correspondence) -> wf.FusionResult:
         if P.right_algebra != Q.left_algebra:
             raise NotComposable("middle algebras differ")
-        return wf.connes_fusion(P, Q, self.standard_form(P.right_algebra))
+        std_N = self.standard_form(P.right_algebra)
+        if not (_holds_table_frames(P) and _holds_table_frames(Q)):
+            return wf.connes_fusion(P, Q, std_N)
+        key = (P.left_algebra, P.right_algebra, Q.right_algebra, P.table, Q.table)
+        fus = self._composites.recall(key)
+        if fus is None:
+            fus = wf.connes_fusion(P, Q, std_N)
+            fus.project.flags.writeable = fus.section.flags.writeable = False
+            self._composites.keep(key, fus)
+            return fus
+        corr = block_correspondence(P.left_algebra, Q.right_algebra, fus.corr.table,
+                                    f"({P.name}*{Q.name})" if P.name and Q.name else "")
+        return wf.FusionResult(corr=corr, project=fus.project, section=fus.section,
+                               left_factor=P, right_factor=Q)
 
     def cell(self, comp: wf.FusionResult) -> Correspondence:
         return comp.corr

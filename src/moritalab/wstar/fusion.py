@@ -518,6 +518,21 @@ def associator(f_ab: FusionResult, f_ab_c: FusionResult,
     return Intertwiner(f_ab_c.corr, f_a_bc.corr, mat)
 
 
+def _balancing_draws(dH: int, dK: int, N: MultiMatrixAlgebra, rng, samples: int):
+    """(eta, zeta, n), one row per sample: complex vectors of dimensions dH
+    and dK and the unit coordinates of an element of N, all from one draw.
+
+    Row s of the draw is read in the order of drawing one sample at a time,
+    eta's real and imaginary parts, zeta's, then each block's, so the values
+    are those of that loop bit for bit (Generator.normal is 0 + 1 times a
+    standard normal); a block's entries are its units in basis order.
+    """
+    sizes = [2 * dH, 2 * dK] + [2 * n * n for n in N.block_sizes]
+    parts = np.split(rng.standard_normal((samples, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    eta, zeta, *blocks = (re + 1j * im for re, im in (np.split(x, 2, axis=1) for x in parts))
+    return eta, zeta, np.concatenate(blocks, axis=1)
+
+
 def twisted_balancing_residual(fus: FusionResult, std_N: StandardFormData,
                                rng, samples: int = 100) -> float:
     """Worst deviation of the twisted middle-slide identities on samples.
@@ -525,16 +540,13 @@ def twisted_balancing_residual(fus: FusionResult, std_N: StandardFormData,
     Sliding a middle-algebra element across the fusion sign picks up a
     modular twist: eta.n (x) zeta matches eta (x) twist_+(n).zeta, and
     eta (x) n.zeta matches twist_-(n).eta (x) zeta.  The samples are drawn
-    one (eta, zeta, n) at a time and then evaluated as one stack; fewer
-    than one sample is a ValueError, as it would check nothing.
+    at once (_balancing_draws) and evaluated as one stack; fewer than one
+    sample is a ValueError, as it would check nothing.
     """
     if samples < 1:
         raise ValueError(f"balancing needs at least one sample, not {samples}")
     H, K, N = fus.left_factor, fus.right_factor, std_N.algebra
-    draws = [(rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim),
-              rng.standard_normal(K.dim) + 1j * rng.standard_normal(K.dim),
-              N.random_element(rng)[N.unit_positions]) for _ in range(samples)]
-    eta, zeta, n = (np.stack(x) for x in zip(*draws))
+    eta, zeta, n = _balancing_draws(H.dim, K.dim, N, rng, samples)
     plus, minus = std_N.delta_half, std_N.delta_minus_half
 
     def act(X, side, coords, vecs):

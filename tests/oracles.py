@@ -12,8 +12,9 @@ maps ξ -> x.ξ.y from the broadcasts, Kronecker products and stacked
 products the library's one gather replaced, fusion Gram matrices pair by
 pair, fused actions compressed unit by unit, the witness residual and
 the unitors as products and contractions with the unit stacks, the
-conjugate as the entrywise conjugate of the stacks, and subspaces are
-compared through fresh orthonormal bases.
+conjugate as the entrywise conjugate of the stacks, the balancing
+samples drawn one at a time, and subspaces are compared through fresh
+orthonormal bases.
 """
 
 from __future__ import annotations
@@ -331,6 +332,16 @@ def fusion_gram(H, K, std):
             n_ac = std.Lambda_inv(R[a].conj().T @ R[c] @ cyc)
             G[a * dK:(a + 1) * dK, c * dK:(c + 1) * dK] = K.pi_l(n_ac)
     return G
+
+
+def looped_balancing_draws(dH, dK, N, rng, samples):
+    """The balancing samples (eta, zeta, n), drawn one sample at a time with
+    n through N.random_element, as twisted_balancing_residual drew them
+    before it took one draw for all."""
+    draws = [(rng.standard_normal(dH) + 1j * rng.standard_normal(dH),
+              rng.standard_normal(dK) + 1j * rng.standard_normal(dK),
+              N.random_element(rng)[N.unit_positions]) for _ in range(samples)]
+    return tuple(np.stack(x) for x in zip(*draws))
 
 
 def compressed_units(fus):
