@@ -14,9 +14,9 @@ which 248 are.  So compose keeps its latest _MEMO_SIZE composites,
 keyed by exact content, never by a bare hash: on the ring side both
 cells' rings, carriers and reduced action stacks as exact integers, so
 a dict hit is confirmed by full equality; on the W* side (M, N, P,
-H.table, K.table), kept only when both factors hold their tables'
-frames, as such a fusion depends on nothing else but the instance's one
-standard form of N.  Other correspondences are fused on every call.  A
+H.table, K.table), kept only when neither factor has a frame, as such a
+fusion depends on nothing else but the instance's one standard form of
+N.  Checked input, which has a frame, is fused on every call.  A
 hit is what a fresh compose returns, field for field: a new composite
 whose factors are the caller's own cells and whose cell carries the
 name a fresh compose gives it, sharing the stored presentation's
@@ -56,7 +56,6 @@ from ..wstar.algebras import MultiMatrixAlgebra, State, trace_state
 from ..wstar.correspondences import (
     Correspondence,
     Intertwiner,
-    _holds_table_frames,
     block_correspondence,
     correspondences_close,
     identity_correspondence,
@@ -82,6 +81,18 @@ class _Memo(OrderedDict):
         self[key] = value
         if len(self) > _MEMO_SIZE:
             self.popitem(last=False)
+
+
+class _Key(tuple):
+    """A content key hashed once, not at each of compose's dict calls."""
+
+    def __new__(cls, *parts):
+        key = super().__new__(cls, parts)
+        key.hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self.hash
 
 
 def _content(P: Bimodule) -> tuple:
@@ -117,7 +128,7 @@ class RingsBicategory:
             raise NotComposable("middle rings differ")
         if P.rank * Q.rank > self.rank_cap:
             raise CapExceeded("ambient tensor generator count exceeds the cap")
-        key = (_content(P), _content(Q))
+        key = _Key(_content(P), _content(Q))
         tp = self._composites.recall(key)
         if tp is None:
             tp = tensor_product(P, Q)
@@ -182,11 +193,11 @@ class WStarBicategory:
     reuses one relative-tensor presentation; L²(A), lawful by construction,
     never checked and with no stack until one is read, is cached with its
     standard form and reused by every triangle and unitor check.  Next to
-    them compose keeps the latest fusions of two table correspondences by
-    (M, N, P, H.table, K.table) (see the module docstring).  tol gates only
-    cells_equal, the measured discrepancy of a coherence law; fusion gates
-    and invertibility use the fixed cutoff DEFAULT_TOL.  find_iso decides
-    by multiplicity and builds its unitary from the isotypic frames.
+    them compose keeps the latest fusions of two correspondences with no
+    frame by (M, N, P, H.table, K.table) (see the module docstring).  tol
+    gates only cells_equal, the measured discrepancy of a coherence law;
+    fusion gates and invertibility use the fixed cutoff DEFAULT_TOL.
+    find_iso decides by multiplicity and builds its unitary from the frames.
     """
 
     def __init__(self, states: dict[MultiMatrixAlgebra, State] | None = None,
@@ -217,7 +228,7 @@ class WStarBicategory:
         if P.right_algebra != Q.left_algebra:
             raise NotComposable("middle algebras differ")
         std_N = self.standard_form(P.right_algebra)
-        if not (_holds_table_frames(P) and _holds_table_frames(Q)):
+        if P.frame is not None or Q.frame is not None:
             return wf.connes_fusion(P, Q, std_N)
         key = (P.left_algebra, P.right_algebra, Q.right_algebra, P.table, Q.table)
         fus = self._composites.recall(key)

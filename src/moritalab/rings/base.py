@@ -230,6 +230,14 @@ class FiniteRing:
         if ((L @ u - np.eye(k, dtype=np.int64)) % f).any():
             raise ValueError("unit law fails on a generator")
 
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the compared fields, walked once per ring."""
+        return hash((self.additive, self.mult, self.unit))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def _lawful(cls, additive: FiniteAbelianGroup, mult: Sequence[Sequence[Sequence[int]]],
                 unit: Sequence[int], name: str = "") -> "FiniteRing":

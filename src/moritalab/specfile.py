@@ -12,8 +12,9 @@ Tasks reference definitions by name; unresolved references fail at load.
 A correspondence is either its multiplicity table, {"left", "right",
 "table"}, loaded through ``block_correspondence`` (a "dim" beside it must
 be the table's), or dense unit matrices, {"left", "right", "dim",
-"pi_l", "pi_r"}, loaded through the checked constructor.  A
-correspondence that carries a table is written as its table.
+"pi_l", "pi_r"}, loaded through the checked constructor.  Checked input,
+which has a frame, is written as its dense unit matrices, so that it loads
+as checked input again; the rest is written as its table.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ def _encode_correspondence(name: str, H: Correspondence,
         "left": _lookup(algebra_names, H.left_algebra, where, "algebra"),
         "right": _lookup(algebra_names, H.right_algebra, where, "algebra"),
     }
-    if H.table is not None:
+    if H.frame is None:
         doc["table"] = [list(row) for row in H.table]
         return doc
     doc.update(dim=H.dim, pi_l=[encode_complex_matrix(U) for U in H.pi_l_units],

@@ -15,9 +15,8 @@ table_units reads off the table and table_unit_slices splits by unit, for
 readers that move rows and columns instead of multiplying; table_stack
 writes the stacks from it, for readers of pi_l_units and pi_r_units.
 Their isotypic frames are coordinate columns, which table_frames reads
-off it with no eigendecomposition, marked with the table (TableFrames) so
-that readers can tell them from frames put in their place; L²'s are the
-identity table's.  One
+off it with no eigendecomposition, or the columns of a frame unitary that
+places the table in another basis; L²'s are the identity table's.  One
 gather, _bimodule_action, builds x·ξ·y on the matrix units for a standard
 form's Λ^{±1}, Δ^s and creation inverse.
 """
@@ -352,35 +351,27 @@ def table_stack(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table,
     return _read_only(units)
 
 
-class TableFrames(tuple):
-    """table_frames' result, which keeps the (A, B, table) it was read off as
-    key: frames a correspondence holds are that table's exactly when they
-    are a TableFrames of its key, as a caller's replacement is not."""
-
-    def __new__(cls, rows, key):
-        frames = super().__new__(cls, rows)
-        frames.key = key
-        return frames
-
-
-def table_frames(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra,
-                 table) -> TableFrames:
-    """The isotypic frames of that block correspondence, read-only views.
+def table_frames(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table,
+                 frame: np.ndarray | None = None) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The isotypic frames of that block correspondence, read-only views,
+    or of frame times it, for a unitary frame.
 
     Slot (i, j) of copy s of block pair (b, c) is its own basis vector, so
     frames[b][c] is (table[b][c], dim, n_b m_c) of identity columns, exactly
     isometric, in table order: what isotypic_frames spans, with no eigh.
+    With a frame they are the frame's columns at those slots.
     """
     slots = [[n * m for m in B.block_sizes] for n in A.block_sizes]
     dim = table_dim(A, B, table)
-    eye = _read_only(np.eye(dim, dtype=np.complex128))
+    # row k of columns is basis vector k's image
+    columns = _read_only(np.eye(dim, dtype=np.complex128) if frame is None else frame.T)
     frames, start = [], 0
     for row, widths in zip(table, slots):
         frames.append([])
         for k, w in zip(row, widths):
-            frames[-1].append(eye[start:start + k * w].reshape(k, w, dim).transpose(0, 2, 1))
+            frames[-1].append(columns[start:start + k * w].reshape(k, w, dim).transpose(0, 2, 1))
             start += k * w
-    return TableFrames(map(tuple, frames), (A, B, table))
+    return tuple(map(tuple, frames))
 
 
 def isotypic_frames(lefts, rights) -> np.ndarray:

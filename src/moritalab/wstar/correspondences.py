@@ -7,29 +7,24 @@ constructor checks unitality and the star law on every unit, the rest on
 the generating relations (see _generator_eps).  Every correspondence the
 library builds goes through Correspondence._lawful, which checks nothing.
 
-A checked correspondence holds each action as one read-only complex128
-(units, dim, dim) stack, which the constructor stacks once from its
-validated images.  It reads the right action's reversed products through
-views with each block's unit axes swapped: it holds no reordered copy.
+A correspondence between multi-matrix algebras is fixed up to unitary
+equivalence by its multiplicity table (Jones and Sunder, Introduction to
+Subfactors, ch. 1-2), so each one is held as (left_algebra,
+right_algebra, table, frame): block_correspondence of the table, placed in
+the caller's basis by the unitary frame W, its unit images W.B_u.W*.
+What the library builds, L², a block correspondence, a fusion result or a
+conjugate (the transposed table), has frame None and is the table in its
+own basis order.  Checked input gets its table and W from its isotypic
+frames: the constructor validates the stacks, gates W, and drops them.
 
-Every other correspondence, L², a block correspondence, a fusion result or
-a conjugate, is its multiplicity table, which fixes it up to the basis
-order (Jones and Sunder, Introduction to Subfactors, ch. 1-2); a
-conjugate's is the transposed table.  It is built one way, from the table
-alone: its frames are coordinate columns read off the table
-(algebras.table_frames), not eigendecompositions, and its unit images are
-partial permutations, given by index data (algebras.table_units), unit u
-sending basis vector s to t.  Whether a side is read through that index
-data or a stack is decided here, by the readers of the actions:
-Correspondence.unit_sum (pi_l, pi_r, and fusion's creation operators, Gram
-matrix, unitors and balancing check), the witness residual and fusion's
-dense compression gate, each a gather with a table, one term per entry.
-A table that still holds its own frames (_holds_table_frames) needs no
-reader at all where only its table matters: two of one table are close
-with no stack read, and are each other's witness with no unit read, and
-fusion of two of them works on their index data (fusion._components).
-A stack is written (algebras.table_stack) only when something reads
-pi_l_units or pi_r_units.
+Every reader acts on the table, by its index data (algebras.table_units:
+unit u sends basis vector s to t, a gather with one term per entry), and
+applies W only at its edge: Correspondence.unit_sum conjugates its gather
+by W, the frames are W's columns at the table's coordinate slots, a
+witness T is read as W_K*.T.W_H, and two correspondences are close when
+their tables agree and W_b*.W_a commutes with the block actions.  A stack
+is written (algebras.table_stack, conjugated by W) only when something
+reads pi_l_units or pi_r_units.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from ..exact import as_int
 from ..numkernel import (
     DEFAULT_TOL,
     as_complex_matrix,
-    kron_sandwich,
     max_operator_norm,
     max_operator_norm_of,
     norm_exceeds,
@@ -66,7 +60,6 @@ from .standard import StandardFormData
 
 
 _SIDES = {"pi_l_units": "left", "pi_r_units": "right"}
-_STACKS = {side: key for key, side in _SIDES.items()}
 
 
 def _generator_eps(t: float) -> float:
@@ -128,8 +121,9 @@ class Correspondence:
     whether two of them carry the same actions numerically.
     """
 
-    # the multiplicity table of what _lawful builds; only _lawful sets one
-    table = None
+    # the unitary placing the table in the caller's basis; only the
+    # constructor sets one
+    frame = None
 
     left_algebra: MultiMatrixAlgebra
     right_algebra: MultiMatrixAlgebra
@@ -148,7 +142,6 @@ class Correspondence:
             if any(U.shape != (self.dim, self.dim) for U in units):
                 raise ValueError(f"{label}: unit image has wrong shape")
         lefts, pi_r = (_read_only(np.stack(units)) for units in images)
-        vars(self).update(pi_l_units=lefts, pi_r_units=pi_r)
         # y -> pi_r(y^T) is a homomorphism exactly when pi_r reverses products:
         # its unit (b, i, j) is pi_r's (b, j, i), read through swapped block axes
         sides = (_unit_blocks(M, lefts),
@@ -172,6 +165,23 @@ class Correspondence:
                                         np.matmul(pi_r[v], lefts[u], out=ba), out=ab), eps)
                for u in M.generator_units for v in N.generator_units):
             raise ValueError("left and right actions do not commute")
+        # the isotypic frames, from column 0 of each left unit block and row 0
+        # of each right one, laid out in the table's basis order
+        frames = [[isotypic_frames(L[:, 0], R[0]) for R in _unit_blocks(N, pi_r)]
+                  for L in _unit_blocks(M, lefts)]
+        table = tuple(tuple(len(F) for F in row) for row in frames)
+        W = np.concatenate([F.transpose(1, 0, 2).reshape(self.dim, F.shape[0] * F.shape[2])
+                            for row in frames for F in row], axis=1)
+        bound = DEFAULT_TOL * (1.0 + max(tops))
+        if W.shape != (self.dim, self.dim) \
+                or norm_exceeds(W.conj().T @ W - np.eye(self.dim), bound) \
+                or any(norm_exceeds(off, bound)
+                       for side, units in (("left", lefts), ("right", pi_r))
+                       for off in _framed_differences(M, N, table, side, W, units)):
+            raise ValueError(f"isotypic frames do not give a unitary carrying the table "
+                             f"{table} onto the actions within {bound:.3g}")
+        del vars(self)["pi_l_units"], vars(self)["pi_r_units"]
+        vars(self).update(table=table, frame=_read_only(W))
 
     @classmethod
     def _lawful(cls, left_algebra: MultiMatrixAlgebra, right_algebra: MultiMatrixAlgebra,
@@ -186,44 +196,34 @@ class Correspondence:
         return H
 
     def __getattr__(self, key: str):
-        # reached only for what the instance lacks: a block correspondence's
-        # stack that nothing has read yet
-        if key not in _SIDES or self.table is None:
+        # reached only for what the instance lacks: a stack that nothing has
+        # read yet
+        if key not in _SIDES:
             raise AttributeError(key)
-        vars(self)[key] = units = table_stack(
-            self.left_algebra, self.right_algebra, self.table, _SIDES[key])
+        vars(self)[key] = units = _framed_stack(
+            self.left_algebra, self.right_algebra, self.table, _SIDES[key], self.frame)
         return units
 
     @cached_property
     def frames(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """Isotypic frames per block pair: frames[b][c] is (mult, dim, n_b m_c),
-        read off the table of a block correspondence, otherwise from column 0
-        of each left unit block and row 0 of each right one."""
-        if self.table is not None:
-            return table_frames(self.left_algebra, self.right_algebra, self.table)
-        rights = _unit_blocks(self.right_algebra, self.pi_r_units)
-        return tuple(tuple(isotypic_frames(L[:, 0], R[0]) for R in rights)
-                     for L in _unit_blocks(self.left_algebra, self.pi_l_units))
+        the table's coordinate columns, or the frame's at those slots."""
+        return table_frames(self.left_algebra, self.right_algebra, self.table, self.frame)
 
     @property
     def multiplicities(self) -> tuple[tuple[int, ...], ...]:
-        """How often each simple (b, c) bimodule occurs: the frame counts, or
-        the table of a block correspondence whose frames nothing has read."""
-        if self.table is not None and "frames" not in vars(self):
-            return self.table
-        return tuple(tuple(len(F) for F in row) for row in self.frames)
+        """How often each simple (b, c) bimodule occurs: the table."""
+        return self.table
 
     def unit_sum(self, side: str, coef: np.ndarray) -> np.ndarray:
         """sum_u coef[..., u].U_u over the unit images U_u of one side,
-        "left" or "right": on a block correspondence coef[..., k] written
-        at each entry (t, s) of unit k (algebras.table_units), its one
-        term, with no stack read; otherwise a contraction with the stack."""
-        if self.table is None:
-            return np.tensordot(coef, getattr(self, _STACKS[side]), 1)
+        "left" or "right": coef[..., k] written at each entry (t, s) of the
+        table's unit k (algebras.table_units), its one term, with no stack
+        read, then conjugated by the frame if there is one."""
         k, t, s = table_units(self.left_algebra, self.right_algebra, self.table, side)
         out = np.zeros(coef.shape[:-1] + (self.dim, self.dim), dtype=np.complex128)
         out[..., t, s] = coef[..., k]
-        return out
+        return out if self.frame is None else self.frame @ out @ self.frame.conj().T
 
     def pi_l(self, x: np.ndarray) -> np.ndarray:
         return self.unit_sum("left", self.left_algebra.coords(x))
@@ -236,20 +236,73 @@ class Correspondence:
                 f"{self.left_algebra!r} | {self.right_algebra!r}, dim={self.dim})")
 
 
+def _framed_differences(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, side: str,
+                        frame: np.ndarray, units: np.ndarray):
+    """W.B_u.W* - U_u for the units B_u of one side of the table, W the frame
+    and U_u the units given, one at a time: B_u.W* moves rows of W*."""
+    adjoint = frame.conj().T
+    for (to, fro), U in zip(table_unit_slices(A, B, table, side), units):
+        moved = np.zeros_like(adjoint)
+        moved[to] = adjoint[fro]
+        yield frame @ moved - U
+
+
+def _framed_stack(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, side: str,
+                  frame: np.ndarray | None) -> np.ndarray:
+    """One side's read-only unit stack of the table placed by frame W: W.B_u.W*."""
+    units = table_stack(A, B, table, side)
+    return units if frame is None else _read_only(frame @ units @ frame.conj().T)
+
+
+def _unitary(H: Correspondence) -> np.ndarray:
+    """H's frame, the identity where it has none."""
+    return np.eye(H.dim, dtype=np.complex128) if H.frame is None else H.frame
+
+
+def _unit_difference(T: np.ndarray, H: Correspondence, K: Correspondence, side: str):
+    """u -> T.A_u - B_u.T on one side, A_u and B_u the units of the tables
+    of H and K: gathers at the unit's slices (algebras.table_unit_slices)."""
+    src, tgt = (table_unit_slices(X.left_algebra, X.right_algebra, X.table, side)
+                for X in (H, K))
+
+    def difference(u: int) -> np.ndarray:
+        to, fro = src[u]
+        D = np.zeros(T.shape, dtype=np.complex128)
+        D[:, fro] = T[:, to]
+        to, fro = tgt[u]
+        D[to] -= T[fro]
+        return D
+    return difference
+
+
+def _table_residual(T: np.ndarray, H: Correspondence, K: Correspondence) -> float:
+    """max over unit pairs of |T.A_u - B_u.T|, A_u and B_u the units of the
+    tables of H and K, one difference formed at a time.
+
+    Unit u sends basis vector s to t and has no other entry, so T.A_u is
+    T's column t moved to column s and B_u.T T's row s moved to row t:
+    gathers, not products.  Each entry of either product has that one
+    term, so the difference, and the residual, is the matmul's bit for bit.
+    """
+    return max(max_operator_norm_of(_unit_difference(T, H, K, side), A.vector_dim)
+               for side, A in (("left", H.left_algebra), ("right", H.right_algebra)))
+
+
 def correspondences_close(a: Correspondence, b: Correspondence,
                           tol: float = DEFAULT_TOL) -> bool:
-    """Same algebra pair, same dimension, and actions within tol."""
+    """Same algebra pair and table, and actions within tol: W_b*.W_a, for
+    W_a and W_b the frames (the identity where there is none), commutes
+    with the table's block actions within tol."""
     if a is b:
         return True
-    if (a.left_algebra, a.right_algebra, a.dim) != \
-            (b.left_algebra, b.right_algebra, b.dim):
+    if (a.left_algebra, a.right_algebra, a.table) != \
+            (b.left_algebra, b.right_algebra, b.table):
         return False
-    if a.table is not None and a.table == b.table:
+    if a.frame is None and b.frame is None:
         # one table_stack key on both sides: their difference is exactly 0,
         # within every tol but a negative one
         return not tol < 0.0
-    return not norm_exceeds(np.concatenate([a.pi_l_units - b.pi_l_units,
-                                            a.pi_r_units - b.pi_r_units]), tol)
+    return not _table_residual(_unitary(b).conj().T @ _unitary(a), a, b) > tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,18 +322,20 @@ class Intertwiner:
             raise AlgebraMismatch("intertwiner endpoints over different algebras")
 
     def residual(self) -> float:
-        """max over unit pairs of |T.A_u - B_u.T|, one difference formed at a time.
-
-        On a side with a table, unit u sends basis vector s to t and has no
-        other entry, so T.A_u is T's column t moved to column s and B_u.T
-        T's row s moved to row t: gathers, not products.  Each entry of
-        either product has that one term, so the difference, and the
-        residual, is the matmul's bit for bit.  A side without a table
-        keeps its matmul.
-        """
+        """max over unit pairs of |T.A_u - B_u.T|, read on the tables as
+        W_K*.T.W_H for the frames W_H and W_K of source and target, where
+        there are any (_table_residual).  With both frames unitary within
+        d, |W*.W - 1| <= d, this value r' is within d.(r' + 2(1 + d)|T|)
+        of the residual against the stacks W.B_u.W*, whose units have norm
+        at most 1 + d: W_K.(W_K*.T.W_H.B_u - B_u.W_K*.T.W_H).W_H* differs
+        from T.A_u - B_u.T by (W_K.W_K* - 1).T.A_u - B_u.T.(W_H.W_H* - 1),
+        and W_K, W_H scale norms by factors within [1 - d, 1 + d]."""
         T, H, K = self.matrix, self.source, self.target
-        return max(max_operator_norm_of(_unit_difference(T, H, K, key), A.vector_dim)
-                   for key, A in zip(_SIDES, (H.left_algebra, H.right_algebra)))
+        if K.frame is not None:
+            T = K.frame.conj().T @ T
+        if H.frame is not None:
+            T = T @ H.frame
+        return _table_residual(T, H, K)
 
     def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
         T = self.matrix
@@ -291,65 +346,6 @@ class Intertwiner:
         if not correspondences_close(other.target, self.source):
             raise NotComposable("intertwiners do not compose")
         return Intertwiner(other.source, self.target, self.matrix @ other.matrix)
-
-
-def _holds_table_frames(H: Correspondence) -> bool:
-    """Whether H is a block correspondence holding the frames table_frames
-    reads off its table, as read now: not frames a caller put in their place."""
-    return H.table is not None and getattr(H.frames, "key", None) == \
-        (H.left_algebra, H.right_algebra, H.table)
-
-
-def _unit_difference(T: np.ndarray, H: Correspondence, K: Correspondence, key: str):
-    """u -> T.H_u - K_u.T on one side, H_u and K_u its unit images: on a side
-    with a table, gathers at the unit's slices (algebras.table_unit_slices),
-    on one without, a product with the stack."""
-    side = _SIDES[key]
-    src = getattr(H, key) if H.table is None else \
-        table_unit_slices(H.left_algebra, H.right_algebra, H.table, side)
-    tgt = getattr(K, key) if K.table is None else \
-        table_unit_slices(K.left_algebra, K.right_algebra, K.table, side)
-
-    def difference(u: int) -> np.ndarray:
-        if H.table is None:
-            D = T @ src[u]
-        else:
-            to, fro = src[u]
-            D = np.zeros(T.shape, dtype=np.complex128)
-            D[:, fro] = T[:, to]
-        if K.table is None:
-            D -= tgt[u] @ T
-        else:
-            to, fro = tgt[u]
-            D[to] -= T[fro]
-        return D
-    return difference
-
-
-def _generators_on_section(H: Correspondence, side: str, section: np.ndarray,
-                           other: int) -> np.ndarray:
-    """(U_g (x) 1).section for H's left generating units U_g, side "left",
-    or (1 (x) U_g).section for its right ones, H the factor on that side of
-    a tensor and other the other factor's dimension: one stack per unit.
-
-    On a block correspondence U_g moves rows s of H's axis of section to
-    rows t (algebras.table_unit_slices), so no unit stack is written; each
-    entry has that one term, so the stack is the matmul's bit for bit.
-    """
-    cols = section.shape[1]
-    if H.table is None:
-        A = H.left_algebra if side == "left" else H.right_algebra
-        gens = getattr(H, _STACKS[side])[A.generator_units]
-        return kron_sandwich(None, gens, other, section) if side == "left" \
-            else kron_sandwich(None, other, gens, section)
-    # H's axis of section, between the axes before and after it
-    before, after = (1, other * cols) if side == "left" else (other, cols)
-    X = section.reshape(before, H.dim, after)
-    units = table_unit_slices(H.left_algebra, H.right_algebra, H.table, side, generators=True)
-    moved = np.zeros((len(units), before, H.dim, after), dtype=np.complex128)
-    for out, (to, fro) in zip(moved, units):
-        out[:, to] = X[:, fro]
-    return moved.reshape(len(units), H.dim * other, cols)
 
 
 def identity_correspondence(std: StandardFormData) -> Correspondence:
@@ -458,12 +454,11 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence
     """A unitary intertwiner H -> K with its residual, or None if none exists.
 
     H and K are unitarily equivalent exactly when their multiplicity
-    matrices agree.  Then U = sum over block pairs and s of A_s . B_s*,
-    for A_s the frames of K and B_s those of H, maps H's orthonormal frame
-    basis onto K's slot by slot, so it is unitary and intertwines.  U is
-    accepted only if it is unitary and its residual r is at most
-    DEFAULT_TOL, both re-checked; callers gate r against their own
-    tolerance.
+    tables agree.  Then U = W_K.W_H*, for W_H and W_K their frames, maps
+    H's frame basis onto K's slot by slot, so it is unitary and
+    intertwines.  U is accepted only if it is unitary and its residual r
+    is at most DEFAULT_TOL, both re-checked; callers gate r against their
+    own tolerance.
 
     Unitarity lets r carry laws across U onto a side built without a
     check.  With U*U and UU* within DEFAULT_TOL =: d of 1, pi_H(x) lies
@@ -472,19 +467,17 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence
     times their norms plus the other's law residual.  A scaled U would make
     r small and bound nothing.
 
-    Block correspondences of one table, such as L²(M) and H fused with
-    conj(H) for an equivalence H, hold the same exact frames: U is the
-    identity and every unit difference exactly 0.  Two that hold their
-    table's frames (_holds_table_frames) get that identity and 0.0 with no
-    unit read; any other pair, replaced frames included, is computed.
+    Two with no frame, such as L²(M) and H fused with conj(H) for an
+    equivalence H, are one table in one basis: U is the identity and
+    every unit difference exactly 0, returned with no unit read.
     """
-    pairs = _frame_pairs(H, K)
-    if H.dim != K.dim or H.multiplicities != K.multiplicities:
+    if H.left_algebra != K.left_algebra or H.right_algebra != K.right_algebra:
+        raise AlgebraMismatch("correspondences over different algebra pairs")
+    if H.table != K.table:
         return None
-    if H.table == K.table and _holds_table_frames(H) and _holds_table_frames(K):
+    if H.frame is None and K.frame is None:
         return np.eye(H.dim, dtype=np.complex128), 0.0
-    U = sum(np.tensordot(A, B.conj(), axes=([0, 2], [0, 2]))
-            for A, B in pairs)
+    U = _unitary(K) @ _unitary(H).conj().T
     witness = Intertwiner(H, K, U)
     if not witness.is_unitary():
         return None

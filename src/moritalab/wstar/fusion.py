@@ -9,54 +9,46 @@ Every map here is linear in the middle algebra, so each is one sum of
 middle coordinates times a factor's unit images, Correspondence.unit_sum:
 those of the creation inverse give R, those of R_a*.R_c over basis pairs
 the coefficients coef of the Gram matrix G, and those of Lambda^{-1} of
-L2's basis (twisted by Δ^{-1/2} on the right) the unitors.  Factors are
-read only through Correspondence, which chooses between a table's index
-data and a stack.
+L2's basis (twisted by Δ^{-1/2} on the right) the unitors.
 
 The quotient is exact: with p_b = e_{b00} in middle block b, the fused
 space is the sum over b of (H.p_b) (x) (p_b.K) (Sauvageot, J. Operator
 Theory 9, 1983) and multiplicities multiply (Jones and Sunder,
 Introduction to Subfactors, ch. 1-2), so it is block_correspondence of
 mult(H).mult(K), and the state enters only project and section.  The
-result carries that table alone and writes its stacks on first read; the
-gate below reads the fused generating units as their index data.  S, the
-products of orthonormal frame bases of H.p_b and p_b.K in that basis
-order, has S*.G.S = c_b on block b (p_b is minimal): section = S.c^{-1/2},
-project = c^{-1/2}.S*.G (G's Hermitian part).  Three gates carry this:
-every c_j is positive; |G - project*.project| bounds how far G is from
-Hermitian, positive and spanned by S, and S*.G.S from diagonal; and the
-generating units of either side compress to the fused ones, so every
-unit does, both being *-representations; the gate takes one side at a
-time.
+result carries that table alone and writes its stacks on first read.
 
-Two block correspondences that hold their tables' frames are fused with
-no ambient G and no unit stack (Connes, Noncommutative Geometry, ch. V,
-appendix B, for the block structure).  G[(a, t), (c, s)] is coef[a, c, k]
-for the unit k of K sending s to t, and coef[a, c, u] vanishes unless a
-and c lie in one right orbit of H (the slots (i, .) of one copy of a
-block pair (., b)) and u in that middle block b: both factors' unit
-images are partial permutations and the standard form's matrices have
-exact zeros across blocks, and the fusion checks those zeros of coef on
-each call, taking the dense route if one fails.  So G vanishes off the
-components, the products of one right orbit of H and one left orbit of
-K (the slots (., j) of a copy of a pair (b, .)) over one middle block,
-at most max n_b^2 coordinates each.  S's columns are each one ambient
-coordinate, node (0, 0) of one component: the fused basis vectors are
-the components (_components).  Row j of project is G's row and column
-at S's coordinate, so it lies in that coordinate's component, and
-project*.project, like G, vanishes off the components: |G -
-project*.project| is the largest residual of one component, measured on
-one stack of the blocks, and |project| the largest of one component's
-rows.  Each entry of G, project and section keeps its one term, so they
-are the dense route's values bit for bit up to the sign of zeros.  The
-compression gate gathers: U_g (x) 1 moves one coordinate of each column
-of section, so project.(U_g (x) 1).section is a column gather of
+The two tables are fused, with no ambient G and no unit stack (Connes,
+Noncommutative Geometry, ch. V, appendix B, for the block structure).
+G[(a, t), (c, s)] is coef[a, c, k] for the unit k of K sending s to t,
+and coef[a, c, u] vanishes unless a and c lie in one right orbit of H
+(the slots (i, .) of one copy of a block pair (., b)) and u in that
+middle block b: both tables' unit images are partial permutations and
+the standard form's matrices have exact zeros across blocks.  So G is
+its part on the components, the products of one right orbit of H and one
+left orbit of K (the slots (., j) of a copy of a pair (b, .)) over one
+middle block, at most max n_b^2 coordinates each, plus G_off, the entries
+of the coefficients off the components.  K's left action is a
+*-representation, so |G_off| is at most the operator norm of the block
+matrix of those coefficients over each middle block, so at most their
+Frobenius norm, the mass.  The fused basis vectors are the components
+(_components), and S, the products of orthonormal frame bases of H.p_b
+and p_b.K in that basis order, picks node (0, 0) of each: S*.G.S = c_b
+on block b (p_b is minimal), section = S.c^{-1/2} and project =
+c^{-1/2}.S*.G (G's Hermitian part), so row j of project is G's row and
+column at S's coordinate j, on its component.  Three gates carry this:
+every c_j is positive; |G - project*.project|, at most the largest
+residual of one component, measured on one stack of the blocks, plus the
+mass, bounds how far G is from Hermitian, positive and spanned by S, and
+S*.G.S from diagonal; and the generating units of either side compress
+to the fused ones, so every unit does, both being *-representations.
+The compression gate gathers: U_g (x) 1 moves one coordinate of each
+column of section, so project.(U_g (x) 1).section is a column gather of
 project, kept on the columns that move or that the fused unit has an
-entry in.  Kronecker factors are otherwise applied by reshaping
-(numkernel.kron_sandwich) or, for a factor with a table, by moving rows,
-never formed.  A factor with no table or with frames a caller replaced
-takes the dense route: G, its Hermitian part and residual in full, and
-one (generators, ambient, fused) stack per side.
+entry in, one side at a time.  A factor with a frame W is its table
+placed by W, so project and section are conjugated by W_H (x) W_K at the
+end; Kronecker factors are applied by reshaping (numkernel.kron_sandwich),
+never formed.
 """
 
 from __future__ import annotations
@@ -72,14 +64,11 @@ from ..numkernel import (
     kron_sandwich,
     max_operator_norm,
     norm_exceeds,
-    operator_norm,
 )
 from .algebras import MultiMatrixAlgebra, table_dim, table_units
 from .correspondences import (
     Correspondence,
     Intertwiner,
-    _generators_on_section,
-    _holds_table_frames,
     correspondences_close,
     identity_correspondence,
 )
@@ -155,7 +144,7 @@ def _pair_starts(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table) -> list[li
 @dataclass(frozen=True, eq=False)
 class _Components:
     """Index data of the fusion of an (M, N)- with an (N, P)-block
-    correspondence that hold their tables' frames (_components).
+    correspondence (_components).
 
     Component j is fused basis vector j: right orbit (copy s, row i) of
     H's block pair (a, b) times left orbit (copy t, column j) of K's pair
@@ -163,7 +152,7 @@ class _Components:
     the ambient coordinate of H's slot (i, p) times K's slot (q, j), and
     node (0, 0) is S's column j.  The (fused, m) arrays, m the largest
     n^2, are padded past n^2.  plans keeps what the fusion derives from
-    S's coordinates when they are sel (_planned).
+    S's coordinates (_gather_plan), per side.
     """
 
     nodes: np.ndarray    # ambient coordinate of each node
@@ -171,8 +160,6 @@ class _Components:
     vec: np.ndarray      # H's basis vector of each node, slot (i, p)
     unit: np.ndarray     # N's unit index of e_{b q 0}: e_{b q q'} is unit + q'
     col: np.ndarray      # q of each node
-    comp: np.ndarray     # (ambient,): each coordinate's component, -1 off all
-    node: np.ndarray     # (ambient,): its node there
     outside: np.ndarray  # (dim H, dim H, units of N): where coef vanishes by construction
     pads: np.ndarray | None  # (fused, m, m): the padding of the blocks, None if there is none
     plans: dict = field(default_factory=dict)
@@ -186,13 +173,15 @@ class _Components:
 @lru_cache(maxsize=512)
 def _components(M: MultiMatrixAlgebra, N: MultiMatrixAlgebra, P: MultiMatrixAlgebra,
                 h_table, k_table) -> _Components:
-    """The components of H (x) K for tables h_table and k_table, in the fused
-    basis order of _reduced_basis.  The latest 512 calls keep theirs: per
-    call 5.fused.m + 2.dim H.dim K ints, dim H^2 times N's units bools and
-    the gather plans, 0.48 MB for L²(M_8) (x) L²(M_8), where one unit stack
-    of L²(M_8) is 4.2 MB."""
+    """The components of H (x) K for tables h_table and k_table, per outer
+    block pair (a, d) and middle block b, copies (s, t) of H's (a, b) and
+    K's (b, d), then row i and column j: copy k of (a, d) in the fused
+    basis is (b, s, t).  The latest 512 calls keep theirs: per call
+    5.fused.m ints, dim H^2 times N's units bools and the gather plans,
+    0.41 MB for L²(M_8) (x) L²(M_8), where one unit stack of L²(M_8) is
+    4.2 MB."""
     ns = N.block_sizes
-    dH, dK = table_dim(M, N, h_table), table_dim(N, P, k_table)
+    dK = table_dim(N, P, k_table)
     h_starts, k_starts = _pair_starts(M, N, h_table), _pair_starts(N, P, k_table)
     m = max(n * n for n in ns)
     parts = []
@@ -211,9 +200,8 @@ def _components(M: MultiMatrixAlgebra, N: MultiMatrixAlgebra, P: MultiMatrixAlge
                                      ((0, 0), (0, m - n * n)))
                               for x in (vec * dK + kvec, np.ones(shape, bool), vec, unit, p)])
     nodes, valid, vec, unit, col = (np.concatenate(x) for x in zip(*parts))
-    comp, node = np.full((2, dH * dK), -1)
-    comp[nodes[valid]], node[nodes[valid]] = np.nonzero(valid)
     # right orbits of H, as the index of their first vector, and their middle blocks
+    dH = table_dim(M, N, h_table)
     orbit, mid = np.empty((2, dH), dtype=int)
     for a, na in enumerate(M.block_sizes):
         for b, n in enumerate(ns):
@@ -223,53 +211,10 @@ def _components(M: MultiMatrixAlgebra, N: MultiMatrixAlgebra, P: MultiMatrixAlge
     blocks = np.repeat(np.arange(len(ns)), np.square(ns))
     outside = ~((orbit[:, None] == orbit)[:, :, None] & (mid[:, None] == blocks)[:, None, :])
     pads = None if valid.all() else ~(valid[:, :, None] & valid[:, None, :])
-    for x in (nodes, valid, vec, unit, col, comp, node, outside, pads):
+    for x in (nodes, valid, vec, unit, col, outside, pads):
         if x is not None:
             x.flags.writeable = False
-    return _Components(nodes, valid, vec, unit, col, comp, node, outside, pads)
-
-
-def _planned(parts: _Components, own: bool, key, build):
-    """build(), kept in parts.plans under key when S's coordinates are
-    parts.sel (own)."""
-    if not own:
-        return build()
-    if key not in parts.plans:
-        parts.plans[key] = build()
-    return parts.plans[key]
-
-
-def _reduced_basis(H: Correspondence, K: Correspondence) -> np.ndarray:
-    """S, orthonormal ambient columns x (x) y in the fused basis order: per
-    outer block pair (a, d) and middle block b, slot (i, 0) of H's (a, b)
-    frames times slot (0, j) of K's (b, d) frames, columns (copy s, copy t,
-    i, j), so copy k of (a, d) in the fused basis is (b, s, t).  On block
-    correspondences the frames are the tables' coordinate columns, so S is
-    0/1 and its copies come in table order; on two that hold their tables'
-    frames it is written from the components' coordinates, no frame read."""
-    if _holds_table_frames(H) and _holds_table_frames(K):
-        sel = _components(H.left_algebra, H.right_algebra, K.right_algebra,
-                          H.table, K.table).sel
-        S = np.zeros((H.dim * K.dim, len(sel)), dtype=np.complex128)
-        S[sel, np.arange(len(sel))] = 1.0
-        return S
-    ns, ps = H.right_algebra.block_sizes, K.right_algebra.block_sizes
-    Xs = [[F[:, :, ::n].transpose(1, 0, 2)[:, None, :, None, :, None]
-           for F, n in zip(row, ns)] for row in H.frames]
-    Ys = [[F[:, :, :p].transpose(1, 0, 2)[None, :, None, :, None, :]
-           for F, p in zip(row, ps)] for row in K.frames]
-    parts = [X * Ys[b][d] for row in Xs for d in range(len(ps)) for b, X in enumerate(row)]
-    return np.concatenate([xy.reshape(H.dim * K.dim, np.prod(xy.shape[2:], dtype=int))
-                           for xy in parts], axis=1)
-
-
-def _coordinates(S: np.ndarray) -> np.ndarray | None:
-    """The ambient coordinate of each column of S if S is a 0/1 coordinate
-    selection, one entry 1 per column, else None."""
-    cols, rows = np.nonzero(S.T)
-    if not np.array_equal(cols, np.arange(S.shape[1])) or np.any(S[rows, cols] != 1.0):
-        return None
-    return rows
+    return _Components(nodes, valid, vec, unit, col, outside, pads)
 
 
 def _block_scales(c: np.ndarray) -> np.ndarray:
@@ -282,73 +227,39 @@ def _block_scales(c: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(c)
 
 
-def _gram_gate(miss: np.ndarray, bound: float) -> None:
-    """RuntimeError if the Gram residual miss, a matrix or a stack of
-    blocks, is above bound in operator norm."""
-    if norm_exceeds(miss, bound):
-        top = max_operator_norm(miss.reshape((-1,) + miss.shape[-2:]))
+def _gram_gate(miss: np.ndarray, bound: float, mass: float) -> None:
+    """RuntimeError if the Gram residual, at most the largest operator norm
+    of the blocks miss plus mass, is above bound."""
+    if norm_exceeds(miss, bound - mass):
+        top = max_operator_norm(miss) + mass
         raise RuntimeError(f"fusion Gram residual {top:.3g} exceeds {bound:.3g}: the "
                            f"reduced quotient does not span the Gram matrix")
 
 
-def _dense_quotient(coef: np.ndarray, S: np.ndarray, K: Correspondence):
-    """(project, section, bound) from the ambient Gram matrix G, its
-    Hermitian part and the residual, all formed, with the first two gates."""
-    ambient = S.shape[0]
-    # G[(a, b), (c, d)] = sum_u coef[a, c, u].pi_l(e_u)[b, d]
-    G = K.unit_sum("left", coef).transpose(0, 2, 1, 3).reshape(ambient, ambient)
-    # project reads (G + G*)/2, halved after the product; the residual reads G
-    Gh = np.conjugate(G.T, order="C")
-    Gh += G
-    SG = (S.conj().T @ Gh) * 0.5
-    del Gh
-    # S*.G.S is c_b times the identity on middle block b: its diagonal
-    scale = _block_scales(np.einsum("ji,ij->j", SG, S).real)
-    section, project = S * scale, SG * scale[:, None]
-    # project*.project is G once S spans it, so its top eigenvalue is G's
-    bound = DEFAULT_TOL * max(operator_norm(project) ** 2, 1.0)
-    miss = project.conj().T @ project
-    miss -= G
-    del G
-    _gram_gate(miss, bound)
-    return project, section, bound
-
-
-def _component_quotient(parts: _Components, coef: np.ndarray, sel: np.ndarray, own: bool):
-    """(project, section, scale, bound) from G's components, S's columns the
-    coordinates sel, own if they are parts.sel, with the first two gates
-    (see the module docstring)."""
-    fused, ambient = len(sel), len(parts.comp)
-    # G on each component, and one zero block for coordinates off them
-    blocks = np.zeros((len(parts.nodes) + 1,) + parts.vec.shape[1:] * 2, dtype=np.complex128)
-    blocks[:-1] = coef[parts.vec[:, :, None], parts.vec[:, None, :],
-                       parts.unit[:, :, None] + parts.col[:, None, :]]
+def _component_quotient(parts: _Components, coef: np.ndarray, ambient: int):
+    """(project, section, scale, bound) from G's components, with the first
+    two gates (see the module docstring)."""
+    fused = len(parts.nodes)
+    # G on each component
+    blocks = coef[parts.vec[:, :, None], parts.vec[:, None, :],
+                  parts.unit[:, :, None] + parts.col[:, None, :]]
     if parts.pads is not None:
-        blocks[:-1][parts.pads] = 0.0
-    comp, node = parts.comp[sel], parts.node[sel]
-    # row j of (G + G*)/2 at sel_j, on its component: G's row and column there
-    rows = (blocks[comp, node] + blocks[comp, :, node].conj()) * 0.5
+        blocks[parts.pads] = 0.0
+    # row j of (G + G*)/2 at S's coordinate, node 0 of component j: G's row and column there
+    rows = (blocks[:, 0] + blocks[:, :, 0].conj()) * 0.5
     # S*.G.S is c_b times the identity on middle block b: its diagonal
-    scale = _block_scales(rows[np.arange(fused), node].real)
+    scale = _block_scales(rows[:, 0].real)
     rows *= scale[:, None]
-    on = parts.valid[comp]
     project = np.zeros((fused, ambient), dtype=np.complex128)
-    project[np.nonzero(on)[0], parts.nodes[comp][on]] = rows[on]
+    project[np.nonzero(parts.valid)[0], parts.nodes[parts.valid]] = rows[parts.valid]
     section = np.zeros((ambient, fused), dtype=np.complex128)
-    section[sel, np.arange(fused)] = scale
-    # project*.project on each component, its rows' outer products there;
-    # |project| is its largest component's, a row's norm if each has one
-    outer = rows.conj()[:, :, None] @ rows[:, None, :]
-    gram = np.zeros_like(blocks[:-1])
-    if own or not np.any(np.diff(np.sort(comp)) == 0):
-        gram[comp] = outer
-        top = np.linalg.norm(rows, axis=1)
-    else:
-        np.add.at(gram, comp, outer)
-        top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-    bound = DEFAULT_TOL * max(float(np.max(top, initial=0.0)) ** 2, 1.0)
-    gram -= blocks[:-1]
-    _gram_gate(gram, bound)
+    section[parts.sel, np.arange(fused)] = scale
+    # project*.project on each component, its row's outer product there;
+    # |project| is its largest row's norm
+    miss = rows.conj()[:, :, None] @ rows[:, None, :]
+    bound = DEFAULT_TOL * max(float(np.max(np.linalg.norm(rows, axis=1), initial=0.0)) ** 2, 1.0)
+    miss -= blocks
+    _gram_gate(miss, bound, float(np.linalg.norm(coef[parts.outside])))
     return project, section, scale, bound
 
 
@@ -415,8 +326,9 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     |G - project*.project| above bound = DEFAULT_TOL.max(|project|^2, 1)
     (G's top eigenvalue), or a compressed generating unit further than
     bound from the fused one: operator norms behind a Frobenius screen.
-    Two factors that hold their tables' frames are fused by components,
-    with no ambient G and no unit stack (see the module docstring).
+    The tables are fused by components, with no ambient G and no unit
+    stack, and project and section are conjugated by the factors' frames
+    (see the module docstring).
     """
     N = std_N.algebra
     if H.right_algebra != N or K.left_algebra != N:
@@ -425,39 +337,32 @@ def connes_fusion(H: Correspondence, K: Correspondence,
     if ambient > cap:
         raise CapExceeded(f"ambient tensor dimension {ambient} exceeds {cap}")
 
-    # R[a] is r_eta of basis vector a
-    R = _creation_operators(H, std_N)
+    M, P = H.left_algebra, K.right_algebra
+    # R[a] is r_eta of basis vector a of H's table
+    R = _creation_operators(Correspondence._lawful(M, N, H.table), std_N)
     # coordinates lam_inv.R_a*.R_c.Lambda(1) of the middle element of (a, c)
     coef = (R @ std_N.cyclic_vector()) @ (R.conj() @ std_N.lam_inv.T)
-    S = _reduced_basis(H, K)
-    M, P = H.left_algebra, K.right_algebra
-    parts = _components(M, N, P, H.table, K.table) \
-        if _holds_table_frames(H) and _holds_table_frames(K) else None
-    sel = None if parts is None or coef[parts.outside].any() else _coordinates(S)
-    if sel is None:
-        project, section, bound = _dense_quotient(coef, S, K)
-    else:
-        own = np.array_equal(sel, parts.sel)
-        project, section, scale, bound = _component_quotient(parts, coef, sel, own)
-    del S
-    table = tuple(tuple(sum(h * k for h, k in zip(row, col)) for col in zip(*K.multiplicities))
-                  for row in H.multiplicities)
+    parts = _components(M, N, P, H.table, K.table)
+    project, section, scale, bound = _component_quotient(parts, coef, ambient)
+    table = tuple(tuple(sum(h * k for h, k in zip(row, col)) for col in zip(*K.table))
+                  for row in H.table)
     # compressed generating units less the fused ones, 1 at their index
     # data, one side at a time
-    for factor, side, other in ((H, "left", K.dim), (K, "right", H.dim)):
-        fused_units = table_units(M, P, table, side, generators=True)
-        if sel is None:
-            off = project @ _generators_on_section(factor, side, section, other)
-            off[fused_units] -= 1.0
-        else:
-            plan = _planned(parts, own, side, lambda: _gather_plan(
-                factor, side, sel, K.dim, fused_units))
-            off = _gathered_generators(factor, side, plan, project, scale)
+    for factor, side in ((H, "left"), (K, "right")):
+        if side not in parts.plans:
+            parts.plans[side] = _gather_plan(factor, side, parts.sel, K.dim, table_units(
+                M, P, table, side, generators=True))
+        off = _gathered_generators(factor, side, parts.plans[side], project, scale)
         if norm_exceeds(off, bound):
             raise RuntimeError(f"fusion compression residual {max_operator_norm(off):.3g} "
                                f"exceeds {bound:.3g}: the reduced basis is not in the "
                                f"fused basis order")
         del off
+    if H.frame is not None or K.frame is not None:
+        # the factors' basis vectors x (x) y are W_H.x_t (x) W_K.y_t
+        frames = [X.dim if X.frame is None else X.frame for X in (H, K)]
+        section = kron_sandwich(None, *frames, section)
+        project = kron_sandwich(None, *frames, project.conj().T).conj().T
     corr = Correspondence._lawful(M, P, table,
                                   f"({H.name}*{K.name})" if H.name and K.name else "")
     return FusionResult(corr=corr, project=project, section=section,

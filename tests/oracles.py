@@ -39,6 +39,8 @@ from moritalab.numkernel import (
 )
 from moritalab.rings.bimodules import Bimodule
 from moritalab.wstar import Correspondence
+from moritalab.wstar.algebras import isotypic_frames
+from moritalab.wstar.correspondences import _unit_blocks
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -355,7 +357,7 @@ def compressed_units(fus):
 
 @dataclass
 class DenseFusion:
-    """What connes_fusion's dense route measures: project, section, the block
+    """What the dense reference fusion measures: project, section, the block
     constants c, the Gram residual matrix project*.project - G, its bound,
     and per side the compressed generating units less the fused ones."""
 
@@ -368,10 +370,11 @@ class DenseFusion:
 
 
 def dense_fusion(H, K, std) -> DenseFusion:
-    """connes_fusion's dense route with its gates measured, not applied: the
-    ambient Gram matrix contracted with K's left stack, S from the frames,
-    and each side's (generators, ambient, fused) stack of generating units
-    applied to section, Kronecker factors by reshaping."""
+    """connes_fusion formed densely, as it was before it fused by
+    components, with its gates measured, not applied: the ambient Gram
+    matrix contracted with K's left stack, S from the frames, and each
+    side's (generators, ambient, fused) stack of generating units applied
+    to section, Kronecker factors by reshaping."""
     from moritalab.wstar.algebras import table_units
     from moritalab.wstar.fusion import _creation_operators
 
@@ -433,18 +436,23 @@ def dense_right_unitor(H, std, fus) -> np.ndarray:
     return A.reshape(H.dim, H.dim * std.dim) @ fus.section
 
 
-# --------------------------------------- correspondences wrapped unchecked
+# ------------------------------------ correspondences read off unchecked stacks
 
 def unchecked_correspondence(A, B, dim, pi_l, pi_r, name=""):
-    """An (A, B) Correspondence holding the stacks pi_l and pi_r read-only,
-    with no law checked and no table: a fixture for the dense readers, and
-    for corrupted actions the public constructor would refuse."""
-    H = object.__new__(Correspondence)
-    vars(H).update(left_algebra=A, right_algebra=B, dim=dim, name=name)
-    for key, units in (("pi_l_units", pi_l), ("pi_r_units", pi_r)):
-        view = np.asarray(units, dtype=np.complex128).view()
-        view.flags.writeable = False
-        vars(H)[key] = view
+    """An (A, B) Correspondence read off the stacks pi_l and pi_r as the
+    constructor reads checked input, its table the isotypic frame counts
+    and its frame those frames in the table's basis order, with no law and
+    no frame gated: for corrupted actions the public constructor would
+    refuse, whose corruption the readers then meet in the frame."""
+    lefts, rights = (np.asarray(units, dtype=np.complex128) for units in (pi_l, pi_r))
+    frames = [[isotypic_frames(L[:, 0], R[0]) for R in _unit_blocks(B, rights)]
+              for L in _unit_blocks(A, lefts)]
+    W = np.concatenate([F.transpose(1, 0, 2).reshape(dim, F.shape[0] * F.shape[2])
+                        for row in frames for F in row], axis=1)
+    assert W.shape == (dim, dim), "the frames do not fill the space"
+    H = Correspondence._lawful(A, B, tuple(tuple(len(F) for F in row) for row in frames), name)
+    W.flags.writeable = False
+    vars(H)["frame"] = W
     return H
 
 

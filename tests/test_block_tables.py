@@ -57,7 +57,7 @@ def _tables(seed: int, count: int):
 
 
 def _measured(H: Correspondence) -> Correspondence:
-    """H's stacks without its table, so that its frames come from eigh."""
+    """H read off its stacks, so that its table and frame come from eigh."""
     return unchecked_correspondence(H.left_algebra, H.right_algebra, H.dim,
                                     H.pi_l_units, H.pi_r_units)
 
@@ -71,7 +71,7 @@ def test_table_frames_span_the_measured_frames(seed):
     for A, B, table in _tables(seed, 40):
         H = block_correspondence(A, B, table)
         measured = _measured(H)
-        assert H.table == table and measured.table is None
+        assert H.frame is None and measured.frame is not None
         assert H.multiplicities == measured.multiplicities == table
         for F, E in zip(itertools.chain(*H.frames), itertools.chain(*measured.frames)):
             assert np.allclose(_projection(F), _projection(E), rtol=0.0, atol=1e-12)
@@ -141,11 +141,10 @@ def test_a_fusion_result_holds_its_table_and_writes_its_stacks_on_first_read():
     assert fused.multiplicities == table
     with pytest.raises(AttributeError):
         fused.pi_x_units
-    # a correspondence without a table has no stack to write
+    # one read off stacks writes its stack from its table and frame
     H_measured = _measured(H)
-    del vars(H_measured)["pi_l_units"]
-    with pytest.raises(AttributeError):
-        H_measured.pi_l_units
+    assert "pi_l_units" not in vars(H_measured)
+    assert np.allclose(H_measured.pi_l_units, H.pi_l_units, rtol=0.0, atol=1e-12)
 
 
 def test_every_block_correspondence_is_built_from_its_table_alone():
@@ -169,16 +168,16 @@ def test_every_block_correspondence_is_built_from_its_table_alone():
                 units[0, 0, 0] = 1.0
 
 
-def test_tensordot_and_index_data_give_the_same_fusion():
-    # the Gram matrix is written from the right factor's index data when it
-    # carries a table, and contracted with its stack otherwise; both read
-    # the same frames
+def test_a_framed_factor_fuses_as_its_table_placed_by_its_frame():
+    # the tables are fused, then project and section are carried into the
+    # factors' bases by 1 (x) W for the right factor's frame W
     H, K, std = _fusion_inputs(np.random.default_rng(6))
-    K_stacks = _measured(K)
-    vars(K_stacks)["frames"] = K.frames
-    via_table, via_stack = connes_fusion(H, K, std), connes_fusion(H, K_stacks, std)
-    assert np.array_equal(via_table.project, via_stack.project)
-    assert np.array_equal(via_table.section, via_stack.section)
+    K_framed = _measured(K)
+    W = np.kron(np.eye(H.dim), K_framed.frame)
+    via_table, via_frame = connes_fusion(H, K, std), connes_fusion(H, K_framed, std)
+    assert via_frame.corr.table == via_table.corr.table and via_frame.corr.frame is None
+    assert np.allclose(via_frame.section, W @ via_table.section, rtol=0.0, atol=1e-15)
+    assert np.allclose(via_frame.project, via_table.project @ W.conj().T, rtol=0.0, atol=1e-15)
 
 
 def test_reduced_basis_is_a_partial_permutation_in_table_order():

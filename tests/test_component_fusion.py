@@ -1,18 +1,18 @@
-"""connes_fusion by components against its dense route (oracles.dense_fusion).
+"""connes_fusion by components against the dense reference (oracles.dense_fusion).
 
-Two block correspondences that hold their tables' frames are fused with
-no ambient Gram matrix: S is a 0/1 choice of ambient coordinates, G and
-project*.project vanish off the components (one right orbit of H times one
-left orbit of K over a middle block), and each gate is measured on small
-stacks.  On five cases, L² of (3), (4), (2, 3) and (1, 2, 2) at random
-faithful states and H fused with conj(H) for the table [[0, 1], [2, 1]],
-project, section and the block constants c are the dense route's bit for
-bit, the dense residual project*.project - G is exactly zero off the
-components and the stacked one's on them, and both compression stacks
-have the dense ones' nonzeros and norms.  Mutations aimed at each gate
-trip it on the component route too, replaced frames and coefficients
-that break the components' zeros take the dense route, and the witness
-of two correspondences of one table is the full computation's identity.
+Two tables are fused with no ambient Gram matrix: S is a 0/1 choice of
+ambient coordinates, G and project*.project vanish off the components (one
+right orbit of H times one left orbit of K over a middle block), and each
+gate is measured on small stacks.  On five cases, L² of (3), (4), (2, 3)
+and (1, 2, 2) at random faithful states and H fused with conj(H) for the
+table [[0, 1], [2, 1]], project, section and the block constants c are the
+dense reference's bit for bit, the dense residual project*.project - G is
+exactly zero off the components and the stacked one's on them, and both
+compression stacks have the dense ones' nonzeros and norms.  Mutations of
+the components trip each gate, coefficients off the components enter the
+Gram gate as their Frobenius mass, which bounds G off the components, and
+the witness of two correspondences of one table is the full
+computation's identity.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from moritalab.wstar import (
     trace_state,
     unitary_intertwiner,
 )
-from oracles import dense_fusion
+from oracles import dense_fusion, fusion_gram
 
 CASES = ["L2(3)", "L2(4)", "L2(2,3)", "L2(1,2,2)", "H*conj(H)"]
 
@@ -58,9 +58,8 @@ def _case(name: str):
 
 @pytest.fixture
 def measured(monkeypatch):
-    """The block constants and every (matrix, bound) norm_exceeds sees in fusion,
-    and which route each fusion took."""
-    out = {"c": [], "norms": [], "routes": []}
+    """The block constants and every (matrix, bound) norm_exceeds sees in fusion."""
+    out = {"c": [], "norms": []}
     scales, exceeds = fusion_module._block_scales, fusion_module.norm_exceeds
 
     def record_scales(c):
@@ -72,13 +71,6 @@ def measured(monkeypatch):
         return exceeds(A, bound)
     monkeypatch.setattr(fusion_module, "_block_scales", record_scales)
     monkeypatch.setattr(fusion_module, "norm_exceeds", record_norms)
-    for name in ("_dense_quotient", "_component_quotient"):
-        route = getattr(fusion_module, name)
-
-        def recorded(*args, route=route, name=name):
-            out["routes"].append(name)
-            return route(*args)
-        monkeypatch.setattr(fusion_module, name, recorded)
     return out
 
 
@@ -92,7 +84,6 @@ def test_components_give_the_dense_values(name, measured):
     H, K, std = _case(name)
     fus = connes_fusion(H, K, std)
     dense = dense_fusion(H, K, std)
-    assert measured["routes"] == ["_component_quotient"]
     assert np.array_equal(fus.project, dense.project)
     assert np.array_equal(fus.section, dense.section)
     (c,) = measured["c"]
@@ -134,33 +125,67 @@ def test_the_witness_shortcut_is_the_full_computation(name, monkeypatch):
     U, r = unitary_intertwiner(fused, same)
     assert not calls
     assert r == 0.0 and np.array_equal(U, np.eye(fused.dim))
-    # frames a caller put in place, equal or not, take the full computation
+    # what the shortcut skips: the identity's residual, exactly 0
+    assert Intertwiner(fused, same, U).residual() == 0.0
+    # frames a caller puts in place change no route
     vars(same)["frames"] = tuple(map(tuple, same.frames))
-    full_U, full_r = unitary_intertwiner(fused, same)
-    assert len(calls) == 1
-    assert full_r == r and np.array_equal(full_U, U)
+    assert unitary_intertwiner(fused, same)[1] == 0.0 and len(calls) == 1
 
 
-def test_replaced_frames_take_the_dense_route(measured):
+def test_frames_put_in_place_change_no_route(measured):
     H, K, std = _case("L2(2,3)")
     fast = connes_fusion(H, K, std)
     K2 = block_correspondence(K.left_algebra, K.right_algebra, K.table)
-    vars(K2)["frames"] = tuple(map(tuple, K2.frames))
-    slow = connes_fusion(H, K2, std)
-    assert measured["routes"] == ["_component_quotient", "_dense_quotient"]
-    assert np.array_equal(fast.project, slow.project)
-    assert np.array_equal(fast.section, slow.section)
+    vars(K2)["frames"] = tuple(tuple(2.0 * F for F in row) for row in K2.frames)
+    again = connes_fusion(H, K2, std)
+    assert np.array_equal(fast.project, again.project)
+    assert np.array_equal(fast.section, again.section)
 
 
-def test_coefficients_off_the_components_take_the_dense_route(measured):
-    # a rounding-sized entry of Lambda^{-1} across blocks gives coef entries
-    # in the wrong middle block: G no longer vanishes off the components, so
-    # they are not used, and the dense route fuses as before
-    H, K, std = _case("L2(2,3)")
+def _lam_inv_across_blocks(std, entry):
+    """std with one entry of Lambda^{-1} across its two blocks, so that coef
+    has entries in the wrong middle block: off the components."""
     lam_inv = std.lam_inv.copy()
-    lam_inv[0, -1] = 1e-12
-    assert connes_fusion(H, K, replace(std, lam_inv=lam_inv)).corr.dim == 13
-    assert measured["routes"] == ["_dense_quotient"]
+    lam_inv[0, -1] = entry
+    return replace(std, lam_inv=lam_inv)
+
+
+def _mass(H, K, std):
+    """The Frobenius norm of coef off the components: the mass."""
+    R = fusion_module._creation_operators(H, std)
+    coef = (R @ std.cyclic_vector()) @ (R.conj() @ std.lam_inv.T)
+    return np.linalg.norm(coef[_parts(H, K).outside])
+
+
+def test_the_mass_of_coefficients_off_the_components_bounds_g_there():
+    # G's entries off the components are coefficients off them, each at one
+    # entry of a unit of K's left action, a *-representation: so G off the
+    # components is at most the block matrix of those coefficients over a
+    # middle block in norm, so at most their Frobenius norm
+    H, K, std = _case("L2(2,3)")
+    parts = _parts(H, K)
+    assert _mass(H, K, std) == 0.0
+    for entry in (1e-12, 1e-3, 1.0):
+        bent = _lam_inv_across_blocks(std, entry)
+        G = fusion_gram(H, K, bent)
+        inside = np.zeros_like(G, dtype=bool)
+        for nodes, valid in zip(parts.nodes, parts.valid):
+            inside[np.ix_(nodes[valid], nodes[valid])] = True
+        assert 0.0 < operator_norm(np.where(inside, 0.0, G)) <= _mass(H, K, bent) * (1.0 + 1e-12)
+
+
+def test_coefficients_off_the_components_enter_the_gram_gate(measured):
+    # a rounding-sized entry of Lambda^{-1} across blocks adds its mass to the
+    # Gram residual and still fuses; a large one trips the Gram gate
+    H, K, std = _case("L2(2,3)")
+    bent = _lam_inv_across_blocks(std, 1e-12)
+    assert connes_fusion(H, K, bent).corr.dim == 13
+    (_, reduced), (_, bound), _ = measured["norms"][:3]
+    assert 0.0 < _mass(H, K, bent) < bound
+    assert reduced == bound - _mass(H, K, bent)
+    with pytest.raises(RuntimeError, match=r"fusion Gram residual \S+ exceeds \S+: "
+                                           r"the reduced quotient"):
+        connes_fusion(H, K, _lam_inv_across_blocks(std, 1e-3))
 
 
 def test_multiplicities_of_a_table_read_no_frames():
@@ -170,65 +195,62 @@ def test_multiplicities_of_a_table_read_no_frames():
     assert "frames" not in vars(H)
 
 
+def mutated_components(monkeypatch, mutate):
+    """Have fusion read its components through mutate, which takes copies of
+    their index arrays (nodes, valid, vec, unit, col) and returns new ones."""
+    real = fusion_module._components
+
+    def mutated(*key):
+        parts = real(*key)
+        nodes, valid, vec, unit, col = mutate(*(np.array(getattr(parts, name)) for name in
+                                                ("nodes", "valid", "vec", "unit", "col")))
+        pads = None if valid.all() else ~(valid[:, :, None] & valid[:, None, :])
+        return replace(parts, nodes=nodes, valid=valid, vec=vec, unit=unit, col=col,
+                       pads=pads, plans={})
+    monkeypatch.setattr(fusion_module, "_components", mutated)
+
+
 class TestComponentGates:
-    """Mutated reduced bases that stay 0/1 selections trip each gate on the
-    component route, with the dense route's messages."""
+    """Mutated components trip each gate, with its message."""
 
     @staticmethod
-    def _fuse(monkeypatch, mutate, measured):
+    def _fuse(monkeypatch, mutate):
         H, K, std = _case("H*conj(H)")
-        reduced = fusion_module._reduced_basis
-        monkeypatch.setattr(fusion_module, "_reduced_basis", lambda H, K: mutate(reduced(H, K), H, K))
+        mutated_components(monkeypatch, mutate)
         connes_fusion(H, K, std)
 
-    def test_a_column_off_every_component_is_null(self, monkeypatch, measured):
-        def off_components(S, H, K):
-            S = S.copy()
-            S[:, 0] = 0.0
-            S[np.flatnonzero(_parts(H, K).comp < 0)[0], 0] = 1.0
-            return S
+    def test_a_component_read_in_the_wrong_middle_block_is_null(self, monkeypatch):
+        # coef vanishes on units of another middle block, so the component's
+        # block of G, and its constant, are 0
+        N = _case("H*conj(H)")[0].right_algebra
+
+        def elsewhere(nodes, valid, vec, unit, col):
+            j = int(np.flatnonzero(unit[:, 0] == N.unit_index(0, 0, 0))[0])
+            unit[j] = N.unit_index(1, 0, 0)
+            return nodes, valid, vec, unit, col
         with pytest.raises(RuntimeError, match=r"fusion block constant 0 is not "
                                                r"above \S+: a reduced basis vector is null"):
-            self._fuse(monkeypatch, off_components, measured)
-        assert measured["routes"] == ["_component_quotient"]
+            self._fuse(monkeypatch, elsewhere)
 
-    def test_a_dropped_column_misses_the_gram_matrix(self, monkeypatch, measured):
+    def test_a_node_read_at_another_unit_misses_the_gram_matrix(self, monkeypatch):
+        # node (0, 1) of a component read at node (1, 0)'s middle unit: the
+        # block of G measured there is no longer project*.project's
+        def misread(nodes, valid, vec, unit, col):
+            i = int(np.flatnonzero(valid.sum(axis=1) > 1)[0])
+            unit[i, 1] = unit[i, int(round(np.sqrt(valid[i].sum())))]
+            return nodes, valid, vec, unit, col
         with pytest.raises(RuntimeError, match=r"fusion Gram residual \S+ exceeds \S+: "
                                                r"the reduced quotient"):
-            self._fuse(monkeypatch, lambda S, H, K: S[:, :-1], measured)
-        assert measured["routes"] == ["_component_quotient"]
+            self._fuse(monkeypatch, misread)
 
-    def test_two_columns_in_one_component_measure_as_the_dense_route(self, monkeypatch,
-                                                                      measured):
-        # column j reads another node of column i's component: that component
-        # has two rows and j's own none, so the Gram gate trips, with the
-        # residual and bound that the dense route measures on the same S
-        def doubled(S, H, K):
-            parts = _parts(H, K)
-            i = int(np.flatnonzero(parts.valid.sum(axis=1) > 1)[0])
-            j = (i + 1) % S.shape[1]
-            S = S.copy()
-            S[:, j] = 0.0
-            S[parts.nodes[i, 1], j] = 1.0
-            return S
-        message = r"fusion Gram residual \S+ exceeds \S+: the reduced quotient"
-        with pytest.raises(RuntimeError, match=message):
-            self._fuse(monkeypatch, doubled, measured)
-        H, K, std = _case("H*conj(H)")
-        vars(H)["frames"] = tuple(map(tuple, H.frames))
-        with pytest.raises(RuntimeError, match=message):
-            connes_fusion(H, K, std)
-        assert measured["routes"] == ["_component_quotient", "_dense_quotient"]
-        (stacked, bound), (dense, dense_bound) = measured["norms"]
-        assert bound == pytest.approx(dense_bound, rel=1e-12)
-        assert max_operator_norm(stacked) == pytest.approx(operator_norm(dense), rel=1e-12)
-
-    def test_swapped_columns_miss_the_fused_units(self, monkeypatch, measured):
+    def test_swapped_components_miss_the_fused_units(self, monkeypatch):
+        def swapped(*fields):
+            for x in fields:
+                x[[0, 1]] = x[[1, 0]]
+            return fields
         with pytest.raises(RuntimeError, match=r"fusion compression residual \S+ "
                                                r"exceeds \S+: the reduced basis"):
-            self._fuse(monkeypatch, lambda S, H, K: S[:, [1, 0] + list(range(2, S.shape[1]))],
-                       measured)
-        assert measured["routes"] == ["_component_quotient"]
+            self._fuse(monkeypatch, swapped)
 
 
 def test_no_ambient_gram_matrix_is_formed():

@@ -2,10 +2,10 @@
 
 Each instance keeps its latest composites by exact content: both cells'
 rings, carriers and stacks on the ring side, (M, N, P, H.table, K.table)
-for two W* cells that hold their tables' frames.  On the coherence-batch
-chains every composite, reused or not, must equal a fresh tensor_product
-or connes_fusion field for field, with the caller's own cells as its
-factors; equal cells with other names get their own names; untabled
+for two W* cells with no frame.  On the coherence-batch chains every
+composite, reused or not, must equal a fresh tensor_product or
+connes_fusion field for field, with the caller's own cells as its
+factors; equal cells with other names get their own names; checked
 correspondences are fused on every call; a compose that raises keeps
 nothing; the memo is bounded; and the coherence verdicts on one shared
 instance are those of a fresh instance per check, bit for bit, with fewer
@@ -204,7 +204,9 @@ def test_equal_wstar_cells_keep_their_own_names(computed):
     assert computed["connes_fusion"] == 1
 
 
-def test_untabled_correspondences_are_fused_on_every_call(computed):
+def test_checked_correspondences_are_fused_on_every_call(computed):
+    # a checked correspondence has a frame, so its composites are not kept;
+    # frames a caller puts in place of a table's change nothing
     A, B = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((2, 1))
     H = block_correspondence(A, B, [[1, 1]])
     checked = Correspondence(A, B, H.dim, H.pi_l_units, H.pi_r_units)
@@ -215,8 +217,8 @@ def test_untabled_correspondences_are_fused_on_every_call(computed):
     for X in (checked, replaced):
         for _ in range(3):
             inst.compose(X, L)
-    assert computed["connes_fusion"] == 6
-    assert len(inst._composites) == 0
+    assert computed["connes_fusion"] == 4
+    assert len(inst._composites) == 1
 
 
 def test_a_raising_ring_compose_keeps_nothing(computed):

@@ -4,7 +4,7 @@ conjugate_correspondence(H) is the block correspondence of H's table
 transposed, built with no stack read.  Against the entrywise conjugate of
 H's stacks (oracles.dense_conjugate) it must be unitarily equivalent with
 a residual within DEFAULT_TOL, for block correspondences, L², fusion
-results and checked correspondences with no table; conjugating twice must
+results and checked correspondences with a frame; conjugating twice must
 give a block correspondence back, and conjugating a table must write no
 stack of either side.  Block correspondences whose tables are permutations
 other than the identity must certify with residual exactly 0 at random
@@ -64,7 +64,7 @@ def _fused(left, right, table, seed):
 
 def _rotated(left, right, table, seed):
     """A block correspondence moved by a random unitary, through the checked
-    constructor: it has no table, so its frames come from eigh."""
+    constructor: its table and frame come from eigh."""
     H = _block(left, right, table)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((H.dim, H.dim)) + 1j * rng.standard_normal((H.dim, H.dim))
@@ -86,7 +86,7 @@ KINDS = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_conjugate_is_the_transposed_table(kind):
     H = KINDS[kind]()
-    tabled = H.table is not None
+    tabled = H.frame is None
     conj = conjugate_correspondence(H)
     if tabled:
         assert not STACKS & set(vars(H)) and not STACKS & set(vars(conj))

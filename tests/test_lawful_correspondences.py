@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 import moritalab.wstar.correspondences as correspondences
-import moritalab.wstar.fusion as fusion_module
 from moritalab.bicategory import (
     WStarBicategory,
     sample_wstar_chain,
@@ -59,6 +58,7 @@ from moritalab.wstar import (
 )
 
 from oracles import dense_conjugate
+from test_component_fusion import mutated_components
 
 CHAIN_SEED = 20030301   # the coherence-batch chain shapes
 STATE_FLOOR = 0.05
@@ -206,11 +206,17 @@ def test_the_check_finds_a_transposed_block_unit(built, monkeypatch):
     assert [v for v in violations(built) if "star property" in v]
 
 
-def _zero_copy(frames):
-    """Frames with copy 0 of every block pair read as zero."""
-    frames = frames.copy()
-    frames[:1] = 0.0
-    return frames
+def _zero_component(nodes, valid, vec, unit, col):
+    """Component 0 read as padding throughout: its block of G is zero."""
+    valid[0] = False
+    return nodes, valid, vec, unit, col
+
+
+def _swap_components(*fields):
+    """Components 0 and 1 exchanged: fused basis vectors out of order."""
+    for x in fields:
+        x[[0, 1]] = x[[1, 0]]
+    return fields
 
 
 class TestFusionGates:
@@ -221,20 +227,14 @@ class TestFusionGates:
         std = gns_standard_form(H.right_algebra, trace_state(H.right_algebra))
         return connes_fusion(H, conjugate_correspondence(H), std)
 
-    def test_a_zeroed_frame_copy_raises_on_its_block_constant(self):
-        H = vector_correspondence(3)
-        vars(H)["frames"] = tuple(tuple(map(_zero_copy, row)) for row in H.frames)
+    def test_a_zeroed_component_raises_on_its_block_constant(self, monkeypatch):
+        mutated_components(monkeypatch, _zero_component)
         with pytest.raises(RuntimeError, match=r"fusion block constant 0 is not "
                                                r"above \S+: a reduced basis vector is null"):
-            self._fuse(H)
+            self._fuse(vector_correspondence(3))
 
     def test_cli_row_is_error(self, monkeypatch, tmp_path):
-        # every frame's copy 0 zeroed: the measured ones and those read off a table
-        measured, tabled = correspondences.isotypic_frames, correspondences.table_frames
-        monkeypatch.setattr(correspondences, "isotypic_frames",
-                            lambda lefts, rights: _zero_copy(measured(lefts, rights)))
-        monkeypatch.setattr(correspondences, "table_frames", lambda *table: tuple(
-            tuple(map(_zero_copy, row)) for row in tabled(*table)))
+        mutated_components(monkeypatch, _zero_component)
         report = tmp_path / "mn-vs-c.json"
         assert main(["demo", "mn-vs-c", "--report", str(report)]) == 1
         rows = {row["task"]: row for row in json.loads(report.read_text())["tasks"]}
@@ -242,38 +242,14 @@ class TestFusionGates:
         assert rows["morita-wstar"]["detail"].startswith(
             "RuntimeError: fusion block constant 0 is not above")
 
-    def test_columns_out_of_order_raise_on_the_compressed_units(self, monkeypatch):
-        # a permuted S keeps every block constant and the Gram residual, but
-        # its basis no longer matches the block correspondence's order
-        reduced = fusion_module._reduced_basis
-
-        def swapped(H, K):
-            S = reduced(H, K)
-            return S[:, [1, 0] + list(range(2, S.shape[1]))]
-        monkeypatch.setattr(fusion_module, "_reduced_basis", swapped)
+    def test_components_out_of_order_raise_on_the_compressed_units(self, monkeypatch):
+        # permuted components keep every block constant and the Gram
+        # residual, but their basis no longer matches the block
+        # correspondence's order
+        mutated_components(monkeypatch, _swap_components)
         with pytest.raises(RuntimeError, match=r"fusion compression residual \S+ "
                                                r"exceeds \S+: the reduced basis"):
             self._fuse(vector_correspondence(3))
-
-    def test_a_frame_column_rotated_into_another_block_still_fuses(self):
-        # H.p_c fuses to zero against p_b.K for c != b, so tilting a column
-        # of H.p_0 toward H.p_1 scales its fused vector by cos(t) alone:
-        # its block constant drops by cos(t)^2 and project is unchanged
-        A = MultiMatrixAlgebra((2, 1), name="M2+C")
-        std = gns_standard_form(A, random_faithful_state(A, np.random.default_rng(3)))
-        L2 = identity_correspondence(std)
-        H = block_correspondence(A, A, [[1, 0], [0, 1]])
-        exact = connes_fusion(H, L2, std)
-        frames = [list(row) for row in H.frames]
-        tilted = frames[0][0].copy()
-        tilted[0, :, 0] = np.cos(0.3) * tilted[0, :, 0] + np.sin(0.3) * frames[1][1][0, :, 0]
-        frames[0][0] = tilted
-        vars(H)["frames"] = tuple(map(tuple, frames))
-        fus = connes_fusion(H, L2, std)
-        assert not np.allclose(fus.section, exact.section)
-        assert np.allclose(fus.project, exact.project, rtol=0.0, atol=1e-12)
-        assert np.array_equal(fus.corr.pi_l_units, exact.corr.pi_l_units)
-        assert np.array_equal(fus.corr.pi_r_units, exact.corr.pi_r_units)
 
 
 def test_validation_holds_the_two_stored_stacks_and_no_reordered_copy():

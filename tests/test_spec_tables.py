@@ -1,11 +1,10 @@
 """Spec files write a tabled correspondence as its table and load it back as one.
 
-A correspondence that carries a multiplicity table (a block
-correspondence, L², a conjugate, a fusion result) is serialized as
-{"left", "right", "table"} and loaded through ``block_correspondence``,
-so it comes back a table with no stack.  Checked input, which holds
-validated stacks and no table, keeps its dense "pi_l"/"pi_r" entry and
-the checked constructor.
+A correspondence with no frame (a block correspondence, L², a conjugate,
+a fusion result) is serialized as {"left", "right", "table"} and loaded
+through ``block_correspondence``, so it comes back a table with no stack.
+Checked input, a table placed by a frame, is written as its dense
+"pi_l"/"pi_r" entry and loads through the checked constructor again.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def test_checked_input_keeps_the_dense_entry():
     doc = serialize_spec(SpecFile(algebras={"M2": M2, "C": C}, correspondences={"D": dense}))
     assert set(doc["correspondences"]["D"]) == {"left", "right", "dim", "pi_l", "pi_r"}
     back = load_spec_dict(json.loads(json.dumps(doc))).correspondences["D"]
-    assert back.table is None
+    assert back.frame is not None and back.table == H.table
     for stack in STACKS:
         assert np.array_equal(getattr(back, stack), getattr(dense, stack))
 

@@ -1,12 +1,12 @@
 """One side's unit images summed with coefficients, Correspondence.unit_sum.
 
 pi_l, pi_r, the creation operators r_eta and the twisted balancing check
-read a factor only through unit_sum, which gathers on a block
-correspondence and contracts with the stack otherwise.  On a tabled
-factor none of them writes a stack, and each value equals the one read off
-the checked copy that holds the stacks: r_eta bit for bit, pi_l, pi_r and
-unit_sum up to the sign of a zero (array_equal), and the balancing
-residual bit for bit.
+read a factor only through unit_sum, which gathers on the table and
+conjugates by the frame of a checked correspondence.  On a factor with no
+frame none of them writes a stack, and each value equals the one read off
+the checked copy's stacks: r_eta bit for bit, pi_l, pi_r and unit_sum up
+to the sign of a zero (array_equal), and the balancing residual bit for
+bit.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ TABLES = [
 
 
 def _checked_copy(H: Correspondence) -> Correspondence:
-    """H's stacks through the checked constructor, which keeps no table;
+    """H's stacks through the checked constructor, which gives it a frame;
     read off a second block correspondence, so H writes none."""
     X = block_correspondence(H.left_algebra, H.right_algebra, H.table)
     return Correspondence(X.left_algebra, X.right_algebra, X.dim, X.pi_l_units, X.pi_r_units)

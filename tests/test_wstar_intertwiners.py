@@ -278,15 +278,24 @@ class TestStreamedResidual:
             assert got > 0.0
             assert got.hex() == _listed_residual(w).hex()
 
-    def test_rotated_witness_equals_the_listed_residual(self):
+    def test_rotated_witness_is_read_on_the_tables(self):
+        # a witness onto K, the table placed by the frame W, is read on the
+        # tables as W*.T: the listed residual there bit for bit, and within
+        # d.(r + 2(1 + d)|T|) of the listed one against K's stacks, d W's
+        # unitarity defect and r the value read, up to the rounding of both
         A, B = MultiMatrixAlgebra((1, 2, 1)), MultiMatrixAlgebra((2, 1))
         H = block_correspondence(A, B, [[1, 0], [1, 1], [0, 2]])
         K = _rotated(H, _haar_unitary(H.dim, np.random.default_rng(3)))
+        W = K.frame
+        d = operator_norm(W.conj().T @ W - np.eye(H.dim))
         U, _ = unitary_intertwiner(H, K)
         rng = np.random.default_rng(4)
         for eps in (1e-12, 1e-6):
             w = Intertwiner(H, K, U + eps * rng.normal(size=U.shape))
-            assert w.residual().hex() == _listed_residual(w).hex()
+            r, top = w.residual(), operator_norm(w.matrix)
+            tabled = Intertwiner(H, H, W.conj().T @ w.matrix)
+            assert r.hex() == _listed_residual(tabled).hex()
+            assert abs(r - _listed_residual(w)) <= d * (r + 2.0 * (1.0 + d) * top) + 1e-15 * top
 
     def test_peak_memory_for_m8(self):
         # listing the 2 x 64 products of 64 x 64 matrices, then stacking

@@ -184,18 +184,18 @@ class TestWitnessesMustAgree:
             certify_morita_equivalent(vector_correspondence(2))
 
     def test_a_scaled_witness_is_not_a_certificate(self, monkeypatch):
-        # half-scale frames keep every multiplicity, and the witness they
-        # give, of norm 1/4, has a residual at rounding level; the fusion
-        # normalizes its reduced basis by the block constants, so both
-        # fusions pass and the certificate reaches the witness search
-        import moritalab.wstar.correspondences as correspondences
+        # a half-scale frame on L² keeps every multiplicity, and the witness
+        # it gives, read on the table as a quarter of the identity, has a
+        # residual of 0; the fusions read no frame, so both pass and the
+        # certificate reaches the witness search
         import moritalab.wstar.morita as morita
-        # every frame halved: the measured ones and those read off a table
-        measured, tabled = correspondences.isotypic_frames, correspondences.table_frames
-        monkeypatch.setattr(correspondences, "isotypic_frames",
-                            lambda lefts, rights: 0.5 * measured(lefts, rights))
-        monkeypatch.setattr(correspondences, "table_frames", lambda *table: tuple(
-            tuple(0.5 * F for F in row) for row in tabled(*table)))
+        build = morita.identity_correspondence
+
+        def halved(std):
+            L2 = build(std)
+            vars(L2)["frame"] = 0.5 * np.eye(L2.dim)
+            return L2
+        monkeypatch.setattr(morita, "identity_correspondence", halved)
         found, searched = morita.unitary_intertwiner, []
         monkeypatch.setattr(morita, "unitary_intertwiner",
                             lambda H, K: searched.append(H) or found(H, K))
@@ -233,13 +233,9 @@ def _noise(size):
     return change
 
 
-def _rotation(size):
+def _scale(size):
     def change(units):
-        rng = np.random.default_rng(12)
-        g = rng.normal(size=units.shape[1:]) + 1j * rng.normal(size=units.shape[1:])
-        w, V = np.linalg.eigh(g + g.conj().T)
-        W = (V * np.exp(1j * size * w / np.abs(w).max())) @ V.conj().T
-        return W @ units @ W.conj().T
+        return (1.0 + size) * units
     return change
 
 
@@ -247,21 +243,26 @@ class TestTheWitnessesBoundL2:
     """Certification maps its fusions onto an unchecked L²; the witnesses gate it.
 
     Each mutation rewrites the right action of every L² that certification
-    builds.  A law broken above the witness tolerance must raise, never
-    certify or refute; one broken below it certifies and shows in the
-    residual.
+    builds, which is read as its table and the frame its isotypic frames
+    give (oracles.unchecked_correspondence), so the readers meet the
+    mutation in the frame.  A law broken above the witness tolerance must
+    raise, never certify or refute; one broken below it certifies and shows
+    in the residual.
     """
 
     @staticmethod
     def corrupt(monkeypatch, change):
-        build = morita_module.identity_correspondence
+        """Install the mutation; the list returned collects the L² it builds."""
+        build, built = morita_module.identity_correspondence, []
 
         def corrupted(std):
             L2 = build(std)
-            return unchecked_correspondence(
+            built.append(unchecked_correspondence(
                 L2.left_algebra, L2.right_algebra, L2.dim, L2.pi_l_units,
-                change(np.stack(L2.pi_r_units)), L2.name)
+                change(np.stack(L2.pi_r_units)), L2.name))
+            return built[-1]
         monkeypatch.setattr(morita_module, "identity_correspondence", corrupted)
+        return built
 
     @staticmethod
     def certify(H, phi):
@@ -269,8 +270,8 @@ class TestTheWitnessesBoundL2:
             else certify_morita_equivalent(H)
 
     @pytest.mark.parametrize("change", [
-        _noise(1e-7), _rotation(1e-7), lambda units: units.transpose(0, 2, 1)],
-        ids=["noise", "rotation", "transposed"])
+        _noise(1e-7), _scale(1e-7), lambda units: units.transpose(0, 2, 1)],
+        ids=["noise", "scale", "transposed"])
     def test_a_broken_right_action_raises(self, monkeypatch, change):
         self.corrupt(monkeypatch, change)
         for H, phi in _certified_pairs():
@@ -278,12 +279,17 @@ class TestTheWitnessesBoundL2:
                 self.certify(H, phi)
 
     def test_sub_tolerance_noise_certifies_and_shows(self, monkeypatch):
+        # the witness onto L² with frame W is read as W*W, whose residual
+        # against the table is at most twice W's unitarity defect d
         clean = [self.certify(H, phi).residual for H, phi in _certified_pairs()]
-        self.corrupt(monkeypatch, _noise(1e-9))
+        built = self.corrupt(monkeypatch, _noise(1e-9))
         for (H, phi), before in zip(_certified_pairs(), clean):
+            built.clear()
             cert = self.certify(H, phi)
+            d = max(operator_norm(L2.frame.conj().T @ L2.frame - np.eye(L2.dim))
+                    for L2 in built)
             assert cert.equivalent
-            assert before < 1e-12 and 1e-9 <= cert.residual <= 1e-8
+            assert before < 1e-12 and 1e-10 <= d <= 1e-8 and 0.0 < cert.residual <= 2.0 * d
 
 
 def test_an_equivalence_fuses_onto_l2_stack_for_stack():
