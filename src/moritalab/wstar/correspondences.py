@@ -200,8 +200,10 @@ class Correspondence:
         # read yet
         if key not in _SIDES:
             raise AttributeError(key)
-        vars(self)[key] = units = _framed_stack(
-            self.left_algebra, self.right_algebra, self.table, _SIDES[key], self.frame)
+        units = table_stack(self.left_algebra, self.right_algebra, self.table, _SIDES[key])
+        if self.frame is not None:
+            units = _read_only(self.frame @ units @ self.frame.conj().T)
+        vars(self)[key] = units
         return units
 
     @cached_property
@@ -245,13 +247,6 @@ def _framed_differences(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, sid
         moved = np.zeros_like(adjoint)
         moved[to] = adjoint[fro]
         yield frame @ moved - U
-
-
-def _framed_stack(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, side: str,
-                  frame: np.ndarray | None) -> np.ndarray:
-    """One side's read-only unit stack of the table placed by frame W: W.B_u.W*."""
-    units = table_stack(A, B, table, side)
-    return units if frame is None else _read_only(frame @ units @ frame.conj().T)
 
 
 def _unitary(H: Correspondence) -> np.ndarray:
