@@ -127,7 +127,7 @@ class _Search:
         self.k = D.rank
         self.factors = C.additive.invariant_factors
         self.nodes = 0
-        self._elements: np.ndarray | None = None
+        self._table: np.ndarray | None = None
         self._squares: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         # level at which each product pair becomes fully determined
@@ -140,9 +140,9 @@ class _Search:
         self.unit_level = max(usupport) if usupport else 0
 
     def table(self) -> np.ndarray:
-        if self._elements is None:
-            self._elements = _element_table(self.factors)
-        return self._elements
+        if self._table is None:
+            self._table = _element_table(self.factors)
+        return self._table
 
     def squares(self) -> np.ndarray:
         if self._squares is None:

@@ -249,11 +249,6 @@ def _framed_differences(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, sid
         yield frame @ moved - U
 
 
-def _unitary(H: Correspondence) -> np.ndarray:
-    """H's frame, the identity where it has none."""
-    return np.eye(H.dim, dtype=np.complex128) if H.frame is None else H.frame
-
-
 def _unit_difference(T: np.ndarray, H: Correspondence, K: Correspondence, side: str):
     """u -> T.A_u - B_u.T on one side, A_u and B_u the units of the tables
     of H and K: gathers at the unit's slices (algebras.table_unit_slices)."""
@@ -286,7 +281,7 @@ def _table_residual(T: np.ndarray, H: Correspondence, K: Correspondence) -> floa
 def correspondences_close(a: Correspondence, b: Correspondence,
                           tol: float = DEFAULT_TOL) -> bool:
     """Same algebra pair and table, and actions within tol: W_b*.W_a, for
-    W_a and W_b the frames (the identity where there is none), commutes
+    W_a and W_b the frames, each applied only where there is one, commutes
     with the table's block actions within tol."""
     if a is b:
         return True
@@ -297,7 +292,10 @@ def correspondences_close(a: Correspondence, b: Correspondence,
         # one table_stack key on both sides: their difference is exactly 0,
         # within every tol but a negative one
         return not tol < 0.0
-    return not _table_residual(_unitary(b).conj().T @ _unitary(a), a, b) > tol
+    V = a.frame if b.frame is None else b.frame.conj().T
+    if a.frame is not None and b.frame is not None:
+        V = V @ a.frame
+    return not _table_residual(V, a, b) > tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +322,13 @@ class Intertwiner:
         of the residual against the stacks W.B_u.W*, whose units have norm
         at most 1 + d: W_K.(W_K*.T.W_H.B_u - B_u.W_K*.T.W_H).W_H* differs
         from T.A_u - B_u.T by (W_K.W_K* - 1).T.A_u - B_u.T.(W_H.W_H* - 1),
-        and W_K, W_H scale norms by factors within [1 - d, 1 + d]."""
+        and W_K, W_H scale norms by factors within [1 - d, 1 + d].
+
+        For checked input the tables' actions are lawful and commute by
+        construction, and the constructor gated W against the stacks it
+        was given, so a witness W_K.W_H* (unitary_intertwiner) is read as
+        W_K*.W_K.W_H*.W_H: its residual certifies how near the frames are
+        to unitary, not again that the given actions intertwine."""
         T, H, K = self.matrix, self.source, self.target
         if K.frame is not None:
             T = K.frame.conj().T @ T
@@ -464,7 +468,10 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence
 
     Two with no frame, such as L²(M) and H fused with conj(H) for an
     equivalence H, are one table in one basis: U is the identity and
-    every unit difference exactly 0, returned with no unit read.
+    every unit difference exactly 0, returned with no unit read.  With a
+    frame, r is that of W_K*.U.W_H on the table (Intertwiner.residual), so
+    it certifies the frames' unitarity: that the actions commute and that
+    W carries the table onto them were gated when the input was built.
     """
     if H.left_algebra != K.left_algebra or H.right_algebra != K.right_algebra:
         raise AlgebraMismatch("correspondences over different algebra pairs")
@@ -472,7 +479,9 @@ def unitary_intertwiner(H: Correspondence, K: Correspondence
         return None
     if H.frame is None and K.frame is None:
         return np.eye(H.dim, dtype=np.complex128), 0.0
-    U = _unitary(K) @ _unitary(H).conj().T
+    U = K.frame if H.frame is None else H.frame.conj().T
+    if H.frame is not None and K.frame is not None:
+        U = K.frame @ U
     witness = Intertwiner(H, K, U)
     if not witness.is_unitary():
         return None

@@ -27,11 +27,14 @@ middle block b: both tables' unit images are partial permutations and
 the standard form's matrices have exact zeros across blocks.  So G is
 its part on the components, the products of one right orbit of H and one
 left orbit of K (the slots (., j) of a copy of a pair (b, .)) over one
-middle block, at most max n_b^2 coordinates each, plus G_off, the entries
-of the coefficients off the components.  K's left action is a
-*-representation, so |G_off| is at most the operator norm of the block
-matrix of those coefficients over each middle block, so at most their
-Frobenius norm, the mass.  The fused basis vectors are the components
+middle block, at most max n_b^2 coordinates each, plus G_off, its entries
+off them.  K's left units have disjoint supports, so coef[a, c, u] is G's
+entry at each of the entries of unit u, and |G_off| is at most its
+Frobenius norm, the mass: the root of the sum of |coef[a, c, u]|^2 times
+how many of unit u's entries the valid nodes miss for (a, c), or gather
+more than once (_uncounted).  That count is read off the nodes the
+fusion gathers, so a node or a component that _components drops or
+repeats enters the mass.  The fused basis vectors are the components
 (_components), and S, the products of orthonormal frame bases of H.p_b
 and p_b.K in that basis order, picks node (0, 0) of each: S*.G.S = c_b
 on block b (p_b is minimal), section = S.c^{-1/2} and project =
@@ -152,7 +155,8 @@ class _Components:
     the ambient coordinate of H's slot (i, p) times K's slot (q, j), and
     node (0, 0) is S's column j.  The (fused, m) arrays, m the largest
     n^2, are padded past n^2.  plans keeps what the fusion derives from
-    S's coordinates (_gather_plan), per side.
+    the nodes: the gather plans per side (_gather_plan) and the mass's
+    counts (_uncounted).
     """
 
     nodes: np.ndarray    # ambient coordinate of each node
@@ -160,7 +164,7 @@ class _Components:
     vec: np.ndarray      # H's basis vector of each node, slot (i, p)
     unit: np.ndarray     # N's unit index of e_{b q 0}: e_{b q q'} is unit + q'
     col: np.ndarray      # q of each node
-    outside: np.ndarray  # (dim H, dim H, units of N): where coef vanishes by construction
+    reach: np.ndarray    # (units of N,): the entries of each unit of K's left action
     pads: np.ndarray | None  # (fused, m, m): the padding of the blocks, None if there is none
     plans: dict = field(default_factory=dict)
 
@@ -177,9 +181,9 @@ def _components(M: MultiMatrixAlgebra, N: MultiMatrixAlgebra, P: MultiMatrixAlge
     block pair (a, d) and middle block b, copies (s, t) of H's (a, b) and
     K's (b, d), then row i and column j: copy k of (a, d) in the fused
     basis is (b, s, t).  The latest 512 calls keep theirs: per call
-    5.fused.m ints, dim H^2 times N's units bools and the gather plans,
-    0.41 MB for L²(M_8) (x) L²(M_8), where one unit stack of L²(M_8) is
-    4.2 MB."""
+    5.fused.m ints, the gather plans and, once fused, dim H^2 times N's
+    units int32 counts, 1.2 MB for L²(M_8) (x) L²(M_8), where one unit
+    stack of L²(M_8) is 4.2 MB."""
     ns = N.block_sizes
     dK = table_dim(N, P, k_table)
     h_starts, k_starts = _pair_starts(M, N, h_table), _pair_starts(N, P, k_table)
@@ -200,21 +204,27 @@ def _components(M: MultiMatrixAlgebra, N: MultiMatrixAlgebra, P: MultiMatrixAlge
                                      ((0, 0), (0, m - n * n)))
                               for x in (vec * dK + kvec, np.ones(shape, bool), vec, unit, p)])
     nodes, valid, vec, unit, col = (np.concatenate(x) for x in zip(*parts))
-    # right orbits of H, as the index of their first vector, and their middle blocks
-    dH = table_dim(M, N, h_table)
-    orbit, mid = np.empty((2, dH), dtype=int)
-    for a, na in enumerate(M.block_sizes):
-        for b, n in enumerate(ns):
-            r = np.arange(h_table[a][b] * na * n)
-            orbit[h_starts[a][b] + r] = h_starts[a][b] + r - r % n
-            mid[h_starts[a][b] + r] = b
-    blocks = np.repeat(np.arange(len(ns)), np.square(ns))
-    outside = ~((orbit[:, None] == orbit)[:, :, None] & (mid[:, None] == blocks)[:, None, :])
+    reach = np.bincount(table_units(N, P, k_table, "left")[0], minlength=N.vector_dim)
     pads = None if valid.all() else ~(valid[:, :, None] & valid[:, None, :])
-    for x in (nodes, valid, vec, unit, col, outside, pads):
+    for x in (nodes, valid, vec, unit, col, reach, pads):
         if x is not None:
             x.flags.writeable = False
-    return _Components(nodes, valid, vec, unit, col, outside, pads)
+    return _Components(nodes, valid, vec, unit, col, reach, pads)
+
+
+def _uncounted(parts: _Components, dH: int) -> np.ndarray:
+    """(dim H, dim H, units of N): for each coefficient (a, c, u), how many
+    entries of K's left unit u (parts.reach) the valid node pairs of the
+    components miss, or gather more than once, for (a, c).
+
+    A node pair (x, y) gathers coef[vec_x, vec_y, unit_x + col_y], so the
+    count is read off the nodes, not off the tables that built them."""
+    units = len(parts.reach)
+    pairs = parts.valid[:, :, None] & parts.valid[:, None, :]
+    at = ((parts.vec[:, :, None] * dH + parts.vec[:, None, :]) * units
+          + parts.unit[:, :, None] + parts.col[:, None, :])[pairs]
+    count = np.bincount(at, minlength=dH * dH * units).reshape(dH, dH, units)
+    return np.abs(parts.reach - count).astype(np.int32)
 
 
 def _block_scales(c: np.ndarray) -> np.ndarray:
@@ -259,7 +269,10 @@ def _component_quotient(parts: _Components, coef: np.ndarray, ambient: int):
     miss = rows.conj()[:, :, None] @ rows[:, None, :]
     bound = DEFAULT_TOL * max(float(np.max(np.linalg.norm(rows, axis=1), initial=0.0)) ** 2, 1.0)
     miss -= blocks
-    _gram_gate(miss, bound, float(np.linalg.norm(coef[parts.outside])))
+    if "mass" not in parts.plans:
+        parts.plans["mass"] = _uncounted(parts, len(coef))
+    mass = np.sqrt(np.vdot(parts.plans["mass"], coef.real ** 2 + coef.imag ** 2))
+    _gram_gate(miss, bound, float(mass))
     return project, section, scale, bound
 
 

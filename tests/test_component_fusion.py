@@ -9,10 +9,10 @@ table [[0, 1], [2, 1]], project, section and the block constants c are the
 dense reference's bit for bit, the dense residual project*.project - G is
 exactly zero off the components and the stacked one's on them, and both
 compression stacks have the dense ones' nonzeros and norms.  Mutations of
-the components trip each gate, coefficients off the components enter the
-Gram gate as their Frobenius mass, which bounds G off the components, and
-the witness of two correspondences of one table is the full
-computation's identity.
+the components trip each gate, a dropped node or component too;
+coefficients off the components enter the Gram gate as their mass, the
+Frobenius norm of G off the components; and the witness of two
+correspondences of one table is the full computation's identity.
 """
 
 from __future__ import annotations
@@ -151,27 +151,29 @@ def _lam_inv_across_blocks(std, entry):
 
 
 def _mass(H, K, std):
-    """The Frobenius norm of coef off the components: the mass."""
+    """The mass: coef's Frobenius norm weighted by the entries of G at each
+    coefficient that the components' node pairs miss (_uncounted)."""
     R = fusion_module._creation_operators(H, std)
     coef = (R @ std.cyclic_vector()) @ (R.conj() @ std.lam_inv.T)
-    return np.linalg.norm(coef[_parts(H, K).outside])
+    weights = fusion_module._uncounted(_parts(H, K), H.dim)
+    return np.sqrt(np.sum(weights * np.abs(coef) ** 2))
 
 
-def test_the_mass_of_coefficients_off_the_components_bounds_g_there():
-    # G's entries off the components are coefficients off them, each at one
-    # entry of a unit of K's left action, a *-representation: so G off the
-    # components is at most the block matrix of those coefficients over a
-    # middle block in norm, so at most their Frobenius norm
+def test_the_mass_is_g_off_the_components():
+    # coef[a, c, u] is G's entry at each entry of K's left unit u, whose
+    # supports are disjoint, so the mass is the Frobenius norm of G off the
+    # components, and bounds its operator norm
     H, K, std = _case("L2(2,3)")
     parts = _parts(H, K)
     assert _mass(H, K, std) == 0.0
+    inside = np.zeros((H.dim * K.dim,) * 2, dtype=bool)
+    for nodes, valid in zip(parts.nodes, parts.valid):
+        inside[np.ix_(nodes[valid], nodes[valid])] = True
     for entry in (1e-12, 1e-3, 1.0):
         bent = _lam_inv_across_blocks(std, entry)
-        G = fusion_gram(H, K, bent)
-        inside = np.zeros_like(G, dtype=bool)
-        for nodes, valid in zip(parts.nodes, parts.valid):
-            inside[np.ix_(nodes[valid], nodes[valid])] = True
-        assert 0.0 < operator_norm(np.where(inside, 0.0, G)) <= _mass(H, K, bent) * (1.0 + 1e-12)
+        off = np.where(inside, 0.0, fusion_gram(H, K, bent))
+        assert _mass(H, K, bent) == pytest.approx(np.linalg.norm(off), rel=1e-12)
+        assert 0.0 < operator_norm(off) <= _mass(H, K, bent) * (1.0 + 1e-12)
 
 
 def test_coefficients_off_the_components_enter_the_gram_gate(measured):
@@ -242,6 +244,24 @@ class TestComponentGates:
         with pytest.raises(RuntimeError, match=r"fusion Gram residual \S+ exceeds \S+: "
                                                r"the reduced quotient"):
             self._fuse(monkeypatch, misread)
+
+    def test_a_dropped_node_misses_the_gram_matrix(self, monkeypatch):
+        # node (1, 1) of a component marked padding: its entries of G, one a
+        # block constant's, are gathered by no node pair, so they are mass
+        def dropped(nodes, valid, vec, unit, col):
+            i = int(np.flatnonzero(valid.sum(axis=1) > 1)[0])
+            valid[i, int(round(np.sqrt(valid[i].sum()))) + 1] = False
+            return nodes, valid, vec, unit, col
+        with pytest.raises(RuntimeError, match=r"fusion Gram residual \S+ exceeds \S+: "
+                                               r"the reduced quotient"):
+            self._fuse(monkeypatch, dropped)
+
+    def test_a_dropped_component_misses_the_gram_matrix(self, monkeypatch):
+        # the last fused basis vector gone: its block of G is measured nowhere
+        # but in the mass, which every node pair's count still reaches
+        with pytest.raises(RuntimeError, match=r"fusion Gram residual \S+ exceeds \S+: "
+                                               r"the reduced quotient"):
+            self._fuse(monkeypatch, lambda *fields: tuple(x[:-1] for x in fields))
 
     def test_swapped_components_miss_the_fused_units(self, monkeypatch):
         def swapped(*fields):

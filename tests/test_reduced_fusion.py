@@ -13,7 +13,8 @@ rank, project.section = 1, and a unitary intertwiner from the fused
 correspondence onto the full one.  On the same fusions the stacks are
 those of the block correspondence bit for bit, every unit compressed as
 before agrees with them, and the block constants are |(rho^{-1/2})_00|^2
-of the middle block.
+of the middle block.  Components that lose one block pair keep the
+block constants positive, and the residual check must catch it.
 """
 
 from __future__ import annotations
@@ -139,6 +140,23 @@ def _two_block_fusion_inputs():
 def test_unmutated_inputs_pass_both_gates():
     H, L2, std = _two_block_fusion_inputs()
     assert connes_fusion(H, L2, std).corr.dim == 5
+
+
+def test_residual_check_catches_a_dropped_block_pair(monkeypatch):
+    # the components lose H's block pair (1, 1): every block constant stays
+    # positive and the compression is never reached, so only the Gram
+    # residual, through the mass of the coefficients no node gathers, sees
+    # the loss
+    from test_component_fusion import mutated_components
+    H, L2, std = _two_block_fusion_inputs()
+    first = H.right_algebra.unit_index(1, 0, 0)
+
+    def dropped(*fields):
+        keep = fields[3][:, 0] < first
+        return tuple(x[keep] for x in fields)
+    mutated_components(monkeypatch, dropped)
+    with pytest.raises(RuntimeError, match=r"fusion Gram residual \S+ exceeds \S+: the reduced"):
+        connes_fusion(H, L2, std)
 
 
 def test_inputs_lawful_within_the_boundary_tolerance_still_fuse():

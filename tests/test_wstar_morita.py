@@ -233,6 +233,16 @@ def _noise(size):
     return change
 
 
+def _rotation(size):
+    def change(units):
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=units.shape[1:]) + 1j * rng.normal(size=units.shape[1:])
+        w, V = np.linalg.eigh(g + g.conj().T)
+        W = (V * np.exp(1j * size * w / np.abs(w).max())) @ V.conj().T
+        return W @ units @ W.conj().T
+    return change
+
+
 def _scale(size):
     def change(units):
         return (1.0 + size) * units
@@ -276,6 +286,22 @@ class TestTheWitnessesBoundL2:
         self.corrupt(monkeypatch, change)
         for H, phi in _certified_pairs():
             with pytest.raises(RuntimeError, match="no unitary"):
+                self.certify(H, phi)
+
+    def test_a_rotated_right_action_is_refused_at_construction(self, monkeypatch):
+        # a rotation keeps the right action's own laws, so read unchecked it
+        # is a lawful table and a near-unitary frame, and its witness would
+        # pass; the actions' commutator, about 1e-7, is the constructor's to
+        # refuse, and every public path builds through it
+        build = morita_module.identity_correspondence
+
+        def rotated(std):
+            L2 = build(std)
+            return Correspondence(L2.left_algebra, L2.right_algebra, L2.dim, L2.pi_l_units,
+                                  _rotation(1e-7)(np.stack(L2.pi_r_units)), L2.name)
+        monkeypatch.setattr(morita_module, "identity_correspondence", rotated)
+        for H, phi in _certified_pairs():
+            with pytest.raises(ValueError, match="left and right actions do not commute"):
                 self.certify(H, phi)
 
     def test_sub_tolerance_noise_certifies_and_shows(self, monkeypatch):
