@@ -34,6 +34,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..errors import CapExceeded, NotComposable
+from ..exact import as_int
 from ..numkernel import DEFAULT_TOL, kron_sandwich, operator_norm
 from ..rings.base import FiniteRing
 from ..rings.bimodules import (
@@ -314,9 +315,13 @@ def sample_wstar_chain(rng, length: int, dim_cap: int = 24):
     """A composable chain of multiplicity correspondences, dims summing
     under the cap.  Returns (algebras, cells).
 
-    Every cell has dimension at least 1, so a cap below the length can
-    never be met and raises CapExceeded before anything is drawn.
+    A length that is not an integer of at least 1 raises ValueError, and
+    as every cell has dimension at least 1, a cap below the length
+    CapExceeded, both before anything is drawn.
     """
+    length = as_int(length)
+    if length < 1:
+        raise ValueError(f"a chain needs at least one cell, got length {length}")
     if dim_cap < length:
         raise CapExceeded(
             f"a chain of {length} cells needs a dimension cap of at least "

@@ -6,14 +6,16 @@ Commands:
     moritalab demo <name> [flags]         run a built-in instance
 
 Exit codes: 0 when every task passes, 1 when any task fails, is refuted,
-or errors, 2 on unreadable or invalid input.  The report is JSON on
-stdout, or at --report <path> with a one-line summary per task printed
-instead.  MORITALAB_SEED overrides --seed when set.
+or errors, 2 on unreadable or invalid input, an unwritable --report or
+--spec-out path included, which is found before any task runs.  The
+report is JSON on stdout, or at --report <path> with a one-line summary
+per task printed instead.  MORITALAB_SEED overrides --seed when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -260,14 +262,13 @@ def run_spec(spec: SpecFile, opts: argparse.Namespace, digest: str) -> dict:
     }
 
 
-def _emit(report: dict, report_path: str | None, out) -> None:
+def _emit(report: dict, report_fh, out) -> None:
     text = json.dumps(report, indent=2, sort_keys=False)
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if report_fh:
+        report_fh.write(text + "\n")
         for row in report["tasks"]:
             print(f"{row['status']:8s} {row['name']}: {row['detail']}", file=out)
-        print(f"report written to {report_path}", file=out)
+        print(f"report written to {report_fh.name}", file=out)
     else:
         print(text, file=out)
 
@@ -443,14 +444,21 @@ def main(argv=None) -> int:
     else:  # demo
         doc = DEMOS[args.name]()
         text = json.dumps(doc, indent=2, sort_keys=True)
-        if args.spec_out:
-            with open(args.spec_out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
         spec = load_spec_dict(doc)
         digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    report = run_spec(spec, args, digest)
-    _emit(report, args.report, sys.stdout)
+    # an unwritable output path is invalid input, found before any task runs
+    try:
+        if getattr(args, "spec_out", None):
+            with open(args.spec_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        report_fh = open(args.report, "w", encoding="utf-8") if args.report else None
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with report_fh or contextlib.nullcontext():
+        report = run_spec(spec, args, digest)
+        _emit(report, report_fh, sys.stdout)
     return 0 if report["all_pass"] else 1
 
 

@@ -4,18 +4,21 @@ Both actions are specified on matrix units and extended linearly: a unital
 *-homomorphism on the left, a unital *-antihomomorphism on the right, with
 commuting images.  Inputs are validated once, at the boundary: the public
 constructor checks unitality and the star law on every unit, the rest on
-the generating relations (see _generator_eps).  Every correspondence the
-library builds goes through Correspondence._lawful, which checks nothing.
+the generating relations (see _generator_eps), as corr_from_homomorphism
+checks its ρ.  Every correspondence the library builds goes through
+Correspondence._lawful, which checks nothing.
 
 A correspondence between multi-matrix algebras is fixed up to unitary
 equivalence by its multiplicity table (Jones and Sunder, Introduction to
 Subfactors, ch. 1-2), so each one is held as (left_algebra,
 right_algebra, table, frame): block_correspondence of the table, placed in
 the caller's basis by the unitary frame W, its unit images W.B_u.W*.
-What the library builds, L², a block correspondence, a fusion result or a
-conjugate (the transposed table), has frame None and is the table in its
-own basis order.  Checked input gets its table and W from its isotypic
-frames: the constructor validates the stacks, gates W, and drops them.
+What the library builds, L², a block correspondence, a fusion result, a
+conjugate (the transposed table) or a *-homomorphism's (its inclusion
+matrix), has frame None and is the table in its own basis order.  Checked
+input, stacks from a caller or a spec file, gets its table and W from its
+isotypic frames: the constructor validates the stacks, gates W, and drops
+them.
 
 Every reader acts on the table, by its index data (algebras.table_units:
 unit u sends basis vector s to t, a gather with one term per entry), and
@@ -42,18 +45,15 @@ from ..numkernel import (
     max_operator_norm,
     max_operator_norm_of,
     norm_exceeds,
-    orthonormal_columns,
 )
 from .algebras import (
     MultiMatrixAlgebra,
-    _bimodule_action,
     _read_only,
     frame_products,
     isotypic_frames,
     table_dim,
     table_frames,
     table_stack,
-    table_unit_slices,
     table_units,
 )
 from .standard import StandardFormData
@@ -238,12 +238,19 @@ class Correspondence:
                 f"{self.left_algebra!r} | {self.right_algebra!r}, dim={self.dim})")
 
 
+def _split_units(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, side: str):
+    """algebras.table_units split by unit: per unit k, its (t, s)."""
+    k, t, s = table_units(A, B, table, side)
+    cuts = np.searchsorted(k, np.arange(1, (A if side == "left" else B).vector_dim))
+    return list(zip(np.split(t, cuts), np.split(s, cuts)))
+
+
 def _framed_differences(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, side: str,
                         frame: np.ndarray, units: np.ndarray):
     """W.B_u.W* - U_u for the units B_u of one side of the table, W the frame
     and U_u the units given, one at a time: B_u.W* moves rows of W*."""
     adjoint = frame.conj().T
-    for (to, fro), U in zip(table_unit_slices(A, B, table, side), units):
+    for (to, fro), U in zip(_split_units(A, B, table, side), units):
         moved = np.zeros_like(adjoint)
         moved[to] = adjoint[fro]
         yield frame @ moved - U
@@ -251,8 +258,8 @@ def _framed_differences(A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, table, sid
 
 def _unit_difference(T: np.ndarray, H: Correspondence, K: Correspondence, side: str):
     """u -> T.A_u - B_u.T on one side, A_u and B_u the units of the tables
-    of H and K: gathers at the unit's slices (algebras.table_unit_slices)."""
-    src, tgt = (table_unit_slices(X.left_algebra, X.right_algebra, X.table, side)
+    of H and K: gathers at the unit's entries (_split_units)."""
+    src, tgt = (_split_units(X.left_algebra, X.right_algebra, X.table, side)
                 for X in (H, K))
 
     def difference(u: int) -> np.ndarray:
@@ -402,8 +409,9 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
                            std_N: StandardFormData) -> Correspondence:
     """L²(N)·ρ(1) as an (N, source)-correspondence for a *-hom ρ: source -> N.
 
-    ρ need not be unital; the carrier shrinks to the range of right
-    multiplication by the projection ρ(1).
+    ρ need not be unital.  Block b of the carrier, C^{n_b} ⊗ ρ_b(1).C^{n_b},
+    holds rank ρ_b(e_c00) copies of the simple (b, c) bimodule, so this is
+    the block correspondence of ρ's inclusion matrix, with no frame.
     """
     N = std_N.algebra
     if len(rho_units) != source.vector_dim:
@@ -420,14 +428,12 @@ def corr_from_homomorphism(rho_units, source: MultiMatrixAlgebra,
         raise NotHomomorphism("images do not respect the involution")
     if broken == "product":
         raise NotHomomorphism("images do not multiply like matrix units")
-    unit_img = sum(U for (b, i, j), U in zip(source.unit_triples(), imgs) if i == j)
-
-    # the range of ξ -> ξ.ρ(1), on which ρ acts by right multiplication
-    rows, cols = N.unit_positions
-    Q = orthonormal_columns(_bimodule_action(rows, cols, y=unit_img))
-    pi_r = Q.conj().T @ _bimodule_action(rows, cols, y=imgs) @ Q
-    pi_l = Q.conj().T @ table_stack(N, N, N.identity_table, "left") @ Q
-    return Correspondence(N, source, Q.shape[1], pi_l, pi_r)
+    # each rank is a spectral count at 1/2 of a near-projection, so exact
+    firsts = imgs[[source.unit_index(c, 0, 0) for c in range(len(source.block_sizes))]]
+    firsts = (firsts + firsts.conj().transpose(0, 2, 1)) / 2.0
+    table = [(np.linalg.eigvalsh(firsts[:, o:o + n, o:o + n]) > 0.5).sum(axis=1).tolist()
+             for o, n in zip(map(N.block_offset, range(len(N.block_sizes))), N.block_sizes)]
+    return block_correspondence(N, source, table)
 
 
 def _frame_pairs(H: Correspondence, K: Correspondence):

@@ -12,9 +12,10 @@ maps ξ -> x.ξ.y from the broadcasts, Kronecker products and stacked
 products the library's one gather replaced, fusion Gram matrices pair by
 pair, fused actions compressed unit by unit, the witness residual and
 the unitors as products and contractions with the unit stacks, the
-conjugate as the entrywise conjugate of the stacks, the balancing
-samples drawn one at a time, and subspaces are compared through fresh
-orthonormal bases.
+conjugate as the entrywise conjugate of the stacks, the correspondence
+of a *-homomorphism as L² densely compressed to the range of ρ(1), the
+balancing samples drawn one at a time, and subspaces are compared
+through fresh orthonormal bases.
 """
 
 from __future__ import annotations
@@ -465,6 +466,23 @@ def dense_conjugate(H):
                                     np.conj(H.pi_l_units[A.adjoint_order]),
                                     f"conj({H.name})" if H.name else "")
 
+
+
+def dense_homomorphism_correspondence(rho_units, source, N):
+    """L²(N)·ρ(1) for a *-homomorphism ρ: source -> N, built densely and
+    read through the checked constructor: the range Q of ξ -> ξ.ρ(1) on
+    L²(N)'s matrix units, N acting by left multiplication and source by
+    ξ -> ξ.ρ(y), both compressed to Q."""
+    rows, cols = N.unit_positions
+    # entry (s, t) of ξ -> ξ.y is [r_s = r_t].y[c_t, c_s]
+    right = np.asarray(rho_units, dtype=np.complex128)[:, cols, cols[:, None]] \
+        * (rows[:, None] == rows)
+    Q = orthonormal_columns(sum(right[source.unit_index(b, i, i)]
+                                for b, n in enumerate(source.block_sizes)
+                                for i in range(n)))
+    lefts = broadcast_regular_units(N)[0]
+    return Correspondence(N, source, Q.shape[1], Q.conj().T @ lefts @ Q,
+                          Q.conj().T @ right @ Q)
 
 # ------------------------------------ reference constructions of x.ξ.y maps
 

@@ -265,6 +265,16 @@ class TestWStarCoherence:
         _, again = sample_wstar_chain(np.random.default_rng(0), 4, dim_cap=24)
         assert [H.dim for H in cells] == [H.dim for H in again]
 
+    @pytest.mark.parametrize("length", [0, -1, 2.0, True])
+    def test_chain_sampler_rejects_a_length_that_is_not_a_positive_integer(self, length):
+        # a length below 1 could never reach a positive total, so it would
+        # redraw forever; it raises before anything is drawn
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            sample_wstar_chain(rng, length)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("seed", [8, 9])
     def test_associator_naturality(self, seed):
         rng = np.random.default_rng(seed)

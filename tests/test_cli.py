@@ -405,6 +405,40 @@ class TestRunCommand:
         assert "MORITALAB_SEED" in capsys.readouterr().err
         assert not report_path.exists()
 
+    @staticmethod
+    def _unwritable(tmp_path, kind):
+        """A path no open() for writing accepts, root's included."""
+        return tmp_path / "missing" / "out.json" if kind == "missing-dir" else tmp_path
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["run", "demo"])
+    def test_unwritable_report_exit_two_before_any_task(self, tmp_path, capsys,
+                                                        monkeypatch, command, kind):
+        import moritalab.cli as cli
+        ran = []
+        monkeypatch.setattr(cli, "run_spec", lambda *args: ran.append(args))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_demo_doc("mn-vs-c")))
+        target = ["run", str(spec_path)] if command == "run" else ["demo", "mn-vs-c"]
+        report = self._unwritable(tmp_path, kind)
+        assert main(target + ["--report", str(report)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(report) in err[0], err
+        assert ran == []
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_unwritable_spec_out_exit_two_before_any_task(self, tmp_path, capsys,
+                                                          monkeypatch, kind):
+        import moritalab.cli as cli
+        ran = []
+        monkeypatch.setattr(cli, "run_spec", lambda *args: ran.append(args))
+        spec_out, report = self._unwritable(tmp_path, kind), tmp_path / "r.json"
+        assert main(["demo", "mn-vs-c", "--spec-out", str(spec_out),
+                     "--report", str(report)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(spec_out) in err[0], err
+        assert ran == [] and not report.exists()
+
     def test_unexpected_exception_becomes_error_row(self, tmp_path, capsys,
                                                     monkeypatch):
         from moritalab.rings.families import CoherencePool

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from moritalab.bicategory import sample_wstar_chain
+import moritalab.wstar.fusion as fusion_module
+from moritalab.bicategory import WStarBicategory, sample_wstar_chain
 from moritalab.errors import AlgebraMismatch, CapExceeded, NotHomomorphism
 from moritalab.numkernel import DEFAULT_TOL, operator_norm
 from moritalab.wstar import (
@@ -27,12 +28,14 @@ from moritalab.wstar import (
     vector_correspondence,
 )
 
-from oracles import fusion_gram
+from oracles import dense_homomorphism_correspondence, fusion_gram
 
 M2 = MultiMatrixAlgebra((2,), name="M2")
 M21 = MultiMatrixAlgebra((2, 1), name="M2+C")
 M12 = MultiMatrixAlgebra((1, 2), name="C+M2")
 C1 = MultiMatrixAlgebra((1,), name="C")
+M3 = MultiMatrixAlgebra((3,), name="M3")
+M23 = MultiMatrixAlgebra((2, 3), name="M2+M3")
 
 
 def _nontracial_std(alg=M2):
@@ -573,6 +576,47 @@ class TestAssociator:
             associator(f, f, f_h, f)
 
 
+def _placed(source, N, places, seed=None):
+    """Unit images of ρ: source -> N copying block c of source onto the
+    diagonal of N at offset o for each (c, o) in places, conjugated by a
+    seeded unitary of N (Haar on each block) if a seed is given."""
+    units = []
+    for c, i, j in source.unit_triples():
+        E = np.zeros((N.dim, N.dim), dtype=np.complex128)
+        for d, o in places:
+            if d == c:
+                E[o + i, o + j] = 1.0
+        units.append(E)
+    if seed is None:
+        return units
+    rng, U = np.random.default_rng(seed), np.zeros((N.dim, N.dim), dtype=np.complex128)
+    for b, n in enumerate(N.block_sizes):
+        o = N.block_offset(b)
+        U[o:o + n, o:o + n] = _haar_unitary(n, rng)
+    return [U @ E @ U.conj().T for E in units]
+
+
+# name: (source, N, places, seed, the multiplicities the dense build read)
+HOMOMORPHISMS = {
+    "C+C on the diagonal of M2": (MultiMatrixAlgebra((1, 1)), M2, [(0, 0), (1, 1)], None,
+                                  ((1, 1),)),
+    "C in a corner of M2": (C1, M2, [(0, 0)], None, ((1,),)),
+    "M2+C block-diagonal in M3": (M21, M3, [(0, 0), (1, 2)], None, ((1, 1),)),
+    "M2 twice in M2+M2": (M2, MultiMatrixAlgebra((2, 2)), [(0, 0), (0, 2)], None,
+                          ((1,), (1,))),
+    "C+M2 in M2+M3, rotated": (M12, M23, [(0, 0), (0, 2), (1, 3)], 35, ((1, 0), (1, 1))),
+    "C+M2 in M2, M2 killed": (M12, M2, [(0, 1)], None, ((1, 0),)),
+    "C to zero in M2": (C1, M2, [], None, ((0,),)),
+}
+
+
+def _homomorphism(name):
+    """(source, N, unit images, pinned table, the correspondence built)."""
+    source, N, places, seed, table = HOMOMORPHISMS[name]
+    units = _placed(source, N, places, seed)
+    return source, N, units, table, corr_from_homomorphism(units, source, _nontracial_std(N))
+
+
 class TestCorrFromHomomorphism:
     def test_unital_embedding_carries_full_space(self):
         std = _nontracial_std()
@@ -611,6 +655,32 @@ class TestCorrFromHomomorphism:
         with pytest.raises(NotHomomorphism) as caught:
             corr_from_homomorphism(units, M21, std)
         assert str(caught.value) == "images do not multiply like matrix units"
+
+    @pytest.mark.parametrize("name", sorted(HOMOMORPHISMS))
+    def test_table_is_the_inclusion_matrix(self, name):
+        # block b of N holds rank ρ_b(e_c00) copies of the simple (b, c)
+        # bimodule, as the dense compression of L²(N) to ξ.ρ(1) counts them
+        source, N, units, table, H = _homomorphism(name)
+        dense = dense_homomorphism_correspondence(units, source, N)
+        assert H.multiplicities == table == dense.table
+        assert H.frame is None
+        assert not {"pi_l_units", "pi_r_units"} & set(vars(H))
+        unit = sum(U for (_, i, j), U in zip(source.unit_triples(), units) if i == j)
+        assert H.dim == dense.dim == sum(
+            n * np.linalg.matrix_rank(unit[o:o + n, o:o + n])
+            for o, n in zip(map(N.block_offset, range(len(N.block_sizes))), N.block_sizes))
+        assert unitary_intertwiner(H, dense) is not None
+
+    def test_a_bicategory_fuses_such_a_cell_once(self, monkeypatch):
+        _, _, _, _, H = _homomorphism("C+M2 in M2+M3, rotated")
+        L = conjugate_correspondence(H)
+        fused, real = [], fusion_module.connes_fusion
+        monkeypatch.setattr(fusion_module, "connes_fusion",
+                            lambda *args, **kwargs: fused.append(args) or real(*args, **kwargs))
+        inst = WStarBicategory()
+        first, again = (inst.compose(H, L) for _ in range(2))
+        assert len(fused) == 1
+        assert again.corr.table == first.corr.table == ((1, 1), (1, 2))
 
     def test_rejects_non_homomorphism(self):
         std = _nontracial_std()
